@@ -71,6 +71,7 @@ class MASTIndex:
         estimates: dict[tuple[int, int], MotionEstimate],
         detections: dict[int, ObjectArray],
         spatial_index=None,
+        match_max_distance: float | None = None,
     ) -> None:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
@@ -80,6 +81,9 @@ class MASTIndex:
         self._positions = positions
         self._scores = scores
         self._estimates = estimates
+        #: The matching gate the estimates were computed under; a later
+        #: build reuses them only under the same gate.
+        self._match_max_distance = match_max_distance
         self._detections = detections
         #: Optional :class:`~repro.spatial.SpatialTileIndex` over the
         #: flat columns; spatial count series route through it.
@@ -105,11 +109,15 @@ class MASTIndex:
         estimate predicts the object set of each interior frame; sampled
         frames contribute their raw detections.
 
-        ``previous``/``boundary`` (the pipeline's extend path) hand over
-        the prior index and its invalidation boundary so the spatial tile
-        index updates incrementally — keeping its split geometry and the
-        count-summary entries for frames ``<= boundary`` — instead of
-        rebuilding from scratch.
+        ``previous`` hands over the prior index.  Its motion estimates
+        are reused for every gap whose two detection sets are the same
+        objects (``is``) at the same timestamps under the same matching
+        gate, so a rebuild runs ST-PC analysis only on the gaps that
+        changed — after a one-frame ``extend``, the ones past the
+        invalidation boundary.  With ``boundary`` (the pipeline's extend
+        path) the spatial tile index also updates incrementally —
+        keeping its split geometry and the count-summary entries for
+        frames ``<= boundary`` — instead of rebuilding from scratch.
         """
         config = config or MASTConfig()
         ledger = ledger if ledger is not None else result.ledger
@@ -121,6 +129,12 @@ class MASTIndex:
         position_parts: list[np.ndarray] = []
         score_parts: list[np.ndarray] = []
         estimates: dict[tuple[int, int], MotionEstimate] = {}
+        reusable: dict[tuple[int, int], MotionEstimate] = {}
+        if (
+            previous is not None
+            and previous._match_max_distance == config.match_max_distance
+        ):
+            reusable = previous._estimates
 
         with ledger.measure(STAGE_INDEX):
             ledger.charge(
@@ -145,13 +159,24 @@ class MASTIndex:
                 start, end = int(start), int(end)
                 if end - start <= 1:
                     continue
-                estimate = analyze_pair(
-                    result.detections[start],
-                    result.detections[end],
-                    float(timestamps[start]),
-                    float(timestamps[end]),
-                    max_distance=config.match_max_distance,
-                )
+                objects_start = result.detections[start]
+                objects_end = result.detections[end]
+                t_start, t_end = float(timestamps[start]), float(timestamps[end])
+                estimate = reusable.get((start, end))
+                if (
+                    estimate is None
+                    or estimate.objects_start is not objects_start
+                    or estimate.objects_end is not objects_end
+                    or estimate.t_start != t_start
+                    or estimate.t_end != t_end
+                ):
+                    estimate = analyze_pair(
+                        objects_start,
+                        objects_end,
+                        t_start,
+                        t_end,
+                        max_distance=config.match_max_distance,
+                    )
                 estimates[(start, end)] = estimate
                 interior = np.arange(start + 1, end, dtype=np.int64)
                 local_idx, labels, positions, scores = estimate.predict_flat(
@@ -210,6 +235,7 @@ class MASTIndex:
             estimates=estimates,
             detections=result.detections,
             spatial_index=spatial_index,
+            match_max_distance=config.match_max_distance,
         )
 
     # ------------------------------------------------------------------

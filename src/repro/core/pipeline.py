@@ -226,16 +226,17 @@ class MASTPipeline:
 
     def _rebuild_index(self, *, incremental: bool = False) -> None:
         assert self._sampling is not None
-        # On the extend path the prior index and its invalidation
-        # boundary are handed over so the spatial tile index keeps its
-        # split geometry and pre-boundary count summaries.
-        previous = self._index if incremental else None
+        # The prior index always goes along: its motion estimates are
+        # reused for every gap whose detections did not change.  On the
+        # extend path its invalidation boundary goes too, so the spatial
+        # tile index keeps its split geometry and pre-boundary count
+        # summaries.
         boundary = self.last_extend_boundary if incremental else None
         self._index = MASTIndex.build(
             self._sampling,
             self.config,
             ledger=self.ledger,
-            previous=previous,
+            previous=self._index,
             boundary=boundary,
         )
         st_provider = STCountProvider(self._index)

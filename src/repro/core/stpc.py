@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.annotations import ObjectArray
-from repro.geometry.matching import match_with_threshold
+from repro.geometry.matching import match_pairs
 
 __all__ = ["MotionEstimate", "analyze_pair", "match_by_label"]
 
@@ -40,27 +40,29 @@ def match_by_label(
     matching runs independently per label.
     """
     pairs: list[tuple[int, int]] = []
-    matched_a: set[int] = set()
-    matched_b: set[int] = set()
-    labels = set(objects_a.label_set()) | set(objects_b.label_set())
-    for label in sorted(labels):
+    free_a = np.ones(len(objects_a), dtype=bool)
+    free_b = np.ones(len(objects_b), dtype=bool)
+    for label in sorted(objects_a.label_set() & objects_b.label_set()):
         idx_a = np.nonzero(objects_a.labels == label)[0]
         idx_b = np.nonzero(objects_b.labels == label)[0]
-        if len(idx_a) == 0 or len(idx_b) == 0:
-            continue
         diff = (
             objects_a.centers[idx_a][:, None, :] - objects_b.centers[idx_b][None, :, :]
         )
         cost = np.linalg.norm(diff, axis=2)
-        local_pairs, _, _ = match_with_threshold(cost, max_distance)
-        for i, j in local_pairs:
-            global_i, global_j = int(idx_a[i]), int(idx_b[j])
-            pairs.append((global_i, global_j))
-            matched_a.add(global_i)
-            matched_b.add(global_j)
-    unmatched_a = [i for i in range(len(objects_a)) if i not in matched_a]
-    unmatched_b = [j for j in range(len(objects_b)) if j not in matched_b]
-    return sorted(pairs), unmatched_a, unmatched_b
+        local_pairs = match_pairs(cost, max_distance)
+        if not local_pairs:
+            continue
+        local = np.array(local_pairs)
+        global_a = idx_a[local[:, 0]]
+        global_b = idx_b[local[:, 1]]
+        free_a[global_a] = False
+        free_b[global_b] = False
+        pairs.extend(zip(global_a.tolist(), global_b.tolist()))
+    return (
+        sorted(pairs),
+        np.flatnonzero(free_a).tolist(),
+        np.flatnonzero(free_b).tolist(),
+    )
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ from repro.geometry.distance import (
     iou_bev,
     pairwise_center_distances,
 )
-from repro.geometry.matching import hungarian, match_with_threshold
+from repro.geometry.matching import hungarian, match_pairs, match_with_threshold
 from repro.geometry.transforms import Pose2D, rotation_matrix_2d, wrap_angle
 
 __all__ = [
@@ -17,6 +17,7 @@ __all__ = [
     "center_distance",
     "hungarian",
     "iou_bev",
+    "match_pairs",
     "match_with_threshold",
     "pairwise_center_distances",
     "rotation_matrix_2d",

@@ -8,16 +8,41 @@ bounding boxes.  This module provides:
   algorithm for dense rectangular cost matrices (rows <= columns handled
   by transposition), cross-validated against
   ``scipy.optimize.linear_sum_assignment`` in the test suite;
-* :func:`match_with_threshold` — the detection-matching wrapper that
-  discards assigned pairs whose cost exceeds a gating threshold, which is
-  how tracking-by-detection avoids matching unrelated objects.
+* :func:`match_pairs` — the detection-matching wrapper that discards
+  assigned pairs whose cost exceeds a gating threshold, which is how
+  tracking-by-detection avoids matching unrelated objects;
+* :func:`match_with_threshold` — the same pairs plus the unmatched rows
+  and columns.
+
+The algorithm grows, for each row in turn, an alternating tree of
+matched columns until it reaches a free column: every step scans the
+columns outside the tree for the smallest reduced cost, shifts the dual
+potentials by it, and adds that column.  The scan is the hot loop, and
+the two matrix scales the system sees want it written differently (see
+``docs/performance.md``): vehicle-scale scenes produce thousands of
+matrices a few columns wide, where any numpy call costs more than the
+whole scan, and city-scale scenes a few matrices ~200 columns wide, where
+a per-element Python loop is the whole fit.  :func:`_assign_narrow` runs
+the scan on plain Python lists and :func:`_assign_wide` as whole-row
+numpy operations; both perform the same float64 operations in the same
+order with the same first-minimum tie-break, so they return the same
+assignment, and :data:`WIDE_SCAN_MIN_COLUMNS` picks between them.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["hungarian", "match_with_threshold"]
+__all__ = ["hungarian", "match_pairs", "match_with_threshold"]
+
+#: Matrices with at least this many columns (after transposition to
+#: rows <= columns) scan with whole-row numpy operations.  The measured
+#: cross-over on Euclidean-distance costs is ~64 columns; the captured
+#: vehicle-scale matrices are at most 47 wide, the city-scale ones that
+#: matter 180-203.
+WIDE_SCAN_MIN_COLUMNS = 64
+
+_INF = float("inf")
 
 
 def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
@@ -41,68 +66,130 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     n, m = cost.shape
     if n == 0 or m == 0:
         return []
-    if not np.all(np.isfinite(cost)):
+    if not np.isfinite(cost).all():
         raise ValueError("cost matrix must contain only finite values")
     if n > m:
-        pairs = hungarian(cost.T)
-        return sorted((row, col) for col, row in pairs)
+        return sorted((row, col) for col, row in hungarian(cost.T))
     if n == 1:
         # Single row: the optimum is the cheapest column.  ``argmin``
         # returns the first minimum, matching the full algorithm's
         # strict-improvement tie-breaking.
         return [(0, int(np.argmin(cost[0])))]
+    if m < WIDE_SCAN_MIN_COLUMNS:
+        row_of = _assign_narrow(cost.tolist(), n, m)
+    else:
+        row_of = _assign_wide(np.ascontiguousarray(cost), n, m)
+    return sorted((row, col) for col, row in enumerate(row_of) if row >= 0)
 
-    # Potentials formulation (1-indexed), after the classic e-maxx/CP
-    # presentation.  u/v are the dual potentials, p[j] is the row matched
-    # to column j (0 = unmatched), way[j] is the predecessor column on the
-    # alternating path.
-    inf = float("inf")
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    p = np.zeros(m + 1, dtype=int)
-    way = np.zeros(m + 1, dtype=int)
 
-    for i in range(1, n + 1):
-        p[0] = i
-        j0 = 0
-        minv = np.full(m + 1, inf)
-        used = np.zeros(m + 1, dtype=bool)
+# Both kernels below are the potentials formulation after the classic
+# e-maxx/CP presentation, 0-indexed with -1 for its virtual root column:
+# u/v are the dual potentials, row_of[j] the row matched to column j (-1
+# = free), way[j] the predecessor column on the alternating path, minv[j]
+# the smallest reduced cost seen from the tree to column j.  For
+# 2 <= n <= m they return row_of.
+
+
+def _assign_narrow(rows: list[list[float]], n: int, m: int) -> list[int]:
+    """The assignment of ``rows`` (``cost.tolist()``), scanning in Python."""
+    u = [0.0] * n
+    v = [0.0] * m
+    row_of = [-1] * m
+    way = [-1] * m
+    for i in range(n):
+        minv = [_INF] * m
+        free = list(range(m))  # columns outside the tree, ascending
+        tree_cols: list[int] = []
+        i0, j0 = i, -1
         while True:
-            used[j0] = True
-            i0 = p[j0]
-            delta = inf
-            j1 = 0
-            reduced = cost[i0 - 1, :] - u[i0] - v[1:]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                cur = reduced[j - 1]
+            row = rows[i0]
+            u_i0 = u[i0]
+            delta = _INF
+            j1 = -1
+            for j in free:
+                cur = row[j] - u_i0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
-                if minv[j] < delta:
-                    delta = minv[j]
+                else:
+                    cur = minv[j]
+                if cur < delta:
+                    delta = cur
                     j1 = j
-            used_cols = used.nonzero()[0]
-            u[p[used_cols]] += delta
-            v[used_cols] -= delta
-            minv[~used] -= delta
+            u[i] += delta
+            for j in tree_cols:
+                u[row_of[j]] += delta
+                v[j] -= delta
+            free.remove(j1)
             j0 = j1
-            if p[j0] == 0:
+            i0 = row_of[j0]
+            if i0 < 0:
                 break
-        while j0:
+            for j in free:
+                minv[j] -= delta
+            tree_cols.append(j0)
+        while j0 >= 0:
             j1 = way[j0]
-            p[j0] = p[j1]
+            row_of[j0] = row_of[j1] if j1 >= 0 else i
             j0 = j1
-
-    pairs = [(int(p[j]) - 1, j - 1) for j in range(1, m + 1) if p[j]]
-    return sorted(pairs)
+    return row_of
 
 
-def match_with_threshold(
+def _assign_wide(cost: np.ndarray, n: int, m: int) -> list[int]:
+    """The assignment of ``cost``, each scan as whole-row numpy operations."""
+    u = np.zeros(n)
+    v = np.zeros(m)
+    row_of = [-1] * m
+    way = np.empty(m, dtype=np.intp)
+    minv = np.empty(m)
+    reduced = np.empty(m)
+    improved = np.empty(m, dtype=bool)
+    tree_rows = np.empty(n, dtype=np.intp)
+    tree_cols = np.empty(n, dtype=np.intp)
+    tree_v = np.empty(n)  # v of the tree's columns, written back per row
+    for i in range(n):
+        minv.fill(_INF)
+        # A column's entry turns -inf when it joins the tree, so its
+        # reduced cost reads +inf: it never improves and, with its minv
+        # at +inf too, never wins the argmin.  v of a column outside the
+        # tree does not change while the tree grows.
+        v_outside = v.copy()
+        tree_rows[0] = i
+        size = 0  # columns in the tree; rows in the tree = size + 1
+        i0, j0 = i, -1
+        while True:
+            np.subtract(cost[i0], u[i0], out=reduced)
+            np.subtract(reduced, v_outside, out=reduced)
+            np.less(reduced, minv, out=improved)
+            np.copyto(minv, reduced, where=improved)
+            np.copyto(way, j0, where=improved)
+            j1 = int(minv.argmin())  # first minimum, as the narrow scan
+            delta = minv[j1]
+            u[tree_rows[: size + 1]] += delta
+            tree_v[:size] -= delta
+            j0 = j1
+            i0 = row_of[j0]
+            if i0 < 0:
+                break
+            minv -= delta
+            minv[j0] = _INF
+            v_outside[j0] = -_INF
+            tree_cols[size] = j0
+            tree_v[size] = v[j0]
+            size += 1
+            tree_rows[size] = i0
+        v[tree_cols[:size]] = tree_v[:size]
+        while j0 >= 0:
+            j1 = int(way[j0])
+            row_of[j0] = row_of[j1] if j1 >= 0 else i
+            j0 = j1
+    return row_of
+
+
+def match_pairs(
     cost: np.ndarray, max_cost: float | None = None
-) -> tuple[list[tuple[int, int]], list[int], list[int]]:
-    """Hungarian matching with optional cost gating.
+) -> list[tuple[int, int]]:
+    """Hungarian matching with optional cost gating; the pairs only.
 
     With ``max_cost`` set, entries above the gate (or non-finite — an
     explicit "cannot match" marker) are treated as infeasible *before*
@@ -110,15 +197,24 @@ def match_with_threshold(
     and the remaining infeasible entries are masked to a finite sentinel
     large enough that the optimum never prefers one over any feasible
     assignment.  Pairs landing on a sentinel are dropped afterwards.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if max_cost is None or not cost.size:
+        return hungarian(cost)
+    return _gated_pairs(cost, float(max_cost))
+
+
+def match_with_threshold(
+    cost: np.ndarray, max_cost: float | None = None
+) -> tuple[list[tuple[int, int]], list[int], list[int]]:
+    """:func:`match_pairs` plus the rows and columns it left unmatched.
+
     Returns ``(pairs, unmatched_rows, unmatched_cols)`` — the
     decomposition Alg. 1 needs to assign velocities to matched boxes and
     handle disappearing/appearing ones.
     """
     cost = np.asarray(cost, dtype=float)
-    if max_cost is not None and cost.size:
-        pairs = _gated_pairs(cost, float(max_cost))
-    else:
-        pairs = hungarian(cost)
+    pairs = match_pairs(cost, max_cost)
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
     unmatched_rows = [i for i in range(cost.shape[0]) if i not in matched_rows]

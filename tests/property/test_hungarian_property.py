@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from repro.geometry import hungarian, match_with_threshold
+from repro.geometry import hungarian, match_with_threshold, matching
 
 cost_matrices = st.integers(1, 8).flatmap(
     lambda n: st.integers(1, 8).flatmap(
@@ -19,6 +19,94 @@ cost_matrices = st.integers(1, 8).flatmap(
         )
     )
 )
+# Shapes on both sides of the scan cut-over.  The entries come from a
+# seeded numpy generator: drawing thousands of floats through hypothesis
+# would spend the example budget on generation.
+CUT = matching.WIDE_SCAN_MIN_COLUMNS
+shapes_and_seeds = st.tuples(
+    st.integers(1, CUT + 16), st.integers(1, CUT + 16), st.integers(0, 2**32 - 1)
+)
+
+
+def scipy_pairs(cost):
+    rows, cols = linear_sum_assignment(cost)
+    return list(zip(rows.tolist(), cols.tolist()))
+
+
+def euclidean_costs(n, m, seed):
+    """Centre distances of ``n`` boxes to ``m`` boxes, most of them moved copies."""
+    rng = np.random.default_rng(seed)
+    start = rng.uniform(-300.0, 300.0, size=(n, 2))
+    end = rng.uniform(-300.0, 300.0, size=(m, 2))
+    moved = min(n, m) - min(n, m) // 10
+    end[rng.permutation(m)[:moved]] = start[:moved] + rng.normal(0.0, 25.0, size=(moved, 2))
+    return np.linalg.norm(start[:, None, :] - end[None, :, :], axis=2)
+
+
+@given(shapes_and_seeds)
+@settings(max_examples=120, deadline=None)
+def test_pairs_equal_scipy_on_continuous_costs(case):
+    """A continuous cost matrix has one optimum, so the pairs themselves agree."""
+    n, m, seed = case
+    cost = np.random.default_rng(seed).uniform(-100.0, 100.0, size=(n, m))
+    assert hungarian(cost) == scipy_pairs(cost)
+
+
+@given(shapes_and_seeds, st.integers(1, 4))
+@settings(max_examples=120, deadline=None)
+def test_total_equals_scipy_on_tie_heavy_integer_costs(case, top):
+    """Integer costs from a tiny range tie everywhere; the totals are exact."""
+    n, m, seed = case
+    cost = np.random.default_rng(seed).integers(0, top + 1, size=(n, m)).astype(float)
+    pairs = hungarian(cost)
+    rows, cols = zip(*pairs)
+    assert len(set(rows)) == len(set(cols)) == min(n, m)
+    assert sum(cost[i, j] for i, j in pairs) == sum(cost[i, j] for i, j in scipy_pairs(cost))
+
+
+@given(shapes_and_seeds, st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_layouts_agree(case, integer_costs):
+    """Strided, Fortran-ordered and nested-list inputs: one answer; the
+    transpose mirrors it (among tied optima, at the same total)."""
+    n, m, seed = case
+    rng = np.random.default_rng(seed)
+    if integer_costs:
+        cost = rng.integers(0, 4, size=(n, m)).astype(float)
+    else:
+        cost = rng.uniform(0.0, 50.0, size=(n, m))
+    expected = hungarian(cost)
+    mirrored = sorted((i, j) for j, i in hungarian(cost.T))
+    if integer_costs:
+        assert sum(cost[i, j] for i, j in mirrored) == sum(cost[i, j] for i, j in expected)
+    else:
+        assert mirrored == expected
+    assert hungarian(np.asfortranarray(cost)) == expected
+    strided = np.repeat(np.repeat(cost, 2, axis=0), 3, axis=1)[::2, ::3]
+    assert hungarian(strided) == expected
+    assert hungarian(cost.tolist()) == expected
+
+
+@given(st.integers(2, 40), st.integers(0, 40), st.integers(0, 2**32 - 1), st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_both_scans_return_the_same_assignment(n, extra, seed, integer_costs):
+    """The width constant chooses a speed, never an answer — ties included."""
+    m = n + extra
+    rng = np.random.default_rng(seed)
+    if integer_costs:
+        cost = rng.integers(0, 3, size=(n, m)).astype(float)
+    else:
+        cost = euclidean_costs(n, m, seed)
+    assert matching._assign_narrow(cost.tolist(), n, m) == matching._assign_wide(cost, n, m)
+
+
+def test_city_scale_euclidean_instances_equal_scipy():
+    """The city regime: a few 150-250-wide rectangular distance matrices."""
+    for seed, (n, m) in enumerate([(183, 185), (203, 192), (150, 250), (241, 160)]):
+        cost = euclidean_costs(n, m, seed)
+        pairs = hungarian(cost)
+        assert pairs == scipy_pairs(cost)
+        assert sorted((i, j) for j, i in hungarian(cost.T)) == pairs
 
 
 @given(cost_matrices)

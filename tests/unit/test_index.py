@@ -220,3 +220,117 @@ class TestBatchedSeriesAPI:
         assert np.array_equal(
             primed.count_series(CAR_NEAR), cold.count_series(CAR_NEAR)
         )
+
+
+def _counting_analyze_pair(monkeypatch):
+    """Record the ``(t_start, t_end)`` of every ST-PC analysis an index build runs."""
+    from repro.core import index as index_module
+
+    analysed = []
+    real = index_module.analyze_pair
+
+    def counting(objects_start, objects_end, t_start, t_end, **kwargs):
+        analysed.append((t_start, t_end))
+        return real(objects_start, objects_end, t_start, t_end, **kwargs)
+
+    monkeypatch.setattr(index_module, "analyze_pair", counting)
+    return analysed
+
+
+def _gaps(sampling):
+    """The sampled pairs with interior frames, as ``(t_start, t_end)``."""
+    ids, times = sampling.sampled_ids, sampling.timestamps
+    return [
+        (float(times[a]), float(times[b]))
+        for a, b in zip(ids[:-1], ids[1:])
+        if b - a > 1
+    ]
+
+
+def _assert_same_objects(got, want):
+    for name in ("labels", "centers", "sizes", "yaws", "scores"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestEstimateReuse:
+    """``previous`` carries motion estimates: a rebuild analyses what changed."""
+
+    @pytest.mark.parametrize("new_frames", [1, 30])
+    def test_extend_equals_scratch_build_and_analyses_only_the_tail(
+        self, detector, monkeypatch, new_frames
+    ):
+        from repro.core import MASTPipeline
+        from repro.query.workload import generate_workload
+        from repro.simulation import semantickitti_like
+
+        full = semantickitti_like(0, n_frames=240 + new_frames, with_points=False)
+        pipe = MASTPipeline(MASTConfig(seed=4)).fit(
+            full.head(240, name=full.name), detector
+        )
+        analysed = _counting_analyze_pair(monkeypatch)
+        pipe.extend(list(full[240:]))
+
+        sampling = pipe.sampling_result
+        boundary_time = float(sampling.timestamps[pipe.last_extend_boundary])
+        gaps = _gaps(sampling)
+        assert len(analysed) == len(set(analysed)) < len(gaps) / 2
+        assert all(t_start >= boundary_time for t_start, _ in analysed)
+        assert set(analysed) <= set(gaps)
+        # A one-frame extension adds a gap with no interior frame, so it
+        # may analyse nothing at all; a longer one must analyse its tail.
+        assert analysed or new_frames == 1
+
+        scratch = MASTIndex.build(sampling, pipe.config)
+        incremental = pipe.index
+        for column in ("_frame_index", "_labels", "_positions", "_scores"):
+            assert np.array_equal(
+                getattr(incremental, column), getattr(scratch, column)
+            ), column
+        for frame_id in range(sampling.n_frames):
+            _assert_same_objects(
+                incremental.objects_at(frame_id), scratch.objects_at(frame_id)
+            )
+        for object_filter in generate_workload(rng=1).object_filters():
+            assert np.array_equal(
+                incremental.count_series(object_filter),
+                scratch.count_series(object_filter),
+            ), object_filter.describe()
+
+    def test_replaced_detection_object_is_reanalysed(self, sampling, index, monkeypatch):
+        from dataclasses import replace
+
+        config = MASTConfig(seed=2)
+        analysed = _counting_analyze_pair(monkeypatch)
+        MASTIndex.build(sampling, config, previous=index)
+        assert analysed == []
+
+        # An equal copy of one interior sampled frame's detections is a
+        # different object: both gaps it borders are analysed again.
+        ids = sampling.sampled_ids
+        position = next(
+            k for k in range(1, len(ids) - 1)
+            if ids[k] - ids[k - 1] > 1 and ids[k + 1] - ids[k] > 1
+        )
+        frame_id = int(ids[position])
+        objects = sampling.detections[frame_id]
+        swapped = replace(
+            sampling,
+            detections={
+                **sampling.detections,
+                frame_id: objects.filter(np.arange(len(objects))),
+            },
+        )
+        rebuilt = MASTIndex.build(swapped, config, previous=index)
+        times = sampling.timestamps
+        assert analysed == [
+            (float(times[ids[position - 1]]), float(times[frame_id])),
+            (float(times[frame_id]), float(times[ids[position + 1]])),
+        ]
+        assert np.array_equal(rebuilt._scores, index._scores)
+
+    def test_other_matching_gate_reuses_nothing(self, sampling, index, monkeypatch):
+        analysed = _counting_analyze_pair(monkeypatch)
+        MASTIndex.build(
+            sampling, MASTConfig(seed=2, match_max_distance=5.0), previous=index
+        )
+        assert analysed == _gaps(sampling)

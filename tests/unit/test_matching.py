@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from repro.geometry import hungarian, match_with_threshold
+from repro.geometry import hungarian, match_pairs, match_with_threshold
 
 
 def optimal_cost(cost):
@@ -124,6 +124,7 @@ class TestMatchWithThreshold:
                 cost, max_cost=1.5
             )
             assert all(cost[i, j] <= 1.5 for i, j in pairs)
+            assert match_pairs(cost, max_cost=1.5) == pairs
             assert len(pairs) + len(unmatched_rows) == n
             assert len(pairs) + len(unmatched_cols) == m
 

@@ -49,6 +49,21 @@ class TestMatchByLabel:
         assert pairs == [(0, 0)]
         assert unmatched_a == [1, 2]
 
+    def test_interleaved_labels_report_global_indices(self):
+        a = scene(
+            [[0, 0], [0, 1], [20, 0], [40, 0]],
+            labels=["Car", "Pedestrian", "Car", "Cyclist"],
+        )
+        b = scene(
+            [[20.5, 0], [0, 1.2], [90, 0], [0.3, 0]],
+            labels=["Car", "Pedestrian", "Pedestrian", "Car"],
+        )
+        pairs, unmatched_a, unmatched_b = match_by_label(a, b)
+        assert pairs == [(0, 3), (1, 1), (2, 0)]
+        assert unmatched_a == [3] and unmatched_b == [2]
+        flat = [k for pair in pairs for k in pair] + unmatched_a + unmatched_b
+        assert all(type(k) is int for k in flat)
+
     def test_empty_sides(self):
         empty = ObjectArray.empty()
         pairs, unmatched_a, unmatched_b = match_by_label(empty, scene([[0, 0]]))

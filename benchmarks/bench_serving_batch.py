@@ -3,7 +3,8 @@
 The serving layer (``repro.serving.QueryService``) answers a workload by
 parsing it up front, grouping queries by object filter, computing each
 distinct count series once through the batched provider kernels
-(``count_series_many``), and fanning evaluation over a thread pool.
+(``count_series_many``), and answering the queries in order on the
+calling thread.
 This bench measures that against the serial baseline
 (``MASTPipeline.query_many``) on the same 50-query workload, both from a
 cold provider cache, and checks that

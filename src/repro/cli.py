@@ -134,8 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file with one query per line ('#' comments allowed)")
     serve.add_argument("--repeat", type=int, default=2,
                        help="times to replay the batch (>= 2 shows cache hits)")
-    serve.add_argument("--threads", type=int, default=4,
-                       help="worker threads for batch evaluation")
     serve.add_argument("--backend", choices=("thread", "process"),
                        default="thread",
                        help="serving backend for --corpus mode: 'process' "
@@ -560,7 +558,6 @@ def _cmd_serve_workload(args, out) -> int:
         pipeline = CorpusPipeline(catalog, config, policy="ucb").fit(model)
         service = CorpusQueryService(
             pipeline,
-            max_workers=max(1, args.threads),
             backend=args.backend,
             workers=args.workers if args.workers > 0 else None,
         )
@@ -580,7 +577,7 @@ def _cmd_serve_workload(args, out) -> int:
             with_points=False,
         )
         pipeline = MASTPipeline(config).fit(sequence, model)
-        service = QueryService(pipeline, max_workers=max(1, args.threads))
+        service = QueryService(pipeline)
         n_frames = len(sequence)
         scope_note = ""
 

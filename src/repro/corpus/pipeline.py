@@ -241,7 +241,9 @@ class CorpusPipeline:
     # ------------------------------------------------------------------
     # Querying
     # ------------------------------------------------------------------
-    def _coerce(self, query: object) -> ScopedQuery:
+    @staticmethod
+    def _coerce(query: object) -> ScopedQuery:
+        """Any accepted query input as a :class:`ScopedQuery` (texts parse once)."""
         if isinstance(query, str):
             return parse_scoped_query(query)
         if isinstance(query, ScopedQuery):

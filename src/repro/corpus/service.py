@@ -42,9 +42,8 @@ from repro.query.ast import (
     RetrievalQuery,
     ScopedQuery,
 )
-from repro.query.parser import parse_scoped_query
 from repro.serving.cache import CacheStats
-from repro.serving.service import QueryService
+from repro.serving.service import QueryService, enter_request, leave_request
 from repro.utils.timing import CostLedger
 from repro.utils.validation import require
 
@@ -67,7 +66,6 @@ class CorpusQueryService:
         corpus: CorpusPipeline,
         *,
         max_cache_entries: int = 512,
-        max_workers: int = 8,
         backend: str = "thread",
         workers: int | None = None,
         store_dir: str | Path | None = None,
@@ -80,19 +78,13 @@ class CorpusQueryService:
         )
         self._corpus = corpus
         self._max_cache_entries = int(max_cache_entries)
-        self._max_workers = int(max_workers)
         self._backend = backend
         self._services = {
-            name: QueryService(
-                shard,
-                max_cache_entries=max_cache_entries,
-                max_workers=max_workers,
-            )
+            name: QueryService(shard, max_cache_entries=max_cache_entries)
             for name, shard in corpus.shards.items()
         }
         self._pool: ProcessShardPool | None = None
         self._dispatcher: Dispatcher | None = None
-        self._parse_memo: dict[str, ScopedQuery] = {}
         self._owns_store_dir = False
         self._store_dir: Path | None = None
         self._patched_store: DetectionStore | None = None
@@ -259,30 +251,6 @@ class CorpusQueryService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _coerce(self, query: CorpusQuery) -> ScopedQuery:
-        if isinstance(query, str):
-            if self._dispatcher is not None:
-                # Serving-tier fast path: query ASTs are frozen, so hot
-                # query texts parse once and the tree is shared.  The
-                # memo is unbounded-in-principle but keyed by distinct
-                # query strings; a wholesale clear at the cap keeps the
-                # worst case bounded without LRU bookkeeping.
-                scoped = self._parse_memo.get(query)
-                if scoped is None:
-                    scoped = parse_scoped_query(query)
-                    if len(self._parse_memo) >= 4096:
-                        self._parse_memo.clear()
-                    self._parse_memo[query] = scoped
-                return scoped
-            return parse_scoped_query(query)
-        if isinstance(query, ScopedQuery):
-            return query
-        if isinstance(
-            query, (RetrievalQuery, CompoundRetrievalQuery, AggregateQuery)
-        ):
-            return ScopedQuery(query)
-        raise TypeError(f"unsupported query type {type(query).__name__}")
-
     def _check_scope(self, scoped: ScopedQuery) -> ScopedQuery:
         if scoped.sequence is not None:
             require(
@@ -294,37 +262,54 @@ class CorpusQueryService:
 
     def execute(self, query: CorpusQuery) -> CorpusResult:
         """Answer one (possibly scoped) query through the shard caches."""
-        scoped = self._coerce(query)
-        if self._dispatcher is not None:
-            return self.dispatcher.execute(self._check_scope(scoped))  # type: ignore[no-any-return]
-        if scoped.sequence is not None:
-            return self.service(scoped.sequence).execute(scoped.query)
-        per_shard = {
-            name: self._services[name].execute(scoped.query)
-            for name in self.names
-        }
-        return CorpusPipeline._merge(scoped.query, per_shard)
+        depth = enter_request()
+        try:
+            scoped = CorpusPipeline._coerce(query)
+            if self._dispatcher is not None:
+                return self.dispatcher.execute(self._check_scope(scoped))  # type: ignore[no-any-return]
+            if scoped.sequence is not None:
+                return self.service(scoped.sequence).execute(scoped.query)
+            per_shard = {
+                name: self._services[name].execute(scoped.query)
+                for name in self.names
+            }
+            return CorpusPipeline._merge(scoped.query, per_shard)
+        finally:
+            leave_request(depth)
 
     def execute_many(self, queries: Iterable[CorpusQuery]) -> list[CorpusResult]:
         """Answer a list of queries serially, in order."""
-        return [self.execute(q) for q in queries]
+        depth = enter_request()
+        try:
+            return [self.execute(q) for q in queries]
+        finally:
+            leave_request(depth)
 
-    def execute_batch(
-        self, queries: Iterable[CorpusQuery], *, max_workers: int | None = None
-    ) -> list[CorpusResult]:
+    def execute_batch(self, queries: Iterable[CorpusQuery]) -> list[CorpusResult]:
         """Answer a mixed scoped/fan-out workload, batched per shard.
 
         Queries regroup into one sub-batch per shard (a fan-out query
         joins every shard's sub-batch), each shard answers its sub-batch
         through :meth:`QueryService.execute_batch` — distinct count
         series computed once per shard — and answers reassemble in
-        submission order, fan-outs merging across shards.
+        submission order, fan-outs merging across shards.  The whole
+        request runs on the calling thread and ends with one scheduling
+        point (:func:`~repro.serving.service.leave_request`).
         """
-        scoped_list = [self._coerce(q) for q in queries]
-        if self._dispatcher is not None:
-            return self.dispatcher.execute_many(  # type: ignore[no-any-return]
-                [self._check_scope(s) for s in scoped_list]
-            )
+        depth = enter_request()
+        try:
+            scoped_list = [CorpusPipeline._coerce(q) for q in queries]
+            if self._dispatcher is not None:
+                return self.dispatcher.execute_many(  # type: ignore[no-any-return]
+                    [self._check_scope(s) for s in scoped_list]
+                )
+            return self._execute_batch_on_shards(scoped_list)
+        finally:
+            leave_request(depth)
+
+    def _execute_batch_on_shards(
+        self, scoped_list: list[ScopedQuery]
+    ) -> list[CorpusResult]:
         names = self.names
         jobs: dict[str, list[tuple[int, object]]] = {name: [] for name in names}
         for position, scoped in enumerate(scoped_list):
@@ -346,7 +331,7 @@ class CorpusQueryService:
             if not entries:
                 continue
             answers = self._services[name].execute_batch(
-                [query for _, query in entries], max_workers=max_workers
+                [query for _, query in entries]
             )
             for (position, _), answer in zip(entries, answers):
                 shard_answers[position][name] = answer
@@ -437,9 +422,7 @@ class CorpusQueryService:
                     corpus.catalog.sequence(name), model, sampling
                 )
                 self._services[name] = QueryService(
-                    shard,
-                    max_cache_entries=self._max_cache_entries,
-                    max_workers=self._max_workers,
+                    shard, max_cache_entries=self._max_cache_entries
                 )
             else:
                 self._services[name].adopt(
@@ -463,11 +446,12 @@ class CorpusQueryService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down every shard service's worker pool (idempotent).
+        """Stop the process tier, if any (idempotent).
 
-        With the process backend this also stops the dispatcher loop,
-        shuts down the worker fleet, and removes the temporary store
-        directory when this service created it.
+        With the process backend this stops the dispatcher loop, shuts
+        down the worker fleet, and removes the temporary store directory
+        when this service created it; the thread backend owns nothing
+        to release.
         """
         if self._dispatcher is not None:
             self._dispatcher.close()
@@ -481,8 +465,6 @@ class CorpusQueryService:
         if self._owns_store_dir and self._store_dir is not None:
             shutil.rmtree(self._store_dir, ignore_errors=True)
             self._owns_store_dir = False
-        for service in self._services.values():
-            service.close()
 
     def __enter__(self) -> CorpusQueryService:
         return self

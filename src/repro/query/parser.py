@@ -65,6 +65,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Any
 
 from repro.query.aggregates import AGGREGATE_OPERATORS, requires_count_predicate
 from repro.query.ast import (
@@ -90,6 +92,7 @@ from repro.query.spatial import (
     conjoin_spatial,
     is_spatial_operator,
     spatial_operator_arg_count,
+    spatial_operator_epoch,
 )
 
 __all__ = ["parse_query", "parse_scoped_query", "QuerySyntaxError"]
@@ -478,6 +481,25 @@ def _resolve_operator(text: str) -> str | None:
     return None
 
 
+def _require_text(text: str) -> None:
+    if not isinstance(text, str) or not text.strip():
+        raise QuerySyntaxError("query text must be a non-empty string")
+
+
+@lru_cache(maxsize=4096)
+def _parse(text: str, scoped: bool, operators: int) -> Any:
+    """The tree's one parse memo: ``(text, entry point) -> frozen AST``.
+
+    Query ASTs are immutable, so a repeated text shares one tree.  The
+    memo holds syntax only — never an answer, so nothing here goes stale
+    when a sequence is extended or re-planned.  A raising parse is not
+    cached, and ``operators`` (the spatial-operator registry's epoch)
+    retires entries parsed under a since-replaced operator.
+    """
+    parser = _Parser(text)
+    return parser.parse_scoped() if scoped else parser.parse()
+
+
 def parse_query(text: str) -> RetrievalQuery | AggregateQuery:
     """Parse query text into a query object.
 
@@ -485,9 +507,8 @@ def parse_query(text: str) -> RetrievalQuery | AggregateQuery:
     input — including a sequence scope, which only the corpus layer
     (via :func:`parse_scoped_query`) knows how to route.
     """
-    if not isinstance(text, str) or not text.strip():
-        raise QuerySyntaxError("query text must be a non-empty string")
-    return _Parser(text).parse()
+    _require_text(text)
+    return _parse(text, False, spatial_operator_epoch())
 
 
 def parse_scoped_query(text: str) -> ScopedQuery:
@@ -498,6 +519,5 @@ def parse_scoped_query(text: str) -> ScopedQuery:
     ``IN ALL SEQUENCES``.  Raises :class:`QuerySyntaxError` (a
     ``ValueError``) on malformed input.
     """
-    if not isinstance(text, str) or not text.strip():
-        raise QuerySyntaxError("query text must be a non-empty string")
-    return _Parser(text).parse_scoped()
+    _require_text(text)
+    return _parse(text, True, spatial_operator_epoch())

@@ -56,6 +56,7 @@ __all__ = [
     "register_spatial_operator",
     "spatial_operator_keywords",
     "spatial_operator_arg_count",
+    "spatial_operator_epoch",
     "is_spatial_operator",
     "build_spatial_operator",
 ]
@@ -356,6 +357,9 @@ _SPATIAL_OPERATORS: dict[str, tuple[int, Callable[..., object]]] = {
     "REGION": (4, RegionPredicate),
 }
 
+#: Bumped by every registration; the parser keys its memo on it.
+_operator_epoch = 0
+
 
 def register_spatial_operator(
     keyword: str,
@@ -370,6 +374,7 @@ def register_spatial_operator(
     ``n_args`` numbers after it and calls ``factory(*numbers)``.  The
     factory must return an object implementing :class:`SpatialFilter`.
     """
+    global _operator_epoch
     keyword = keyword.upper()
     if keyword in ("DIST", "CONF"):
         raise ValueError(f"{keyword!r} is reserved by the core grammar")
@@ -378,6 +383,12 @@ def register_spatial_operator(
     if n_args < 0:
         raise ValueError("n_args must be non-negative")
     _SPATIAL_OPERATORS[keyword] = (int(n_args), factory)
+    _operator_epoch += 1
+
+
+def spatial_operator_epoch() -> int:
+    """How many registrations the operator table has seen."""
+    return _operator_epoch
 
 
 def spatial_operator_keywords() -> list[str]:

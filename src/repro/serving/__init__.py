@@ -2,7 +2,7 @@
 
 Fronts a fitted :class:`~repro.core.pipeline.MASTPipeline` with a
 :class:`QueryService` — one shared count-series cache across all
-predictors, batched workload execution over a thread pool, and
+predictors, batched workload execution on the caller's thread, and
 incremental cache invalidation when the sequence is extended.
 
 The process tier (:mod:`repro.serving.mp`, :mod:`repro.serving.dispatcher`,

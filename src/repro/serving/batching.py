@@ -4,8 +4,8 @@
 provider kind (the paper's §7.1 predictor assignment), and collects the
 distinct count-series cache keys the workload references.  The service
 then computes each distinct series exactly once — sharing predicate
-work inside a provider's ``count_series_many`` — before fanning query
-evaluation out over a thread pool.
+work inside a provider's ``count_series_many`` — before answering the
+queries in order on the calling thread.
 """
 
 from __future__ import annotations

@@ -89,9 +89,7 @@ def _build_service(
     )
     pipeline = MASTPipeline(init.config, engine=engine)
     pipeline.fit_from_sampling(sequence, init.model, sampling)
-    return QueryService(
-        pipeline, max_cache_entries=init.max_cache_entries, max_workers=1
-    )
+    return QueryService(pipeline, max_cache_entries=init.max_cache_entries)
 
 
 def _strip_counts(
@@ -120,11 +118,10 @@ def _handle_execute(
     service = services[message.shard]
     slots = [slot for slot, _ in message.entries]
     queries = [query for _, query in message.entries]
-    # Serial evaluation, not execute_batch: the worker holds one CPU and
-    # a 1-thread pool, so batch planning's pool.map handoffs are pure
-    # overhead here, and the dispatcher already deduplicated identical
-    # queries (coalescing) before the batch crossed the pipe.  The
-    # CountSeriesCache still shares series work across the batch.
+    # Serial evaluation, not execute_batch: the dispatcher already
+    # deduplicated identical queries (coalescing) before the batch
+    # crossed the pipe, so planning the batch again would be pure
+    # overhead.  The CountSeriesCache still shares series work across it.
     results = service.execute_many(queries)
     return ExecuteResponse(
         request_id=message.request_id,
@@ -196,9 +193,7 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
                         sequence, init.model, message.sampling
                     )
                     service = QueryService(
-                        pipeline,
-                        max_cache_entries=init.max_cache_entries,
-                        max_workers=1,
+                        pipeline, max_cache_entries=init.max_cache_entries
                     )
                     services[message.shard] = service
                 else:

@@ -9,9 +9,8 @@ clients:
   at evaluation time, so the two predictors share entries);
 * :meth:`execute_batch` parses a workload up front, computes each
   distinct count series exactly once via the providers' batched
-  ``count_series_many`` kernels, then fans evaluation out over a thread
-  pool (numpy releases the GIL in the vectorized mask / aggregate
-  kernels);
+  ``count_series_many`` kernels, then answers the queries in order
+  against the warmed cache — all on the calling thread;
 * :meth:`extend` ingests a new frame batch and invalidates the cache
   *incrementally* — series keep the prefix the extension provably left
   unchanged and only tails are recomputed, via the providers'
@@ -25,13 +24,19 @@ snapshot captured at entry, so its answer is consistent with either the
 pre- or post-extension sequence — never a mixture — and results are
 bit-identical to a serial, uncached :class:`QueryEngine` on the same
 snapshot.  Cumulative cache statistics are monotone.
+
+A request runs start to finish on the thread that sent it and never
+blocks, so it ends with one explicit scheduling point
+(:func:`leave_request`): left alone, CPython hands the GIL between
+CPU-bound client threads only every 5 ms switch interval, and a sub-ms
+request regularly waits out a whole slice of another client's requests.
 """
 
 from __future__ import annotations
 
 import threading
+import time
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any
 
@@ -46,12 +51,36 @@ from repro.query.ast import AggregateResult, RetrievalResult
 from repro.query.engine import evaluate_query
 from repro.query.parser import parse_query
 from repro.query.predicates import ObjectFilter
-from repro.serving.batching import BatchPlan, Query, base_kind, plan_batch
+from repro.serving.batching import Query, base_kind, plan_batch
 from repro.serving.cache import CacheStats, CountSeriesCache
 from repro.utils.timing import STAGE_QUERY, CostLedger
 from repro.utils.validation import require
 
-__all__ = ["QueryService"]
+__all__ = ["QueryService", "enter_request", "leave_request"]
+
+#: Per-thread nesting depth of public ``execute*`` calls: the service
+#: layers stack (streaming -> corpus -> one ``QueryService`` per shard)
+#: and only the outermost call on a thread is the client's request.
+_requests = threading.local()
+
+
+def enter_request() -> int:
+    """Open a public ``execute*`` call; returns its nesting depth."""
+    depth: int = getattr(_requests, "depth", 0)
+    _requests.depth = depth + 1
+    return depth
+
+
+def leave_request(depth: int) -> None:
+    """Close the call :func:`enter_request` opened at ``depth``.
+
+    The outermost call (depth 0) gives up the GIL once, so concurrent
+    clients take per-request turns instead of 5 ms slices — one
+    scheduling point a request, not one a shard.
+    """
+    _requests.depth = depth
+    if depth == 0:
+        time.sleep(0)
 
 
 @dataclass(frozen=True)
@@ -75,12 +104,9 @@ class _ServiceState:
 class QueryService:
     """Serve retrieval / aggregate workloads with shared caching.
 
-    The worker pool is created lazily and owned by the service; every
-    ``_pool`` touch outside the double-checked fast path happens under
-    ``_pool_lock``.  (``_state`` needs no lock: it is an immutable
-    snapshot swapped atomically under ``_extend_lock``.)
-
-    # guarded-by: _pool_lock: _pool
+    The service owns no threads: queries evaluate on their caller's.
+    ``_state`` needs no lock — it is an immutable snapshot swapped
+    atomically under ``_extend_lock``.
     """
 
     def __init__(
@@ -88,20 +114,14 @@ class QueryService:
         pipeline: MASTPipeline,
         *,
         max_cache_entries: int = 512,
-        max_workers: int = 8,
     ) -> None:
         require(
             pipeline._index is not None,
             "pipeline must be fit() before serving",
         )
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self._pipeline = pipeline
-        self._max_workers = int(max_workers)
         self.cache = CountSeriesCache(max_entries=max_cache_entries)
         self._extend_lock = threading.Lock()
-        self._pool: ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
         providers = pipeline.providers
         self._state = _ServiceState(
             generation=self.cache.generation,
@@ -200,20 +220,27 @@ class QueryService:
     # ------------------------------------------------------------------
     def execute(self, query: str | Query) -> RetrievalResult | AggregateResult:
         """Answer one query (object or query-language text)."""
-        if isinstance(query, str):
-            query = parse_query(query)
-        state = self._state
-        return self._execute_on(state, query)
+        depth = enter_request()
+        try:
+            if isinstance(query, str):
+                query = parse_query(query)
+            return self._execute_on(self._state, query)
+        finally:
+            leave_request(depth)
 
     def execute_many(
         self, queries: Iterable[str | Query]
     ) -> list[RetrievalResult | AggregateResult]:
         """Answer a list of queries serially, in order."""
-        state = self._state
-        return [
-            self._execute_on(state, parse_query(q) if isinstance(q, str) else q)
-            for q in queries
-        ]
+        depth = enter_request()
+        try:
+            state = self._state
+            return [
+                self._execute_on(state, parse_query(q) if isinstance(q, str) else q)
+                for q in queries
+            ]
+        finally:
+            leave_request(depth)
 
     def _execute_on(
         self, state: _ServiceState, query: Query
@@ -234,86 +261,35 @@ class QueryService:
             )
 
     def execute_batch(
-        self, queries: Iterable[str | Query], *, max_workers: int | None = None
+        self, queries: Iterable[str | Query]
     ) -> list[RetrievalResult | AggregateResult]:
         """Answer a workload with shared series computation.
 
         The workload is parsed and routed up front; each distinct
         ``(provider kind, object filter)`` series is computed once and
-        cached, then per-query evaluation fans out over a thread pool.
-        Results come back in submission order, and every query is
-        charged to the ledger exactly as a serial :meth:`execute` would
-        charge it.
+        cached (one batched pass per provider kind), then the queries
+        are answered in submission order against the warmed cache — on
+        the calling thread throughout.  Every query is charged to the
+        ledger exactly as a serial :meth:`execute` would charge it.
         """
-        plan = plan_batch(queries, self._pipeline.config)
-        state = self._state
-        return self._run_plan(state, plan, max_workers)
-
-    def _executor(self) -> ThreadPoolExecutor:
-        """The service's persistent worker pool (created on first use)."""
-        pool = self._pool  # repro: noqa[RPR003] benign double-checked read; re-verified under _pool_lock before any write
-        if pool is None:
-            with self._pool_lock:
-                if self._pool is None:
-                    self._pool = ThreadPoolExecutor(
-                        max_workers=self._max_workers,
-                        thread_name_prefix="repro-serve",
-                    )
-                pool = self._pool
-        return pool
+        depth = enter_request()
+        try:
+            plan = plan_batch(queries, self._pipeline.config)
+            state = self._state
+            for kind, filters in plan.keys_by_kind().items():
+                self._warm_kind(state, kind, filters)
+            return [self._execute_on(state, p.query) for p in plan.queries]
+        finally:
+            leave_request(depth)
 
     def close(self) -> None:
-        """Shut down the worker pool (idempotent; queries stay valid)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
+        """No-op (the service owns no threads); idempotent, queries stay valid."""
 
     def __enter__(self) -> QueryService:
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _run_plan(
-        self, state: _ServiceState, plan: BatchPlan, max_workers: int | None
-    ) -> list[RetrievalResult | AggregateResult]:
-        workers = self._max_workers if max_workers is None else int(max_workers)
-        workers = max(1, workers)
-        if not plan.queries:
-            return []
-        if max_workers is not None and workers != self._max_workers:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return self._run_plan_on(pool, workers, state, plan)
-        return self._run_plan_on(self._executor(), workers, state, plan)
-
-    def _run_plan_on(
-        self,
-        pool: ThreadPoolExecutor,
-        workers: int,
-        state: _ServiceState,
-        plan: BatchPlan,
-    ) -> list[RetrievalResult | AggregateResult]:
-        # Phase 1: every distinct series, batched per provider kind.
-        by_kind = list(plan.keys_by_kind().items())
-        list(
-            pool.map(
-                lambda item: self._warm_kind(state, item[0], item[1]),
-                by_kind,
-            )
-        )
-        # Phase 2: per-query evaluation against the warmed cache, in
-        # contiguous chunks (one task per worker keeps the per-future
-        # overhead from dominating small workloads); chunked map
-        # preserves submission order.
-        queries = plan.queries
-        chunk = -(-len(queries) // workers)
-        groups = [queries[i : i + chunk] for i in range(0, len(queries), chunk)]
-        evaluated = pool.map(
-            lambda group: [self._execute_on(state, p.query) for p in group],
-            groups,
-        )
-        return [result for group in evaluated for result in group]
 
     # ------------------------------------------------------------------
     # Extension

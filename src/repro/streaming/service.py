@@ -53,8 +53,8 @@ from repro.query.ast import (
     RetrievalQuery,
     ScopedQuery,
 )
-from repro.query.parser import parse_scoped_query
 from repro.serving.cache import CacheStats
+from repro.serving.service import enter_request, leave_request
 from repro.streaming.source import ArrivalEvent, FrameSource
 from repro.utils.timing import STAGE_MODEL, CostLedger
 from repro.utils.validation import require
@@ -147,7 +147,6 @@ class StreamingCorpusService:
         max_lag_frames: int = 0,
         replan_every: int = 32,
         max_cache_entries: int = 512,
-        max_workers: int = 8,
         detection_store: DetectionStore | None = None,
         backend: str = "thread",
         serving_workers: int | None = None,
@@ -184,7 +183,6 @@ class StreamingCorpusService:
         self._service = CorpusQueryService(
             self._corpus,
             max_cache_entries=max_cache_entries,
-            max_workers=max_workers,
             backend=backend,
             workers=serving_workers,
         )
@@ -274,7 +272,7 @@ class StreamingCorpusService:
     # ------------------------------------------------------------------
     def register_standing(self, query: StreamQuery) -> None:
         """Add a standing query, re-evaluated at every re-plan epoch."""
-        scoped = self._coerce(query)
+        scoped = CorpusPipeline._coerce(query)
         require(
             scoped.sequence is None,
             "standing queries are corpus-wide; drop the IN SEQUENCE scope",
@@ -374,7 +372,7 @@ class StreamingCorpusService:
         answers: dict[str, float] = {}
         drift: dict[str, float] = {}
         for text, query in self._standing.items():
-            result = self._service.execute(query)  # repro: noqa[RPR010] standing queries are snapshotted inside the epoch on purpose; in-flight client queries never touch _ingest_lock
+            result = self._service.execute(query)  # repro: noqa[RPR010] standing queries are snapshotted inside the epoch on purpose; in-flight client queries never touch _ingest_lock, so the request's closing scheduling point (leave_request's sleep(0)) hands them the GIL without anyone waiting on this lock
             value = (
                 float(result.value)
                 if hasattr(result, "value")
@@ -398,17 +396,6 @@ class StreamingCorpusService:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _coerce(self, query: StreamQuery) -> ScopedQuery:
-        if isinstance(query, str):
-            return parse_scoped_query(query)
-        if isinstance(query, ScopedQuery):
-            return query
-        if isinstance(
-            query, (RetrievalQuery, CompoundRetrievalQuery, AggregateQuery)
-        ):
-            return ScopedQuery(query)
-        raise TypeError(f"unsupported query type {type(query).__name__}")
-
     def _snapshot(self, scope: str | None) -> tuple[dict, dict, dict, float]:
         """Published (watermarks, arrived, staleness, time) for a scope."""
         with self._state_lock:
@@ -427,41 +414,49 @@ class StreamingCorpusService:
 
     def execute(self, query: StreamQuery) -> StreamingAnswer:
         """Answer one (possibly scoped) query against the live indexes."""
-        scoped = self._coerce(query)
-        watermarks, arrived, staleness, clock = self._snapshot(scoped.sequence)
-        result = self._service.execute(scoped)
-        return StreamingAnswer(
-            result=result,
-            watermarks=watermarks,
-            arrived=arrived,
-            staleness=staleness,
-            max_lag_frames=self.max_lag_frames,
-            virtual_time=clock,
-        )
+        depth = enter_request()
+        try:
+            scoped = CorpusPipeline._coerce(query)
+            watermarks, arrived, staleness, clock = self._snapshot(scoped.sequence)
+            result = self._service.execute(scoped)
+            return StreamingAnswer(
+                result=result,
+                watermarks=watermarks,
+                arrived=arrived,
+                staleness=staleness,
+                max_lag_frames=self.max_lag_frames,
+                virtual_time=clock,
+            )
+        finally:
+            leave_request(depth)
 
     def execute_batch(self, queries: list[StreamQuery]) -> list[StreamingAnswer]:
         """Answer a workload batched per shard, one snapshot for all."""
-        scoped_list = [self._coerce(q) for q in queries]
-        watermarks, arrived, staleness, clock = self._snapshot(None)
-        results = self._service.execute_batch(scoped_list)
-        answers = []
-        for scoped, result in zip(scoped_list, results):
-            names = (
-                (scoped.sequence,)
-                if scoped.sequence is not None
-                else tuple(watermarks)
-            )
-            answers.append(
-                StreamingAnswer(
-                    result=result,
-                    watermarks={n: watermarks[n] for n in names},
-                    arrived={n: arrived[n] for n in names},
-                    staleness={n: staleness[n] for n in names},
-                    max_lag_frames=self.max_lag_frames,
-                    virtual_time=clock,
+        depth = enter_request()
+        try:
+            scoped_list = [CorpusPipeline._coerce(q) for q in queries]
+            watermarks, arrived, staleness, clock = self._snapshot(None)
+            results = self._service.execute_batch(scoped_list)
+            answers = []
+            for scoped, result in zip(scoped_list, results):
+                names = (
+                    (scoped.sequence,)
+                    if scoped.sequence is not None
+                    else tuple(watermarks)
                 )
-            )
-        return answers
+                answers.append(
+                    StreamingAnswer(
+                        result=result,
+                        watermarks={n: watermarks[n] for n in names},
+                        arrived={n: arrived[n] for n in names},
+                        staleness={n: staleness[n] for n in names},
+                        max_lag_frames=self.max_lag_frames,
+                        virtual_time=clock,
+                    )
+                )
+            return answers
+        finally:
+            leave_request(depth)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -496,7 +491,7 @@ class StreamingCorpusService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down shard worker pools and the corpus engine."""
+        """Stop the serving process tier (if any) and the corpus engine."""
         self._service.close()
         self._corpus.close()
 

@@ -30,8 +30,8 @@ class CostLedger:
     """Accumulates simulated and measured seconds per pipeline stage.
 
     All access goes through a lock, so one ledger may be charged from
-    many threads (the batched query service fans evaluation out over a
-    thread pool) while another thread reads a consistent report.
+    many threads (every serving client evaluates on its own thread)
+    while another thread reads a consistent report.
     Besides seconds, the ledger keeps per-stage cache counters so
     serving-layer hit rates land in the same report as the costs they
     amortize.

@@ -100,7 +100,6 @@ def test_unlocking_a_guarded_access_is_caught():
                 "_invalidations",
             },
         ),
-        ("src/repro/serving/service.py", "_pool_lock", {"_pool"}),
         (
             "src/repro/utils/timing.py",
             "_lock",

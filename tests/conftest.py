@@ -53,6 +53,15 @@ def config():
     return MASTConfig(seed=11)
 
 
+@pytest.fixture()
+def yields(monkeypatch):
+    """Arguments of every ``time.sleep`` a test makes (the serving
+    layer's per-request scheduling point is ``time.sleep(0)``)."""
+    calls: list[float] = []
+    monkeypatch.setattr("time.sleep", calls.append)
+    return calls
+
+
 @pytest.fixture(scope="session", autouse=True)
 def lock_witness():
     """Runtime lock-order witness, armed by ``REPRO_WITNESS=1``.

@@ -1,8 +1,8 @@
 """Differential harness: batched/cached answers == serial uncached.
 
 The acceptance bar for the serving layer: across randomized workloads
-on several scenarios, every answer produced by the cached, batched,
-thread-pooled :class:`QueryService` is *bit-identical* — frame ids and
+on several scenarios, every answer produced by the cached, batched
+:class:`QueryService` is *bit-identical* — frame ids and
 aggregate values — to a serial execution that recomputes everything
 from scratch for every query.
 """

@@ -1,0 +1,111 @@
+"""The request path: a served request runs on the thread that sent it.
+
+``QueryService`` owns no threads, accounts a batch the way its
+docstring promises next to a serial ``execute`` loop, and ends each
+outermost public call with exactly one scheduling point.
+"""
+
+from __future__ import annotations
+
+import threading
+
+import pytest
+
+from repro.serving import QueryService
+from repro.serving import service as service_module
+from repro.serving.batching import plan_batch
+from repro.utils.timing import STAGE_QUERY
+from tests.serving.harness import assert_results_identical, random_workload
+
+LEDGER_FIELDS = ("counts", "cache_hits", "cache_misses", "simulated")
+
+
+def _query_ledger(pipeline) -> dict[str, float]:
+    ledger = pipeline.ledger
+    return {name: getattr(ledger, name)[STAGE_QUERY] for name in LEDGER_FIELDS}
+
+
+def _ledger_delta(pipeline, run) -> tuple[list, dict[str, float]]:
+    before = _query_ledger(pipeline)
+    results = run()
+    after = _query_ledger(pipeline)
+    return results, {name: after[name] - before[name] for name in LEDGER_FIELDS}
+
+
+def test_execute_batch_starts_no_threads(kitti_pipeline):
+    queries = random_workload(seed=21, n_queries=16)
+    with QueryService(kitti_pipeline) as service:
+        before = set(threading.enumerate())
+        for _ in range(50):
+            service.execute_batch(queries)
+        after = set(threading.enumerate())
+    assert after == before
+    assert not [t.name for t in after if t.name.startswith("repro-serve")]
+
+
+def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
+    """Same answers, charges, misses and cache contents as ``execute``.
+
+    The one difference is by construction: the warm pass looks every
+    distinct series up once before the queries read it, so a batch
+    records exactly ``n_series`` more hits than the serial loop.
+    """
+    queries = random_workload(seed=22, n_queries=40)
+    n_series = plan_batch(queries, kitti_pipeline.config).n_series
+
+    batch_service = QueryService(kitti_pipeline)
+    batched, batch_ledger = _ledger_delta(
+        kitti_pipeline, lambda: batch_service.execute_batch(queries)
+    )
+    serial_service = QueryService(kitti_pipeline)
+    serial, serial_ledger = _ledger_delta(
+        kitti_pipeline, lambda: [serial_service.execute(q) for q in queries]
+    )
+
+    assert_results_identical(batched, serial, "[batch vs serial execute]")
+    for name in ("counts", "cache_misses"):
+        assert batch_ledger[name] == serial_ledger[name], name
+    # Deltas of one shared float accumulator: equal up to its rounding.
+    assert batch_ledger["simulated"] == pytest.approx(
+        serial_ledger["simulated"], rel=1e-9
+    )
+    assert batch_ledger["counts"] == len(queries)
+    assert batch_ledger["cache_hits"] == serial_ledger["cache_hits"] + n_series
+
+    batch_stats = batch_service.cache_stats()
+    serial_stats = serial_service.cache_stats()
+    assert batch_stats.hits == serial_stats.hits + n_series
+    for name in ("misses", "partial_hits", "evictions", "invalidations", "entries", "bytes"):
+        assert getattr(batch_stats, name) == getattr(serial_stats, name), name
+    assert batch_stats.misses == n_series
+
+
+def test_each_public_call_ends_with_one_scheduling_point(kitti_pipeline, yields):
+    service = QueryService(kitti_pipeline)
+    queries = random_workload(seed=23, n_queries=6)
+    service.execute(queries[0])
+    assert yields == [0]
+    service.execute_many(queries)
+    assert yields == [0, 0]
+    service.execute_batch(queries)
+    assert yields == [0, 0, 0]
+
+
+def test_a_raising_request_still_yields_and_unwinds_the_nesting(
+    kitti_pipeline, yields
+):
+    service = QueryService(kitti_pipeline)
+    with pytest.raises(ValueError):
+        service.execute_batch(["SELECT NONSENSE"])
+    assert yields == [0]
+    service.execute_batch(random_workload(seed=24, n_queries=3))
+    assert yields == [0, 0]
+
+
+def test_nested_calls_yield_only_at_the_outermost(yields):
+    outer = service_module.enter_request()
+    inner = service_module.enter_request()
+    service_module.leave_request(inner)
+    assert yields == []
+    service_module.leave_request(outer)
+    assert yields == [0]

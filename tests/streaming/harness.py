@@ -23,8 +23,8 @@ def batch_reference(
 ):
     """A from-scratch batch service on the source's final sequences.
 
-    Context manager so both the per-shard worker pools and the corpus's
-    own inference engine are released when the comparison is done.
+    Context manager so both the serving process tier (if any) and the
+    corpus's own inference engine are released when the comparison is done.
     """
     catalog = SequenceCatalog()
     for name in source.names():

@@ -134,7 +134,7 @@ class TestServeWorkload:
     def test_generated_workload(self):
         status, output = run_cli(
             "serve-workload", "--frames", "200", "--queries", "12",
-            "--repeat", "2", "--threads", "2", "--show", "2",
+            "--repeat", "2", "--show", "2",
         )
         assert status == 0
         assert "served 2 x 12 queries" in output
@@ -170,7 +170,6 @@ class TestServeWorkload:
         args = build_parser().parse_args(["serve-workload"])
         assert args.queries == 50
         assert args.repeat == 2
-        assert args.threads == 4
 
 
 class TestTracks:

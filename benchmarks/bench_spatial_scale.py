@@ -8,18 +8,18 @@ single sequence indexes 10^5-10^6 object rows and spatially scoped
 queries touch only a sliver of them.
 
 At each scale point the bench times spatially filtered count-series
-evaluation twice over the *same* :class:`~repro.core.MASTIndex` — once
-through the quadtree tile index, once with it detached (the flat
-brute-force scan) — across a ladder of region selectivities, and
-asserts:
+evaluation over two indexes of the *same* sampling run — one routing
+through the quadtree tile index (built by its first region query), one
+with tiling disabled (the flat brute-force scan) — across a ladder of
+region selectivities, and asserts:
 
 * answers are bit-identical in every configuration (retrieval frame
   ids, Med and Avg aggregate values);
 * at the largest scale, low-selectivity region queries run >= 5x faster
   through the tile index;
-* a streaming run (incremental tile updates on every extend) drains to
-  answers bit-identical to an identical run with the spatial index
-  disabled.
+* a streaming run queried while it ingests (first-use tile builds,
+  incremental tile updates on every extend) drains to answers
+  bit-identical to an identical run with the spatial index disabled.
 
 Writes machine-readable ``BENCH_spatial.json`` at the repository root:
 per-scale speedup-vs-selectivity curves plus tile-prune counters in the
@@ -93,14 +93,17 @@ def world_sensor_range(dataset: str) -> float:
     return 75.0 if dataset == "semantickitti" else 300.0
 
 
-def fit_point(point: dict) -> MASTPipeline:
+def fit_point(point: dict) -> tuple[MASTPipeline, MASTPipeline]:
+    """The fitted pipeline and a twin indexing the same sampling untiled."""
     sequence = get_sequence(point["dataset"], 0, n_frames=point["n_frames"])
     pipeline = MASTPipeline(MASTConfig(seed=SEED))
     model = pv_rcnn(
         seed=MODEL_SEED, sensor_range=world_sensor_range(point["dataset"])
     )
     pipeline.fit(sequence, model)
-    return pipeline
+    flat = MASTPipeline(MASTConfig(seed=SEED, spatial_index=False))
+    flat.fit_from_sampling(sequence, model, pipeline.sampling_result)
+    return pipeline, flat
 
 
 def time_count_series(index, object_filter: ObjectFilter, *, reps: int) -> float:
@@ -115,10 +118,8 @@ def time_count_series(index, object_filter: ObjectFilter, *, reps: int) -> float
 
 
 def bench_point(point: dict, *, reps: int) -> dict:
-    pipeline = fit_point(point)
-    index = pipeline.index
-    spatial = index.spatial_index
-    assert spatial is not None
+    pipeline, flat_pipeline = fit_point(point)
+    index, flat_index = pipeline.index, flat_pipeline.index
     world_range = world_sensor_range(point["dataset"])
 
     curve = []
@@ -131,13 +132,13 @@ def bench_point(point: dict, *, reps: int) -> dict:
         object_filter = ObjectFilter("Car", region)
 
         # Selectivity of the region over the indexed rows (diagnostics).
-        index.spatial_index = None
-        index.clear_count_cache()
-        matched = float(index.count_series(object_filter).sum())
-        total = float(index.count_series(ObjectFilter("Car")).sum())
+        matched = float(flat_index.count_series(object_filter).sum())
+        total = float(flat_index.count_series(ObjectFilter("Car")).sum())
 
-        brute = time_count_series(index, object_filter, reps=reps)
-        index.spatial_index = spatial
+        brute = time_count_series(flat_index, object_filter, reps=reps)
+        index.count_series(object_filter)  # the first region query builds the tiles
+        spatial = index.spatial_index
+        assert spatial is not None
         spatial.reset_stats()
         tiled = time_count_series(index, object_filter, reps=reps)
 
@@ -149,10 +150,8 @@ def bench_point(point: dict, *, reps: int) -> dict:
             f"SELECT AVG OF COUNT(Car REGION {box})",
         ]
         tiled_answers = [pipeline.query(parse_query(text)) for text in queries]
-        index.spatial_index = None
-        index.clear_count_cache()
-        brute_answers = [pipeline.query(parse_query(text)) for text in queries]
-        index.spatial_index = spatial
+        brute_answers = [flat_pipeline.query(parse_query(text)) for text in queries]
+        assert flat_index.spatial_index is None
         assert np.array_equal(
             tiled_answers[0].frame_ids, brute_answers[0].frame_ids
         ), f"retrieval diverged at {point['name']} region {region_name}"
@@ -181,6 +180,7 @@ def bench_point(point: dict, *, reps: int) -> dict:
         "selectivity_curve": curve,
     }
     pipeline.close()
+    flat_pipeline.close()
     return record
 
 
@@ -188,9 +188,10 @@ def bench_streaming_identity(*, smoke: bool) -> dict:
     """Post-drain streaming answers with vs without the spatial index.
 
     Two identical streaming runs (same source seeds, same arrival
-    schedule, same model) — one building tile indexes incrementally on
-    every extend, one on the flat scan.  After both drain, every
-    region-scoped answer must match exactly.
+    schedule, same model), both queried between arrivals — so one builds
+    its tile indexes on first use and updates them incrementally on
+    every extend, the other stays on the flat scan.  After both drain,
+    every region-scoped answer must match exactly.
     """
     long_n, city_n = (72, 36) if smoke else (160, 80)
 
@@ -219,7 +220,9 @@ def bench_streaming_identity(*, smoke: bool) -> dict:
         with StreamingCorpusService(
             source, model, config, policy="uniform", max_lag_frames=3,
         ) as service:
-            service.pump()
+            while service.pump(max_events=8):
+                for text in texts:
+                    service.execute(text)
             service.quiesce()
             answers: dict[str, object] = {}
             for text in texts:

@@ -10,11 +10,12 @@ repeated computation".
 Internally the per-object rows of all frames are flattened into parallel
 columns (frame index, label, distance-to-sensor, confidence), so a count
 series for any object filter is one vectorized mask + ``bincount``.
-When the config enables it, the rows are additionally organized by a
-BEV :class:`~repro.spatial.SpatialTileIndex`, and spatially filtered
-count series route through it — pruning tiles outside the predicate and
-answering fully covered tiles from per-tile count summaries, with
-bit-identical results.
+When the config enables it, the first region-shaped count series also
+organizes the rows into a BEV :class:`~repro.spatial.SpatialTileIndex`,
+and spatially filtered count series route through it from then on —
+pruning tiles outside the predicate and answering fully covered tiles
+from per-tile count summaries, with bit-identical results.  An index
+that is never asked such a query never builds its tiles.
 
 Two :class:`~repro.query.engine.CountProvider` implementations sit on
 top:
@@ -27,6 +28,7 @@ top:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +58,18 @@ SIMULATED_QUERY_COST_ST = 1.55e-5
 SIMULATED_QUERY_COST_LINEAR = 6.6e-6
 
 
+def _tile_params(config: MASTConfig) -> tuple[int, int] | None:
+    """``(leaf_capacity, max_depth)`` of the tile index; None when disabled."""
+    if not config.spatial_index:
+        return None
+    return config.spatial_leaf_capacity, config.spatial_max_depth
+
+
 class MASTIndex:
-    """Per-frame (real or ST-predicted) object sets in flat-column form."""
+    """Per-frame (real or ST-predicted) object sets in flat-column form.
+
+    # guarded-by: _tile_lock: spatial_index
+    """
 
     def __init__(
         self,
@@ -69,9 +81,10 @@ class MASTIndex:
         positions: np.ndarray,
         scores: np.ndarray,
         estimates: dict[tuple[int, int], MotionEstimate],
+        gap_rows: dict[tuple[int, int], tuple[int, int]],
         detections: dict[int, ObjectArray],
+        config: MASTConfig,
         spatial_index=None,
-        match_max_distance: float | None = None,
     ) -> None:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
@@ -81,13 +94,20 @@ class MASTIndex:
         self._positions = positions
         self._scores = scores
         self._estimates = estimates
+        #: Gap -> ``[lo, hi)`` span of its predicted rows in the flat
+        #: columns; a later build slices them instead of re-predicting.
+        self._gap_rows = gap_rows
+        self._detections = detections
         #: The matching gate the estimates were computed under; a later
         #: build reuses them only under the same gate.
-        self._match_max_distance = match_max_distance
-        self._detections = detections
-        #: Optional :class:`~repro.spatial.SpatialTileIndex` over the
-        #: flat columns; spatial count series route through it.
+        self._match_max_distance = config.match_max_distance
+        self._tile_params = _tile_params(config)
+        #: The :class:`~repro.spatial.SpatialTileIndex` over the flat
+        #: columns once a count series has routed through it (or the one
+        #: ``build`` carried over from the previous index); ``None``
+        #: until then, and always when the config disables it.
         self.spatial_index = spatial_index
+        self._tile_lock = threading.Lock()
         self._count_cache: dict[ObjectFilter, np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -112,12 +132,15 @@ class MASTIndex:
         ``previous`` hands over the prior index.  Its motion estimates
         are reused for every gap whose two detection sets are the same
         objects (``is``) at the same timestamps under the same matching
-        gate, so a rebuild runs ST-PC analysis only on the gaps that
-        changed — after a one-frame ``extend``, the ones past the
-        invalidation boundary.  With ``boundary`` (the pipeline's extend
-        path) the spatial tile index also updates incrementally —
-        keeping its split geometry and the count-summary entries for
-        frames ``<= boundary`` — instead of rebuilding from scratch.
+        gate, and — when the two indexes agree on every shared frame's
+        timestamp — so are that gap's predicted rows, sliced out of the
+        prior flat columns.  A rebuild therefore runs ST-PC analysis and
+        prediction only on the gaps that changed: after a one-frame
+        ``extend``, the ones past the invalidation boundary.  With
+        ``boundary`` (the pipeline's extend path) a tile index the prior
+        index had built also updates incrementally — keeping its split
+        geometry and the count-summary entries for frames
+        ``<= boundary`` — instead of being rebuilt on next use.
         """
         config = config or MASTConfig()
         ledger = ledger if ledger is not None else result.ledger
@@ -129,12 +152,24 @@ class MASTIndex:
         position_parts: list[np.ndarray] = []
         score_parts: list[np.ndarray] = []
         estimates: dict[tuple[int, int], MotionEstimate] = {}
+        gap_rows: dict[tuple[int, int], tuple[int, int]] = {}
         reusable: dict[tuple[int, int], MotionEstimate] = {}
+        reusable_rows: dict[tuple[int, int], tuple[int, int]] = {}
+        prior_columns: tuple[np.ndarray, ...] = ()
         if (
             previous is not None
             and previous._match_max_distance == config.match_max_distance
         ):
             reusable = previous._estimates
+            shared = min(previous.n_frames, result.n_frames)
+            if np.array_equal(previous.timestamps[:shared], timestamps[:shared]):
+                reusable_rows = previous._gap_rows
+                prior_columns = (
+                    previous._frame_index,
+                    previous._labels,
+                    previous._positions,
+                    previous._scores,
+                )
 
         with ledger.measure(STAGE_INDEX):
             ledger.charge(
@@ -143,6 +178,7 @@ class MASTIndex:
                 count=0,
             )
             # Sampled frames: store the model output directly.
+            n_rows = 0
             for frame_id in sampled:
                 objects = result.detections[int(frame_id)]
                 if not len(objects):
@@ -153,6 +189,7 @@ class MASTIndex:
                 label_parts.append(objects.labels)
                 position_parts.append(objects.centers[:, :2])
                 score_parts.append(objects.scores)
+                n_rows += len(objects)
 
             # Unsampled frames: ST-PC prediction per gap (Alg. 3 lines 2-6).
             for start, end in zip(sampled[:-1], sampled[1:]):
@@ -163,6 +200,7 @@ class MASTIndex:
                 objects_end = result.detections[end]
                 t_start, t_end = float(timestamps[start]), float(timestamps[end])
                 estimate = reusable.get((start, end))
+                rows = None
                 if (
                     estimate is None
                     or estimate.objects_start is not objects_start
@@ -177,16 +215,26 @@ class MASTIndex:
                         t_end,
                         max_distance=config.match_max_distance,
                     )
+                else:
+                    rows = reusable_rows.get((start, end))
                 estimates[(start, end)] = estimate
-                interior = np.arange(start + 1, end, dtype=np.int64)
-                local_idx, labels, positions, scores = estimate.predict_flat(
-                    timestamps[interior]
-                )
+                if rows is not None:
+                    frame_idx, labels, positions, scores = (
+                        column[rows[0] : rows[1]] for column in prior_columns
+                    )
+                else:
+                    interior = np.arange(start + 1, end, dtype=np.int64)
+                    local_idx, labels, positions, scores = estimate.predict_flat(
+                        timestamps[interior]
+                    )
+                    frame_idx = interior[local_idx]
+                gap_rows[(start, end)] = (n_rows, n_rows + len(labels))
                 if len(labels):
-                    frame_idx_parts.append(interior[local_idx])
+                    frame_idx_parts.append(frame_idx)
                     label_parts.append(labels)
                     position_parts.append(positions)
                     score_parts.append(scores)
+                    n_rows += len(labels)
 
         if frame_idx_parts:
             frame_index = np.concatenate(frame_idx_parts)
@@ -200,11 +248,16 @@ class MASTIndex:
             scores = np.zeros(0)
 
         spatial_index = None
-        if config.spatial_index:
-            from repro.spatial import SpatialTileIndex
-
-            prior = previous.spatial_index if previous is not None else None
-            if prior is not None and boundary is not None:
+        if (
+            _tile_params(config) is not None
+            and previous is not None
+            and boundary is not None
+        ):
+            # Taking the lock waits out a first-use build racing this
+            # extend on a client thread, so its tiles are carried too.
+            with previous._tile_lock:
+                prior = previous.spatial_index
+            if prior is not None:
                 spatial_index = prior.updated(
                     frame_index,
                     labels,
@@ -212,16 +265,6 @@ class MASTIndex:
                     scores,
                     result.n_frames,
                     boundary=boundary,
-                )
-            else:
-                spatial_index = SpatialTileIndex(
-                    frame_index,
-                    labels,
-                    positions,
-                    scores,
-                    result.n_frames,
-                    leaf_capacity=config.spatial_leaf_capacity,
-                    max_depth=config.spatial_max_depth,
                 )
 
         return cls(
@@ -233,10 +276,38 @@ class MASTIndex:
             positions=positions,
             scores=scores,
             estimates=estimates,
+            gap_rows=gap_rows,
             detections=result.detections,
+            config=config,
             spatial_index=spatial_index,
-            match_max_distance=config.match_max_distance,
         )
+
+    def _tiles(self):
+        """The tile index, built by the first request that routes through it.
+
+        ``None`` when the config disables tiling.  The build happens
+        once per index: concurrent first requests wait on the lock and
+        find the tiles the winner published.
+        """
+        tiles = self.spatial_index  # repro: noqa[RPR003] double-checked fast path: the attribute only ever goes from None to a fully built index
+        if tiles is None and self._tile_params is not None:
+            with self._tile_lock:
+                tiles = self.spatial_index
+                if tiles is None:
+                    from repro.spatial import SpatialTileIndex
+
+                    leaf_capacity, max_depth = self._tile_params
+                    tiles = SpatialTileIndex(
+                        self._frame_index,
+                        self._labels,
+                        self._positions,
+                        self._scores,
+                        self.n_frames,
+                        leaf_capacity=leaf_capacity,
+                        max_depth=max_depth,
+                    )
+                    self.spatial_index = tiles
+        return tiles
 
     # ------------------------------------------------------------------
     # Queries
@@ -244,16 +315,18 @@ class MASTIndex:
     def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
         """Per-frame counts of indexed objects matching ``object_filter``.
 
-        Spatially filtered series route through the tile index when one
-        was built (bit-identical; tiles outside the predicate are
-        pruned).  Label-only / confidence-only filters stay on the flat
-        vectorized scan — no tile can be excluded without geometry.
+        Spatially filtered series route through the tile index unless
+        the config disables it (bit-identical; tiles outside the
+        predicate are pruned), building it on the first such request.
+        Label-only / confidence-only filters stay on the flat vectorized
+        scan — no tile can be excluded without geometry.
         """
         cached = self._count_cache.get(object_filter)
         if cached is not None:
             return cached
-        if object_filter.spatial is not None and self.spatial_index is not None:
-            counts = self.spatial_index.count_series(object_filter)
+        tiles = self._tiles() if object_filter.spatial is not None else None
+        if tiles is not None:
+            counts = tiles.count_series(object_filter)
         else:
             mask = self._scores >= object_filter.confidence
             if object_filter.label is not None:
@@ -290,13 +363,14 @@ class MASTIndex:
                 # Region-shaped filters gain more from tile pruning than
                 # from the shared-mask batching; plain distance cuts keep
                 # the shared-distance fast path below.
-                if (
-                    object_filter.spatial is not None
-                    and not isinstance(object_filter.spatial, SpatialPredicate)
-                    and self.spatial_index is not None
+                tiles = None
+                if object_filter.spatial is not None and not isinstance(
+                    object_filter.spatial, SpatialPredicate
                 ):
-                    self._count_cache[object_filter] = (
-                        self.spatial_index.count_series(object_filter)
+                    tiles = self._tiles()
+                if tiles is not None:
+                    self._count_cache[object_filter] = tiles.count_series(
+                        object_filter
                     )
                     continue
                 mask = conf_masks.get(object_filter.confidence)
@@ -356,10 +430,15 @@ class MASTIndex:
         self._count_cache.clear()
 
     def spatial_stats(self) -> dict[str, float] | None:
-        """Tile-pruning counters of the spatial index (None if disabled)."""
-        if self.spatial_index is None:
+        """Tile-pruning counters of the spatial index.
+
+        ``None`` when tiling is disabled or no count series has routed
+        through the tiles yet — asking never builds them.
+        """
+        tiles = self.spatial_index  # repro: noqa[RPR003] read-only peek: reports whatever has been published, never builds
+        if tiles is None:
             return None
-        return self.spatial_index.stats_snapshot()
+        return tiles.stats_snapshot()
 
     def objects_at(self, frame_id: int) -> ObjectArray:
         """The indexed object set of one frame (real or ST-predicted)."""

@@ -138,7 +138,11 @@ class MASTPipeline:
         return self
 
     def extend(
-        self, new_frames: list[PointCloudFrame], *, model: DetectionModel | None = None
+        self,
+        new_frames: list[PointCloudFrame],
+        *,
+        model: DetectionModel | None = None,
+        extended: FrameSequence | None = None,
     ) -> MASTPipeline:
         """Ingest a new batch of frames (periodic arrival, Problem 1).
 
@@ -146,16 +150,29 @@ class MASTPipeline:
         a uniform share plus adaptive samples via a fresh run restricted
         to the new frames — and the index is rebuilt.  Query results
         afterwards cover the extended sequence.
+
+        ``extended`` is the grown sequence when the caller has already
+        built it (the corpus catalog grows its entry first); it must be
+        this pipeline's sequence followed by ``new_frames``.
         """
         require(self._sequence is not None, "fit() must be called before extend()")
         assert self._sequence is not None and self._sampling is not None
         model = model or self._model
         assert model is not None
-        extended = self._sequence.extended(new_frames)
-
         old_n = self._sampling.n_frames
+        if extended is None:
+            extended = self._sequence.extended(new_frames)
+        else:
+            require(
+                extended.name == self._sequence.name
+                and len(extended) == old_n + len(new_frames),
+                f"extended sequence {extended.name!r} ({len(extended)} frames) is "
+                f"not {self._sequence.name!r} ({old_n} frames) plus "
+                f"{len(new_frames)}",
+            )
+
         # Counts at frame t depend only on detections at the sampled
-        # frames bracketing t.  The tail run re-detects frame old_n - 1
+        # frames bracketing t.  The tail run samples frame old_n - 1
         # onward, so every series prefix up to the last old sample below
         # that is provably unchanged by this extension.
         prefix_ids = self._sampling.sampled_ids[
@@ -164,46 +181,24 @@ class MASTPipeline:
         self.last_extend_boundary = int(prefix_ids.max()) if len(prefix_ids) else -1
         sub_config = self.config.with_overrides()
         sampler = HierarchicalMultiAgentSampler(sub_config)
-        # Sample the new region as its own (shifted) sub-problem.
-        tail = FrameSequence(
-            [
-                PointCloudFrame(
-                    frame_id=f.frame_id - old_n + 1,
-                    timestamp=f.timestamp,
-                    ego_pose=f.ego_pose,
-                    ground_truth=f.ground_truth,
-                    _points_provider=f._points_provider,
-                )
-                for f in ([extended[old_n - 1]] + list(new_frames))
-            ],
-            fps=extended.fps,
-            name=f"{extended.name}-tail",
-        )
+        # Sample the new region (seam frame onward) as its own
+        # sub-problem, through a view that keeps every frame's true id
+        # and the sequence's name: each tail detection is the canonical
+        # detection of its frame, and the seam resolves from the
+        # detection store instead of being billed again.
+        seam = old_n - 1
         tail_result = sampler.sample(
-            tail, model, ledger=self.ledger, engine=self.engine
+            extended.tail(seam), model, ledger=self.ledger, engine=self.engine
         )
 
         merged_ids = np.union1d(
-            self._sampling.sampled_ids, tail_result.sampled_ids + old_n - 1
+            self._sampling.sampled_ids, tail_result.sampled_ids + seam
         )
         merged_detections = dict(self._sampling.detections)
-        # Detections are a pure function of (model seed, frame id), and
-        # the tail run detected its frames under *shifted* ids — so its
-        # outputs are not what a from-scratch run over the extended
-        # sequence would see at the true ids.  Keep any canonical
-        # detection we already have (notably the seam frame), and record
-        # the shifted-origin ids so a later corpus re-plan knows not to
-        # carry them across epochs.
-        noncanonical = {
-            int(i)
-            for i in self._sampling.policy_info.get("noncanonical_ids", ())
-        }
         for frame_id, objects in tail_result.detections.items():
-            true_id = int(frame_id) + old_n - 1
-            if true_id in merged_detections:
-                continue
-            merged_detections[true_id] = objects
-            noncanonical.add(true_id)
+            # The seam keeps the object the index already holds, so its
+            # gap's motion estimate and rows stay reusable.
+            merged_detections.setdefault(int(frame_id) + seam, objects)
 
         self._sequence = extended
         self._model = model
@@ -216,21 +211,18 @@ class MASTPipeline:
             detections=merged_detections,
             rewards=self._sampling.rewards + tail_result.rewards,
             ledger=self.ledger,
-            policy_info={
-                **self._sampling.policy_info,
-                "noncanonical_ids": tuple(sorted(noncanonical)),
-            },
+            policy_info=dict(self._sampling.policy_info),
         )
         self._rebuild_index(incremental=True)
         return self
 
     def _rebuild_index(self, *, incremental: bool = False) -> None:
         assert self._sampling is not None
-        # The prior index always goes along: its motion estimates are
-        # reused for every gap whose detections did not change.  On the
-        # extend path its invalidation boundary goes too, so the spatial
-        # tile index keeps its split geometry and pre-boundary count
-        # summaries.
+        # The prior index always goes along: its motion estimates and
+        # predicted rows are reused for every gap whose detections did
+        # not change.  On the extend path its invalidation boundary goes
+        # too, so a tile index it has built keeps its split geometry and
+        # pre-boundary count summaries.
         boundary = self.last_extend_boundary if incremental else None
         self._index = MASTIndex.build(
             self._sampling,
@@ -389,6 +381,8 @@ class MASTPipeline:
                 f"spatial   : {spatial.n_leaves} leaf tiles over "
                 f"{spatial.n_rows} rows (version {spatial.version})"
             )
+        elif self.config.spatial_index:
+            lines.append("spatial   : not built (no region query yet)")
         return "\n".join(lines)
 
     @property

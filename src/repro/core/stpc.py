@@ -27,6 +27,14 @@ from repro.geometry.matching import match_pairs
 __all__ = ["MotionEstimate", "analyze_pair", "match_by_label"]
 
 
+def _rows_by_label(labels: np.ndarray) -> dict[str, list[int]]:
+    """``label -> ascending row indices`` in one pass over ``labels``."""
+    groups: dict[str, list[int]] = {}
+    for row, label in enumerate(labels.tolist()):
+        groups.setdefault(label, []).append(row)
+    return groups
+
+
 def match_by_label(
     objects_a: ObjectArray,
     objects_b: ObjectArray,
@@ -37,14 +45,18 @@ def match_by_label(
 
     Returns ``(pairs, unmatched_a, unmatched_b)`` with indices into the
     original arrays.  "We only match objects with the same category", so
-    matching runs independently per label.
+    matching runs independently per label.  Each side's labels are
+    grouped once per call; nothing is cached on the object sets, which
+    are pickled into checkpoints and fingerprints.
     """
     pairs: list[tuple[int, int]] = []
     free_a = np.ones(len(objects_a), dtype=bool)
     free_b = np.ones(len(objects_b), dtype=bool)
-    for label in sorted(objects_a.label_set() & objects_b.label_set()):
-        idx_a = np.nonzero(objects_a.labels == label)[0]
-        idx_b = np.nonzero(objects_b.labels == label)[0]
+    rows_a = _rows_by_label(objects_a.labels)
+    rows_b = _rows_by_label(objects_b.labels)
+    for label in sorted(rows_a.keys() & rows_b.keys()):
+        idx_a = np.array(rows_a[label], dtype=np.int64)
+        idx_b = np.array(rows_b[label], dtype=np.int64)
         diff = (
             objects_a.centers[idx_a][:, None, :] - objects_b.centers[idx_b][None, :, :]
         )

@@ -125,20 +125,10 @@ class CorpusPipeline:
         for name in names:
             sequence = self.catalog.sequence(name)
             shard = self._shards.get(name)
-            known = None
-            if shard is not None:
-                # Carry every canonical detection the shard has paid
-                # for.  Extend-era tail detections were computed under
-                # shifted frame ids (see MASTPipeline.extend) and would
-                # poison the deterministic trajectory, so they are
-                # re-detected canonically (and billed once) on first
-                # re-plan instead.
-                sampling = shard.sampling_result
-                known = dict(sampling.detections)
-                for frame_id in sampling.policy_info.get(
-                    "noncanonical_ids", ()
-                ):
-                    known.pop(int(frame_id), None)
+            # Every detection the shard holds is the canonical detection
+            # of its frame (extend samples its tail under true frame
+            # ids), so all of them carry over and none is billed again.
+            known = shard.sampling_result.detections if shard is not None else None
             sessions.append(
                 sampler.session(
                     sequence,
@@ -211,8 +201,8 @@ class CorpusPipeline:
         live index.  Returns the grown shard.
         """
         shard = self.shard(name)
-        self.catalog.extend_sequence(name, new_frames)
-        shard.extend(new_frames, model=model)
+        extended = self.catalog.extend_sequence(name, new_frames)
+        shard.extend(new_frames, model=model, extended=extended)
         return shard
 
     # ------------------------------------------------------------------

@@ -379,9 +379,9 @@ class CorpusQueryService:
         every replica; this method returns only after all replicas ack,
         so subsequent queries answer from the new epoch.
         """
-        self._corpus.catalog.extend_sequence(name, new_frames)
+        extended = self._corpus.catalog.extend_sequence(name, new_frames)
         parent = self.service(name)
-        parent.extend(new_frames, model=model)
+        parent.extend(new_frames, model=model, extended=extended)
         if self._pool is not None:
             from repro.serving.protocol import materialize_frames
 

@@ -23,7 +23,8 @@ class FrameSequence(AbcSequence):
 
     Invariants enforced on construction:
 
-    * frame ids are ``0..n-1`` in order;
+    * frame ids are ``0..n-1`` in order (a :meth:`tail` view keeps its
+      frames' true ids, so there they are contiguous from its offset);
     * timestamps are strictly increasing;
     * ``fps`` is positive and consistent with the timestamps (the frame
       interval is ``1 / fps``).
@@ -54,6 +55,17 @@ class FrameSequence(AbcSequence):
         self._timestamps = timestamps
         self.fps = float(fps)
         self.name = str(name)
+
+    def _derived(
+        self, frames: list[PointCloudFrame], timestamps: np.ndarray
+    ) -> FrameSequence:
+        """A sequence over already-validated frames of this one's stream."""
+        derived = FrameSequence.__new__(FrameSequence)
+        derived._frames = frames
+        derived._timestamps = timestamps
+        derived.fps = self.fps
+        derived.name = self.name
+        return derived
 
     # ------------------------------------------------------------------
     # Sequence protocol
@@ -105,11 +117,37 @@ class FrameSequence(AbcSequence):
 
         Models the paper's batched-arrival setting (Problem 1: "PC data
         periodically arrive at the server").  The new frames must continue
-        the id and timestamp progression.
+        the id and timestamp progression; only the seam and the appended
+        frames are checked — the prefix was validated when it was built.
         """
-        return FrameSequence(
-            self._frames + list(new_frames), fps=self.fps, name=self.name
+        new_frames = list(new_frames)
+        n = len(self._frames)
+        for i, frame in enumerate(new_frames, start=n):
+            require(
+                frame.frame_id == i,
+                f"frame ids must be contiguous from 0; frame at position {i} "
+                f"has id {frame.frame_id}",
+            )
+        timestamps = np.concatenate(
+            [self._timestamps, np.array([f.timestamp for f in new_frames], dtype=float)]
         )
+        require(
+            bool(np.all(np.diff(timestamps[n - 1 :]) > 0)),
+            "frame timestamps must be strictly increasing",
+        )
+        return self._derived(self._frames + new_frames, timestamps)
+
+    def tail(self, start: int) -> FrameSequence:
+        """A view of frames ``[start, n)``, addressed from 0.
+
+        The view shares the frame objects — each keeps its true
+        ``frame_id`` — and this sequence's name, so a detection made
+        through it is the detection a run over the whole sequence makes
+        for the same frame, under the same
+        :class:`~repro.inference.DetectionStore` key.
+        """
+        require(0 <= start < len(self), f"start must be in [0, {len(self)})")
+        return self._derived(self._frames[start:], self._timestamps[start:])
 
     def head(self, n_frames: int, name: str | None = None) -> FrameSequence:
         """Return a prefix of the sequence (used by the scalability sweep)."""

@@ -6,9 +6,11 @@ function of the model and the frame.  The :class:`DetectionStore`
 memoizes that function: entries are keyed by sequence id, frame id, a
 model fingerprint (name, cost, seed, noise/confidence configuration) and
 a content hash of the frame's ground truth, so two frames that merely
-share an id can never alias each other's detections (the streaming
-``extend()`` path re-uses tail sequence names and frame ids across
-epochs).
+share an id can never alias each other's detections.  Every path that
+detects — a batch fit, the streaming ``extend()`` tail, a re-plan —
+presents a frame under its sequence's own name and its true frame id,
+so one frame has one key: the seam frame an ``extend()`` samples again
+is a hit, never a second bill.
 
 The store is a bounded, thread-safe LRU like the serving layer's
 :class:`~repro.serving.cache.CountSeriesCache`, with the same style of

@@ -299,6 +299,7 @@ class QueryService:
         new_frames: list[PointCloudFrame],
         *,
         model: DetectionModel | None = None,
+        extended: FrameSequence | None = None,
     ) -> QueryService:
         """Ingest a frame batch; invalidate only changed series tails.
 
@@ -306,12 +307,13 @@ class QueryService:
         linear provider with the still-valid per-sampled-frame counts of
         the previous epoch and (b) truncates cached series to the prefix
         the extension left unchanged.  Queries already in flight keep
-        answering on the pre-extension snapshot.
+        answering on the pre-extension snapshot.  ``extended`` passes an
+        already-grown sequence through to the pipeline.
         """
         with self._extend_lock:
             old_state = self._state
             old_linear = old_state.provider("linear")
-            self._pipeline.extend(new_frames, model=model)  # repro: noqa[RPR010] deliberate: _extend_lock serializes writers only; readers answer from the immutable pre-extension snapshot while the pipeline runs
+            self._pipeline.extend(new_frames, model=model, extended=extended)  # repro: noqa[RPR010] deliberate: _extend_lock serializes writers only; readers answer from the immutable pre-extension snapshot while the pipeline runs
             boundary = self._pipeline.last_extend_boundary
             assert boundary is not None
             providers = self._pipeline.providers

@@ -105,6 +105,7 @@ def test_unlocking_a_guarded_access_is_caught():
             "_lock",
             {"simulated", "measured", "counts", "cache_hits", "cache_misses"},
         ),
+        ("src/repro/core/index.py", "_tile_lock", {"spatial_index"}),
     ],
 )
 def test_seed_registries_are_present(relpath, lock, attributes):

@@ -13,8 +13,44 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.corpus import CorpusPipeline, CorpusQueryService, SequenceCatalog
+from repro.models.base import DetectionModel
 from repro.query.ast import AggregateResult, RetrievalResult
 from repro.streaming import ScheduledFrameSource
+from repro.utils.timing import STAGE_MODEL
+
+
+class CountingModel(DetectionModel):
+    """Records every ``(sequence, frame id)`` its wrapped model detects.
+
+    Detection delegates through ``base`` — the attribute
+    :func:`~repro.inference.store.model_fingerprint` follows — so wrapped
+    and bare runs share detection-store entries.  ``detect`` only accepts
+    the very frame objects of ``sequences``: ingest must hand the model
+    the stream's own frames, never re-identified copies.
+    """
+
+    def __init__(self, base: DetectionModel, sequences) -> None:
+        self.base = base
+        self.name = base.name
+        self.cost_per_frame = base.cost_per_frame
+        self._owner = {
+            id(frame): (sequence.name, frame.frame_id)
+            for sequence in sequences
+            for frame in sequence
+        }
+        self.detected: list[tuple[str, int]] = []
+
+    def detect(self, frame):
+        self.detected.append(self._owner[id(frame)])
+        return self.base.detect(frame)
+
+
+def assert_billed_once(service, model: CountingModel, frames_arrived: int) -> None:
+    """No frame detected twice; the ledger bills exactly the store misses."""
+    assert len(model.detected) == len(set(model.detected)), "a frame was detected twice"
+    invocations = service.cost_ledger().invocations(STAGE_MODEL)
+    assert invocations == service.store.stats().misses == len(model.detected)
+    assert invocations <= frames_arrived
 
 
 @contextmanager

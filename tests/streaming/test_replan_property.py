@@ -13,9 +13,11 @@ corpus budget:
   fit on the final corpus (arrival order can shift *when* budget is
   spent, never *where* it ends up);
 * the merged ledger charges exactly one deep-model invocation per
-  detection-store miss — epochs re-enter sessions with carried
-  detections, so interleaving can change the bill's size but can never
-  double-charge a frame.
+  detection-store miss, no ``(sequence, frame id)`` ever reaches the
+  detector twice, and the bill never exceeds the frames that arrived —
+  extends detect under true frame ids and epochs re-enter sessions with
+  every carried detection, so interleaving can change the bill's size
+  but can never double-charge a frame.
 
 Follows the ``tests/property`` conventions: seeded strategies, bounded
 ``max_examples``, ``deadline=None`` for model-running examples.
@@ -31,7 +33,7 @@ from repro.corpus import CorpusPipeline, SequenceCatalog
 from repro.models import pv_rcnn
 from repro.simulation import once_like, semantickitti_like
 from repro.streaming import ArrivalSchedule, ScheduledFrameSource, StreamingCorpusService
-from repro.utils.timing import STAGE_MODEL
+from tests.streaming.harness import CountingModel, assert_billed_once
 
 CONFIG = MASTConfig(budget_fraction=0.15, seed=7)
 MODEL_SEED = 5
@@ -93,9 +95,10 @@ def test_total_spend_equals_configured_budget(run) -> None:
         schedule=dict(zip(names, run["schedules"])),
         seed=run["source_seed"],
     )
+    model = CountingModel(pv_rcnn(seed=MODEL_SEED), SEQUENCES)
     with StreamingCorpusService(
         source,
-        pv_rcnn(seed=MODEL_SEED),
+        model,
         CONFIG,
         policy=run["policy"],
         max_lag_frames=run["max_lag"],
@@ -127,8 +130,9 @@ def test_total_spend_equals_configured_budget(run) -> None:
             == _batch_frames_by_sequence(run["policy"])
         )
 
-        # No double charging under any interleaving: one billed
-        # deep-model invocation per detection-store miss.
-        ledger = service.cost_ledger()
-        store = service.store.stats()
-        assert ledger.invocations(STAGE_MODEL) == store.misses
+        # No double charging under any interleaving: no frame reaches
+        # the detector twice, and one deep-model invocation is billed
+        # per detection-store miss.
+        assert_billed_once(
+            service, model, sum(len(sequence) for sequence in SEQUENCES)
+        )

@@ -214,6 +214,41 @@ def test_standing_queries_track_epochs(stream_sequences, config, model):
             assert after.total_frames >= before.total_frames
 
 
+def test_region_standing_query_builds_tiles_inside_the_epoch(
+    stream_sequences, config, model
+):
+    """A region-shaped standing query is the one reader that runs under
+    the ingest lock: each epoch's fresh indexes build their tiles there,
+    on first use, and flushes in between keep them maintained.  Every
+    epoch's answer equals the flat scan's; the last equals batch."""
+    text = "SELECT MED OF COUNT(*) WITHIN REGION (-30, -30, 30, 30)"
+
+    def run(config):
+        source = _source(stream_sequences)
+        with StreamingCorpusService(
+            source, model, config, policy="uniform", max_lag_frames=1,
+            replan_every=12,
+        ) as service:
+            service.register_standing(text)
+            service.pump()
+            service.quiesce()
+            stats = [
+                service._corpus.shard(name).index.spatial_stats()
+                for name in service.names
+            ]
+            (key,) = service.standing_queries
+            answers = [s.answers[key] for s in service.epoch_snapshots()]
+            return source, answers, stats
+
+    source, tiled, stats = run(config)
+    assert all(s is not None and s["queries"] >= 1 for s in stats)
+    _, flat, flat_stats = run(config.with_overrides(spatial_index=False))
+    assert flat_stats == [None, None]
+    assert len(tiled) >= 2 and tiled == flat
+    with batch_reference(source, config, model, policy="uniform") as batch:
+        assert tiled[-1] == batch.execute(text).value
+
+
 def test_scoped_answers_are_shard_level(stream_sequences, config, model):
     """A scoped streaming answer is the shard's plain (unmerged) result."""
     source = _source(stream_sequences)

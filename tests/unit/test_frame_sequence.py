@@ -129,6 +129,45 @@ class TestFrameSequence:
         with pytest.raises(ValueError):
             seq.extended([make_frame(7)])
 
+    @pytest.mark.parametrize(
+        ("appended", "message"),
+        [
+            # id gap at the seam, and inside the appended batch
+            ([(4, 0.4)], "frame at position 3 has id 4"),
+            ([(3, 0.3), (5, 0.5)], "frame at position 4 has id 5"),
+            # timestamp not increasing across the seam, and inside the batch
+            ([(3, 0.2)], "strictly increasing"),
+            ([(3, 0.3), (4, 0.3)], "strictly increasing"),
+        ],
+    )
+    def test_extended_raises_what_construction_raises(self, appended, message):
+        """Only the seam and the new frames are checked, with the same errors."""
+        seq = make_sequence(3)
+        new_frames = [make_frame(i, timestamp=t) for i, t in appended]
+        with pytest.raises(ValueError, match=message) as extended_error:
+            seq.extended(new_frames)
+        with pytest.raises(ValueError) as construction_error:
+            FrameSequence(list(seq) + new_frames, fps=seq.fps, name=seq.name)
+        assert str(extended_error.value) == str(construction_error.value)
+
+    def test_extended_shares_prefix_and_matches_construction(self):
+        seq = make_sequence(3)
+        new_frames = [make_frame(3), make_frame(4)]
+        extended = seq.extended(new_frames)
+        built = FrameSequence(list(seq) + new_frames, fps=seq.fps, name=seq.name)
+        assert list(extended) == list(built)
+        assert np.array_equal(extended.timestamps, built.timestamps)
+        assert (extended.fps, extended.name) == (built.fps, built.name)
+
+    def test_tail_view_keeps_true_ids_and_name(self):
+        seq = make_sequence(6)
+        tail = seq.tail(4)
+        assert len(tail) == 2 and tail.name == seq.name and tail.fps == seq.fps
+        assert tail[0] is seq[4] and tail[1].frame_id == 5
+        assert np.array_equal(tail.timestamps, seq.timestamps[4:])
+        with pytest.raises(ValueError):
+            seq.tail(6)
+
     def test_head(self):
         seq = make_sequence(10)
         head = seq.head(4)

@@ -237,6 +237,29 @@ def _counting_analyze_pair(monkeypatch):
     return analysed
 
 
+def _counting_predict_flat(monkeypatch):
+    """Record the ``(t_start, t_end)`` of every gap an index build predicts rows for."""
+    from repro.core.stpc import MotionEstimate
+
+    predicted = []
+    real = MotionEstimate.predict_flat
+
+    def counting(self, timestamps):
+        predicted.append((self.t_start, self.t_end))
+        return real(self, timestamps)
+
+    monkeypatch.setattr(MotionEstimate, "predict_flat", counting)
+    return predicted
+
+
+COLUMNS = ("_frame_index", "_labels", "_positions", "_scores")
+
+
+def _assert_same_columns(got, want):
+    for column in COLUMNS:
+        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+
+
 def _gaps(sampling):
     """The sampled pairs with interior frames, as ``(t_start, t_end)``."""
     ids, times = sampling.sampled_ids, sampling.timestamps
@@ -253,7 +276,8 @@ def _assert_same_objects(got, want):
 
 
 class TestEstimateReuse:
-    """``previous`` carries motion estimates: a rebuild analyses what changed."""
+    """``previous`` carries motion estimates and their predicted rows:
+    a rebuild analyses, and predicts, only what changed."""
 
     @pytest.mark.parametrize("new_frames", [1, 30])
     def test_extend_equals_scratch_build_and_analyses_only_the_tail(
@@ -268,7 +292,11 @@ class TestEstimateReuse:
             full.head(240, name=full.name), detector
         )
         analysed = _counting_analyze_pair(monkeypatch)
+        predicted = _counting_predict_flat(monkeypatch)
         pipe.extend(list(full[240:]))
+        # Rows are predicted for exactly the gaps that were analysed;
+        # every other gap's rows are sliced out of the previous index.
+        assert predicted == analysed
 
         sampling = pipe.sampling_result
         boundary_time = float(sampling.timestamps[pipe.last_extend_boundary])
@@ -282,10 +310,7 @@ class TestEstimateReuse:
 
         scratch = MASTIndex.build(sampling, pipe.config)
         incremental = pipe.index
-        for column in ("_frame_index", "_labels", "_positions", "_scores"):
-            assert np.array_equal(
-                getattr(incremental, column), getattr(scratch, column)
-            ), column
+        _assert_same_columns(incremental, scratch)
         for frame_id in range(sampling.n_frames):
             _assert_same_objects(
                 incremental.objects_at(frame_id), scratch.objects_at(frame_id)
@@ -296,13 +321,52 @@ class TestEstimateReuse:
                 scratch.count_series(object_filter),
             ), object_filter.describe()
 
+    def test_replan_equals_scratch_build_and_predicts_only_changed_gaps(
+        self, detector, monkeypatch
+    ):
+        """A re-plan adopted through ``fit_from_sampling`` reuses rows too."""
+        from repro.core import MASTPipeline
+        from repro.inference import InferenceEngine
+        from repro.simulation import semantickitti_like
+
+        full = semantickitti_like(0, n_frames=270, with_points=False)
+        config = MASTConfig(seed=4)
+        pipe = MASTPipeline(config).fit(full.head(240, name=full.name), detector)
+        pipe.extend(list(full[240:]))
+
+        # The corpus re-plan: a fresh session over the grown sequence,
+        # re-entered with every detection the shard already holds.  The
+        # second plan is granted six more frames than the first, so it
+        # replays the first's trajectory and then splits a few gaps.
+        def plan(budget):
+            with InferenceEngine() as engine:
+                session = HierarchicalMultiAgentSampler(config).session(
+                    pipe.sequence, detector, engine=engine, budget=budget,
+                    known=pipe.sampling_result.detections,
+                )
+                session.step(session.remaining)
+                return session.result()
+
+        first = plan(None)
+        pipe.fit_from_sampling(pipe.sequence, detector, first)
+        _assert_same_columns(pipe.index, MASTIndex.build(first, config))
+
+        second = plan(first.budget + 6)
+        analysed = _counting_analyze_pair(monkeypatch)
+        predicted = _counting_predict_flat(monkeypatch)
+        pipe.fit_from_sampling(pipe.sequence, detector, second)
+        assert predicted == analysed
+        assert 0 < len(analysed) <= 12 < len(_gaps(second))
+        _assert_same_columns(pipe.index, MASTIndex.build(second, config))
+
     def test_replaced_detection_object_is_reanalysed(self, sampling, index, monkeypatch):
         from dataclasses import replace
 
         config = MASTConfig(seed=2)
         analysed = _counting_analyze_pair(monkeypatch)
+        predicted = _counting_predict_flat(monkeypatch)
         MASTIndex.build(sampling, config, previous=index)
-        assert analysed == []
+        assert analysed == [] and predicted == []
 
         # An equal copy of one interior sampled frame's detections is a
         # different object: both gaps it borders are analysed again.
@@ -326,7 +390,29 @@ class TestEstimateReuse:
             (float(times[ids[position - 1]]), float(times[frame_id])),
             (float(times[frame_id]), float(times[ids[position + 1]])),
         ]
-        assert np.array_equal(rebuilt._scores, index._scores)
+        # Exactly those two gaps' rows are predicted again; the rest are
+        # the previous index's rows, and the copy is equal, so nothing moved.
+        assert predicted == analysed
+        _assert_same_columns(rebuilt, index)
+
+    def test_other_timestamps_reuse_no_rows(self, sampling, index, monkeypatch):
+        """Rows depend on interior timestamps the estimates never see."""
+        from dataclasses import replace
+
+        config = MASTConfig(seed=2)
+        ids = sampling.sampled_ids
+        start = int(next(a for a, b in zip(ids[:-1], ids[1:]) if b - a > 1))
+        timestamps = sampling.timestamps.copy()
+        timestamps[start + 1] += 0.01  # an unsampled frame: every estimate stays valid
+        moved = replace(sampling, timestamps=timestamps)
+
+        analysed = _counting_analyze_pair(monkeypatch)
+        predicted = _counting_predict_flat(monkeypatch)
+        rebuilt = MASTIndex.build(moved, config, previous=index)
+        assert analysed == []
+        assert predicted == _gaps(moved)
+        _assert_same_columns(rebuilt, MASTIndex.build(moved, config))
+        assert not np.array_equal(rebuilt._positions, index._positions)
 
     def test_other_matching_gate_reuses_nothing(self, sampling, index, monkeypatch):
         analysed = _counting_analyze_pair(monkeypatch)

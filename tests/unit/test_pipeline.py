@@ -170,6 +170,46 @@ class TestExtendFrameIdAlignment:
                 extended.sampling_result.detections[frame_id]
             ) == everything.count(fresh.sampling_result.detections[frame_id])
 
+    def test_tail_detections_are_canonical(self, detector):
+        """A noisy detector's output depends on the frame id: every
+        detection ``extend`` adds is what the detector says about the
+        true frame, i.e. what a whole-sequence fit would hold."""
+        from repro.simulation import semantickitti_like
+
+        full = semantickitti_like(1, n_frames=260, with_points=False)
+        pipe = MASTPipeline(MASTConfig(seed=4)).fit(
+            full.head(200, name=full.name), detector
+        )
+        pipe.extend(list(full[200:230]))
+        pipe.extend(list(full[230:]))
+        sampling = pipe.sampling_result
+        assert np.any(sampling.sampled_ids >= 230)
+        assert "noncanonical_ids" not in sampling.policy_info
+        for frame_id, objects in sampling.detections.items():
+            want = detector.detect(full[frame_id]).objects
+            for column in ("labels", "centers", "sizes", "yaws", "scores"):
+                assert np.array_equal(
+                    getattr(objects, column), getattr(want, column)
+                ), (frame_id, column)
+
+    def test_extend_accepts_the_callers_grown_sequence(self, detector):
+        from repro.simulation import semantickitti_like
+
+        full = semantickitti_like(1, n_frames=240, with_points=False)
+        head = full.head(200, name=full.name)
+        new_frames = list(full[200:])
+        ours = MASTPipeline(MASTConfig(seed=4)).fit(head, detector)
+        theirs = MASTPipeline(MASTConfig(seed=4)).fit(head, detector)
+        grown = head.extended(new_frames)
+        ours.extend(new_frames)
+        theirs.extend(new_frames, extended=grown)
+        assert theirs.sequence is grown
+        assert np.array_equal(
+            ours.sampling_result.sampled_ids, theirs.sampling_result.sampled_ids
+        )
+        with pytest.raises(ValueError, match="plus 3"):
+            theirs.extend(new_frames[:3], extended=grown)
+
     def test_last_extend_boundary_semantics(self, detector):
         from repro.simulation import semantickitti_like
 

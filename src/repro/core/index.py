@@ -29,7 +29,7 @@ top:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -108,7 +108,6 @@ class MASTIndex:
         #: until then, and always when the config disables it.
         self.spatial_index = spatial_index
         self._tile_lock = threading.Lock()
-        self._count_cache: dict[ObjectFilter, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # Construction (Alg. 3)
@@ -321,23 +320,17 @@ class MASTIndex:
         Label-only / confidence-only filters stay on the flat vectorized
         scan — no tile can be excluded without geometry.
         """
-        cached = self._count_cache.get(object_filter)
-        if cached is not None:
-            return cached
         tiles = self._tiles() if object_filter.spatial is not None else None
         if tiles is not None:
-            counts = tiles.count_series(object_filter)
-        else:
-            mask = self._scores >= object_filter.confidence
-            if object_filter.label is not None:
-                mask &= self._labels == object_filter.label
-            if object_filter.spatial is not None:
-                mask &= object_filter.spatial.mask_positions(self._positions)
-            counts = np.bincount(
-                self._frame_index[mask], minlength=self.n_frames
-            ).astype(float)
-        self._count_cache[object_filter] = counts
-        return counts
+            return tiles.count_series(object_filter)
+        mask = self._scores >= object_filter.confidence
+        if object_filter.label is not None:
+            mask &= self._labels == object_filter.label
+        if object_filter.spatial is not None:
+            mask &= object_filter.spatial.mask_positions(self._positions)
+        return np.bincount(
+            self._frame_index[mask], minlength=self.n_frames
+        ).astype(float)
 
     def count_series_many(
         self, filters
@@ -353,50 +346,46 @@ class MASTIndex:
         """
         from repro.query.predicates import SpatialPredicate
 
-        filters = list(dict.fromkeys(filters))
-        missing = [f for f in filters if f not in self._count_cache]
-        if missing:
-            conf_masks: dict[float, np.ndarray] = {}
-            label_masks: dict[str, np.ndarray] = {}
-            distances: np.ndarray | None = None
-            for object_filter in missing:
-                # Region-shaped filters gain more from tile pruning than
-                # from the shared-mask batching; plain distance cuts keep
-                # the shared-distance fast path below.
-                tiles = None
-                if object_filter.spatial is not None and not isinstance(
-                    object_filter.spatial, SpatialPredicate
-                ):
-                    tiles = self._tiles()
-                if tiles is not None:
-                    self._count_cache[object_filter] = tiles.count_series(
-                        object_filter
+        series: dict[ObjectFilter, np.ndarray] = {}
+        conf_masks: dict[float, np.ndarray] = {}
+        label_masks: dict[str, np.ndarray] = {}
+        distances: np.ndarray | None = None
+        for object_filter in dict.fromkeys(filters):
+            # Region-shaped filters gain more from tile pruning than
+            # from the shared-mask batching; plain distance cuts keep
+            # the shared-distance fast path below.
+            tiles = None
+            if object_filter.spatial is not None and not isinstance(
+                object_filter.spatial, SpatialPredicate
+            ):
+                tiles = self._tiles()
+            if tiles is not None:
+                series[object_filter] = tiles.count_series(object_filter)
+                continue
+            mask = conf_masks.get(object_filter.confidence)
+            if mask is None:
+                mask = self._scores >= object_filter.confidence
+                conf_masks[object_filter.confidence] = mask
+            mask = mask.copy()
+            if object_filter.label is not None:
+                label_mask = label_masks.get(object_filter.label)
+                if label_mask is None:
+                    label_mask = self._labels == object_filter.label
+                    label_masks[object_filter.label] = label_mask
+                mask &= label_mask
+            spatial = object_filter.spatial
+            if isinstance(spatial, SpatialPredicate):
+                if distances is None:
+                    distances = np.hypot(
+                        self._positions[:, 0], self._positions[:, 1]
                     )
-                    continue
-                mask = conf_masks.get(object_filter.confidence)
-                if mask is None:
-                    mask = self._scores >= object_filter.confidence
-                    conf_masks[object_filter.confidence] = mask
-                mask = mask.copy()
-                if object_filter.label is not None:
-                    label_mask = label_masks.get(object_filter.label)
-                    if label_mask is None:
-                        label_mask = self._labels == object_filter.label
-                        label_masks[object_filter.label] = label_mask
-                    mask &= label_mask
-                spatial = object_filter.spatial
-                if isinstance(spatial, SpatialPredicate):
-                    if distances is None:
-                        distances = np.hypot(
-                            self._positions[:, 0], self._positions[:, 1]
-                        )
-                    mask &= spatial.mask(distances)
-                elif spatial is not None:
-                    mask &= spatial.mask_positions(self._positions)
-                self._count_cache[object_filter] = np.bincount(
-                    self._frame_index[mask], minlength=self.n_frames
-                ).astype(float)
-        return {f: self._count_cache[f] for f in filters}
+                mask &= spatial.mask(distances)
+            elif spatial is not None:
+                mask &= spatial.mask_positions(self._positions)
+            series[object_filter] = np.bincount(
+                self._frame_index[mask], minlength=self.n_frames
+            ).astype(float)
+        return series
 
     def count_series_tail(self, object_filter: ObjectFilter, start: int) -> np.ndarray:
         """Counts for frames ``[start, n_frames)`` only.
@@ -420,14 +409,6 @@ class MASTIndex:
             self._frame_index[selector][mask] - start,
             minlength=self.n_frames - start,
         ).astype(float)
-
-    def cached_filters(self) -> tuple[ObjectFilter, ...]:
-        """Object filters whose count series are currently memoized."""
-        return tuple(self._count_cache)
-
-    def clear_count_cache(self) -> None:
-        """Drop all memoized count series (benchmark cold-start helper)."""
-        self._count_cache.clear()
 
     def spatial_stats(self) -> dict[str, float] | None:
         """Tile-pruning counters of the spatial index.
@@ -487,65 +468,42 @@ class STCountProvider:
     def count_series_tail(self, object_filter: ObjectFilter, start: int) -> np.ndarray:
         return self.index.count_series_tail(object_filter, start)
 
-    def cached_filters(self) -> tuple[ObjectFilter, ...]:
-        return self.index.cached_filters()
-
-    def clear_count_cache(self) -> None:
-        self.index.clear_count_cache()
-
 
 @dataclass
 class LinearCountProvider:
     """Seiden-style linear interpolation of sampled-frame counts.
 
-    ``quantize=True`` floors the interpolated values (the paper's
-    Example 5.3 floors before checking the retrieval predicate);
-    aggregate evaluation uses the continuous values.  Both views share a
-    per-filter cache of the counts measured at sampled frames.
+    The series is continuous; the paper's Example 5.3 floors it before
+    checking a retrieval predicate, which is the evaluator's job
+    (:meth:`~repro.query.engine.QueryEngine.floored`).
     """
 
     result: SamplingResult
-    quantize: bool = False
-    _cache: dict[ObjectFilter, np.ndarray] = field(default_factory=dict, repr=False)
 
     simulated_query_cost_per_frame = SIMULATED_QUERY_COST_LINEAR
+    #: Provider kind used as the cache-key namespace by the serving layer.
+    kind = "linear"
 
     def __post_init__(self) -> None:
         self.n_frames = self.result.n_frames
         self._sample_times = self.result.timestamps[self.result.sampled_ids]
 
-    @property
-    def kind(self) -> str:
-        """Provider kind used as the cache-key namespace by the serving layer."""
-        return "linear_floor" if self.quantize else "linear"
-
-    def quantized(self) -> LinearCountProvider:
-        """A flooring view sharing this provider's sampled-count cache."""
-        view = LinearCountProvider(self.result, quantize=True, _cache=self._cache)
-        return view
-
-    def _sampled_counts(self, object_filter: ObjectFilter) -> np.ndarray:
-        sampled_counts = self._cache.get(object_filter)
-        if sampled_counts is None:
-            sampled_counts = np.array(
-                [
-                    object_filter.count(self.result.detections[int(frame_id)])
-                    for frame_id in self.result.sampled_ids
-                ],
-                dtype=float,
-            )
-            self._cache[object_filter] = sampled_counts
-        return sampled_counts
+    def _sampled_counts(self, object_filter: ObjectFilter, first: int = 0) -> np.ndarray:
+        """Counts measured at the sampled frames from position ``first`` on."""
+        return np.array(
+            [
+                object_filter.count(self.result.detections[int(frame_id)])
+                for frame_id in self.result.sampled_ids[first:]
+            ],
+            dtype=float,
+        )
 
     def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
-        series = np.interp(
+        return np.interp(
             self.result.timestamps,
             self._sample_times,
             self._sampled_counts(object_filter),
         )
-        if self.quantize:
-            series = np.floor(series)
-        return series
 
     def count_series_many(self, filters) -> dict[ObjectFilter, np.ndarray]:
         """Count series for several filters in one pass over sampled frames.
@@ -558,83 +516,57 @@ class LinearCountProvider:
         from repro.query.predicates import SpatialPredicate
 
         filters = list(dict.fromkeys(filters))
-        missing = [f for f in filters if f not in self._cache]
-        if missing:
-            sampled_ids = self.result.sampled_ids
-            rows = np.zeros((len(missing), len(sampled_ids)))
-            for column, frame_id in enumerate(sampled_ids):
-                objects = self.result.detections[int(frame_id)]
-                positions = objects.centers[:, :2]
-                conf_masks: dict[float, np.ndarray] = {}
-                label_masks: dict[str, np.ndarray] = {}
-                distances: np.ndarray | None = None
-                for row, object_filter in enumerate(missing):
-                    mask = conf_masks.get(object_filter.confidence)
-                    if mask is None:
-                        mask = objects.scores >= object_filter.confidence
-                        conf_masks[object_filter.confidence] = mask
-                    mask = mask.copy()
-                    if object_filter.label is not None:
-                        label_mask = label_masks.get(object_filter.label)
-                        if label_mask is None:
-                            label_mask = objects.labels == object_filter.label
-                            label_masks[object_filter.label] = label_mask
-                        mask &= label_mask
-                    spatial = object_filter.spatial
-                    if isinstance(spatial, SpatialPredicate):
-                        if distances is None:
-                            distances = np.hypot(positions[:, 0], positions[:, 1])
-                        mask &= spatial.mask(distances)
-                    elif spatial is not None:
-                        mask &= spatial.mask_positions(positions)
-                    rows[row, column] = int(mask.sum())
-            for row, object_filter in enumerate(missing):
-                self._cache[object_filter] = rows[row].copy()
-        return {f: self.count_series(f) for f in filters}
+        sampled_ids = self.result.sampled_ids
+        rows = np.zeros((len(filters), len(sampled_ids)))
+        for column, frame_id in enumerate(sampled_ids):
+            objects = self.result.detections[int(frame_id)]
+            positions = objects.centers[:, :2]
+            conf_masks: dict[float, np.ndarray] = {}
+            label_masks: dict[str, np.ndarray] = {}
+            distances: np.ndarray | None = None
+            for row, object_filter in enumerate(filters):
+                mask = conf_masks.get(object_filter.confidence)
+                if mask is None:
+                    mask = objects.scores >= object_filter.confidence
+                    conf_masks[object_filter.confidence] = mask
+                mask = mask.copy()
+                if object_filter.label is not None:
+                    label_mask = label_masks.get(object_filter.label)
+                    if label_mask is None:
+                        label_mask = objects.labels == object_filter.label
+                        label_masks[object_filter.label] = label_mask
+                    mask &= label_mask
+                spatial = object_filter.spatial
+                if isinstance(spatial, SpatialPredicate):
+                    if distances is None:
+                        distances = np.hypot(positions[:, 0], positions[:, 1])
+                    mask &= spatial.mask(distances)
+                elif spatial is not None:
+                    mask &= spatial.mask_positions(positions)
+                rows[row, column] = int(mask.sum())
+        return {
+            object_filter: np.interp(
+                self.result.timestamps, self._sample_times, rows[row]
+            )
+            for row, object_filter in enumerate(filters)
+        }
 
     def count_series_tail(self, object_filter: ObjectFilter, start: int) -> np.ndarray:
         """Counts for frames ``[start, n_frames)`` only.
 
-        Interpolates just the tail timestamps; combined with
-        :meth:`prime`-seeded sampled counts this makes post-``extend``
-        recomputation proportional to the extension, not the sequence.
-        Bit-identical to ``count_series(object_filter)[start:]``.
+        Interpolation at a frame reads only its two bracketing samples,
+        so the tail counts just the sampled frames from the last one at
+        or before ``start`` on: recomputing what an ``extend``
+        invalidated costs the extension, not the sequence, with nothing
+        carried over from the previous provider.  Bit-identical to
+        ``count_series(object_filter)[start:]``.
         """
         start = int(start)
         if start <= 0:
             return self.count_series(object_filter)
-        series = np.interp(
+        first = max(int(np.searchsorted(self.result.sampled_ids, start, side="right")) - 1, 0)
+        return np.interp(
             self.result.timestamps[start:],
-            self._sample_times,
-            self._sampled_counts(object_filter),
+            self._sample_times[first:],
+            self._sampled_counts(object_filter, first),
         )
-        if self.quantize:
-            series = np.floor(series)
-        return series
-
-    def cached_filters(self) -> tuple[ObjectFilter, ...]:
-        """Object filters whose sampled counts are currently memoized."""
-        return tuple(self._cache)
-
-    def cached_sampled_counts(self) -> dict[ObjectFilter, np.ndarray]:
-        """Copies of the memoized per-sampled-frame counts, by filter."""
-        return {f: counts.copy() for f, counts in self._cache.items()}
-
-    def prime(self, object_filter: ObjectFilter, sampled_counts) -> None:
-        """Seed the sampled-count cache for one filter.
-
-        Used by the serving layer after :meth:`MASTPipeline.extend` to
-        carry forward counts of still-valid sampled frames instead of
-        re-counting every detection set from scratch.
-        """
-        sampled_counts = np.asarray(sampled_counts, dtype=float)
-        if sampled_counts.shape != self.result.sampled_ids.shape:
-            raise ValueError(
-                f"expected {self.result.sampled_ids.shape[0]} sampled counts, "
-                f"got {sampled_counts.shape}"
-            )
-        self._cache[object_filter] = sampled_counts
-
-    def clear_count_cache(self) -> None:
-        """Drop all memoized sampled counts (benchmark cold-start helper)."""
-        self._cache.clear()

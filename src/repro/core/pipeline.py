@@ -233,16 +233,11 @@ class MASTPipeline:
         )
         st_provider = STCountProvider(self._index)
         linear_provider = LinearCountProvider(self._sampling)
-        self._providers = {
-            "st": st_provider,
-            "linear": linear_provider,
-            "linear_floor": linear_provider.quantized(),
-        }
+        self._providers = {"st": st_provider, "linear": linear_provider}
+        # Fresh engines: no series resolved on the old index outlives it.
         self._st_engine = QueryEngine(st_provider, ledger=self.ledger)
         self._linear_engine = QueryEngine(linear_provider, ledger=self.ledger)
-        self._linear_retrieval_engine = QueryEngine(
-            self._providers["linear_floor"], ledger=self.ledger
-        )
+        self._linear_retrieval_engine = self._linear_engine.floored()
 
     @property
     def providers(self) -> dict[str, object]:
@@ -337,7 +332,7 @@ class MASTPipeline:
 
         Reports the parsed form, the predictor assignment (§7.1), the
         estimated per-query cost from the provider's simulated constants,
-        and whether each referenced count series is already memoized.
+        and whether its engine already holds each referenced count series.
         """
         require(self._index is not None, "fit() must be called before explain()")
         if isinstance(query, str):
@@ -356,7 +351,7 @@ class MASTPipeline:
             object_filters = [c.object_filter for c in query.leaf_conditions()]
         else:
             object_filters = [query.object_filter]
-        cached_filters = set(provider.cached_filters())
+        cached_filters = set(engine.cached_filters())
         lines = [
             f"query     : {query.describe()}",
             f"kind      : {type(query).__name__}",

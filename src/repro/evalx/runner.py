@@ -151,7 +151,7 @@ class MethodExecutor:
             self.index = index
         linear = LinearCountProvider(self.sampling)
         linear_engine = QueryEngine(linear, ledger=self.ledger)
-        linear_retrieval_engine = QueryEngine(linear.quantized(), ledger=self.ledger)
+        linear_retrieval_engine = linear_engine.floored()
 
         def pick(predictor: str) -> QueryEngine:
             # A spec naming the "st" predictor anywhere reports

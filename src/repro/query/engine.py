@@ -114,13 +114,45 @@ class CountProvider(Protocol):
 
 
 class QueryEngine:
-    """Evaluates retrieval / aggregate queries against a count provider."""
+    """Evaluates retrieval / aggregate queries against a count provider.
+
+    The engine keeps every count series it has resolved: a workload's
+    queries reference few distinct filters, and the provider computes
+    each of them once.  The provider is read as immutable, so an engine
+    lives as long as the index it reads — a new index gets new engines.
+    ``floor=True`` floors each series before evaluation (the paper's
+    Example 5.3 floors interpolated counts before a retrieval predicate).
+    """
 
     def __init__(
-        self, provider: CountProvider, *, ledger: CostLedger | None = None
+        self,
+        provider: CountProvider,
+        *,
+        ledger: CostLedger | None = None,
+        floor: bool = False,
     ) -> None:
         self.provider = provider
         self.ledger = ledger if ledger is not None else CostLedger()
+        self.floor = floor
+        self._series: dict[ObjectFilter, np.ndarray] = {}
+
+    def floored(self) -> QueryEngine:
+        """A flooring view sharing this engine's provider, ledger and series."""
+        view = QueryEngine(self.provider, ledger=self.ledger, floor=True)
+        view._series = self._series
+        return view
+
+    def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
+        """The series queries on ``object_filter`` evaluate, computed once."""
+        series = self._series.get(object_filter)
+        if series is None:
+            series = self.provider.count_series(object_filter)
+            self._series[object_filter] = series
+        return np.floor(series) if self.floor else series
+
+    def cached_filters(self) -> tuple[ObjectFilter, ...]:
+        """Object filters whose count series this engine already holds."""
+        return tuple(self._series)
 
     # ------------------------------------------------------------------
     @overload
@@ -144,9 +176,7 @@ class QueryEngine:
                 self.provider.simulated_query_cost_per_frame * self.provider.n_frames,
                 count=0,
             )
-            return evaluate_query(
-                query, self.provider.count_series, self.provider.n_frames
-            )
+            return evaluate_query(query, self.count_series, self.provider.n_frames)
 
     def execute_many(
         self,

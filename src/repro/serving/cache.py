@@ -106,8 +106,9 @@ class CountSeriesCache:
 
     ``max_entries`` bounds the number of cached series; the least
     recently used entry is evicted first.  Every stored array is a
-    read-only copy, isolated from provider internals and safe to hand
-    to concurrent readers.
+    read-only copy owned by the cache — providers keep no series of
+    their own, so these entries are the only count-series state of a
+    served shard — and safe to hand to concurrent readers.
 
     # guarded-by: _lock: _entries, _generation, _bytes
     # guarded-by: _lock: _hits, _misses, _partial_hits, _evictions, _invalidations
@@ -186,7 +187,10 @@ class CountSeriesCache:
         Entries become incomplete prefix entries of the new generation
         (their tail region must be recomputed on next use); with
         ``boundary < 0`` nothing is reusable and all entries are
-        dropped.  Each touched entry counts as one invalidation.
+        dropped.  Each touched entry counts as one invalidation.  A
+        shortened entry stores a compact copy of its prefix, so the
+        dropped tail is freed and ``bytes`` stays what the cache keeps
+        alive.
         """
         with self._lock:
             self._generation = int(generation)
@@ -198,8 +202,11 @@ class CountSeriesCache:
             keep = boundary + 1
             for key, entry in list(self._entries.items()):
                 self._invalidations += 1
-                prefix = entry.series[:keep]
-                self._bytes -= entry.series.nbytes - prefix.nbytes
+                prefix = entry.series
+                if len(prefix) > keep:
+                    prefix = prefix[:keep].copy()
+                    prefix.setflags(write=False)
+                    self._bytes -= entry.series.nbytes - prefix.nbytes
                 self._entries[key] = _Entry(prefix, self._generation, False)
 
     def bump(self) -> int:

@@ -4,9 +4,9 @@
 clients:
 
 * one shared, bounded :class:`~repro.serving.cache.CountSeriesCache`
-  is reused across the ST, linear, and floored-linear providers (the
-  floored retrieval view is derived from the continuous linear series
-  at evaluation time, so the two predictors share entries);
+  fronts the ST and linear providers and is the only place a served
+  shard keeps count series (floored-linear retrieval floors the
+  continuous linear series at evaluation time, so it shares entries);
 * :meth:`execute_batch` parses a workload up front, computes each
   distinct count series exactly once via the providers' batched
   ``count_series_many`` kernels, then answers the queries in order
@@ -246,7 +246,7 @@ class QueryService:
         self, state: _ServiceState, query: Query
     ) -> RetrievalResult | AggregateResult:
         kind = predictor_kind(self._pipeline.config, query)
-        provider = state.provider(kind)
+        provider = state.provider(base_kind(kind))
         ledger = self.ledger
         with ledger.measure(STAGE_QUERY):
             ledger.charge(
@@ -303,22 +303,19 @@ class QueryService:
     ) -> QueryService:
         """Ingest a frame batch; invalidate only changed series tails.
 
-        Runs :meth:`MASTPipeline.extend`, then (a) seeds the rebuilt
-        linear provider with the still-valid per-sampled-frame counts of
-        the previous epoch and (b) truncates cached series to the prefix
-        the extension left unchanged.  Queries already in flight keep
-        answering on the pre-extension snapshot.  ``extended`` passes an
-        already-grown sequence through to the pipeline.
+        Runs :meth:`MASTPipeline.extend`, then truncates cached series
+        to the prefix the extension left unchanged; each is completed,
+        tail only, by the next lookup that asks for it.  Queries already
+        in flight keep answering on the pre-extension snapshot.
+        ``extended`` passes an already-grown sequence through to the
+        pipeline.
         """
         with self._extend_lock:
-            old_state = self._state
-            old_linear = old_state.provider("linear")
             self._pipeline.extend(new_frames, model=model, extended=extended)  # repro: noqa[RPR010] deliberate: _extend_lock serializes writers only; readers answer from the immutable pre-extension snapshot while the pipeline runs
             boundary = self._pipeline.last_extend_boundary
             assert boundary is not None
             providers = self._pipeline.providers
-            self._prime_linear(old_linear, providers["linear"], boundary)
-            generation = old_state.generation + 1
+            generation = self._state.generation + 1
             self.cache.invalidate_tail(boundary, generation)
             self._state = _ServiceState(
                 generation=generation,
@@ -355,36 +352,6 @@ class QueryService:
                 providers=providers,
             )
         return self
-
-    @staticmethod
-    def _prime_linear(old_provider: Any, new_provider: Any, boundary: int) -> None:
-        """Carry still-valid sampled counts into the rebuilt provider.
-
-        Sampled frames at ids ``<= boundary`` kept their detections, so
-        each memoized filter only needs fresh counts for the sampled ids
-        beyond the boundary — O(extension) instead of O(sequence).
-        """
-        if boundary < 0:
-            return
-        old_ids = old_provider.result.sampled_ids
-        new_ids = new_provider.result.sampled_ids
-        keep = int(np.searchsorted(old_ids, boundary, side="right"))
-        if keep == 0 or keep > len(new_ids):
-            return
-        if not np.array_equal(old_ids[:keep], new_ids[:keep]):
-            return
-        detections = new_provider.result.detections
-        for object_filter, counts in old_provider.cached_sampled_counts().items():
-            tail = np.array(
-                [
-                    object_filter.count(detections[int(frame_id)])
-                    for frame_id in new_ids[keep:]
-                ],
-                dtype=float,
-            )
-            new_provider.prime(
-                object_filter, np.concatenate([counts[:keep], tail])
-            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

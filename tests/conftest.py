@@ -62,6 +62,23 @@ def yields(monkeypatch):
     return calls
 
 
+@pytest.fixture()
+def filter_counts(monkeypatch):
+    """``(object_filter, objects)`` of every ``ObjectFilter.count`` call a
+    test makes — what a linear count provider costs."""
+    from repro.query import ObjectFilter
+
+    calls: list[tuple] = []
+    real = ObjectFilter.count
+
+    def counting(self, objects):
+        calls.append((self, objects))
+        return real(self, objects)
+
+    monkeypatch.setattr(ObjectFilter, "count", counting)
+    return calls
+
+
 @pytest.fixture(scope="session", autouse=True)
 def lock_witness():
     """Runtime lock-order witness, armed by ``REPRO_WITNESS=1``.

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import time
 
 import pytest
 
@@ -13,7 +14,15 @@ from repro.serving.dispatcher import Dispatcher, Overloaded
 
 @contextlib.contextmanager
 def inflight_limit(dispatcher, limit: int):
-    """Temporarily pinch the admission bound (read on the loop thread)."""
+    """Temporarily pinch the admission bound (read on the loop thread).
+
+    Waits out computations an earlier test left in flight first (a shed
+    raises while the admitted query is still computing), so the bound
+    only ever counts this test's own submissions.
+    """
+    deadline = time.monotonic() + 10.0
+    while dispatcher.counters()["inflight"] and time.monotonic() < deadline:
+        time.sleep(0.005)
     original = dispatcher._max_inflight
     dispatcher._max_inflight = limit
     try:

@@ -118,3 +118,49 @@ def test_constant_velocity_world_is_predicted_exactly(run):
             if len(interior):
                 # Matched tracking of equal-size sets keeps counts equal.
                 assert np.all(interior == n_start)
+
+
+@st.composite
+def scattered_samplings(draw):
+    """A hand-made sampling: any non-empty sampled-id set, uneven timestamps."""
+    from repro.core.sampler import SamplingResult
+    from repro.data.annotations import ObjectArray
+
+    n_frames = draw(st.integers(2, 40))
+    sampled_ids = sorted(
+        draw(st.sets(st.integers(0, n_frames - 1), min_size=1, max_size=n_frames))
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 5_000)))
+    detections = {}
+    for frame_id in sampled_ids:
+        n_objects = int(rng.integers(0, 6))
+        detections[frame_id] = ObjectArray(
+            labels=np.full(n_objects, "Car", dtype="<U16"),
+            centers=np.column_stack(
+                [rng.uniform(-40, 40, (n_objects, 2)), np.zeros(n_objects)]
+            ),
+            sizes=np.ones((n_objects, 3)),
+            yaws=np.zeros(n_objects),
+            scores=np.ones(n_objects),
+        )
+    return SamplingResult(
+        sequence_name="scattered",
+        n_frames=n_frames,
+        timestamps=np.cumsum(rng.uniform(0.05, 0.2, n_frames)),
+        budget=len(sampled_ids),
+        sampled_ids=sampled_ids,
+        detections=detections,
+    )
+
+
+@given(scattered_samplings(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_linear_tail_is_the_series_slice(sampling, data):
+    """A tail needs only the samples bracketing it: same bits as the slice."""
+    provider = LinearCountProvider(sampling)
+    start = data.draw(st.integers(0, sampling.n_frames - 1))
+    for object_filter in FILTERS:
+        assert np.array_equal(
+            provider.count_series_tail(object_filter, start),
+            provider.count_series(object_filter)[start:],
+        )

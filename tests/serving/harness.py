@@ -2,10 +2,10 @@
 
 Provides (a) a seeded random query generator spanning every query shape
 — retrieval, all aggregate operators, and compound AND/OR conditions —
-and (b) a serial *uncached* baseline executor that rebuilds provider
-state from a sampling result and wipes every memo between queries, so
-any answer it produces is a from-scratch ground truth for the batched /
-cached / parallel service paths.
+and (b) a serial *uncached* baseline executor that rebuilds the
+providers from a sampling result and answers every query on a fresh
+engine, so any answer it produces is a from-scratch ground truth for
+the batched / cached / parallel service paths.
 """
 
 from __future__ import annotations
@@ -99,22 +99,15 @@ def random_workload(seed: int, n_queries: int) -> list:
 # Serial uncached baseline
 # ----------------------------------------------------------------------
 def serial_uncached_answers(sampling, config, queries) -> list:
-    """Ground-truth answers: serial execution, every memo wiped per query."""
-    index = MASTIndex.build(sampling, config)
-    st = STCountProvider(index)
+    """Ground-truth answers: serial execution, a fresh engine per query."""
+    st = STCountProvider(MASTIndex.build(sampling, config))
     linear = LinearCountProvider(sampling)
-    providers = {
-        "st": st,
-        "linear": linear,
-        "linear_floor": linear.quantized(),
+    engines = {
+        "st": lambda: QueryEngine(st),
+        "linear": lambda: QueryEngine(linear),
+        "linear_floor": lambda: QueryEngine(linear, floor=True),
     }
-    answers = []
-    for query in queries:
-        index.clear_count_cache()
-        linear.clear_count_cache()
-        provider = providers[predictor_kind(config, query)]
-        answers.append(QueryEngine(provider).execute(query))
-    return answers
+    return [engines[predictor_kind(config, query)]().execute(query) for query in queries]
 
 
 def assert_results_identical(actual, expected, context: str = "") -> None:

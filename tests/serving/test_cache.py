@@ -123,6 +123,21 @@ class TestInvalidation:
         _, prefix = cache.lookup(key, 2)
         assert np.array_equal(prefix, _series(3))
 
+    def test_truncated_entries_own_their_bytes(self):
+        """A prefix is a compact array: ``bytes`` is what the cache keeps alive."""
+        cache = CountSeriesCache()
+        cache.put(_key(1.0), _series(1000), 0)
+        cache.put(_key(2.0), _series(1000), 0)
+        cache.invalidate_tail(99, 1)
+        cache.put(_key(2.0), _series(1200), 1)
+        cache.invalidate_tail(499, 2)  # one entry already shorter than the new prefix
+        stored = [entry.series for entry in cache._entries.values()]
+        assert [len(series) for series in stored] == [100, 500]
+        assert all(series.base is None for series in stored)
+        assert not any(series.flags.writeable for series in stored)
+        assert cache.stats().bytes == sum(series.nbytes for series in stored)
+        assert cache.stats().invalidations == 4
+
     def test_completed_entry_hits_again(self):
         cache = CountSeriesCache()
         key = _key(1.0)

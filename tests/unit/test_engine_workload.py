@@ -81,6 +81,65 @@ class TestQueryEngine:
         assert result.id_set() == {4, 9, 14, 19}
 
 
+class CountingProvider:
+    """Per-filter series that records every ``count_series`` call."""
+
+    simulated_query_cost_per_frame = 1e-6
+    n_frames = 20
+
+    def __init__(self):
+        self.calls = []
+
+    def count_series(self, object_filter):
+        self.calls.append(object_filter)
+        return np.arange(self.n_frames) * (0.25 + object_filter.confidence)
+
+
+class TestSeriesMemo:
+    """An engine asks its provider once per distinct filter."""
+
+    QUERIES = [
+        f"SELECT {head} COUNT({label}{conf}){tail}"
+        for head, tail in (("FRAMES WHERE", " >= 3"), ("AVG OF", ""), ("MAX OF", ""))
+        for label in ("Car", "Pedestrian")
+        for conf in ("", " CONF 0.7")
+    ]
+
+    def test_one_provider_call_per_distinct_filter(self):
+        provider = CountingProvider()
+        engine = QueryEngine(provider)
+        assert engine.cached_filters() == ()
+        engine.execute_many(self.QUERIES * 2)
+        assert len(provider.calls) == len(set(provider.calls)) == 4
+        assert set(engine.cached_filters()) == set(provider.calls)
+
+    def test_floored_view_shares_series_and_floors_them(self):
+        provider = CountingProvider()
+        engine = QueryEngine(provider)
+        floored = engine.floored()
+        assert floored.provider is provider and floored.ledger is engine.ledger
+        assert floored.floor and not engine.floor
+
+        text = "SELECT MAX OF COUNT(Car)"
+        continuous = engine.execute(text).counts
+        calls = list(provider.calls)
+        result = floored.execute(text)
+        assert provider.calls == calls
+        assert not np.array_equal(continuous, np.floor(continuous))
+        assert np.array_equal(result.counts, np.floor(continuous))
+        # Either view resolves a new filter for both.
+        floored.execute("SELECT MAX OF COUNT(Pedestrian)")
+        engine.execute("SELECT MAX OF COUNT(Pedestrian)")
+        assert len(provider.calls) == len(calls) + 1
+        assert engine.ledger.counts[STAGE_QUERY] == 4
+
+    def test_floor_flag_equals_floored_view(self):
+        text = "SELECT FRAMES WHERE COUNT(Car) >= 3"
+        flagged = QueryEngine(CountingProvider(), floor=True).execute(text)
+        viewed = QueryEngine(CountingProvider()).floored().execute(text)
+        assert np.array_equal(flagged.frame_ids, viewed.frame_ids)
+
+
 class TestExecuteManySemantics:
     """Result-order and ledger-charging contract of batch execution."""
 

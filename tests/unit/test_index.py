@@ -25,6 +25,19 @@ def index(sampling):
     return MASTIndex.build(sampling, MASTConfig(seed=2))
 
 
+@pytest.fixture(scope="module")
+def extended_sampling(detector):
+    """A sampling grown by ``extend``: the merged ids of a fit and a tail run."""
+    from repro.core import MASTPipeline
+    from repro.simulation import semantickitti_like
+
+    full = semantickitti_like(0, n_frames=150, with_points=False)
+    pipeline = MASTPipeline(MASTConfig(seed=2)).fit(
+        full.head(120, name=full.name), detector
+    )
+    return pipeline.extend(list(full[120:])).sampling_result
+
+
 CAR_NEAR = ObjectFilter(label="Car", spatial=SpatialPredicate("<=", 20.0))
 
 
@@ -55,11 +68,6 @@ class TestCountSeries:
         for frame_id in sampling.sampled_ids[:20]:
             expected = CAR_NEAR.count(sampling.detections[int(frame_id)])
             assert counts[int(frame_id)] == expected
-
-    def test_memoized(self, index):
-        a = index.count_series(CAR_NEAR)
-        b = index.count_series(CAR_NEAR)
-        assert a is b
 
     def test_different_filters_differ(self, index):
         near = index.count_series(CAR_NEAR)
@@ -126,18 +134,6 @@ class TestLinearCountProvider:
             assert np.all(interior >= min(lo, hi) - 1e-9)
             assert np.all(interior <= max(lo, hi) + 1e-9)
 
-    def test_quantized_view_floors(self, sampling):
-        provider = LinearCountProvider(sampling)
-        floored = provider.quantized().count_series(CAR_NEAR)
-        continuous = provider.count_series(CAR_NEAR)
-        assert np.allclose(floored, np.floor(continuous))
-
-    def test_views_share_cache(self, sampling):
-        provider = LinearCountProvider(sampling)
-        provider.count_series(CAR_NEAR)
-        view = provider.quantized()
-        assert CAR_NEAR in view._cache
-
     def test_linear_cheaper_than_st(self, sampling, index):
         linear = LinearCountProvider(sampling)
         st = STCountProvider(index)
@@ -157,7 +153,7 @@ FILTER_SET = [
 
 
 class TestBatchedSeriesAPI:
-    """count_series_many / count_series_tail / cached_filters contracts."""
+    """count_series_many / count_series_tail contracts."""
 
     @pytest.mark.parametrize("provider_kind", ["index", "st", "linear"])
     def test_many_matches_one_by_one(self, sampling, provider_kind):
@@ -172,54 +168,36 @@ class TestBatchedSeriesAPI:
                 batched[object_filter], provider.count_series(object_filter)
             )
 
-    def test_many_populates_cache(self, sampling):
-        provider = LinearCountProvider(sampling)
-        provider.count_series_many(FILTER_SET)
-        assert set(provider.cached_filters()) == set(FILTER_SET)
-
-    def test_tail_equals_series_slice(self, index, sampling):
-        for provider in (index, LinearCountProvider(sampling)):
+    def test_tail_equals_series_slice(self, index, sampling, extended_sampling):
+        """Every start: before the first sample, on one, between two, the last frame."""
+        providers = (
+            index,
+            LinearCountProvider(sampling),
+            LinearCountProvider(extended_sampling),
+        )
+        for provider in providers:
             series = provider.count_series(CAR_NEAR)
-            for start in (0, 1, index.n_frames // 2, index.n_frames - 1):
+            for start in range(provider.n_frames):
                 tail = provider.count_series_tail(CAR_NEAR, start)
                 assert np.array_equal(tail, series[start:]), (
                     f"{type(provider).__name__} tail mismatch at start={start}"
                 )
 
-    def test_cached_filters_public_api(self, sampling):
-        index = MASTIndex.build(sampling, MASTConfig(seed=2))
-        assert list(index.cached_filters()) == []
-        index.count_series(CAR_NEAR)
-        assert list(index.cached_filters()) == [CAR_NEAR]
-        index.clear_count_cache()
-        assert list(index.cached_filters()) == []
-
-    def test_quantized_view_shares_batched_cache(self, sampling):
-        provider = LinearCountProvider(sampling)
-        view = provider.quantized()
-        provider.count_series_many(FILTER_SET)
-        assert set(view.cached_filters()) == set(FILTER_SET)
-        assert np.array_equal(
-            view.count_series(CAR_NEAR),
-            np.floor(provider.count_series(CAR_NEAR)),
-        )
-
-    def test_prime_validates_shape(self, sampling):
-        provider = LinearCountProvider(sampling)
-        with pytest.raises(ValueError, match="sampled"):
-            provider.prime(CAR_NEAR, np.zeros(3))
-
-    def test_prime_equals_recompute(self, sampling):
-        cold = LinearCountProvider(sampling)
-        primed = LinearCountProvider(sampling)
-        counts = cold.cached_sampled_counts()
-        assert counts == {}
-        cold.count_series(CAR_NEAR)
-        carried = cold.cached_sampled_counts()[CAR_NEAR]
-        primed.prime(CAR_NEAR, carried)
-        assert np.array_equal(
-            primed.count_series(CAR_NEAR), cold.count_series(CAR_NEAR)
-        )
+    def test_linear_tail_counts_only_from_the_bracketing_sample(
+        self, extended_sampling, filter_counts
+    ):
+        provider = LinearCountProvider(extended_sampling)
+        ids = extended_sampling.sampled_ids
+        detections = extended_sampling.detections
+        for start in (1, int(ids[3]), int(ids[3]) + 1, provider.n_frames - 1):
+            filter_counts.clear()
+            provider.count_series_tail(CAR_NEAR, start)
+            expected = ids[max(np.searchsorted(ids, start, side="right") - 1, 0) :]
+            assert len(filter_counts) == len(expected)
+            assert all(
+                objects is detections[int(frame_id)]
+                for (_, objects), frame_id in zip(filter_counts, expected)
+            )
 
 
 def _counting_analyze_pair(monkeypatch):

@@ -122,6 +122,53 @@ class TestExtend:
         assert fraction == pytest.approx(0.1, abs=0.02)
 
 
+class TestEnginesLiveOneIndexEpoch:
+    """Series an engine resolved are never served for a later index."""
+
+    TEXTS = [
+        "SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1",
+        "SELECT AVG OF COUNT(Car DIST <= 20)",
+    ]
+
+    def _engines(self, pipe):
+        return (pipe._st_engine, pipe._linear_engine, pipe._linear_retrieval_engine)
+
+    @pytest.mark.parametrize("rebuild", ["extend", "fit_from_sampling"])
+    def test_rebuild_installs_fresh_engines(self, detector, rebuild):
+        from repro.simulation import semantickitti_like
+
+        full = semantickitti_like(0, n_frames=260, with_points=False)
+        pipe = MASTPipeline(MASTConfig(seed=4)).fit(
+            full.head(200, name=full.name), detector
+        )
+        pipe.query_many(self.TEXTS)
+        old = self._engines(pipe)
+        assert old[0].cached_filters() and old[1].cached_filters()
+        assert old[2].cached_filters() == old[1].cached_filters()
+
+        if rebuild == "extend":
+            pipe.extend(list(full[200:]))
+        else:
+            pipe.fit_from_sampling(pipe.sequence, detector, pipe.sampling_result)
+        new = self._engines(pipe)
+        assert not set(map(id, new)) & set(map(id, old))
+        assert all(engine.cached_filters() == () for engine in new)
+        assert new[0].provider.index is pipe.index
+        assert new[1].provider is new[2].provider is pipe.providers["linear"]
+
+        fresh = MASTPipeline(pipe.config).fit_from_sampling(
+            pipe.sequence, detector, pipe.sampling_result
+        )
+        for text in self.TEXTS:
+            got, want = pipe.query(text), fresh.query(text)
+            if isinstance(got, RetrievalResult):
+                assert got.n_frames == len(pipe.sequence)
+                assert np.array_equal(got.frame_ids, want.frame_ids)
+            else:
+                assert len(got.counts) == len(pipe.sequence)
+                assert np.array_equal(got.counts, want.counts)
+
+
 class TestExtendFrameIdAlignment:
     """Regression: extend() must key new detections by extended-sequence
     frame ids, not re-base the appended batch at zero."""

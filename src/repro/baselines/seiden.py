@@ -112,7 +112,7 @@ class SeidenPCSampler(BaseSampler):
                 with ledger.measure(STAGE_POLICY):
                     reward = self._adaptive_reward(
                         sequence, sampled, detections, frame_id, actual,
-                        self.reward_kind,
+                        self.reward_kind, engine,
                     )
                     agent.update(arm, reward)
                     bisect.insort(sampled, frame_id)

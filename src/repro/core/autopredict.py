@@ -30,7 +30,9 @@ import numpy as np
 
 from repro.core.config import MASTConfig
 from repro.core.sampler import SamplingResult
-from repro.core.stpc import analyze_pair
+from repro.core.stpc import analyze_pair_once
+from repro.data.annotations import ObjectArray
+from repro.inference import InferenceEngine
 from repro.query.predicates import ObjectFilter
 from repro.utils.validation import require
 
@@ -87,6 +89,7 @@ def calibrate_predictors(
     *,
     config: MASTConfig | None = None,
     max_holdouts: int = 200,
+    engine: InferenceEngine | None = None,
 ) -> PredictorCalibration:
     """Run leave-one-out validation over the sampled frames.
 
@@ -99,6 +102,9 @@ def calibrate_predictors(
         the expected workload (``QueryWorkload.object_filters()``).
     max_holdouts:
         Cap on evaluated (frame, filter) combinations, spread evenly.
+    engine:
+        The engine that served ``sampling``'s detections; a hold-out
+        pair it has already analysed is answered from its motion memo.
     """
     require(bool(object_filters), "need at least one object filter")
     config = config or MASTConfig()
@@ -111,14 +117,31 @@ def calibrate_predictors(
     stride = max(1, len(interior) // per_filter_budget)
     holdouts = interior[::stride]
 
+    # Each hold-out's neighbours are analysed once, whatever the number
+    # of filters counted against the prediction.
+    analysed: dict[int, tuple[int, int, ObjectArray]] = {}
+    for frame_id in holdouts:
+        position = sampled.index(frame_id)
+        left, right = sampled[position - 1], sampled[position + 1]
+        estimate = analyze_pair_once(
+            engine,
+            sampling.detections[left],
+            sampling.detections[right],
+            timestamps[left],
+            timestamps[right],
+            max_distance=config.match_max_distance,
+        )
+        analysed[frame_id] = (
+            left, right, estimate.predict(float(timestamps[frame_id]))
+        )
+
     linear_errors: list[float] = []
     st_errors: list[float] = []
     linear_decisions: list[int] = []
     st_decisions: list[int] = []
     for object_filter in object_filters:
         for frame_id in holdouts:
-            position = sampled.index(frame_id)
-            left, right = sampled[position - 1], sampled[position + 1]
+            left, right, st_objects = analysed[frame_id]
             t_left, t_right = float(timestamps[left]), float(timestamps[right])
             t_mid = float(timestamps[frame_id])
 
@@ -130,16 +153,9 @@ def calibrate_predictors(
                 (t_mid - t_left) / (t_right - t_left)
             )
 
-            estimate = analyze_pair(
-                sampling.detections[left],
-                sampling.detections[right],
-                t_left,
-                t_right,
-                max_distance=config.match_max_distance,
-            )
             # The filter's own confidence cut applies, exactly as it does
             # against the ST index's flat columns.
-            st_prediction = object_filter.count(estimate.predict(t_mid))
+            st_prediction = object_filter.count(st_objects)
 
             linear_errors.append(linear_prediction - truth)
             st_errors.append(st_prediction - truth)

@@ -35,8 +35,9 @@ import numpy as np
 
 from repro.core.config import MASTConfig
 from repro.core.sampler import SamplingResult
-from repro.core.stpc import MotionEstimate, analyze_pair
+from repro.core.stpc import MotionEstimate, analyze_pair_once
 from repro.data.annotations import ObjectArray
+from repro.inference import InferenceEngine
 from repro.query.predicates import ObjectFilter
 from repro.utils.timing import STAGE_INDEX, CostLedger
 
@@ -98,9 +99,6 @@ class MASTIndex:
         #: columns; a later build slices them instead of re-predicting.
         self._gap_rows = gap_rows
         self._detections = detections
-        #: The matching gate the estimates were computed under; a later
-        #: build reuses them only under the same gate.
-        self._match_max_distance = config.match_max_distance
         self._tile_params = _tile_params(config)
         #: The :class:`~repro.spatial.SpatialTileIndex` over the flat
         #: columns once a count series has routed through it (or the one
@@ -121,6 +119,7 @@ class MASTIndex:
         ledger: CostLedger | None = None,
         previous: MASTIndex | None = None,
         boundary: int | None = None,
+        engine: InferenceEngine | None = None,
     ) -> MASTIndex:
         """Run Alg. 3 over a sampling result.
 
@@ -128,18 +127,21 @@ class MASTIndex:
         estimate predicts the object set of each interior frame; sampled
         frames contribute their raw detections.
 
-        ``previous`` hands over the prior index.  Its motion estimates
-        are reused for every gap whose two detection sets are the same
-        objects (``is``) at the same timestamps under the same matching
-        gate, and — when the two indexes agree on every shared frame's
-        timestamp — so are that gap's predicted rows, sliced out of the
-        prior flat columns.  A rebuild therefore runs ST-PC analysis and
-        prediction only on the gaps that changed: after a one-frame
-        ``extend``, the ones past the invalidation boundary.  With
-        ``boundary`` (the pipeline's extend path) a tile index the prior
-        index had built also updates incrementally — keeping its split
-        geometry and the count-summary entries for frames
-        ``<= boundary`` — instead of being rebuilt on next use.
+        ``engine`` is the one that served ``result``'s detections: each
+        gap's estimate comes through its motion memo
+        (:func:`~repro.core.stpc.analyze_pair_once`), so a gap the
+        sampler or an earlier build already analysed is not analysed
+        again (without an engine every gap is).  ``previous`` hands over the prior index: where it holds
+        the very estimate the memo returned — the same detections at the
+        same timestamps under the same gate — and the two indexes agree
+        on every shared frame's timestamp, that gap's predicted rows are
+        sliced out of the prior flat columns.  A rebuild therefore runs
+        ST-PC analysis and prediction only on the gaps that changed:
+        after a one-frame ``extend``, the ones past the invalidation
+        boundary.  With ``boundary`` (the pipeline's extend path) a tile
+        index the prior index had built also updates incrementally —
+        keeping its split geometry and the count-summary entries for
+        frames ``<= boundary`` — instead of being rebuilt on next use.
         """
         config = config or MASTConfig()
         ledger = ledger if ledger is not None else result.ledger
@@ -152,17 +154,14 @@ class MASTIndex:
         score_parts: list[np.ndarray] = []
         estimates: dict[tuple[int, int], MotionEstimate] = {}
         gap_rows: dict[tuple[int, int], tuple[int, int]] = {}
-        reusable: dict[tuple[int, int], MotionEstimate] = {}
-        reusable_rows: dict[tuple[int, int], tuple[int, int]] = {}
+        prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
+        prior_rows: dict[tuple[int, int], tuple[int, int]] = {}
         prior_columns: tuple[np.ndarray, ...] = ()
-        if (
-            previous is not None
-            and previous._match_max_distance == config.match_max_distance
-        ):
-            reusable = previous._estimates
+        if previous is not None:
             shared = min(previous.n_frames, result.n_frames)
             if np.array_equal(previous.timestamps[:shared], timestamps[:shared]):
-                reusable_rows = previous._gap_rows
+                prior_estimates = previous._estimates
+                prior_rows = previous._gap_rows
                 prior_columns = (
                     previous._frame_index,
                     previous._labels,
@@ -195,31 +194,19 @@ class MASTIndex:
                 start, end = int(start), int(end)
                 if end - start <= 1:
                     continue
-                objects_start = result.detections[start]
-                objects_end = result.detections[end]
-                t_start, t_end = float(timestamps[start]), float(timestamps[end])
-                estimate = reusable.get((start, end))
-                rows = None
-                if (
-                    estimate is None
-                    or estimate.objects_start is not objects_start
-                    or estimate.objects_end is not objects_end
-                    or estimate.t_start != t_start
-                    or estimate.t_end != t_end
-                ):
-                    estimate = analyze_pair(
-                        objects_start,
-                        objects_end,
-                        t_start,
-                        t_end,
-                        max_distance=config.match_max_distance,
-                    )
-                else:
-                    rows = reusable_rows.get((start, end))
+                estimate = analyze_pair_once(
+                    engine,
+                    result.detections[start],
+                    result.detections[end],
+                    timestamps[start],
+                    timestamps[end],
+                    max_distance=config.match_max_distance,
+                )
                 estimates[(start, end)] = estimate
-                if rows is not None:
+                if prior_estimates.get((start, end)) is estimate:
+                    lo, hi = prior_rows[(start, end)]
                     frame_idx, labels, positions, scores = (
-                        column[rows[0] : rows[1]] for column in prior_columns
+                        column[lo:hi] for column in prior_columns
                     )
                 else:
                     interior = np.arange(start + 1, end, dtype=np.int64)

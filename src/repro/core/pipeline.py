@@ -218,11 +218,11 @@ class MASTPipeline:
 
     def _rebuild_index(self, *, incremental: bool = False) -> None:
         assert self._sampling is not None
-        # The prior index always goes along: its motion estimates and
-        # predicted rows are reused for every gap whose detections did
-        # not change.  On the extend path its invalidation boundary goes
-        # too, so a tile index it has built keeps its split geometry and
-        # pre-boundary count summaries.
+        # The engine's motion memo answers every gap whose detections
+        # did not change, and the prior index always goes along so those
+        # gaps' predicted rows are reused too.  On the extend path its
+        # invalidation boundary goes as well, so a tile index it has
+        # built keeps its split geometry and pre-boundary count summaries.
         boundary = self.last_extend_boundary if incremental else None
         self._index = MASTIndex.build(
             self._sampling,
@@ -230,6 +230,7 @@ class MASTPipeline:
             ledger=self.ledger,
             previous=self._index,
             boundary=boundary,
+            engine=self.engine,
         )
         st_provider = STCountProvider(self._index)
         linear_provider = LinearCountProvider(self._sampling)
@@ -320,6 +321,7 @@ class MASTPipeline:
             list(object_filters),
             config=self.config,
             max_holdouts=max_holdouts,
+            engine=self.engine,
         )
         self.config = calibration.apply_to(self.config)
         return calibration

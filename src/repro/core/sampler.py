@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import MASTConfig
-from repro.core.reward import count_deviation_reward, st_reward
+from repro.core.reward import count_deviation_reward, triple_reward
 from repro.core.segment_tree import SegmentTree
-from repro.core.stpc import analyze_pair
 from repro.data.annotations import ObjectArray
 from repro.data.sequence import FrameSequence
 from repro.inference import InferenceEngine
@@ -192,26 +191,27 @@ class BaseSampler(ABC):
         frame_id: int,
         actual: ObjectArray,
         reward_kind: str,
+        engine: InferenceEngine,
     ) -> float:
         """Reward of newly sampled ``frame_id`` w.r.t. its sampled neighbours.
 
-        ``reward_kind="st"`` computes Eq. 1 against the ST-PC prediction;
-        ``reward_kind="count"`` computes the Seiden-style count-deviation
-        reward against linear interpolation.  ``sampled`` must be sorted
-        and must *not* yet contain ``frame_id``.
+        ``reward_kind="st"`` computes Eq. 1 against the ST-PC prediction,
+        once per (left, right, actual) triple of detections under
+        ``engine``; ``reward_kind="count"`` computes the Seiden-style
+        count-deviation reward against linear interpolation.  ``sampled``
+        must be sorted and must *not* yet contain ``frame_id``.
         """
         config = self.config
         position = bisect.bisect_left(sampled, frame_id)
         left = sampled[position - 1] if position > 0 else None
         right = sampled[position] if position < len(sampled) else None
         threshold = config.confidence_threshold
-        actual_conf = actual.filter(actual.scores >= threshold)
         timestamps = sequence.timestamps
 
         if left is None or right is None:
             # Endpoint regions: the uniform pass covers both ends, so this
             # only occurs in tiny sequences.  Reward content directly.
-            return float(len(actual_conf)) * config.c_var
+            return float(_confident_count(actual, threshold)) * config.c_var
 
         if reward_kind == "count":
             left_n = _confident_count(detections[left], threshold)
@@ -220,20 +220,19 @@ class BaseSampler(ABC):
                 (timestamps[frame_id] - timestamps[left])
                 / (timestamps[right] - timestamps[left])
             )
-            return count_deviation_reward(len(actual_conf), interpolated)
+            return count_deviation_reward(
+                _confident_count(actual, threshold), interpolated
+            )
 
-        estimate = analyze_pair(
+        return triple_reward(
+            engine,
             detections[left],
             detections[right],
-            float(timestamps[left]),
-            float(timestamps[right]),
-            max_distance=config.match_max_distance,
-        )
-        predicted = estimate.predict(float(timestamps[frame_id]))
-        predicted_conf = predicted.filter(predicted.scores >= threshold)
-        return st_reward(
-            predicted_conf,
-            actual_conf,
+            actual,
+            timestamps[left],
+            timestamps[right],
+            timestamps[frame_id],
+            confidence_threshold=threshold,
             d_max=config.d_max,
             c_var=config.c_var,
             max_distance=config.match_max_distance,
@@ -457,7 +456,7 @@ class AdaptiveSamplingSession:
                 with ledger.measure(STAGE_POLICY):
                     reward = sampler._adaptive_reward(
                         self._sequence, self._sampled, self._detections,
-                        frame_id, actual, sampler.reward_kind,
+                        frame_id, actual, sampler.reward_kind, self._engine,
                     )
                     tree.record(path, frame_id, reward)
                     bisect.insort(self._sampled, frame_id)

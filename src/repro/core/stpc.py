@@ -17,14 +17,18 @@ reward (Eq. 1) and the index of Alg. 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.data.annotations import ObjectArray
 from repro.geometry.matching import match_pairs
 
-__all__ = ["MotionEstimate", "analyze_pair", "match_by_label"]
+if TYPE_CHECKING:
+    from repro.inference import InferenceEngine
+
+__all__ = ["MotionEstimate", "analyze_pair", "analyze_pair_once", "match_by_label"]
 
 
 def _rows_by_label(labels: np.ndarray) -> dict[str, list[int]]:
@@ -77,9 +81,13 @@ def match_by_label(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MotionEstimate:
     """Tracked motion between two sampled frames (output of Alg. 1).
+
+    Estimates compare and hash by identity: one estimate is shared by
+    every caller that analyses the same pair, and a field-wise ``==``
+    over its array fields has no truth value.
 
     Attributes
     ----------
@@ -87,8 +95,10 @@ class MotionEstimate:
         Detection sets of the earlier / later sampled frame.
     t_start, t_end:
         Their timestamps (``t_end > t_start``).
-    matched_pairs:
-        ``(i, j)`` index pairs into the two sets (same objects).
+    matched:
+        ``(2, K)`` int64 array of the ``K`` matched pairs: row 0 indexes
+        the start set, row 1 the end set (same objects).  An array, not
+        tuples: the motion memo keeps thousands of estimates alive.
     velocities:
         ``(len(objects_start), 2)`` xy velocities; zero for unmatched
         boxes (Alg. 1 lines 10-13).
@@ -100,21 +110,23 @@ class MotionEstimate:
     objects_end: ObjectArray
     t_start: float
     t_end: float
-    matched_pairs: tuple[tuple[int, int], ...]
+    matched: np.ndarray
     velocities: np.ndarray
     disappearing: tuple[int, ...]
     appearing: tuple[int, ...]
-    _matched_start: np.ndarray = field(repr=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.t_end > self.t_start:
             raise ValueError(
                 f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
             )
-        matched_start = np.array([i for i, _ in self.matched_pairs], dtype=np.int64)
-        object.__setattr__(self, "_matched_start", matched_start)
 
     # ------------------------------------------------------------------
+    @property
+    def matched_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The matched pairs as ``(i, j)`` index tuples."""
+        return tuple(zip(*self.matched.tolist()))
+
     @property
     def duration(self) -> float:
         """Time between the two sampled frames."""
@@ -140,7 +152,7 @@ class MotionEstimate:
         conf_disappear = 1.0 - conf_appear
         parts: list[ObjectArray] = []
 
-        matched_idx = self._matched_start
+        matched_idx = self.matched[0]
         if len(matched_idx):
             moved = self.objects_start.filter(matched_idx)
             deltas = self.velocities[matched_idx] * (t - self.t_start)
@@ -185,7 +197,7 @@ class MotionEstimate:
         score_parts: list[np.ndarray] = []
         index_parts: list[np.ndarray] = []
 
-        matched_idx = self._matched_start
+        matched_idx = self.matched[0]
         if len(matched_idx):
             base = self.objects_start.centers[matched_idx, :2]  # (K, 2)
             vel = self.velocities[matched_idx]  # (K, 2)
@@ -254,19 +266,53 @@ def analyze_pair(
     )
     velocities = np.zeros((len(objects_start), 2))
     dt = t_end - t_start
-    if pairs:
-        rows = np.fromiter((p[0] for p in pairs), dtype=np.int64, count=len(pairs))
-        cols = np.fromiter((p[1] for p in pairs), dtype=np.int64, count=len(pairs))
-        velocities[rows] = (
-            objects_end.centers[cols, :2] - objects_start.centers[rows, :2]
-        ) / dt
+    matched = np.ascontiguousarray(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
+    rows, cols = matched
+    velocities[rows] = (
+        objects_end.centers[cols, :2] - objects_start.centers[rows, :2]
+    ) / dt
     return MotionEstimate(
         objects_start=objects_start,
         objects_end=objects_end,
         t_start=float(t_start),
         t_end=float(t_end),
-        matched_pairs=tuple(pairs),
+        matched=matched,
         velocities=velocities,
         disappearing=tuple(unmatched_a),
         appearing=tuple(unmatched_b),
+    )
+
+
+def analyze_pair_once(
+    engine: InferenceEngine | None,
+    objects_start: ObjectArray,
+    objects_end: ObjectArray,
+    t_start: float,
+    t_end: float,
+    *,
+    max_distance: float | None = None,
+) -> MotionEstimate:
+    """:func:`analyze_pair`, run once per pair of detections under ``engine``.
+
+    The one reuse rule for ST-PC analysis: the estimate is the engine's
+    memoized one when both detection sets are the same objects (``is``)
+    at the same timestamps under the same matching gate — so the
+    sampler, the index and predictor calibration share a single
+    :class:`MotionEstimate` per pair, across re-plans too.  Without an
+    engine it simply computes.
+    """
+    t_start, t_end = float(t_start), float(t_end)
+
+    def compute() -> MotionEstimate:
+        return analyze_pair(
+            objects_start, objects_end, t_start, t_end, max_distance=max_distance
+        )
+
+    if engine is None:
+        return compute()
+    return engine.motion.get(
+        "estimate",
+        (objects_start, objects_end),
+        (t_start, t_end, max_distance),
+        compute,
     )

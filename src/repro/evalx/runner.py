@@ -146,7 +146,9 @@ class MethodExecutor:
 
         st_engine: QueryEngine | None = None
         if spec.needs_st_index():
-            index = MASTIndex.build(self.sampling, config, ledger=self.ledger)
+            index = MASTIndex.build(
+                self.sampling, config, ledger=self.ledger, engine=engine
+            )
             st_engine = QueryEngine(STCountProvider(index), ledger=self.ledger)
             self.index = index
         linear = LinearCountProvider(self.sampling)

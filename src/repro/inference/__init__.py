@@ -14,7 +14,10 @@ execution out of the samplers into one engine:
 * :mod:`repro.inference.engine` — :class:`InferenceEngine`, which takes
   *waves* of frame ids from the samplers, answers what it can from the
   store, fans the rest over the executor, and charges the cost ledger
-  (cache hits are never billed as model invocations).
+  (cache hits are never billed as model invocations);
+* :mod:`repro.inference.motion` — the engine's bounded
+  :class:`MotionMemo`, under which ST-PC analysis runs once per pair of
+  detections and the Eq. 1 reward once per triple, whoever asks.
 """
 
 from repro.inference.engine import InferenceEngine, PacedModel
@@ -25,6 +28,7 @@ from repro.inference.executors import (
     ThreadExecutor,
     make_executor,
 )
+from repro.inference.motion import MOTION_MEMO_ENTRIES, MotionMemo
 from repro.inference.store import (
     DetectionKey,
     DetectionStore,
@@ -41,6 +45,8 @@ __all__ = [
     "ThreadExecutor",
     "ProcessExecutor",
     "make_executor",
+    "MOTION_MEMO_ENTRIES",
+    "MotionMemo",
     "DetectionKey",
     "DetectionStore",
     "StoreStats",

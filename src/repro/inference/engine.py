@@ -29,6 +29,7 @@ from repro.data.annotations import ObjectArray
 from repro.data.frame import PointCloudFrame
 from repro.data.sequence import FrameSequence
 from repro.inference.executors import DetectionExecutor, make_executor
+from repro.inference.motion import MotionMemo
 from repro.inference.store import (
     DetectionStore,
     StoreStats,
@@ -81,6 +82,10 @@ class InferenceEngine:
             self.executor = executor
             self._owns_executor = False
         self.store = store
+        #: ST-PC results over the detections this engine serves; callers
+        #: go through :func:`repro.core.stpc.analyze_pair_once` and
+        #: :func:`repro.core.reward.triple_reward`.
+        self.motion = MotionMemo()
         self._fingerprints: dict[int, str] = {}
 
     @classmethod

@@ -115,7 +115,7 @@ class StreamingCorpusService:
     readers never wait on a deep-model flush:
 
     # guarded-by: _ingest_lock: _pending, _frames_since_replan, _standing, _epoch_history, _epoch_snapshots
-    # guarded-by: _state_lock: _arrived, _watermark, _clock, _events_processed, _epochs
+    # guarded-by: _state_lock: _arrived, _watermark, _clock, _events_processed, _epochs, _detections_by_origin
 
     Parameters
     ----------
@@ -203,6 +203,13 @@ class StreamingCorpusService:
         self._clock = 0.0
         self._events_processed = 0
         self._epochs = 0
+        #: Deep-model invocations by what asked for them; the three sum
+        #: to the ledger's invocation count.
+        self._detections_by_origin = {
+            "initial_fit": self._model_invocations(),
+            "flush": 0,
+            "replan": 0,
+        }
 
     # ------------------------------------------------------------------
     # Introspection
@@ -261,6 +268,13 @@ class StreamingCorpusService:
         for name in self._corpus.names:
             merged.merge(self._corpus.shard(name).ledger)
         return merged
+
+    def _model_invocations(self) -> int:
+        """Deep-model invocations billed so far (``cost_ledger()``'s count)."""
+        return self._corpus.ledger.invocations(STAGE_MODEL) + sum(
+            self._corpus.shard(name).ledger.invocations(STAGE_MODEL)
+            for name in self._corpus.names
+        )
 
     def epoch_snapshots(self) -> list[EpochSnapshot]:
         """Standing-query snapshots, one per re-planning epoch."""
@@ -355,17 +369,23 @@ class StreamingCorpusService:
             return 0
         frames = list(pending)
         pending.clear()
+        before = self._model_invocations()
         self._service.extend(name, frames, model=self.model)  # repro: noqa[RPR010] shard extension is the flush; _ingest_lock serializes writers while readers answer from the previous snapshot
-        if publish:
-            with self._state_lock:
+        billed = self._model_invocations() - before
+        with self._state_lock:
+            self._detections_by_origin["flush"] += billed
+            if publish:
                 self._watermark[name] = self._arrived[name]
         return len(frames)
 
     def _replan(self) -> None:  # repro: locked[_ingest_lock]
         """Re-run the budget plan and snapshot the standing queries."""
+        before = self._model_invocations()
         allocation = self._service.replan(self.model)  # repro: noqa[RPR010] the UCB re-plan detects under _ingest_lock by design: arrivals must not move the corpus mid-plan
+        billed = self._model_invocations() - before
         self._frames_since_replan = 0
         with self._state_lock:
+            self._detections_by_origin["replan"] += billed
             self._epochs += 1
             epoch = self._epochs
             clock = self._clock
@@ -469,6 +489,7 @@ class StreamingCorpusService:
             clock = self._clock
             events = self._events_processed
             epochs = self._epochs
+            by_origin = dict(self._detections_by_origin)
         ledger = self.cost_ledger()
         return {
             "virtual_time": clock,
@@ -483,7 +504,9 @@ class StreamingCorpusService:
             "allocation": self.allocation.as_dict(),
             "cache": self.cache_stats().as_dict(),
             "store": self.store.stats().as_dict(),
+            "motion_memo": self._corpus.engine.motion.stats(),
             "model_invocations": ledger.invocations(STAGE_MODEL),
+            "detections_by_origin": by_origin,
             "cost": ledger.summary(),
         }
 

@@ -8,6 +8,7 @@ the suite fast.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,25 @@ def filter_counts(monkeypatch):
 
     monkeypatch.setattr(ObjectFilter, "count", counting)
     return calls
+
+
+@pytest.fixture()
+def always_computing():
+    """``with always_computing():`` — the reference the motion memo is
+    checked against: inside the block every ``MotionMemo.get`` computes."""
+    from repro.inference import MotionMemo
+
+    @contextmanager
+    def reference():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                MotionMemo,
+                "get",
+                lambda self, kind, objects, scalars, compute: compute(),
+            )
+            yield
+
+    return reference
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -13,6 +13,7 @@ from contextlib import contextmanager
 import numpy as np
 
 from repro.corpus import CorpusPipeline, CorpusQueryService, SequenceCatalog
+from repro.flow.fingerprint import stable_digest
 from repro.models.base import DetectionModel
 from repro.query.ast import AggregateResult, RetrievalResult
 from repro.streaming import ScheduledFrameSource
@@ -97,3 +98,30 @@ def assert_same_corpus_answer(got, want, context: str) -> None:
             assert got.id_set() == want.id_set(), context
     else:
         assert_same_answer(got, want, context)
+
+
+#: The flat columns of a :class:`~repro.core.MASTIndex`.
+INDEX_COLUMNS = ("_frame_index", "_labels", "_positions", "_scores")
+
+
+def pipeline_state(pipeline) -> tuple:
+    """What a fitted pipeline computed: sampled ids, rewards, the index's
+    flat columns, and the sampling run's content digest."""
+    sampling = pipeline.sampling_result
+    return (
+        sampling.sampled_ids.copy(),
+        list(sampling.rewards),
+        [getattr(pipeline.index, column).copy() for column in INDEX_COLUMNS],
+        stable_digest(sampling),
+    )
+
+
+def assert_same_pipeline_state(got: tuple, want: tuple, context: str) -> None:
+    """Bit-identical equality of two :func:`pipeline_state` snapshots."""
+    ids, rewards, columns, digest = got
+    want_ids, want_rewards, want_columns, want_digest = want
+    assert np.array_equal(ids, want_ids), context
+    assert rewards == want_rewards, context
+    for column, want_column in zip(columns, want_columns):
+        assert np.array_equal(column, want_column), context
+    assert digest == want_digest, context

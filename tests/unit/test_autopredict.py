@@ -82,6 +82,89 @@ class TestCalibrateOnRealSampling:
         assert a == b
 
 
+def _per_filter_reference(sampling, object_filters, config, max_holdouts=200):
+    """The calibration nest as first written — every (filter, hold-out)
+    combination analyses its own pair — kept as the specification."""
+    import numpy as np
+
+    from repro.core import analyze_pair
+
+    sampled = [int(i) for i in sampling.sampled_ids]
+    timestamps = sampling.timestamps
+    interior = sampled[1:-1]
+    stride = max(1, len(interior) // max(1, max_holdouts // len(object_filters)))
+    linear_errors, st_errors, linear_decisions, st_decisions = [], [], [], []
+    for object_filter in object_filters:
+        for frame_id in interior[::stride]:
+            position = sampled.index(frame_id)
+            left, right = sampled[position - 1], sampled[position + 1]
+            t_left, t_right = float(timestamps[left]), float(timestamps[right])
+            t_mid = float(timestamps[frame_id])
+            truth = object_filter.count(sampling.detections[frame_id])
+            left_count = object_filter.count(sampling.detections[left])
+            right_count = object_filter.count(sampling.detections[right])
+            linear = left_count + (right_count - left_count) * (
+                (t_mid - t_left) / (t_right - t_left)
+            )
+            estimate = analyze_pair(
+                sampling.detections[left], sampling.detections[right],
+                t_left, t_right, max_distance=config.match_max_distance,
+            )
+            st = object_filter.count(estimate.predict(t_mid))
+            linear_errors.append(linear - truth)
+            st_errors.append(st - truth)
+            for theta in (1, 3, 5, 7, 9):
+                linear_decisions.append(int((np.floor(linear) >= theta) != (truth >= theta)))
+                st_decisions.append(int((st >= theta) != (truth >= theta)))
+    linear_arr, st_arr = np.asarray(linear_errors), np.asarray(st_errors)
+    return PredictorCalibration(
+        linear_mae=float(np.mean(np.abs(linear_arr))),
+        st_mae=float(np.mean(np.abs(st_arr))),
+        linear_bias=float(np.mean(linear_arr)),
+        st_bias=float(np.mean(st_arr)),
+        linear_decision_error=float(np.mean(linear_decisions)),
+        st_decision_error=float(np.mean(st_decisions)),
+        n_evaluations=int(len(linear_arr)),
+    )
+
+
+class TestHoldoutPairsAnalysedOnce:
+    """Each hold-out's pair is analysed once, not once per filter, and
+    the calibration record is the one the per-filter nest produced."""
+
+    @pytest.fixture()
+    def analyses(self, monkeypatch):
+        from repro.core import stpc
+
+        calls = []
+        real = stpc.analyze_pair
+
+        def counting(objects_start, objects_end, t_start, t_end, **kwargs):
+            calls.append((t_start, t_end))
+            return real(objects_start, objects_end, t_start, t_end, **kwargs)
+
+        monkeypatch.setattr(stpc, "analyze_pair", counting)
+        return calls
+
+    def test_record_unchanged_and_one_analysis_per_holdout(self, sampling, analyses):
+        config = MASTConfig()
+        expected = _per_filter_reference(sampling, FILTERS, config)
+        assert calibrate_predictors(sampling, FILTERS, config=config) == expected
+        assert len(analyses) == expected.n_evaluations // len(FILTERS)
+        assert len(set(analyses)) == len(analyses)
+
+    def test_engine_answers_repeat_calibrations_from_its_memo(self, sampling, analyses):
+        from repro.inference import InferenceEngine
+
+        expected = _per_filter_reference(sampling, FILTERS, MASTConfig())
+        with InferenceEngine() as engine:
+            first = calibrate_predictors(sampling, FILTERS, engine=engine)
+            analysed = len(analyses)
+            second = calibrate_predictors(sampling, FILTERS, engine=engine)
+        assert first == second == expected
+        assert len(analyses) == analysed == expected.n_evaluations // len(FILTERS)
+
+
 class TestRegimeSensitivity:
     """Calibration must pick the right predictor where the winner is
     unambiguous by construction."""

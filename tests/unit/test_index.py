@@ -15,14 +15,23 @@ from repro.utils.timing import STAGE_INDEX
 
 
 @pytest.fixture(scope="module")
-def sampling(kitti_sequence, detector):
-    sampler = HierarchicalMultiAgentSampler(MASTConfig(seed=2))
-    return sampler.sample(kitti_sequence, detector)
+def engine():
+    """The engine ``sampling`` and ``index`` were produced under."""
+    from repro.inference import InferenceEngine
+
+    with InferenceEngine() as engine:
+        yield engine
 
 
 @pytest.fixture(scope="module")
-def index(sampling):
-    return MASTIndex.build(sampling, MASTConfig(seed=2))
+def sampling(kitti_sequence, detector, engine):
+    sampler = HierarchicalMultiAgentSampler(MASTConfig(seed=2))
+    return sampler.sample(kitti_sequence, detector, engine=engine)
+
+
+@pytest.fixture(scope="module")
+def index(sampling, engine):
+    return MASTIndex.build(sampling, MASTConfig(seed=2), engine=engine)
 
 
 @pytest.fixture(scope="module")
@@ -202,16 +211,29 @@ class TestBatchedSeriesAPI:
 
 def _counting_analyze_pair(monkeypatch):
     """Record the ``(t_start, t_end)`` of every ST-PC analysis an index build runs."""
-    from repro.core import index as index_module
+    from repro.core import stpc
 
     analysed = []
-    real = index_module.analyze_pair
+    building = []
+    real = stpc.analyze_pair
+    real_build = MASTIndex.build.__func__
 
     def counting(objects_start, objects_end, t_start, t_end, **kwargs):
-        analysed.append((t_start, t_end))
+        if building:
+            analysed.append((t_start, t_end))
         return real(objects_start, objects_end, t_start, t_end, **kwargs)
 
-    monkeypatch.setattr(index_module, "analyze_pair", counting)
+    def build(cls, *args, **kwargs):
+        building.append(True)
+        try:
+            return real_build(cls, *args, **kwargs)
+        finally:
+            building.pop()
+
+    # Every caller analyses through ``stpc.analyze_pair``; only the calls
+    # made while an index build is running are the build's own.
+    monkeypatch.setattr(stpc, "analyze_pair", counting)
+    monkeypatch.setattr(MASTIndex, "build", classmethod(build))
     return analysed
 
 
@@ -337,13 +359,15 @@ class TestEstimateReuse:
         assert 0 < len(analysed) <= 12 < len(_gaps(second))
         _assert_same_columns(pipe.index, MASTIndex.build(second, config))
 
-    def test_replaced_detection_object_is_reanalysed(self, sampling, index, monkeypatch):
+    def test_replaced_detection_object_is_reanalysed(
+        self, sampling, index, engine, monkeypatch
+    ):
         from dataclasses import replace
 
         config = MASTConfig(seed=2)
         analysed = _counting_analyze_pair(monkeypatch)
         predicted = _counting_predict_flat(monkeypatch)
-        MASTIndex.build(sampling, config, previous=index)
+        MASTIndex.build(sampling, config, previous=index, engine=engine)
         assert analysed == [] and predicted == []
 
         # An equal copy of one interior sampled frame's detections is a
@@ -362,7 +386,7 @@ class TestEstimateReuse:
                 frame_id: objects.filter(np.arange(len(objects))),
             },
         )
-        rebuilt = MASTIndex.build(swapped, config, previous=index)
+        rebuilt = MASTIndex.build(swapped, config, previous=index, engine=engine)
         times = sampling.timestamps
         assert analysed == [
             (float(times[ids[position - 1]]), float(times[frame_id])),
@@ -373,7 +397,7 @@ class TestEstimateReuse:
         assert predicted == analysed
         _assert_same_columns(rebuilt, index)
 
-    def test_other_timestamps_reuse_no_rows(self, sampling, index, monkeypatch):
+    def test_other_timestamps_reuse_no_rows(self, sampling, index, engine, monkeypatch):
         """Rows depend on interior timestamps the estimates never see."""
         from dataclasses import replace
 
@@ -386,15 +410,20 @@ class TestEstimateReuse:
 
         analysed = _counting_analyze_pair(monkeypatch)
         predicted = _counting_predict_flat(monkeypatch)
-        rebuilt = MASTIndex.build(moved, config, previous=index)
+        rebuilt = MASTIndex.build(moved, config, previous=index, engine=engine)
         assert analysed == []
         assert predicted == _gaps(moved)
         _assert_same_columns(rebuilt, MASTIndex.build(moved, config))
         assert not np.array_equal(rebuilt._positions, index._positions)
 
-    def test_other_matching_gate_reuses_nothing(self, sampling, index, monkeypatch):
+    def test_other_matching_gate_reuses_nothing(
+        self, sampling, index, engine, monkeypatch
+    ):
         analysed = _counting_analyze_pair(monkeypatch)
         MASTIndex.build(
-            sampling, MASTConfig(seed=2, match_max_distance=5.0), previous=index
+            sampling,
+            MASTConfig(seed=2, match_max_distance=5.0),
+            previous=index,
+            engine=engine,
         )
         assert analysed == _gaps(sampling)

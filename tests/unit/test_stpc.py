@@ -96,6 +96,28 @@ class TestAnalyzePair:
             analyze_pair(scene([[0, 0]]), scene([[1, 0]]), 1.0, 1.0)
 
 
+class TestEstimateIdentity:
+    """Estimates are shared between callers, so they compare and hash by
+    identity; a generated field-wise ``==`` would compare ndarray fields."""
+
+    def test_equal_content_is_not_equal_and_does_not_raise(self):
+        a = scene([[0, 0], [30, 30]], labels=["Car", "Pedestrian"])
+        b = scene([[1, 0]], labels=["Car"])
+        first = analyze_pair(a, b, 0.0, 1.0)
+        second = analyze_pair(a, b, 0.0, 1.0)
+        assert first == first
+        assert first != second
+        assert (first == second) is False
+
+    def test_hashable_as_dict_key_and_set_member(self):
+        a, b = scene([[0, 0]]), scene([[2, 1]])
+        first = analyze_pair(a, b, 0.0, 2.0)
+        second = analyze_pair(a, b, 0.0, 2.0)
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
+        assert {first: "kept"}[first] == "kept"
+
+
 class TestPredict:
     def test_matched_object_interpolates(self):
         estimate = analyze_pair(scene([[0, 0]]), scene([[10, 0]]), 0.0, 1.0)

@@ -29,7 +29,6 @@ from repro.evalx import ExperimentReport, run_experiment
 from repro.models import make_model
 from repro.query import QueryWorkload, generate_workload
 from repro.simulation import (
-    CITY_LENGTHS,
     ONCE_LENGTHS,
     SEMANTICKITTI_LENGTHS,
     SYNLIDAR_LENGTH,
@@ -50,7 +49,6 @@ PAPER_LENGTHS = {
     "semantickitti": SEMANTICKITTI_LENGTHS,
     "once": ONCE_LENGTHS,
     "synlidar": (SYNLIDAR_LENGTH,),
-    "city": CITY_LENGTHS,
 }
 
 _SEQUENCE_CACHE: dict[tuple, FrameSequence] = {}
@@ -171,50 +169,6 @@ def emit(name: str, text: str) -> None:
 def sequence_label(dataset: str, sequence_index: int) -> str:
     """Row label matching the paper's tables (paper-scale frame count)."""
     return f"{PAPER_LENGTHS[dataset][sequence_index]:,}"
-
-
-def mean_or_nan(values) -> float:
-    values = list(values)
-    return float(np.mean(values)) if values else float("nan")
-
-
-#: Field documentation for the tile-pruning records embedded in bench
-#: JSON payloads — one stable schema shared by every bench that reports
-#: spatial-index behavior, so ``BENCH_spatial.json`` (and any future
-#: consumer) is self-describing.  Keys mirror
-#: :meth:`repro.spatial.SpatialIndexStats.snapshot` plus the structural
-#: fields of :meth:`repro.spatial.SpatialTileIndex.stats_snapshot`.
-SPATIAL_PRUNE_SCHEMA: dict[str, str] = {
-    "queries": "spatial count-series evaluations observed by the index",
-    "tiles_pruned": "leaf tiles skipped wholesale (extent misses the predicate)",
-    "tiles_contained": "leaf tiles answered from summaries / label-only masking",
-    "tiles_boundary": "leaf tiles that fell back to exact per-object evaluation",
-    "tile_prune_rate": "tiles_pruned / (pruned + contained + boundary)",
-    "rows_scanned": "object rows whose positions were tested exactly",
-    "rows_summarized": "object rows answered from precomputed count summaries",
-    "rows_total": "rows a brute-force scan would have touched",
-    "row_scan_fraction": "rows_scanned / rows_total",
-    "n_rows": "object rows currently organized by the tile index",
-    "n_tiles": "total tiles (internal + leaf)",
-    "n_leaves": "leaf tiles",
-    "version": "incremental-update epoch of the index",
-}
-
-
-def spatial_prune_record(index) -> dict:
-    """Tile-pruning counters in the shared bench-JSON schema.
-
-    Accepts a :class:`~repro.core.MASTIndex` (uses its ``spatial_stats``)
-    or a bare :class:`~repro.spatial.SpatialTileIndex`; returns ``{}``
-    when the spatial index is disabled so payloads stay well-formed.
-    """
-    if hasattr(index, "spatial_stats"):
-        snapshot = index.spatial_stats()
-    else:
-        snapshot = index.stats_snapshot()
-    if snapshot is None:
-        return {}
-    return {key: snapshot.get(key) for key in SPATIAL_PRUNE_SCHEMA}
 
 
 def percentiles(samples) -> dict[str, float]:

@@ -1,7 +1,7 @@
 """Sustained-load serving bench: process-sharded tier vs threaded baseline.
 
-`BENCH_corpus.json` showed batched thread serving topping out around
-11k QPS — the GIL ceiling called out in ROADMAP's "Serving tier
+Batched thread serving topped out around 11k QPS when this bench was
+written — the GIL ceiling called out in ROADMAP's "Serving tier
 rearchitecture" item.  This bench measures the process-sharded serving
 tier (``CorpusQueryService(backend="process")``: spawn workers + async
 dispatcher with request coalescing and admission control) against the
@@ -9,9 +9,10 @@ threaded baseline under a **closed-loop load generator**:
 
 * N client threads, each repeatedly submitting a *wave* of queries
   drawn zipf-ish from a fixed mixed scoped/fan-out pool over the
-  standard heterogeneous three-sequence corpus (same worlds as
-  ``bench_corpus``), waiting for the full wave before submitting the
-  next — classic closed-loop so offered load tracks service capacity.
+  standard heterogeneous three-sequence corpus (the worlds of
+  ``tests/streaming/harness.py``), waiting for the full wave before
+  submitting the next — classic closed-loop so offered load tracks
+  service capacity.
 * Per-wave latency is recorded raw; the report carries p50/p95/p99
   (nearest-rank, via :func:`benchmarks._harness.percentiles`) per wave
   and per query, plus sustained QPS, at 1/2/4/8 workers.
@@ -50,9 +51,8 @@ RESULTS_PATH = Path(__file__).parent.parent / "BENCH_serving_sustained.json"
 MODEL_SEED = 5
 SEED = 1
 
-#: Same heterogeneous worlds as ``bench_corpus`` (the "standard
-#: 3-sequence corpus"): a near-static drive, a volatile drive, and a
-#: sparse urban log.
+#: The "standard 3-sequence corpus": a near-static drive, a volatile
+#: drive, and a sparse urban log.
 STATIC_WORLD = (
     ("base_spawn_rate", 0.15),
     ("intensity_amplitude", 0.05),

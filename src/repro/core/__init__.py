@@ -15,13 +15,10 @@ from repro.core.sampler import (
 )
 from repro.core.segment_tree import SegmentNode, SegmentTree
 from repro.core.stpc import MotionEstimate, analyze_pair, match_by_label
-from repro.core.streaming import BatchSnapshot, StreamingMonitor
 
 __all__ = [
     "AdaptiveSamplingSession",
     "BaseSampler",
-    "BatchSnapshot",
-    "StreamingMonitor",
     "HierarchicalMultiAgentSampler",
     "LinearCountProvider",
     "MASTConfig",

@@ -134,20 +134,6 @@ class BaseSampler(ABC):
         finally:
             engine.close()
 
-    def _detect(
-        self,
-        sequence: FrameSequence,
-        frame_id: int,
-        model: DetectionModel,
-        detections: dict[int, ObjectArray],
-        ledger: CostLedger,
-        engine: InferenceEngine,
-    ) -> ObjectArray:
-        """Run the deep model on one frame, charging its simulated cost."""
-        return engine.detect_one(
-            sequence, frame_id, model, ledger=ledger, known=detections
-        )
-
     def _detect_wave(
         self,
         sequence: FrameSequence,

@@ -150,15 +150,21 @@ class CorpusPipeline:
         self._shards = {}
         samplings, self.allocation = self.plan(model)
         for name, sampling in samplings.items():
+            self._shard_for(name, sampling).fit_from_sampling(
+                self.catalog.sequence(name), model, sampling
+            )
+        return self
+
+    def _shard_for(self, name: str, sampling: SamplingResult) -> MASTPipeline:
+        """The shard of ``name``, opened on its first sampling's ledger."""
+        shard = self._shards.get(name)
+        if shard is None:
             shard = MASTPipeline(self.config, engine=self.engine)
             # The shard's ledger is the session's, so each sequence's
             # sampling, indexing and query costs roll up in one place.
             shard.ledger = sampling.ledger
-            shard.fit_from_sampling(
-                self.catalog.sequence(name), model, sampling
-            )
             self._shards[name] = shard
-        return self
+        return shard
 
     def replan(self, model: DetectionModel) -> AllocationReport:
         """Re-run the budget plan over the (possibly grown) catalog.
@@ -176,12 +182,7 @@ class CorpusPipeline:
         require(bool(self._shards), "fit() must be called before replan()")
         samplings, allocation = self.plan(model)
         for name, sampling in samplings.items():
-            shard = self._shards.get(name)
-            if shard is None:
-                shard = MASTPipeline(self.config, engine=self.engine)
-                shard.ledger = sampling.ledger
-                self._shards[name] = shard
-            shard.fit_from_sampling(
+            self._shard_for(name, sampling).fit_from_sampling(
                 self.catalog.sequence(name), model, sampling
             )
         self.allocation = allocation
@@ -285,13 +286,17 @@ class CorpusPipeline:
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
-    def cost_summary(self) -> dict[str, float]:
-        """Stage -> seconds rolled up across every shard."""
+    def _merged_ledger(self) -> CostLedger:
+        """The corpus ledger and every shard's, merged into a fresh one."""
         merged = CostLedger()
         merged.merge(self.ledger)
         for shard in self._shards.values():
             merged.merge(shard.ledger)
-        return merged.summary()
+        return merged
+
+    def cost_summary(self) -> dict[str, float]:
+        """Stage -> seconds rolled up across every shard."""
+        return self._merged_ledger().summary()
 
     def cost_summary_by_sequence(self) -> dict[str, dict[str, float]]:
         """Per-sequence stage -> seconds summaries."""

@@ -28,7 +28,6 @@ if TYPE_CHECKING:
     from repro.serving.mp import ProcessShardPool
     from repro.serving.protocol import ShardWarmup, StatsResponse
 
-from repro.core.pipeline import MASTPipeline
 from repro.corpus.allocator import AllocationReport
 from repro.corpus.pipeline import CorpusPipeline, CorpusResult, ShardResult
 from repro.corpus.results import merge_aggregates, merge_retrievals
@@ -44,7 +43,6 @@ from repro.query.ast import (
 )
 from repro.serving.cache import CacheStats
 from repro.serving.service import QueryService, enter_request, leave_request
-from repro.utils.timing import CostLedger
 from repro.utils.validation import require
 
 __all__ = ["CorpusQueryService"]
@@ -242,11 +240,7 @@ class CorpusQueryService:
 
     def cost_summary(self) -> dict[str, float]:
         """Stage -> seconds rolled up across every shard ledger."""
-        merged = CostLedger()
-        merged.merge(self._corpus.ledger)
-        for service in self._services.values():
-            merged.merge(service.ledger)
-        return merged.summary()
+        return self._corpus.cost_summary()
 
     # ------------------------------------------------------------------
     # Execution
@@ -412,11 +406,7 @@ class CorpusQueryService:
         corpus = self._corpus
         samplings, allocation = corpus.plan(model)
         for name, sampling in samplings.items():
-            shard = corpus._shards.get(name)
-            if shard is None:
-                shard = MASTPipeline(corpus.config, engine=corpus.engine)
-                shard.ledger = sampling.ledger
-                corpus._shards[name] = shard
+            shard = corpus._shard_for(name, sampling)
             if name not in self._services:
                 shard.fit_from_sampling(
                     corpus.catalog.sequence(name), model, sampling

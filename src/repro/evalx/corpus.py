@@ -14,8 +14,8 @@
    the *same total budget*, answers the same fan-out workload, and is
    scored on corpus-wide aggregate error and retrieval F1.
 
-This is the harness behind ``benchmarks/bench_corpus.py``'s allocation
-accuracy comparison (UCB vs uniform at equal cost).
+This is the harness behind the allocation accuracy comparison (UCB vs
+uniform at equal cost) that ``tests/corpus/test_allocator.py`` pins.
 """
 
 from __future__ import annotations

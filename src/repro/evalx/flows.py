@@ -120,11 +120,16 @@ class CorpusFlowSpec:
     n_retrieval: int | None = None
 
 
+def _budget_percent(budget: float) -> int:
+    """A budget fraction in whole percent (``0.29 * 100`` is 28.99…)."""
+    return int(round(budget * 100))
+
+
 def budget_label(budget: float | None) -> str:
     """Step-name suffix for one budget (``0.05`` -> ``"5pct"``)."""
     if budget is None:
         return "default"
-    return f"{int(round(budget * 100))}pct"
+    return f"{_budget_percent(budget)}pct"
 
 
 # ----------------------------------------------------------------------
@@ -194,7 +199,7 @@ def _summary_step(
     rows_f1: list[list[object]] = []
     rows_avg: list[list[object]] = []
     for budget, report in zip(budgets, reports):
-        label = "default" if budget is None else f"{int(budget * 100)}%"
+        label = "default" if budget is None else f"{_budget_percent(budget)}%"
         rows_f1.append(
             [label, *(round(report[m].mean_retrieval_f1, 3) for m in methods)]
         )

@@ -37,8 +37,9 @@ import threading
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from repro.core.config import MASTConfig
-from repro.core.streaming import drift_zscore
 from repro.corpus.allocator import AllocationReport, BudgetAllocator
 from repro.corpus.catalog import SequenceCatalog
 from repro.corpus.pipeline import CorpusPipeline, CorpusResult
@@ -65,6 +66,23 @@ __all__ = ["EpochSnapshot", "StreamingAnswer", "StreamingCorpusService"]
 StreamQuery = Union[
     str, ScopedQuery, RetrievalQuery, CompoundRetrievalQuery, AggregateQuery
 ]
+
+
+def drift_zscore(history: list[float], value: float) -> float:
+    """Z-score of ``value`` against the ``history`` of earlier values.
+
+    Returns ``nan`` with fewer than 2 history points (not enough data to
+    call anything drift), ``inf``-signed drift when a perfectly constant
+    history changes at all, and the plain ``(value - mean) / std``
+    otherwise.
+    """
+    if len(history) < 2:
+        return float("nan")
+    spread = float(np.std(history))
+    center = float(np.mean(history))
+    if spread > 1e-12:
+        return (value - center) / spread
+    return 0.0 if value == center else float("inf")
 
 
 @dataclass(frozen=True)
@@ -263,11 +281,7 @@ class StreamingCorpusService:
 
     def cost_ledger(self) -> CostLedger:
         """One merged ledger across the corpus and every shard."""
-        merged = CostLedger()
-        merged.merge(self._corpus.ledger)
-        for name in self._corpus.names:
-            merged.merge(self._corpus.shard(name).ledger)
-        return merged
+        return self._corpus._merged_ledger()
 
     def _model_invocations(self) -> int:
         """Deep-model invocations billed so far (``cost_ledger()``'s count)."""

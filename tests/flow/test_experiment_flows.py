@@ -24,7 +24,7 @@ from repro.evalx import (
     run_corpus_experiment,
     run_experiment,
 )
-from repro.evalx.flows import add_session_chain
+from repro.evalx.flows import _summary_step, add_session_chain
 from repro.flow import Flow, FlowInterrupted, FlowRunner, read_events
 from repro.models import make_model
 from repro.query.workload import generate_workload
@@ -106,6 +106,17 @@ class TestExperimentDifferential:
             if record["event"] == "step_cached"
         }
         assert {"oracle", "method:seiden_pc:10pct"} <= cached_events
+
+
+def test_summary_rows_are_labelled_like_their_report_steps():
+    """``0.29 * 100`` is 28.99…: a row and the ``report:<n>pct`` step it
+    summarises must round it the same way."""
+    budgets = (0.05, 0.29, 0.57, None)
+    summary = _summary_step((None,) * len(budgets), (), budgets)
+    assert summary["rows_f1"] == summary["rows_avg"] == [
+        ["5%"], ["29%"], ["57%"], ["default"],
+    ]
+    assert summary["budgets"] == ["5pct", "29pct", "57pct", "default"]
 
 
 class TestCorpusDifferential:

@@ -12,12 +12,58 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from repro.corpus import CorpusPipeline, CorpusQueryService, SequenceCatalog
+from repro.corpus import (
+    CorpusPipeline,
+    CorpusQueryService,
+    SequenceCatalog,
+    SequenceSpec,
+)
 from repro.flow.fingerprint import stable_digest
 from repro.models.base import DetectionModel
 from repro.query.ast import AggregateResult, RetrievalResult
 from repro.streaming import ScheduledFrameSource
 from repro.utils.timing import STAGE_MODEL
+
+
+#: A drive where almost nothing changes — few, long-lived, slow actors.
+#: Linear interpolation already nails its count series, so an adaptive
+#: frame spent here earns little.
+STATIC_WORLD = (
+    ("base_spawn_rate", 0.15),
+    ("intensity_amplitude", 0.05),
+    ("mean_lifetime", 90.0),
+    ("ego_speed_mean", 1.5),
+    ("ego_speed_amplitude", 0.3),
+    ("burst_rate", 0.0),
+    ("yaw_rate_sigma", 0.005),
+    ("speed_noise", 0.05),
+)
+#: Dense, bursty, short-lived traffic: the count series is jagged and
+#: every adaptive frame pays off.
+VOLATILE_WORLD = (
+    ("base_spawn_rate", 1.6),
+    ("mean_lifetime", 10.0),
+    ("intensity_period", 30.0),
+    ("burst_rate", 0.15),
+    ("ego_speed_mean", 12.0),
+    ("yaw_rate_sigma", 0.1),
+)
+
+
+def heterogeneous_specs(long_n: int, short_n: int) -> list[SequenceSpec]:
+    """The corpus the allocation results are measured on: a near-static
+    drive, a volatile drive and a sparse 2-FPS urban log."""
+    return [
+        SequenceSpec(
+            "semantickitti", 0, n_frames=long_n,
+            name="static-drive", world_overrides=STATIC_WORLD,
+        ),
+        SequenceSpec(
+            "semantickitti", 1, n_frames=long_n,
+            name="volatile-drive", world_overrides=VOLATILE_WORLD,
+        ),
+        SequenceSpec("once", 0, n_frames=short_n, name="sparse-urban"),
+    ]
 
 
 class CountingModel(DetectionModel):

@@ -1,123 +1,76 @@
-"""Unit tests for the streaming standing-query monitor."""
+"""Unit tests for standing queries and their drift signal (``repro.streaming``)."""
 
 import numpy as np
 import pytest
 
-from repro.core import BatchSnapshot, MASTConfig, StreamingMonitor
-from repro.models import GroundTruthDetector, pv_rcnn
-from repro.simulation import ScriptedScenario, semantickitti_like
+from repro.core import MASTConfig
+from repro.models import GroundTruthDetector
+from repro.simulation import ScriptedScenario
+from repro.streaming import ArrivalSchedule, ScheduledFrameSource, StreamingCorpusService
+from repro.streaming.service import drift_zscore
 
-RETRIEVAL = "SELECT FRAMES WHERE COUNT(Car DIST <= 15) >= 1"
-AVERAGE = "SELECT AVG OF COUNT(Car DIST <= 15)"
+RETRIEVAL = "SELECT FRAMES WHERE COUNT(Car DIST <= 30) >= 1"
+AVERAGE = "SELECT AVG OF COUNT(Car DIST <= 30)"
 
 
 @pytest.fixture(scope="module")
-def fed_monitor():
-    full = semantickitti_like(0, n_frames=800, with_points=False)
-    monitor = StreamingMonitor(pv_rcnn(seed=5), MASTConfig(seed=1))
-    monitor.register(RETRIEVAL)
-    monitor.register(AVERAGE)
-    snapshots = [monitor.start(full.head(200, name=full.name))]
-    for start in (200, 400, 600):
-        snapshots.append(monitor.ingest(list(full[start : start + 200])))
-    return monitor, snapshots
+def drained():
+    """A service drained over a scripted world that is empty for 30 s and
+    then suddenly crowded: 60 frames captured, 341 streamed in tens, a
+    re-plan every 60, two standing queries."""
+    scenario = ScriptedScenario(fps=10.0, duration=40.0)
+    for k in range(8):
+        scenario.add_actor("Car", [(30.0, 5.0 + k, 0.0), (40.0, 5.0 + k, 1.0)])
+    source = ScheduledFrameSource(
+        [scenario.build()],
+        initial_frames=60,
+        schedule=ArrivalSchedule(rate=10.0, batch_frames=10),
+    )
+    config = MASTConfig(seed=1, budget_fraction=0.2)
+    with StreamingCorpusService(
+        source, GroundTruthDetector(), config, replan_every=60
+    ) as service:
+        service.register_standing(RETRIEVAL)
+        service.register_standing(AVERAGE)
+        service.quiesce()
+        yield service
 
 
 class TestLifecycle:
-    def test_requires_registration_before_start(self):
-        monitor = StreamingMonitor(GroundTruthDetector())
-        sequence = semantickitti_like(0, n_frames=50, with_points=False)
-        with pytest.raises(ValueError, match="register"):
-            monitor.start(sequence)
+    def test_rejects_unsupported_query(self, drained):
+        with pytest.raises(TypeError):
+            drained.register_standing(12345)
 
-    def test_start_only_once(self, fed_monitor):
-        monitor, _ = fed_monitor
-        sequence = semantickitti_like(0, n_frames=50, with_points=False)
-        with pytest.raises(ValueError, match="once"):
-            monitor.start(sequence)
-
-    def test_ingest_requires_start(self):
-        monitor = StreamingMonitor(GroundTruthDetector())
-        monitor.register(RETRIEVAL)
-        with pytest.raises(ValueError, match="start"):
-            monitor.ingest([])
-
-    def test_rejects_unsupported_query(self):
-        monitor = StreamingMonitor(GroundTruthDetector())
-        with pytest.raises(ValueError):
-            monitor.register(12345)
-
-    def test_standing_queries_listed(self, fed_monitor):
-        monitor, _ = fed_monitor
-        assert len(monitor.standing_queries) == 2
+    def test_standing_queries_listed(self, drained):
+        assert len(drained.standing_queries) == 2
 
 
 class TestSnapshots:
-    def test_snapshot_sequence(self, fed_monitor):
-        _, snapshots = fed_monitor
-        assert [s.batch_index for s in snapshots] == [1, 2, 3, 4]
-        assert [s.n_frames_total for s in snapshots] == [200, 400, 600, 800]
-        assert all(isinstance(s, BatchSnapshot) for s in snapshots)
+    def test_snapshot_sequence(self, drained):
+        """One epoch per 60 flushed frames, plus the drain's."""
+        snapshots = drained.epoch_snapshots()
+        assert [s.epoch for s in snapshots] == [1, 2, 3, 4, 5, 6]
+        assert [s.total_frames for s in snapshots] == [120, 180, 240, 300, 360, 401]
 
-    def test_answers_cover_all_queries(self, fed_monitor):
-        _, snapshots = fed_monitor
-        for snapshot in snapshots:
-            assert set(snapshot.answers) == set(snapshot.batch_answers)
-            assert len(snapshot.answers) == 2
+    def test_answers_cover_all_queries(self, drained):
+        for snapshot in drained.epoch_snapshots():
+            assert list(snapshot.answers) == drained.standing_queries
+            assert list(snapshot.drift) == drained.standing_queries
 
-    def test_retrieval_answer_monotone_nondecreasing(self, fed_monitor):
-        """Cumulative retrieval cardinality can only grow with history."""
-        _, snapshots = fed_monitor
-        key = next(k for k in snapshots[0].answers if "FRAMES" in k)
-        values = [s.answers[key] for s in snapshots]
-        # The underlying index is rebuilt, so small re-estimations of old
-        # frames are possible; the trend must still be upward.
-        assert values[-1] >= values[0]
-
-    def test_batch_answers_bounded_by_batch_size(self, fed_monitor):
-        _, snapshots = fed_monitor
-        key = next(k for k in snapshots[0].answers if "FRAMES" in k)
-        for snapshot in snapshots:
-            assert 0 <= snapshot.batch_answers[key] <= snapshot.n_frames_batch
-
-    def test_model_seconds_accumulate(self, fed_monitor):
-        _, snapshots = fed_monitor
-        seconds = [s.model_seconds for s in snapshots]
-        assert seconds == sorted(seconds)
-        # ~10 % budget of 800 frames at 0.1 s/frame.
-        assert seconds[-1] == pytest.approx(8.0, rel=0.2)
-
-    def test_drift_nan_until_history(self, fed_monitor):
-        _, snapshots = fed_monitor
-        for text, score in snapshots[0].drift.items():
-            assert np.isnan(score)
-        for text, score in snapshots[1].drift.items():
-            assert np.isnan(score)
+    def test_drift_nan_until_history(self, drained):
+        for snapshot in drained.epoch_snapshots()[:2]:
+            assert all(np.isnan(score) for score in snapshot.drift.values())
 
 
 class TestDriftDetection:
-    def test_traffic_jump_flags_drift(self):
-        """A scripted world that is empty for three batches and then
-        suddenly crowded must trigger the drift signal."""
-        scenario = ScriptedScenario(fps=10.0, duration=40.0)
-        # Crowd appears only in the final quarter (t >= 30).
-        for k in range(8):
-            scenario.add_actor(
-                "Car",
-                [(30.0, 5.0 + k, 0.0), (40.0, 5.0 + k, 1.0)],
-            )
-        sequence = scenario.build()
-        monitor = StreamingMonitor(
-            GroundTruthDetector(), MASTConfig(seed=1, budget_fraction=0.2)
-        )
-        monitor.register("SELECT FRAMES WHERE COUNT(Car DIST <= 30) >= 1")
-        n = len(sequence)
-        quarter = n // 4
-        monitor.start(sequence.head(quarter, name=sequence.name))
-        snapshots = []
-        for start in (quarter, 2 * quarter, 3 * quarter):
-            end = min(start + quarter, n)
-            snapshots.append(monitor.ingest(list(sequence[start:end])))
-        # The last batch (crowded) drifts; the quiet middle ones do not.
-        assert snapshots[-1].drifting(threshold=3.0)
-        assert not snapshots[-2].drifting(threshold=3.0)
+    def test_traffic_jump_flags_drift(self, drained):
+        """The epoch the crowd arrives in drifts; the quiet ones before
+        it, with enough history to say so, do not."""
+        retrieval = drained.standing_queries[0]
+        drift = {s.total_frames: s.drift[retrieval] for s in drained.epoch_snapshots()}
+        assert drift[240] == drift[300] == 0.0
+        assert drift[360] == float("inf")
+
+    def test_zscore_against_a_varying_history(self):
+        assert drift_zscore([1.0, 3.0], 4.0) == pytest.approx(2.0)
+        assert drift_zscore([2.0, 2.0], 2.0) == 0.0

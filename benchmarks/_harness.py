@@ -16,11 +16,7 @@ combination — e.g. Tables 3, 4 and 5 — compute it once.
 from __future__ import annotations
 
 import os
-import platform
-import subprocess
 from pathlib import Path
-
-import numpy as np
 
 from repro.baselines import PAPER_METHODS, MethodSpec
 from repro.core import MASTConfig
@@ -123,41 +119,6 @@ def get_experiment(
 POLICY_SEEDS = (SEED, SEED + 1, SEED + 2)
 
 
-def _git_sha() -> str | None:
-    """Commit SHA of the working tree, or ``None`` outside a checkout."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=Path(__file__).parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        )
-    except (OSError, subprocess.TimeoutExpired):
-        return None
-    sha = out.stdout.strip()
-    return sha if out.returncode == 0 and sha else None
-
-
-def run_manifest() -> dict:
-    """Provenance stamped into every ``BENCH_*.json`` payload.
-
-    Records exactly what is needed to reproduce (or refuse to compare)
-    a bench artifact: the seeds and scale the run was configured with,
-    the commit it ran at, and the interpreter/numpy versions.  Benches
-    merge it under a ``"manifest"`` key; consumers comparing two
-    payloads should compare manifests first.
-    """
-    return {
-        "seed": SEED,
-        "model_seed": MODEL_SEED,
-        "bench_scale": SCALE,
-        "git_sha": _git_sha(),
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-    }
-
-
 def emit(name: str, text: str) -> None:
     """Print a result table and persist it to ``benchmarks/results``."""
     print()
@@ -169,25 +130,3 @@ def emit(name: str, text: str) -> None:
 def sequence_label(dataset: str, sequence_index: int) -> str:
     """Row label matching the paper's tables (paper-scale frame count)."""
     return f"{PAPER_LENGTHS[dataset][sequence_index]:,}"
-
-
-def percentiles(samples) -> dict[str, float]:
-    """p50/p95/p99 of raw latency samples (seconds in, **milliseconds** out).
-
-    Serving benches report latency distribution, not aggregate seconds:
-    a tail percentile under sustained load is the product metric (the
-    paper's interactive-query claim dies at p99, not at the mean).
-    Uses the *nearest-rank* definition so every reported value is a
-    latency that actually occurred.
-    """
-    values = np.sort(np.asarray(list(samples), dtype=float))
-    if values.size == 0:
-        return {"p50": float("nan"), "p95": float("nan"), "p99": float("nan")}
-    ranks = {
-        label: min(values.size - 1, int(np.ceil(q * values.size)) - 1)
-        for label, q in (("p50", 0.50), ("p95", 0.95), ("p99", 0.99))
-    }
-    return {
-        label: float(values[max(0, rank)]) * 1e3
-        for label, rank in ranks.items()
-    }

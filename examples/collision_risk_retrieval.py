@@ -2,14 +2,14 @@
 """Fleet-scale collision-risk mining (the paper's Example 1.1).
 
 An automotive company collects drives from several vehicles into a
-point-cloud database and wants to find *high-risk scenes* — frames where
+sequence catalog and wants to find *high-risk scenes* — frames where
 three or more cars crowd within a radius of the ego vehicle — without
 paying for deep-model inference on every frame.
 
 This example:
 
 * ingests three drives (two urban 10-FPS, one sparse 2-FPS) into a
-  :class:`~repro.data.PointCloudDatabase`;
+  :class:`~repro.corpus.SequenceCatalog`;
 * fits one MAST pipeline per drive under a shared 10 % budget;
 * mines risk scenes at several radii and severity thresholds;
 * validates the findings of the *first* drive against Oracle processing,
@@ -18,7 +18,7 @@ This example:
 Run:  python examples/collision_risk_retrieval.py
 """
 
-from repro import MASTConfig, MASTPipeline, PointCloudDatabase
+from repro import MASTConfig, MASTPipeline, SequenceCatalog
 from repro.baselines import OracleCountProvider
 from repro.evalx import format_table, precision_recall_f1
 from repro.models import pv_rcnn
@@ -33,19 +33,19 @@ RISK_QUERIES = [
 
 
 def main() -> None:
-    print("ingesting drives into the point-cloud database ...")
-    database = PointCloudDatabase()
-    database.ingest(semantickitti_like(0, n_frames=1200, with_points=False))
-    database.ingest(semantickitti_like(1, n_frames=1000, with_points=False))
-    database.ingest(once_like(0, n_frames=600, with_points=False))
-    print(f"  {database}")
+    print("registering drives in the sequence catalog ...")
+    catalog = SequenceCatalog()
+    catalog.register_sequence(semantickitti_like(0, n_frames=1200, with_points=False))
+    catalog.register_sequence(semantickitti_like(1, n_frames=1000, with_points=False))
+    catalog.register_sequence(once_like(0, n_frames=600, with_points=False))
+    print(f"  {catalog}")
 
     model = pv_rcnn(seed=0)
     config = MASTConfig(budget_fraction=0.10, seed=0)
 
     pipelines: dict[str, MASTPipeline] = {}
-    for name in database.names():
-        pipelines[name] = MASTPipeline(config).fit(database.get(name), model)
+    for name in catalog.names():
+        pipelines[name] = MASTPipeline(config).fit(catalog.sequence(name), model)
 
     rows = []
     for name, pipeline in pipelines.items():
@@ -69,9 +69,9 @@ def main() -> None:
     )
 
     # Validate one drive against the Oracle.
-    first = database.names()[0]
+    first = catalog.names()[0]
     print(f"\nvalidating drive {first!r} against Oracle processing ...")
-    oracle_engine = QueryEngine(OracleCountProvider(database.get(first), model))
+    oracle_engine = QueryEngine(OracleCountProvider(catalog.sequence(first), model))
     rows = []
     for risk_name, query in RISK_QUERIES:
         approx = pipelines[first].query(query)
@@ -93,7 +93,7 @@ def main() -> None:
     total_budget = sum(
         p.ledger.total("deep_model") for p in pipelines.values()
     )
-    full_cost = 0.1 * database.total_frames
+    full_cost = 0.1 * catalog.total_frames()
     print(
         f"\nfleet deep-model time: {total_budget:.0f} s "
         f"(full processing would cost {full_cost:.0f} s)"

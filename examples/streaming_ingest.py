@@ -10,7 +10,7 @@ answer and the cumulative deep-model cost evolve.
 Run:  python examples/streaming_ingest.py
 """
 
-from repro import MASTConfig, MASTPipeline, PointCloudDatabase
+from repro import MASTConfig, MASTPipeline, SequenceCatalog
 from repro.evalx import format_table
 from repro.models import pv_rcnn
 from repro.simulation import semantickitti_like
@@ -24,12 +24,12 @@ def main() -> None:
     batch_size = len(full) // BATCHES
     model = pv_rcnn(seed=0)
 
-    database = PointCloudDatabase()
-    database.ingest(full.head(batch_size, name=full.name))
+    catalog = SequenceCatalog()
+    catalog.register_sequence(full.head(batch_size, name=full.name))
 
     print(f"initial upload: {batch_size} frames; fitting MAST ...")
     pipeline = MASTPipeline(MASTConfig(budget_fraction=0.10, seed=0))
-    pipeline.fit(database.get(full.name), model)
+    pipeline.fit(catalog.sequence(full.name), model)
 
     rows = []
 
@@ -52,7 +52,7 @@ def main() -> None:
         start = batch_index * batch_size
         end = min(start + batch_size, len(full))
         batch = list(full[start:end])
-        database.ingest_batch(full.name, batch)
+        catalog.extend_sequence(full.name, batch)
         pipeline.extend(batch)
         snapshot(batch_index + 1)
 

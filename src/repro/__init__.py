@@ -43,7 +43,6 @@ _EXPORTS = {
     "MASTIndex": "repro.core",
     "MASTPipeline": "repro.core",
     "ObjectArray": "repro.data",
-    "PointCloudDatabase": "repro.data",
     "PointCloudFrame": "repro.data",
     "QueryEngine": "repro.query",
     "QueryService": "repro.serving",

@@ -66,14 +66,6 @@ class MethodSpec:
     def is_oracle(self) -> bool:
         return self.make_sampler is None
 
-    def needs_st_index(self) -> bool:
-        """Whether evaluating this method requires building the ST index."""
-        if self.is_oracle:
-            return False
-        return self.retrieval_predictor == "st" or "st" in set(
-            self.predictor_by_operator.values()
-        )
-
 
 ORACLE = MethodSpec("oracle", "Oracle", None)
 

@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--budget", type=float, default=0.10,
                      help="sampling budget fraction (default 0.10)")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--executor", choices=("serial", "thread", "process"),
+    fit.add_argument("--executor", choices=("serial", "thread"),
                      default="serial", help="detection execution strategy")
     fit.add_argument("--workers", type=int, default=0,
                      help="pool workers (0 = one per CPU)")
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--budget", type=float, default=0.10)
     experiment.add_argument("--model", choices=available_models(), default="pv_rcnn")
     experiment.add_argument("--seed", type=int, default=1)
-    experiment.add_argument("--executor", choices=("serial", "thread", "process"),
+    experiment.add_argument("--executor", choices=("serial", "thread"),
                             default="serial", help="detection execution strategy")
     experiment.add_argument("--workers", type=int, default=0,
                             help="pool workers (0 = one per CPU)")
@@ -342,16 +342,20 @@ def _cmd_fit(args, out) -> int:
 
 
 def _cmd_query(args, out) -> int:
-    from repro.core import MASTIndex, STCountProvider
-    from repro.query import QueryEngine
+    from repro.core import MASTPipeline
+    from repro.models import make_model
 
-    result = _load_sampling(args.sequence, args.detections)
-    index = MASTIndex.build(result)
-    engine = QueryEngine(STCountProvider(index))
+    sequence, model_name, sampling = _load_checkpoint(args.sequence, args.detections)
+    try:
+        model = make_model(model_name)
+    except ValueError as error:
+        print(f"error: {error}", file=out)
+        return 2
+    pipeline = MASTPipeline().fit_from_sampling(sequence, model, sampling)
     status = 0
     for text in args.queries:
         try:
-            answer = engine.execute(text)
+            answer = pipeline.query(text)
         except ValueError as error:
             print(f"error: {error}", file=out)
             status = 2
@@ -360,15 +364,16 @@ def _cmd_query(args, out) -> int:
     return status
 
 
-def _load_sampling(sequence_path, detections_path):
+def _load_checkpoint(sequence_path, detections_path):
+    """``(sequence, model name, sampling run)`` of a stored fit."""
     import numpy as np
 
     from repro.core import SamplingResult
     from repro.data import load_detections, load_sequence
 
     sequence = load_sequence(sequence_path)
-    detections, _model_name = load_detections(detections_path)
-    return SamplingResult(
+    detections, model_name = load_detections(detections_path)
+    sampling = SamplingResult(
         sequence_name=sequence.name,
         n_frames=len(sequence),
         timestamps=sequence.timestamps,
@@ -376,6 +381,7 @@ def _load_sampling(sequence_path, detections_path):
         sampled_ids=np.array(sorted(detections), dtype=np.int64),
         detections=detections,
     )
+    return sequence, model_name, sampling
 
 
 def _cmd_tracks(args, out) -> int:
@@ -383,7 +389,7 @@ def _cmd_tracks(args, out) -> int:
     from repro.query import SpatialPredicate
     from repro.tracking import StitchConfig, stitch_tracks, track_summary, tracks_within
 
-    result = _load_sampling(args.sequence, args.detections)
+    _, _, result = _load_checkpoint(args.sequence, args.detections)
     tracks = stitch_tracks(result, StitchConfig(max_speed=args.max_speed))
     summary = track_summary(tracks)
     rows = [

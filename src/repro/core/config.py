@@ -63,27 +63,22 @@ class MASTConfig:
     retrieval_predictor: str = "st"
     #: Master seed for the sampling policy's tie-breaking / deep leaves.
     seed: int = 0
-    #: Detection execution strategy: ``"serial"``, ``"thread"`` (pool
-    #: overlapping GIL-releasing inference latency) or ``"process"``
-    #: (chunked ``detect_many`` batches for CPU-bound detectors).
+    #: Detection execution strategy: ``"serial"`` or ``"thread"`` (pool
+    #: overlapping GIL-releasing inference latency).
     executor: str = "serial"
-    #: Worker count for the pooled executors (0 = one per CPU).
+    #: Worker count for the thread executor (0 = one per CPU).
     workers: int = 0
     #: Frames requested per adaptive policy round.  1 reproduces the
     #: paper's strictly sequential Alg. 2; larger waves let pool workers
     #: overlap detections within a round.  Results depend on the wave
     #: size but *not* on the executor, so any wave size is bit-identical
-    #: across serial / thread / process execution.
+    #: across serial / thread execution.
     wave_size: int = 1
-    #: Build the BEV spatial tile index at ingest (:mod:`repro.spatial`)
-    #: so spatially filtered count series prune whole tiles.  Answers
-    #: are bit-identical with or without it; the knob only trades index
-    #: build time for query time.
+    #: Route spatially filtered count series through the BEV tile index
+    #: (:mod:`repro.spatial`), which the first such query builds, so they
+    #: prune whole tiles.  Answers are bit-identical with or without it;
+    #: off, every spatial filter scans the flat columns.
     spatial_index: bool = True
-    #: Maximum indexed objects per spatial tile before it splits.
-    spatial_leaf_capacity: int = 512
-    #: Maximum spatial quadtree depth.
-    spatial_max_depth: int = 10
 
     def __post_init__(self) -> None:
         require_fraction(self.budget_fraction, "budget_fraction")
@@ -111,20 +106,11 @@ class MASTConfig:
             f"got {self.retrieval_predictor!r}",
         )
         require(
-            self.executor in ("serial", "thread", "process"),
-            f"executor must be 'serial', 'thread' or 'process', "
-            f"got {self.executor!r}",
+            self.executor in ("serial", "thread"),
+            f"executor must be 'serial' or 'thread', got {self.executor!r}",
         )
         require(self.workers >= 0, f"workers must be >= 0, got {self.workers}")
         require(self.wave_size >= 1, f"wave_size must be >= 1, got {self.wave_size}")
-        require(
-            self.spatial_leaf_capacity >= 1,
-            f"spatial_leaf_capacity must be >= 1, got {self.spatial_leaf_capacity}",
-        )
-        require(
-            self.spatial_max_depth >= 1,
-            f"spatial_max_depth must be >= 1, got {self.spatial_max_depth}",
-        )
 
     # ------------------------------------------------------------------
     def budget_for(self, n_frames: int) -> int:

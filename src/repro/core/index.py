@@ -59,13 +59,6 @@ SIMULATED_QUERY_COST_ST = 1.55e-5
 SIMULATED_QUERY_COST_LINEAR = 6.6e-6
 
 
-def _tile_params(config: MASTConfig) -> tuple[int, int] | None:
-    """``(leaf_capacity, max_depth)`` of the tile index; None when disabled."""
-    if not config.spatial_index:
-        return None
-    return config.spatial_leaf_capacity, config.spatial_max_depth
-
-
 class MASTIndex:
     """Per-frame (real or ST-predicted) object sets in flat-column form.
 
@@ -99,7 +92,7 @@ class MASTIndex:
         #: columns; a later build slices them instead of re-predicting.
         self._gap_rows = gap_rows
         self._detections = detections
-        self._tile_params = _tile_params(config)
+        self._tiled = config.spatial_index
         #: The :class:`~repro.spatial.SpatialTileIndex` over the flat
         #: columns once a count series has routed through it (or the one
         #: ``build`` carried over from the previous index); ``None``
@@ -234,11 +227,7 @@ class MASTIndex:
             scores = np.zeros(0)
 
         spatial_index = None
-        if (
-            _tile_params(config) is not None
-            and previous is not None
-            and boundary is not None
-        ):
+        if config.spatial_index and previous is not None and boundary is not None:  # repro: noqa[RPR003] the frozen config's flag of the same name, not the guarded attribute
             # Taking the lock waits out a first-use build racing this
             # extend on a client thread, so its tiles are carried too.
             with previous._tile_lock:
@@ -276,21 +265,18 @@ class MASTIndex:
         find the tiles the winner published.
         """
         tiles = self.spatial_index  # repro: noqa[RPR003] double-checked fast path: the attribute only ever goes from None to a fully built index
-        if tiles is None and self._tile_params is not None:
+        if tiles is None and self._tiled:
             with self._tile_lock:
                 tiles = self.spatial_index
                 if tiles is None:
                     from repro.spatial import SpatialTileIndex
 
-                    leaf_capacity, max_depth = self._tile_params
                     tiles = SpatialTileIndex(
                         self._frame_index,
                         self._labels,
                         self._positions,
                         self._scores,
                         self.n_frames,
-                        leaf_capacity=leaf_capacity,
-                        max_depth=max_depth,
                     )
                     self.spatial_index = tiles
         return tiles

@@ -50,18 +50,28 @@ def predictor_kind(config: MASTConfig, query) -> str:
     Returns ``"st"`` (motion-predicted index), ``"linear"`` (continuous
     interpolation, used for aggregates), or ``"linear_floor"`` (floored
     interpolation, used for retrieval when ``retrieval_predictor`` is
-    linear).  Shared by the pipeline's engine routing and the serving
-    layer's cache keying so both answer through the same provider.
+    linear).  An aggregate operator the assignment does not name follows
+    ``retrieval_predictor``.  Shared by the pipeline's engine routing and
+    the serving layer's cache keying so both answer through the same
+    provider.
     """
     if isinstance(query, (RetrievalQuery, CompoundRetrievalQuery)):
         if config.retrieval_predictor == "linear":
             return "linear_floor"
         return "st"
     if isinstance(query, AggregateQuery):
-        if config.predictor_by_operator.get(query.operator, "st") == "linear":
-            return "linear"
-        return "st"
+        return config.predictor_by_operator.get(
+            query.operator, config.retrieval_predictor
+        )
     raise TypeError(f"unsupported query type {type(query).__name__}")
+
+
+def _routes_to_st(config: MASTConfig) -> bool:
+    """Whether :func:`predictor_kind` can answer any query with ``"st"``."""
+    return (
+        config.retrieval_predictor == "st"
+        or "st" in config.predictor_by_operator.values()
+    )
 
 
 class MASTPipeline:
@@ -87,10 +97,8 @@ class MASTPipeline:
         self._model: DetectionModel | None = None
         self._sampling: SamplingResult | None = None
         self._index: MASTIndex | None = None
-        self._providers: dict[str, object] = {}
-        self._st_engine: QueryEngine | None = None
-        self._linear_engine: QueryEngine | None = None
-        self._linear_retrieval_engine: QueryEngine | None = None
+        #: Predictor kind -> engine for the current index epoch.
+        self._engines: dict[str, QueryEngine] = {}
         #: Highest frame id whose count series were provably unchanged by
         #: the most recent :meth:`extend` (-1 when nothing was reusable;
         #: ``None`` before any extension).  Serving caches keep the
@@ -218,33 +226,42 @@ class MASTPipeline:
 
     def _rebuild_index(self, *, incremental: bool = False) -> None:
         assert self._sampling is not None
-        # The engine's motion memo answers every gap whose detections
-        # did not change, and the prior index always goes along so those
-        # gaps' predicted rows are reused too.  On the extend path its
-        # invalidation boundary goes as well, so a tile index it has
-        # built keeps its split geometry and pre-boundary count summaries.
-        boundary = self.last_extend_boundary if incremental else None
-        self._index = MASTIndex.build(
-            self._sampling,
-            self.config,
-            ledger=self.ledger,
-            previous=self._index,
-            boundary=boundary,
-            engine=self.engine,
-        )
-        st_provider = STCountProvider(self._index)
-        linear_provider = LinearCountProvider(self._sampling)
-        self._providers = {"st": st_provider, "linear": linear_provider}
         # Fresh engines: no series resolved on the old index outlives it.
-        self._st_engine = QueryEngine(st_provider, ledger=self.ledger)
-        self._linear_engine = QueryEngine(linear_provider, ledger=self.ledger)
-        self._linear_retrieval_engine = self._linear_engine.floored()
+        linear = QueryEngine(LinearCountProvider(self._sampling), ledger=self.ledger)
+        engines = {"linear": linear, "linear_floor": linear.floored()}
+        # The ST index exists only where the assignment can route a
+        # query to it: an all-linear method charges no indexing seconds.
+        index: MASTIndex | None = None
+        if _routes_to_st(self.config):
+            # The engine's motion memo answers every gap whose detections
+            # did not change, and the prior index always goes along so
+            # those gaps' predicted rows are reused too.  On the extend
+            # path its invalidation boundary goes as well, so a tile index
+            # it has built keeps its split geometry and pre-boundary count
+            # summaries.
+            index = MASTIndex.build(
+                self._sampling,
+                self.config,
+                ledger=self.ledger,
+                previous=self._index,
+                boundary=self.last_extend_boundary if incremental else None,
+                engine=self.engine,
+            )
+            engines["st"] = QueryEngine(STCountProvider(index), ledger=self.ledger)
+        self._index, self._engines = index, engines
 
     @property
     def providers(self) -> dict[str, object]:
-        """Provider kind -> count provider for the current index."""
-        require(self._index is not None, "fit() has not been called")
-        return dict(self._providers)
+        """Provider kind -> count provider for the current index.
+
+        ``"linear"`` always; ``"st"`` when the assignment routes to it.
+        """
+        require(self._sampling is not None, "fit() has not been called")
+        return {
+            kind: engine.provider
+            for kind, engine in self._engines.items()
+            if kind != "linear_floor"
+        }
 
     # ------------------------------------------------------------------
     # Querying
@@ -255,7 +272,7 @@ class MASTPipeline:
         The predictor is chosen per the paper's §7.1 assignment
         (configurable via :class:`MASTConfig`).
         """
-        require(self._index is not None, "fit() must be called before query()")
+        require(self._sampling is not None, "fit() must be called before query()")
         if isinstance(query, str):
             query = parse_query(query)
         return self._engine_for(query).execute(query)
@@ -289,14 +306,7 @@ class MASTPipeline:
         return result, interval
 
     def _engine_for(self, query) -> QueryEngine:
-        assert self._st_engine is not None
-        assert self._linear_engine is not None
-        assert self._linear_retrieval_engine is not None
-        return {
-            "st": self._st_engine,
-            "linear": self._linear_engine,
-            "linear_floor": self._linear_retrieval_engine,
-        }[predictor_kind(self.config, query)]
+        return self._engines[predictor_kind(self.config, query)]
 
     # ------------------------------------------------------------------
     # Calibration
@@ -324,6 +334,8 @@ class MASTPipeline:
             engine=self.engine,
         )
         self.config = calibration.apply_to(self.config)
+        if self._index is None and _routes_to_st(self.config):
+            self._rebuild_index()
         return calibration
 
     # ------------------------------------------------------------------
@@ -336,17 +348,17 @@ class MASTPipeline:
         estimated per-query cost from the provider's simulated constants,
         and whether its engine already holds each referenced count series.
         """
-        require(self._index is not None, "fit() must be called before explain()")
+        require(self._sampling is not None, "fit() must be called before explain()")
         if isinstance(query, str):
             query = parse_query(query)
-        engine = self._engine_for(query)
+        kind = predictor_kind(self.config, query)
+        engine = self._engines[kind]
         provider = engine.provider
-        if engine is self._st_engine:
-            predictor = "st (motion-predicted index)"
-        elif engine is self._linear_retrieval_engine:
-            predictor = "linear (floored interpolation)"
-        else:
-            predictor = "linear (interpolation)"
+        predictor = {
+            "st": "st (motion-predicted index)",
+            "linear_floor": "linear (floored interpolation)",
+            "linear": "linear (interpolation)",
+        }[kind]
         estimated = provider.simulated_query_cost_per_frame * provider.n_frames
 
         if isinstance(query, CompoundRetrievalQuery):
@@ -367,7 +379,9 @@ class MASTPipeline:
                 f"filter    : {object_filter.describe()} "
                 f"[count series {'cached' if cached else 'not cached'}]"
             )
-        assert self._index is not None
+        if self._index is None:
+            lines.append("index     : not built (no query routes to \"st\")")
+            return "\n".join(lines)
         lines.append(
             f"index     : {len(self._index.sampled_ids)} sampled frames, "
             f"{self._index.n_indexed_objects} indexed objects"
@@ -402,7 +416,11 @@ class MASTPipeline:
 
     @property
     def index(self) -> MASTIndex:
-        require(self._index is not None, "fit() has not been called")
+        require(self._sampling is not None, "fit() has not been called")
+        require(
+            self._index is not None,
+            "no ST index: this config routes every query to the linear predictor",
+        )
         assert self._index is not None
         return self._index
 

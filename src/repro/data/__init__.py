@@ -1,7 +1,6 @@
-"""Data substrate: frames, sequences, the point-cloud database, persistence."""
+"""Data substrate: frames, sequences, persistence."""
 
 from repro.data.annotations import ObjectArray
-from repro.data.database import PointCloudDatabase
 from repro.data.frame import PointCloudFrame
 from repro.data.sequence import FrameSequence
 from repro.data.storage import (
@@ -14,7 +13,6 @@ from repro.data.storage import (
 __all__ = [
     "FrameSequence",
     "ObjectArray",
-    "PointCloudDatabase",
     "PointCloudFrame",
     "load_detections",
     "load_sequence",

@@ -7,21 +7,23 @@ This is the harness behind every table and figure bench.  One call to
    workload exactly;
 2. drops retrieval queries whose oracle cardinality is zero (paper §7.1:
    "we omit the generated retrieval queries with a cardinality of 0");
-3. for each method spec, runs its sampler, builds whatever providers its
-   predictor assignment needs, answers the same workload, and scores
+3. for each method spec, runs its sampler, hands the run to a
+   :class:`~repro.core.pipeline.MASTPipeline` on the spec's predictor
+   assignment, answers the same workload through it, and scores
    F1 / aggregate accuracy against the Oracle's answers;
 4. returns a structured report with per-query metrics and cost ledgers.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import overload
+from typing import Any, overload
 
 from repro.baselines.oracle import OracleCountProvider
 from repro.baselines.variants import PAPER_METHODS, MethodSpec
 from repro.core.config import MASTConfig
-from repro.core.index import LinearCountProvider, MASTIndex, STCountProvider
+from repro.core.pipeline import MASTPipeline
 from repro.core.sampler import SamplingResult
 from repro.data.sequence import FrameSequence
 from repro.evalx.metrics import aggregate_accuracy, f1_score
@@ -109,8 +111,10 @@ class ExperimentReport:
 class MethodExecutor:
     """Answers queries for one method spec.
 
-    Construction runs the method's sampling (or the full Oracle pass) and
-    builds the providers its predictor assignment requires.
+    Construction runs the method's sampling (or the full Oracle pass).
+    A sampled method is a :class:`~repro.core.pipeline.MASTPipeline` on
+    the spec's predictor assignment, fed the spec's sampling run: index,
+    providers and routing are the pipeline's.
     """
 
     def __init__(
@@ -124,55 +128,30 @@ class MethodExecutor:
         engine: InferenceEngine | None = None,
     ) -> None:
         self.spec = spec
-        self.ledger = CostLedger()
         self.sampling: SamplingResult | None = None
-
-        if spec.is_oracle:
+        self._answer: Callable[[Any], RetrievalResult | AggregateResult]
+        if spec.make_sampler is None:
+            self.ledger = CostLedger()
             provider = oracle_provider or OracleCountProvider(
                 sequence, model, ledger=self.ledger, engine=engine
             )
             if oracle_provider is not None:
                 self.ledger.merge(oracle_provider.ledger)
-            query_engine = QueryEngine(provider, ledger=self.ledger)
-            self._retrieval_engine: QueryEngine = query_engine
-            self._engines_by_operator: dict[str, QueryEngine] = {}
-            self._default_engine: QueryEngine = query_engine
+            self._answer = QueryEngine(provider, ledger=self.ledger).execute
             return
-
-        sampler = spec.make_sampler(config)
-        self.sampling = sampler.sample(
-            sequence, model, ledger=self.ledger, engine=engine
+        assignment = config.with_overrides(
+            retrieval_predictor=spec.retrieval_predictor,
+            predictor_by_operator=dict(spec.predictor_by_operator),
         )
-
-        st_engine: QueryEngine | None = None
-        if spec.needs_st_index():
-            index = MASTIndex.build(
-                self.sampling, config, ledger=self.ledger, engine=engine
+        # Leaving the block releases an engine the pipeline had to build
+        # for itself; answering never detects.
+        with MASTPipeline(assignment, engine=engine) as pipeline:
+            self.ledger = pipeline.ledger
+            self.sampling = spec.make_sampler(config).sample(
+                sequence, model, ledger=self.ledger, engine=pipeline.engine
             )
-            st_engine = QueryEngine(STCountProvider(index), ledger=self.ledger)
-            self.index = index
-        linear = LinearCountProvider(self.sampling)
-        linear_engine = QueryEngine(linear, ledger=self.ledger)
-        linear_retrieval_engine = linear_engine.floored()
-
-        def pick(predictor: str) -> QueryEngine:
-            # A spec naming the "st" predictor anywhere reports
-            # needs_st_index() True, so st_engine exists by construction.
-            if predictor == "st":
-                assert st_engine is not None
-                return st_engine
-            return linear_engine
-
-        self._retrieval_engine = (
-            pick("st")
-            if spec.retrieval_predictor == "st"
-            else linear_retrieval_engine
-        )
-        self._engines_by_operator = {
-            operator: pick(predictor)
-            for operator, predictor in spec.predictor_by_operator.items()
-        }
-        self._default_engine = st_engine or linear_engine
+            pipeline.fit_from_sampling(sequence, model, self.sampling)
+        self._answer = pipeline.query
 
     # ------------------------------------------------------------------
     @overload
@@ -185,14 +164,7 @@ class MethodExecutor:
         self, query: RetrievalQuery | CompoundRetrievalQuery | AggregateQuery
     ) -> RetrievalResult | AggregateResult:
         """Answer one query with the spec's predictor assignment."""
-        if isinstance(query, (RetrievalQuery, CompoundRetrievalQuery)):
-            return self._retrieval_engine.execute(query)
-        if isinstance(query, AggregateQuery):
-            engine = self._engines_by_operator.get(
-                query.operator, self._default_engine
-            )
-            return engine.execute(query)
-        raise TypeError(f"unsupported query type {type(query).__name__}")
+        return self._answer(query)
 
 
 def run_experiment(
@@ -222,13 +194,27 @@ def run_experiment(
             config, store=detection_store
         )
     try:
-        return _run_experiment(
-            sequence, model, workload,
-            methods=methods, config=config, engine=engine,
-        )
+        truth, oracle_provider = _oracle_pass(sequence, model, workload, engine=engine)
+        # The Oracle method spec reuses the truth pass instead of re-detecting.
+        reports = {
+            spec.name: evaluate_method(
+                spec, sequence, model, config, truth,
+                engine=engine, oracle_provider=oracle_provider,
+            )
+            for spec in methods
+        }
     finally:
         if owned_engine is not None:
             owned_engine.close()
+    return ExperimentReport(
+        sequence=sequence.name,
+        model=model.name,
+        n_frames=len(sequence),
+        oracle_ledger=truth.ledger,
+        methods=reports,
+        n_retrieval_queries=len(truth.retrieval_queries),
+        n_aggregate_queries=len(truth.aggregate_queries),
+    )
 
 
 @dataclass
@@ -316,9 +302,8 @@ def evaluate_method(
     """Run one method and score it against precomputed oracle truth.
 
     Pure over its inputs (detections are deterministic per frame), so
-    the flow layer runs one call per method step; the legacy monolithic
-    path calls it in a loop with a shared ``oracle_provider`` so the
-    Oracle method spec reuses the truth pass instead of re-detecting.
+    the flow layer runs one call per method step; :func:`run_experiment`
+    calls it in a loop with a shared ``oracle_provider``.
     """
     executor = MethodExecutor(
         spec,
@@ -358,35 +343,3 @@ def evaluate_method(
             )
         )
     return report
-
-
-def _run_experiment(
-    sequence: FrameSequence,
-    model: DetectionModel,
-    workload: QueryWorkload,
-    *,
-    methods: tuple[MethodSpec, ...],
-    config: MASTConfig,
-    engine: InferenceEngine | None,
-) -> ExperimentReport:
-    truth, oracle_provider = _oracle_pass(sequence, model, workload, engine=engine)
-    reports: dict[str, MethodReport] = {}
-    for spec in methods:
-        reports[spec.name] = evaluate_method(
-            spec,
-            sequence,
-            model,
-            config,
-            truth,
-            engine=engine,
-            oracle_provider=oracle_provider,
-        )
-    return ExperimentReport(
-        sequence=sequence.name,
-        model=model.name,
-        n_frames=len(sequence),
-        oracle_ledger=truth.ledger,
-        methods=reports,
-        n_retrieval_queries=len(truth.retrieval_queries),
-        n_aggregate_queries=len(truth.aggregate_queries),
-    )

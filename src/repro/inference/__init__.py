@@ -6,8 +6,8 @@ again for frames they have already seen.  This package factors detection
 execution out of the samplers into one engine:
 
 * :mod:`repro.inference.executors` — pluggable execution strategies
-  (serial, thread pool, process pool with chunked ``detect_many``
-  batches) behind a single :class:`DetectionExecutor` interface;
+  (serial, thread pool over chunked ``detect_many`` batches) behind a
+  single :class:`DetectionExecutor` interface;
 * :mod:`repro.inference.store` — a bounded, content-keyed
   :class:`DetectionStore` memoizing raw detections across samplers,
   baselines and experiment sweeps, with optional on-disk persistence;
@@ -23,7 +23,6 @@ execution out of the samplers into one engine:
 from repro.inference.engine import InferenceEngine, PacedModel
 from repro.inference.executors import (
     DetectionExecutor,
-    ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
     make_executor,
@@ -43,7 +42,6 @@ __all__ = [
     "DetectionExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "make_executor",
     "MOTION_MEMO_ENTRIES",
     "MotionMemo",

@@ -54,7 +54,7 @@ class InferenceEngine:
     ----------
     executor:
         A :class:`DetectionExecutor` instance, or a kind string
-        (``"serial"`` / ``"thread"`` / ``"process"``).  Kind strings
+        (``"serial"`` / ``"thread"``).  Kind strings
         build an owned executor that :meth:`close` shuts down; instances
         are borrowed and left running.
     workers, batch_size:

@@ -2,20 +2,16 @@
 
 A :class:`DetectionExecutor` maps ``(model, frames)`` to the frames'
 detections, in order.  Because every model is deterministic per frame,
-the three strategies are interchangeable bit-for-bit; they differ only
+the two strategies are interchangeable bit-for-bit; they differ only
 in how the work is scheduled:
 
 * :class:`SerialExecutor` — the in-loop behaviour the samplers had
   before this engine existed (and the default);
 * :class:`ThreadExecutor` — a persistent thread pool.  Real detectors
   block on an accelerator (the paper's PV-RCNN spends 0.1 s per frame on
-  a GPU), which releases the GIL, so threads overlap inference latency;
-* :class:`ProcessExecutor` — a process pool fed chunked
-  ``detect_many`` batches, for CPU-bound detectors such as the
-  point-based clustering model.  Frames are made picklable by
-  materializing lazy point providers before shipping.
+  a GPU), which releases the GIL, so threads overlap inference latency.
 
-Pools are created lazily and must be released with :meth:`close` (the
+The pool is created lazily and must be released with :meth:`close` (the
 :class:`~repro.inference.engine.InferenceEngine` does this when it owns
 the executor).
 """
@@ -24,8 +20,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import replace
+from concurrent.futures import ThreadPoolExecutor
 
 from repro.data.annotations import ObjectArray
 from repro.data.frame import PointCloudFrame
@@ -35,12 +30,11 @@ __all__ = [
     "DetectionExecutor",
     "SerialExecutor",
     "ThreadExecutor",
-    "ProcessExecutor",
     "make_executor",
     "EXECUTOR_KINDS",
 ]
 
-EXECUTOR_KINDS = ("serial", "thread", "process")
+EXECUTOR_KINDS = ("serial", "thread")
 
 
 def _default_workers() -> int:
@@ -93,8 +87,10 @@ class SerialExecutor(DetectionExecutor):
         return _detect_chunk(model, frames)
 
 
-class _PooledExecutor(DetectionExecutor):
-    """Shared chunking / pool lifecycle for thread and process pools."""
+class ThreadExecutor(DetectionExecutor):
+    """Persistent thread pool; overlaps GIL-releasing inference latency."""
+
+    kind = "thread"
 
     def __init__(self, workers: int | None = None, batch_size: int | None = None) -> None:
         self.workers = int(workers) if workers else _default_workers()
@@ -103,13 +99,7 @@ class _PooledExecutor(DetectionExecutor):
         if batch_size is not None and batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         self._batch_size = batch_size
-        self._pool: Executor | None = None
-
-    def _make_pool(self) -> Executor:
-        raise NotImplementedError
-
-    def _prepare(self, frames: list[PointCloudFrame]) -> list[PointCloudFrame]:
-        return frames
+        self._pool: ThreadPoolExecutor | None = None
 
     def run(
         self, model: DetectionModel, frames: list[PointCloudFrame]
@@ -117,8 +107,9 @@ class _PooledExecutor(DetectionExecutor):
         if not frames:
             return []
         if self._pool is None:
-            self._pool = self._make_pool()
-        frames = self._prepare(frames)
+            self._pool = ThreadPoolExecutor(
+                max_workers=self.workers, thread_name_prefix="repro-inference"
+            )
         batch = self._batch_size or max(1, -(-len(frames) // (4 * self.workers)))
         chunks = _chunks(frames, batch)
         results = self._pool.map(_detect_chunk, [model] * len(chunks), chunks)
@@ -133,46 +124,10 @@ class _PooledExecutor(DetectionExecutor):
         return f"{type(self).__name__}(workers={self.workers})"
 
 
-class ThreadExecutor(_PooledExecutor):
-    """Persistent thread pool; overlaps GIL-releasing inference latency."""
-
-    kind = "thread"
-
-    def _make_pool(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-inference"
-        )
-
-
-class ProcessExecutor(_PooledExecutor):
-    """Process pool over chunked ``detect_many`` batches.
-
-    The model and frames cross a pickle boundary, so lazy point
-    providers (arbitrary callables) are resolved into concrete point
-    arrays first; detectors that never touch points pay nothing because
-    simulated sequences carry no provider.
-    """
-
-    kind = "process"
-
-    def _make_pool(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.workers)
-
-    def _prepare(self, frames: list[PointCloudFrame]) -> list[PointCloudFrame]:
-        prepared = []
-        for frame in frames:
-            if frame._points_provider is not None:
-                frame = replace(
-                    frame, _points_provider=None, _points_cache=frame.points
-                )
-            prepared.append(frame)
-        return prepared
-
-
 def make_executor(
     kind: str, *, workers: int | None = None, batch_size: int | None = None
 ) -> DetectionExecutor:
-    """Build an executor by kind (``serial`` / ``thread`` / ``process``).
+    """Build an executor by kind (``serial`` / ``thread``).
 
     ``workers`` of ``None`` or 0 selects the CPU count; ``batch_size``
     of ``None`` chunks adaptively (four chunks per worker per wave).
@@ -181,6 +136,4 @@ def make_executor(
         return SerialExecutor()
     if kind == "thread":
         return ThreadExecutor(workers, batch_size)
-    if kind == "process":
-        return ProcessExecutor(workers, batch_size)
     raise ValueError(f"unknown executor kind {kind!r}; options: {EXECUTOR_KINDS}")

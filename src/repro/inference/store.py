@@ -23,7 +23,9 @@ is also written as a single-frame detections ``.npz`` (the
 from __future__ import annotations
 
 import hashlib
+import os
 import threading
+import zipfile
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -150,7 +152,9 @@ class DetectionStore:
     the default).  ``persist_dir`` enables write-through persistence:
     entries are stored as single-frame ``.npz`` checkpoints named by a
     digest of their key, and lookups fall back to disk before reporting
-    a miss, so separate processes share one warm store.
+    a miss, so separate processes share one warm store.  An entry that
+    cannot be read back (torn, corrupted) is dropped and reported as a
+    miss, never raised.
 
     # guarded-by: _lock: _entries, _hits, _disk_hits, _misses, _evictions
     """
@@ -203,7 +207,13 @@ class DetectionStore:
             if not path.exists():
                 from repro.data.storage import save_detections
 
-                save_detections({key[1]: objects}, path, model_name=key[2])
+                # Temp file + rename: a crash mid-write never leaves a
+                # truncated entry under the name a later lookup trusts.
+                scratch = path.with_name(
+                    f"{path.stem}.{os.getpid()}-{threading.get_ident()}.tmp.npz"
+                )
+                save_detections({key[1]: objects}, scratch, model_name=key[2])
+                os.replace(scratch, path)
 
     def _insert(self, key: DetectionKey, objects: ObjectArray) -> None:  # repro: locked[_lock]
         self._entries.pop(key, None)
@@ -230,8 +240,14 @@ class DetectionStore:
             return None
         from repro.data.storage import load_detections
 
-        detections, _ = load_detections(path)
-        return detections[key[1]]
+        try:
+            detections, _ = load_detections(path)
+            return detections[key[1]]
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+            # An unreadable entry is a miss: the frame is re-detected,
+            # and with the file gone that detection's put() rewrites it.
+            path.unlink(missing_ok=True)
+            return None
 
     # ------------------------------------------------------------------
     # Introspection

@@ -54,7 +54,6 @@ from repro.query.predicates import ObjectFilter
 from repro.serving.batching import Query, base_kind, plan_batch
 from repro.serving.cache import CacheStats, CountSeriesCache
 from repro.utils.timing import STAGE_QUERY, CostLedger
-from repro.utils.validation import require
 
 __all__ = ["QueryService", "enter_request", "leave_request"]
 
@@ -115,17 +114,13 @@ class QueryService:
         *,
         max_cache_entries: int = 512,
     ) -> None:
-        require(
-            pipeline._index is not None,
-            "pipeline must be fit() before serving",
-        )
+        providers = pipeline.providers  # raises unless the pipeline is fit
         self._pipeline = pipeline
         self.cache = CountSeriesCache(max_entries=max_cache_entries)
         self._extend_lock = threading.Lock()
-        providers = pipeline.providers
         self._state = _ServiceState(
             generation=self.cache.generation,
-            n_frames=providers["st"].n_frames,
+            n_frames=providers["linear"].n_frames,
             providers=providers,
         )
 
@@ -319,7 +314,7 @@ class QueryService:
             self.cache.invalidate_tail(boundary, generation)
             self._state = _ServiceState(
                 generation=generation,
-                n_frames=providers["st"].n_frames,
+                n_frames=providers["linear"].n_frames,
                 providers=providers,
             )
         return self
@@ -348,7 +343,7 @@ class QueryService:
             generation = self.cache.bump()
             self._state = _ServiceState(
                 generation=generation,
-                n_frames=providers["st"].n_frames,
+                n_frames=providers["linear"].n_frames,
                 providers=providers,
             )
         return self

@@ -3,7 +3,7 @@
 Detectors are deterministic per frame, so the parallel engine must be a
 pure scheduling change: the sampled ids, the detections, the index
 contents and the query answers have to be bit-identical across
-serial / thread / process execution and across cold / warm detection
+serial / thread execution and across cold / warm detection
 stores.  Only wall-clock time and the hit counters may differ.
 """
 
@@ -79,11 +79,6 @@ class TestExecutorDeterminism:
     def test_thread_matches_serial(self, sequence):
         assert_snapshots_equal(
             fit_and_query(sequence, "serial"), fit_and_query(sequence, "thread")
-        )
-
-    def test_process_matches_serial(self, sequence):
-        assert_snapshots_equal(
-            fit_and_query(sequence, "serial"), fit_and_query(sequence, "process")
         )
 
     def test_wave_of_one_matches_across_executors(self, sequence):

@@ -23,13 +23,6 @@ def sequence():
     return semantickitti_like(0, n_frames=40, with_points=False)
 
 
-@pytest.fixture(scope="module")
-def sequence_points():
-    from repro.simulation import semantickitti_like
-
-    return semantickitti_like(0, n_frames=8)
-
-
 def detections_equal(a, b):
     assert sorted(a) == sorted(b)
     for frame_id in a:
@@ -39,7 +32,7 @@ def detections_equal(a, b):
 
 
 class TestExecutors:
-    @pytest.mark.parametrize("kind", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("kind", ["serial", "thread"])
     def test_outputs_match_serial(self, kind, sequence):
         model = pv_rcnn(seed=5)
         frames = [sequence[i] for i in range(12)]
@@ -51,17 +44,6 @@ class TestExecutors:
             assert np.array_equal(ours.labels, ref.labels)
             assert np.array_equal(ours.centers, ref.centers)
             assert np.array_equal(ours.scores, ref.scores)
-
-    def test_process_executor_materializes_lazy_points(self, sequence_points):
-        from repro.models.clustering import ClusteringDetector
-
-        model = ClusteringDetector()
-        frames = [sequence_points[i] for i in range(4)]
-        expected = SerialExecutor().run(model, frames)
-        with make_executor("process", workers=2) as executor:
-            outputs = executor.run(model, frames)
-        for ours, ref in zip(outputs, expected):
-            assert np.array_equal(ours.centers, ref.centers)
 
     def test_empty_wave(self):
         with make_executor("thread", workers=2) as executor:

@@ -128,6 +128,37 @@ class TestDetectionStore:
         assert len(store) == 0
         assert store.lookup(key) is not None  # back from disk
 
+    def test_torn_entry_is_a_miss_redetected_once_and_rewritten(
+        self, sequence, tmp_path
+    ):
+        from repro.data.storage import load_detections
+        from repro.inference import InferenceEngine
+        from repro.utils.timing import STAGE_MODEL, CostLedger
+
+        model = pv_rcnn(seed=3)
+        frame_ids = range(5)
+        with InferenceEngine(store=DetectionStore(persist_dir=tmp_path)) as engine:
+            first = engine.detect_wave(sequence, frame_ids, model)
+        torn = DetectionStore(persist_dir=tmp_path)._path_for(
+            key_for(sequence, 2, model)
+        )
+        torn.write_bytes(torn.read_bytes()[:40])
+
+        store = DetectionStore(persist_dir=tmp_path)
+        ledger = CostLedger()
+        with InferenceEngine(store=store) as engine:
+            second = engine.detect_wave(sequence, frame_ids, model, ledger=ledger)
+        for frame_id in frame_ids:
+            assert np.array_equal(second[frame_id].centers, first[frame_id].centers)
+            assert np.array_equal(second[frame_id].scores, first[frame_id].scores)
+        assert ledger.invocations(STAGE_MODEL) == 1 == store.stats().misses
+        assert store.stats().disk_hits == 4
+        healed, _ = load_detections(torn)
+        assert np.array_equal(healed[2].centers, first[2].centers)
+        assert sorted(tmp_path.iterdir()) == sorted(
+            store._path_for(key_for(sequence, i, model)) for i in frame_ids
+        )
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="max_entries"):
             DetectionStore(max_entries=0)

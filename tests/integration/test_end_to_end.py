@@ -9,11 +9,24 @@ Oracle's cost).
 import numpy as np
 import pytest
 
-from repro.baselines import MAST, ORACLE, SEIDEN_PC, OracleCountProvider
-from repro.core import MASTConfig, MASTPipeline
+from repro.baselines import MAST, OracleCountProvider, available_methods, get_method
+from repro.core import (
+    LinearCountProvider,
+    MASTConfig,
+    MASTIndex,
+    MASTPipeline,
+    STCountProvider,
+)
 from repro.evalx import MethodExecutor, f1_score
 from repro.models import pv_rcnn
-from repro.query import QueryEngine, generate_workload, parse_query
+from repro.query import (
+    AGGREGATE_OPERATORS,
+    AggregateQuery,
+    QueryEngine,
+    RetrievalResult,
+    generate_workload,
+    register_aggregate,
+)
 from repro.simulation import semantickitti_like
 
 
@@ -87,26 +100,57 @@ class TestCostStructure:
         assert oracle_total / method_total > 5.0
 
 
-class TestMethodExecutorParity:
-    def test_oracle_executor_matches_provider(self, sequence, model, oracle):
-        executor = MethodExecutor(
-            ORACLE, sequence, model, MASTConfig(seed=7), oracle_provider=oracle
-        )
-        query = parse_query("SELECT AVG OF COUNT(Car DIST <= 20)")
-        direct = QueryEngine(oracle).execute(query)
-        assert executor.execute(query).value == pytest.approx(direct.value)
+def _hand_wired_engines(spec, sequence, model, config):
+    """query -> engine with no pipeline: index -> providers -> ``QueryEngine``."""
+    if spec.is_oracle:
+        oracle = QueryEngine(OracleCountProvider(sequence, model))
+        return lambda query: oracle
+    sampling = spec.make_sampler(config).sample(sequence, model)
+    linear = QueryEngine(LinearCountProvider(sampling))
+    engines = {"linear": linear, "linear_floor": linear.floored()}
+    if "st" in (spec.retrieval_predictor, *spec.predictor_by_operator.values()):
+        engines["st"] = QueryEngine(STCountProvider(MASTIndex.build(sampling, config)))
+    retrieval = "st" if spec.retrieval_predictor == "st" else "linear_floor"
+    unnamed = "st" if "st" in engines else "linear"  # the pre-PR-23 executor's rule
+    return lambda query: engines[
+        spec.predictor_by_operator.get(query.operator, unnamed)
+        if isinstance(query, AggregateQuery) else retrieval
+    ]
 
-    def test_mast_executor_matches_pipeline(self, sequence, model, pipeline):
-        executor = MethodExecutor(MAST, sequence, model, MASTConfig(seed=7))
-        query = parse_query("SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1")
-        assert executor.execute(query).id_set() == pipeline.query(query).id_set()
 
-    def test_seiden_executor_runs(self, sequence, model):
-        executor = MethodExecutor(SEIDEN_PC, sequence, model, MASTConfig(seed=7))
-        result = executor.execute(
-            parse_query("SELECT AVG OF COUNT(Car DIST <= 20)")
-        )
-        assert result.value >= 0.0
+@pytest.fixture
+def range_operator():
+    """An aggregate operator no method spec's assignment names."""
+    register_aggregate(
+        "Range", lambda counts, _pred: float(np.ptp(counts)), overwrite=True
+    )
+    yield "Range"
+    del AGGREGATE_OPERATORS["Range"]
+
+
+class TestMethodExecutor:
+    @pytest.mark.parametrize("name", available_methods())
+    def test_matches_hand_wired_reference(self, name, model, range_operator):
+        spec = get_method(name)
+        sequence = semantickitti_like(0, n_frames=240, with_points=False)
+        config = MASTConfig(seed=7)
+        workload = generate_workload(rng=7)
+        queries = workload.all_queries() + [
+            AggregateQuery(workload.aggregates[0].object_filter, range_operator)
+        ]
+        executor = MethodExecutor(spec, sequence, model, config)
+        reference = _hand_wired_engines(spec, sequence, model, config)
+        for query in queries:
+            got, want = executor.execute(query), reference(query).execute(query)
+            if isinstance(want, RetrievalResult):
+                assert np.array_equal(got.frame_ids, want.frame_ids), query.describe()
+            else:
+                assert got.value == want.value, query.describe()
+                assert np.array_equal(got.counts, want.counts), query.describe()
+        if "st" not in (spec.retrieval_predictor, *spec.predictor_by_operator.values()):
+            assert executor.ledger.total("indexing") == 0.0
+        elif not spec.is_oracle:
+            assert executor.ledger.total("indexing") > 0.0
 
 
 class TestAdaptiveBeatsNaive:

@@ -1,5 +1,5 @@
 """Integration tests: persistence round-trips, batched ingestion through the
-database, point-based detection end to end, and the theory bounds applied
+sequence catalog, point-based detection end to end, and the theory bounds applied
 to real pipeline output."""
 
 import numpy as np
@@ -7,8 +7,8 @@ import pytest
 
 from repro.baselines import OracleCountProvider
 from repro.core import MASTConfig, MASTPipeline
+from repro.corpus import SequenceCatalog
 from repro.data import (
-    PointCloudDatabase,
     load_detections,
     load_sequence,
     save_detections,
@@ -62,15 +62,14 @@ class TestPersistenceWorkflow:
 class TestDatabaseIngestion:
     def test_periodic_arrival_through_database(self):
         full = semantickitti_like(0, n_frames=300, with_points=False)
-        db = PointCloudDatabase()
-        db.ingest(full.head(150, name=full.name))
+        db = SequenceCatalog()
+        db.register_sequence(full.head(150, name=full.name))
         model = pv_rcnn(seed=2)
-        pipe = MASTPipeline(MASTConfig(seed=3)).fit(db.get(full.name), model)
+        pipe = MASTPipeline(MASTConfig(seed=3)).fit(db.sequence(full.name), model)
 
         batch = list(full[150:300])
-        db.ingest_batch(full.name, batch)
-        pipe.extend(batch)
-        assert pipe.sampling_result.n_frames == len(db.get(full.name)) == 300
+        pipe.extend(batch, extended=db.extend_sequence(full.name, batch))
+        assert pipe.sampling_result.n_frames == db.n_frames(full.name) == 300
         result = pipe.query("SELECT FRAMES WHERE COUNT(Car) >= 1")
         assert result.n_frames == 300
 

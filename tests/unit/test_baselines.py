@@ -114,15 +114,14 @@ class TestMethodSpecs:
 
     def test_oracle_flags(self):
         assert ORACLE.is_oracle
-        assert not ORACLE.needs_st_index()
+        assert not MAST.is_oracle
 
     def test_seiden_pc_is_all_linear(self):
         assert SEIDEN_PC.retrieval_predictor == "linear"
         assert set(SEIDEN_PC.predictor_by_operator.values()) == {"linear"}
-        assert not SEIDEN_PC.needs_st_index()
 
     def test_seiden_pcst_is_all_st(self):
-        assert SEIDEN_PCST.needs_st_index()
+        assert SEIDEN_PCST.retrieval_predictor == "st"
         assert set(SEIDEN_PCST.predictor_by_operator.values()) == {"st"}
 
     def test_mast_mixed_assignment(self):

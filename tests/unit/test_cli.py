@@ -118,6 +118,30 @@ class TestQuery:
         assert status == 2
         assert "error" in output
 
+    @pytest.mark.parametrize("text", [
+        "SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1",
+        "SELECT AVG OF COUNT(Car DIST <= 20)",
+        "SELECT MED OF COUNT(Car DIST <= 20)",
+        "SELECT COUNT FRAMES WHERE COUNT(Car DIST <= 20) >= 2",
+    ])
+    def test_answers_as_the_pipeline_does(self, checkpoint, text):
+        """``repro query`` routes by the §7.1 assignment (Avg is linear)."""
+        from repro.cli import _format_answer, _load_checkpoint
+        from repro.core import MASTPipeline
+        from repro.models import pv_rcnn
+
+        seq_path, det_path = checkpoint
+        sequence, _, sampling = _load_checkpoint(seq_path, det_path)
+        pipeline = MASTPipeline().fit_from_sampling(sequence, pv_rcnn(), sampling)
+        expected = io.StringIO()
+        _format_answer(text, pipeline.query(text), expected)
+
+        status, output = run_cli(
+            "query", "--sequence", str(seq_path), "--detections", str(det_path), text
+        )
+        assert status == 0
+        assert output == expected.getvalue()
+
 
 class TestExperiment:
     def test_prints_method_table(self):

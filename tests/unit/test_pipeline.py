@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import MASTConfig, MASTPipeline
-from repro.query import AggregateResult, RetrievalResult
+from repro.core.pipeline import predictor_kind
+from repro.query import AggregateResult, RetrievalResult, parse_query
 
 
 @pytest.fixture(scope="module")
@@ -38,20 +39,19 @@ class TestFitAndQuery:
         from repro.query import parse_query
 
         query = parse_query("SELECT AVG OF COUNT(Car DIST <= 20)")
-        engine = pipeline._engine_for(query)
-        assert engine is pipeline._linear_engine
+        assert pipeline._engine_for(query) is pipeline._engines["linear"]
 
     def test_med_uses_st_predictor(self, pipeline):
         from repro.query import parse_query
 
         query = parse_query("SELECT MED OF COUNT(Car DIST <= 20)")
-        assert pipeline._engine_for(query) is pipeline._st_engine
+        assert pipeline._engine_for(query) is pipeline._engines["st"]
 
     def test_retrieval_uses_st_predictor(self, pipeline):
         from repro.query import parse_query
 
         query = parse_query("SELECT FRAMES WHERE COUNT(Car) >= 1")
-        assert pipeline._engine_for(query) is pipeline._st_engine
+        assert pipeline._engine_for(query) is pipeline._engines["st"]
 
     def test_retrieval_predictor_override(self, kitti_sequence, detector):
         config = MASTConfig(seed=4, retrieval_predictor="linear")
@@ -59,7 +59,7 @@ class TestFitAndQuery:
         from repro.query import parse_query
 
         query = parse_query("SELECT FRAMES WHERE COUNT(Car) >= 1")
-        assert pipe._engine_for(query) is pipe._linear_retrieval_engine
+        assert pipe._engine_for(query) is pipe._engines["linear_floor"]
 
     def test_cost_summary(self, pipeline):
         summary = pipeline.cost_summary()
@@ -75,6 +75,60 @@ class TestFitAndQuery:
     def test_fit_returns_self(self, kitti_sequence, detector):
         pipe = MASTPipeline(MASTConfig(seed=9))
         assert pipe.fit(kitti_sequence, detector) is pipe
+
+
+class TestAllLinearAssignment:
+    """The ST index exists only where the assignment can route to it."""
+
+    TEXTS = [
+        "SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1",
+        "SELECT AVG OF COUNT(Car DIST <= 20)",
+        "SELECT MED OF COUNT(Car DIST <= 20)",
+        "SELECT COUNT FRAMES WHERE COUNT(Car DIST <= 20) >= 2",
+    ]
+
+    @pytest.fixture()
+    def linear_pipe(self, kitti_sequence, detector):
+        config = MASTConfig(
+            seed=4,
+            retrieval_predictor="linear",
+            predictor_by_operator={"Avg": "linear", "Med": "linear", "Count": "linear"},
+        )
+        return MASTPipeline(config).fit(kitti_sequence, detector)
+
+    def test_no_index_is_built_or_billed(self, linear_pipe):
+        assert linear_pipe.ledger.total("indexing") == 0.0
+        assert set(linear_pipe.providers) == {"linear"}
+        with pytest.raises(ValueError, match="no ST index"):
+            linear_pipe.index
+        assert "not built" in linear_pipe.explain(self.TEXTS[1])
+        # Min is not named: it follows retrieval_predictor, like every query.
+        for text in [*self.TEXTS, "SELECT MIN OF COUNT(Car)"]:
+            engine = linear_pipe._engine_for(parse_query(text))
+            assert engine.provider is linear_pipe.providers["linear"]
+            linear_pipe.query(text)
+
+    def test_unnamed_operator_follows_retrieval_predictor(self):
+        query = parse_query("SELECT MIN OF COUNT(Car)")
+        for retrieval in ("st", "linear"):
+            config = MASTConfig(retrieval_predictor=retrieval, predictor_by_operator={})
+            assert predictor_kind(config, query) == retrieval
+
+    def test_served_without_an_index(self, linear_pipe):
+        from repro.serving import QueryService
+
+        service = QueryService(linear_pipe)
+        assert service.n_frames == 400
+        for text, served in zip(self.TEXTS, service.execute_batch(self.TEXTS)):
+            assert repr(served) == repr(linear_pipe.query(text))
+
+    def test_calibration_builds_the_index_it_starts_routing_to(self, linear_pipe):
+        linear_pipe.calibrate_predictors(max_holdouts=20)
+        kinds = {
+            predictor_kind(linear_pipe.config, parse_query(t)) for t in self.TEXTS
+        }
+        assert ("st" in kinds) <= ("st" in linear_pipe.providers)
+        linear_pipe.query_many(self.TEXTS)
 
 
 class TestExtend:
@@ -131,7 +185,7 @@ class TestEnginesLiveOneIndexEpoch:
     ]
 
     def _engines(self, pipe):
-        return (pipe._st_engine, pipe._linear_engine, pipe._linear_retrieval_engine)
+        return tuple(pipe._engines[kind] for kind in ("st", "linear", "linear_floor"))
 
     @pytest.mark.parametrize("rebuild", ["extend", "fit_from_sampling"])
     def test_rebuild_installs_fresh_engines(self, detector, rebuild):

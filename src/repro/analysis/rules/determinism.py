@@ -1,8 +1,8 @@
 """Determinism rules: RPR001 no-global-rng, RPR005 no-unseeded-rng.
 
 The reproduction's headline guarantee — sampling decisions, detector
-noise, and workload generation are bit-identical across executors,
-caches, and repeat runs — holds because every stochastic component draws
+noise, and workload generation are bit-identical across caches and
+repeat runs — holds because every stochastic component draws
 from an explicitly seeded ``numpy.random.Generator`` threaded through
 :mod:`repro.utils.rng`.  Module-level RNG (``np.random.rand``,
 ``random.random``) and unseeded generators both break that chain

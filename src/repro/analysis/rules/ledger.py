@@ -11,8 +11,8 @@ The rule flags any ``.detect`` / ``.detect_many`` call, with two
 structural exemptions:
 
 * call sites whose enclosing function is itself named ``detect`` or
-  ``detect_many`` — a model wrapper delegating to its base model
-  (``PacedModel.detect``) is model-internal, not a pipeline path;
+  ``detect_many`` — a model wrapper delegating to its base model is
+  model-internal, not a pipeline path;
 * directories configured out via ``[tool.repro-lint.per-directory]``
   (``src/repro/models`` implements detection, ``src/repro/inference``
   *is* the blessed path).

@@ -8,8 +8,8 @@ runs sample different frames).  Wall-clock reads belong in
 ``utils/timing.py`` (the ledger's ``measure``) and in ``benchmarks/``,
 both exempted via ``[tool.repro-lint.per-directory]``.
 
-``time.sleep`` is deliberately not flagged: pacing (PacedModel) delays
-execution without feeding a clock value into any decision.
+``time.sleep`` is deliberately not flagged: a pause delays execution
+without feeding a clock value into any decision.
 """
 
 from __future__ import annotations

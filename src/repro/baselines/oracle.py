@@ -42,20 +42,10 @@ class OracleCountProvider:
         self.n_frames = len(sequence)
         self.ledger = ledger if ledger is not None else CostLedger()
         self.model_name = model.name
-        self._detections: dict[int, ObjectArray] = {}
-
-        # The Oracle's frame set is the whole sequence — one wave.
-        if engine is None:
-            with InferenceEngine() as private_engine:
-                private_engine.detect_wave(
-                    sequence, range(self.n_frames), model,
-                    ledger=self.ledger, known=self._detections,
-                )
-        else:
-            engine.detect_wave(
-                sequence, range(self.n_frames), model,
-                ledger=self.ledger, known=self._detections,
-            )
+        # The Oracle's frame set is the whole sequence.
+        self._detections = (engine or InferenceEngine()).detect_wave(
+            sequence, range(self.n_frames), model, ledger=self.ledger
+        )
 
         frame_idx_parts: list[np.ndarray] = []
         label_parts: list[np.ndarray] = []

@@ -100,13 +100,9 @@ class ProxyCountProvider:
         self._oracle_detections: dict[int, ObjectArray] = {}
         budget = max(2, round(oracle_fraction * self.n_frames))
         self.calibration_ids = uniform_ids(self.n_frames, budget)
-        if engine is None:
-            with InferenceEngine() as private_engine:
-                self._detect_passes(
-                    sequence, proxy_model, oracle_model, private_engine
-                )
-        else:
-            self._detect_passes(sequence, proxy_model, oracle_model, engine)
+        self._detect_passes(
+            sequence, proxy_model, oracle_model, engine or InferenceEngine()
+        )
 
         self._cache: dict[ObjectFilter, np.ndarray] = {}
         self._fits: dict[ObjectFilter, tuple[float, float]] = {}

@@ -21,6 +21,7 @@ from repro.core.bandit import UCBAgent
 from repro.core.config import MASTConfig
 from repro.core.sampler import BaseSampler, SamplingResult
 from repro.data.sequence import FrameSequence
+from repro.inference import InferenceEngine
 from repro.models.base import DetectionModel
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import STAGE_POLICY, CostLedger
@@ -50,19 +51,10 @@ class SeidenPCSampler(BaseSampler):
         model: DetectionModel,
         *,
         ledger: CostLedger | None = None,
-        engine=None,
-    ) -> SamplingResult:
-        with self._inference(engine) as engine:
-            return self._sample(sequence, model, ledger, engine)
-
-    def _sample(
-        self,
-        sequence: FrameSequence,
-        model: DetectionModel,
-        ledger: CostLedger | None,
-        engine,
+        engine: InferenceEngine | None = None,
     ) -> SamplingResult:
         config = self.config
+        engine = engine or InferenceEngine()
         ledger = ledger if ledger is not None else CostLedger()
         n_frames = len(sequence)
         budget = config.budget_for(n_frames)
@@ -85,39 +77,25 @@ class SeidenPCSampler(BaseSampler):
 
         rewards: list[float] = []
         remaining_budget = budget - len(sampled)
-        # Waves mirror the MAST sampler: each round draws up to
-        # ``wave_size`` arms (UCB values frozen within the round),
-        # detects the candidate set in one engine submission, then
-        # scores and updates sequentially.  Wave size 1 is the original
-        # strictly sequential bandit.
         while remaining_budget > 0 and available.any():
-            wave: list[tuple[int, int]] = []
             with ledger.measure(STAGE_POLICY):
-                while len(wave) < min(config.wave_size, remaining_budget):
-                    if not available.any():
-                        break
-                    arm = agent.select(available)
-                    pool = remaining_frames[arm]
-                    frame_id = pool.pop(int(rng.integers(len(pool))))
-                    if not pool:
-                        available[arm] = False
-                    wave.append((arm, frame_id))
-            if not wave:
-                break
-            self._detect_wave(
-                sequence, [fid for _, fid in wave], model, detections, ledger, engine
+                arm = agent.select(available)
+                pool = remaining_frames[arm]
+                frame_id = pool.pop(int(rng.integers(len(pool))))
+                if not pool:
+                    available[arm] = False
+            actual = engine.detect_one(
+                sequence, frame_id, model, ledger=ledger, known=detections
             )
-            for arm, frame_id in wave:
-                actual = detections[frame_id]
-                with ledger.measure(STAGE_POLICY):
-                    reward = self._adaptive_reward(
-                        sequence, sampled, detections, frame_id, actual,
-                        self.reward_kind, engine,
-                    )
-                    agent.update(arm, reward)
-                    bisect.insort(sampled, frame_id)
-                    rewards.append(reward)
-                remaining_budget -= 1
+            with ledger.measure(STAGE_POLICY):
+                reward = self._adaptive_reward(
+                    sequence, sampled, detections, frame_id, actual,
+                    self.reward_kind, engine,
+                )
+                agent.update(arm, reward)
+                bisect.insort(sampled, frame_id)
+                rewards.append(reward)
+            remaining_budget -= 1
 
         return SamplingResult(
             sequence_name=sequence.name,

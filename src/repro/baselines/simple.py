@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.core.sampler import BaseSampler, SamplingResult, uniform_ids
 from repro.data.sequence import FrameSequence
+from repro.inference import InferenceEngine
 from repro.models.base import DetectionModel
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import CostLedger
@@ -28,14 +29,13 @@ class UniformSampler(BaseSampler):
         model: DetectionModel,
         *,
         ledger: CostLedger | None = None,
-        engine=None,
+        engine: InferenceEngine | None = None,
     ) -> SamplingResult:
         ledger = ledger if ledger is not None else CostLedger()
         budget = self.config.budget_for(len(sequence))
-        with self._inference(engine) as engine:
-            sampled, detections = self._uniform_phase(
-                sequence, model, budget, ledger, engine
-            )
+        sampled, detections = self._uniform_phase(
+            sequence, model, budget, ledger, engine or InferenceEngine()
+        )
         return SamplingResult(
             sequence_name=sequence.name,
             n_frames=len(sequence),
@@ -63,7 +63,7 @@ class RandomSampler(BaseSampler):
         model: DetectionModel,
         *,
         ledger: CostLedger | None = None,
-        engine=None,
+        engine: InferenceEngine | None = None,
     ) -> SamplingResult:
         ledger = ledger if ledger is not None else CostLedger()
         n_frames = len(sequence)
@@ -76,9 +76,9 @@ class RandomSampler(BaseSampler):
                            replace=False)
         sampled = np.sort(np.concatenate([forced, extra])).astype(np.int64)
 
-        detections: dict[int, object] = {}
-        with self._inference(engine) as engine:
-            self._detect_wave(sequence, sampled, model, detections, ledger, engine)
+        detections = (engine or InferenceEngine()).detect_wave(
+            sequence, sampled, model, ledger=ledger
+        )
         return SamplingResult(
             sequence_name=sequence.name,
             n_frames=n_frames,

@@ -72,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("--budget", type=float, default=0.10,
                      help="sampling budget fraction (default 0.10)")
     fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--executor", choices=("serial", "thread"),
-                     default="serial", help="detection execution strategy")
-    fit.add_argument("--workers", type=int, default=0,
-                     help="pool workers (0 = one per CPU)")
-    fit.add_argument("--wave-size", type=int, default=1,
-                     help="frames requested per adaptive policy round")
     fit.add_argument("--store", default=None, metavar="DIR",
                      help="persistent detection store directory "
                      "(repeat runs reuse detections)")
@@ -111,12 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--budget", type=float, default=0.10)
     experiment.add_argument("--model", choices=available_models(), default="pv_rcnn")
     experiment.add_argument("--seed", type=int, default=1)
-    experiment.add_argument("--executor", choices=("serial", "thread"),
-                            default="serial", help="detection execution strategy")
-    experiment.add_argument("--workers", type=int, default=0,
-                            help="pool workers (0 = one per CPU)")
-    experiment.add_argument("--wave-size", type=int, default=1,
-                            help="frames requested per adaptive policy round")
 
     serve = sub.add_parser(
         "serve-workload",
@@ -312,17 +300,11 @@ def _cmd_fit(args, out) -> int:
 
     sequence = load_sequence(args.sequence)
     model = make_model(args.model, seed=args.seed)
-    config = MASTConfig(
-        budget_fraction=args.budget,
-        seed=args.seed,
-        executor=args.executor,
-        workers=args.workers,
-        wave_size=args.wave_size,
-    )
+    config = MASTConfig(budget_fraction=args.budget, seed=args.seed)
     store = DetectionStore(persist_dir=args.store) if args.store else None
-    sampler = HierarchicalMultiAgentSampler(config)
-    with InferenceEngine.from_config(config, store=store) as engine:
-        result = sampler.sample(sequence, model, engine=engine)
+    result = HierarchicalMultiAgentSampler(config).sample(
+        sequence, model, engine=InferenceEngine(store=store)
+    )
     path = save_detections(result.detections, args.out, model_name=model.name)
     print(
         f"sampled {len(result.sampled_ids)} / {len(sequence)} frames "
@@ -446,13 +428,7 @@ def _cmd_experiment(args, out) -> int:
         sequence,
         model,
         generate_workload(rng=args.seed),
-        config=MASTConfig(
-            seed=args.seed,
-            budget_fraction=args.budget,
-            executor=args.executor,
-            workers=args.workers,
-            wave_size=args.wave_size,
-        ),
+        config=MASTConfig(seed=args.seed, budget_fraction=args.budget),
     )
     rows = []
     for name, method_report in report.methods.items():

@@ -63,17 +63,6 @@ class MASTConfig:
     retrieval_predictor: str = "st"
     #: Master seed for the sampling policy's tie-breaking / deep leaves.
     seed: int = 0
-    #: Detection execution strategy: ``"serial"`` or ``"thread"`` (pool
-    #: overlapping GIL-releasing inference latency).
-    executor: str = "serial"
-    #: Worker count for the thread executor (0 = one per CPU).
-    workers: int = 0
-    #: Frames requested per adaptive policy round.  1 reproduces the
-    #: paper's strictly sequential Alg. 2; larger waves let pool workers
-    #: overlap detections within a round.  Results depend on the wave
-    #: size but *not* on the executor, so any wave size is bit-identical
-    #: across serial / thread execution.
-    wave_size: int = 1
     #: Route spatially filtered count series through the BEV tile index
     #: (:mod:`repro.spatial`), which the first such query builds, so they
     #: prune whole tiles.  Answers are bit-identical with or without it;
@@ -105,12 +94,6 @@ class MASTConfig:
             f"retrieval_predictor must be 'st' or 'linear', "
             f"got {self.retrieval_predictor!r}",
         )
-        require(
-            self.executor in ("serial", "thread"),
-            f"executor must be 'serial' or 'thread', got {self.executor!r}",
-        )
-        require(self.workers >= 0, f"workers must be >= 0, got {self.workers}")
-        require(self.wave_size >= 1, f"wave_size must be >= 1, got {self.wave_size}")
 
     # ------------------------------------------------------------------
     def budget_for(self, n_frames: int) -> int:

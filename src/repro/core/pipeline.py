@@ -86,13 +86,7 @@ class MASTPipeline:
     ) -> None:
         self.config = config or MASTConfig()
         self.ledger = CostLedger()
-        # Detection execution: a caller-provided engine is borrowed; when
-        # only a store (or nothing) is given, the pipeline owns an engine
-        # built from its config and closes it in close().
-        self._owns_engine = engine is None
-        self.engine = engine or InferenceEngine.from_config(
-            self.config, store=detection_store
-        )
+        self.engine = engine or InferenceEngine(store=detection_store)
         self._sequence: FrameSequence | None = None
         self._model: DetectionModel | None = None
         self._sampling: SamplingResult | None = None
@@ -432,9 +426,7 @@ class MASTPipeline:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the owned inference engine (no-op for borrowed ones)."""
-        if self._owns_engine:
-            self.engine.close()
+        """No-op (the pipeline owns nothing to release); idempotent."""
 
     def __enter__(self) -> MASTPipeline:
         return self

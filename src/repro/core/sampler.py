@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,37 +115,9 @@ class BaseSampler(ABC):
     ) -> SamplingResult:
         """Select and process ``budget`` frames of ``sequence``.
 
-        ``engine`` supplies the detection executor and (optionally) a
-        shared detection store; ``None`` builds a private engine from
-        the sampler's config for the duration of the run.
+        ``engine`` carries the (optional) shared detection store and the
+        motion memo; ``None`` runs on a private, store-less engine.
         """
-
-    # ------------------------------------------------------------------
-    @contextmanager
-    def _inference(self, engine: InferenceEngine | None):
-        """Yield ``engine``, or a config-derived engine owned by the run."""
-        if engine is not None:
-            yield engine
-            return
-        engine = InferenceEngine.from_config(self.config)
-        try:
-            yield engine
-        finally:
-            engine.close()
-
-    def _detect_wave(
-        self,
-        sequence: FrameSequence,
-        frame_ids,
-        model: DetectionModel,
-        detections: dict[int, ObjectArray],
-        ledger: CostLedger,
-        engine: InferenceEngine,
-    ) -> None:
-        """Detect a wave of frames into ``detections`` (skipping knowns)."""
-        engine.detect_wave(
-            sequence, frame_ids, model, ledger=ledger, known=detections
-        )
 
     def _uniform_phase(
         self,
@@ -158,7 +129,7 @@ class BaseSampler(ABC):
         *,
         known: dict[int, ObjectArray] | None = None,
     ) -> tuple[list[int], dict[int, ObjectArray]]:
-        """Detect the uniform pass (one wave) and return (ids, detections).
+        """Detect the uniform pass and return (ids, detections).
 
         ``known`` seeds the run's accumulator with detections from an
         earlier epoch over the same sequence; those frames are answered
@@ -166,7 +137,7 @@ class BaseSampler(ABC):
         """
         detections: dict[int, ObjectArray] = dict(known) if known else {}
         ids = uniform_ids(len(sequence), budget)
-        self._detect_wave(sequence, ids, model, detections, ledger, engine)
+        engine.detect_wave(sequence, ids, model, ledger=ledger, known=detections)
         return [int(i) for i in ids], detections
 
     def _adaptive_reward(
@@ -253,12 +224,12 @@ class HierarchicalMultiAgentSampler(BaseSampler):
         ledger: CostLedger | None = None,
         engine: InferenceEngine | None = None,
     ) -> SamplingResult:
-        with self._inference(engine) as engine:
-            session = AdaptiveSamplingSession(
-                self, sequence, model, ledger=ledger, engine=engine
-            )
-            session.step(session.remaining)
-            return session.result()
+        session = AdaptiveSamplingSession(
+            self, sequence, model, ledger=ledger,
+            engine=engine or InferenceEngine(),
+        )
+        session.step(session.remaining)
+        return session.result()
 
     def session(
         self,
@@ -277,7 +248,6 @@ class HierarchicalMultiAgentSampler(BaseSampler):
         spends a caller-controlled slice of budget and reports the
         ST-PC rewards it observed, so a root-level allocator can steer
         subsequent slices toward the sequences that earn the most.
-        Unlike :meth:`sample`, the engine is always borrowed.
 
         ``known`` re-enters the session across ingest epochs: frames
         already detected in an earlier plan over (a prefix of) the same
@@ -293,14 +263,13 @@ class HierarchicalMultiAgentSampler(BaseSampler):
 class AdaptiveSamplingSession:
     """A resumable run of the MAST sampler over one sequence.
 
-    Construction performs the uniform pass (one detection wave) and
-    builds the segment tree; :meth:`step` then spends adaptive budget in
-    caller-controlled chunks, returning the ST-PC rewards of the frames
-    it sampled.  ``step(session.remaining)`` reproduces Alg. 2 exactly,
-    and — with ``wave_size=1`` (the default, the paper's sequential
-    policy) — any chunking of the same total budget is bit-identical to
-    the one-shot run, because each chunk replays the identical sequence
-    of (select, detect, record) operations.
+    Construction performs the uniform pass and builds the segment tree;
+    :meth:`step` then spends adaptive budget in caller-controlled
+    chunks, returning the ST-PC rewards of the frames it sampled.
+    ``step(session.remaining)`` reproduces Alg. 2 exactly, and any
+    chunking of the same total budget is bit-identical to the one-shot
+    run, because each chunk replays the identical sequence of (select,
+    detect, record) operations.
 
     ``budget`` bounds the total frames the session may ever sample;
     ``None`` uses the sequence's own paper budget
@@ -402,53 +371,40 @@ class AdaptiveSamplingSession:
     def step(self, max_frames: int) -> list[float]:
         """Adaptively sample up to ``max_frames`` frames; return rewards.
 
-        Each round selects a wave of up to ``wave_size`` leaves (UCB
-        statistics frozen within the round), submits the whole candidate
-        set to the inference engine so pool workers overlap, then scores
-        and records the rewards in selection order.  A wave of 1 is
-        exactly the paper's sequential Alg. 2.  Returns fewer rewards
-        than requested when the budget cap or the segment tree is
-        exhausted (the latter marks the session unavailable).
+        Each iteration is one round of Alg. 2: walk the UCB decisions to
+        a leaf, detect its middle frame, score it with the reward, update
+        the tree.  Returns fewer rewards than requested when the budget
+        cap or the segment tree is exhausted (the latter marks the
+        session unavailable).  If the detector raises, every frame it
+        already returned stays in the session's detections; a new
+        session re-entered with them (``known=``) replays the run and
+        bills only the rest.
         """
         sampler = self._sampler
-        config = sampler.config
         ledger = self.ledger
         tree = self._tree
         before = len(self.rewards)
-        remaining = min(int(max_frames), self.remaining)
-        while remaining > 0:
+        for _ in range(min(int(max_frames), self.remaining)):
             assert tree is not None  # remaining > 0 implies a tree
-            wave: list[tuple[list, int]] = []
-            pending: set[int] = set()
             with ledger.measure(STAGE_POLICY):
-                while len(wave) < min(config.wave_size, remaining):
-                    selection = tree.select(
-                        lambda f: f in self._sampled_set or f in pending
-                    )
-                    if selection is None:
-                        break  # every segment exhausted (budget ~ length)
-                    path, frame_id = selection
-                    pending.add(frame_id)
-                    wave.append((path, frame_id))
-            if not wave:
-                self._exhausted = True
+                selection = tree.select(self._sampled_set.__contains__)
+            if selection is None:
+                self._exhausted = True  # every segment exhausted (budget ~ length)
                 break
-            sampler._detect_wave(
-                self._sequence, [fid for _, fid in wave], self._model,
-                self._detections, ledger, self._engine,
+            path, frame_id = selection
+            actual = self._engine.detect_one(
+                self._sequence, frame_id, self._model,
+                ledger=ledger, known=self._detections,
             )
-            for path, frame_id in wave:
-                actual = self._detections[frame_id]
-                with ledger.measure(STAGE_POLICY):
-                    reward = sampler._adaptive_reward(
-                        self._sequence, self._sampled, self._detections,
-                        frame_id, actual, sampler.reward_kind, self._engine,
-                    )
-                    tree.record(path, frame_id, reward)
-                    bisect.insort(self._sampled, frame_id)
-                    self._sampled_set.add(frame_id)
-                    self.rewards.append(reward)
-                remaining -= 1
+            with ledger.measure(STAGE_POLICY):
+                reward = sampler._adaptive_reward(
+                    self._sequence, self._sampled, self._detections,
+                    frame_id, actual, sampler.reward_kind, self._engine,
+                )
+                tree.record(path, frame_id, reward)
+                bisect.insort(self._sampled, frame_id)
+                self._sampled_set.add(frame_id)
+                self.rewards.append(reward)
         return self.rewards[before:]
 
     def result(self) -> SamplingResult:

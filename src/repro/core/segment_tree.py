@@ -54,11 +54,6 @@ class SegmentNode:
     def is_leaf(self) -> bool:
         return self.children is None
 
-    @property
-    def interior_size(self) -> int:
-        """Number of candidate frames in the segment's ``(lo, hi]`` range."""
-        return max(0, self.hi - self.lo)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SegmentNode(({self.lo}, {self.hi}), depth={self.depth}, "
@@ -246,28 +241,3 @@ class SegmentTree:
             if node.children is not None:
                 stack.extend(node.children)
         return count
-
-    def add_root_segments(self, boundaries: list[int]) -> None:
-        """Append new top-level segments (batched data arrival).
-
-        ``boundaries`` must start at or after the current root range end.
-        Used by :meth:`repro.core.pipeline.MASTPipeline.extend`.
-        """
-        boundaries = [int(b) for b in boundaries]
-        require(len(boundaries) >= 2, "need at least two boundaries")
-        require(
-            boundaries == sorted(set(boundaries)),
-            "boundaries must be strictly increasing",
-        )
-        require(
-            boundaries[0] >= self.root.hi,
-            f"new segments must start at/after the root range end "
-            f"({self.root.hi}), got {boundaries[0]}",
-        )
-        assert self.root.children is not None
-        self.root.children.extend(
-            SegmentNode(lo, hi, depth=1)
-            for lo, hi in zip(boundaries[:-1], boundaries[1:])
-        )
-        self.root.hi = boundaries[-1]
-        self.root.exhausted = all(c.exhausted for c in self.root.children)

@@ -132,10 +132,6 @@ class MotionEstimate:
         """Time between the two sampled frames."""
         return self.t_end - self.t_start
 
-    def object_velocities(self) -> np.ndarray:
-        """Alg. 1's output V: per-object velocity of the start frame."""
-        return self.velocities
-
     # ------------------------------------------------------------------
     def predict(self, t: float) -> ObjectArray:
         """Estimated object set at time ``t`` (Example 5.2).

@@ -168,7 +168,7 @@ class UCBAllocator(BudgetAllocator):
     updates the arm via the EMA of Eq. 2.  With one sequence the agent
     has a single arm and the run degenerates to chunked stepping, which
     is bit-identical to the uniform policy (and to the single-sequence
-    pipeline) at ``wave_size=1``.
+    pipeline).
     """
 
     name = "ucb"

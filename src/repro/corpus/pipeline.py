@@ -10,8 +10,7 @@
   adaptive budget is spread across sequences;
 * **inference** runs through one shared
   :class:`~repro.inference.InferenceEngine` — every shard uses the same
-  executor pool and the same cross-run
-  :class:`~repro.inference.DetectionStore`;
+  cross-run :class:`~repro.inference.DetectionStore`;
 * **indexing / querying** adopts each session's result into a
   per-sequence :class:`~repro.MASTPipeline` shard
   (:meth:`~repro.MASTPipeline.fit_from_sampling`), so everything
@@ -91,13 +90,8 @@ class CorpusPipeline:
             )
         else:
             self.allocator = policy
-        # Shards share one engine (one executor pool, one detection
-        # store); a caller-provided engine is borrowed, otherwise the
-        # corpus owns one for its lifetime.
-        self._owns_engine = engine is None
-        self.engine = engine or InferenceEngine.from_config(
-            self.config, store=detection_store
-        )
+        # Shards share one engine (one detection store, one motion memo).
+        self.engine = engine or InferenceEngine(store=detection_store)
         #: Corpus-level ledger (costs not attributable to one shard).
         self.ledger = CostLedger()
         self._shards: dict[str, MASTPipeline] = {}
@@ -308,11 +302,11 @@ class CorpusPipeline:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the shared engine if the corpus owns it."""
-        for shard in self._shards.values():
-            shard.close()  # no-op: shards borrow the corpus engine
-        if self._owns_engine:
-            self.engine.close()
+        """No-op: the corpus owns nothing to release.
+
+        Kept with the ``with`` protocol for callers that scope a corpus
+        to a block (``benchmarks/observatory`` calls it by name).
+        """
 
     def __enter__(self) -> CorpusPipeline:
         return self

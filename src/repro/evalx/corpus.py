@@ -233,7 +233,7 @@ def score_policy(
     ]
     allocation = corpus.allocation
     assert allocation is not None
-    report = CorpusPolicyReport(
+    return CorpusPolicyReport(
         policy=policy,
         total_frames=allocation.total_frames,
         frames_by_sequence=dict(allocation.frames_by_sequence),
@@ -247,8 +247,6 @@ def score_policy(
         n_aggregate_queries=len(truth.aggregate_truth),
         ledger_summary=corpus.cost_summary(),
     )
-    corpus.close()
-    return report
 
 
 def run_corpus_experiment(
@@ -280,25 +278,25 @@ def run_corpus_experiment(
             aggregate_queries = list(workload.aggregates)
 
     store = detection_store if detection_store is not None else DetectionStore()
-    with InferenceEngine.from_config(config, store=store) as engine:
-        truth = corpus_oracle_truth(
+    engine = InferenceEngine(store=store)
+    truth = corpus_oracle_truth(
+        catalog,
+        model,
+        retrieval_queries=retrieval_queries,
+        aggregate_queries=aggregate_queries,
+        engine=engine,
+    )
+    reports: dict[str, CorpusPolicyReport] = {}
+    for policy in policies:
+        reports[policy] = score_policy(
             catalog,
             model,
-            retrieval_queries=retrieval_queries,
-            aggregate_queries=aggregate_queries,
+            config,
+            truth,
+            policy=policy,
+            round_size=round_size,
             engine=engine,
         )
-        reports: dict[str, CorpusPolicyReport] = {}
-        for policy in policies:
-            reports[policy] = score_policy(
-                catalog,
-                model,
-                config,
-                truth,
-                policy=policy,
-                round_size=round_size,
-                engine=engine,
-            )
 
     return CorpusExperimentReport(
         sequences=truth.sequences,

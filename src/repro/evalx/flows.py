@@ -328,14 +328,13 @@ def _corpus_oracle_step(
         retrieval = retrieval[:n_retrieval]
     config = MASTConfig(seed=seed, budget_fraction=budget_fraction)
     store = DetectionStore(persist_dir=ctx.store_dir)
-    with InferenceEngine.from_config(config, store=store) as engine:
-        truth = corpus_oracle_truth(
-            catalog,
-            make_model(model, seed=model_seed),
-            retrieval_queries=retrieval,
-            aggregate_queries=list(workload.aggregates),
-            engine=engine,
-        )
+    truth = corpus_oracle_truth(
+        catalog,
+        make_model(model, seed=model_seed),
+        retrieval_queries=retrieval,
+        aggregate_queries=list(workload.aggregates),
+        engine=InferenceEngine(store=store),
+    )
     ctx.ledger.merge(truth.ledger)
     return truth
 
@@ -353,16 +352,15 @@ def _policy_step(
 ) -> CorpusPolicyReport:
     config = MASTConfig(seed=seed, budget_fraction=budget_fraction)
     store = DetectionStore(persist_dir=ctx.store_dir)
-    with InferenceEngine.from_config(config, store=store) as engine:
-        return score_policy(
-            catalog,
-            make_model(model, seed=model_seed),
-            config,
-            truth,
-            policy=policy,
-            round_size=round_size,
-            engine=engine,
-        )
+    return score_policy(
+        catalog,
+        make_model(model, seed=model_seed),
+        config,
+        truth,
+        policy=policy,
+        round_size=round_size,
+        engine=InferenceEngine(store=store),
+    )
 
 
 def _corpus_report_step(
@@ -459,19 +457,18 @@ def _session_chunk_step(
     sampler = HierarchicalMultiAgentSampler(config, reward_kind="st")
     known = dict(carried.detections) if carried is not None else None
     ledger = carried.ledger if carried is not None else None
-    with InferenceEngine.from_config(config) as engine:
-        session = AdaptiveSamplingSession(
-            sampler,
-            sequence,
-            make_model(model, seed=model_seed),
-            engine=engine,
-            ledger=ledger,
-            known=known,
-        )
-        adaptive_total = session.remaining
-        target = -(-adaptive_total * (part + 1) // parts)  # ceil division
-        session.step(int(target))
-        return session.result()
+    session = AdaptiveSamplingSession(
+        sampler,
+        sequence,
+        make_model(model, seed=model_seed),
+        engine=InferenceEngine(),
+        ledger=ledger,
+        known=known,
+    )
+    adaptive_total = session.remaining
+    target = -(-adaptive_total * (part + 1) // parts)  # ceil division
+    session.step(int(target))
+    return session.result()
 
 
 def add_session_chain(

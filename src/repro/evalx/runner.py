@@ -143,14 +143,12 @@ class MethodExecutor:
             retrieval_predictor=spec.retrieval_predictor,
             predictor_by_operator=dict(spec.predictor_by_operator),
         )
-        # Leaving the block releases an engine the pipeline had to build
-        # for itself; answering never detects.
-        with MASTPipeline(assignment, engine=engine) as pipeline:
-            self.ledger = pipeline.ledger
-            self.sampling = spec.make_sampler(config).sample(
-                sequence, model, ledger=self.ledger, engine=pipeline.engine
-            )
-            pipeline.fit_from_sampling(sequence, model, self.sampling)
+        pipeline = MASTPipeline(assignment, engine=engine)
+        self.ledger = pipeline.ledger
+        self.sampling = spec.make_sampler(config).sample(
+            sequence, model, ledger=self.ledger, engine=pipeline.engine
+        )
+        pipeline.fit_from_sampling(sequence, model, self.sampling)
         self._answer = pipeline.query
 
     # ------------------------------------------------------------------
@@ -188,24 +186,17 @@ def run_experiment(
     """
     config = config or MASTConfig()
 
-    owned_engine: InferenceEngine | None = None
     if engine is None and detection_store is not None:
-        engine = owned_engine = InferenceEngine.from_config(
-            config, store=detection_store
+        engine = InferenceEngine(store=detection_store)
+    truth, oracle_provider = _oracle_pass(sequence, model, workload, engine=engine)
+    # The Oracle method spec reuses the truth pass instead of re-detecting.
+    reports = {
+        spec.name: evaluate_method(
+            spec, sequence, model, config, truth,
+            engine=engine, oracle_provider=oracle_provider,
         )
-    try:
-        truth, oracle_provider = _oracle_pass(sequence, model, workload, engine=engine)
-        # The Oracle method spec reuses the truth pass instead of re-detecting.
-        reports = {
-            spec.name: evaluate_method(
-                spec, sequence, model, config, truth,
-                engine=engine, oracle_provider=oracle_provider,
-            )
-            for spec in methods
-        }
-    finally:
-        if owned_engine is not None:
-            owned_engine.close()
+        for spec in methods
+    }
     return ExperimentReport(
         sequence=sequence.name,
         model=model.name,

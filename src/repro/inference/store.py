@@ -60,8 +60,8 @@ def model_fingerprint(model: DetectionModel) -> str:
     seed and configuration attributes the simulated detectors and the
     clustering detector actually condition on.
     """
-    # Wrappers that delegate detection (e.g. PacedModel) share their
-    # base model's fingerprint: their detections are identical.
+    # Wrappers that delegate detection to a ``base`` model share its
+    # fingerprint: their detections are identical.
     base = getattr(model, "base", None)
     if isinstance(base, DetectionModel):
         return model_fingerprint(base)

@@ -75,11 +75,6 @@ class BatchPlan:
     def n_series(self) -> int:
         return len(self.series_keys)
 
-    @property
-    def n_references(self) -> int:
-        """Total series references (>= ``n_series`` when filters repeat)."""
-        return sum(len(q.series_keys) for q in self.queries)
-
 
 def plan_batch(queries: Iterable[str | Query], config: MASTConfig) -> BatchPlan:
     """Parse and route a workload; dedupe the series it references."""

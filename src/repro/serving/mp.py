@@ -135,7 +135,7 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
     services: dict[str, QueryService] = {}
     try:
         store = DetectionStore(persist_dir=init.store_dir)
-        engine = InferenceEngine("serial", store=store)
+        engine = InferenceEngine(store=store)
         for warmup in init.shards:
             services[warmup.name] = _build_service(warmup, init, engine)
         invocations = sum(
@@ -257,7 +257,6 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
             )
     for service in services.values():
         service.close()
-    engine.close()
     conn.close()
 
 

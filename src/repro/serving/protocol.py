@@ -81,9 +81,8 @@ def materialize_frames(
 ) -> tuple[PointCloudFrame, ...]:
     """Frames with lazy point providers resolved, safe to pickle.
 
-    Mirrors the inference layer's process-executor preparation: point
-    providers are arbitrary callables, so they are materialized into
-    concrete arrays before crossing the process boundary.  Frames
+    Point providers are arbitrary callables, so they are materialized
+    into concrete arrays before crossing the process boundary.  Frames
     without a provider (every simulated sequence) pay nothing.
     """
     from dataclasses import replace

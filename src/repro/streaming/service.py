@@ -528,9 +528,8 @@ class StreamingCorpusService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the serving process tier (if any) and the corpus engine."""
+        """Stop the serving process tier, if any."""
         self._service.close()
-        self._corpus.close()
 
     def __enter__(self) -> StreamingCorpusService:
         return self

@@ -220,11 +220,6 @@ class ScheduledFrameSource(FrameSource):
         """Number of arrival events the schedule produces in total."""
         return len(self._events)
 
-    @property
-    def remaining_events(self) -> int:
-        """Events not yet delivered."""
-        return len(self._events) - self._cursor
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ScheduledFrameSource(sequences={list(self._full)}, "

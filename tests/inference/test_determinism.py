@@ -1,10 +1,9 @@
-"""Determinism suite: executors and cache states never change results.
+"""Determinism suite: the detection store's state never changes results.
 
-Detectors are deterministic per frame, so the parallel engine must be a
-pure scheduling change: the sampled ids, the detections, the index
-contents and the query answers have to be bit-identical across
-serial / thread execution and across cold / warm detection
-stores.  Only wall-clock time and the hit counters may differ.
+Detectors are deterministic per frame, so a warm store must be a pure
+cost change: the sampled ids, the detections, the index contents and the
+query answers have to be bit-identical across cold / warm detection
+stores.  Only the billed invocations and the hit counters may differ.
 """
 
 from __future__ import annotations
@@ -36,30 +35,22 @@ QUERIES = (
 )
 
 
-def fit_and_query(sequence, executor, *, store=None, wave_size=4):
-    config = MASTConfig(
-        budget_fraction=0.10,
-        executor=executor,
-        workers=2,
-        wave_size=wave_size,
-        seed=3,
-    )
-    with MASTPipeline(config, detection_store=store) as pipeline:
-        pipeline.fit(sequence, pv_rcnn(seed=5))
-        sampling = pipeline.sampling_result
-        snapshot = {
-            "sampled_ids": sampling.sampled_ids.copy(),
-            "detections": {
-                frame_id: objects.centers.copy()
-                for frame_id, objects in sampling.detections.items()
-            },
-            "index_ids": pipeline.index.sampled_ids.copy(),
-            "n_indexed": pipeline.index.n_indexed_objects,
-            "answers": [repr(pipeline.query(q)) for q in QUERIES],
-            "deep_model": pipeline.ledger.simulated[STAGE_MODEL],
-            "invocations": pipeline.ledger.invocations(STAGE_MODEL),
-        }
-    return snapshot
+def fit_and_query(sequence, *, store=None):
+    config = MASTConfig(budget_fraction=0.10, seed=3)
+    pipeline = MASTPipeline(config, detection_store=store).fit(sequence, pv_rcnn(seed=5))
+    sampling = pipeline.sampling_result
+    return {
+        "sampled_ids": sampling.sampled_ids.copy(),
+        "detections": {
+            frame_id: objects.centers.copy()
+            for frame_id, objects in sampling.detections.items()
+        },
+        "index_ids": pipeline.index.sampled_ids.copy(),
+        "n_indexed": pipeline.index.n_indexed_objects,
+        "answers": [repr(pipeline.query(q)) for q in QUERIES],
+        "deep_model": pipeline.ledger.simulated[STAGE_MODEL],
+        "invocations": pipeline.ledger.invocations(STAGE_MODEL),
+    }
 
 
 def assert_snapshots_equal(a, b, *, same_cost=True):
@@ -75,24 +66,11 @@ def assert_snapshots_equal(a, b, *, same_cost=True):
         assert a["invocations"] == b["invocations"]
 
 
-class TestExecutorDeterminism:
-    def test_thread_matches_serial(self, sequence):
-        assert_snapshots_equal(
-            fit_and_query(sequence, "serial"), fit_and_query(sequence, "thread")
-        )
-
-    def test_wave_of_one_matches_across_executors(self, sequence):
-        assert_snapshots_equal(
-            fit_and_query(sequence, "serial", wave_size=1),
-            fit_and_query(sequence, "thread", wave_size=1),
-        )
-
-
 class TestStoreDeterminism:
     def test_warm_store_identical_results_zero_invocations(self, sequence):
         store = DetectionStore()
-        cold = fit_and_query(sequence, "serial", store=store)
-        warm = fit_and_query(sequence, "serial", store=store)
+        cold = fit_and_query(sequence, store=store)
+        warm = fit_and_query(sequence, store=store)
         assert_snapshots_equal(cold, warm, same_cost=False)
         assert warm["invocations"] == 0
         assert warm["deep_model"] == 0.0
@@ -102,16 +80,14 @@ class TestStoreDeterminism:
 
     def test_store_matches_storeless_run(self, sequence):
         assert_snapshots_equal(
-            fit_and_query(sequence, "serial"),
-            fit_and_query(sequence, "serial", store=DetectionStore()),
+            fit_and_query(sequence),
+            fit_and_query(sequence, store=DetectionStore()),
         )
 
     def test_persistent_store_warm_across_instances(self, sequence, tmp_path):
-        cold = fit_and_query(
-            sequence, "serial", store=DetectionStore(persist_dir=tmp_path)
-        )
+        cold = fit_and_query(sequence, store=DetectionStore(persist_dir=tmp_path))
         fresh = DetectionStore(persist_dir=tmp_path)  # new process, cold memory
-        warm = fit_and_query(sequence, "serial", store=fresh)
+        warm = fit_and_query(sequence, store=fresh)
         assert_snapshots_equal(cold, warm, same_cost=False)
         assert warm["invocations"] == 0
         assert fresh.stats().disk_hits == cold["invocations"]
@@ -123,7 +99,7 @@ class TestExperimentStoreReuse:
         workload = QueryWorkload(
             retrieval=full.retrieval[:6], aggregates=full.aggregates
         )
-        config = MASTConfig(budget_fraction=0.10, wave_size=2, seed=3)
+        config = MASTConfig(budget_fraction=0.10, seed=3)
         model = pv_rcnn(seed=5)
         store = DetectionStore()
 

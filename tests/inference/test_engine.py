@@ -1,17 +1,11 @@
-"""Engine accounting: executor interchangeability and ledger semantics."""
+"""Engine accounting: ledger and detection-store semantics."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.inference import (
-    DetectionStore,
-    InferenceEngine,
-    PacedModel,
-    SerialExecutor,
-    make_executor,
-)
+from repro.inference import DetectionStore, InferenceEngine
 from repro.models import pv_rcnn
 from repro.utils.timing import STAGE_MODEL, CostLedger
 
@@ -29,33 +23,6 @@ def detections_equal(a, b):
         assert np.array_equal(a[frame_id].labels, b[frame_id].labels)
         assert np.array_equal(a[frame_id].centers, b[frame_id].centers)
         assert np.array_equal(a[frame_id].scores, b[frame_id].scores)
-
-
-class TestExecutors:
-    @pytest.mark.parametrize("kind", ["serial", "thread"])
-    def test_outputs_match_serial(self, kind, sequence):
-        model = pv_rcnn(seed=5)
-        frames = [sequence[i] for i in range(12)]
-        expected = SerialExecutor().run(model, frames)
-        with make_executor(kind, workers=2) as executor:
-            outputs = executor.run(model, frames)
-        assert len(outputs) == len(expected)
-        for ours, ref in zip(outputs, expected):
-            assert np.array_equal(ours.labels, ref.labels)
-            assert np.array_equal(ours.centers, ref.centers)
-            assert np.array_equal(ours.scores, ref.scores)
-
-    def test_empty_wave(self):
-        with make_executor("thread", workers=2) as executor:
-            assert executor.run(pv_rcnn(), []) == []
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown executor"):
-            make_executor("gpu")
-
-    def test_bad_workers_rejected(self):
-        with pytest.raises(ValueError, match="workers"):
-            make_executor("thread", workers=-1)
 
 
 class TestEngineLedger:
@@ -127,28 +94,3 @@ class TestEngineLedger:
         with InferenceEngine() as engine:
             assert engine.store_stats() is None
 
-
-class TestPacedModel:
-    def test_detections_match_base(self, sequence):
-        base = pv_rcnn(seed=5)
-        paced = PacedModel(base, latency=0.0)
-        ours = paced.detect(sequence[0]).objects
-        ref = base.detect(sequence[0]).objects
-        assert np.array_equal(ours.centers, ref.centers)
-        assert paced.name == base.name
-        assert paced.cost_per_frame == base.cost_per_frame
-        assert paced.num_parameters == base.num_parameters
-
-    def test_shares_store_entries_with_base(self, sequence):
-        base = pv_rcnn(seed=5)
-        store = DetectionStore()
-        with InferenceEngine(store=store) as engine:
-            engine.detect_wave(sequence, [0, 1], PacedModel(base, latency=0.0))
-            warm = CostLedger()
-            engine.detect_wave(sequence, [0, 1], base, ledger=warm)
-        assert warm.cache_hits[STAGE_MODEL] == 2
-        assert warm.invocations(STAGE_MODEL) == 0
-
-    def test_rejects_negative_latency(self):
-        with pytest.raises(ValueError, match="latency"):
-            PacedModel(pv_rcnn(), latency=-0.1)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from repro.inference import DetectionStore, detection_key, model_fingerprint
-from repro.inference.engine import PacedModel
-from repro.models import GroundTruthDetector, pv_rcnn
+from repro.models import DetectionModel, GroundTruthDetector, pv_rcnn
 from repro.models.clustering import ClusteringDetector
 from repro.models.detectors import point_rcnn
 
@@ -42,11 +41,12 @@ class TestModelFingerprint:
             ClusteringDetector(cell_size=0.9)
         )
 
-    def test_paced_wrapper_shares_base_fingerprint(self):
-        base = pv_rcnn(seed=3)
-        assert model_fingerprint(PacedModel(base, latency=0.01)) == model_fingerprint(
-            base
-        )
+    def test_wrapper_shares_base_fingerprint(self):
+        class Wrapper(DetectionModel):
+            base = pv_rcnn(seed=3)
+            detect = base.detect
+
+        assert model_fingerprint(Wrapper()) == model_fingerprint(pv_rcnn(seed=3))
 
 
 class TestDetectionKey:

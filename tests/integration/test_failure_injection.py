@@ -11,8 +11,10 @@ import pytest
 from repro.core import MASTConfig, MASTIndex, MASTPipeline, HierarchicalMultiAgentSampler
 from repro.data import FrameSequence, ObjectArray, PointCloudFrame
 from repro.geometry import Pose2D
+from repro.inference import DetectionStore, InferenceEngine
 from repro.models import DetectionModel, FrameDetections, GroundTruthDetector
 from repro.simulation import semantickitti_like
+from repro.utils.timing import STAGE_MODEL, CostLedger
 
 
 class EmptyDetector(DetectionModel):
@@ -43,6 +45,27 @@ class FlakyDetector(DetectionModel):
         if frame.frame_id == self.poison_frame:
             raise RuntimeError("CUDA error: device-side assert triggered")
         return GroundTruthDetector().detect(frame)
+
+
+class RaisesOnce(DetectionModel):
+    """Delegates to ``base`` (sharing its store entries) but raises on its
+    ``at``-th ``detect`` call, once; ``at=0`` never raises."""
+
+    def __init__(self, base: DetectionModel, at: int):
+        self.base = base
+        self.name = base.name
+        self.cost_per_frame = base.cost_per_frame
+        self.at = at
+        self.calls = 0
+        self.returned = 0
+
+    def detect(self, frame):
+        self.calls += 1
+        if self.calls == self.at:
+            raise RuntimeError("CUDA error: device-side assert triggered")
+        detections = self.base.detect(frame)
+        self.returned += 1
+        return detections
 
 
 class HallucinatingDetector(DetectionModel):
@@ -121,6 +144,106 @@ class TestDetectorCrash:
             pass
         with pytest.raises(ValueError, match="fit"):
             pipeline.query("SELECT AVG OF COUNT(Car)")
+
+
+class TestDetectorRaisesOnce:
+    """A fault costs one failed call: every frame the detector returned
+    before it stays billed, stored and known, so re-entering with what
+    survived finishes the undisturbed run at the undisturbed price."""
+
+    CONFIG = MASTConfig(seed=1)  # 200 frames: budget 20, uniform pass 6
+    QUERIES = (
+        "SELECT FRAMES WHERE COUNT(Car) >= 3",
+        "SELECT AVG OF COUNT(Car)",
+        "SELECT MED OF COUNT(Car DIST <= 30)",
+    )
+
+    @pytest.fixture(scope="class")
+    def sequence(self):
+        return semantickitti_like(0, n_frames=200, with_points=False)
+
+    def session(self, sequence, model, *, engine, ledger, known=None):
+        return HierarchicalMultiAgentSampler(self.CONFIG).session(
+            sequence, model, engine=engine, ledger=ledger, known=known
+        )
+
+    def run(self, sequence, model, **kwargs):
+        session = self.session(sequence, model, **kwargs)
+        session.step(session.remaining)
+        return session.result()
+
+    @pytest.fixture(scope="class")
+    def clean(self, sequence, detector):
+        """The undisturbed run every resumed run must reproduce."""
+        return self.run(sequence, detector, engine=InferenceEngine(), ledger=CostLedger())
+
+    def assert_same_run(self, sequence, detector, resumed, clean, model):
+        assert np.array_equal(resumed.sampled_ids, clean.sampled_ids)
+        assert resumed.rewards == clean.rewards
+        got, want = (
+            MASTPipeline(self.CONFIG).fit_from_sampling(sequence, detector, sampling)
+            for sampling in (resumed, clean)
+        )
+        for text in self.QUERIES:
+            assert repr(got.query(text)) == repr(want.query(text))
+        # Each frame billed once: the fault added a call, not a charge.
+        assert (
+            resumed.ledger.invocations(STAGE_MODEL)
+            == clean.ledger.invocations(STAGE_MODEL)
+            == model.returned
+            == model.calls - 1
+        )
+
+    def test_wave_keeps_what_it_paid_for(self, sequence, detector):
+        model = RaisesOnce(detector, at=4)
+        store, ledger, known = DetectionStore(), CostLedger(), {}
+        engine = InferenceEngine(store=store)
+        with pytest.raises(RuntimeError, match="CUDA"):
+            engine.detect_wave(sequence, range(8), model, ledger=ledger, known=known)
+        assert ledger.invocations(STAGE_MODEL) == len(known) == len(store) == 3
+        engine.detect_wave(sequence, range(8), model, ledger=ledger, known=known)
+        assert ledger.invocations(STAGE_MODEL) == model.returned == len(known) == 8
+        assert model.calls == 9  # the fault itself is the only call not billed
+
+    def test_uniform_pass_resumes_from_the_store(self, sequence, detector, clean):
+        model = RaisesOnce(detector, at=3)  # inside the 6-frame uniform pass
+        engine, ledger = InferenceEngine(store=DetectionStore()), CostLedger()
+        with pytest.raises(RuntimeError, match="CUDA"):
+            self.session(sequence, model, engine=engine, ledger=ledger)
+        assert ledger.invocations(STAGE_MODEL) == len(engine.store) == 2
+        resumed = self.run(sequence, model, engine=engine, ledger=ledger)
+        self.assert_same_run(sequence, detector, resumed, clean, model)
+
+    def test_adaptive_step_resumes_from_known(self, sequence, detector, clean):
+        model = RaisesOnce(detector, at=12)  # the 6th adaptive round
+        engine, ledger = InferenceEngine(), CostLedger()  # no store: known= alone
+        session = self.session(sequence, model, engine=engine, ledger=ledger)
+        with pytest.raises(RuntimeError, match="CUDA"):
+            session.step(session.remaining)
+        survived = session.result().detections
+        assert ledger.invocations(STAGE_MODEL) == len(survived) == 11
+        resumed = self.run(
+            sequence, model, engine=engine, ledger=ledger, known=survived
+        )
+        self.assert_same_run(sequence, detector, resumed, clean, model)
+
+    def test_oracle_pass_resumes_from_the_store(self, sequence, detector):
+        from repro.baselines import OracleCountProvider
+        from repro.query import QueryEngine
+
+        clean = OracleCountProvider(sequence, detector)
+        model = RaisesOnce(detector, at=50)
+        engine, ledger = InferenceEngine(store=DetectionStore()), CostLedger()
+        with pytest.raises(RuntimeError, match="CUDA"):
+            OracleCountProvider(sequence, model, ledger=ledger, engine=engine)
+        assert ledger.invocations(STAGE_MODEL) == len(engine.store) == 49
+        resumed = OracleCountProvider(sequence, model, ledger=ledger, engine=engine)
+        assert ledger.invocations(STAGE_MODEL) == model.returned == len(sequence)
+        assert clean.ledger.invocations(STAGE_MODEL) == len(sequence)
+        for text in self.QUERIES:
+            assert repr(QueryEngine(resumed).execute(text)) == repr(
+                QueryEngine(clean).execute(text)
+            )
 
 
 class TestHallucination:

@@ -8,10 +8,9 @@ retrieval or aggregate — is bit-identical to a batch
 final sequences.  Streaming must be a latency/staleness trade-off,
 never an accuracy one.
 
-Pinned for both allocator policies and at ``wave_size=1`` (the paper's
-sequential Alg. 2) and ``wave_size>1`` (batched waves), with the two
-bounded-staleness extremes: ``max_lag_frames=0`` (every arrival is a
-1-frame extend) and a buffered lag.
+Pinned for both allocator policies at the two bounded-staleness
+extremes: ``max_lag_frames=0`` (every arrival is a 1-frame extend) and a
+buffered lag.
 """
 
 from __future__ import annotations
@@ -57,16 +56,11 @@ def _workload(names, seed: int) -> list[str]:
 
 
 @pytest.mark.parametrize("policy", ["uniform", "ucb"])
-@pytest.mark.parametrize(
-    ("wave_size", "max_lag"),
-    [(1, 0), (4, 3)],
-    ids=["wave1-lag0", "wave4-lag3"],
-)
+@pytest.mark.parametrize("max_lag", [0, 3], ids=["lag0", "lag3"])
 class TestDrainedBitIdentity:
     def test_streaming_equals_batch(
-        self, stream_sequences, config, model, policy, wave_size, max_lag
+        self, stream_sequences, config, model, policy, max_lag
     ):
-        config = config.with_overrides(wave_size=wave_size)
         source = _source(stream_sequences)
         with StreamingCorpusService(
             source,
@@ -101,12 +95,11 @@ class TestDrainedBitIdentity:
                     )
 
     def test_sampled_frames_match_batch(
-        self, stream_sequences, config, model, policy, wave_size, max_lag
+        self, stream_sequences, config, model, policy, max_lag
     ):
         """The final plan itself — not just answers — matches batch."""
         import numpy as np
 
-        config = config.with_overrides(wave_size=wave_size)
         source = _source(stream_sequences)
         with StreamingCorpusService(
             source,

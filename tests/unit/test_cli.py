@@ -1,6 +1,9 @@
 """Unit tests for the command-line interface."""
 
+import argparse
 import io
+import re
+from pathlib import Path
 
 import pytest
 
@@ -40,6 +43,47 @@ class TestParser:
     def test_unknown_dataset_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--dataset", "waymo", "--out", "x"])
+
+    def test_detection_scheduling_flags_are_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["fit", "--sequence", "s", "--out", "d", "--executor", "thread"]
+            )
+
+    def test_documented_flags_exist(self):
+        """Every ``repro <subcommand> ... --flag`` in a code span or block
+        of README.md / docs/*.md is an option of that subcommand."""
+        from repro.analysis.cli import build_lint_parser
+
+        def subcommands(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    return action.choices
+            return {}
+
+        root = Path(__file__).resolve().parents[2]
+        top = build_parser()
+        unknown = []
+        for doc in [root / "README.md", *sorted((root / "docs").glob("*.md"))]:
+            text = doc.read_text().replace("\\\n", " ")
+            code = re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.DOTALL)
+            for command in re.findall(r"\brepro ([^\n`#|;&]+)", "\n".join(code)):
+                parser, path = top, []
+                for word in command.split():
+                    if word not in subcommands(parser):
+                        break
+                    parser = subcommands(parser)[word]
+                    path.append(word)
+                if not path:
+                    continue
+                if path == ["lint"]:  # forwards its arguments to the linter's parser
+                    parser = build_lint_parser()
+                unknown += [
+                    f"{doc.name}: repro {' '.join(path)} {flag}"
+                    for flag in re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", command)
+                    if flag not in parser._option_string_actions
+                ]
+        assert not unknown
 
     def test_simulate_defaults(self):
         args = build_parser().parse_args(["simulate", "--out", "x.npz"])

@@ -168,14 +168,3 @@ class TestIntrospection:
         tree = make_tree((0, 100))
         assert tree.depth_reached() == 1
         assert tree.n_nodes() == 2
-
-    def test_add_root_segments(self):
-        tree = make_tree((0, 50, 100))
-        tree.add_root_segments([100, 150, 200])
-        assert tree.root.hi == 200
-        assert len(tree.root.children) == 4
-
-    def test_add_root_segments_validation(self):
-        tree = make_tree((0, 100))
-        with pytest.raises(ValueError):
-            tree.add_root_segments([50, 150])

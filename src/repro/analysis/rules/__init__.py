@@ -17,7 +17,7 @@ from repro.analysis.rules.concurrency import (
     LockOrderInversion,
 )
 from repro.analysis.rules.determinism import NoGlobalRng, NoUnseededRng
-from repro.analysis.rules.hygiene import ExecutorShutdown, MutableDefaultArgs
+from repro.analysis.rules.hygiene import MutableDefaultArgs
 from repro.analysis.rules.ledger import LedgerChargeDiscipline
 from repro.analysis.rules.locks import LockDiscipline
 from repro.analysis.rules.process import ProcessSafety
@@ -33,7 +33,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     LedgerChargeDiscipline,
     NoUnseededRng,
     MutableDefaultArgs,
-    ExecutorShutdown,
     ProcessSafety,
     LockOrderInversion,
     BlockingUnderLock,

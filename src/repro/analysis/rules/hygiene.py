@@ -1,17 +1,9 @@
-"""Hygiene rules: RPR006 mutable-default-args, RPR007 executor-shutdown.
+"""Hygiene rule: RPR006 mutable-default-args.
 
 RPR006 is the classic Python trap with a project-specific sting: a
 mutable default (``detections={}``) shared across calls is exactly the
 kind of cross-run state leak that the DetectionStore's content-keyed
 design exists to prevent — results would depend on call order.
-
-RPR007 guards against worker-pool leaks.  Every
-``ThreadPoolExecutor`` / ``ProcessPoolExecutor`` construction must be
-visibly paired with a shutdown path: either used as a context manager,
-or returned/stored for a ``close()``-style owner **in a module that
-calls ``.shutdown(...)`` somewhere**.  A leaked process pool keeps
-worker processes (and their copy of the detection store) alive past the
-benchmark that spawned them.
 """
 
 from __future__ import annotations
@@ -21,19 +13,10 @@ from typing import Iterator
 
 from repro.analysis.base import Finding, ModuleContext, Rule
 
-__all__ = ["MutableDefaultArgs", "ExecutorShutdown"]
+__all__ = ["MutableDefaultArgs"]
 
 _MUTABLE_CALLS = frozenset(
     {"list", "dict", "set", "defaultdict", "OrderedDict", "deque", "Counter"}
-)
-
-_POOL_TYPES = frozenset(
-    {
-        "concurrent.futures.ThreadPoolExecutor",
-        "concurrent.futures.ProcessPoolExecutor",
-        "concurrent.futures.thread.ThreadPoolExecutor",
-        "concurrent.futures.process.ProcessPoolExecutor",
-    }
 )
 
 
@@ -77,51 +60,3 @@ class MutableDefaultArgs(Rule):
                         "to None and construct inside the function",
                     )
 
-
-class ExecutorShutdown(Rule):
-    code = "RPR007"
-    name = "executor-shutdown"
-    rationale = (
-        "every ThreadPoolExecutor/ProcessPoolExecutor must be paired "
-        "with a shutdown (context manager, or owned by a close() path)"
-    )
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        module_has_shutdown = any(
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "shutdown"
-            for node in ast.walk(ctx.tree)
-        )
-        managed: set[int] = set()
-        owned: set[int] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.With, ast.AsyncWith)):
-                for item in node.items:
-                    if isinstance(item.context_expr, ast.Call):
-                        managed.add(id(item.context_expr))
-            elif isinstance(node, ast.Return) and isinstance(node.value, ast.Call):
-                owned.add(id(node.value))
-            elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call):
-                owned.add(id(node.value))
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.value, ast.Call
-            ):
-                owned.add(id(node.value))
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            qualified = ctx.imports.resolve(node.func)
-            if qualified not in _POOL_TYPES:
-                continue
-            if id(node) in managed:
-                continue
-            if id(node) in owned and module_has_shutdown:
-                continue
-            yield self.finding(
-                ctx,
-                node,
-                f"'{qualified.rsplit('.', 1)[1]}' constructed without a "
-                "visible shutdown path; use 'with ...' or store it where "
-                "a close()/shutdown() releases it",
-            )

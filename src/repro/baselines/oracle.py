@@ -15,7 +15,7 @@ from repro.data.annotations import ObjectArray
 from repro.data.sequence import FrameSequence
 from repro.inference import InferenceEngine
 from repro.models.base import DetectionModel
-from repro.query.predicates import ObjectFilter
+from repro.query.predicates import ObjectFilter, ObjectRows
 from repro.utils.timing import CostLedger
 
 __all__ = ["OracleCountProvider", "SIMULATED_QUERY_COST_ORACLE"]
@@ -46,50 +46,18 @@ class OracleCountProvider:
         self._detections = (engine or InferenceEngine()).detect_wave(
             sequence, range(self.n_frames), model, ledger=self.ledger
         )
-
-        frame_idx_parts: list[np.ndarray] = []
-        label_parts: list[np.ndarray] = []
-        position_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
-        for frame in sequence:
-            objects = self._detections[frame.frame_id]
-            if not len(objects):
-                continue
-            frame_idx_parts.append(
-                np.full(len(objects), frame.frame_id, dtype=np.int64)
-            )
-            label_parts.append(objects.labels)
-            position_parts.append(objects.centers[:, :2])
-            score_parts.append(objects.scores)
-
-        if frame_idx_parts:
-            self._frame_index = np.concatenate(frame_idx_parts)
-            self._labels = np.concatenate(label_parts)
-            self._positions = np.concatenate(position_parts)
-            self._scores = np.concatenate(score_parts)
-        else:
-            self._frame_index = np.zeros(0, dtype=np.int64)
-            self._labels = np.empty(0, dtype="<U16")
-            self._positions = np.zeros((0, 2))
-            self._scores = np.zeros(0)
-        self._cache: dict[ObjectFilter, np.ndarray] = {}
+        self._rows = ObjectRows.flatten(self._detections)
 
     # ------------------------------------------------------------------
     def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
         """Exact count series for ``object_filter``."""
-        cached = self._cache.get(object_filter)
-        if cached is not None:
-            return cached
-        mask = self._scores >= object_filter.confidence
-        if object_filter.label is not None:
-            mask &= self._labels == object_filter.label
-        if object_filter.spatial is not None:
-            mask &= object_filter.spatial.mask_positions(self._positions)
-        counts = np.bincount(
-            self._frame_index[mask], minlength=self.n_frames
-        ).astype(float)
-        self._cache[object_filter] = counts
-        return counts
+        return self.count_series_many([object_filter])[object_filter]
+
+    def count_series_many(
+        self, filters, *, start: int = 0
+    ) -> dict[ObjectFilter, np.ndarray]:
+        """Exact count series of ``filters`` over frames ``[start, n_frames)``."""
+        return self._rows.count_series(filters, self.n_frames, start=start)
 
     def detections_at(self, frame_id: int) -> ObjectArray:
         """The model's detections for one frame."""

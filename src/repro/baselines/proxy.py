@@ -32,7 +32,7 @@ from repro.inference import InferenceEngine
 from repro.models.base import DetectionModel
 from repro.models.detectors import SimulatedDetector
 from repro.models.noise import NoiseProfile
-from repro.query.predicates import ObjectFilter
+from repro.query.predicates import ObjectFilter, ObjectRows
 from repro.utils.timing import CostLedger
 from repro.utils.validation import require_fraction
 
@@ -104,8 +104,13 @@ class ProxyCountProvider:
             sequence, proxy_model, oracle_model, engine or InferenceEngine()
         )
 
-        self._cache: dict[ObjectFilter, np.ndarray] = {}
-        self._fits: dict[ObjectFilter, tuple[float, float]] = {}
+        self._proxy_rows = ObjectRows.flatten(self._proxy_detections)
+        self._oracle_rows = ObjectRows.flatten(
+            {
+                position: self._oracle_detections[int(frame_id)]
+                for position, frame_id in enumerate(self.calibration_ids)
+            }
+        )
 
     # ------------------------------------------------------------------
     def _detect_passes(
@@ -128,57 +133,48 @@ class ProxyCountProvider:
         )
 
     # ------------------------------------------------------------------
+    def _fits(self, filters):
+        """``(filter, raw proxy series, slope, intercept)`` per filter.
+
+        The line is the least-squares fit ``oracle ~ slope * proxy +
+        intercept`` over the calibration frames.
+        """
+        raw = self._proxy_rows.count_series(filters, self.n_frames)
+        oracle = self._oracle_rows.count_series(raw, len(self.calibration_ids))
+        for object_filter, series in raw.items():
+            proxy_counts = series[self.calibration_ids]
+            oracle_counts = oracle[object_filter]
+            variance = float(np.var(proxy_counts))
+            if variance < 1e-12:
+                # Constant proxy signal: fall back to matching the means.
+                slope = 1.0
+                intercept = float(np.mean(oracle_counts) - np.mean(proxy_counts))
+            else:
+                slope = float(
+                    np.cov(proxy_counts, oracle_counts, bias=True)[0, 1] / variance
+                )
+                intercept = float(
+                    np.mean(oracle_counts) - slope * np.mean(proxy_counts)
+                )
+            yield object_filter, series, slope, intercept
+
     def calibration_for(self, object_filter: ObjectFilter) -> tuple[float, float]:
         """The fitted ``(slope, intercept)`` for one filter."""
-        fit = self._fits.get(object_filter)
-        if fit is not None:
-            return fit
-        proxy_counts = np.array(
-            [
-                object_filter.count(self._proxy_detections[int(frame_id)])
-                for frame_id in self.calibration_ids
-            ],
-            dtype=float,
-        )
-        oracle_counts = np.array(
-            [
-                object_filter.count(self._oracle_detections[int(frame_id)])
-                for frame_id in self.calibration_ids
-            ],
-            dtype=float,
-        )
-        variance = float(np.var(proxy_counts))
-        if variance < 1e-12:
-            # Constant proxy signal: fall back to matching the means.
-            slope = 1.0
-            intercept = float(np.mean(oracle_counts) - np.mean(proxy_counts))
-        else:
-            slope = float(
-                np.cov(proxy_counts, oracle_counts, bias=True)[0, 1] / variance
-            )
-            intercept = float(
-                np.mean(oracle_counts) - slope * np.mean(proxy_counts)
-            )
-        fit = (slope, intercept)
-        self._fits[object_filter] = fit
-        return fit
+        ((_, _, slope, intercept),) = self._fits([object_filter])
+        return slope, intercept
 
     def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
         """Calibrated per-frame counts from the proxy detections."""
-        cached = self._cache.get(object_filter)
-        if cached is not None:
-            return cached
-        slope, intercept = self.calibration_for(object_filter)
-        raw = np.array(
-            [
-                object_filter.count(self._proxy_detections[frame_id])
-                for frame_id in range(self.n_frames)
-            ],
-            dtype=float,
-        )
-        counts = np.maximum(slope * raw + intercept, 0.0)
-        self._cache[object_filter] = counts
-        return counts
+        return self.count_series_many([object_filter])[object_filter]
+
+    def count_series_many(
+        self, filters, *, start: int = 0
+    ) -> dict[ObjectFilter, np.ndarray]:
+        """Calibrated count series of ``filters`` over frames ``[start, n_frames)``."""
+        return {
+            object_filter: np.maximum(slope * raw[start:] + intercept, 0.0)
+            for object_filter, raw, slope, intercept in self._fits(filters)
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -3,7 +3,7 @@
 from repro.core.autopredict import PredictorCalibration, calibrate_predictors
 from repro.core.bandit import UCBAgent, ucb_score
 from repro.core.config import MASTConfig
-from repro.core.index import LinearCountProvider, MASTIndex, STCountProvider
+from repro.core.index import LinearCountProvider, MASTIndex
 from repro.core.pipeline import MASTPipeline
 from repro.core.reward import count_deviation_reward, st_reward
 from repro.core.sampler import (
@@ -26,7 +26,6 @@ __all__ = [
     "MASTPipeline",
     "MotionEstimate",
     "PredictorCalibration",
-    "STCountProvider",
     "calibrate_predictors",
     "SamplingResult",
     "SegmentNode",

@@ -1,4 +1,4 @@
-"""The MAST index (paper Alg. 3) and its count providers.
+"""The MAST index (paper Alg. 3) and the linear count provider.
 
 After sampling, the index stores — for every frame in the sequence —
 either the deep model's detections (sampled frames) or the ST-PC
@@ -8,19 +8,20 @@ paper reports the index makes ST prediction ~2x faster by "preventing
 repeated computation".
 
 Internally the per-object rows of all frames are flattened into parallel
-columns (frame index, label, distance-to-sensor, confidence), so a count
-series for any object filter is one vectorized mask + ``bincount``.
-When the config enables it, the first region-shaped count series also
-organizes the rows into a BEV :class:`~repro.spatial.SpatialTileIndex`,
-and spatially filtered count series route through it from then on —
-pruning tiles outside the predicate and answering fully covered tiles
-from per-tile count summaries, with bit-identical results.  An index
-that is never asked such a query never builds its tiles.
+columns (:class:`~repro.query.predicates.ObjectRows`: frame index,
+label, position, confidence), so a count series for any object filter is
+one vectorized mask + ``bincount``.  When the config enables it, the
+first region-shaped count series also organizes the rows into a BEV
+:class:`~repro.spatial.SpatialTileIndex`, and region-shaped series route
+through it from then on — pruning tiles outside the predicate and
+answering fully covered tiles from per-tile count summaries, with
+bit-identical results.  An index that is never asked such a query never
+builds its tiles.
 
-Two :class:`~repro.query.engine.CountProvider` implementations sit on
-top:
+Two :class:`~repro.query.engine.CountProvider` implementations live
+here:
 
-* :class:`STCountProvider` — per-frame counts from the indexed boxes
+* :class:`MASTIndex` itself — per-frame counts from the indexed boxes
   (ST-based prediction, Eq. 3/4 applied to ``B^e_t``);
 * :class:`LinearCountProvider` — Seiden-style linear interpolation of
   the counts measured at sampled frames (§5.3, Example 5.3).
@@ -38,12 +39,11 @@ from repro.core.sampler import SamplingResult
 from repro.core.stpc import MotionEstimate, analyze_pair_once
 from repro.data.annotations import ObjectArray
 from repro.inference import InferenceEngine
-from repro.query.predicates import ObjectFilter
+from repro.query.predicates import ObjectFilter, ObjectRows, SpatialPredicate
 from repro.utils.timing import STAGE_INDEX, CostLedger
 
 __all__ = [
     "MASTIndex",
-    "STCountProvider",
     "LinearCountProvider",
     "SIMULATED_INDEX_COST_PER_FRAME",
     "SIMULATED_QUERY_COST_ST",
@@ -59,21 +59,31 @@ SIMULATED_QUERY_COST_ST = 1.55e-5
 SIMULATED_QUERY_COST_LINEAR = 6.6e-6
 
 
+def _region_shaped(object_filter: ObjectFilter) -> bool:
+    """Whether tiles can prune for this filter: any spatial filter but a
+    plain distance cut, which one shared distance scan answers faster."""
+    spatial = object_filter.spatial
+    return spatial is not None and not isinstance(spatial, SpatialPredicate)
+
+
 class MASTIndex:
     """Per-frame (real or ST-predicted) object sets in flat-column form.
 
+    Also the ST-prediction count provider (Eq. 3/4).
+
     # guarded-by: _tile_lock: spatial_index
     """
+
+    simulated_query_cost_per_frame = SIMULATED_QUERY_COST_ST
+    #: Provider kind used as the cache-key namespace by the serving layer.
+    kind = "st"
 
     def __init__(
         self,
         n_frames: int,
         timestamps: np.ndarray,
         sampled_ids: np.ndarray,
-        frame_index: np.ndarray,
-        labels: np.ndarray,
-        positions: np.ndarray,
-        scores: np.ndarray,
+        rows: ObjectRows,
         estimates: dict[tuple[int, int], MotionEstimate],
         gap_rows: dict[tuple[int, int], tuple[int, int]],
         detections: dict[int, ObjectArray],
@@ -83,10 +93,7 @@ class MASTIndex:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
         self.sampled_ids = np.asarray(sampled_ids, dtype=np.int64)
-        self._frame_index = frame_index
-        self._labels = labels
-        self._positions = positions
-        self._scores = scores
+        self._rows = rows
         self._estimates = estimates
         #: Gap -> ``[lo, hi)`` span of its predicted rows in the flat
         #: columns; a later build slices them instead of re-predicting.
@@ -141,26 +148,17 @@ class MASTIndex:
         sampled = result.sampled_ids
         timestamps = result.timestamps
 
-        frame_idx_parts: list[np.ndarray] = []
-        label_parts: list[np.ndarray] = []
-        position_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
         estimates: dict[tuple[int, int], MotionEstimate] = {}
         gap_rows: dict[tuple[int, int], tuple[int, int]] = {}
         prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
         prior_rows: dict[tuple[int, int], tuple[int, int]] = {}
-        prior_columns: tuple[np.ndarray, ...] = ()
+        prior_columns: ObjectRows | None = None
         if previous is not None:
             shared = min(previous.n_frames, result.n_frames)
             if np.array_equal(previous.timestamps[:shared], timestamps[:shared]):
                 prior_estimates = previous._estimates
                 prior_rows = previous._gap_rows
-                prior_columns = (
-                    previous._frame_index,
-                    previous._labels,
-                    previous._positions,
-                    previous._scores,
-                )
+                prior_columns = previous._rows
 
         with ledger.measure(STAGE_INDEX):
             ledger.charge(
@@ -169,18 +167,12 @@ class MASTIndex:
                 count=0,
             )
             # Sampled frames: store the model output directly.
-            n_rows = 0
-            for frame_id in sampled:
-                objects = result.detections[int(frame_id)]
-                if not len(objects):
-                    continue
-                frame_idx_parts.append(
-                    np.full(len(objects), frame_id, dtype=np.int64)
+            parts = [
+                ObjectRows.flatten(
+                    {int(frame_id): result.detections[int(frame_id)] for frame_id in sampled}
                 )
-                label_parts.append(objects.labels)
-                position_parts.append(objects.centers[:, :2])
-                score_parts.append(objects.scores)
-                n_rows += len(objects)
+            ]
+            n_rows = len(parts[0].frame_index)
 
             # Unsampled frames: ST-PC prediction per gap (Alg. 3 lines 2-6).
             for start, end in zip(sampled[:-1], sampled[1:]):
@@ -197,34 +189,19 @@ class MASTIndex:
                 )
                 estimates[(start, end)] = estimate
                 if prior_estimates.get((start, end)) is estimate:
+                    assert prior_columns is not None
                     lo, hi = prior_rows[(start, end)]
-                    frame_idx, labels, positions, scores = (
-                        column[lo:hi] for column in prior_columns
-                    )
+                    gap = ObjectRows(*(column[lo:hi] for column in prior_columns))
                 else:
                     interior = np.arange(start + 1, end, dtype=np.int64)
                     local_idx, labels, positions, scores = estimate.predict_flat(
                         timestamps[interior]
                     )
-                    frame_idx = interior[local_idx]
-                gap_rows[(start, end)] = (n_rows, n_rows + len(labels))
-                if len(labels):
-                    frame_idx_parts.append(frame_idx)
-                    label_parts.append(labels)
-                    position_parts.append(positions)
-                    score_parts.append(scores)
-                    n_rows += len(labels)
-
-        if frame_idx_parts:
-            frame_index = np.concatenate(frame_idx_parts)
-            labels = np.concatenate(label_parts)
-            positions = np.concatenate(position_parts)
-            scores = np.concatenate(score_parts)
-        else:
-            frame_index = np.zeros(0, dtype=np.int64)
-            labels = np.empty(0, dtype="<U16")
-            positions = np.zeros((0, 2))
-            scores = np.zeros(0)
+                    gap = ObjectRows(interior[local_idx], labels, positions, scores)
+                gap_rows[(start, end)] = (n_rows, n_rows + len(gap.frame_index))
+                parts.append(gap)
+                n_rows += len(gap.frame_index)
+        rows = ObjectRows.concatenate(parts)
 
         spatial_index = None
         if config.spatial_index and previous is not None and boundary is not None:  # repro: noqa[RPR003] the frozen config's flag of the same name, not the guarded attribute
@@ -234,22 +211,14 @@ class MASTIndex:
                 prior = previous.spatial_index
             if prior is not None:
                 spatial_index = prior.updated(
-                    frame_index,
-                    labels,
-                    positions,
-                    scores,
-                    result.n_frames,
-                    boundary=boundary,
+                    *rows, result.n_frames, boundary=boundary
                 )
 
         return cls(
             n_frames=result.n_frames,
             timestamps=timestamps,
             sampled_ids=sampled,
-            frame_index=frame_index,
-            labels=labels,
-            positions=positions,
-            scores=scores,
+            rows=rows,
             estimates=estimates,
             gap_rows=gap_rows,
             detections=result.detections,
@@ -271,13 +240,7 @@ class MASTIndex:
                 if tiles is None:
                     from repro.spatial import SpatialTileIndex
 
-                    tiles = SpatialTileIndex(
-                        self._frame_index,
-                        self._labels,
-                        self._positions,
-                        self._scores,
-                        self.n_frames,
-                    )
+                    tiles = SpatialTileIndex(*self._rows, self.n_frames)
                     self.spatial_index = tiles
         return tiles
 
@@ -285,103 +248,28 @@ class MASTIndex:
     # Queries
     # ------------------------------------------------------------------
     def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
-        """Per-frame counts of indexed objects matching ``object_filter``.
-
-        Spatially filtered series route through the tile index unless
-        the config disables it (bit-identical; tiles outside the
-        predicate are pruned), building it on the first such request.
-        Label-only / confidence-only filters stay on the flat vectorized
-        scan — no tile can be excluded without geometry.
-        """
-        tiles = self._tiles() if object_filter.spatial is not None else None
-        if tiles is not None:
-            return tiles.count_series(object_filter)
-        mask = self._scores >= object_filter.confidence
-        if object_filter.label is not None:
-            mask &= self._labels == object_filter.label
-        if object_filter.spatial is not None:
-            mask &= object_filter.spatial.mask_positions(self._positions)
-        return np.bincount(
-            self._frame_index[mask], minlength=self.n_frames
-        ).astype(float)
+        """Per-frame counts of indexed objects matching ``object_filter``."""
+        return self.count_series_many([object_filter])[object_filter]
 
     def count_series_many(
-        self, filters
+        self, filters, *, start: int = 0
     ) -> dict[ObjectFilter, np.ndarray]:
-        """Count series for several filters, sharing predicate work.
+        """Count series of ``filters`` over frames ``[start, n_frames)``.
 
-        Confidence-cut and label masks are computed once per distinct
-        threshold/label, and the sensor distance of every indexed object
-        once for all :class:`~repro.query.predicates.SpatialPredicate`
-        filters — the dominant cost when a workload grid repeats the
-        same label over many distance cuts.  Answers are bit-identical
-        to per-filter :meth:`count_series` calls.
+        One routing rule: a region-shaped filter (any spatial filter but
+        a plain distance cut) asked from frame 0 walks the tile index —
+        building it on first use — unless the config disables tiling;
+        every other series is one batched flat scan of the rows of
+        frames ``>= start``.  Both are bit-identical to the brute-force
+        count.
         """
-        from repro.query.predicates import SpatialPredicate
-
-        series: dict[ObjectFilter, np.ndarray] = {}
-        conf_masks: dict[float, np.ndarray] = {}
-        label_masks: dict[str, np.ndarray] = {}
-        distances: np.ndarray | None = None
-        for object_filter in dict.fromkeys(filters):
-            # Region-shaped filters gain more from tile pruning than
-            # from the shared-mask batching; plain distance cuts keep
-            # the shared-distance fast path below.
-            tiles = None
-            if object_filter.spatial is not None and not isinstance(
-                object_filter.spatial, SpatialPredicate
-            ):
-                tiles = self._tiles()
-            if tiles is not None:
-                series[object_filter] = tiles.count_series(object_filter)
-                continue
-            mask = conf_masks.get(object_filter.confidence)
-            if mask is None:
-                mask = self._scores >= object_filter.confidence
-                conf_masks[object_filter.confidence] = mask
-            mask = mask.copy()
-            if object_filter.label is not None:
-                label_mask = label_masks.get(object_filter.label)
-                if label_mask is None:
-                    label_mask = self._labels == object_filter.label
-                    label_masks[object_filter.label] = label_mask
-                mask &= label_mask
-            spatial = object_filter.spatial
-            if isinstance(spatial, SpatialPredicate):
-                if distances is None:
-                    distances = np.hypot(
-                        self._positions[:, 0], self._positions[:, 1]
-                    )
-                mask &= spatial.mask(distances)
-            elif spatial is not None:
-                mask &= spatial.mask_positions(self._positions)
-            series[object_filter] = np.bincount(
-                self._frame_index[mask], minlength=self.n_frames
-            ).astype(float)
+        filters = list(dict.fromkeys(filters))
+        region = [f for f in filters if start == 0 and _region_shaped(f)]
+        tiles = self._tiles() if region else None
+        series = {f: tiles.count_series(f) for f in region} if tiles is not None else {}
+        flat = [f for f in filters if f not in series]
+        series.update(self._rows.count_series(flat, self.n_frames, start=start))
         return series
-
-    def count_series_tail(self, object_filter: ObjectFilter, start: int) -> np.ndarray:
-        """Counts for frames ``[start, n_frames)`` only.
-
-        Applies the filter to just the indexed rows of the tail region,
-        so recomputing the frames invalidated by an :meth:`extend` costs
-        O(tail rows) instead of O(all rows).  Bit-identical to
-        ``count_series(object_filter)[start:]``.
-        """
-        start = int(start)
-        if start <= 0:
-            return self.count_series(object_filter)
-        selector = self._frame_index >= start
-        scores = self._scores[selector]
-        mask = scores >= object_filter.confidence
-        if object_filter.label is not None:
-            mask &= self._labels[selector] == object_filter.label
-        if object_filter.spatial is not None:
-            mask &= object_filter.spatial.mask_positions(self._positions[selector])
-        return np.bincount(
-            self._frame_index[selector][mask] - start,
-            minlength=self.n_frames - start,
-        ).astype(float)
 
     def spatial_stats(self) -> dict[str, float] | None:
         """Tile-pruning counters of the spatial index.
@@ -412,34 +300,13 @@ class MASTIndex:
     @property
     def n_indexed_objects(self) -> int:
         """Total rows in the flat columns (real + predicted boxes)."""
-        return int(len(self._frame_index))
+        return int(len(self._rows.frame_index))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MASTIndex(frames={self.n_frames}, sampled={len(self.sampled_ids)}, "
             f"objects={self.n_indexed_objects})"
         )
-
-
-class STCountProvider:
-    """Count provider backed by the ST-prediction index (Eq. 3/4)."""
-
-    simulated_query_cost_per_frame = SIMULATED_QUERY_COST_ST
-    #: Provider kind used as the cache-key namespace by the serving layer.
-    kind = "st"
-
-    def __init__(self, index: MASTIndex) -> None:
-        self.index = index
-        self.n_frames = index.n_frames
-
-    def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
-        return self.index.count_series(object_filter)
-
-    def count_series_many(self, filters) -> dict[ObjectFilter, np.ndarray]:
-        return self.index.count_series_many(filters)
-
-    def count_series_tail(self, object_filter: ObjectFilter, start: int) -> np.ndarray:
-        return self.index.count_series_tail(object_filter, start)
 
 
 @dataclass
@@ -460,86 +327,46 @@ class LinearCountProvider:
     def __post_init__(self) -> None:
         self.n_frames = self.result.n_frames
         self._sample_times = self.result.timestamps[self.result.sampled_ids]
+        #: Rows of every sampled frame, binned by sample position; built
+        #: by the first count from frame 0, so fitting pays nothing.
+        self._rows: ObjectRows | None = None
 
-    def _sampled_counts(self, object_filter: ObjectFilter, first: int = 0) -> np.ndarray:
-        """Counts measured at the sampled frames from position ``first`` on."""
-        return np.array(
-            [
-                object_filter.count(self.result.detections[int(frame_id)])
-                for frame_id in self.result.sampled_ids[first:]
-            ],
-            dtype=float,
+    def _sample_rows(self, first: int) -> ObjectRows:
+        """Rows of the sampled frames from position ``first`` on, binned
+        by sample position minus ``first``."""
+        if first == 0 and self._rows is not None:
+            return self._rows
+        rows = ObjectRows.flatten(
+            {
+                position: self.result.detections[int(frame_id)]
+                for position, frame_id in enumerate(self.result.sampled_ids[first:])
+            }
         )
+        if first == 0:
+            self._rows = rows
+        return rows
 
     def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
-        return np.interp(
-            self.result.timestamps,
-            self._sample_times,
-            self._sampled_counts(object_filter),
-        )
+        return self.count_series_many([object_filter])[object_filter]
 
-    def count_series_many(self, filters) -> dict[ObjectFilter, np.ndarray]:
-        """Count series for several filters in one pass over sampled frames.
-
-        Confidence and label masks are shared across filters within each
-        sampled frame, and every object's sensor distance is computed
-        once per frame for all distance predicates.  Bit-identical to
-        per-filter :meth:`count_series` calls.
-        """
-        from repro.query.predicates import SpatialPredicate
-
-        filters = list(dict.fromkeys(filters))
-        sampled_ids = self.result.sampled_ids
-        rows = np.zeros((len(filters), len(sampled_ids)))
-        for column, frame_id in enumerate(sampled_ids):
-            objects = self.result.detections[int(frame_id)]
-            positions = objects.centers[:, :2]
-            conf_masks: dict[float, np.ndarray] = {}
-            label_masks: dict[str, np.ndarray] = {}
-            distances: np.ndarray | None = None
-            for row, object_filter in enumerate(filters):
-                mask = conf_masks.get(object_filter.confidence)
-                if mask is None:
-                    mask = objects.scores >= object_filter.confidence
-                    conf_masks[object_filter.confidence] = mask
-                mask = mask.copy()
-                if object_filter.label is not None:
-                    label_mask = label_masks.get(object_filter.label)
-                    if label_mask is None:
-                        label_mask = objects.labels == object_filter.label
-                        label_masks[object_filter.label] = label_mask
-                    mask &= label_mask
-                spatial = object_filter.spatial
-                if isinstance(spatial, SpatialPredicate):
-                    if distances is None:
-                        distances = np.hypot(positions[:, 0], positions[:, 1])
-                    mask &= spatial.mask(distances)
-                elif spatial is not None:
-                    mask &= spatial.mask_positions(positions)
-                rows[row, column] = int(mask.sum())
-        return {
-            object_filter: np.interp(
-                self.result.timestamps, self._sample_times, rows[row]
-            )
-            for row, object_filter in enumerate(filters)
-        }
-
-    def count_series_tail(self, object_filter: ObjectFilter, start: int) -> np.ndarray:
-        """Counts for frames ``[start, n_frames)`` only.
+    def count_series_many(
+        self, filters, *, start: int = 0
+    ) -> dict[ObjectFilter, np.ndarray]:
+        """Count series of ``filters`` over frames ``[start, n_frames)``.
 
         Interpolation at a frame reads only its two bracketing samples,
-        so the tail counts just the sampled frames from the last one at
-        or before ``start`` on: recomputing what an ``extend``
-        invalidated costs the extension, not the sequence, with nothing
-        carried over from the previous provider.  Bit-identical to
-        ``count_series(object_filter)[start:]``.
+        so only the sampled frames from the last one at or before
+        ``start`` on are counted: completing what an ``extend``
+        invalidated costs the extension, not the sequence.  Bit-identical
+        to slicing the series from frame 0.
         """
         start = int(start)
-        if start <= 0:
-            return self.count_series(object_filter)
-        first = max(int(np.searchsorted(self.result.sampled_ids, start, side="right")) - 1, 0)
-        return np.interp(
-            self.result.timestamps[start:],
-            self._sample_times[first:],
-            self._sampled_counts(object_filter, first),
-        )
+        sampled_ids = self.result.sampled_ids
+        first = max(int(np.searchsorted(sampled_ids, start, side="right")) - 1, 0)
+        counts = self._sample_rows(first).count_series(filters, len(sampled_ids) - first)
+        return {
+            object_filter: np.interp(
+                self.result.timestamps[start:], self._sample_times[first:], sampled
+            )
+            for object_filter, sampled in counts.items()
+        }

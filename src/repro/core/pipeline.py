@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.config import MASTConfig
-from repro.core.index import LinearCountProvider, MASTIndex, STCountProvider
+from repro.core.index import LinearCountProvider, MASTIndex
 from repro.core.sampler import HierarchicalMultiAgentSampler, SamplingResult
 from repro.data.frame import PointCloudFrame
 from repro.data.sequence import FrameSequence
@@ -241,7 +241,7 @@ class MASTPipeline:
                 boundary=self.last_extend_boundary if incremental else None,
                 engine=self.engine,
             )
-            engines["st"] = QueryEngine(STCountProvider(index), ledger=self.ledger)
+            engines["st"] = QueryEngine(index, ledger=self.ledger)
         self._index, self._engines = index, engines
 
     @property

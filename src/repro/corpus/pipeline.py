@@ -191,13 +191,15 @@ class CorpusPipeline:
     ) -> MASTPipeline:
         """Grow one catalog sequence and ingest the batch into its shard.
 
-        The catalog entry and the shard advance together, so scope
+        The catalog entry and the shard advance together or not at all
+        (the catalog takes the frames once the shard has), so scope
         routing and ``total_frames`` metadata never disagree with the
         live index.  Returns the grown shard.
         """
         shard = self.shard(name)
-        extended = self.catalog.extend_sequence(name, new_frames)
+        extended = self.catalog.sequence(name).extended(new_frames)
         shard.extend(new_frames, model=model, extended=extended)
+        self.catalog.extend_sequence(name, new_frames)
         return shard
 
     # ------------------------------------------------------------------

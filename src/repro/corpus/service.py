@@ -363,8 +363,10 @@ class CorpusQueryService:
     ) -> CorpusQueryService:
         """Ingest a frame batch into one shard (incremental invalidation).
 
-        The catalog entry grows in lockstep with the shard, so a later
-        :meth:`replan` plans over the frames this extension delivered.
+        The catalog entry grows with the shard or not at all: it takes
+        the frames only once the shard has ingested them, so a detector
+        fault mid-extend leaves both at their old length and a later
+        :meth:`replan` plans over exactly the frames the shard holds.
 
         With the process backend the parent's extend stays authoritative
         (the model is billed here, once, and the tail detections land in
@@ -373,9 +375,10 @@ class CorpusQueryService:
         every replica; this method returns only after all replicas ack,
         so subsequent queries answer from the new epoch.
         """
-        extended = self._corpus.catalog.extend_sequence(name, new_frames)
-        parent = self.service(name)
-        parent.extend(new_frames, model=model, extended=extended)
+        catalog = self._corpus.catalog
+        extended = catalog.sequence(name).extended(new_frames)
+        self.service(name).extend(new_frames, model=model, extended=extended)
+        catalog.extend_sequence(name, new_frames)
         if self._pool is not None:
             from repro.serving.protocol import materialize_frames
 

@@ -34,6 +34,7 @@ from repro.inference import DetectionStore, InferenceEngine
 from repro.models.base import DetectionModel
 from repro.query.aggregates import aggregate
 from repro.query.ast import AggregateQuery, CompoundRetrievalQuery, RetrievalQuery
+from repro.query.engine import QueryEngine, evaluate_query
 from repro.query.workload import generate_workload
 from repro.utils.timing import CostLedger
 from repro.utils.validation import require
@@ -110,7 +111,11 @@ class CorpusExperimentReport:
 
 
 class _CorpusOracle:
-    """Exact corpus-wide answers from full per-sequence detection."""
+    """Exact corpus-wide answers from full per-sequence detection.
+
+    One engine per sequence keeps each filter's series; queries evaluate
+    through it without charging query seconds to the oracle ledger.
+    """
 
     def __init__(
         self,
@@ -120,9 +125,11 @@ class _CorpusOracle:
         engine: InferenceEngine,
     ) -> None:
         self.ledger = CostLedger()
-        self._providers = {
-            name: OracleCountProvider(
-                catalog.sequence(name), model, ledger=self.ledger, engine=engine
+        self._engines = {
+            name: QueryEngine(
+                OracleCountProvider(
+                    catalog.sequence(name), model, ledger=self.ledger, engine=engine
+                )
             )
             for name in catalog.names()
         }
@@ -131,29 +138,20 @@ class _CorpusOracle:
         self, query: RetrievalQuery | CompoundRetrievalQuery
     ) -> set[tuple[str, int]]:
         matches: set[tuple[str, int]] = set()
-        for name, provider in self._providers.items():
-            engine_result = _evaluate_on_provider(query, provider)
-            for frame_id in engine_result.frame_ids:
+        for name, engine in self._engines.items():
+            result = evaluate_query(query, engine.count_series, engine.provider.n_frames)
+            for frame_id in result.frame_ids:
                 matches.add((name, int(frame_id)))
         return matches
 
     def aggregate_value(self, query: AggregateQuery) -> float:
         combined = np.concatenate(
             [
-                provider.count_series(query.object_filter)
-                for provider in self._providers.values()
+                engine.count_series(query.object_filter)
+                for engine in self._engines.values()
             ]
         )
         return float(aggregate(query.operator, combined, query.count_predicate))
-
-
-def _evaluate_on_provider(
-    query: RetrievalQuery | CompoundRetrievalQuery,
-    provider: OracleCountProvider,
-) -> RetrievalResult:
-    from repro.query.engine import evaluate_query
-
-    return evaluate_query(query, provider.count_series, provider.n_frames)
 
 
 @dataclass

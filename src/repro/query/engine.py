@@ -4,7 +4,8 @@ Every query in the paper reduces to the per-frame count series
 ``n_t`` = number of objects in frame ``t`` satisfying the query's object
 filter.  A :class:`CountProvider` supplies that series — the Oracle
 provider computes it from full detections, MAST's providers from the
-index (ST prediction) or from interpolation (linear prediction) — and
+index (ST prediction) or from interpolation (linear prediction), all
+through one kernel, :meth:`~repro.query.predicates.ObjectRows.count_series` — and
 the :class:`QueryEngine` evaluates retrieval and aggregate queries on
 top, charging query-time costs to a ledger.
 
@@ -100,7 +101,7 @@ def evaluate_query(
 
 @runtime_checkable
 class CountProvider(Protocol):
-    """Supplies per-frame object counts for an object filter."""
+    """Supplies per-frame object counts for object filters."""
 
     #: Number of frames in the underlying sequence.
     n_frames: int
@@ -108,8 +109,14 @@ class CountProvider(Protocol):
     #: the paper's measured per-query costs; see §6.1).
     simulated_query_cost_per_frame: float
 
+    def count_series_many(
+        self, filters: Iterable[ObjectFilter], *, start: int = 0
+    ) -> dict[ObjectFilter, np.ndarray]:
+        """The count series of each filter over frames ``[start, n_frames)``."""
+        ...  # pragma: no cover - protocol
+
     def count_series(self, object_filter: ObjectFilter) -> np.ndarray:
-        """Return the ``(n_frames,)`` count series for ``object_filter``."""
+        """The ``(n_frames,)`` count series of one filter."""
         ...  # pragma: no cover - protocol
 
 

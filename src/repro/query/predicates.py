@@ -11,11 +11,18 @@ An :class:`ObjectFilter` bundles the object-level conditions (label,
 spatial predicate, confidence cut); a :class:`CountPredicate` is the
 frame-level semantic condition applied to the resulting counts.  Both are
 frozen and hashable, so count series can be memoized per filter.
+
+Every count provider reduces to one primitive, the per-frame count
+series of a filter over flat object rows: :meth:`ObjectFilter.mask` is
+the only code that applies a filter to object rows, and
+:meth:`ObjectRows.count_series` the one kernel that counts them.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +34,7 @@ __all__ = [
     "SpatialPredicate",
     "CountPredicate",
     "ObjectFilter",
+    "ObjectRows",
     "DEFAULT_CONFIDENCE",
 ]
 
@@ -162,14 +170,21 @@ class ObjectFilter:
                 f"got {type(self.spatial).__name__}"
             )
 
+    def mask(
+        self, scores: np.ndarray, labels: np.ndarray, positions: np.ndarray
+    ) -> np.ndarray:
+        """Which object rows satisfy this filter.
+
+        The rows are parallel columns: confidence scores, labels and
+        ``(N, 2)`` sensor-frame xy positions.
+        """
+        return _RowMasks(scores, labels, positions).of(self)
+
     def count(self, objects: ObjectArray) -> int:
         """Number of objects in one frame's set satisfying this filter."""
-        mask = objects.scores >= self.confidence
-        if self.label is not None:
-            mask &= objects.labels == self.label
-        if self.spatial is not None:
-            mask &= self.spatial.mask_positions(objects.centers[:, :2])
-        return int(mask.sum())
+        return int(
+            self.mask(objects.scores, objects.labels, objects.centers[:, :2]).sum()
+        )
 
     def describe(self) -> str:
         parts = [self.label or "*"]
@@ -178,3 +193,110 @@ class ObjectFilter:
         if self.confidence != DEFAULT_CONFIDENCE:
             parts.append(f"conf {self.confidence:g}")
         return " ".join(parts)
+
+
+class _RowMasks:
+    """Filter masks over one set of object rows.
+
+    Every filter asked of the same rows shares one confidence mask per
+    cut, one label mask per label and one computation of the sensor
+    distances (for :class:`SpatialPredicate` cuts) — the dominant cost
+    when a workload repeats a label over many distance cuts.
+    """
+
+    def __init__(
+        self, scores: np.ndarray, labels: np.ndarray, positions: np.ndarray
+    ) -> None:
+        self._scores = scores
+        self._labels = labels
+        self._positions = positions
+        self._confident: dict[float, np.ndarray] = {}
+        self._labelled: dict[str, np.ndarray] = {}
+        self._distances: np.ndarray | None = None
+
+    def of(self, object_filter: ObjectFilter) -> np.ndarray:
+        """The mask of ``object_filter``; read-only (it may be shared)."""
+        cut = object_filter.confidence
+        mask = self._confident.get(cut)
+        if mask is None:
+            mask = self._confident[cut] = self._scores >= cut
+        label = object_filter.label
+        if label is not None:
+            same = self._labelled.get(label)
+            if same is None:
+                same = self._labelled[label] = self._labels == label
+            mask = mask & same
+        spatial = object_filter.spatial
+        if isinstance(spatial, SpatialPredicate):
+            if self._distances is None:
+                positions = np.asarray(self._positions, dtype=float)
+                self._distances = np.hypot(positions[:, 0], positions[:, 1])
+            mask = mask & spatial.mask(self._distances)
+        elif spatial is not None:
+            mask = mask & spatial.mask_positions(self._positions)
+        return mask
+
+
+class ObjectRows(NamedTuple):
+    """Object rows as parallel columns, binned by ``frame_index``.
+
+    The bin is usually a frame id; the linear count provider bins by
+    sample position instead.
+    """
+
+    frame_index: np.ndarray
+    labels: np.ndarray
+    positions: np.ndarray
+    scores: np.ndarray
+
+    @classmethod
+    def flatten(cls, objects_by_frame: Mapping[int, ObjectArray]) -> ObjectRows:
+        """The rows of a ``{frame: ObjectArray}`` map, in its order."""
+        frames = [(frame, objects) for frame, objects in objects_by_frame.items() if len(objects)]
+        if not frames:
+            return cls.concatenate([])
+        return cls(
+            np.repeat(
+                np.array([frame for frame, _ in frames], dtype=np.int64),
+                [len(objects) for _, objects in frames],
+            ),
+            np.concatenate([objects.labels for _, objects in frames]),
+            np.concatenate([objects.centers[:, :2] for _, objects in frames]),
+            np.concatenate([objects.scores for _, objects in frames]),
+        )
+
+    @classmethod
+    def concatenate(cls, parts: Iterable[ObjectRows]) -> ObjectRows:
+        """One row set from several, in order (empty parts are skipped)."""
+        parts = [part for part in parts if len(part.frame_index)]
+        if not parts:
+            return cls(
+                np.zeros(0, dtype=np.int64),
+                np.empty(0, dtype="<U16"),
+                np.zeros((0, 2)),
+                np.zeros(0),
+            )
+        return cls(*(np.concatenate(column) for column in zip(*parts)))
+
+    def count_series(
+        self, filters: Iterable[ObjectFilter], n_frames: int, *, start: int = 0
+    ) -> dict[ObjectFilter, np.ndarray]:
+        """Per-frame counts of the rows each filter keeps, frames ``[start, n_frames)``.
+
+        Only rows of frames ``>= start`` are masked, and all filters of
+        one call share their confidence masks, label masks and sensor
+        distances.  Counts are integers in float64, so the result does
+        not depend on row order.
+        """
+        rows = self
+        if start > 0:
+            tail = self.frame_index >= start
+            rows = ObjectRows(*(column[tail] for column in self))
+        masks = _RowMasks(rows.scores, rows.labels, rows.positions)
+        frames = rows.frame_index - start
+        return {
+            object_filter: np.bincount(
+                frames[masks.of(object_filter)], minlength=n_frames - start
+            ).astype(float)
+            for object_filter in dict.fromkeys(filters)
+        }

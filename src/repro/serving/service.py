@@ -14,7 +14,7 @@ clients:
 * :meth:`extend` ingests a new frame batch and invalidates the cache
   *incrementally* — series keep the prefix the extension provably left
   unchanged and only tails are recomputed, via the providers'
-  ``count_series_tail``.
+  ``count_series_many(filters, start=len(prefix))``.
 
 Thread-safety contract: ``execute`` / ``execute_many`` /
 ``execute_batch`` may be called from any number of threads, including
@@ -151,64 +151,44 @@ class QueryService:
     # ------------------------------------------------------------------
     # Series resolution
     # ------------------------------------------------------------------
-    def _resolve_base(
-        self, state: _ServiceState, kind: str, object_filter: ObjectFilter
-    ) -> np.ndarray:
-        """The (unfloored) series for ``(kind, filter)`` via the cache."""
-        key = (kind, object_filter)
-        series, prefix = self.cache.lookup(key, state.generation)
-        self.ledger.record_cache(STAGE_QUERY, hit=series is not None)
-        if series is not None:
-            return series
-        provider = state.provider(kind)
-        if prefix is not None and 0 < len(prefix) < state.n_frames:
-            tail = provider.count_series_tail(object_filter, len(prefix))
-            series = np.concatenate([prefix, tail])
-        else:
-            series = provider.count_series(object_filter)
-        self.cache.put(key, series, state.generation)
-        return series
-
     def _resolve(
         self, state: _ServiceState, kind: str, object_filter: ObjectFilter
     ) -> np.ndarray:
-        series = self._resolve_base(state, base_kind(kind), object_filter)
+        (series,) = self._warm_kind(state, base_kind(kind), [object_filter])
         if kind == "linear_floor":
             return np.floor(series)
         return series
 
     def _warm_kind(
         self, state: _ServiceState, kind: str, filters: list[ObjectFilter]
-    ) -> None:
-        """Materialize the distinct series of one provider kind.
+    ) -> list[np.ndarray]:
+        """The (unfloored) series of distinct ``filters`` under one provider kind.
 
-        Filters with no usable cache entry are computed in a single
-        batched ``count_series_many`` pass (shared predicate work);
-        truncated entries are completed tail-only.
+        One cache lookup per filter, in order; what misses is computed by
+        one ``count_series_many`` call per start frame (0, or the length
+        of a prefix an ``extend`` left) and put back prefixes first.
         """
+        series: list = []
+        by_start: dict[int, list[tuple[int, np.ndarray | None]]] = {}
+        for position, object_filter in enumerate(filters):
+            cached, prefix = self.cache.lookup((kind, object_filter), state.generation)
+            self.ledger.record_cache(STAGE_QUERY, hit=cached is not None)
+            series.append(cached)
+            if cached is None:
+                start = len(prefix) if prefix is not None and len(prefix) < state.n_frames else 0
+                by_start.setdefault(start, []).append((position, prefix))
+        if not by_start:
+            return series
         provider = state.provider(kind)
-        fresh: list[ObjectFilter] = []
-        for object_filter in filters:
-            key = (kind, object_filter)
-            series, prefix = self.cache.lookup(key, state.generation)
-            self.ledger.record_cache(STAGE_QUERY, hit=series is not None)
-            if series is not None:
-                continue
-            if prefix is not None and 0 < len(prefix) < state.n_frames:
-                tail = provider.count_series_tail(object_filter, len(prefix))
-                self.cache.put(
-                    key, np.concatenate([prefix, tail]), state.generation
-                )
-            else:
-                fresh.append(object_filter)
-        if fresh:
-            computed = provider.count_series_many(fresh)
-            for object_filter in fresh:
-                self.cache.put(
-                    (kind, object_filter),
-                    computed[object_filter],
-                    state.generation,
-                )
+        for start, missing in by_start.items():
+            tails = provider.count_series_many([filters[p] for p, _ in missing], start=start)
+            for position, prefix in missing:
+                tail = tails[filters[position]]
+                series[position] = np.concatenate([prefix, tail]) if start else tail
+        completed = sorted(p for start, missing in by_start.items() if start for p, _ in missing)
+        for position in completed + [p for p, _ in by_start.get(0, [])]:
+            self.cache.put((kind, filters[position]), series[position], state.generation)
+        return series
 
     # ------------------------------------------------------------------
     # Execution

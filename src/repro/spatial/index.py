@@ -34,7 +34,7 @@ so downstream layers can observe the epoch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -422,12 +422,8 @@ class SpatialTileIndex:
                 minlength=self.n_frames,
             )
         if exact_rows:
-            rows = np.concatenate(exact_rows)
-            mask = self._scores[rows] >= object_filter.confidence
-            if object_filter.label is not None:
-                mask &= self._labels[rows] == object_filter.label
-            total += np.bincount(
-                self._frame_index[rows][mask], minlength=self.n_frames
+            total += self._count_rows(
+                replace(object_filter, spatial=None), np.concatenate(exact_rows)
             )
 
         # Boundary tiles: exact evaluation over their rows only.
@@ -436,14 +432,15 @@ class SpatialTileIndex:
                 [self._order[node.start : node.end] for node in boundary]
             )
             stats.rows_scanned += len(rows)
-            mask = self._scores[rows] >= object_filter.confidence
-            if object_filter.label is not None:
-                mask &= self._labels[rows] == object_filter.label
-            mask &= spatial.mask_positions(self._positions[rows])
-            total += np.bincount(
-                self._frame_index[rows][mask], minlength=self.n_frames
-            )
+            total += self._count_rows(object_filter, rows)
         return total
+
+    def _count_rows(self, object_filter: ObjectFilter, rows: np.ndarray) -> np.ndarray:
+        """Per-frame counts of the given rows that ``object_filter`` keeps."""
+        mask = object_filter.mask(
+            self._scores[rows], self._labels[rows], self._positions[rows]
+        )
+        return np.bincount(self._frame_index[rows][mask], minlength=self.n_frames)
 
     def _leaves_under(self, node_id: int) -> list[int]:
         """Leaf node ids in a subtree."""

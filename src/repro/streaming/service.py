@@ -363,32 +363,43 @@ class StreamingCorpusService:
         pending = self._pending[name]
         pending.extend(event.frames)
         flushed = 0
-        if len(pending) > self.max_lag_frames:
-            flushed = self._flush(name, publish=False)  # repro: noqa[RPR010] lag-triggered flush is the bounded-staleness contract itself; only the pump thread takes _ingest_lock
-        with self._state_lock:
-            self._arrived[name] += len(event.frames)
-            if flushed:
-                self._watermark[name] = self._arrived[name]
-            self._clock = max(self._clock, event.time)
-            self._events_processed += 1
+        try:
+            if len(pending) > self.max_lag_frames:
+                flushed = self._flush(name, publish=False)  # repro: noqa[RPR010] lag-triggered flush is the bounded-staleness contract itself; only the pump thread takes _ingest_lock
+        finally:
+            # Published even when the flush raised: the event's frames
+            # wait in the buffer, arrived but not indexed.
+            with self._state_lock:
+                self._arrived[name] += len(event.frames)
+                if flushed:
+                    self._watermark[name] = self._arrived[name]
+                self._clock = max(self._clock, event.time)
+                self._events_processed += 1
         if flushed:
             self._frames_since_replan += flushed
             if self._frames_since_replan >= self.replan_every:
                 self._replan()  # repro: noqa[RPR010] re-planning under _ingest_lock keeps epochs atomic w.r.t. arrivals; queries read _state_lock state only
 
     def _flush(self, name: str, *, publish: bool = True) -> int:  # repro: locked[_ingest_lock]
-        """Extend ``name``'s shard with its buffered frames."""
+        """Extend ``name``'s shard with its buffered frames.
+
+        The buffer is cleared only once the extend returns: a detector
+        fault leaves every buffered frame for the next flush to retry.
+        """
         pending = self._pending[name]
         if not pending:
             return 0
         frames = list(pending)
-        pending.clear()
         before = self._model_invocations()
-        self._service.extend(name, frames, model=self.model)  # repro: noqa[RPR010] shard extension is the flush; _ingest_lock serializes writers while readers answer from the previous snapshot
-        billed = self._model_invocations() - before
-        with self._state_lock:
-            self._detections_by_origin["flush"] += billed
-            if publish:
+        try:
+            self._service.extend(name, frames, model=self.model)  # repro: noqa[RPR010] shard extension is the flush; _ingest_lock serializes writers while readers answer from the previous snapshot
+        finally:
+            billed = self._model_invocations() - before
+            with self._state_lock:
+                self._detections_by_origin["flush"] += billed
+        pending.clear()
+        if publish:
+            with self._state_lock:
                 self._watermark[name] = self._arrived[name]
         return len(frames)
 

@@ -220,5 +220,5 @@ def test_run_lint_list_rules():
     out = io.StringIO()
     assert run_lint(["--list-rules"], out=out) == 0
     text = out.getvalue()
-    for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006", "RPR007"):
+    for code in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005", "RPR006"):
         assert code in text

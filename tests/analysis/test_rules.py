@@ -129,22 +129,6 @@ FIXTURES = {
             return bucket
         """,
     ),
-    "RPR007": (
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(tasks):
-            pool = ThreadPoolExecutor(max_workers=2)  # HIT
-            return list(pool.map(str, tasks))
-        """,
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        def fan_out(tasks):
-            with ThreadPoolExecutor(max_workers=2) as pool:
-                return list(pool.map(str, tasks))
-        """,
-    ),
     "RPR008": (
         """
         import multiprocessing
@@ -351,23 +335,6 @@ def test_rpr004_flags_detect_many_too():
         """,
     )
     assert [f.code for f in report.findings] == ["RPR004"]
-
-
-def test_rpr007_accepts_pool_field_with_shutdown():
-    report = run_rule(
-        "RPR007",
-        """
-        from concurrent.futures import ThreadPoolExecutor
-
-        class Service:
-            def start(self):
-                self._pool = ThreadPoolExecutor(max_workers=2)
-
-            def stop(self):
-                self._pool.shutdown(wait=True)
-        """,
-    )
-    assert report.findings == []
 
 
 def test_rpr008_flags_fork_with_guarded_locks():

@@ -64,19 +64,19 @@ def yields(monkeypatch):
 
 
 @pytest.fixture()
-def filter_counts(monkeypatch):
-    """``(object_filter, objects)`` of every ``ObjectFilter.count`` call a
-    test makes — what a linear count provider costs."""
-    from repro.query import ObjectFilter
+def counted_rows(monkeypatch):
+    """``(rows, n_frames)`` of every count-kernel call a test makes — what
+    a count provider costs (``ObjectRows.count_series``)."""
+    from repro.query.predicates import ObjectRows
 
     calls: list[tuple] = []
-    real = ObjectFilter.count
+    real = ObjectRows.count_series
 
-    def counting(self, objects):
-        calls.append((self, objects))
-        return real(self, objects)
+    def counting(self, filters, n_frames, **kwargs):
+        calls.append((self, n_frames))
+        return real(self, filters, n_frames, **kwargs)
 
-    monkeypatch.setattr(ObjectFilter, "count", counting)
+    monkeypatch.setattr(ObjectRows, "count_series", counting)
     return calls
 
 

@@ -15,7 +15,6 @@ from repro.core import (
     MASTConfig,
     MASTIndex,
     MASTPipeline,
-    STCountProvider,
 )
 from repro.evalx import MethodExecutor, f1_score
 from repro.models import pv_rcnn
@@ -109,7 +108,7 @@ def _hand_wired_engines(spec, sequence, model, config):
     linear = QueryEngine(LinearCountProvider(sampling))
     engines = {"linear": linear, "linear_floor": linear.floored()}
     if "st" in (spec.retrieval_predictor, *spec.predictor_by_operator.values()):
-        engines["st"] = QueryEngine(STCountProvider(MASTIndex.build(sampling, config)))
+        engines["st"] = QueryEngine(MASTIndex.build(sampling, config))
     retrieval = "st" if spec.retrieval_predictor == "st" else "linear_floor"
     unnamed = "st" if "st" in engines else "linear"  # the pre-PR-23 executor's rule
     return lambda query: engines[

@@ -15,6 +15,7 @@ from repro.inference import DetectionStore, InferenceEngine
 from repro.models import DetectionModel, FrameDetections, GroundTruthDetector
 from repro.simulation import semantickitti_like
 from repro.utils.timing import STAGE_MODEL, CostLedger
+from tests.fault_injection import RaisesOnce
 
 
 class EmptyDetector(DetectionModel):
@@ -45,27 +46,6 @@ class FlakyDetector(DetectionModel):
         if frame.frame_id == self.poison_frame:
             raise RuntimeError("CUDA error: device-side assert triggered")
         return GroundTruthDetector().detect(frame)
-
-
-class RaisesOnce(DetectionModel):
-    """Delegates to ``base`` (sharing its store entries) but raises on its
-    ``at``-th ``detect`` call, once; ``at=0`` never raises."""
-
-    def __init__(self, base: DetectionModel, at: int):
-        self.base = base
-        self.name = base.name
-        self.cost_per_frame = base.cost_per_frame
-        self.at = at
-        self.calls = 0
-        self.returned = 0
-
-    def detect(self, frame):
-        self.calls += 1
-        if self.calls == self.at:
-            raise RuntimeError("CUDA error: device-side assert triggered")
-        detections = self.base.detect(frame)
-        self.returned += 1
-        return detections
 
 
 class HallucinatingDetector(DetectionModel):

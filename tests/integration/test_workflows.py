@@ -43,7 +43,7 @@ class TestPersistenceWorkflow:
         restored_det, model_name = load_detections(det_path)
         assert model_name == "pv_rcnn"
 
-        from repro.core import MASTIndex, SamplingResult, STCountProvider
+        from repro.core import MASTIndex, SamplingResult
 
         restored_result = SamplingResult(
             sequence_name=restored_seq.name,
@@ -54,7 +54,7 @@ class TestPersistenceWorkflow:
             detections=restored_det,
         )
         index = MASTIndex.build(restored_result, MASTConfig(seed=3))
-        engine = QueryEngine(STCountProvider(index))
+        engine = QueryEngine(index)
         text = "SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1"
         assert engine.execute(text).id_set() == pipe.query(text).id_set()
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core import MASTIndex
-from repro.core.index import LinearCountProvider, STCountProvider
+from repro.core.index import LinearCountProvider
 from repro.core.pipeline import predictor_kind
 from repro.query import (
     AggregateQuery,
@@ -100,7 +100,7 @@ def random_workload(seed: int, n_queries: int) -> list:
 # ----------------------------------------------------------------------
 def serial_uncached_answers(sampling, config, queries) -> list:
     """Ground-truth answers: serial execution, a fresh engine per query."""
-    st = STCountProvider(MASTIndex.build(sampling, config))
+    st = MASTIndex.build(sampling, config)
     linear = LinearCountProvider(sampling)
     engines = {
         "st": lambda: QueryEngine(st),

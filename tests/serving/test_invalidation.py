@@ -102,8 +102,8 @@ class TestExtendInvalidation:
                     before[probe][: boundary + 1], after[: boundary + 1]
                 )
 
-    def test_extend_counts_nothing(self, served, filter_counts):
-        """No linear filter asked before an extend is re-counted by it."""
+    def test_extend_counts_nothing(self, served, counted_rows):
+        """No filter asked before an extend is re-counted by it."""
         service, tail_frames = served
         queries = [
             f"SELECT AVG OF COUNT({label} DIST <= {cut})"
@@ -113,12 +113,13 @@ class TestExtendInvalidation:
         service.execute_batch(queries)
         assert service.cache_stats().entries == len(queries)
 
-        filter_counts.clear()
+        counted_rows.clear()
         service.extend(tail_frames[:30])
         service.extend(tail_frames[30:])
-        assert filter_counts == []
+        assert counted_rows == []
 
         # The read that asks for a truncated entry completes it, tail only.
         sampled_ids = service.pipeline.sampling_result.sampled_ids
         service.execute(queries[0])
-        assert 0 < len(filter_counts) < len(sampled_ids) / 2
+        ((_, n_samples),) = counted_rows
+        assert 0 < n_samples < len(sampled_ids) / 2

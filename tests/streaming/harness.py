@@ -146,10 +146,6 @@ def assert_same_corpus_answer(got, want, context: str) -> None:
         assert_same_answer(got, want, context)
 
 
-#: The flat columns of a :class:`~repro.core.MASTIndex`.
-INDEX_COLUMNS = ("_frame_index", "_labels", "_positions", "_scores")
-
-
 def pipeline_state(pipeline) -> tuple:
     """What a fitted pipeline computed: sampled ids, rewards, the index's
     flat columns, and the sampling run's content digest."""
@@ -157,7 +153,7 @@ def pipeline_state(pipeline) -> tuple:
     return (
         sampling.sampled_ids.copy(),
         list(sampling.rewards),
-        [getattr(pipeline.index, column).copy() for column in INDEX_COLUMNS],
+        [column.copy() for column in pipeline.index._rows],
         stable_digest(sampling),
     )
 

@@ -18,7 +18,7 @@ from repro.baselines import (
     get_method,
 )
 from repro.core import MASTConfig
-from repro.query import ObjectFilter, SpatialPredicate
+from repro.query import ObjectFilter, QueryEngine, SpatialPredicate
 from repro.utils.timing import STAGE_MODEL
 
 
@@ -95,10 +95,13 @@ class TestOracleCountProvider:
             assert counts[frame.frame_id] == expected
 
     def test_memoization(self, provider):
+        """The provider computes; the engine in front of it keeps the series."""
         object_filter = ObjectFilter(label="Car")
-        assert provider.count_series(object_filter) is provider.count_series(
+        assert provider.count_series(object_filter) is not provider.count_series(
             object_filter
         )
+        engine = QueryEngine(provider)
+        assert engine.count_series(object_filter) is engine.count_series(object_filter)
 
     def test_detections_at(self, provider):
         assert provider.detections_at(0) is not None

@@ -8,7 +8,6 @@ from repro.core import (
     LinearCountProvider,
     MASTConfig,
     MASTIndex,
-    STCountProvider,
 )
 from repro.query import ObjectFilter, SpatialPredicate
 from repro.utils.timing import STAGE_INDEX
@@ -66,6 +65,10 @@ class TestBuild:
 
 
 class TestCountSeries:
+    def test_declares_query_cost(self, index):
+        assert index.kind == "st"
+        assert index.simulated_query_cost_per_frame > 0
+
     def test_shape(self, index):
         counts = index.count_series(CAR_NEAR)
         assert counts.shape == (index.n_frames,)
@@ -113,18 +116,6 @@ class TestObjectsAt:
             index.objects_at(index.n_frames)
 
 
-class TestSTCountProvider:
-    def test_delegates_to_index(self, index):
-        provider = STCountProvider(index)
-        assert provider.n_frames == index.n_frames
-        assert np.array_equal(
-            provider.count_series(CAR_NEAR), index.count_series(CAR_NEAR)
-        )
-
-    def test_declares_query_cost(self, index):
-        assert STCountProvider(index).simulated_query_cost_per_frame > 0
-
-
 class TestLinearCountProvider:
     def test_exact_on_sampled_frames(self, sampling):
         provider = LinearCountProvider(sampling)
@@ -145,10 +136,9 @@ class TestLinearCountProvider:
 
     def test_linear_cheaper_than_st(self, sampling, index):
         linear = LinearCountProvider(sampling)
-        st = STCountProvider(index)
         assert (
             linear.simulated_query_cost_per_frame
-            < st.simulated_query_cost_per_frame
+            < index.simulated_query_cost_per_frame
         )
 
 
@@ -162,15 +152,14 @@ FILTER_SET = [
 
 
 class TestBatchedSeriesAPI:
-    """count_series_many / count_series_tail contracts."""
+    """count_series_many contracts: batched and from a start frame."""
 
-    @pytest.mark.parametrize("provider_kind", ["index", "st", "linear"])
+    @pytest.mark.parametrize("provider_kind", ["index", "linear"])
     def test_many_matches_one_by_one(self, sampling, provider_kind):
         if provider_kind == "linear":
             provider = LinearCountProvider(sampling)
         else:
-            built = MASTIndex.build(sampling, MASTConfig(seed=2))
-            provider = built if provider_kind == "index" else STCountProvider(built)
+            provider = MASTIndex.build(sampling, MASTConfig(seed=2))
         batched = provider.count_series_many(FILTER_SET)
         for object_filter in FILTER_SET:
             assert np.array_equal(
@@ -187,26 +176,30 @@ class TestBatchedSeriesAPI:
         for provider in providers:
             series = provider.count_series(CAR_NEAR)
             for start in range(provider.n_frames):
-                tail = provider.count_series_tail(CAR_NEAR, start)
+                tail = provider.count_series_many([CAR_NEAR], start=start)[CAR_NEAR]
                 assert np.array_equal(tail, series[start:]), (
                     f"{type(provider).__name__} tail mismatch at start={start}"
                 )
 
     def test_linear_tail_counts_only_from_the_bracketing_sample(
-        self, extended_sampling, filter_counts
+        self, extended_sampling, counted_rows
     ):
+        from repro.query.predicates import ObjectRows
+
         provider = LinearCountProvider(extended_sampling)
         ids = extended_sampling.sampled_ids
         detections = extended_sampling.detections
         for start in (1, int(ids[3]), int(ids[3]) + 1, provider.n_frames - 1):
-            filter_counts.clear()
-            provider.count_series_tail(CAR_NEAR, start)
+            counted_rows.clear()
+            provider.count_series_many([CAR_NEAR], start=start)
             expected = ids[max(np.searchsorted(ids, start, side="right") - 1, 0) :]
-            assert len(filter_counts) == len(expected)
-            assert all(
-                objects is detections[int(frame_id)]
-                for (_, objects), frame_id in zip(filter_counts, expected)
+            ((rows, n_bins),) = counted_rows
+            assert n_bins == len(expected)
+            want = ObjectRows.flatten(
+                {k: detections[int(frame_id)] for k, frame_id in enumerate(expected)}
             )
+            for got_column, want_column in zip(rows, want):
+                assert np.array_equal(got_column, want_column)
 
 
 def _counting_analyze_pair(monkeypatch):
@@ -252,12 +245,11 @@ def _counting_predict_flat(monkeypatch):
     return predicted
 
 
-COLUMNS = ("_frame_index", "_labels", "_positions", "_scores")
-
-
 def _assert_same_columns(got, want):
-    for column in COLUMNS:
-        assert np.array_equal(getattr(got, column), getattr(want, column)), column
+    for column in got._rows._fields:
+        assert np.array_equal(
+            getattr(got._rows, column), getattr(want._rows, column)
+        ), column
 
 
 def _gaps(sampling):
@@ -414,7 +406,7 @@ class TestEstimateReuse:
         assert analysed == []
         assert predicted == _gaps(moved)
         _assert_same_columns(rebuilt, MASTIndex.build(moved, config))
-        assert not np.array_equal(rebuilt._positions, index._positions)
+        assert not np.array_equal(rebuilt._rows.positions, index._rows.positions)
 
     def test_other_matching_gate_reuses_nothing(
         self, sampling, index, engine, monkeypatch

@@ -207,7 +207,7 @@ class TestEnginesLiveOneIndexEpoch:
         new = self._engines(pipe)
         assert not set(map(id, new)) & set(map(id, old))
         assert all(engine.cached_filters() == () for engine in new)
-        assert new[0].provider.index is pipe.index
+        assert new[0].provider is pipe.index
         assert new[1].provider is new[2].provider is pipe.providers["linear"]
 
         fresh = MASTPipeline(pipe.config).fit_from_sampling(

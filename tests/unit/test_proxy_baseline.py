@@ -66,7 +66,10 @@ class TestProxyCountProvider:
         assert np.all(counts >= 0)
 
     def test_memoization(self, provider):
-        assert provider.count_series(CAR_NEAR) is provider.count_series(CAR_NEAR)
+        """The provider computes; the engine in front of it keeps the series."""
+        assert provider.count_series(CAR_NEAR) is not provider.count_series(CAR_NEAR)
+        engine = QueryEngine(provider)
+        assert engine.count_series(CAR_NEAR) is engine.count_series(CAR_NEAR)
 
     def test_calibration_reduces_bias(self, sequence, provider):
         """The fitted correction must shrink the mean count error

@@ -349,6 +349,33 @@ class TestFirstUseBuild:
                 assert shard.index.spatial_stats()["queries"] == 1
                 assert "leaf tiles" in shard.explain(REGION_TEXT)
 
+    @pytest.mark.parametrize(
+        "path", ["service.execute", "service.execute_batch", "engine", "pipeline"]
+    )
+    def test_one_routing_rule_on_every_path(self, drive, detector, tile_builds, path):
+        """A distance cut scans flat wherever it is asked; a region from
+        frame 0 builds the tiles, once."""
+        from repro.query import QueryEngine
+        from repro.serving import QueryService
+
+        pipeline = fitted(drive, detector)
+        service = QueryService(pipeline)
+        ask = {
+            "service.execute": service.execute,
+            "service.execute_batch": lambda text: service.execute_batch([text]),
+            "engine": QueryEngine(pipeline.index).execute,
+            "pipeline": pipeline.query,
+        }[path]
+        for text in DISTANCE_TEXTS:
+            ask(text)
+        assert pipeline.index.spatial_stats() is None
+        assert tile_builds == []
+
+        ask(REGION_TEXT)
+        ask(REGION_TEXT.replace("COUNT(Car) >= 1", "COUNT(Car) >= 2"))
+        assert tile_builds == [pipeline.index.spatial_index]
+        assert pipeline.index.spatial_stats()["queries"] >= 1
+
     def test_disabled_means_never(self, drive, detector, tile_builds):
         pipeline = fitted(drive, detector, spatial_index=False)
         pipeline.query(REGION_TEXT)

@@ -119,8 +119,18 @@ def get_experiment(
 POLICY_SEEDS = (SEED, SEED + 1, SEED + 2)
 
 
+def simulated_seconds(ledger, stage: str) -> float:
+    """The simulated (run-stable) seconds a ledger charged to ``stage``."""
+    return ledger.deterministic_state()["simulated"].get(stage, 0.0)
+
+
 def emit(name: str, text: str) -> None:
-    """Print a result table and persist it to ``benchmarks/results``."""
+    """Print a result table and persist it to ``benchmarks/results``.
+
+    Tracked tables hold only run-stable columns (simulated seconds,
+    sample counts, accuracy), so a rerun rewrites them byte-identically;
+    measured wall-clock is only printed.
+    """
     print()
     print(text)
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

@@ -8,9 +8,10 @@ budget); MAST/Seiden-PCST pay a little more than Seiden-PC for ST
 analysis.
 
 Deep-model seconds are *simulated* (0.1 s/frame for PV-RCNN, the paper's
-measured constant); policy seconds are measured wall clock.  The timed
-operation is one hierarchical sampling run (policy compute only, model
-charges are ledger entries).
+measured constant) and are the tracked table; policy seconds are
+measured wall clock and only printed.  The timed operation is one
+hierarchical sampling run (policy compute only, model charges are ledger
+entries).
 """
 
 import pytest
@@ -31,26 +32,23 @@ from repro.utils.timing import STAGE_MODEL, STAGE_POLICY
 METHODS = ("seiden_pc", "seiden_pcst", "mast")
 
 
-def _sampling_seconds(ledger) -> float:
-    return ledger.total(STAGE_MODEL) + ledger.total(STAGE_POLICY)
-
-
 def _rows():
-    rows = []
+    """Simulated deep-model seconds, and the measured policy seconds."""
+    rows, policy_rows = [], []
     for index in range(5):
         report = get_experiment("semantickitti", index)
-        oracle_seconds = report.oracle_ledger.total(STAGE_MODEL)
+        label = sequence_label("semantickitti", index)
         rows.append(
             [
-                sequence_label("semantickitti", index),
-                round(oracle_seconds, 1),
-                *(
-                    round(_sampling_seconds(report[m].ledger), 1)
-                    for m in METHODS
-                ),
+                label,
+                round(report.oracle_ledger.total(STAGE_MODEL), 1),
+                *(round(report[m].ledger.total(STAGE_MODEL), 1) for m in METHODS),
             ]
         )
-    return rows
+        policy_rows.append(
+            [label, *(round(report[m].ledger.total(STAGE_POLICY), 2) for m in METHODS)]
+        )
+    return rows, policy_rows
 
 
 @pytest.fixture(scope="module")
@@ -59,14 +57,23 @@ def table_rows():
 
 
 def test_fig5_sampling_time(table_rows, benchmark):
+    table_rows, policy_rows = table_rows
     emit(
         "fig5_sampling_time",
         format_table(
             ["seq", "Oracle", "Seiden-PC", "Seiden-PCST", "MAST"],
             table_rows,
-            title="Fig 5: sampling-procedure seconds "
-            "(simulated deep model + measured policy), budget 10%",
+            title="Fig 5: sampling-procedure deep-model seconds "
+            "(simulated), budget 10%",
         ),
+    )
+    print()
+    print(
+        format_table(
+            ["seq", "Seiden-PC", "Seiden-PCST", "MAST"],
+            policy_rows,
+            title="Fig 5: sampling-policy seconds (measured wall clock)",
+        )
     )
 
     for row in table_rows:

@@ -3,7 +3,9 @@
 Reproduces: (a) processing time and (b) retrieval F1 of MAST as the
 dataset grows.  Paper shape: time grows linearly with the dataset (the
 framework "maintains its efficiency across different scales") while F1
-stays stable — handling batched arrival of new data.
+stays stable — handling batched arrival of new data.  The tracked table
+holds the simulated deep-model seconds, the sample count and F1; the
+total with measured compute is only printed.
 
 The timed operation is index construction on the largest subset.
 """
@@ -18,22 +20,25 @@ FRACTIONS = (0.1, 0.25, 0.5, 0.75, 1.0)
 
 
 def _rows():
+    """Run-stable rows, and the measured total seconds per subset."""
     full = scaled_length("synlidar", 0)
-    rows = []
+    rows, measured_rows = [], []
     for fraction in FRACTIONS:
         n_frames = max(300, int(full * fraction))
         report = get_experiment("synlidar", 0, n_frames=n_frames)
         mast = report["mast"]
+        subset = f"{int(fraction * 100)}%"
         rows.append(
             [
-                f"{int(fraction * 100)}%",
+                subset,
                 n_frames,
                 round(mast.ledger.total(STAGE_MODEL), 1),
-                round(mast.ledger.grand_total, 1),
+                len(mast.sampling.sampled_ids),
                 round(mast.mean_retrieval_f1, 3),
             ]
         )
-    return rows
+        measured_rows.append([subset, n_frames, round(mast.ledger.grand_total, 1)])
+    return rows, measured_rows
 
 
 @pytest.fixture(scope="module")
@@ -42,18 +47,27 @@ def table_rows():
 
 
 def test_fig8_scalability(table_rows, benchmark):
+    table_rows, measured_rows = table_rows
     emit(
         "fig8_scalability",
         format_table(
-            ["subset", "frames", "model sec", "total sec", "MAST F1"],
+            ["subset", "frames", "model sec", "samples", "MAST F1"],
             table_rows,
             title="Fig 8: SynLiDAR scalability (time grows ~linearly, "
             "F1 stays stable)",
         ),
     )
+    print()
+    print(
+        format_table(
+            ["subset", "frames", "total sec"],
+            measured_rows,
+            title="Fig 8: simulated + measured wall-clock seconds",
+        )
+    )
 
     # Linear-time shape: cost per frame roughly constant across scales.
-    per_frame = [row[3] / row[1] for row in table_rows]
+    per_frame = [row[2] / row[1] for row in measured_rows]
     assert max(per_frame) / min(per_frame) < 1.8
 
     # Accuracy stability: F1 within a modest band across scales.

@@ -895,7 +895,7 @@ def _cmd_flow(args, out) -> int:
     from repro.evalx import corpus_digest, experiment_digest
     from repro.evalx.flows import budget_label
     from repro.evalx.reporting import format_table
-    from repro.flow import FlowInterrupted, FlowRunner
+    from repro.flow import CheckpointCorrupted, FlowInterrupted, FlowRunner
 
     try:
         flow, spec = _flow_for_args(args)
@@ -928,6 +928,9 @@ def _cmd_flow(args, out) -> int:
     except FlowInterrupted as interrupted:
         print(f"{interrupted}", file=out)
         return 3
+    except CheckpointCorrupted as error:
+        print(f"error: {error}", file=out)
+        return 2
     executed = [name for name in flow.order() if name not in result.cached]
     print(
         f"flow {flow.name}: {len(executed)} steps executed, "

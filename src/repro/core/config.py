@@ -63,11 +63,6 @@ class MASTConfig:
     retrieval_predictor: str = "st"
     #: Master seed for the sampling policy's tie-breaking / deep leaves.
     seed: int = 0
-    #: Route spatially filtered count series through the BEV tile index
-    #: (:mod:`repro.spatial`), which the first such query builds, so they
-    #: prune whole tiles.  Answers are bit-identical with or without it;
-    #: off, every spatial filter scans the flat columns.
-    spatial_index: bool = True
 
     def __post_init__(self) -> None:
         require_fraction(self.budget_fraction, "budget_fraction")

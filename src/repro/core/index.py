@@ -10,13 +10,13 @@ repeated computation".
 Internally the per-object rows of all frames are flattened into parallel
 columns (:class:`~repro.query.predicates.ObjectRows`: frame index,
 label, position, confidence), so a count series for any object filter is
-one vectorized mask + ``bincount``.  When the config enables it, the
-first region-shaped count series also organizes the rows into a BEV
+one vectorized mask + ``bincount``.  The first region-shaped count
+series also organizes the rows into a BEV
 :class:`~repro.spatial.SpatialTileIndex`, and region-shaped series route
 through it from then on — pruning tiles outside the predicate and
 answering fully covered tiles from per-tile count summaries, with
 bit-identical results.  An index that is never asked such a query never
-builds its tiles.
+builds its tiles; the successor of one that did is built with tiles.
 
 Two :class:`~repro.query.engine.CountProvider` implementations live
 here:
@@ -87,7 +87,6 @@ class MASTIndex:
         estimates: dict[tuple[int, int], MotionEstimate],
         gap_rows: dict[tuple[int, int], tuple[int, int]],
         detections: dict[int, ObjectArray],
-        config: MASTConfig,
         spatial_index=None,
     ) -> None:
         self.n_frames = int(n_frames)
@@ -99,11 +98,10 @@ class MASTIndex:
         #: columns; a later build slices them instead of re-predicting.
         self._gap_rows = gap_rows
         self._detections = detections
-        self._tiled = config.spatial_index
         #: The :class:`~repro.spatial.SpatialTileIndex` over the flat
         #: columns once a count series has routed through it (or the one
-        #: ``build`` carried over from the previous index); ``None``
-        #: until then, and always when the config disables it.
+        #: ``build`` made because the previous index had tiles); ``None``
+        #: until then.
         self.spatial_index = spatial_index
         self._tile_lock = threading.Lock()
 
@@ -118,7 +116,6 @@ class MASTIndex:
         *,
         ledger: CostLedger | None = None,
         previous: MASTIndex | None = None,
-        boundary: int | None = None,
         engine: InferenceEngine | None = None,
     ) -> MASTIndex:
         """Run Alg. 3 over a sampling result.
@@ -131,17 +128,17 @@ class MASTIndex:
         gap's estimate comes through its motion memo
         (:func:`~repro.core.stpc.analyze_pair_once`), so a gap the
         sampler or an earlier build already analysed is not analysed
-        again (without an engine every gap is).  ``previous`` hands over the prior index: where it holds
-        the very estimate the memo returned — the same detections at the
-        same timestamps under the same gate — and the two indexes agree
-        on every shared frame's timestamp, that gap's predicted rows are
-        sliced out of the prior flat columns.  A rebuild therefore runs
-        ST-PC analysis and prediction only on the gaps that changed:
-        after a one-frame ``extend``, the ones past the invalidation
-        boundary.  With ``boundary`` (the pipeline's extend path) a tile
-        index the prior index had built also updates incrementally —
-        keeping its split geometry and the count-summary entries for
-        frames ``<= boundary`` — instead of being rebuilt on next use.
+        again (without an engine every gap is).  ``previous`` hands over
+        the prior index: where it holds the very estimate the memo
+        returned — the same detections at the same timestamps under the
+        same gate — and the two indexes agree on every shared frame's
+        timestamp, that gap's predicted rows are sliced out of the prior
+        flat columns.  A rebuild therefore runs ST-PC analysis and
+        prediction only on the gaps that changed: after a one-frame
+        ``extend``, the ones past the invalidation boundary.  If the prior
+        index had built its tiles, the new index is built with tiles too
+        (:meth:`~repro.spatial.SpatialTileIndex.updated`), on the caller's
+        thread, so no reader pays for a build after the first one.
         """
         config = config or MASTConfig()
         ledger = ledger if ledger is not None else result.ledger
@@ -204,15 +201,13 @@ class MASTIndex:
         rows = ObjectRows.concatenate(parts)
 
         spatial_index = None
-        if config.spatial_index and previous is not None and boundary is not None:  # repro: noqa[RPR003] the frozen config's flag of the same name, not the guarded attribute
+        if previous is not None:
             # Taking the lock waits out a first-use build racing this
-            # extend on a client thread, so its tiles are carried too.
+            # rebuild on a client thread, so its tiles are carried too.
             with previous._tile_lock:
                 prior = previous.spatial_index
             if prior is not None:
-                spatial_index = prior.updated(
-                    *rows, result.n_frames, boundary=boundary
-                )
+                spatial_index = prior.updated(*rows, result.n_frames)
 
         return cls(
             n_frames=result.n_frames,
@@ -222,19 +217,17 @@ class MASTIndex:
             estimates=estimates,
             gap_rows=gap_rows,
             detections=result.detections,
-            config=config,
             spatial_index=spatial_index,
         )
 
     def _tiles(self):
         """The tile index, built by the first request that routes through it.
 
-        ``None`` when the config disables tiling.  The build happens
-        once per index: concurrent first requests wait on the lock and
-        find the tiles the winner published.
+        The build happens once per index: concurrent first requests wait
+        on the lock and find the tiles the winner published.
         """
         tiles = self.spatial_index  # repro: noqa[RPR003] double-checked fast path: the attribute only ever goes from None to a fully built index
-        if tiles is None and self._tiled:
+        if tiles is None:
             with self._tile_lock:
                 tiles = self.spatial_index
                 if tiles is None:
@@ -258,15 +251,16 @@ class MASTIndex:
 
         One routing rule: a region-shaped filter (any spatial filter but
         a plain distance cut) asked from frame 0 walks the tile index —
-        building it on first use — unless the config disables tiling;
-        every other series is one batched flat scan of the rows of
-        frames ``>= start``.  Both are bit-identical to the brute-force
-        count.
+        building it on first use; every other series is one batched
+        flat scan of the rows of frames ``>= start``.  Both are
+        bit-identical to the brute-force count.
         """
         filters = list(dict.fromkeys(filters))
         region = [f for f in filters if start == 0 and _region_shaped(f)]
-        tiles = self._tiles() if region else None
-        series = {f: tiles.count_series(f) for f in region} if tiles is not None else {}
+        series: dict[ObjectFilter, np.ndarray] = {}
+        if region:
+            tiles = self._tiles()
+            series = {f: tiles.count_series(f) for f in region}
         flat = [f for f in filters if f not in series]
         series.update(self._rows.count_series(flat, self.n_frames, start=start))
         return series
@@ -274,8 +268,8 @@ class MASTIndex:
     def spatial_stats(self) -> dict[str, float] | None:
         """Tile-pruning counters of the spatial index.
 
-        ``None`` when tiling is disabled or no count series has routed
-        through the tiles yet — asking never builds them.
+        ``None`` when no count series has routed through the tiles yet —
+        asking never builds them.
         """
         tiles = self.spatial_index  # repro: noqa[RPR003] read-only peek: reports whatever has been published, never builds
         if tiles is None:

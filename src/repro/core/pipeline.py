@@ -215,10 +215,10 @@ class MASTPipeline:
             ledger=self.ledger,
             policy_info=dict(self._sampling.policy_info),
         )
-        self._rebuild_index(incremental=True)
+        self._rebuild_index()
         return self
 
-    def _rebuild_index(self, *, incremental: bool = False) -> None:
+    def _rebuild_index(self) -> None:
         assert self._sampling is not None
         # Fresh engines: no series resolved on the old index outlives it.
         linear = QueryEngine(LinearCountProvider(self._sampling), ledger=self.ledger)
@@ -229,16 +229,13 @@ class MASTPipeline:
         if _routes_to_st(self.config):
             # The engine's motion memo answers every gap whose detections
             # did not change, and the prior index always goes along so
-            # those gaps' predicted rows are reused too.  On the extend
-            # path its invalidation boundary goes as well, so a tile index
-            # it has built keeps its split geometry and pre-boundary count
-            # summaries.
+            # those gaps' predicted rows are reused too — and so that, if
+            # it had built its tiles, the new index is built with tiles.
             index = MASTIndex.build(
                 self._sampling,
                 self.config,
                 ledger=self.ledger,
                 previous=self._index,
-                boundary=self.last_extend_boundary if incremental else None,
                 engine=self.engine,
             )
             engines["st"] = QueryEngine(index, ledger=self.ledger)
@@ -386,7 +383,7 @@ class MASTPipeline:
                 f"spatial   : {spatial.n_leaves} leaf tiles over "
                 f"{spatial.n_rows} rows (version {spatial.version})"
             )
-        elif self.config.spatial_index:
+        else:
             lines.append("spatial   : not built (no region query yet)")
         return "\n".join(lines)
 

@@ -23,10 +23,12 @@ from repro.flow.fingerprint import stable_digest
 __all__ = ["Checkpoint", "CheckpointCorrupted", "CheckpointStore"]
 
 _SUFFIX = ".ckpt"
+#: The envelope's fields; a flipped byte can rename one inside the pickle.
+_FIELDS = {"key", "step", "fingerprint", "value"}
 
 
 class CheckpointCorrupted(RuntimeError):
-    """A checkpoint failed its fingerprint verification on load."""
+    """A checkpoint could not be read back, or failed its verification."""
 
 
 @dataclass(frozen=True)
@@ -71,14 +73,25 @@ class CheckpointStore:
     def load(self, key: str) -> Checkpoint:
         """Load and *verify* the checkpoint stored under ``key``.
 
-        Raises :class:`CheckpointCorrupted` when the re-digested value
-        does not match the fingerprint recorded at save time (truncated
-        file, incompatible environment, or a non-deterministic value
-        that should never have been checkpointed).
+        Raises :class:`CheckpointCorrupted` when the file does not unpickle
+        to a whole envelope for ``key``, or when the re-digested value
+        does not match the fingerprint recorded at save time (a flipped
+        or truncated file, an incompatible environment, or a
+        non-deterministic value that should never have been checkpointed).
         """
         with open(self.path(key), "rb") as handle:
-            envelope = pickle.load(handle)
-        if not isinstance(envelope, Checkpoint) or envelope.key != key:
+            try:
+                envelope = pickle.load(handle)
+            except Exception as error:  # a corrupt stream raises any type
+                raise CheckpointCorrupted(
+                    f"checkpoint {self.path(key)} is unreadable: "
+                    f"{type(error).__name__}: {error}"
+                ) from error
+        if (
+            not isinstance(envelope, Checkpoint)
+            or not _FIELDS <= vars(envelope).keys()
+            or envelope.key != key
+        ):
             raise CheckpointCorrupted(
                 f"checkpoint {self.path(key)} does not contain a valid "
                 f"envelope for key {key}"

@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import zipfile
 from collections import OrderedDict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -243,7 +242,7 @@ class DetectionStore:
         try:
             detections, _ = load_detections(path)
             return detections[key[1]]
-        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile):
+        except Exception:  # a flipped byte can raise zlib.error, NotImplementedError, ...
             # An unreadable entry is a miss: the frame is re-detected,
             # and with the file gone that detection's put() rewrites it.
             path.unlink(missing_ok=True)

@@ -7,11 +7,13 @@ The package has two layers:
 * :mod:`repro.spatial.index` — :class:`SpatialTileIndex`, the quadtree
   over indexed object positions that answers spatial count-series
   queries by pruning whole tiles, with per-(tile, class) count
-  summaries built at ingest and updated incrementally on ``extend``.
+  summaries built with the tree.
 
-The index plugs into :class:`~repro.core.index.MASTIndex` (which routes
-spatial filters through it when enabled) and is exercised end-to-end by
-the corpus and streaming services.
+The index plugs into :class:`~repro.core.index.MASTIndex`, which builds
+it for the first region-shaped query, routes region-shaped filters
+through it, and builds its successor's tiles on every rebuild (``extend``,
+a re-plan, a re-``fit``).  It is exercised end-to-end by the corpus and
+streaming services.
 """
 
 from repro.spatial.index import (

@@ -25,11 +25,10 @@ tiles partition the rows, classification is sound (``contained`` tiles
 satisfy the predicate at every interior point, ``pruned`` tiles at
 none), and per-tile integer counts sum exactly in float64.
 
-On :meth:`updated` (the pipeline's ``extend`` path) the tree keeps its
-split geometry, reassigns the new columns, and recomputes only the
-summary entries for frames past the invalidation boundary — the same
-tail-only contract the serving caches follow — bumping :attr:`version`
-so downstream layers can observe the epoch.
+A tile index has one build, the constructor.  :meth:`updated` (a rebuild
+of the :class:`~repro.core.index.MASTIndex` the tiles belong to) is that
+build over the new columns with the same shape parameters, bumping
+:attr:`version` so downstream layers can observe the epoch.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ __all__ = [
 DEFAULT_LEAF_CAPACITY: int = 512
 #: Default maximum quadtree depth.
 DEFAULT_MAX_DEPTH: int = 10
-#: Row growth beyond which :meth:`SpatialTileIndex.updated` abandons the
-#: frozen split geometry and rebuilds the tree from scratch.
-REBUILD_GROWTH_FACTOR: float = 4.0
 
 #: Label key for the any-label ("*") summaries.
 _ANY_LABEL = None
@@ -139,7 +135,6 @@ class SpatialTileIndex:
         leaf_capacity: int = DEFAULT_LEAF_CAPACITY,
         max_depth: int = DEFAULT_MAX_DEPTH,
         summary_confidence: float = DEFAULT_CONFIDENCE,
-        _reuse: tuple | None = None,
     ) -> None:
         if leaf_capacity < 1:
             raise ValueError(f"leaf_capacity must be >= 1, got {leaf_capacity}")
@@ -156,21 +151,12 @@ class SpatialTileIndex:
         self.stats = SpatialIndexStats()
         #: Epoch counter; bumps on every :meth:`updated` handoff.
         self.version: int = 0
-        #: Rows present when the split geometry was last (re)built.
-        self._rows_at_build: int = len(self._frame_index)
 
         self._nodes: list[_Node] = []
         self._order: np.ndarray = np.zeros(0, dtype=np.int64)
         self._summaries: dict[tuple[int, str | None], _Summary] = {}
-        if _reuse is None:
-            self._build()
-            self._build_summaries(boundary=-1, previous=None)
-        else:
-            nodes, version, rows_at_build = _reuse
-            self._nodes = nodes
-            self.version = version
-            self._rows_at_build = rows_at_build
-            self._assign_rows()
+        self._build()
+        self._build_summaries()
 
     # ------------------------------------------------------------------
     # Construction
@@ -222,80 +208,24 @@ class SpatialTileIndex:
             np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64)
         )
 
-    def _assign_rows(self) -> None:
-        """Route all rows through the frozen split geometry (no new splits)."""
-        segments: list[np.ndarray] = []
-        offset = 0
-
-        def recurse(node_id: int, rows: np.ndarray) -> None:
-            nonlocal offset
-            node = self._nodes[node_id]
-            extent = _tight_extent(self._positions, rows)
-            if node.is_leaf:
-                start = offset
-                offset += len(rows)
-                segments.append(rows)
-                node.start, node.end, node.extent = start, offset, extent
-                return
-            assert node.center is not None and node.children is not None
-            start = offset
-            digits = _quadrant_digits(self._positions, rows, *node.center)
-            for digit in range(4):
-                recurse(node.children[digit], rows[digits == digit])
-            node.start, node.end, node.extent = start, offset, extent
-
-        recurse(0, np.arange(len(self._frame_index), dtype=np.int64))
-        self._order = (
-            np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64)
-        )
-
-    def _build_summaries(
-        self, *, boundary: int, previous: dict[tuple[int, str | None], _Summary] | None
-    ) -> None:
-        """Per-(leaf, label) sparse count series at the summary confidence.
-
-        With ``previous`` summaries and an invalidation ``boundary``,
-        entries for frames ``<= boundary`` are carried over verbatim and
-        only rows of later frames are re-counted (the extend path);
-        otherwise everything is computed from scratch.
-        """
+    def _build_summaries(self) -> None:
+        """Per-(leaf, label) sparse count series at the summary confidence."""
         summaries: dict[tuple[int, str | None], _Summary] = {}
-        fresh_keys: set[tuple[int, str | None]] = set()
         for node_id, node in enumerate(self._nodes):
             if not node.is_leaf or node.n_rows == 0:
                 continue
             rows = self._order[node.start : node.end]
-            confident = self._scores[rows] >= self.summary_confidence
-            if previous is not None:
-                confident &= self._frame_index[rows] > boundary
-            rows = rows[confident]
+            rows = rows[self._scores[rows] >= self.summary_confidence]
             if not len(rows):
                 continue
             frames = self._frame_index[rows]
             row_labels = self._labels[rows]
             frame_ids, counts = np.unique(frames, return_counts=True)
             summaries[(node_id, _ANY_LABEL)] = (frame_ids, counts.astype(float))
-            fresh_keys.add((node_id, _ANY_LABEL))
             for label in np.unique(row_labels):
                 selector = row_labels == label
                 frame_ids, counts = np.unique(frames[selector], return_counts=True)
-                key = (node_id, str(label))
-                summaries[key] = (frame_ids, counts.astype(float))
-                fresh_keys.add(key)
-        if previous is not None:
-            for key, (frame_ids, counts) in previous.items():
-                keep = frame_ids <= boundary
-                if not keep.any():
-                    continue
-                kept: _Summary = (frame_ids[keep], counts[keep])
-                if key in summaries:
-                    suffix = summaries[key]
-                    summaries[key] = (
-                        np.concatenate([kept[0], suffix[0]]),
-                        np.concatenate([kept[1], suffix[1]]),
-                    )
-                else:
-                    summaries[key] = kept
+                summaries[(node_id, str(label))] = (frame_ids, counts.astype(float))
         self._summaries = summaries
 
     def updated(
@@ -305,35 +235,12 @@ class SpatialTileIndex:
         positions: np.ndarray,
         scores: np.ndarray,
         n_frames: int,
-        *,
-        boundary: int,
     ) -> SpatialTileIndex:
-        """Incremental successor index over new flat columns.
+        """The successor tile index over new flat columns.
 
-        Rows for frames ``<= boundary`` must be unchanged (the pipeline's
-        extend invariant); their summary entries are reused, the frozen
-        split geometry is kept, and :attr:`version` advances.  If the
-        data outgrew the frozen tree (> ``REBUILD_GROWTH_FACTOR`` x the
-        rows at the last structural build), the successor rebuilds its
-        structure from scratch instead — still under the new version.
+        A fresh build with this index's shape parameters, one
+        :attr:`version` later.
         """
-        boundary = int(boundary)
-        if (
-            self._rows_at_build
-            and len(frame_index) > REBUILD_GROWTH_FACTOR * self._rows_at_build
-        ):
-            successor = SpatialTileIndex(
-                frame_index,
-                labels,
-                positions,
-                scores,
-                n_frames,
-                leaf_capacity=self.leaf_capacity,
-                max_depth=self.max_depth,
-                summary_confidence=self.summary_confidence,
-            )
-            successor.version = self.version + 1
-            return successor
         successor = SpatialTileIndex(
             frame_index,
             labels,
@@ -343,13 +250,8 @@ class SpatialTileIndex:
             leaf_capacity=self.leaf_capacity,
             max_depth=self.max_depth,
             summary_confidence=self.summary_confidence,
-            _reuse=(
-                [_copy_node(node) for node in self._nodes],
-                self.version + 1,
-                self._rows_at_build,
-            ),
         )
-        successor._build_summaries(boundary=boundary, previous=self._summaries)
+        successor.version = self.version + 1
         return successor
 
     # ------------------------------------------------------------------
@@ -521,14 +423,3 @@ def _quadrant_digits(
     east = positions[rows, 0] >= center_x
     north = positions[rows, 1] >= center_y
     return east.astype(np.int64) + 2 * north.astype(np.int64)
-
-
-def _copy_node(node: _Node) -> _Node:
-    return _Node(
-        node.start,
-        node.end,
-        node.extent,
-        center=node.center,
-        children=node.children,
-        leaf_count=node.leaf_count,
-    )

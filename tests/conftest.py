@@ -99,6 +99,21 @@ def always_computing():
     return reference
 
 
+@pytest.fixture()
+def flat_scan():
+    """``with flat_scan():`` — the reference tiled answers are checked
+    against: inside the block no filter routes to a tile index, so every
+    ``MASTIndex`` count series is one scan of its flat columns."""
+
+    @contextmanager
+    def reference():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.core.index._region_shaped", lambda object_filter: False)
+            yield
+
+    return reference
+
+
 @pytest.fixture(scope="session", autouse=True)
 def lock_witness():
     """Runtime lock-order witness, armed by ``REPRO_WITNESS=1``.

@@ -1,10 +1,12 @@
 """CLI surface: ``repro flow run/resume/tail`` end to end (tiny flows)."""
 
 import io
+import shutil
 
 import pytest
 
 from repro.cli import main
+from repro.flow import CheckpointCorrupted, CheckpointStore, stable_digest
 
 
 def run_cli(*argv) -> tuple[int, str]:
@@ -79,11 +81,54 @@ class TestRun:
         assert "requires --sequences" in output
 
 
+def smallest_checkpoint(ckpt):
+    return min((ckpt / "steps").glob("*.ckpt"), key=lambda path: path.stat().st_size)
+
+
 class TestResume:
     def test_resume_without_checkpoints_exits_2(self, tmp_path):
         status, output = run_flow("resume", "experiment", ckpt=tmp_path / "none")
         assert status == 2
         assert "nothing to resume" in output
+
+    def test_resume_over_a_flipped_checkpoint_exits_2(self, completed_run, tmp_path):
+        ckpt, _ = completed_run
+        copy = tmp_path / "flow"
+        shutil.copytree(ckpt, copy)
+        path = smallest_checkpoint(copy)
+        data = bytearray(path.read_bytes())
+        data[0] ^= 0xFF
+        path.write_bytes(bytes(data))
+        status, output = run_flow("resume", "experiment", ckpt=copy)
+        assert status == 2
+        assert output.startswith(f"error: checkpoint {path}")
+
+
+def test_every_flipped_byte_is_refused_or_replays_identically(completed_run, tmp_path):
+    """Three single-bit flips per byte of a real checkpoint: each load is
+    a ``CheckpointCorrupted`` or the very result that was saved — never
+    another exception, never a different value."""
+    ckpt, _ = completed_run
+    source = smallest_checkpoint(ckpt)
+    key = source.stem
+    original = CheckpointStore(ckpt / "steps").load(key)
+    want = (original.key, original.fingerprint, stable_digest(original.value))
+    store = CheckpointStore(tmp_path)
+    data = source.read_bytes()
+    outcomes = {"refused": 0, "identical": 0}
+    for position in range(len(data)):
+        for bit in (0, 3, 7):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << bit
+            store.path(key).write_bytes(bytes(flipped))
+            try:
+                loaded = store.load(key)
+            except CheckpointCorrupted:
+                outcomes["refused"] += 1
+                continue
+            assert (loaded.key, loaded.fingerprint, stable_digest(loaded.value)) == want
+            outcomes["identical"] += 1
+    assert outcomes["refused"] > outcomes["identical"] > 0
 
 
 class TestTail:

@@ -159,6 +159,42 @@ class TestDetectionStore:
             store._path_for(key_for(sequence, i, model)) for i in frame_ids
         )
 
+    def test_every_flipped_byte_is_a_hit_or_a_miss_redetected_once(
+        self, sequence, tmp_path
+    ):
+        """One single-bit flip per byte of a real entry: each lookup is a
+        hit with the very detections stored, or a miss the engine detects
+        again exactly once — never an exception, never other detections."""
+        from repro.inference import InferenceEngine
+        from repro.utils.timing import STAGE_MODEL, CostLedger
+
+        model = pv_rcnn(seed=3)
+        with InferenceEngine(store=DetectionStore(persist_dir=tmp_path)) as engine:
+            want = engine.detect_wave(sequence, [2], model)[2]
+        (path,) = tmp_path.iterdir()
+        data = path.read_bytes()
+
+        def same(objects):
+            return all(
+                np.array_equal(getattr(objects, field), getattr(want, field))
+                for field in ("labels", "centers", "sizes", "yaws", "scores")
+            )
+
+        outcomes = {"hit": 0, "miss": 0}
+        for position in range(len(data)):
+            flipped = bytearray(data)
+            flipped[position] ^= 1 << position % 8
+            path.write_bytes(bytes(flipped))
+            store = DetectionStore(persist_dir=tmp_path)
+            ledger = CostLedger()
+            with InferenceEngine(store=store) as engine:
+                got = engine.detect_wave(sequence, [2], model, ledger=ledger)[2]
+            assert same(got), position
+            misses = store.stats().misses
+            assert ledger.invocations(STAGE_MODEL) == misses <= 1, position
+            outcomes["miss" if misses else "hit"] += 1
+        assert outcomes["miss"] > outcomes["hit"] > 0
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError, match="max_entries"):
             DetectionStore(max_entries=0)

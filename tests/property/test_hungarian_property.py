@@ -1,12 +1,14 @@
 """Property-based tests for the Hungarian implementation."""
 
+import itertools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
-from repro.geometry import hungarian, match_with_threshold, matching
+from repro.geometry import hungarian, match_pairs, match_with_threshold, matching
 
 cost_matrices = st.integers(1, 8).flatmap(
     lambda n: st.integers(1, 8).flatmap(
@@ -161,3 +163,73 @@ def test_threshold_gating_consistency(cost, max_cost):
     all_cols = {j for _, j in pairs} | set(unmatched_cols)
     assert all_rows == set(range(cost.shape[0]))
     assert all_cols == set(range(cost.shape[1]))
+
+
+# ----------------------------------------------------------------------
+# Gated assignment.  The spec: among matchings that use only feasible
+# entries (finite and within the gate), the most pairs, then the least
+# total cost.  (Dropping the above-gate pairs of an ungated optimum is
+# not it: that can leave fewer pairs than a gated matching has.)
+# ----------------------------------------------------------------------
+def gated_costs(n, m, seed):
+    """Costs with ties, an infinite "cannot match" entry or two, and a gate
+    that leaves some rows without a partner."""
+    rng = np.random.default_rng(seed)
+    if rng.random() < 0.5:
+        cost = rng.integers(0, 6, size=(n, m)).astype(float)
+    else:
+        cost = rng.uniform(0.0, 50.0, size=(n, m))
+    cost[rng.random((n, m)) < 0.1] = np.inf
+    return cost, float(rng.uniform(0.0, 1.1) * 50.0)
+
+
+def brute_force_gated(cost, gate):
+    """``(pairs, total)`` of the spec's optimum, by enumeration."""
+    n, m = cost.shape
+    feasible = np.isfinite(cost) & (cost <= gate)
+    best = (0, 0.0)
+    for k in range(1, min(n, m) + 1):
+        for rows in itertools.combinations(range(n), k):
+            for cols in itertools.permutations(range(m), k):
+                if all(feasible[i, j] for i, j in zip(rows, cols)):
+                    total = sum(cost[i, j] for i, j in zip(rows, cols))
+                    if best[0] < k or total < best[1]:
+                        best = (k, total)
+    return best
+
+
+def assert_gated_matching(pairs, cost, gate):
+    rows = [i for i, _ in pairs]
+    cols = [j for _, j in pairs]
+    assert len(set(rows)) == len(rows) and len(set(cols)) == len(cols)
+    assert all(np.isfinite(cost[i, j]) and cost[i, j] <= gate for i, j in pairs)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1))
+@settings(max_examples=400, deadline=None)
+def test_gated_pairs_equal_the_spec_by_enumeration(n, m, seed):
+    cost, gate = gated_costs(n, m, seed)
+    pairs = match_pairs(cost, gate)
+    assert_gated_matching(pairs, cost, gate)
+    count, total = brute_force_gated(cost, gate)
+    assert len(pairs) == count
+    assert abs(sum(cost[i, j] for i, j in pairs) - total) < 1e-9
+
+
+@given(shapes_and_seeds)
+@settings(max_examples=120, deadline=None)
+def test_gated_pairs_equal_scipy_where_a_full_matching_exists(case):
+    """Larger matrices: scipy on the gated costs (infeasible entries
+    ``+inf``) is the reference wherever it finds a full matching."""
+    n, m, seed = case
+    cost = euclidean_costs(n, m, seed)
+    gate = float(np.quantile(cost, 0.6))
+    gated = np.where(cost <= gate, cost, np.inf)
+    try:
+        want = scipy_pairs(gated)
+    except ValueError:  # no full matching under the gate
+        return
+    pairs = match_pairs(cost, gate)
+    assert_gated_matching(pairs, cost, gate)
+    assert len(pairs) == len(want) == min(n, m)
+    assert abs(sum(cost[i, j] for i, j in pairs) - sum(cost[i, j] for i, j in want)) < 1e-7

@@ -316,10 +316,11 @@ def test_every_provider_counts_like_the_per_frame_loop(seed, n_frames, filters, 
         want = np.interp(sequence.timestamps, sequence.timestamps[sampled_ids], measured)
         assert np.array_equal(got[object_filter], want[start:])
 
-    for tiles in (True, False):
-        index = MASTIndex.build(sampling, MASTConfig(spatial_index=tiles))
-        indexed = _index_objects(index)
-        got = index.count_series_many(filters, start=start)
-        for object_filter in filters:
-            want = _counts(object_filter, indexed, everything)
-            assert np.array_equal(got[object_filter], want[start:])
+    index = MASTIndex.build(sampling, MASTConfig())
+    indexed = _index_objects(index)
+    got = index.count_series_many(filters, start=start)
+    flat = index._rows.count_series(filters, n_frames, start=start)
+    for object_filter in filters:
+        want = _counts(object_filter, indexed, everything)
+        assert np.array_equal(got[object_filter], want[start:])
+        assert np.array_equal(flat[object_filter], want[start:])

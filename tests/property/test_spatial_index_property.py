@@ -5,7 +5,7 @@ bit-identity with the flat column scan for *every* spatial filter, tree
 shape, and update history.  The flat scan is kept inline as the
 executable specification; Hypothesis drives random worlds (clustered —
 uniform points rarely stress tile boundaries), random predicates, and
-random tile depths, including the incremental post-``extend`` path.
+random tile depths, including successors built by ``updated``.
 """
 
 from __future__ import annotations
@@ -125,14 +125,12 @@ def test_incremental_update_equals_brute_force(seed, n, leaf_capacity, n_extends
 
     for step in range(n_extends):
         frame_index, labels, positions, scores, n_frames = columns
-        boundary = n_frames - 1
-        extra_n = int(rng.integers(1, 400))  # sometimes > growth factor
+        extra_n = int(rng.integers(1, 400))
         extra_frames = int(rng.integers(1, 20))
         new_frames = np.sort(
             rng.integers(n_frames, n_frames + extra_frames, extra_n)
         ).astype(np.int64)
-        # New positions may drift outside the original bbox — rows
-        # outside the frozen root must still be routed and counted.
+        # New positions may drift outside the original bbox.
         drift = spread * (1.0 + step)
         columns = (
             np.concatenate([frame_index, new_frames]),
@@ -143,7 +141,7 @@ def test_incremental_update_equals_brute_force(seed, n, leaf_capacity, n_extends
             np.concatenate([scores, rng.uniform(0.0, 1.0, extra_n)]),
             n_frames + extra_frames,
         )
-        index = index.updated(*columns, boundary=boundary)
+        index = index.updated(*columns)
         assert index.version == step + 1
 
     for _ in range(4):

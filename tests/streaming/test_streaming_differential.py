@@ -208,12 +208,13 @@ def test_standing_queries_track_epochs(stream_sequences, config, model):
 
 
 def test_region_standing_query_builds_tiles_inside_the_epoch(
-    stream_sequences, config, model
+    stream_sequences, config, model, flat_scan
 ):
     """A region-shaped standing query is the one reader that runs under
-    the ingest lock: each epoch's fresh indexes build their tiles there,
-    on first use, and flushes in between keep them maintained.  Every
-    epoch's answer equals the flat scan's; the last equals batch."""
+    the ingest lock: the first epoch's indexes build their tiles there,
+    on first use, and every flush and re-plan after it builds its
+    successor's.  Every epoch's answer equals the flat scan's; the last
+    equals batch."""
     text = "SELECT MED OF COUNT(*) WITHIN REGION (-30, -30, 30, 30)"
 
     def run(config):
@@ -235,7 +236,8 @@ def test_region_standing_query_builds_tiles_inside_the_epoch(
 
     source, tiled, stats = run(config)
     assert all(s is not None and s["queries"] >= 1 for s in stats)
-    _, flat, flat_stats = run(config.with_overrides(spatial_index=False))
+    with flat_scan():
+        _, flat, flat_stats = run(config)
     assert flat_stats == [None, None]
     assert len(tiled) >= 2 and tiled == flat
     with batch_reference(source, config, model, policy="uniform") as batch:

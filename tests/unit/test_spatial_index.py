@@ -4,7 +4,7 @@ The load-bearing property — tiled evaluation is *bit-identical* to the
 brute-force scan — is pinned here on deterministic fixtures (and
 explored on random instances in ``tests/property``), alongside the
 structural invariants that make it true: the leaves partition the rows,
-classification is sound, and incremental updates preserve both.
+classification is sound, and a successor index is a fresh build of both.
 """
 
 import numpy as np
@@ -203,7 +203,7 @@ class TestIncrementalUpdate:
         columns = make_columns()
         index = build(columns, leaf_capacity=32)
         grown = extend_columns(columns, extra_n=250, extra_frames=15)
-        successor = index.updated(*grown, boundary=columns[4] - 1)
+        successor = index.updated(*grown)
         assert successor.version == 1
         for object_filter in FILTERS:
             assert np.array_equal(
@@ -211,37 +211,25 @@ class TestIncrementalUpdate:
                 brute_force(grown, object_filter),
             )
 
-    def test_updated_keeps_split_geometry(self):
+    def test_updated_is_a_fresh_build_one_version_later(self):
         columns = make_columns()
-        index = build(columns, leaf_capacity=32)
+        index = build(columns, leaf_capacity=32, max_depth=6, summary_confidence=0.7)
         grown = extend_columns(columns, extra_n=100, extra_frames=5)
-        successor = index.updated(*grown, boundary=columns[4] - 1)
-        assert [n.center for n in successor._nodes] == [
-            n.center for n in index._nodes
-        ]
-
-    def test_growth_triggers_structural_rebuild(self):
-        columns = make_columns(n=100)
-        index = build(columns, leaf_capacity=8)
-        grown = extend_columns(columns, extra_n=1000, extra_frames=40)
-        successor = index.updated(*grown, boundary=columns[4] - 1)
-        assert successor.version == 1  # epoch still advances
-        assert successor._rows_at_build == len(grown[0])  # fresh structure
-        for object_filter in FILTERS:
-            assert np.array_equal(
-                successor.count_series(object_filter),
-                brute_force(grown, object_filter),
-            )
+        successor = index.updated(*grown)
+        fresh = build(grown, leaf_capacity=32, max_depth=6, summary_confidence=0.7)
+        assert successor._nodes == fresh._nodes
+        assert np.array_equal(successor._order, fresh._order)
+        assert successor._summaries.keys() == fresh._summaries.keys()
+        assert (successor.version, fresh.version) == (1, 0)
 
     def test_chained_updates(self):
         columns = make_columns(n=200)
         index = build(columns, leaf_capacity=32)
         for step in range(3):
-            boundary = columns[4] - 1
             columns = extend_columns(
                 columns, extra_n=60, extra_frames=4, seed=50 + step
             )
-            index = index.updated(*columns, boundary=boundary)
+            index = index.updated(*columns)
             assert index.version == step + 1
         for object_filter in FILTERS:
             assert np.array_equal(
@@ -376,24 +364,16 @@ class TestFirstUseBuild:
         assert tile_builds == [pipeline.index.spatial_index]
         assert pipeline.index.spatial_stats()["queries"] >= 1
 
-    def test_disabled_means_never(self, drive, detector, tile_builds):
-        pipeline = fitted(drive, detector, spatial_index=False)
-        pipeline.query(REGION_TEXT)
-        pipeline.extend(list(drive[120:130]))
-        pipeline.query(REGION_TEXT)
-        assert tile_builds == []
-        assert pipeline.index.spatial_index is None
-        assert "spatial" not in pipeline.explain(REGION_TEXT)
-
     def test_racing_first_region_queries_build_one_index(
-        self, drive, detector, tile_builds, monkeypatch
+        self, drive, detector, tile_builds, flat_scan, monkeypatch
     ):
         import sys
         import threading
         import time
 
         index = fitted(drive, detector).index
-        flat = fitted(drive, detector, spatial_index=False).index
+        with flat_scan():
+            want = index.count_series(REGION_FILTER)
 
         # Hold the winner inside the build until the loser has arrived.
         real = SpatialTileIndex._build
@@ -423,33 +403,104 @@ class TestFirstUseBuild:
         assert tile_builds == [index.spatial_index]
         assert len(answers) == n_clients
         for answer in answers:
-            assert np.array_equal(answer, flat.count_series(REGION_FILTER))
+            assert np.array_equal(answer, want)
 
     def test_materialised_tiles_are_maintained_through_extend(
-        self, drive, detector, tile_builds
+        self, drive, detector, tile_builds, flat_scan
     ):
         eager = fitted(drive, detector)
         lazy = fitted(drive, detector)
-        flat = fitted(drive, detector, spatial_index=False)
 
         eager.query(REGION_TEXT)  # tiles exist before the extend
         before = eager.index.spatial_index
         assert tile_builds == [before] and before.version == 0
-        for pipeline in (eager, lazy, flat):
+        for pipeline in (eager, lazy):
             pipeline.extend(list(drive[120:]))
 
         # The built tiles advanced through ``updated`` (one successor,
-        # same split geometry); the untouched pipeline still has none.
+        # one version later); the untouched pipeline still has none.
         after = eager.index.spatial_index
         assert after is not before and after.version == 1
         assert tile_builds == [before, after]
         assert lazy.index.spatial_index is None
 
-        want = flat.index.count_series(REGION_FILTER)
+        with flat_scan():
+            want = lazy.index.count_series(REGION_FILTER)
+        assert lazy.index.spatial_index is None
         assert np.array_equal(eager.index.count_series(REGION_FILTER), want)
         assert np.array_equal(lazy.index.count_series(REGION_FILTER), want)
         assert lazy.index.spatial_index.version == 0
-        assert flat.index.spatial_index is None
+
+
+#: Region-shaped filters of every predicate kind the tiles answer.
+REGION_FILTERS = [
+    REGION_FILTER,
+    ObjectFilter(None, SectorPredicate(-45, 45)),
+    ObjectFilter("Pedestrian", TilePredicate("0")),
+    ObjectFilter("Car", RegionPredicate(-30, -30, 30, 30), confidence=0.8),
+]
+
+
+def assert_tiles_carried(index, before, tile_builds, flat_scan, ask):
+    """The successor of a tiled index holds tiles one version later, and
+    the region queries asked of it next build none and equal a flat scan."""
+    after = index.spatial_index
+    assert after is not None and after is not before
+    assert after.version == before.version + 1
+    assert tile_builds[-1] is after
+    built = len(tile_builds)
+    with flat_scan():
+        want = {f: index.count_series(f) for f in REGION_FILTERS}
+    ask(REGION_TEXT)
+    for object_filter in REGION_FILTERS:
+        assert np.array_equal(index.count_series(object_filter), want[object_filter])
+    assert len(tile_builds) == built
+    assert index.spatial_index is after
+    assert after.stats.queries >= len(REGION_FILTERS)
+
+
+class TestCarryRule:
+    """The successor of a tiled index is tiled, on every rebuild."""
+
+    @pytest.mark.parametrize("rebuild", ["extend", "re-plan", "re-fit"])
+    def test_pipeline_rebuilds(self, drive, detector, tile_builds, flat_scan, rebuild):
+        from repro.core import HierarchicalMultiAgentSampler, MASTConfig
+
+        pipeline = fitted(drive, detector)
+        pipeline.query(REGION_TEXT)
+        before = pipeline.index.spatial_index
+        if rebuild == "extend":
+            pipeline.extend(list(drive[120:135]))
+        elif rebuild == "re-plan":
+            sampling = HierarchicalMultiAgentSampler(MASTConfig(seed=4)).sample(
+                pipeline.sequence, detector, engine=pipeline.engine
+            )
+            pipeline.fit_from_sampling(pipeline.sequence, detector, sampling)
+        else:
+            pipeline.fit(drive.head(130, name=drive.name), detector)
+        assert_tiles_carried(
+            pipeline.index, before, tile_builds, flat_scan, pipeline.query
+        )
+
+    def test_corpus_replan(self, drive, detector, tile_builds, flat_scan):
+        from repro.core import MASTConfig
+        from repro.corpus import CorpusPipeline, CorpusQueryService, SequenceCatalog
+
+        catalog = SequenceCatalog()
+        catalog.register_sequence(drive.head(120, name=drive.name))
+        with CorpusPipeline(catalog, MASTConfig(seed=3)) as corpus:
+            corpus.fit(detector)
+            with CorpusQueryService(corpus) as service:
+                service.execute(REGION_TEXT)
+                before = corpus.shard(drive.name).index.spatial_index
+                service.replan(detector)
+                assert_tiles_carried(
+                    corpus.shard(drive.name).index,
+                    before,
+                    tile_builds,
+                    flat_scan,
+                    service.execute,
+                )
 
 
 #: Selectivity ladder, ``(cx, cy, half)`` as fractions of the city's 300 m
@@ -469,7 +520,7 @@ CITY_REGIONS = {
         pytest.param(1400, 800_000, 0.02, id="city-large", marks=pytest.mark.stress),
     ],
 )
-def test_city_scale_tiled_equals_flat(n_frames, min_rows, max_scan_fraction):
+def test_city_scale_tiled_equals_flat(n_frames, min_rows, max_scan_fraction, flat_scan):
     """Tiled ≡ flat where the tiles earn their keep — 10^5-10^6 indexed
     rows — and what they save there, as work rather than wall-clock: a
     corner query scans a few percent of the rows a flat scan touches."""
@@ -480,7 +531,7 @@ def test_city_scale_tiled_equals_flat(n_frames, min_rows, max_scan_fraction):
     sequence = city_like(0, n_frames=n_frames, with_points=False)
     model = pv_rcnn(seed=5, sensor_range=300.0)
     with MASTPipeline(MASTConfig(seed=1)) as tiled, MASTPipeline(
-        MASTConfig(seed=1, spatial_index=False)
+        MASTConfig(seed=1)
     ) as flat:
         tiled.fit(sequence, model)
         flat.fit_from_sampling(sequence, model, tiled.sampling_result)
@@ -489,10 +540,9 @@ def test_city_scale_tiled_equals_flat(n_frames, min_rows, max_scan_fraction):
         for name, (cx, cy, half) in CITY_REGIONS.items():
             box = [300.0 * edge for edge in (cx - half, cy - half, cx + half, cy + half)]
             car_filter = ObjectFilter("Car", RegionPredicate(*box))
-            assert np.array_equal(
-                tiled.index.count_series(car_filter),
-                flat.index.count_series(car_filter),
-            ), name
+            with flat_scan():
+                want = flat.index.count_series(car_filter)
+            assert np.array_equal(tiled.index.count_series(car_filter), want), name
             if name == "corner":  # the first rung: the counters are its alone
                 corner = tiled.index.spatial_stats()
             region = "REGION {:g} {:g} {:g} {:g}".format(*box)
@@ -500,7 +550,9 @@ def test_city_scale_tiled_equals_flat(n_frames, min_rows, max_scan_fraction):
                 f"SELECT MED OF COUNT(* {region})",
                 f"SELECT AVG OF COUNT(Car {region})",
             ):
-                assert tiled.query(text).value == flat.query(text).value, text
+                with flat_scan():
+                    want = flat.query(text).value
+                assert tiled.query(text).value == want, text
         assert flat.index.spatial_index is None
 
     assert corner["row_scan_fraction"] <= max_scan_fraction

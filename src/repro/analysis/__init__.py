@@ -1,6 +1,6 @@
 """repro.analysis — project-specific static analysis (``repro lint``).
 
-An AST-based lint framework plus eleven rules that prove, at every call
+An AST-based lint framework plus ten rules that prove, at every call
 site and on every PR, the invariants the serving and inference layers
 promise at runtime:
 
@@ -17,10 +17,9 @@ RPR008   process-safety            spawned workers only get picklable state
 RPR009   lock-order-inversion      the lock-acquisition-order graph is acyclic
 RPR010   blocking-under-lock       no registered lock is held across blocking I/O
 RPR011   event-loop-discipline     coroutines never reach blocking calls inline
-RPR012   step-purity               @flow.step bodies replay bit-identically
 =======  ========================  =============================================
 
-RPR001-RPR006, RPR008 and RPR012 check one module at a time.  RPR009-RPR011 are
+RPR001-RPR006 and RPR008 check one module at a time.  RPR009-RPR011 are
 *interprocedural*: the engine builds per-function lock summaries and a
 project-wide call graph (``repro.analysis.summaries``), propagates
 acquired-lock and blocking-operation sets to a fixpoint

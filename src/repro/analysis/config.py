@@ -32,10 +32,6 @@ __all__ = ["DEFAULT_PER_DIRECTORY", "LintConfig", "load_config"]
 #: * ``models`` implement detection, so their internal ``self.detect``
 #:   delegation is not a ledger bypass (RPR004).
 #: * ``inference`` *is* the blessed detection path (RPR004).
-#: * ``corpus``, ``streaming``, ``spatial``, ``flow`` and ``evalx`` are
-#:   registered with no disables: these layers obey every invariant and
-#:   their growth stays under the full rule set (for ``flow``/``evalx``,
-#:   step purity — RPR012 — is what makes checkpoint replay sound).
 #: * ``tests`` run under a relaxed profile: stress suites time out on
 #:   wall-clock deadlines (RPR002), fixtures draw throwaway seeds
 #:   (RPR005), and unit tests exercise detectors directly (RPR004);
@@ -46,11 +42,6 @@ DEFAULT_PER_DIRECTORY: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("benchmarks", ("RPR002", "RPR005")),
     ("src/repro/models", ("RPR004",)),
     ("src/repro/inference", ("RPR004",)),
-    ("src/repro/corpus", ()),
-    ("src/repro/streaming", ()),
-    ("src/repro/spatial", ()),
-    ("src/repro/flow", ()),
-    ("src/repro/evalx", ()),
     ("tests", ("RPR002", "RPR005", "RPR004")),
 )
 

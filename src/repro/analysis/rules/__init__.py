@@ -21,7 +21,6 @@ from repro.analysis.rules.hygiene import MutableDefaultArgs
 from repro.analysis.rules.ledger import LedgerChargeDiscipline
 from repro.analysis.rules.locks import LockDiscipline
 from repro.analysis.rules.process import ProcessSafety
-from repro.analysis.rules.steps import StepPurity
 from repro.analysis.rules.wallclock import NoWallClock
 
 __all__ = ["ALL_RULES", "RULES_BY_CODE", "make_rules"]
@@ -37,7 +36,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     LockOrderInversion,
     BlockingUnderLock,
     EventLoopDiscipline,
-    StepPurity,
 )
 
 RULES_BY_CODE: dict[str, type[Rule]] = {rule.code: rule for rule in ALL_RULES}

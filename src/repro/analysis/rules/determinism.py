@@ -67,11 +67,7 @@ class NoGlobalRng(Rule):
 
 
 def is_unseeded_default_rng(node: ast.AST, imports: ImportMap) -> bool:
-    """True when ``node`` calls ``default_rng`` without an explicit seed.
-
-    Shared by RPR005 (project-wide) and RPR012 (step-purity), which flag
-    the same construct under different contracts.
-    """
+    """True when ``node`` calls ``default_rng`` without an explicit seed."""
     if not isinstance(node, ast.Call):
         return False
     if imports.resolve(node.func) != "numpy.random.default_rng":

@@ -21,9 +21,7 @@ from repro.analysis.imports import iter_qualified
 
 __all__ = ["CLOCK_READS", "NoWallClock"]
 
-#: Qualified names whose value depends on the machine's clock.  Shared
-#: with RPR012 (step-purity), which enforces the same ban inside
-#: ``@flow.step`` bodies even in directories where RPR002 is relaxed.
+#: Qualified names whose value depends on the machine's clock.
 CLOCK_READS = frozenset(
     {
         "time.time",

@@ -236,7 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "paper length with a 1000-frame floor)")
         runner.add_argument("--budgets", default=None, metavar="B1,B2,...",
                             help="budget fractions; fig9 defaults to "
-                            "0.05..0.25, experiment to 0.10")
+                            "0.05..0.25, experiment to 0.10; corpus takes "
+                            "one (default 0.10)")
         runner.add_argument("--methods", default="seiden_pc,seiden_pcst,mast",
                             metavar="M1,M2,...")
         runner.add_argument("--sequences", nargs="+", default=None,
@@ -844,6 +845,11 @@ def _flow_for_args(args):
                 )
             )
         budgets = _parse_floats(args.budgets) if args.budgets else (0.10,)
+        if len(budgets) != 1:
+            raise ValueError(
+                f"the corpus flow takes one budget, got {len(budgets)}: "
+                f"{args.budgets}"
+            )
         spec = CorpusFlowSpec(
             sequences=tuple(entries),
             model=args.model,
@@ -857,7 +863,7 @@ def _flow_for_args(args):
         return corpus_flow(spec), spec
 
     if args.budgets:
-        budgets: tuple[float | None, ...] = _parse_floats(args.budgets)
+        budgets = _parse_floats(args.budgets)
     elif args.flow_name == "fig9":
         budgets = (0.05, 0.10, 0.15, 0.20, 0.25)
     else:

@@ -38,10 +38,14 @@ from repro.utils.validation import require, require_in
 __all__ = [
     "AllocationReport",
     "BudgetAllocator",
+    "POLICIES",
     "UniformAllocator",
     "UCBAllocator",
     "make_allocator",
 ]
+
+#: Policy names :func:`make_allocator` accepts.
+POLICIES = ("uniform", "ucb")
 
 
 class AllocationReport:
@@ -218,7 +222,7 @@ def make_allocator(
     policy: str, config: MASTConfig, *, round_size: int = 8
 ) -> BudgetAllocator:
     """Build an allocator by policy name (``uniform`` / ``ucb``)."""
-    require_in(policy, ("uniform", "ucb"), "policy")
+    require_in(policy, POLICIES, "policy")
     if policy == "uniform":
         return UniformAllocator()
     return UCBAllocator(config, round_size=round_size)

@@ -8,9 +8,9 @@ re-expressed here as :class:`~repro.flow.Flow` graphs of pure steps:
   (``cache=False``: recomputed every run, fingerprinted by inputs);
 * ``oracle`` — the full-processing truth pass, checkpointed once and
   replayed under every method and budget;
-* ``method:<name>[:<budget>]`` — one checkpointed
+* ``method:<name>:<budget>`` — one checkpointed
   :func:`~repro.evalx.runner.evaluate_method` call per (method, budget);
-* ``report[:<budget>]`` / ``summary`` — assembly of the same
+* ``report:<budget>`` / ``summary`` — assembly of the same
   :class:`~repro.evalx.runner.ExperimentReport` objects the legacy path
   returns, **bit-identically** (pinned by :func:`experiment_digest`,
   which excludes only measured wall-clock by construction).
@@ -21,14 +21,8 @@ the run's checkpoint directory (``ctx.store_dir``), so a crash between
 policy steps resumes without re-detecting — the engine records disk
 hits exactly like memory hits and never re-bills them.
 
-:func:`add_session_chain` slots a resumable
-:class:`~repro.core.sampler.AdaptiveSamplingSession` in as a chain of
-checkpointable steps: each chunk replays the (bit-identical) selection
-trajectory with the previous chunk's detections carried as ``known`` —
-carried frames are never re-charged, so the final chunk's
-:class:`~repro.core.sampler.SamplingResult` matches a one-shot
-``sampler.sample()`` run frame for frame and simulated-second for
-simulated-second.
+Both builders validate their method and policy names before returning,
+so an unknown name fails before any step runs or writes a checkpoint.
 """
 
 from __future__ import annotations
@@ -37,12 +31,8 @@ from dataclasses import dataclass
 
 from repro.baselines.variants import get_method
 from repro.core.config import MASTConfig
-from repro.core.sampler import (
-    AdaptiveSamplingSession,
-    HierarchicalMultiAgentSampler,
-    SamplingResult,
-)
 from repro.corpus import SequenceCatalog, SequenceSpec
+from repro.corpus.allocator import POLICIES
 from repro.data.sequence import FrameSequence
 from repro.evalx.corpus import (
     CorpusExperimentReport,
@@ -63,13 +53,13 @@ from repro.inference import DetectionStore, InferenceEngine
 from repro.models import make_model
 from repro.query.workload import QueryWorkload, generate_workload
 from repro.simulation import build_sequence, dataset_spec
+from repro.utils.validation import require_in
 
 __all__ = [
     "ExperimentFlowSpec",
     "CorpusFlowSpec",
     "experiment_flow",
     "corpus_flow",
-    "add_session_chain",
     "experiment_digest",
     "corpus_digest",
     "budget_label",
@@ -83,10 +73,10 @@ DEFAULT_MODEL_SEED = 5
 class ExperimentFlowSpec:
     """Configuration of one single-sequence experiment flow.
 
-    ``budgets`` sweeps ``MASTConfig.budget_fraction``; ``None`` entries
-    use the config default.  With several budgets the flow shares one
-    oracle step across the whole sweep — the DAG-shaped win over the
-    legacy path, which re-ran the oracle once per budget.
+    ``budgets`` sweeps ``MASTConfig.budget_fraction``.  With several
+    budgets the flow shares one oracle step across the whole sweep — the
+    DAG-shaped win over the legacy path, which re-ran the oracle once
+    per budget.
     """
 
     dataset: str = "semantickitti"
@@ -96,7 +86,7 @@ class ExperimentFlowSpec:
     model_seed: int = DEFAULT_MODEL_SEED
     seed: int = 1
     methods: tuple[str, ...] = ("seiden_pc", "seiden_pcst", "mast")
-    budgets: tuple[float | None, ...] = (None,)
+    budgets: tuple[float, ...] = (0.10,)
 
 
 @dataclass(frozen=True)
@@ -125,10 +115,8 @@ def _budget_percent(budget: float) -> int:
     return int(round(budget * 100))
 
 
-def budget_label(budget: float | None) -> str:
+def budget_label(budget: float) -> str:
     """Step-name suffix for one budget (``0.05`` -> ``"5pct"``)."""
-    if budget is None:
-        return "default"
     return f"{_budget_percent(budget)}pct"
 
 
@@ -161,15 +149,14 @@ def _method_step(
     model: str,
     model_seed: int,
     seed: int,
-    budget: float | None,
+    budget: float,
     ctx: StepContext,
 ) -> MethodReport:
-    config = _make_config(seed, budget)
     report = evaluate_method(
         get_method(method),
         sequence,
         make_model(model, seed=model_seed),
-        config,
+        MASTConfig(seed=seed, budget_fraction=budget),
         truth,
     )
     ctx.ledger.merge(report.ledger)
@@ -193,13 +180,13 @@ def _report_step(
 def _summary_step(
     reports: tuple[ExperimentReport, ...],
     methods: tuple[str, ...],
-    budgets: tuple[float | None, ...],
+    budgets: tuple[float, ...],
 ) -> dict[str, object]:
     """Fig-9-shaped rows: retrieval F1 and Avg accuracy per budget."""
     rows_f1: list[list[object]] = []
     rows_avg: list[list[object]] = []
     for budget, report in zip(budgets, reports):
-        label = "default" if budget is None else f"{_budget_percent(budget)}%"
+        label = f"{_budget_percent(budget)}%"
         rows_f1.append(
             [label, *(round(report[m].mean_retrieval_f1, 3) for m in methods)]
         )
@@ -220,19 +207,16 @@ def _summary_step(
     }
 
 
-def _make_config(seed: int, budget: float | None) -> MASTConfig:
-    if budget is None:
-        return MASTConfig(seed=seed)
-    return MASTConfig(seed=seed, budget_fraction=budget)
-
-
 def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
     """The single-sequence method-comparison harness as a flow.
 
     Output steps: ``report:<budget>`` per budget (an
     :class:`ExperimentReport` bit-identical to the legacy path at that
     budget) and ``summary`` with fig9-shaped rows over the sweep.
+    Raises ``ValueError`` on an unknown method name.
     """
+    for method in spec.methods:
+        get_method(method)
     flow = Flow(f"experiment-{spec.dataset}-{spec.sequence_index}")
     flow.add(
         _sequence_step,
@@ -243,14 +227,12 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
             "n_frames": spec.n_frames,
         },
         cache=False,
-        fingerprint="inputs",
     )
     flow.add(
         _workload_step,
         name="workload",
         params={"seed": spec.seed},
         cache=False,
-        fingerprint="inputs",
     )
     flow.add(
         _oracle_step,
@@ -385,14 +367,16 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
     (pinned by :func:`corpus_digest`); oracle detections persist in the
     run's shared store, so policy steps — and resumed runs — replay
     them as cache hits instead of re-billing model invocations.
+    Raises ``ValueError`` on an unknown policy name.
     """
+    for policy in spec.policies:
+        require_in(policy, POLICIES, "policy")
     flow = Flow("corpus")
     flow.add(
         _catalog_step,
         name="catalog",
         params={"sequences": spec.sequences},
         cache=False,
-        fingerprint="inputs",
     )
     flow.add(
         _corpus_oracle_step,
@@ -429,95 +413,6 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
         deps={"truth": "corpus-oracle", "policies": tuple(policy_steps)},
     )
     return flow
-
-
-# ----------------------------------------------------------------------
-# Adaptive sampling sessions as checkpointable steps
-# ----------------------------------------------------------------------
-def _session_chunk_step(
-    sequence: FrameSequence,
-    carried: SamplingResult | None,
-    model: str,
-    model_seed: int,
-    seed: int,
-    budget: float | None,
-    part: int,
-    parts: int,
-) -> SamplingResult:
-    """Advance the adaptive session to ``(part+1)/parts`` of its budget.
-
-    Session re-entry semantics (see
-    :class:`~repro.core.sampler.AdaptiveSamplingSession`): the selection
-    trajectory replays bit-identically from the start of the adaptive
-    phase, and frames carried in ``known`` are never re-detected or
-    re-charged — so chaining chunks through checkpoints accumulates
-    exactly the one-shot run's detections, rewards, and simulated cost.
-    """
-    config = _make_config(seed, budget)
-    sampler = HierarchicalMultiAgentSampler(config, reward_kind="st")
-    known = dict(carried.detections) if carried is not None else None
-    ledger = carried.ledger if carried is not None else None
-    session = AdaptiveSamplingSession(
-        sampler,
-        sequence,
-        make_model(model, seed=model_seed),
-        engine=InferenceEngine(),
-        ledger=ledger,
-        known=known,
-    )
-    adaptive_total = session.remaining
-    target = -(-adaptive_total * (part + 1) // parts)  # ceil division
-    session.step(int(target))
-    return session.result()
-
-
-def add_session_chain(
-    flow: Flow,
-    *,
-    name: str = "sample",
-    sequence_step: str = "sequence",
-    model: str = "pv_rcnn",
-    model_seed: int = DEFAULT_MODEL_SEED,
-    seed: int = 1,
-    budget: float | None = None,
-    parts: int = 4,
-) -> str:
-    """Register an adaptive sampling session as ``parts`` chained steps.
-
-    Returns the name of the final step, whose output is the complete
-    :class:`~repro.core.sampler.SamplingResult`.  A crash between
-    chunks resumes from the last chunk's checkpoint: the next chunk
-    carries its detections as ``known`` and its ledger forward, so the
-    chain's final result is frame-for-frame identical to a one-shot
-    ``sampler.sample()`` run (policy wall-clock aside).
-    """
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    previous: str | None = None
-    for part in range(parts):
-        step_name = f"{name}:chunk{part}"
-        deps: dict[str, str] = {"sequence": sequence_step}
-        params: dict[str, object] = {
-            "model": model,
-            "model_seed": model_seed,
-            "seed": seed,
-            "budget": budget,
-            "part": part,
-            "parts": parts,
-        }
-        if previous is None:
-            params["carried"] = None
-        else:
-            deps["carried"] = previous
-        flow.add(
-            _session_chunk_step,
-            name=step_name,
-            deps=deps,
-            params=params,
-        )
-        previous = step_name
-    assert previous is not None
-    return previous
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """``repro.flow`` — a durable DAG runner for experiment pipelines.
 
-Experiments are expressed as *flows* of pure step functions.  Each step
-declares its inputs through its signature (upstream step names, static
-parameters, or the reserved ``ctx`` effect channel), is keyed by a
+Experiments are expressed as *flows* of pure step functions registered
+with ``Flow.add``.  Each step names every input at registration
+(upstream steps in ``deps``, static values in ``params``, or the
+reserved ``ctx`` effect channel), is keyed by a
 content-addressed fingerprint chain (seed + config + upstream content,
 the DetectionStore idea lifted to whole pipeline stages), and persists
 its result to a checkpoint store.  Re-running a flow against the same

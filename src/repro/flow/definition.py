@@ -1,26 +1,28 @@
 """Declarative flow definition: named steps wired into a DAG.
 
 A *step* is a pure function registered on a :class:`Flow` under a
-unique name.  Its dependencies are declared, dbt-style, through its
-signature: every parameter is either
+unique name with :meth:`Flow.add`.  Every parameter of the function is
+declared at registration:
 
-* the name of an upstream step (the runner passes that step's output),
-* a static parameter bound at registration time (``params=...``, part
-  of the step's checkpoint key), or
-* the reserved name ``ctx`` — a :class:`~repro.flow.runner.StepContext`
-  giving access to the run's blessed effect channels (heartbeat events,
-  the shared on-disk detection store, the step ledger).  ``ctx`` never
-  enters the checkpoint key.
+* in ``deps`` — the runner passes an upstream step's output.  A
+  parameter may map to one step name (``deps={"truth": "oracle"}``) or,
+  for fan-in, to a *tuple* of names, which the runner delivers as a
+  tuple of outputs in that order;
+* in ``params`` — a static value bound at registration time, part of
+  the step's checkpoint key;
+* or it is the reserved name ``ctx`` — a
+  :class:`~repro.flow.runner.StepContext` giving access to the run's
+  effect channels (the shared on-disk detection store, the step
+  ledger).  ``ctx`` never enters the checkpoint key.
 
-``deps`` renames parameters when the natural argument name differs from
-the upstream step name (``deps={"truth": "oracle"}``) and expresses
-fan-in by mapping one parameter to a *tuple* of upstream names, which
-the runner delivers as a tuple of outputs in that order.
+A parameter named nowhere is a :class:`FlowDefinitionError`, not a guess.
 
 Step bodies must stay pure — no wall-clock reads, no module-global
 mutation, no unseeded RNG — so that replaying a checkpoint is
-indistinguishable from re-executing the step.  Lint rule RPR012
-enforces this contract statically on every ``@flow.step`` body.
+indistinguishable from re-executing the step.  Statically, RPR002
+(no wall-clock) and RPR005 (no unseeded RNG) run in full on the modules
+that define steps; dynamically, the crash/resume bit-identity and
+flow-vs-legacy digest tests replay every step and compare.
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ __all__ = ["Flow", "FlowDefinitionError", "StepSpec", "CONTEXT_PARAM"]
 #: Reserved signature name through which the runner injects StepContext.
 CONTEXT_PARAM = "ctx"
 
-#: Allowed values of ``StepSpec.fingerprint``.
-_FINGERPRINT_MODES = ("result", "inputs")
-
 
 class FlowDefinitionError(ValueError):
     """A structural problem in a flow: bad wiring, duplicate, or cycle."""
@@ -48,12 +47,11 @@ class StepSpec:
 
     ``cache=False`` marks a step that is cheap and deterministic enough
     to recompute on every run (sequence simulation, workload
-    generation); it is never written to the checkpoint store.  Such
-    steps almost always pair with ``fingerprint="inputs"`` — their
-    fingerprint is their checkpoint key itself, asserting "same inputs,
-    same output" instead of hashing a value nobody stores.
-    ``fingerprint="result"`` (the default) hashes the computed value,
-    so downstream keys pin upstream *content*, not just configuration.
+    generation); it is never written to the checkpoint store, and its
+    fingerprint is its checkpoint key itself, asserting "same inputs,
+    same output" instead of hashing a value nobody stores.  A cached
+    step's fingerprint is the digest of its saved value, so downstream
+    keys pin upstream *content*, not just configuration.
     """
 
     name: str
@@ -66,7 +64,6 @@ class StepSpec:
     #: Static ``(name, value)`` parameters, part of the checkpoint key.
     params: tuple[tuple[str, object], ...]
     cache: bool = True
-    fingerprint: str = "result"
     #: Whether the function takes the reserved ``ctx`` parameter.
     wants_context: bool = field(default=False, compare=False)
 
@@ -91,30 +88,6 @@ class Flow:
     # ------------------------------------------------------------------
     # Registration
     # ------------------------------------------------------------------
-    def step(
-        self,
-        name: str | None = None,
-        *,
-        deps: Mapping[str, str | tuple[str, ...]] | None = None,
-        params: Mapping[str, object] | None = None,
-        cache: bool = True,
-        fingerprint: str = "result",
-    ) -> Callable[[Callable[..., object]], Callable[..., object]]:
-        """Decorator form of :meth:`add` (returns the function unchanged)."""
-
-        def register(fn: Callable[..., object]) -> Callable[..., object]:
-            self.add(
-                fn,
-                name=name or fn.__name__.replace("_", "-"),
-                deps=deps,
-                params=params,
-                cache=cache,
-                fingerprint=fingerprint,
-            )
-            return fn
-
-        return register
-
     def add(
         self,
         fn: Callable[..., object],
@@ -123,7 +96,6 @@ class Flow:
         deps: Mapping[str, str | tuple[str, ...]] | None = None,
         params: Mapping[str, object] | None = None,
         cache: bool = True,
-        fingerprint: str = "result",
     ) -> str:
         """Register ``fn`` as step ``name``; returns the name.
 
@@ -133,11 +105,6 @@ class Flow:
         """
         if name in self._steps:
             raise FlowDefinitionError(f"duplicate step name {name!r}")
-        if fingerprint not in _FINGERPRINT_MODES:
-            raise FlowDefinitionError(
-                f"step {name!r}: fingerprint must be one of "
-                f"{_FINGERPRINT_MODES}, got {fingerprint!r}"
-            )
         explicit = {key: _as_names(value) for key, value in (deps or {}).items()}
         static = dict(params or {})
         overlap = set(explicit) & set(static)
@@ -147,6 +114,7 @@ class Flow:
                 "both as deps and as params"
             )
         resolved: list[tuple[str, tuple[str, ...], bool]] = []
+        undeclared: list[str] = []
         wants_context = False
         signature = inspect.signature(fn)
         for parameter in signature.parameters.values():
@@ -163,12 +131,8 @@ class Flow:
             elif parameter.name in explicit:
                 names, fan_in = explicit.pop(parameter.name)
                 resolved.append((parameter.name, names, fan_in))
-            elif parameter.name in static:
-                continue
-            else:
-                # Implicit dependency: the parameter names an upstream
-                # step directly.  Existence is validated in order().
-                resolved.append((parameter.name, (parameter.name,), False))
+            elif parameter.name not in static:
+                undeclared.append(parameter.name)
         if explicit:
             raise FlowDefinitionError(
                 f"step {name!r}: deps {sorted(explicit)} do not match any "
@@ -180,13 +144,17 @@ class Flow:
                 f"step {name!r}: params {sorted(unknown_params)} do not "
                 "match any parameter"
             )
+        if undeclared:
+            raise FlowDefinitionError(
+                f"step {name!r}: parameters {undeclared} of {fn.__name__} "
+                "are declared in neither deps nor params"
+            )
         self._steps[name] = StepSpec(
             name=name,
             fn=fn,
             deps=tuple(resolved),
             params=tuple(sorted(static.items())),
             cache=cache,
-            fingerprint=fingerprint,
             wants_context=wants_context,
         )
         return name

@@ -7,7 +7,6 @@ Every run appends one JSON object per line to its events file:
 =================  ==========================================================
 ``run_start``      ``flow``, ``steps`` (topological order), ``resumed``
 ``step_start``     ``step``, ``key``
-``heartbeat``      ``step``, ``done``, ``total`` (may be null), extras
 ``step_finish``    ``step``, ``key``, ``fingerprint``, ``seconds``
                    (measured through the run ledger), ``ledger`` (the
                    step ledger's deterministic state: simulated seconds,
@@ -98,11 +97,6 @@ def format_event(record: dict[str, object]) -> str:
         return f"{prefix}{mode} {record.get('flow')} ({n} steps)"
     if kind == "step_start":
         return f"{prefix}> {record.get('step')}"
-    if kind == "heartbeat":
-        total = record.get("total")
-        done = record.get("done")
-        progress = f"{done}/{total}" if total is not None else f"{done}"
-        return f"{prefix}. {record.get('step')} {progress}"
     if kind == "step_finish":
         seconds = record.get("seconds")
         timing = f" ({seconds:.2f}s)" if isinstance(seconds, float) else ""
@@ -126,20 +120,16 @@ def tail_events(
     *,
     follow: bool = False,
     poll_seconds: float = 0.5,
-    stop_after: int | None = None,
 ) -> int:
     """Print events from ``path``; with ``follow``, keep watching.
 
     Following stops when a ``run_finish``/``run_error``/``run_interrupt``
-    event arrives (or after ``stop_after`` events, for tests).  Returns
-    the number of events printed.
+    event arrives.  Returns the number of events printed.
     """
     printed = 0
     for record in _iter_events(path, follow=follow, poll_seconds=poll_seconds):
         print(format_event(record), file=out)
         printed += 1
-        if stop_after is not None and printed >= stop_after:
-            break
         if follow and record.get("event") in (
             "run_finish",
             "run_error",

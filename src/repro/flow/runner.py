@@ -10,6 +10,10 @@ results, chained from the root of the DAG — and then either
 * executes the step function under the run ledger's ``measure`` channel,
   persists the result, and records its fingerprint.
 
+A step's fingerprint follows from its ``cache`` flag: a cached step's is
+the digest of its saved checkpoint, a ``cache=False`` step's is its
+checkpoint key (its inputs pin its output; nothing is stored to digest).
+
 Because the key chains upstream *content*, a resumed run recomputes
 exactly the steps whose inputs changed and replays the rest
 bit-identically.  Crash recovery is the same mechanism: re-running the
@@ -64,22 +68,13 @@ class StepContext:
       directory) for a persistent DetectionStore shared by steps of the
       same run, mirroring the shared-store semantics of the legacy
       corpus path.
-    * ``heartbeat(done, total)`` — progress events for long steps.
 
     Nothing in the context enters the checkpoint key.
     """
 
-    def __init__(
-        self,
-        step: str,
-        *,
-        checkpoint_dir: Path,
-        events: EventLog,
-    ) -> None:
-        self.step = step
+    def __init__(self, checkpoint_dir: Path) -> None:
         self.ledger = CostLedger()
         self._checkpoint_dir = checkpoint_dir
-        self._events = events
 
     @property
     def store_dir(self) -> Path:
@@ -87,10 +82,6 @@ class StepContext:
         path = self._checkpoint_dir / "detections"
         path.mkdir(parents=True, exist_ok=True)
         return path
-
-    def heartbeat(self, done: int, total: int | None = None) -> None:
-        """Emit a progress event for this step."""
-        self._events.emit("heartbeat", step=self.step, done=done, total=total)
 
 
 @dataclass
@@ -178,17 +169,14 @@ class FlowRunner:
         result.keys[spec.name] = key
         if spec.cache and key in self.store:
             checkpoint = self.store.load(key)
-            fingerprint = (
-                key if spec.fingerprint == "inputs" else checkpoint.fingerprint
-            )
             result.outputs[spec.name] = checkpoint.value
-            result.fingerprints[spec.name] = fingerprint
+            result.fingerprints[spec.name] = checkpoint.fingerprint
             result.cached.add(spec.name)
             events.emit(
                 "step_cached",
                 step=spec.name,
                 key=key,
-                fingerprint=fingerprint,
+                fingerprint=checkpoint.fingerprint,
             )
             return
         events.emit("step_start", step=spec.name, key=key)
@@ -199,20 +187,14 @@ class FlowRunner:
         kwargs.update(dict(spec.params))
         context: StepContext | None = None
         if spec.wants_context:
-            context = StepContext(
-                spec.name, checkpoint_dir=self.checkpoint_dir, events=events
-            )
+            context = StepContext(self.checkpoint_dir)
             kwargs["ctx"] = context
         stage = f"step:{spec.name}"
         with result.ledger.measure(stage):
             value = spec.fn(**kwargs)
-        if spec.cache:
-            saved = self.store.save(key, spec.name, value)
-            fingerprint = key if spec.fingerprint == "inputs" else saved
-        elif spec.fingerprint == "inputs":
-            fingerprint = key
-        else:
-            fingerprint = stable_digest(value)
+        fingerprint = (
+            self.store.save(key, spec.name, value) if spec.cache else key
+        )
         result.outputs[spec.name] = value
         result.fingerprints[spec.name] = fingerprint
         events.emit(

@@ -12,6 +12,7 @@ Every rule is exercised three ways on minimal source snippets:
 from __future__ import annotations
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +20,7 @@ from repro.analysis import lint_source, make_rules
 from repro.analysis.engine import Report
 
 PATH = "src/repro/example.py"
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
 def run_rule(code: str, source: str) -> Report:
@@ -144,30 +146,6 @@ FIXTURES = {
 
         if __name__ == "__main__":
             multiprocessing.set_start_method("spawn")
-        """,
-    ),
-    "RPR012": (
-        """
-        import time
-
-        def build(flow):
-            @flow.step("timing")
-            def timing_step(sequence):
-                return time.perf_counter()  # HIT
-        """,
-        """
-        import time
-
-        def build(flow):
-            @flow.step("pause")
-            def pause_step(sequence, ctx):
-                ctx.heartbeat(1)
-                time.sleep(0.01)
-                return sequence
-
-        def elapsed():
-            # Outside a step body RPR012 does not apply (RPR002 does).
-            return time.perf_counter()
         """,
     ),
 }
@@ -410,84 +388,43 @@ def test_rpr008_flags_set_start_method_inside_plain_if():
     assert [f.code for f in report.findings] == ["RPR008"]
 
 
-def test_rpr012_flags_global_statement_in_step():
+def test_rpr002_flags_a_clock_read_in_a_flow_step():
+    """Step purity, statically: a flow step's module is under RPR002 in
+    full, so a clock read inside a registered step body is flagged."""
     report = run_rule(
-        "RPR012",
-        """
-        _CACHE = {}
-
-        def build(flow):
-            @flow.step("memoized")
-            def memoized_step(sequence):
-                global _CACHE
-                _CACHE[id(sequence)] = sequence
-                return sequence
-        """,
-    )
-    assert [f.code for f in report.findings] == ["RPR012"]
-    assert "_CACHE" in report.findings[0].message
-
-
-def test_rpr012_flags_unseeded_rng_in_step():
-    report = run_rule(
-        "RPR012",
-        """
-        import numpy as np
-
-        def build(flow):
-            @flow.step("noise")
-            def noise_step(sequence):
-                return np.random.default_rng().random(3)
-        """,
-    )
-    assert [f.code for f in report.findings] == ["RPR012"]
-    assert "unseeded" in report.findings[0].message
-
-
-def test_rpr012_allows_seeded_rng_in_step():
-    report = run_rule(
-        "RPR012",
-        """
-        import numpy as np
-
-        def build(flow, seed):
-            @flow.step("noise", params={"seed": seed})
-            def noise_step(sequence, seed):
-                return np.random.default_rng(seed).random(3)
-        """,
-    )
-    assert report.findings == []
-
-
-def test_rpr012_flags_from_imported_clock_at_the_use_site():
-    # Unlike RPR002 (which reports the import gateway once per module),
-    # step purity is about the body: the use inside the step is what
-    # breaks replay, so that is the line reported.
-    report = run_rule(
-        "RPR012",
-        """
-        from time import monotonic
-
-        def build(flow):
-            @flow.step("stamp")
-            def stamp_step(sequence):
-                return monotonic()
-        """,
-    )
-    assert [f.code for f in report.findings] == ["RPR012"]
-    assert report.findings[0].line == 7
-
-
-def test_rpr012_matches_bare_step_decorator():
-    report = run_rule(
-        "RPR012",
+        "RPR002",
         """
         import time
 
+        def _method_step(sequence, seed):
+            return sequence, seed, time.time()
+
         def build(flow):
-            @flow.step
-            def raw_step(sequence):
-                return time.time()
+            flow.add(_method_step, name="method", deps={"sequence": "sequence"},
+                     params={"seed": 1})
         """,
     )
-    assert [f.code for f in report.findings] == ["RPR012"]
+    assert [(f.code, f.line) for f in report.findings] == [("RPR002", 5)]
+
+
+def test_rpr005_flags_unseeded_rng_in_a_flow_step():
+    report = run_rule(
+        "RPR005",
+        """
+        import numpy as np
+
+        def _noise_step(sequence):
+            return np.random.default_rng().random(3)
+        """,
+    )
+    assert [f.code for f in report.findings] == ["RPR005"]
+
+
+def test_flow_modules_run_every_rule():
+    """No per-directory entry relaxes a rule under the step-defining
+    packages, so RPR002 and RPR005 apply to every step body there."""
+    from repro.analysis import load_config
+
+    config = load_config(REPO_ROOT)
+    for path in ("src/repro/evalx/flows.py", "src/repro/flow/runner.py"):
+        assert config.disabled_for(path) == set()

@@ -81,6 +81,47 @@ class TestRun:
         assert "requires --sequences" in output
 
 
+class TestArgumentValidation:
+    """A bad name or budget is refused before any step runs or writes."""
+
+    @pytest.mark.parametrize("action", ["run", "resume"])
+    def test_unknown_method_exits_2_without_a_checkpoint(
+        self, action, completed_run, tmp_path
+    ):
+        ckpt = tmp_path / "flow"
+        if action == "resume":
+            shutil.copytree(completed_run[0], ckpt)
+        before = sorted(ckpt.rglob("*")) if ckpt.exists() else []
+        status, output = run_cli(
+            "flow", action, "experiment", "--checkpoint-dir", str(ckpt),
+            "--frames", "120", "--methods", "mast,nosuch", "--budgets", "0.1",
+        )
+        assert status == 2
+        assert output.startswith("error: unknown method 'nosuch'; options: [")
+        assert (sorted(ckpt.rglob("*")) if ckpt.exists() else []) == before
+
+    def test_unknown_policy_exits_2_without_a_checkpoint(self, tmp_path):
+        ckpt = tmp_path / "flow"
+        status, output = run_cli(
+            "flow", "run", "corpus", "--checkpoint-dir", str(ckpt),
+            "--sequences", "semantickitti:0:60", "--policies", "uniform,nosuch",
+        )
+        assert status == 2
+        assert output.startswith("error: policy must be one of")
+        assert "'nosuch'" in output
+        assert not ckpt.exists()
+
+    def test_corpus_flow_refuses_a_budget_sweep(self, tmp_path):
+        ckpt = tmp_path / "flow"
+        status, output = run_cli(
+            "flow", "run", "corpus", "--checkpoint-dir", str(ckpt),
+            "--sequences", "semantickitti:0:60", "--budgets", "0.05,0.10",
+        )
+        assert status == 2
+        assert output.startswith("error: the corpus flow takes one budget, got 2")
+        assert not ckpt.exists()
+
+
 def smallest_checkpoint(ckpt):
     return min((ckpt / "steps").glob("*.ckpt"), key=lambda path: path.stat().st_size)
 

@@ -10,25 +10,6 @@ def _noop():
 
 
 class TestRegistration:
-    def test_decorator_registers_under_dashed_name(self):
-        flow = Flow("t")
-
-        @flow.step()
-        def build_sequence():
-            return 1
-
-        assert "build-sequence" in flow
-        assert flow.names() == ("build-sequence",)
-
-    def test_decorator_returns_function_unchanged(self):
-        flow = Flow("t")
-
-        @flow.step("a")
-        def fn():
-            return 42
-
-        assert fn() == 42
-
     def test_duplicate_name_rejected(self):
         flow = Flow("t")
         flow.add(_noop, name="a")
@@ -38,10 +19,6 @@ class TestRegistration:
     def test_empty_flow_name_rejected(self):
         with pytest.raises(FlowDefinitionError):
             Flow("")
-
-    def test_bad_fingerprint_mode_rejected(self):
-        with pytest.raises(FlowDefinitionError, match="fingerprint"):
-            Flow("t").add(_noop, name="a", fingerprint="sha1")
 
     def test_var_args_rejected(self):
         def stars(*args):
@@ -83,15 +60,19 @@ class TestRegistration:
 
 
 class TestWiring:
-    def test_implicit_dependency_from_parameter_name(self):
+    def test_undeclared_parameter_rejected(self):
+        """A parameter that merely shares a step's name is not wired to it."""
         flow = Flow("t")
         flow.add(_noop, name="upstream")
 
-        def fn(upstream):
-            return upstream
+        def fn(upstream, seed):
+            return upstream, seed
 
-        flow.add(fn, name="down")
-        assert flow.spec("down").deps == (("upstream", ("upstream",), False),)
+        with pytest.raises(
+            FlowDefinitionError, match=r"\['upstream'\] of fn are declared in neither"
+        ):
+            flow.add(fn, name="down", params={"seed": 1})
+        assert "down" not in flow
 
     def test_renamed_dependency(self):
         flow = Flow("t")
@@ -194,6 +175,6 @@ class TestOrder:
         def fn(a):
             return a
 
-        flow.add(fn, name="a")
+        flow.add(fn, name="a", deps={"a": "a"})
         with pytest.raises(FlowDefinitionError, match="cycle"):
             flow.order()

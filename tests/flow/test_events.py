@@ -77,14 +77,6 @@ class TestFormatEvent:
             {"event": "step_cached", "seq": 2, "step": "oracle"}
         )
 
-    def test_heartbeat_with_and_without_total(self):
-        assert "oracle 3/9" in format_event(
-            {"event": "heartbeat", "seq": 2, "step": "oracle", "done": 3, "total": 9}
-        )
-        assert "oracle 3" in format_event(
-            {"event": "heartbeat", "seq": 2, "step": "oracle", "done": 3, "total": None}
-        )
-
     def test_terminal_events(self):
         assert "interrupted after oracle" in format_event(
             {"event": "run_interrupt", "seq": 5, "after": "oracle"}
@@ -126,15 +118,3 @@ class TestTail:
         out = io.StringIO()
         printed = tail_events(path, out, follow=True, poll_seconds=0.01)
         assert printed == 2  # stops at the first terminal event
-
-    def test_stop_after_bounds_a_follow(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        write_events(path, [
-            {"event": "run_start", "seq": 1, "flow": "f", "steps": []},
-            {"event": "step_start", "seq": 2, "step": "a"},
-        ])
-        out = io.StringIO()
-        printed = tail_events(
-            path, out, follow=True, poll_seconds=0.01, stop_after=2
-        )
-        assert printed == 2

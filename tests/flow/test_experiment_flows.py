@@ -1,19 +1,17 @@
 """Flow-vs-legacy differentials and mid-DAG crash/resume accounting.
 
 The acceptance contract of the DAG migration: the flow-shaped
-experiment, corpus, and session pipelines produce reports that are
+experiment and corpus pipelines produce reports that are
 *bit-identical* (per the content digests, which exclude only measured
 wall-clock) to the legacy monolithic paths — and a run killed after a
 mid-pipeline checkpoint resumes to the same result without re-detecting
 a single checkpointed frame.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.variants import get_method
 from repro.core import MASTConfig
-from repro.core.sampler import HierarchicalMultiAgentSampler
 from repro.evalx import (
     CorpusFlowSpec,
     ExperimentFlowSpec,
@@ -24,8 +22,8 @@ from repro.evalx import (
     run_corpus_experiment,
     run_experiment,
 )
-from repro.evalx.flows import _summary_step, add_session_chain
-from repro.flow import Flow, FlowInterrupted, FlowRunner, read_events
+from repro.evalx.flows import _summary_step
+from repro.flow import FlowInterrupted, FlowRunner, read_events
 from repro.models import make_model
 from repro.query.workload import generate_workload
 from repro.simulation import build_sequence, dataset_spec
@@ -111,12 +109,28 @@ class TestExperimentDifferential:
 def test_summary_rows_are_labelled_like_their_report_steps():
     """``0.29 * 100`` is 28.99…: a row and the ``report:<n>pct`` step it
     summarises must round it the same way."""
-    budgets = (0.05, 0.29, 0.57, None)
+    budgets = (0.05, 0.29, 0.57, 0.10)
     summary = _summary_step((None,) * len(budgets), (), budgets)
     assert summary["rows_f1"] == summary["rows_avg"] == [
-        ["5%"], ["29%"], ["57%"], ["default"],
+        ["5%"], ["29%"], ["57%"], ["10%"],
     ]
-    assert summary["budgets"] == ["5pct", "29pct", "57pct", "default"]
+    assert summary["budgets"] == ["5pct", "29pct", "57pct", "10pct"]
+
+
+def test_default_budget_is_spelled_like_any_other():
+    """The default sweep is ``(0.10,)``: its steps are the ``10pct`` ones
+    an explicit ``budgets=(0.10,)`` names, so both share checkpoints."""
+    flow = experiment_flow(ExperimentFlowSpec(methods=("mast",)))
+    assert "method:mast:10pct" in flow and "report:10pct" in flow
+    explicit = experiment_flow(ExperimentFlowSpec(methods=("mast",), budgets=(0.10,)))
+    assert flow.names() == explicit.names()
+
+
+def test_unknown_names_fail_before_the_flow_exists():
+    with pytest.raises(ValueError, match="unknown method 'nosuch'"):
+        experiment_flow(ExperimentFlowSpec(methods=("mast", "nosuch")))
+    with pytest.raises(ValueError, match="got 'nosuch'"):
+        corpus_flow(CorpusFlowSpec(sequences=CORPUS_SEQUENCES, policies=("nosuch",)))
 
 
 class TestCorpusDifferential:
@@ -188,57 +202,3 @@ def corpus_flow_catalog(spec):
         )
     return catalog
 
-
-class TestSessionChain:
-    def make_chain_flow(self, parts):
-        flow = Flow("session-demo")
-        flow.add(
-            lambda: build_sequence(
-                dataset_spec("semantickitti"), 0, n_frames=N_FRAMES,
-                with_points=False,
-            ),
-            name="sequence",
-            cache=False,
-            fingerprint="inputs",
-        )
-        final = add_session_chain(flow, budget=BUDGET, parts=parts)
-        return flow, final
-
-    def one_shot(self):
-        config = MASTConfig(seed=1, budget_fraction=BUDGET)
-        sampler = HierarchicalMultiAgentSampler(config, reward_kind="st")
-        sequence = build_sequence(
-            dataset_spec("semantickitti"), 0, n_frames=N_FRAMES, with_points=False
-        )
-        return sampler.sample(sequence, make_model("pv_rcnn", seed=5))
-
-    def test_chained_session_matches_one_shot_sample(self, tmp_path):
-        flow, final = self.make_chain_flow(parts=3)
-        result = FlowRunner(flow, checkpoint_dir=tmp_path).run()
-        chained = result[final]
-        one_shot = self.one_shot()
-        assert np.array_equal(chained.sampled_ids, one_shot.sampled_ids)
-        assert chained.rewards == pytest.approx(one_shot.rewards)
-        assert chained.ledger.invocations(STAGE_MODEL) == (
-            one_shot.ledger.invocations(STAGE_MODEL)
-        )
-        assert chained.ledger.simulated[STAGE_MODEL] == pytest.approx(
-            one_shot.ledger.simulated[STAGE_MODEL]
-        )
-
-    def test_chain_crash_resume_carries_detections_without_recharge(
-        self, tmp_path
-    ):
-        flow, final = self.make_chain_flow(parts=3)
-        with pytest.raises(FlowInterrupted):
-            FlowRunner(
-                flow, checkpoint_dir=tmp_path, interrupt_after="sample:chunk0"
-            ).run()
-        resumed = FlowRunner(flow, checkpoint_dir=tmp_path).run()
-        assert "sample:chunk0" in resumed.cached
-        one_shot = self.one_shot()
-        chained = resumed[final]
-        assert np.array_equal(chained.sampled_ids, one_shot.sampled_ids)
-        assert chained.ledger.invocations(STAGE_MODEL) == (
-            one_shot.ledger.invocations(STAGE_MODEL)
-        )

@@ -596,7 +596,7 @@ def _cmd_serve_workload(args, out) -> int:
     ledger_summary = (
         pipeline.ledger.cache_summary()
         if not args.corpus
-        else _merged_cache_summary(pipeline)
+        else pipeline.merged_ledger().cache_summary()
     )
     for stage, counters in ledger_summary.items():
         print(
@@ -617,15 +617,6 @@ def _cmd_serve_workload(args, out) -> int:
             )
     service.close()
     return 0
-
-
-def _merged_cache_summary(corpus):
-    from repro.utils.timing import CostLedger
-
-    merged = CostLedger()
-    for shard in corpus.shards.values():
-        merged.merge(shard.ledger)
-    return merged.cache_summary()
 
 
 def _cmd_corpus(args, out) -> int:

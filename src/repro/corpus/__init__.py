@@ -17,8 +17,9 @@ query surface.  This package generalizes the single-sequence stack:
 * :mod:`repro.corpus.service` — :class:`CorpusQueryService`, the
   sharded serving path (per-shard caches, fan-out merge, corpus-level
   cost and cache rollups);
-* :mod:`repro.corpus.results` — fan-out result types and the exact
-  count-concatenation merge for aggregates.
+* :mod:`repro.corpus.results` — fan-out result types and the one
+  exact merge every fan-out path calls (count concatenation for
+  aggregates).
 
 A one-sequence corpus is bit-identical to :class:`~repro.MASTPipeline`
 on that sequence: same sampled frames, same index, same answers.

@@ -19,14 +19,18 @@
   (``... IN SEQUENCE <name>``) or :class:`~repro.query.ast.ScopedQuery`
   objects; a named scope routes to that shard, no scope fans out over
   the whole catalog and merges exactly
-  (:mod:`repro.corpus.results`).
+  (:func:`repro.corpus.results.merge`).  A scope naming no sequence
+  fails :func:`require_sequence`, the one check every corpus entry
+  point shares.
 
-With a one-sequence catalog every answer is bit-identical to the
+:meth:`query_many` stays a plain per-query loop: it is the serial
+reference the served paths are tested against.  With a one-sequence catalog every answer is bit-identical to the
 single-sequence pipeline on that sequence, for both budget policies.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from typing import Union
 
 from repro.core.config import MASTConfig
@@ -38,12 +42,7 @@ from repro.core.sampler import (
 )
 from repro.corpus.allocator import AllocationReport, BudgetAllocator, make_allocator
 from repro.corpus.catalog import SequenceCatalog
-from repro.corpus.results import (
-    CorpusAggregateResult,
-    CorpusRetrievalResult,
-    merge_aggregates,
-    merge_retrievals,
-)
+from repro.corpus.results import CorpusAggregateResult, CorpusRetrievalResult, merge
 from repro.inference import DetectionStore, InferenceEngine
 from repro.models.base import DetectionModel
 from repro.query.ast import (
@@ -58,7 +57,7 @@ from repro.query.parser import parse_scoped_query
 from repro.utils.timing import CostLedger
 from repro.utils.validation import require
 
-__all__ = ["CorpusPipeline"]
+__all__ = ["CorpusPipeline", "require_sequence"]
 
 #: A single shard's answer.
 ShardResult = Union[RetrievalResult, AggregateResult]
@@ -66,6 +65,12 @@ ShardResult = Union[RetrievalResult, AggregateResult]
 CorpusResult = Union[
     RetrievalResult, AggregateResult, CorpusRetrievalResult, CorpusAggregateResult
 ]
+
+
+def require_sequence(name: str | None, names: Collection[str]) -> None:
+    """Reject a scope that names none of ``names`` (``None`` fans out)."""
+    if name is not None and name not in names:
+        raise ValueError(f"unknown sequence {name!r}; corpus has {sorted(names)}")
 
 
 class CorpusPipeline:
@@ -140,13 +145,13 @@ class CorpusPipeline:
         )
 
     def fit(self, model: DetectionModel) -> CorpusPipeline:
-        """Sample every sequence under the budget policy; build shards."""
+        """Sample every sequence under the budget policy; build shards.
+
+        A :meth:`replan` over an empty shard map: every shard is opened
+        fresh and nothing carries over.
+        """
         self._shards = {}
-        samplings, self.allocation = self.plan(model)
-        for name, sampling in samplings.items():
-            self._shard_for(name, sampling).fit_from_sampling(
-                self.catalog.sequence(name), model, sampling
-            )
+        self.replan(model)
         return self
 
     def _shard_for(self, name: str, sampling: SamplingResult) -> MASTPipeline:
@@ -173,7 +178,6 @@ class CorpusPipeline:
         deep-model bill for frames an earlier epoch already paid for.
         Sequences registered since the last plan gain a shard.
         """
-        require(bool(self._shards), "fit() must be called before replan()")
         samplings, allocation = self.plan(model)
         for name, sampling in samplings.items():
             self._shard_for(name, sampling).fit_from_sampling(
@@ -181,26 +185,6 @@ class CorpusPipeline:
             )
         self.allocation = allocation
         return allocation
-
-    def extend(
-        self,
-        name: str,
-        new_frames: list,
-        *,
-        model: DetectionModel | None = None,
-    ) -> MASTPipeline:
-        """Grow one catalog sequence and ingest the batch into its shard.
-
-        The catalog entry and the shard advance together or not at all
-        (the catalog takes the frames once the shard has), so scope
-        routing and ``total_frames`` metadata never disagree with the
-        live index.  Returns the grown shard.
-        """
-        shard = self.shard(name)
-        extended = self.catalog.sequence(name).extended(new_frames)
-        shard.extend(new_frames, model=model, extended=extended)
-        self.catalog.extend_sequence(name, new_frames)
-        return shard
 
     # ------------------------------------------------------------------
     # Shard access
@@ -219,10 +203,7 @@ class CorpusPipeline:
     def shard(self, name: str) -> MASTPipeline:
         """The fitted pipeline of one sequence."""
         require(bool(self._shards), "fit() must be called before using shards")
-        require(
-            name in self._shards,
-            f"unknown sequence {name!r}; corpus has {sorted(self._shards)}",
-        )
+        require_sequence(name, self._shards)
         return self._shards[name]
 
     # ------------------------------------------------------------------
@@ -254,26 +235,7 @@ class CorpusPipeline:
         per_shard = {
             name: self.shard(name).query(scoped.query) for name in self.names
         }
-        return self._merge(scoped.query, per_shard)
-
-    @staticmethod
-    def _merge(
-        query: object, per_shard: dict[str, ShardResult]
-    ) -> CorpusRetrievalResult | CorpusAggregateResult:
-        if isinstance(query, AggregateQuery):
-            aggregates = {
-                name: result
-                for name, result in per_shard.items()
-                if isinstance(result, AggregateResult)
-            }
-            return merge_aggregates(query, aggregates)
-        assert isinstance(query, (RetrievalQuery, CompoundRetrievalQuery))
-        retrievals = {
-            name: result
-            for name, result in per_shard.items()
-            if isinstance(result, RetrievalResult)
-        }
-        return merge_retrievals(query, retrievals)
+        return merge(scoped.query, per_shard)
 
     def query_many(self, queries) -> list[CorpusResult]:
         """Answer a list of (possibly scoped) queries in order."""
@@ -282,7 +244,7 @@ class CorpusPipeline:
     # ------------------------------------------------------------------
     # Cost accounting
     # ------------------------------------------------------------------
-    def _merged_ledger(self) -> CostLedger:
+    def merged_ledger(self) -> CostLedger:
         """The corpus ledger and every shard's, merged into a fresh one."""
         merged = CostLedger()
         merged.merge(self.ledger)
@@ -292,7 +254,7 @@ class CorpusPipeline:
 
     def cost_summary(self) -> dict[str, float]:
         """Stage -> seconds rolled up across every shard."""
-        return self._merged_ledger().summary()
+        return self.merged_ledger().summary()
 
     def cost_summary_by_sequence(self) -> dict[str, dict[str, float]]:
         """Per-sequence stage -> seconds summaries."""

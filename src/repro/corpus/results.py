@@ -6,12 +6,15 @@ the per-shard count series (catalog order) and re-applies the operator
 — exact for every registered operator, including the non-decomposable
 Med: the corpus-wide median of counts is the median of the concatenated
 series, and Avg becomes the count-weighted combination of the paper's
-per-sequence averages.
+per-sequence averages.  Every fan-out path (the serial pipeline, the
+served corpus and the process tier's dispatcher) merges through
+:func:`merge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
@@ -28,6 +31,7 @@ from repro.utils.validation import require
 __all__ = [
     "CorpusRetrievalResult",
     "CorpusAggregateResult",
+    "merge",
     "merge_retrievals",
     "merge_aggregates",
 ]
@@ -106,3 +110,18 @@ def merge_aggregates(
     return CorpusAggregateResult(
         query=query, value=float(value), by_sequence=dict(by_sequence)
     )
+
+
+def merge(
+    query: RetrievalQuery | CompoundRetrievalQuery | AggregateQuery,
+    per_shard: dict[str, Any],
+) -> CorpusRetrievalResult | CorpusAggregateResult:
+    """Merge one fan-out query's per-shard answers (in catalog order).
+
+    Each value is that shard's answer to ``query``: an
+    :class:`AggregateResult` for an aggregate, a :class:`RetrievalResult`
+    otherwise.
+    """
+    if isinstance(query, AggregateQuery):
+        return merge_aggregates(query, per_shard)
+    return merge_retrievals(query, per_shard)

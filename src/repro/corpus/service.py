@@ -9,16 +9,23 @@ per-sequence data, so sharding the cache removes all cross-sequence
 contention — and the corpus exposes rollups of the per-shard
 :class:`~repro.serving.cache.CacheStats` and cost ledgers.
 
-:meth:`execute_batch` preserves submission order and keeps the serving
-layer's batching wins: the (possibly mixed scoped/fan-out) workload is
-regrouped into one per-shard sub-batch, so each shard still computes
-every distinct count series exactly once.
+Every request takes one route: all scopes are checked before any shard
+runs, the mixed scoped/fan-out queries regroup into one sub-batch per
+shard (answered query by query, or through
+:meth:`QueryService.execute_batch` so each distinct series is computed
+once), and answers reassemble in submission order.
+
+This is the layer clients call, so it owns the request's one scheduling
+point: a request never blocks, and left alone CPython hands the GIL
+between CPU-bound client threads only every 5 ms switch interval, so
+each public ``execute*`` method ends by yielding it once.
 """
 
 from __future__ import annotations
 
 import shutil
 import tempfile
+import time
 from collections.abc import Iterable
 from pathlib import Path
 from typing import TYPE_CHECKING, Union
@@ -29,20 +36,24 @@ if TYPE_CHECKING:
     from repro.serving.protocol import ShardWarmup, StatsResponse
 
 from repro.corpus.allocator import AllocationReport
-from repro.corpus.pipeline import CorpusPipeline, CorpusResult, ShardResult
-from repro.corpus.results import merge_aggregates, merge_retrievals
+from repro.corpus.pipeline import (
+    CorpusPipeline,
+    CorpusResult,
+    ShardResult,
+    require_sequence,
+)
+from repro.corpus.results import merge
 from repro.data.frame import PointCloudFrame
 from repro.inference.store import DetectionStore, persist_sampled_detections
 from repro.models.base import DetectionModel
 from repro.query.ast import (
     AggregateQuery,
-    AggregateResult,
     CompoundRetrievalQuery,
     RetrievalQuery,
     ScopedQuery,
 )
 from repro.serving.cache import CacheStats
-from repro.serving.service import QueryService, enter_request, leave_request
+from repro.serving.service import QueryService
 from repro.utils.validation import require
 
 __all__ = ["CorpusQueryService"]
@@ -208,10 +219,7 @@ class CorpusQueryService:
 
     def service(self, name: str) -> QueryService:
         """The per-shard service of one sequence."""
-        require(
-            name in self._services,
-            f"unknown sequence {name!r}; corpus has {sorted(self._services)}",
-        )
+        require_sequence(name, self._services)
         return self._services[name]
 
     def cache_stats(self) -> CacheStats:
@@ -245,111 +253,59 @@ class CorpusQueryService:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def _check_scope(self, scoped: ScopedQuery) -> ScopedQuery:
-        if scoped.sequence is not None:
-            require(
-                scoped.sequence in self._services,
-                f"unknown sequence {scoped.sequence!r}; "
-                f"corpus has {sorted(self._services)}",
-            )
-        return scoped
-
     def execute(self, query: CorpusQuery) -> CorpusResult:
         """Answer one (possibly scoped) query through the shard caches."""
-        depth = enter_request()
         try:
-            scoped = CorpusPipeline._coerce(query)
-            if self._dispatcher is not None:
-                return self.dispatcher.execute(self._check_scope(scoped))  # type: ignore[no-any-return]
-            if scoped.sequence is not None:
-                return self.service(scoped.sequence).execute(scoped.query)
-            per_shard = {
-                name: self._services[name].execute(scoped.query)
-                for name in self.names
-            }
-            return CorpusPipeline._merge(scoped.query, per_shard)
+            return self._route([CorpusPipeline._coerce(query)], batched=False)[0]
         finally:
-            leave_request(depth)
+            time.sleep(0)
 
     def execute_many(self, queries: Iterable[CorpusQuery]) -> list[CorpusResult]:
         """Answer a list of queries serially, in order."""
-        depth = enter_request()
         try:
-            return [self.execute(q) for q in queries]
+            return self._route([CorpusPipeline._coerce(q) for q in queries], batched=False)
         finally:
-            leave_request(depth)
+            time.sleep(0)
 
     def execute_batch(self, queries: Iterable[CorpusQuery]) -> list[CorpusResult]:
-        """Answer a mixed scoped/fan-out workload, batched per shard.
-
-        Queries regroup into one sub-batch per shard (a fan-out query
-        joins every shard's sub-batch), each shard answers its sub-batch
-        through :meth:`QueryService.execute_batch` — distinct count
-        series computed once per shard — and answers reassemble in
-        submission order, fan-outs merging across shards.  The whole
-        request runs on the calling thread and ends with one scheduling
-        point (:func:`~repro.serving.service.leave_request`).
-        """
-        depth = enter_request()
+        """Answer a mixed scoped/fan-out workload, batched per shard."""
         try:
-            scoped_list = [CorpusPipeline._coerce(q) for q in queries]
-            if self._dispatcher is not None:
-                return self.dispatcher.execute_many(  # type: ignore[no-any-return]
-                    [self._check_scope(s) for s in scoped_list]
-                )
-            return self._execute_batch_on_shards(scoped_list)
+            return self._route([CorpusPipeline._coerce(q) for q in queries], batched=True)
         finally:
-            leave_request(depth)
+            time.sleep(0)
 
-    def _execute_batch_on_shards(
-        self, scoped_list: list[ScopedQuery]
-    ) -> list[CorpusResult]:
+    def _route(self, scoped_list: list[ScopedQuery], *, batched: bool) -> list[CorpusResult]:
+        """The one route of a request (see the module docstring)."""
+        for scoped in scoped_list:
+            require_sequence(scoped.sequence, self._services)
+        if self._dispatcher is not None:
+            if batched:
+                return self._dispatcher.execute_many(scoped_list)  # type: ignore[no-any-return]
+            return [self._dispatcher.execute(scoped) for scoped in scoped_list]
         names = self.names
-        jobs: dict[str, list[tuple[int, object]]] = {name: [] for name in names}
+        jobs: dict[str, list[int]] = {name: [] for name in names}
         for position, scoped in enumerate(scoped_list):
-            if scoped.sequence is not None:
-                require(
-                    scoped.sequence in jobs,
-                    f"unknown sequence {scoped.sequence!r}; "
-                    f"corpus has {sorted(jobs)}",
-                )
-                jobs[scoped.sequence].append((position, scoped.query))
-            else:
-                for name in names:
-                    jobs[name].append((position, scoped.query))
-
-        shard_answers: dict[int, dict[str, ShardResult]] = {
-            position: {} for position in range(len(scoped_list))
-        }
-        for name, entries in jobs.items():
-            if not entries:
+            for name in names if scoped.sequence is None else (scoped.sequence,):
+                jobs[name].append(position)
+        answers: list[dict[str, ShardResult]] = [{} for _ in scoped_list]
+        for name, positions in jobs.items():
+            if not positions:
                 continue
-            answers = self._services[name].execute_batch(
-                [query for _, query in entries]
+            service = self._services[name]
+            queries = [scoped_list[position].query for position in positions]
+            results = (
+                service.execute_batch(queries)
+                if batched
+                else [service.execute(query) for query in queries]
             )
-            for (position, _), answer in zip(entries, answers):
-                shard_answers[position][name] = answer
-
-        results: list[CorpusResult] = []
-        for position, scoped in enumerate(scoped_list):
-            per_shard = shard_answers[position]
-            if scoped.sequence is not None:
-                results.append(per_shard[scoped.sequence])
-            elif isinstance(scoped.query, AggregateQuery):
-                results.append(
-                    merge_aggregates(
-                        scoped.query,
-                        {name: per_shard[name] for name in names},  # type: ignore[misc]
-                    )
-                )
-            else:
-                results.append(
-                    merge_retrievals(
-                        scoped.query,
-                        {name: per_shard[name] for name in names},  # type: ignore[misc]
-                    )
-                )
-        return results
+            for position, result in zip(positions, results):
+                answers[position][name] = result
+        return [
+            per_shard[scoped.sequence]
+            if scoped.sequence is not None
+            else merge(scoped.query, per_shard)
+            for scoped, per_shard in zip(scoped_list, answers)
+        ]
 
     # ------------------------------------------------------------------
     # Extension / re-planning

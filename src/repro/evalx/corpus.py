@@ -67,7 +67,9 @@ class CorpusPolicyReport:
     aggregate_error: float  # mean (1 - aggregate accuracy), in [0, 1]
     n_retrieval_queries: int
     n_aggregate_queries: int
-    ledger_summary: dict[str, float] = field(default_factory=dict)
+    #: The policy's corpus ledger (every shard's, merged); its digest
+    #: covers only the run-stable ``deterministic_state()``.
+    ledger: CostLedger = field(default_factory=CostLedger)
 
     def as_dict(self) -> dict[str, object]:
         return {
@@ -78,7 +80,7 @@ class CorpusPolicyReport:
             "aggregate_error": self.aggregate_error,
             "n_retrieval_queries": self.n_retrieval_queries,
             "n_aggregate_queries": self.n_aggregate_queries,
-            "ledger_summary": dict(self.ledger_summary),
+            "ledger_summary": self.ledger.summary(),
         }
 
 
@@ -243,7 +245,7 @@ def score_policy(
         ),
         n_retrieval_queries=len(truth.retrieval_truth),
         n_aggregate_queries=len(truth.aggregate_truth),
-        ledger_summary=corpus.cost_summary(),
+        ledger=corpus.merged_ledger(),
     )
 
 

@@ -434,27 +434,8 @@ def experiment_digest(report: ExperimentReport) -> str:
 def corpus_digest(report: CorpusExperimentReport) -> str:
     """Content fingerprint of a corpus report.
 
-    ``CorpusPolicyReport.ledger_summary`` embeds measured wall-clock
-    seconds (``cost_summary()``), so it is excluded; everything else —
-    allocations, scores, query counts, the oracle ledger's
-    deterministic state — is covered.
+    Like :func:`experiment_digest`: every field, with each ledger —
+    the oracle's and every policy's — by its deterministic state, so
+    measured wall-clock never enters it.
     """
-    policies = {
-        name: {
-            key: value
-            for key, value in policy.as_dict().items()
-            if key != "ledger_summary"
-        }
-        for name, policy in report.policies.items()
-    }
-    return stable_digest(
-        {
-            "sequences": list(report.sequences),
-            "model": report.model,
-            "total_corpus_frames": report.total_corpus_frames,
-            "n_retrieval_queries": report.n_retrieval_queries,
-            "n_aggregate_queries": report.n_aggregate_queries,
-            "oracle_ledger": report.oracle_ledger,
-            "policies": policies,
-        }
-    )
+    return stable_digest(report)

@@ -13,7 +13,7 @@ request coalescing; it is imported lazily by
 thread path never pays for it.
 """
 
-from repro.serving.batching import BatchPlan, PlannedQuery, base_kind, plan_batch
+from repro.serving.batching import base_kind, plan_batch
 from repro.serving.cache import CacheKey, CacheStats, CountSeriesCache
 from repro.serving.service import QueryService
 
@@ -22,11 +22,9 @@ __all__ = [
     "Overloaded",
     "ProcessShardPool",
     "WorkerClient",
-    "BatchPlan",
     "CacheKey",
     "CacheStats",
     "CountSeriesCache",
-    "PlannedQuery",
     "QueryService",
     "base_kind",
     "plan_batch",

@@ -2,25 +2,23 @@
 
 ``plan_batch`` parses a workload up front, routes every query to its
 provider kind (the paper's §7.1 predictor assignment), and collects the
-distinct count-series cache keys the workload references.  The service
-then computes each distinct series exactly once — sharing predicate
-work inside a provider's ``count_series_many`` — before answering the
-queries in order on the calling thread.
+distinct object filters each provider kind's series are read for.  The
+service then computes each distinct series exactly once — sharing
+predicate work inside a provider's ``count_series_many`` — before
+answering the queries in order on the calling thread.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 
 from repro.core.config import MASTConfig
 from repro.core.pipeline import predictor_kind
 from repro.query.ast import AggregateQuery, CompoundRetrievalQuery, RetrievalQuery
 from repro.query.parser import parse_query
 from repro.query.predicates import ObjectFilter
-from repro.serving.cache import CacheKey
 
-__all__ = ["BatchPlan", "PlannedQuery", "Query", "base_kind", "plan_batch"]
+__all__ = ["Query", "base_kind", "plan_batch"]
 
 #: A parsed query of any shape the service can answer.
 Query = RetrievalQuery | CompoundRetrievalQuery | AggregateQuery
@@ -43,54 +41,22 @@ def query_filters(query: Query) -> tuple[ObjectFilter, ...]:
     return (query.object_filter,)
 
 
-@dataclass(frozen=True)
-class PlannedQuery:
-    """One parsed + routed query of a batch."""
+def plan_batch(
+    queries: Iterable[str | Query], config: MASTConfig
+) -> tuple[list[Query], dict[str, list[ObjectFilter]]]:
+    """Parse and route a workload; dedupe the series it references.
 
-    #: Position in the submitted workload (results keep this order).
-    index: int
-    query: Query
-    #: Provider kind answering the query ("st" / "linear" / "linear_floor").
-    kind: str
-    #: Cache keys of every count series the query reads.
-    series_keys: tuple[CacheKey, ...]
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """A parsed workload plus its distinct count-series requirements."""
-
-    queries: tuple[PlannedQuery, ...]
-    #: Distinct cache keys across the batch, in first-reference order.
-    series_keys: tuple[CacheKey, ...]
-
-    def keys_by_kind(self) -> dict[str, list[ObjectFilter]]:
-        """Provider kind -> distinct filters, for per-kind batched compute."""
-        grouped: dict[str, list[ObjectFilter]] = {}
-        for kind, object_filter in self.series_keys:
-            grouped.setdefault(kind, []).append(object_filter)
-        return grouped
-
-    @property
-    def n_series(self) -> int:
-        return len(self.series_keys)
-
-
-def plan_batch(queries: Iterable[str | Query], config: MASTConfig) -> BatchPlan:
-    """Parse and route a workload; dedupe the series it references."""
-    planned: list[PlannedQuery] = []
-    distinct: dict[CacheKey, None] = {}
-    for index, query in enumerate(queries):
+    Returns the parsed queries in submission order, and each cache-key
+    namespace's (:func:`base_kind`) distinct filters in first-reference
+    order, namespaces in the order a query first routed to them.
+    """
+    parsed: list[Query] = []
+    distinct: dict[str, dict[ObjectFilter, None]] = {}
+    for query in queries:
         if isinstance(query, str):
             query = parse_query(query)
-        kind = predictor_kind(config, query)
-        keys = tuple(
-            (base_kind(kind), object_filter)
-            for object_filter in query_filters(query)
-        )
-        for key in keys:
-            distinct.setdefault(key, None)
-        planned.append(
-            PlannedQuery(index=index, query=query, kind=kind, series_keys=keys)
-        )
-    return BatchPlan(queries=tuple(planned), series_keys=tuple(distinct))
+        parsed.append(query)
+        filters = distinct.setdefault(base_kind(predictor_kind(config, query)), {})
+        for object_filter in query_filters(query):
+            filters.setdefault(object_filter, None)
+    return parsed, {kind: list(filters) for kind, filters in distinct.items()}

@@ -36,7 +36,7 @@ import threading
 from collections.abc import Sequence
 from typing import Any
 
-from repro.corpus.pipeline import CorpusPipeline
+from repro.corpus.results import merge
 from repro.query.ast import AggregateQuery, ScopedQuery
 from repro.serving.batching import Query
 from repro.serving.mp import ProcessShardPool
@@ -244,7 +244,7 @@ class Dispatcher:
             for name in names
         ]
         per_shard = dict(zip(names, await asyncio.gather(*futures)))
-        return CorpusPipeline._merge(query, per_shard)
+        return merge(query, per_shard)
 
     async def _answer(self, scoped: ScopedQuery) -> Any:
         if scoped.sequence is not None:

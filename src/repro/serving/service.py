@@ -25,17 +25,15 @@ pre- or post-extension sequence — never a mixture — and results are
 bit-identical to a serial, uncached :class:`QueryEngine` on the same
 snapshot.  Cumulative cache statistics are monotone.
 
-A request runs start to finish on the thread that sent it and never
-blocks, so it ends with one explicit scheduling point
-(:func:`leave_request`): left alone, CPython hands the GIL between
-CPU-bound client threads only every 5 ms switch interval, and a sub-ms
-request regularly waits out a whole slice of another client's requests.
+A call runs start to finish on the thread that sent it and never yields:
+the request's one scheduling point belongs to the layer clients call,
+:class:`~repro.corpus.CorpusQueryService`, which answers every shard
+through this service.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import Any
@@ -55,31 +53,7 @@ from repro.serving.batching import Query, base_kind, plan_batch
 from repro.serving.cache import CacheStats, CountSeriesCache
 from repro.utils.timing import STAGE_QUERY, CostLedger
 
-__all__ = ["QueryService", "enter_request", "leave_request"]
-
-#: Per-thread nesting depth of public ``execute*`` calls: the service
-#: layers stack (streaming -> corpus -> one ``QueryService`` per shard)
-#: and only the outermost call on a thread is the client's request.
-_requests = threading.local()
-
-
-def enter_request() -> int:
-    """Open a public ``execute*`` call; returns its nesting depth."""
-    depth: int = getattr(_requests, "depth", 0)
-    _requests.depth = depth + 1
-    return depth
-
-
-def leave_request(depth: int) -> None:
-    """Close the call :func:`enter_request` opened at ``depth``.
-
-    The outermost call (depth 0) gives up the GIL once, so concurrent
-    clients take per-request turns instead of 5 ms slices — one
-    scheduling point a request, not one a shard.
-    """
-    _requests.depth = depth
-    if depth == 0:
-        time.sleep(0)
+__all__ = ["QueryService"]
 
 
 @dataclass(frozen=True)
@@ -195,27 +169,19 @@ class QueryService:
     # ------------------------------------------------------------------
     def execute(self, query: str | Query) -> RetrievalResult | AggregateResult:
         """Answer one query (object or query-language text)."""
-        depth = enter_request()
-        try:
-            if isinstance(query, str):
-                query = parse_query(query)
-            return self._execute_on(self._state, query)
-        finally:
-            leave_request(depth)
+        if isinstance(query, str):
+            query = parse_query(query)
+        return self._execute_on(self._state, query)
 
     def execute_many(
         self, queries: Iterable[str | Query]
     ) -> list[RetrievalResult | AggregateResult]:
         """Answer a list of queries serially, in order."""
-        depth = enter_request()
-        try:
-            state = self._state
-            return [
-                self._execute_on(state, parse_query(q) if isinstance(q, str) else q)
-                for q in queries
-            ]
-        finally:
-            leave_request(depth)
+        state = self._state
+        return [
+            self._execute_on(state, parse_query(q) if isinstance(q, str) else q)
+            for q in queries
+        ]
 
     def _execute_on(
         self, state: _ServiceState, query: Query
@@ -247,15 +213,11 @@ class QueryService:
         the calling thread throughout.  Every query is charged to the
         ledger exactly as a serial :meth:`execute` would charge it.
         """
-        depth = enter_request()
-        try:
-            plan = plan_batch(queries, self._pipeline.config)
-            state = self._state
-            for kind, filters in plan.keys_by_kind().items():
-                self._warm_kind(state, kind, filters)
-            return [self._execute_on(state, p.query) for p in plan.queries]
-        finally:
-            leave_request(depth)
+        parsed, filters_by_kind = plan_batch(queries, self._pipeline.config)
+        state = self._state
+        for kind, filters in filters_by_kind.items():
+            self._warm_kind(state, kind, filters)
+        return [self._execute_on(state, query) for query in parsed]
 
     def close(self) -> None:
         """No-op (the service owns no threads); idempotent, queries stay valid."""

@@ -9,7 +9,10 @@ through a :class:`~repro.streaming.source.FrameSource`; the service
   frames before its buffer is flushed through the incremental
   :meth:`~repro.corpus.CorpusQueryService.extend` path (tail-only cache
   invalidation), and every answer reports the per-sequence watermark
-  and lag it was served under;
+  and lag it was served under.  An arrival whose frames do not continue
+  its sequence (a duplicate, a gap, a reordering) is rejected with a
+  ``ValueError`` before it touches any state, so a malformed source
+  cannot poison a buffer;
 * **re-plans** the corpus budget online — every ``replan_every``
   ingested frames the UCB (or uniform) allocator re-runs over the grown
   catalog through :meth:`~repro.corpus.CorpusQueryService.replan`;
@@ -19,7 +22,9 @@ through a :class:`~repro.streaming.source.FrameSource`; the service
 * **answers queries concurrently** — ``execute`` may be called from any
   number of threads while one thread pumps the source; each shard
   answers from immutable state snapshots, so readers see a coherent
-  pre- or post-ingest epoch per shard, never a torn one.
+  pre- or post-ingest epoch per shard, never a torn one.  A request
+  yields once, inside the :class:`~repro.corpus.CorpusQueryService`
+  call it makes; this layer adds no scheduling point of its own.
 
 The headline guarantee: after :meth:`quiesce` (source drained, buffers
 flushed, one final re-plan), every scoped answer is bit-identical to a
@@ -42,7 +47,7 @@ import numpy as np
 from repro.core.config import MASTConfig
 from repro.corpus.allocator import AllocationReport, BudgetAllocator
 from repro.corpus.catalog import SequenceCatalog
-from repro.corpus.pipeline import CorpusPipeline, CorpusResult
+from repro.corpus.pipeline import CorpusPipeline, CorpusResult, require_sequence
 from repro.corpus.service import CorpusQueryService
 from repro.data.frame import PointCloudFrame
 from repro.inference import DetectionStore
@@ -55,7 +60,6 @@ from repro.query.ast import (
     ScopedQuery,
 )
 from repro.serving.cache import CacheStats
-from repro.serving.service import enter_request, leave_request
 from repro.streaming.source import ArrivalEvent, FrameSource
 from repro.utils.timing import STAGE_MODEL, CostLedger
 from repro.utils.validation import require
@@ -281,7 +285,7 @@ class StreamingCorpusService:
 
     def cost_ledger(self) -> CostLedger:
         """One merged ledger across the corpus and every shard."""
-        return self._corpus._merged_ledger()
+        return self._corpus.merged_ledger()
 
     def _model_invocations(self) -> int:
         """Deep-model invocations billed so far (``cost_ledger()``'s count)."""
@@ -354,13 +358,27 @@ class StreamingCorpusService:
         return self.report()
 
     def _ingest(self, event: ArrivalEvent) -> None:  # repro: locked[_ingest_lock]
-        """Buffer one arrival; flush and re-plan as contracts require."""
+        """Buffer one arrival; flush and re-plan as contracts require.
+
+        An event whose frames do not continue the sequence's arrived
+        frames (ids one past the last arrived id, timestamps increasing)
+        is rejected before any state changes.
+        """
         name = event.sequence
         require(
             name in self._pending,
             f"arrival for unknown sequence {name!r}",
         )
         pending = self._pending[name]
+        last = pending[-1] if pending else self._corpus.catalog.sequence(name)[-1]
+        for frame in event.frames:
+            if frame.frame_id != last.frame_id + 1 or frame.timestamp <= last.timestamp:
+                raise ValueError(
+                    f"arrival on {name!r} rejected: expected frame {last.frame_id + 1} "
+                    f"after t={last.timestamp:g}, got frame {frame.frame_id} "
+                    f"at t={frame.timestamp:g}"
+                )
+            last = frame
         pending.extend(event.frames)
         flushed = 0
         try:
@@ -417,7 +435,7 @@ class StreamingCorpusService:
         answers: dict[str, float] = {}
         drift: dict[str, float] = {}
         for text, query in self._standing.items():
-            result = self._service.execute(query)  # repro: noqa[RPR010] standing queries are snapshotted inside the epoch on purpose; in-flight client queries never touch _ingest_lock, so the request's closing scheduling point (leave_request's sleep(0)) hands them the GIL without anyone waiting on this lock
+            result = self._service.execute(query)  # repro: noqa[RPR010] standing queries are snapshotted inside the epoch on purpose; in-flight client queries never touch _ingest_lock, so the scheduling point closing CorpusQueryService.execute hands them the GIL without anyone waiting on this lock
             value = (
                 float(result.value)
                 if hasattr(result, "value")
@@ -441,67 +459,49 @@ class StreamingCorpusService:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def _snapshot(self, scope: str | None) -> tuple[dict, dict, dict, float]:
-        """Published (watermarks, arrived, staleness, time) for a scope."""
+    def _snapshot(
+        self, scoped_list: list[ScopedQuery]
+    ) -> tuple[dict[str, int], dict[str, int], float]:
+        """Published (watermarks, arrived, time), once every scope is known."""
         with self._state_lock:
-            names = (scope,) if scope is not None else tuple(self._arrived)
-            require(
-                all(name in self._arrived for name in names),
-                f"unknown sequence {scope!r}; stream has {sorted(self._arrived)}",
+            for scoped in scoped_list:
+                require_sequence(scoped.sequence, self._arrived)
+            return dict(self._watermark), dict(self._arrived), self._clock
+
+    def _answers(
+        self,
+        scoped_list: list[ScopedQuery],
+        results: list[CorpusResult],
+        snapshot: tuple[dict[str, int], dict[str, int], float],
+    ) -> list[StreamingAnswer]:
+        """Each result with the staleness contract of its scope."""
+        watermarks, arrived, clock = snapshot
+        answers = []
+        for scoped, result in zip(scoped_list, results):
+            names = tuple(watermarks) if scoped.sequence is None else (scoped.sequence,)
+            answers.append(
+                StreamingAnswer(
+                    result=result,
+                    watermarks={n: watermarks[n] for n in names},
+                    arrived={n: arrived[n] for n in names},
+                    staleness={n: arrived[n] - watermarks[n] for n in names},
+                    max_lag_frames=self.max_lag_frames,
+                    virtual_time=clock,
+                )
             )
-            watermarks = {name: self._watermark[name] for name in names}
-            arrived = {name: self._arrived[name] for name in names}
-            clock = self._clock
-        staleness = {
-            name: arrived[name] - watermarks[name] for name in watermarks
-        }
-        return watermarks, arrived, staleness, clock
+        return answers
 
     def execute(self, query: StreamQuery) -> StreamingAnswer:
         """Answer one (possibly scoped) query against the live indexes."""
-        depth = enter_request()
-        try:
-            scoped = CorpusPipeline._coerce(query)
-            watermarks, arrived, staleness, clock = self._snapshot(scoped.sequence)
-            result = self._service.execute(scoped)
-            return StreamingAnswer(
-                result=result,
-                watermarks=watermarks,
-                arrived=arrived,
-                staleness=staleness,
-                max_lag_frames=self.max_lag_frames,
-                virtual_time=clock,
-            )
-        finally:
-            leave_request(depth)
+        scoped = CorpusPipeline._coerce(query)
+        snapshot = self._snapshot([scoped])
+        return self._answers([scoped], [self._service.execute(scoped)], snapshot)[0]
 
     def execute_batch(self, queries: list[StreamQuery]) -> list[StreamingAnswer]:
         """Answer a workload batched per shard, one snapshot for all."""
-        depth = enter_request()
-        try:
-            scoped_list = [CorpusPipeline._coerce(q) for q in queries]
-            watermarks, arrived, staleness, clock = self._snapshot(None)
-            results = self._service.execute_batch(scoped_list)
-            answers = []
-            for scoped, result in zip(scoped_list, results):
-                names = (
-                    (scoped.sequence,)
-                    if scoped.sequence is not None
-                    else tuple(watermarks)
-                )
-                answers.append(
-                    StreamingAnswer(
-                        result=result,
-                        watermarks={n: watermarks[n] for n in names},
-                        arrived={n: arrived[n] for n in names},
-                        staleness={n: staleness[n] for n in names},
-                        max_lag_frames=self.max_lag_frames,
-                        virtual_time=clock,
-                    )
-                )
-            return answers
-        finally:
-            leave_request(depth)
+        scoped_list = [CorpusPipeline._coerce(q) for q in queries]
+        snapshot = self._snapshot(scoped_list)
+        return self._answers(scoped_list, self._service.execute_batch(scoped_list), snapshot)
 
     # ------------------------------------------------------------------
     # Reporting

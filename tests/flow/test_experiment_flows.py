@@ -154,6 +154,18 @@ class TestCorpusDifferential:
         )
         assert corpus_digest(result["corpus-report"]) == corpus_digest(legacy)
 
+    def test_two_cold_runs_agree_on_every_key_and_fingerprint(
+        self, tmp_path, corpus_spec
+    ):
+        """Measured wall-clock enters no step's fingerprint, so two cold
+        runs in fresh directories share every checkpoint key."""
+        flow = corpus_flow(corpus_spec)
+        first = FlowRunner(flow, checkpoint_dir=tmp_path / "first").run()
+        second = FlowRunner(flow, checkpoint_dir=tmp_path / "second").run()
+        assert not first.cached and not second.cached
+        assert second.keys == first.keys
+        assert second.fingerprints == first.fingerprints
+
     def test_corpus_crash_resume_with_zero_re_detection(
         self, tmp_path, corpus_spec
     ):

@@ -1,8 +1,9 @@
 """The request path: a served request runs on the thread that sent it.
 
 ``QueryService`` owns no threads, accounts a batch the way its
-docstring promises next to a serial ``execute`` loop, and ends each
-outermost public call with exactly one scheduling point.
+docstring promises next to a serial ``execute`` loop, and never yields:
+the request's scheduling point belongs to ``CorpusQueryService``, the
+layer clients call (``tests/corpus/test_corpus_request_path.py``).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import threading
 import pytest
 
 from repro.serving import QueryService
-from repro.serving import service as service_module
 from repro.serving.batching import plan_batch
 from repro.utils.timing import STAGE_QUERY
 from tests.serving.harness import assert_results_identical, random_workload
@@ -51,7 +51,8 @@ def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
     records exactly ``n_series`` more hits than the serial loop.
     """
     queries = random_workload(seed=22, n_queries=40)
-    n_series = plan_batch(queries, kitti_pipeline.config).n_series
+    _, filters_by_kind = plan_batch(queries, kitti_pipeline.config)
+    n_series = sum(len(filters) for filters in filters_by_kind.values())
 
     batch_service = QueryService(kitti_pipeline)
     batched, batch_ledger = _ledger_delta(
@@ -80,32 +81,18 @@ def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
     assert batch_stats.misses == n_series
 
 
-def test_each_public_call_ends_with_one_scheduling_point(kitti_pipeline, yields):
+def test_public_calls_never_yield(kitti_pipeline, yields):
     service = QueryService(kitti_pipeline)
     queries = random_workload(seed=23, n_queries=6)
     service.execute(queries[0])
-    assert yields == [0]
     service.execute_many(queries)
-    assert yields == [0, 0]
     service.execute_batch(queries)
-    assert yields == [0, 0, 0]
+    assert yields == []
 
 
-def test_a_raising_request_still_yields_and_unwinds_the_nesting(
-    kitti_pipeline, yields
-):
+def test_a_raising_request_does_not_yield(kitti_pipeline, yields):
     service = QueryService(kitti_pipeline)
     with pytest.raises(ValueError):
         service.execute_batch(["SELECT NONSENSE"])
-    assert yields == [0]
     service.execute_batch(random_workload(seed=24, n_queries=3))
-    assert yields == [0, 0]
-
-
-def test_nested_calls_yield_only_at_the_outermost(yields):
-    outer = service_module.enter_request()
-    inner = service_module.enter_request()
-    service_module.leave_request(inner)
     assert yields == []
-    service_module.leave_request(outer)
-    assert yields == [0]

@@ -1,4 +1,4 @@
-"""A detector fault inside streaming ingest loses nothing and wedges nothing.
+"""A fault inside streaming ingest loses nothing and wedges nothing.
 
 The detector raises once, under ``_ingest_lock``, either inside a flush
 (the shard extend) or inside a re-plan.  ``pump`` raises; afterwards
@@ -9,15 +9,27 @@ The detector raises once, under ``_ingest_lock``, either inside a flush
 * the next ``pump`` + ``quiesce`` drains, the drained answers equal a
   batch fit of the final corpus bit for bit, and every frame is billed
   once — the fault is one store miss that was never billed.
+
+The source misdelivers (a duplicated, skipped or swapped arrival): each
+event that does not continue its sequence is rejected by ``pump`` and
+changes nothing, staleness stays within bound, and the drained answers
+equal a batch fit on exactly the accepted frames.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
-from repro.corpus import CorpusQueryService
+from repro.corpus import CorpusPipeline, CorpusQueryService, SequenceCatalog
 from repro.simulation import semantickitti_like
-from repro.streaming import ArrivalSchedule, ScheduledFrameSource, StreamingCorpusService
+from repro.streaming import (
+    ArrivalSchedule,
+    FrameSource,
+    ScheduledFrameSource,
+    StreamingCorpusService,
+)
 from repro.utils.timing import STAGE_MODEL
 from tests.fault_injection import RaisesOnce
 from tests.streaming.harness import assert_same_corpus_answer, batch_reference
@@ -105,3 +117,102 @@ def test_fault_inside_a_replan(drives, model, config, monkeypatch):
         assert service.epochs == 0
         _assert_nothing_lost(service)
         _assert_drains_to_batch(service, drives, model, config, faulty)
+
+
+class _Misdelivered(FrameSource):
+    """``base``'s ``scheduled`` arrival events, reordered by ``alter``;
+    ``delivered`` records what :meth:`next_event` handed out."""
+
+    def __init__(self, base: ScheduledFrameSource, alter) -> None:
+        self.base = base
+        scheduled = []
+        while (event := base.next_event()) is not None:
+            scheduled.append(event)
+        self.scheduled = tuple(scheduled)
+        self._events = deque(alter(scheduled))
+        self.delivered: list = []
+
+    def names(self):
+        return self.base.names()
+
+    def initial_sequence(self, name):
+        return self.base.initial_sequence(name)
+
+    def next_event(self):
+        if not self._events:
+            return None
+        self.delivered.append(self._events.popleft())
+        return self.delivered[-1]
+
+    @property
+    def drained(self) -> bool:
+        return not self._events
+
+
+def _swap_with_next_of_its_sequence(events, k):
+    j = next(i for i in range(k + 1, len(events)) if events[i].sequence == events[k].sequence)
+    events[k], events[j] = events[j], events[k]
+    return events
+
+
+#: Misdeliveries of event 5: replayed once, skipped, swapped with its
+#: sequence's next event.
+MISDELIVERIES = {
+    "duplicate": lambda events: events[:6] + events[5:],
+    "gap": lambda events: events[:5] + events[6:],
+    "swap": lambda events: _swap_with_next_of_its_sequence(events, 5),
+}
+
+
+def _published(service):
+    report = service.report()
+    return report["arrived"], report["virtual_time"], report["events_processed"]
+
+
+@pytest.mark.parametrize("fault", sorted(MISDELIVERIES))
+def test_misdelivered_arrival_is_rejected_without_wedging(fault, model, config):
+    drives = [
+        semantickitti_like(index, n_frames=40, with_points=False).head(40, name=name)
+        for index, name in enumerate("ab")
+    ]
+    source = _Misdelivered(
+        ScheduledFrameSource(drives, initial_frames=12), MISDELIVERIES[fault]
+    )
+    faulty = source.scheduled[5].sequence
+    accepted = {drive.name: 12 for drive in drives}
+    rejected = 0
+    with StreamingCorpusService(
+        source, model, config, policy="ucb", max_lag_frames=1, replan_every=8
+    ) as service:
+        while not source.drained:
+            before = _published(service)
+            try:
+                service.pump(max_events=1)
+            except ValueError as error:
+                event = source.delivered[-1]
+                expected = accepted[event.sequence]
+                assert f"arrival on {event.sequence!r} rejected" in str(error)
+                assert f"expected frame {expected} " in str(error)
+                assert _published(service) == before
+                rejected += 1
+            else:
+                event = source.delivered[-1]
+                accepted[event.sequence] += len(event.frames)
+            assert max(service.staleness().values()) <= service.max_lag_frames
+        # A replay costs one rejection; a gap stops its sequence for good.
+        assert rejected == 1 if fault == "duplicate" else rejected > 1
+        assert (accepted[faulty] == 40) == (fault == "duplicate")
+        assert accepted[next(n for n in accepted if n != faulty)] == 40
+        service.quiesce()
+        assert service.report()["arrived"] == accepted
+        assert all(lag == 0 for lag in service.staleness().values())
+
+        catalog = SequenceCatalog()
+        for drive in drives:
+            catalog.register_sequence(drive.head(accepted[drive.name], name=drive.name))
+        with CorpusPipeline(catalog, config, policy="ucb") as corpus:
+            with CorpusQueryService(corpus.fit(model)) as batch:
+                for text in QUERIES:
+                    assert_same_corpus_answer(
+                        service.execute(text).result, batch.execute(text), text
+                    )

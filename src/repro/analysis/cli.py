@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import IO
 
-from repro.analysis.config import LintConfig, load_config
+from repro.analysis.config import load_config
 from repro.analysis.engine import lint_paths
 from repro.analysis.reporters import render_json, render_sarif, render_text
 from repro.analysis.rules import ALL_RULES
@@ -57,13 +58,7 @@ def build_lint_parser() -> argparse.ArgumentParser:
         "--select",
         default=None,
         metavar="CODES",
-        help="comma-separated rule codes to run (default: pyproject "
-        "[tool.repro-lint] select, or all rules)",
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore pyproject.toml and use built-in defaults",
+        help="comma-separated rule codes to run (default: all rules)",
     )
     parser.add_argument(
         "--list-rules",
@@ -90,15 +85,10 @@ def run_lint(argv: list[str] | None = None, out: IO[str] | None = None) -> int:
             Path(args.witness_report), [Path(p) for p in args.paths], out=out
         )
 
-    if args.no_config:
-        config = LintConfig()
-    else:
-        config = load_config(Path(args.paths[0]) if args.paths else Path.cwd())
+    config = load_config(Path(args.paths[0]) if args.paths else Path.cwd())
     if args.select:
         select = tuple(code.strip() for code in args.select.split(",") if code.strip())
-        config = LintConfig(
-            root=config.root, select=select, per_directory=config.per_directory
-        )
+        config = replace(config, select=select)
 
     report = lint_paths(list(args.paths), config=config)
     if args.sarif:

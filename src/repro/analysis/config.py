@@ -1,19 +1,18 @@
-"""Lint configuration: the ``[tool.repro-lint]`` table in pyproject.toml.
+"""Lint configuration: which rules run where.
 
 Two knobs:
 
-* ``select`` — the rule codes to run (empty/absent = every registered
-  rule);
-* ``per-directory`` — a sub-table mapping a path prefix (file or
-  directory, relative to the pyproject directory, posix separators) to
-  the list of rule codes *disabled* under that prefix.  Disables from
-  every matching prefix accumulate, so a file exempt from RPR002 via
-  ``"benchmarks"`` stays exempt even if a deeper prefix adds more.
+* ``select`` — the rule codes to run (empty = every registered rule;
+  ``repro lint --select`` sets it);
+* ``per_directory`` — :data:`DEFAULT_PER_DIRECTORY`, mapping a path
+  prefix (file or directory, relative to the project root, posix
+  separators) to the rule codes *disabled* under that prefix.  Disables
+  from every matching prefix accumulate, so a file exempt from RPR002
+  via ``"benchmarks"`` stays exempt even if a deeper prefix adds more.
 
-TOML parsing uses :mod:`tomllib` (3.11+) or ``tomli`` when available.
-On interpreters with neither, :data:`DEFAULT_PER_DIRECTORY` — kept in
-sync with the repository's pyproject by a test — is used instead, so
-the linter gives identical answers everywhere without new dependencies.
+The project root is the directory of the nearest ``pyproject.toml``;
+the policy itself lives only here, so every interpreter gives the same
+answers without a TOML parser.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ from pathlib import Path
 
 __all__ = ["DEFAULT_PER_DIRECTORY", "LintConfig", "load_config"]
 
-#: Mirror of ``[tool.repro-lint.per-directory]`` in pyproject.toml.
+#: The per-directory policy:
 #:
 #: * ``utils/timing.py`` is the one blessed home of wall-clock reads
 #:   (RPR002): the CostLedger measures real computation there.
@@ -69,21 +68,6 @@ class LintConfig:
         return [code for code in all_codes if code in selected and code not in disabled]
 
 
-def _read_toml(path: Path) -> dict | None:
-    try:
-        import tomllib
-    except ImportError:  # pragma: no cover - 3.10 fallback
-        try:
-            import tomli as tomllib  # type: ignore[no-redef]
-        except ImportError:
-            return None
-    try:
-        with open(path, "rb") as handle:
-            return tomllib.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
 def find_pyproject(start: Path) -> Path | None:
     """The nearest pyproject.toml at or above ``start``."""
     current = start.resolve()
@@ -97,26 +81,11 @@ def find_pyproject(start: Path) -> Path | None:
 
 
 def load_config(start: Path | str = ".") -> LintConfig:
-    """Load the lint config governing ``start`` (a file or directory).
+    """The lint config governing ``start`` (a file or directory).
 
-    Falls back to the built-in defaults when no pyproject.toml is found
-    or no TOML parser is available.
+    Its root is the directory of the nearest pyproject.toml at or above
+    ``start``, or ``start`` itself when there is none.
     """
     pyproject = find_pyproject(Path(start))
-    if pyproject is None:
-        return LintConfig(root=str(Path(start).resolve()))
-    root = str(pyproject.parent)
-    data = _read_toml(pyproject)
-    if data is None:
-        return LintConfig(root=root)
-    table = data.get("tool", {}).get("repro-lint", {})
-    select = tuple(str(code) for code in table.get("select", ()))
-    per_directory_table = table.get("per-directory", None)
-    if per_directory_table is None:
-        per_directory = DEFAULT_PER_DIRECTORY
-    else:
-        per_directory = tuple(
-            (str(prefix), tuple(str(code) for code in codes))
-            for prefix, codes in per_directory_table.items()
-        )
-    return LintConfig(root=root, select=select, per_directory=per_directory)
+    root = pyproject.parent if pyproject is not None else Path(start).resolve()
+    return LintConfig(root=str(root))

@@ -13,9 +13,9 @@ structural exemptions:
 * call sites whose enclosing function is itself named ``detect`` or
   ``detect_many`` — a model wrapper delegating to its base model is
   model-internal, not a pipeline path;
-* directories configured out via ``[tool.repro-lint.per-directory]``
-  (``src/repro/models`` implements detection, ``src/repro/inference``
-  *is* the blessed path).
+* directories configured out via
+  ``repro.analysis.config.DEFAULT_PER_DIRECTORY`` (``src/repro/models``
+  implements detection, ``src/repro/inference`` *is* the blessed path).
 
 Anything else — a new baseline, a benchmark — must go through an engine
 or carry a justified ``# repro: noqa[RPR004]``.

@@ -6,7 +6,7 @@ do not depend on the machine's clock; a stray ``time.time()`` or
 dependence (e.g. a time-based tie-break or TTL would make two identical
 runs sample different frames).  Wall-clock reads belong in
 ``utils/timing.py`` (the ledger's ``measure``) and in ``benchmarks/``,
-both exempted via ``[tool.repro-lint.per-directory]``.
+both exempted via ``repro.analysis.config.DEFAULT_PER_DIRECTORY``.
 
 ``time.sleep`` is deliberately not flagged: a pause delays execution
 without feeding a clock value into any decision.

@@ -1,20 +1,19 @@
-"""Command-line interface.
+"""Command-line interface: a thin shell over the library.
 
-Four subcommands cover the operational lifecycle:
+Ten subcommands cover the operational lifecycle:
 
 * ``repro simulate`` — build a synthetic sequence and persist it;
 * ``repro fit``      — run MAST sampling on a stored sequence, persist
   the detections checkpoint;
 * ``repro query``    — answer query-language queries from a stored
   sequence + detections checkpoint;
-* ``repro experiment`` — run the paper's method comparison on one
-  sequence and print the result tables;
 * ``repro tracks``   — stitch object tracks from a checkpoint and print
   per-label summaries plus persistent close-proximity tracks;
+* ``repro experiment`` — run the paper's method comparison on one
+  sequence and print the result tables;
 * ``repro serve-workload`` — answer a whole workload through the
-  batched, caching :class:`~repro.serving.QueryService` (or, with
-  ``--corpus``, the sharded :class:`~repro.corpus.CorpusQueryService`)
-  and report cache statistics;
+  sharded, caching :class:`~repro.corpus.CorpusQueryService` (one
+  sequence, or the ``--corpus`` catalog) and report cache statistics;
 * ``repro corpus`` — fit a multi-sequence corpus under a budget
   policy, print the allocation report, and answer scoped queries;
 * ``repro stream`` — replay a corpus as a continuous stream: frames
@@ -28,6 +27,11 @@ Four subcommands cover the operational lifecycle:
   (:mod:`repro.analysis`).
 
 Every command is pure-offline and deterministic given its ``--seed``.
+Shared flags are declared once (:func:`_shared`), a ``SPEC`` becomes a
+catalog entry through :func:`_parse_corpus_spec`, every answer prints
+through :func:`_format_answer`, and :func:`main` is the one place an
+error becomes an exit status: a bad input prints one ``error: …`` line
+and exits 2, an interrupted flow exits 3.
 
 Heavy imports (numpy, the pipeline) are deferred into the command
 handlers so that ``repro lint`` — which gates CI before dependencies
@@ -42,36 +46,63 @@ import sys
 __all__ = ["main", "build_parser"]
 
 _DATASETS = ("semantickitti", "once", "synlidar")
+_SPEC = "dataset[:index[:frames]] (e.g. semantickitti:0:600 once:1:400)"
+_SCOPED = ("query text; append 'IN SEQUENCE <name>' to scope, otherwise "
+           "the query fans out")
+
+
+def _shared(parser: argparse.ArgumentParser, **defaults: object) -> None:
+    """Declare shared flags with this command's defaults.
+
+    Each keyword names one flag (``sequence_index=0`` declares
+    ``--sequence-index`` defaulting to 0); its type, choices and help
+    are the same under every command.
+    """
+    from repro.corpus.allocator import POLICIES
+    from repro.models import available_models
+
+    flags: dict[str, dict[str, object]] = {
+        "dataset": {"choices": _DATASETS},
+        "sequence_index": {"type": int},
+        "frames": {"type": int, "help": "sequence length in frames"},
+        "budget": {"type": float,
+                   "help": "sampling budget fraction (default %(default)s)"},
+        "model": {"choices": available_models()},
+        "seed": {"type": int},
+        "policy": {"choices": POLICIES,
+                   "help": "cross-sequence budget policy (default %(default)s)"},
+        "round_size": {"type": int, "help": "frames per UCB allocation round "
+                       "(default %(default)s)"},
+    }
+    for name, default in defaults.items():
+        parser.add_argument(
+            "--" + name.replace("_", "-"), default=default, **flags[name]
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for testing and docs)."""
-    from repro.models import available_models
-
     parser = argparse.ArgumentParser(
         prog="repro",
         description="MAST reproduction: efficient analytical queries on "
         "point-cloud data.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    one_sequence = {"dataset": "semantickitti", "sequence_index": 0}
+    fitting = {"budget": 0.10, "model": "pv_rcnn", "seed": 1}
+    allocation = {"policy": "ucb", "round_size": 8}
 
     simulate = sub.add_parser(
         "simulate", help="build a synthetic sequence and save it as .npz"
     )
-    simulate.add_argument("--dataset", choices=_DATASETS, default="semantickitti")
-    simulate.add_argument("--sequence-index", type=int, default=0)
-    simulate.add_argument("--frames", type=int, default=1000)
-    simulate.add_argument("--seed", type=int, default=None)
+    _shared(simulate, **one_sequence, frames=1000, seed=None)
     simulate.add_argument("--out", required=True, help="output .npz path")
 
     fit = sub.add_parser(
         "fit", help="run MAST sampling on a stored sequence"
     )
     fit.add_argument("--sequence", required=True, help="sequence .npz path")
-    fit.add_argument("--model", choices=available_models(), default="pv_rcnn")
-    fit.add_argument("--budget", type=float, default=0.10,
-                     help="sampling budget fraction (default 0.10)")
-    fit.add_argument("--seed", type=int, default=0)
+    _shared(fit, budget=0.10, model="pv_rcnn", seed=0)
     fit.add_argument("--store", default=None, metavar="DIR",
                      help="persistent detection store directory "
                      "(repeat runs reuse detections)")
@@ -99,23 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="run the paper's method comparison on one sequence"
     )
-    experiment.add_argument("--dataset", choices=_DATASETS, default="semantickitti")
-    experiment.add_argument("--sequence-index", type=int, default=0)
-    experiment.add_argument("--frames", type=int, default=1000)
-    experiment.add_argument("--budget", type=float, default=0.10)
-    experiment.add_argument("--model", choices=available_models(), default="pv_rcnn")
-    experiment.add_argument("--seed", type=int, default=1)
+    _shared(experiment, **one_sequence, frames=1000, **fitting)
 
     serve = sub.add_parser(
         "serve-workload",
-        help="serve a query workload through the batched caching service",
+        help="serve a query workload through the sharded caching service",
     )
-    serve.add_argument("--dataset", choices=_DATASETS, default="semantickitti")
-    serve.add_argument("--sequence-index", type=int, default=0)
-    serve.add_argument("--frames", type=int, default=600)
-    serve.add_argument("--budget", type=float, default=0.10)
-    serve.add_argument("--model", choices=available_models(), default="pv_rcnn")
-    serve.add_argument("--seed", type=int, default=1)
+    _shared(serve, **one_sequence, frames=600, **fitting)
     serve.add_argument("--queries", type=int, default=50,
                        help="generated workload size (ignored with --workload)")
     serve.add_argument("--workload", default=None,
@@ -124,9 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="times to replay the batch (>= 2 shows cache hits)")
     serve.add_argument("--backend", choices=("thread", "process"),
                        default="thread",
-                       help="serving backend for --corpus mode: 'process' "
-                       "routes queries through spawned shard workers behind "
-                       "the coalescing dispatcher")
+                       help="serving backend: 'process' routes queries "
+                       "through spawned shard workers behind the "
+                       "coalescing dispatcher")
     serve.add_argument("--workers", type=int, default=0,
                        help="process-backend worker count "
                        "(0 = one per sequence)")
@@ -136,9 +157,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--show", type=int, default=5,
                        help="print the first N answers (0 for none)")
     serve.add_argument("--corpus", nargs="+", default=None, metavar="SPEC",
-                       help="serve a sharded corpus instead of one sequence; "
-                       "each SPEC is dataset[:index[:frames]] "
-                       "(e.g. semantickitti:0:600 once:1:400)")
+                       help="serve this catalog instead of the one sequence "
+                       f"--dataset names; each SPEC is {_SPEC}")
 
     corpus = sub.add_parser(
         "corpus",
@@ -146,18 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
         "answer scoped queries",
     )
     corpus.add_argument("--sequences", nargs="+", required=True, metavar="SPEC",
-                        help="catalog entries, each dataset[:index[:frames]] "
-                        "(e.g. semantickitti:0:600 once:1:400)")
-    corpus.add_argument("--policy", choices=("uniform", "ucb"), default="ucb",
-                        help="cross-sequence budget policy (default ucb)")
-    corpus.add_argument("--round-size", type=int, default=8,
-                        help="frames per UCB allocation round (default 8)")
-    corpus.add_argument("--budget", type=float, default=0.10)
-    corpus.add_argument("--model", choices=available_models(), default="pv_rcnn")
-    corpus.add_argument("--seed", type=int, default=1)
-    corpus.add_argument("queries", nargs="*",
-                        help="query text; append 'IN SEQUENCE <name>' to "
-                        "scope, otherwise the query fans out")
+                        help=f"catalog entries, each {_SPEC}")
+    _shared(corpus, **allocation, **fitting)
+    corpus.add_argument("queries", nargs="*", help=_SCOPED)
 
     stream = sub.add_parser(
         "stream",
@@ -165,8 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         "re-planning and bounded-staleness queries",
     )
     stream.add_argument("--sequences", nargs="+", required=True, metavar="SPEC",
-                        help="sequences to stream, each dataset[:index[:frames]] "
-                        "(e.g. semantickitti:0:120 once:1:80)")
+                        help=f"sequences to stream, each {_SPEC}")
     stream.add_argument("--initial", type=int, default=8,
                         help="prefix frames each sequence starts with "
                         "(default 8)")
@@ -184,21 +194,13 @@ def build_parser() -> argparse.ArgumentParser:
     stream.add_argument("--replan-every", type=int, default=32,
                         help="re-run the budget allocator after this many "
                         "ingested frames (default 32)")
-    stream.add_argument("--policy", choices=("uniform", "ucb"), default="ucb",
-                        help="cross-sequence budget policy (default ucb)")
-    stream.add_argument("--round-size", type=int, default=8,
-                        help="frames per UCB allocation round (default 8)")
-    stream.add_argument("--budget", type=float, default=0.10)
-    stream.add_argument("--model", choices=available_models(), default="pv_rcnn")
-    stream.add_argument("--seed", type=int, default=1)
+    _shared(stream, **allocation, **fitting)
     stream.add_argument("--query-every", type=int, default=0, metavar="N",
                         help="answer the queries mid-ingest every N arrival "
                         "events (0 = only after the stream drains)")
     stream.add_argument("queries", nargs="*",
-                        help="query text; append 'IN SEQUENCE <name>' to "
-                        "scope, otherwise the query fans out (unscoped "
-                        "queries also become standing queries, tracked "
-                        "at every re-plan epoch)")
+                        help=f"{_SCOPED} (unscoped queries also become "
+                        "standing queries, tracked at every re-plan epoch)")
 
     flow = sub.add_parser(
         "flow",
@@ -206,15 +208,15 @@ def build_parser() -> argparse.ArgumentParser:
         "(repro.flow)",
     )
     flow_sub = flow.add_subparsers(dest="action", required=True)
-    for action in ("run", "resume"):
+    for action, text in (
+        ("run", "execute a named flow (completed steps replay from checkpoints)"),
+        ("resume", "re-run a flow against its existing checkpoints"),
+    ):
         runner = flow_sub.add_parser(
-            action,
-            help=(
-                "execute a named flow (completed steps replay from "
-                "checkpoints)"
-                if action == "run"
-                else "re-run a flow against its existing checkpoints"
-            ),
+            action, help=text,
+            description=f"{text}. --frames defaults to the benchmark "
+            "harness scaling: REPRO_BENCH_SCALE of the paper length, with "
+            "a 1000-frame floor.",
         )
         runner.add_argument("flow_name", choices=("experiment", "fig9", "corpus"),
                             help="named flow to execute")
@@ -227,13 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
         runner.add_argument("--interrupt-after", default=None, metavar="STEP",
                             help="crash drill: stop right after this step's "
                             "checkpoint is written")
-        runner.add_argument("--dataset", choices=_DATASETS,
-                            default="semantickitti")
-        runner.add_argument("--sequence-index", type=int, default=0)
-        runner.add_argument("--frames", type=int, default=None,
-                            help="sequence length (default: the benchmark "
-                            "harness scaling, REPRO_BENCH_SCALE of the "
-                            "paper length with a 1000-frame floor)")
+        _shared(runner, **one_sequence, frames=None)
         runner.add_argument("--budgets", default=None, metavar="B1,B2,...",
                             help="budget fractions; fig9 defaults to "
                             "0.05..0.25, experiment to 0.10; corpus takes "
@@ -242,15 +238,12 @@ def build_parser() -> argparse.ArgumentParser:
                             metavar="M1,M2,...")
         runner.add_argument("--sequences", nargs="+", default=None,
                             metavar="SPEC",
-                            help="corpus flow catalog, each "
-                            "dataset[:index[:frames]]")
+                            help=f"corpus flow catalog, each {_SPEC}")
         runner.add_argument("--policies", default="uniform,ucb",
                             metavar="P1,P2,...", help="corpus flow policies")
         runner.add_argument("--n-retrieval", type=int, default=None,
                             help="truncate the corpus retrieval workload")
-        runner.add_argument("--model", choices=available_models(),
-                            default="pv_rcnn")
-        runner.add_argument("--seed", type=int, default=1)
+        _shared(runner, model="pv_rcnn", seed=1)
     tail = flow_sub.add_parser(
         "tail", help="render a flow's JSONL event stream human-readably"
     )
@@ -270,38 +263,244 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
-def _cmd_lint(args, out) -> int:
-    from repro.analysis.cli import run_lint
+# Inputs: one path from arguments to library objects
+# ----------------------------------------------------------------------
+def _config_and_model(args, *, model_seed: int | None = None):
+    """``MASTConfig(--seed, --budget)`` and the ``--model`` detector.
 
-    return run_lint(list(args.args), out=out)
+    The detector is seeded with :data:`~repro.models.DEFAULT_MODEL_SEED`
+    unless the command passes its own ``model_seed``.
+    """
+    from repro.core import MASTConfig
+    from repro.models import DEFAULT_MODEL_SEED, make_model
+
+    config = MASTConfig(seed=args.seed, budget_fraction=args.budget)
+    seed = DEFAULT_MODEL_SEED if model_seed is None else model_seed
+    return config, make_model(args.model, seed=seed)
 
 
+def _parse_corpus_spec(text: str):
+    """``dataset[:index[:frames]]`` -> :class:`~repro.corpus.SequenceSpec`."""
+    from repro.corpus import SequenceSpec
+
+    parts = text.split(":")
+    if len(parts) > 3 or parts[0] not in _DATASETS:
+        raise ValueError(
+            f"bad corpus spec {text!r}; expected dataset[:index[:frames]] "
+            f"with dataset in {_DATASETS}"
+        )
+    index = int(parts[1]) if len(parts) > 1 else 0
+    n_frames = int(parts[2]) if len(parts) > 2 else None
+    return SequenceSpec(parts[0], index, n_frames=n_frames)
+
+
+def _sequence_spec(args, seed: int | None = None):
+    """The one sequence ``--dataset`` / ``--sequence-index`` / ``--frames`` name."""
+    from repro.corpus import SequenceSpec
+
+    return SequenceSpec(
+        args.dataset, args.sequence_index, n_frames=args.frames, seed=seed
+    )
+
+
+def _catalog(specs):
+    """A catalog of ``specs``, each under its ``resolved_name()``."""
+    from repro.corpus import SequenceCatalog
+
+    catalog = SequenceCatalog()
+    for spec in specs:
+        catalog.register(spec)
+    return catalog
+
+
+def _load_checkpoint(sequence_path, detections_path):
+    """``(sequence, model name, sampling run)`` of a stored fit."""
+    import numpy as np
+
+    from repro.core import SamplingResult
+    from repro.data import load_detections, load_sequence
+
+    sequence = load_sequence(sequence_path)
+    detections, model_name = load_detections(detections_path)
+    sampling = SamplingResult(
+        sequence_name=sequence.name,
+        n_frames=len(sequence),
+        timestamps=sequence.timestamps,
+        budget=len(detections),
+        sampled_ids=np.array(sorted(detections), dtype=np.int64),
+        detections=detections,
+    )
+    return sequence, model_name, sampling
+
+
+def _load_workload(args):
+    """The serve-workload queries: the ``--workload`` file, or generated."""
+    from repro.query import generate_workload, parse_scoped_query
+
+    if args.workload is not None:
+        with open(args.workload, encoding="utf-8") as handle:
+            lines = [line.strip() for line in handle]
+        queries = [
+            parse_scoped_query(line)
+            for line in lines
+            if line and not line.startswith("#")
+        ]
+    else:
+        queries = list(generate_workload(rng=args.seed).all_queries())
+        queries = queries[: args.queries]
+    if not queries:
+        raise ValueError("empty workload")
+    return queries
+
+
+def _split(text: str, cast=str) -> tuple:
+    """``"a,b,,c"`` -> ``(cast("a"), cast("b"), cast("c"))``."""
+    return tuple(cast(part) for part in text.split(",") if part.strip())
+
+
+def _default_flow_frames(dataset: str, sequence_index: int) -> int:
+    """The benchmark harness's scaled length (1000-frame floor)."""
+    import os
+
+    from repro.simulation import dataset_spec
+
+    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
+    paper_length = dataset_spec(dataset).lengths[sequence_index]
+    return max(1000, int(round(paper_length * scale)))
+
+
+def _flow_for_args(args):
+    """Build the named flow (and its spec) from CLI arguments."""
+    from repro.evalx import (
+        CorpusFlowSpec,
+        ExperimentFlowSpec,
+        corpus_flow,
+        experiment_flow,
+    )
+
+    budgets = _split(args.budgets, float) if args.budgets else None
+    if args.flow_name == "corpus":
+        if not args.sequences:
+            raise ValueError("the corpus flow requires --sequences")
+        budgets = budgets or (0.10,)
+        if len(budgets) != 1:
+            raise ValueError(
+                f"the corpus flow takes one budget, got {len(budgets)}: "
+                f"{args.budgets}"
+            )
+        specs = [_parse_corpus_spec(text) for text in args.sequences]
+        corpus_spec = CorpusFlowSpec(
+            sequences=tuple(
+                (spec.dataset, spec.index, spec.resolved_length(),
+                 spec.resolved_name(), ())
+                for spec in specs
+            ),
+            model=args.model,
+            seed=args.seed,
+            budget_fraction=budgets[0],
+            policies=_split(args.policies),
+            n_retrieval=args.n_retrieval,
+        )
+        return corpus_flow(corpus_spec), corpus_spec
+
+    if budgets is None:
+        fig9 = args.flow_name == "fig9"
+        budgets = (0.05, 0.10, 0.15, 0.20, 0.25) if fig9 else (0.10,)
+    frames = args.frames
+    if frames is None:
+        frames = _default_flow_frames(args.dataset, args.sequence_index)
+    spec = ExperimentFlowSpec(
+        dataset=args.dataset,
+        sequence_index=args.sequence_index,
+        n_frames=frames,
+        model=args.model,
+        seed=args.seed,
+        methods=_split(args.methods),
+        budgets=budgets,
+    )
+    return experiment_flow(spec), spec
+
+
+# ----------------------------------------------------------------------
+# Answers: one renderer
+# ----------------------------------------------------------------------
+def _format_answer(text: str, answer, out) -> None:
+    """Print ``text`` and its answer.
+
+    A single-sequence retrieval lists its first frame ids; a corpus
+    retrieval counts per sequence; a corpus aggregate says it is
+    corpus-wide.  A streaming answer adds the time and staleness it was
+    served under.
+    """
+    from repro.corpus import CorpusAggregateResult, CorpusRetrievalResult
+    from repro.query import RetrievalResult
+    from repro.streaming import StreamingAnswer
+
+    served = ""
+    if isinstance(answer, StreamingAnswer):
+        served = (
+            f" [t={answer.virtual_time:.2f}s, staleness "
+            f"{answer.max_staleness}/{answer.max_lag_frames}]"
+        )
+        answer = answer.result
+    if isinstance(answer, RetrievalResult):
+        ids = ", ".join(str(i) for i in answer.frame_ids[:20])
+        more = " ..." if answer.cardinality > 20 else ""
+        body = (
+            f"{answer.cardinality} frames ({100 * answer.selectivity:.2f} %): "
+            f"[{ids}{more}]"
+        )
+    elif isinstance(answer, CorpusRetrievalResult):
+        per = ", ".join(
+            f"{name}: {result.cardinality}"
+            for name, result in answer.by_sequence.items()
+        )
+        body = (
+            f"{answer.cardinality} frames ({100 * answer.selectivity:.2f} %) "
+            f"[{per}]"
+        )
+    elif isinstance(answer, CorpusAggregateResult):
+        body = f"{answer.value:.4f} (corpus-wide)"
+    else:
+        body = f"{answer.value:.4f}"
+    print(f"{text}\n  -> {body}{served}", file=out)
+
+
+def _answer_each(texts, answer, out) -> int:
+    """Answer and print every text; a bad one prints ``error: …`` and
+    the rest still run.  Returns 2 if any failed, else 0."""
+    status = 0
+    for text in texts:
+        try:
+            result = answer(text)
+        except ValueError as error:
+            print(f"error: {error}", file=out)
+            status = 2
+            continue
+        _format_answer(text, result, out)
+    return status
+
+
+# ----------------------------------------------------------------------
+# Commands
+# ----------------------------------------------------------------------
 def _cmd_simulate(args, out) -> int:
     from repro.data import save_sequence
-    from repro.simulation import build_sequence, dataset_spec
 
-    sequence = build_sequence(
-        dataset_spec(args.dataset),
-        args.sequence_index,
-        n_frames=args.frames,
-        seed=args.seed,
-        with_points=False,
-    )
+    sequence = _sequence_spec(args, seed=args.seed).build()
     path = save_sequence(sequence, args.out)
     print(f"wrote {sequence} -> {path}", file=out)
     return 0
 
 
 def _cmd_fit(args, out) -> int:
-    from repro.core import MASTConfig
     from repro.core.sampler import HierarchicalMultiAgentSampler
     from repro.data import load_sequence, save_detections
     from repro.inference import DetectionStore, InferenceEngine
-    from repro.models import make_model
 
     sequence = load_sequence(args.sequence)
-    model = make_model(args.model, seed=args.seed)
-    config = MASTConfig(budget_fraction=args.budget, seed=args.seed)
+    # The detector follows --seed here, as the stored detections always have.
+    config, model = _config_and_model(args, model_seed=args.seed)
     store = DetectionStore(persist_dir=args.store) if args.store else None
     result = HierarchicalMultiAgentSampler(config).sample(
         sequence, model, engine=InferenceEngine(store=store)
@@ -329,42 +528,10 @@ def _cmd_query(args, out) -> int:
     from repro.models import make_model
 
     sequence, model_name, sampling = _load_checkpoint(args.sequence, args.detections)
-    try:
-        model = make_model(model_name)
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    pipeline = MASTPipeline().fit_from_sampling(sequence, model, sampling)
-    status = 0
-    for text in args.queries:
-        try:
-            answer = pipeline.query(text)
-        except ValueError as error:
-            print(f"error: {error}", file=out)
-            status = 2
-            continue
-        _format_answer(text, answer, out)
-    return status
-
-
-def _load_checkpoint(sequence_path, detections_path):
-    """``(sequence, model name, sampling run)`` of a stored fit."""
-    import numpy as np
-
-    from repro.core import SamplingResult
-    from repro.data import load_detections, load_sequence
-
-    sequence = load_sequence(sequence_path)
-    detections, model_name = load_detections(detections_path)
-    sampling = SamplingResult(
-        sequence_name=sequence.name,
-        n_frames=len(sequence),
-        timestamps=sequence.timestamps,
-        budget=len(detections),
-        sampled_ids=np.array(sorted(detections), dtype=np.int64),
-        detections=detections,
+    pipeline = MASTPipeline().fit_from_sampling(
+        sequence, make_model(model_name), sampling
     )
-    return sequence, model_name, sampling
+    return _answer_each(args.queries, pipeline.query, out)
 
 
 def _cmd_tracks(args, out) -> int:
@@ -412,24 +579,13 @@ def _cmd_tracks(args, out) -> int:
 
 
 def _cmd_experiment(args, out) -> int:
-    from repro.core import MASTConfig
     from repro.evalx import format_table, run_experiment
-    from repro.models import make_model
     from repro.query import generate_workload
-    from repro.simulation import build_sequence, dataset_spec
 
-    sequence = build_sequence(
-        dataset_spec(args.dataset),
-        args.sequence_index,
-        n_frames=args.frames,
-        with_points=False,
-    )
-    model = make_model(args.model, seed=5)
+    config, model = _config_and_model(args)
+    sequence = _sequence_spec(args).build()
     report = run_experiment(
-        sequence,
-        model,
-        generate_workload(rng=args.seed),
-        config=MASTConfig(seed=args.seed, budget_fraction=args.budget),
+        sequence, model, generate_workload(rng=args.seed), config=config
     )
     rows = []
     for name, method_report in report.methods.items():
@@ -455,248 +611,106 @@ def _cmd_experiment(args, out) -> int:
     return 0
 
 
-def _format_answer(text: str, answer, out) -> None:
-    from repro.query import AggregateResult, RetrievalResult
-
-    if isinstance(answer, RetrievalResult):
-        ids = ", ".join(str(i) for i in answer.frame_ids[:20])
-        suffix = " ..." if answer.cardinality > 20 else ""
-        print(
-            f"{text}\n  -> {answer.cardinality} frames "
-            f"({100 * answer.selectivity:.2f} %): [{ids}{suffix}]",
-            file=out,
-        )
-    elif isinstance(answer, AggregateResult):
-        print(f"{text}\n  -> {answer.value:.4f}", file=out)
-
-
-def _parse_corpus_spec(text: str):
-    """``dataset[:index[:frames]]`` -> :class:`~repro.corpus.SequenceSpec`."""
-    from repro.corpus import SequenceSpec
-
-    parts = text.split(":")
-    if len(parts) > 3 or parts[0] not in _DATASETS:
-        raise ValueError(
-            f"bad corpus spec {text!r}; expected dataset[:index[:frames]] "
-            f"with dataset in {_DATASETS}"
-        )
-    index = int(parts[1]) if len(parts) > 1 else 0
-    n_frames = int(parts[2]) if len(parts) > 2 else None
-    return SequenceSpec(parts[0], index, n_frames=n_frames)
-
-
-def _build_catalog(specs):
-    from repro.corpus import SequenceCatalog
-
-    catalog = SequenceCatalog()
-    for spec_text in specs:
-        catalog.register(_parse_corpus_spec(spec_text))
-    return catalog
-
-
-def _load_workload(args, parse):
-    """The serve-workload query list (file or generated), or None on error."""
-    from repro.query import generate_workload
-
-    if args.workload is not None:
-        with open(args.workload, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle]
-        texts = [line for line in lines if line and not line.startswith("#")]
-        return [parse(text) for text in texts]
-    return list(generate_workload(rng=args.seed).all_queries())[: args.queries]
-
-
 def _cmd_serve_workload(args, out) -> int:
     from time import perf_counter  # repro: noqa[RPR002] CLI throughput display only; no sampling decision or ledger charge reads this clock
 
-    from repro.core import MASTConfig, MASTPipeline
-    from repro.models import make_model
-    from repro.query import RetrievalResult, parse_query, parse_scoped_query
-    from repro.simulation import build_sequence, dataset_spec
+    from repro.corpus import CorpusPipeline, CorpusQueryService
 
-    config = MASTConfig(seed=args.seed, budget_fraction=args.budget)
-    model = make_model(args.model, seed=5)
-    parse = parse_scoped_query if args.corpus else parse_query
-    try:
-        queries = _load_workload(args, parse)
-    except (OSError, ValueError) as error:
-        print(f"error: {error}", file=out)
-        return 2
-    if not queries:
-        print("error: empty workload", file=out)
-        return 2
-
-    if args.backend == "process" and not args.corpus:
-        print("error: --backend process requires --corpus (the process "
-              "tier shards a corpus across workers)", file=out)
-        return 2
-    if args.corpus:
-        from repro.corpus import CorpusPipeline, CorpusQueryService
-
-        try:
-            catalog = _build_catalog(args.corpus)
-        except ValueError as error:
-            print(f"error: {error}", file=out)
-            return 2
-        pipeline = CorpusPipeline(catalog, config, policy="ucb").fit(model)
-        service = CorpusQueryService(
-            pipeline,
-            backend=args.backend,
-            workers=args.workers if args.workers > 0 else None,
-        )
-        n_frames = catalog.total_frames()
-        scope_note = f" across {len(catalog)} sequences"
-        if args.backend == "process":
-            scope_note += (
-                f" ({len(service.pool.workers)} process workers)"
-            )
-    else:
-        from repro.serving import QueryService
-
-        sequence = build_sequence(
-            dataset_spec(args.dataset),
-            args.sequence_index,
-            n_frames=args.frames,
-            with_points=False,
-        )
-        pipeline = MASTPipeline(config).fit(sequence, model)
-        service = QueryService(pipeline)
-        n_frames = len(sequence)
-        scope_note = ""
-
-    wave = max(0, args.wave_size)
-    start = perf_counter()
-    results = []
-    for _ in range(max(1, args.repeat)):
-        if wave and wave < len(queries):
-            results = []
-            for lo in range(0, len(queries), wave):
-                results.extend(service.execute_batch(queries[lo:lo + wave]))
-        else:
-            results = service.execute_batch(queries)
-    elapsed = perf_counter() - start
-
-    n_retrieval = sum(hasattr(r, "cardinality") for r in results)
-    print(
-        f"served {max(1, args.repeat)} x {len(queries)} queries over "
-        f"{n_frames} frames{scope_note} in {elapsed:.3f}s "
-        f"({n_retrieval} retrieval / {len(results) - n_retrieval} aggregate "
-        "per batch)",
-        file=out,
+    config, model = _config_and_model(args)
+    queries = _load_workload(args)
+    specs = (
+        [_parse_corpus_spec(text) for text in args.corpus]
+        if args.corpus
+        else [_sequence_spec(args)]
     )
-    print(f"cache: {service.cache_stats().describe()}", file=out)
-    if args.corpus and args.backend == "process":
-        counters = service.dispatcher.counters()
+    catalog = _catalog(specs)
+    corpus = CorpusPipeline(catalog, config, policy="ucb").fit(model)
+    with CorpusQueryService(
+        corpus,
+        backend=args.backend,
+        workers=args.workers if args.workers > 0 else None,
+    ) as service:
+        scope_note = f" across {len(catalog)} sequences" if args.corpus else ""
+        if args.backend == "process":
+            scope_note += f" ({len(service.pool.workers)} process workers)"
+        wave = max(0, args.wave_size)
+        start = perf_counter()
+        results = []
+        for _ in range(max(1, args.repeat)):
+            if wave and wave < len(queries):
+                results = []
+                for lo in range(0, len(queries), wave):
+                    results.extend(service.execute_batch(queries[lo:lo + wave]))
+            else:
+                results = service.execute_batch(queries)
+        elapsed = perf_counter() - start
+
+        n_retrieval = sum(hasattr(r, "cardinality") for r in results)
         print(
-            f"dispatcher: {counters['coalesced']} coalesced / "
-            f"{counters['shed']} shed / "
-            f"{counters['dispatched_batches']} batches dispatched",
+            f"served {max(1, args.repeat)} x {len(queries)} queries over "
+            f"{catalog.total_frames()} frames{scope_note} in {elapsed:.3f}s "
+            f"({n_retrieval} retrieval / {len(results) - n_retrieval} "
+            "aggregate per batch)",
             file=out,
         )
-    ledger_summary = (
-        pipeline.ledger.cache_summary()
-        if not args.corpus
-        else pipeline.merged_ledger().cache_summary()
-    )
-    for stage, counters in ledger_summary.items():
+        print(f"cache: {service.cache_stats().describe()}", file=out)
+        if args.backend == "process":
+            counters = service.dispatcher.counters()
+            print(
+                f"dispatcher: {counters['coalesced']} coalesced / "
+                f"{counters['shed']} shed / "
+                f"{counters['dispatched_batches']} batches dispatched",
+                file=out,
+            )
+    for stage, counters in corpus.merged_ledger().cache_summary().items():
         print(
             f"ledger[{stage}]: {counters['hits']} hits / "
             f"{counters['misses']} misses",
             file=out,
         )
-    shown = list(zip(queries, results))[: max(0, args.show)]
-    for query, answer in shown:
-        if isinstance(answer, RetrievalResult) or hasattr(answer, "value"):
-            _format_answer(query.describe(), answer, out)
-        else:  # corpus retrieval fan-out
-            print(
-                f"{query.describe()}\n  -> {answer.cardinality} frames "
-                f"({100 * answer.selectivity:.2f} %) across "
-                f"{len(answer.by_sequence)} sequences",
-                file=out,
-            )
-    service.close()
+    for query, answer in list(zip(queries, results))[: max(0, args.show)]:
+        _format_answer(query.describe(), answer, out)
     return 0
 
 
 def _cmd_corpus(args, out) -> int:
-    from repro.core import MASTConfig
     from repro.corpus import CorpusPipeline
-    from repro.models import make_model
 
-    try:
-        catalog = _build_catalog(args.sequences)
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    config = MASTConfig(seed=args.seed, budget_fraction=args.budget)
-    model = make_model(args.model, seed=5)
-    with CorpusPipeline(
+    catalog = _catalog(_parse_corpus_spec(text) for text in args.sequences)
+    config, model = _config_and_model(args)
+    corpus = CorpusPipeline(
         catalog, config, policy=args.policy, round_size=args.round_size
-    ).fit(model) as corpus:
-        assert corpus.allocation is not None
-        print(catalog.describe(), file=out)
-        print(corpus.allocation.describe(), file=out)
-        status = 0
-        for text in args.queries:
-            try:
-                answer = corpus.query(text)
-            except ValueError as error:
-                print(f"error: {error}", file=out)
-                status = 2
-                continue
-            if hasattr(answer, "by_sequence"):
-                if hasattr(answer, "value"):
-                    print(f"{text}\n  -> {answer.value:.4f} (corpus-wide)",
-                          file=out)
-                else:
-                    per = ", ".join(
-                        f"{name}: {result.cardinality}"
-                        for name, result in answer.by_sequence.items()
-                    )
-                    print(
-                        f"{text}\n  -> {answer.cardinality} frames "
-                        f"({100 * answer.selectivity:.2f} %) [{per}]",
-                        file=out,
-                    )
-            else:
-                _format_answer(text, answer, out)
-        stages = corpus.cost_summary()
-        print(
-            "cost: "
-            + ", ".join(f"{stage}={seconds:.2f}s"
-                        for stage, seconds in sorted(stages.items())),
-            file=out,
-        )
+    ).fit(model)
+    assert corpus.allocation is not None
+    print(catalog.describe(), file=out)
+    print(corpus.allocation.describe(), file=out)
+    status = _answer_each(args.queries, corpus.query, out)
+    stages = corpus.cost_summary()
+    print(
+        "cost: "
+        + ", ".join(f"{stage}={seconds:.2f}s"
+                    for stage, seconds in sorted(stages.items())),
+        file=out,
+    )
     return status
 
 
 def _cmd_stream(args, out) -> int:
-    from repro.core import MASTConfig
-    from repro.models import make_model
     from repro.streaming import (
         ArrivalSchedule,
         ScheduledFrameSource,
         StreamingCorpusService,
     )
 
-    try:
-        sequences = [
-            _parse_corpus_spec(text).build() for text in args.sequences
-        ]
-        source = ScheduledFrameSource(
-            sequences,
-            initial_frames=args.initial,
-            schedule=ArrivalSchedule(
-                rate=args.rate, batch_frames=args.batch, jitter=args.jitter
-            ),
-            seed=args.seed,
-        )
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    config = MASTConfig(seed=args.seed, budget_fraction=args.budget)
-    model = make_model(args.model, seed=5)
+    source = ScheduledFrameSource(
+        [_parse_corpus_spec(text).build() for text in args.sequences],
+        initial_frames=args.initial,
+        schedule=ArrivalSchedule(
+            rate=args.rate, batch_frames=args.batch, jitter=args.jitter
+        ),
+        seed=args.seed,
+    )
+    config, model = _config_and_model(args)
     status = 0
     with StreamingCorpusService(
         source,
@@ -721,8 +735,7 @@ def _cmd_stream(args, out) -> int:
         while not source.drained:
             if args.query_every > 0:
                 service.pump(max_events=args.query_every)
-                for text in args.queries:
-                    status = _stream_query(service, text, out) or status
+                status = max(status, _answer_each(args.queries, service.execute, out))
             else:
                 service.pump()
         report = service.quiesce()
@@ -743,8 +756,7 @@ def _cmd_stream(args, out) -> int:
                 file=out,
             )
         print(service.allocation.describe(), file=out)
-        for text in args.queries:
-            status = _stream_query(service, text, out) or status
+        status = max(status, _answer_each(args.queries, service.execute, out))
         arrived = report["arrived"]
         watermarks = report["watermarks"]
         assert isinstance(arrived, dict) and isinstance(watermarks, dict)
@@ -766,114 +778,6 @@ def _cmd_stream(args, out) -> int:
     return status
 
 
-def _stream_query(service, text: str, out) -> int:
-    """Answer one query against the live stream; returns exit status."""
-    try:
-        answer = service.execute(text)
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
-    result = answer.result
-    if hasattr(result, "by_sequence"):
-        if hasattr(result, "value"):
-            body = f"{result.value:.4f} (corpus-wide)"
-        else:
-            body = (
-                f"{result.cardinality} frames across "
-                f"{len(result.by_sequence)} sequences"
-            )
-    elif hasattr(result, "value"):
-        body = f"{result.value:.4f}"
-    else:
-        body = f"{result.cardinality} frames"
-    print(
-        f"{text}\n  -> {body} "
-        f"[t={answer.virtual_time:.2f}s, staleness "
-        f"{answer.max_staleness}/{answer.max_lag_frames}]",
-        file=out,
-    )
-    return 0
-
-
-def _default_flow_frames(dataset: str, sequence_index: int) -> int:
-    """The benchmark harness's scaled length (1000-frame floor)."""
-    import os
-
-    from repro.simulation import dataset_spec
-
-    scale = float(os.environ.get("REPRO_BENCH_SCALE", "0.1"))
-    paper_length = dataset_spec(dataset).lengths[sequence_index]
-    return max(1000, int(round(paper_length * scale)))
-
-
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _flow_for_args(args):
-    """Build the named flow (and its spec) from CLI arguments."""
-    from repro.evalx import (
-        CorpusFlowSpec,
-        ExperimentFlowSpec,
-        corpus_flow,
-        experiment_flow,
-    )
-
-    methods = tuple(part for part in args.methods.split(",") if part.strip())
-    if args.flow_name == "corpus":
-        if not args.sequences:
-            raise ValueError("the corpus flow requires --sequences")
-        entries = []
-        for text in args.sequences:
-            spec = _parse_corpus_spec(text)
-            entries.append(
-                (
-                    spec.dataset,
-                    spec.index,
-                    spec.resolved_length(),
-                    f"{spec.dataset}-{spec.index:02d}",
-                    (),
-                )
-            )
-        budgets = _parse_floats(args.budgets) if args.budgets else (0.10,)
-        if len(budgets) != 1:
-            raise ValueError(
-                f"the corpus flow takes one budget, got {len(budgets)}: "
-                f"{args.budgets}"
-            )
-        spec = CorpusFlowSpec(
-            sequences=tuple(entries),
-            model=args.model,
-            seed=args.seed,
-            budget_fraction=budgets[0],
-            policies=tuple(
-                part for part in args.policies.split(",") if part.strip()
-            ),
-            n_retrieval=args.n_retrieval,
-        )
-        return corpus_flow(spec), spec
-
-    if args.budgets:
-        budgets = _parse_floats(args.budgets)
-    elif args.flow_name == "fig9":
-        budgets = (0.05, 0.10, 0.15, 0.20, 0.25)
-    else:
-        budgets = (0.10,)
-    frames = args.frames
-    if frames is None:
-        frames = _default_flow_frames(args.dataset, args.sequence_index)
-    spec = ExperimentFlowSpec(
-        dataset=args.dataset,
-        sequence_index=args.sequence_index,
-        n_frames=frames,
-        model=args.model,
-        seed=args.seed,
-        methods=methods,
-        budgets=budgets,
-    )
-    return experiment_flow(spec), spec
-
-
 def _cmd_flow(args, out) -> int:
     from pathlib import Path
 
@@ -884,50 +788,26 @@ def _cmd_flow(args, out) -> int:
         if path.is_dir():
             path = path / "events.jsonl"
         if not path.is_file():
-            print(f"error: no event log at {path}", file=out)
-            return 2
+            raise FileNotFoundError(f"no event log at {path}")
         tail_events(path, out, follow=args.follow)
         return 0
 
-    from repro.evalx import corpus_digest, experiment_digest
-    from repro.evalx.flows import budget_label
-    from repro.evalx.reporting import format_table
-    from repro.flow import CheckpointCorrupted, FlowInterrupted, FlowRunner
+    from repro.flow import FlowRunner
 
-    try:
-        flow, spec = _flow_for_args(args)
-    except ValueError as error:
-        print(f"error: {error}", file=out)
-        return 2
+    flow, spec = _flow_for_args(args)
     checkpoint_dir = Path(
-        args.checkpoint_dir
-        if args.checkpoint_dir
-        else Path(".repro-flow") / args.flow_name
+        args.checkpoint_dir or Path(".repro-flow") / args.flow_name
     )
     if args.action == "resume" and not (checkpoint_dir / "steps").is_dir():
-        print(
-            f"error: nothing to resume — no checkpoints under "
-            f"{checkpoint_dir}",
-            file=out,
+        raise FileNotFoundError(
+            f"nothing to resume — no checkpoints under {checkpoint_dir}"
         )
-        return 2
-    events_path = (
-        Path(args.events) if args.events else checkpoint_dir / "events.jsonl"
-    )
-    runner = FlowRunner(
+    result = FlowRunner(
         flow,
         checkpoint_dir=checkpoint_dir,
-        events_path=events_path,
+        events_path=Path(args.events or checkpoint_dir / "events.jsonl"),
         interrupt_after=args.interrupt_after,
-    )
-    try:
-        result = runner.run()
-    except FlowInterrupted as interrupted:
-        print(f"{interrupted}", file=out)
-        return 3
-    except CheckpointCorrupted as error:
-        print(f"error: {error}", file=out)
-        return 2
+    ).run()
     executed = [name for name in flow.order() if name not in result.cached]
     print(
         f"flow {flow.name}: {len(executed)} steps executed, "
@@ -935,56 +815,62 @@ def _cmd_flow(args, out) -> int:
         f"({checkpoint_dir})",
         file=out,
     )
-
     if args.flow_name == "corpus":
-        report = result["corpus-report"]
-        rows = [
-            [
-                policy.policy,
-                policy.total_frames,
-                round(policy.retrieval_f1, 4),
-                round(policy.aggregate_error, 5),
-            ]
-            for policy in report.policies.values()
+        _print_corpus_report(result["corpus-report"], out)
+    else:
+        _print_sweep(flow.name, spec.budgets, result, out)
+    return 0
+
+
+def _print_corpus_report(report, out) -> None:
+    from repro.evalx import corpus_digest, format_table
+
+    rows = [
+        [
+            policy.policy,
+            policy.total_frames,
+            round(policy.retrieval_f1, 4),
+            round(policy.aggregate_error, 5),
         ]
+        for policy in report.policies.values()
+    ]
+    print(
+        format_table(
+            ["policy", "frames", "retrieval F1", "aggregate error"],
+            rows,
+            title=f"corpus allocation over {len(report.sequences)} "
+            f"sequences ({report.n_retrieval_queries} retrieval / "
+            f"{report.n_aggregate_queries} aggregate queries)",
+        ),
+        file=out,
+    )
+    print(f"report digest: {corpus_digest(report)}", file=out)
+
+
+def _print_sweep(name: str, budgets, result, out) -> None:
+    from repro.evalx import experiment_digest, format_table
+    from repro.evalx.flows import budget_label
+
+    summary = result["summary"]
+    for rows, what in (
+        ("rows_f1", "retrieval F1 vs sampling budget"),
+        ("rows_avg", "Avg aggregate accuracy % vs budget"),
+    ):
         print(
             format_table(
-                ["policy", "frames", "retrieval F1", "aggregate error"],
-                rows,
-                title=f"corpus allocation over {len(report.sequences)} "
-                f"sequences ({report.n_retrieval_queries} retrieval / "
-                f"{report.n_aggregate_queries} aggregate queries)",
+                ["budget", *summary["methods"]],
+                summary[rows],
+                title=f"{name}: {what}",
             ),
             file=out,
         )
-        print(f"report digest: {corpus_digest(report)}", file=out)
-        return 0
-
-    summary = result["summary"]
-    print(
-        format_table(
-            ["budget", *summary["methods"]],
-            summary["rows_f1"],
-            title=f"{flow.name}: retrieval F1 vs sampling budget",
-        ),
-        file=out,
-    )
-    print(
-        format_table(
-            ["budget", *summary["methods"]],
-            summary["rows_avg"],
-            title=f"{flow.name}: Avg aggregate accuracy % vs budget",
-        ),
-        file=out,
-    )
-    for budget in spec.budgets:
-        report = result[f"report:{budget_label(budget)}"]
+    for budget in budgets:
+        label = budget_label(budget)
         print(
-            f"report digest [{budget_label(budget)}]: "
-            f"{experiment_digest(report)}",
+            f"report digest [{label}]: "
+            f"{experiment_digest(result[f'report:{label}'])}",
             file=out,
         )
-    return 0
 
 
 _COMMANDS = {
@@ -997,12 +883,17 @@ _COMMANDS = {
     "corpus": _cmd_corpus,
     "stream": _cmd_stream,
     "flow": _cmd_flow,
-    "lint": _cmd_lint,
 }
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    """CLI entry point; returns the process exit status."""
+    """CLI entry point; returns the process exit status.
+
+    The one error boundary: a ``ValueError`` (bad value, query syntax,
+    flow definition), an ``OSError`` (missing or unreadable file) or a
+    corrupted checkpoint prints ``error: <message>`` and returns 2; an
+    interrupted flow prints why and returns 3.
+    """
     out = out if out is not None else sys.stdout
     args_list = list(sys.argv[1:]) if argv is None else list(argv)
     if args_list[:1] == ["lint"]:
@@ -1011,9 +902,17 @@ def main(argv: list[str] | None = None, out=None) -> int:
         from repro.analysis.cli import run_lint
 
         return run_lint(args_list[1:], out=out)
-    parser = build_parser()
-    args = parser.parse_args(args_list)
-    return _COMMANDS[args.command](args, out)
+    args = build_parser().parse_args(args_list)
+    from repro.flow import CheckpointCorrupted, FlowInterrupted
+
+    try:
+        return _COMMANDS[args.command](args, out)
+    except FlowInterrupted as interrupted:
+        print(interrupted, file=out)
+        return 3
+    except (ValueError, OSError, CheckpointCorrupted) as error:
+        print(f"error: {error}", file=out)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,8 +21,9 @@ the run's checkpoint directory (``ctx.store_dir``), so a crash between
 policy steps resumes without re-detecting — the engine records disk
 hits exactly like memory hits and never re-bills them.
 
-Both builders validate their method and policy names before returning,
-so an unknown name fails before any step runs or writes a checkpoint.
+Both builders check every value a later step would reject (method and
+policy names, budgets, the UCB round size) before returning, so a bad
+value fails before any step runs or writes a checkpoint.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from repro.baselines.variants import get_method
 from repro.core.config import MASTConfig
 from repro.corpus import SequenceCatalog, SequenceSpec
-from repro.corpus.allocator import POLICIES
+from repro.corpus.allocator import make_allocator
 from repro.data.sequence import FrameSequence
 from repro.evalx.corpus import (
     CorpusExperimentReport,
@@ -50,10 +51,9 @@ from repro.evalx.runner import (
 )
 from repro.flow import Flow, StepContext, stable_digest
 from repro.inference import DetectionStore, InferenceEngine
-from repro.models import make_model
+from repro.models import DEFAULT_MODEL_SEED, make_model
 from repro.query.workload import QueryWorkload, generate_workload
 from repro.simulation import build_sequence, dataset_spec
-from repro.utils.validation import require_in
 
 __all__ = [
     "ExperimentFlowSpec",
@@ -64,10 +64,6 @@ __all__ = [
     "corpus_digest",
     "budget_label",
 ]
-
-#: Default model seed, matching ``benchmarks/_harness.MODEL_SEED``.
-DEFAULT_MODEL_SEED = 5
-
 
 @dataclass(frozen=True)
 class ExperimentFlowSpec:
@@ -213,10 +209,12 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
     Output steps: ``report:<budget>`` per budget (an
     :class:`ExperimentReport` bit-identical to the legacy path at that
     budget) and ``summary`` with fig9-shaped rows over the sweep.
-    Raises ``ValueError`` on an unknown method name.
+    Raises ``ValueError`` on an unknown method name or a bad budget.
     """
     for method in spec.methods:
         get_method(method)
+    for budget in spec.budgets:
+        MASTConfig(seed=spec.seed, budget_fraction=budget)
     flow = Flow(f"experiment-{spec.dataset}-{spec.sequence_index}")
     flow.add(
         _sequence_step,
@@ -367,10 +365,12 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
     (pinned by :func:`corpus_digest`); oracle detections persist in the
     run's shared store, so policy steps — and resumed runs — replay
     them as cache hits instead of re-billing model invocations.
-    Raises ``ValueError`` on an unknown policy name.
+    Raises ``ValueError`` on an unknown policy name, a bad budget or a
+    bad round size.
     """
+    config = MASTConfig(seed=spec.seed, budget_fraction=spec.budget_fraction)
     for policy in spec.policies:
-        require_in(policy, POLICIES, "policy")
+        make_allocator(policy, config, round_size=spec.round_size)
     flow = Flow("corpus")
     flow.add(
         _catalog_step,

@@ -250,10 +250,11 @@ def _oracle_pass(
     *,
     engine: InferenceEngine | None,
 ) -> tuple[OracleTruth, OracleCountProvider]:
+    # The provider's own ledger is the detection bill; the truth ledger
+    # (and an Oracle method reusing the provider) adds only its queries.
+    oracle_provider = OracleCountProvider(sequence, model, engine=engine)
     oracle_ledger = CostLedger()
-    oracle_provider = OracleCountProvider(
-        sequence, model, ledger=oracle_ledger, engine=engine
-    )
+    oracle_ledger.merge(oracle_provider.ledger)
     oracle_engine = QueryEngine(oracle_provider, ledger=oracle_ledger)
 
     # Oracle answers; drop zero-cardinality retrieval queries (§7.1).

@@ -45,6 +45,15 @@ class EventLog:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = open(self.path, "a", encoding="utf-8")
+            if self._handle.tell():
+                # A resumed run appends: number on from the file's last
+                # event, on a fresh line if a crash tore the final one.
+                for record in read_events(self.path):
+                    seq = record.get("seq")
+                    if isinstance(seq, int):
+                        self._seq = seq
+                if not self.path.read_bytes().endswith(b"\n"):
+                    self._handle.write("\n")
 
     def emit(self, event: str, **fields: object) -> None:
         """Append one event; flushed immediately so tails see it live."""

@@ -13,10 +13,16 @@ from repro.models.detectors import (
 )
 from repro.models.noise import NoiseProfile, apply_noise
 from repro.models.oracle import GroundTruthDetector
-from repro.models.registry import available_models, make_model, register_model
+from repro.models.registry import (
+    DEFAULT_MODEL_SEED,
+    available_models,
+    make_model,
+    register_model,
+)
 
 __all__ = [
     "ClusteringDetector",
+    "DEFAULT_MODEL_SEED",
     "Detection",
     "DetectionModel",
     "FrameDetections",

@@ -14,7 +14,11 @@ from repro.models.clustering import ClusteringDetector
 from repro.models.detectors import point_rcnn, pv_rcnn, second
 from repro.models.oracle import GroundTruthDetector
 
-__all__ = ["make_model", "register_model", "available_models"]
+__all__ = ["DEFAULT_MODEL_SEED", "make_model", "register_model", "available_models"]
+
+#: The detector seed of the experiment flows and of every CLI command
+#: but ``repro fit``, matching ``benchmarks/_harness.MODEL_SEED``.
+DEFAULT_MODEL_SEED = 5
 
 ModelFactory = Callable[..., DetectionModel]
 

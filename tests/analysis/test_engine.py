@@ -185,7 +185,7 @@ def test_text_reporter_summary_line():
 # ----------------------------------------------------------------------
 def test_run_lint_clean_tree_exits_zero(tmp_path):
     (tmp_path / "clean.py").write_text("X = 1\n")
-    assert run_lint(["--no-config", str(tmp_path)], out=io.StringIO()) == 0
+    assert run_lint([str(tmp_path)], out=io.StringIO()) == 0
 
 
 def test_run_lint_positive_fixture_exits_nonzero(tmp_path):
@@ -193,14 +193,14 @@ def test_run_lint_positive_fixture_exits_nonzero(tmp_path):
         "import numpy as np\n\nX = np.random.rand(3)\n"
     )
     out = io.StringIO()
-    assert run_lint(["--no-config", str(tmp_path)], out=out) == 1
+    assert run_lint([str(tmp_path)], out=out) == 1
     assert "RPR001" in out.getvalue()
 
 
 def test_run_lint_json_output(tmp_path):
     (tmp_path / "dirty.py").write_text("import time\n\nT0 = time.time()\n")
     out = io.StringIO()
-    assert run_lint(["--no-config", "--format", "json", str(tmp_path)], out=out) == 1
+    assert run_lint(["--format", "json", str(tmp_path)], out=out) == 1
     payload = json.loads(out.getvalue())
     assert payload["findings"][0]["code"] == "RPR002"
 
@@ -209,7 +209,7 @@ def test_run_lint_select_flag(tmp_path):
     (tmp_path / "dirty.py").write_text("import time\n\nT0 = time.time()\n")
     assert (
         run_lint(
-            ["--no-config", "--select", "RPR006", str(tmp_path)],
+            ["--select", "RPR006", str(tmp_path)],
             out=io.StringIO(),
         )
         == 0

@@ -5,7 +5,6 @@ These are the acceptance gates of the static-analysis pass:
 * ``repro lint src benchmarks`` is clean on the tree as committed;
 * removing one ``with self._lock:`` from a real guarded class is caught
   (the registries are live, not decorative);
-* the TOML-free fallback configuration matches pyproject.toml;
 * the lint path never imports numpy (the CI gate runs before the
   scientific stack is installed).
 """
@@ -20,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import lint_paths, lint_source, load_config, make_rules
-from repro.analysis.config import DEFAULT_PER_DIRECTORY
 from repro.analysis.rules.locks import parse_registry
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -126,16 +124,6 @@ def test_seed_registries_are_present(relpath, lock, attributes):
                 registries.update(registry)
     for attribute in attributes:
         assert registries.get(attribute) == lock, (relpath, attribute)
-
-
-def test_fallback_config_matches_pyproject():
-    tomllib = pytest.importorskip("tomllib")
-    payload = tomllib.loads(
-        (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    )
-    table = payload["tool"]["repro-lint"]["per-directory"]
-    pinned = {prefix: list(codes) for prefix, codes in DEFAULT_PER_DIRECTORY}
-    assert table == pinned
 
 
 def test_lint_cli_never_imports_numpy():

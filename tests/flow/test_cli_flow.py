@@ -111,6 +111,19 @@ class TestArgumentValidation:
         assert "'nosuch'" in output
         assert not ckpt.exists()
 
+    @pytest.mark.parametrize("flow_name, argv", [
+        ("experiment", ["--frames", "120", "--methods", "mast", "--budgets", "0.1,1.5"]),
+        ("corpus", ["--sequences", "semantickitti:0:60", "--budgets", "1.5"]),
+    ])
+    def test_bad_budget_exits_2_without_a_checkpoint(self, flow_name, argv, tmp_path):
+        ckpt = tmp_path / "flow"
+        status, output = run_cli(
+            "flow", "run", flow_name, "--checkpoint-dir", str(ckpt), *argv
+        )
+        assert status == 2
+        assert output == "error: budget_fraction must be in (0, 1), got 1.5\n"
+        assert not ckpt.exists()
+
     def test_corpus_flow_refuses_a_budget_sweep(self, tmp_path):
         ckpt = tmp_path / "flow"
         status, output = run_cli(

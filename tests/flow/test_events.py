@@ -30,8 +30,17 @@ class TestEventLog:
             "run_start",
             "run_finish",
         ]
-        # seq restarts per EventLog; ordering within a run is what counts.
-        assert records[0]["seq"] == 1
+        # A second log on the same file continues its numbering.
+        assert [record["seq"] for record in records] == [1, 2]
+
+    def test_numbering_continues_past_a_truncated_line(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        write_events(path, [{"event": "run_start", "seq": 7}])
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write('{"event": "step_st')
+        with EventLog(path) as log:
+            log.emit("run_finish", steps=[])
+        assert [record["seq"] for record in read_events(path)] == [7, 8]
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "events.jsonl"

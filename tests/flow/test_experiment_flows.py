@@ -23,7 +23,7 @@ from repro.evalx import (
     run_experiment,
 )
 from repro.evalx.flows import _summary_step
-from repro.flow import FlowInterrupted, FlowRunner, read_events
+from repro.flow import EventLog, FlowInterrupted, FlowRunner, read_events
 from repro.models import make_model
 from repro.query.workload import generate_workload
 from repro.simulation import build_sequence, dataset_spec
@@ -55,25 +55,45 @@ def corpus_spec():
     return CorpusFlowSpec(sequences=CORPUS_SEQUENCES, n_retrieval=N_RETRIEVAL)
 
 
+def flow_and_legacy_reports(spec, checkpoint_dir):
+    """The ``report:10pct`` of ``spec``'s flow and ``run_experiment``'s report."""
+    result = FlowRunner(experiment_flow(spec), checkpoint_dir=checkpoint_dir).run()
+    sequence = build_sequence(
+        dataset_spec(spec.dataset), spec.sequence_index,
+        n_frames=spec.n_frames, with_points=False,
+    )
+    legacy = run_experiment(
+        sequence,
+        make_model(spec.model, seed=spec.model_seed),
+        generate_workload(rng=spec.seed),
+        methods=tuple(get_method(m) for m in spec.methods),
+        config=MASTConfig(seed=spec.seed, budget_fraction=BUDGET),
+    )
+    return result["report:10pct"], legacy
+
+
 class TestExperimentDifferential:
     def test_flow_report_matches_legacy_run_experiment(
         self, tmp_path, experiment_spec
     ):
-        result = FlowRunner(
-            experiment_flow(experiment_spec), checkpoint_dir=tmp_path
-        ).run()
-        sequence = build_sequence(
-            dataset_spec("semantickitti"), 0, n_frames=N_FRAMES, with_points=False
-        )
-        legacy = run_experiment(
-            sequence,
-            make_model("pv_rcnn", seed=experiment_spec.model_seed),
-            generate_workload(rng=experiment_spec.seed),
-            methods=tuple(get_method(m) for m in METHODS),
-            config=MASTConfig(seed=experiment_spec.seed, budget_fraction=BUDGET),
-        )
-        flow_report = result["report:10pct"]
+        flow_report, legacy = flow_and_legacy_reports(experiment_spec, tmp_path)
         assert experiment_digest(flow_report) == experiment_digest(legacy)
+
+    def test_oracle_method_is_billed_only_its_own_queries(self, tmp_path):
+        """The Oracle method shares the truth pass's detections, not its
+        query charges: flow and legacy agree with it in the sweep."""
+        spec = ExperimentFlowSpec(
+            n_frames=N_FRAMES, methods=("oracle", "mast"), budgets=(BUDGET,)
+        )
+        flow_report, legacy = flow_and_legacy_reports(spec, tmp_path)
+        assert legacy["oracle"].ledger.deterministic_state() == (
+            flow_report["oracle"].ledger.deterministic_state()
+        )
+        assert experiment_digest(flow_report) == experiment_digest(legacy)
+        truth_queries = legacy.oracle_ledger.invocations("query")
+        assert legacy["oracle"].ledger.invocations("query") == (
+            legacy["mast"].ledger.invocations("query")
+        ) < truth_queries
 
     def test_experiment_flow_crash_resume_is_bit_identical(
         self, tmp_path, experiment_spec
@@ -106,6 +126,46 @@ class TestExperimentDifferential:
         assert {"oracle", "method:seiden_pc:10pct"} <= cached_events
 
 
+def test_a_lost_step_finish_resumes_from_the_checkpoint(tmp_path, monkeypatch):
+    """The ``step_finish`` append of a step raises once, after its
+    checkpoint is written: the run raises, and the resume replays that
+    step, reaches the uninterrupted run's keys, fingerprints and digest,
+    and leaves one event log whose ``seq`` never goes back."""
+    flow = experiment_flow(ExperimentFlowSpec(n_frames=N_FRAMES, methods=("mast",)))
+    clean = FlowRunner(flow, checkpoint_dir=tmp_path / "clean").run()
+
+    step = "method:mast:10pct"
+    emit = EventLog.emit
+    lost: list[str] = []
+
+    def emit_but_lose_one(self, event, **fields):
+        if event == "step_finish" and fields["step"] == step and not lost:
+            lost.append(step)
+            raise OSError("event log append failed")
+        emit(self, event, **fields)
+
+    monkeypatch.setattr(EventLog, "emit", emit_but_lose_one)
+    ckpt = tmp_path / "crash"
+    events_path = ckpt / "events.jsonl"
+    with pytest.raises(OSError, match="append failed"):
+        FlowRunner(flow, checkpoint_dir=ckpt, events_path=events_path).run()
+    resumed = FlowRunner(flow, checkpoint_dir=ckpt, events_path=events_path).run()
+
+    assert step in resumed.cached
+    assert resumed.keys == clean.keys
+    assert resumed.fingerprints == clean.fingerprints
+    assert experiment_digest(resumed["report:10pct"]) == experiment_digest(
+        clean["report:10pct"]
+    )
+    events = read_events(events_path)
+    assert step in [
+        record["step"] for record in events if record["event"] == "step_cached"
+    ]
+    assert [record["event"] for record in events].count("run_start") == 2
+    seqs = [record["seq"] for record in events]
+    assert seqs == sorted(set(seqs))
+
+
 def test_summary_rows_are_labelled_like_their_report_steps():
     """``0.29 * 100`` is 28.99…: a row and the ``report:<n>pct`` step it
     summarises must round it the same way."""
@@ -131,6 +191,15 @@ def test_unknown_names_fail_before_the_flow_exists():
         experiment_flow(ExperimentFlowSpec(methods=("mast", "nosuch")))
     with pytest.raises(ValueError, match="got 'nosuch'"):
         corpus_flow(CorpusFlowSpec(sequences=CORPUS_SEQUENCES, policies=("nosuch",)))
+
+
+def test_bad_values_fail_before_the_flow_exists():
+    with pytest.raises(ValueError, match="budget_fraction must be in"):
+        experiment_flow(ExperimentFlowSpec(methods=("mast",), budgets=(0.1, 1.5)))
+    with pytest.raises(ValueError, match="budget_fraction must be in"):
+        corpus_flow(CorpusFlowSpec(sequences=CORPUS_SEQUENCES, budget_fraction=0.0))
+    with pytest.raises(ValueError, match="round_size must be >= 1"):
+        corpus_flow(CorpusFlowSpec(sequences=CORPUS_SEQUENCES, round_size=0))
 
 
 class TestCorpusDifferential:

@@ -91,6 +91,29 @@ class TestParser:
         assert args.frames == 1000
 
 
+class TestFailureContract:
+    """A bad input ends in one ``error:`` line and exit 2, never a traceback.
+
+    (``flow run … --budgets 1.5`` is pinned in ``tests/flow/test_cli_flow.py``.)
+    """
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--sequence", "nonexistent.npz", "--out", "d.npz"],
+        ["simulate", "--frames", "0", "--out", "s.npz"],
+        ["experiment", "--budget", "1.5"],
+        ["corpus", "--sequences", "semantickitti:0:60", "--budget", "0"],
+        ["corpus", "--sequences", "semantickitti:0:60", "--round-size", "0"],
+        ["serve-workload", "--budget", "2"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_bad_input_prints_one_error_line(self, argv, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        status, output = run_cli(*argv)
+        assert status == 2
+        assert output.startswith("error: ")
+        assert output.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSimulate:
     def test_writes_sequence(self, tmp_path):
         out_path = tmp_path / "seq.npz"

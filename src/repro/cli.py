@@ -770,8 +770,11 @@ def _cmd_stream(args, out) -> int:
             f"indexed/arrived [{per_sequence}]",
             file=out,
         )
+        by_origin = report["detections_by_origin"]
+        assert isinstance(by_origin, dict)
+        origins = ", ".join(f"{origin} {count}" for origin, count in by_origin.items())
         print(
-            f"model invocations: {report['model_invocations']}; "
+            f"model invocations: {report['model_invocations']} ({origins}); "
             f"cache: {service.cache_stats().describe()}",
             file=out,
         )

@@ -88,6 +88,7 @@ class MASTIndex:
         gap_rows: dict[tuple[int, int], tuple[int, int]],
         detections: dict[int, ObjectArray],
         spatial_index=None,
+        tail: MotionEstimate | None = None,
     ) -> None:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
@@ -98,6 +99,9 @@ class MASTIndex:
         #: columns; a later build slices them instead of re-predicting.
         self._gap_rows = gap_rows
         self._detections = detections
+        #: The last gap's estimate, which extrapolates the frames after
+        #: the last sample (``None`` when the last frame is sampled).
+        self._tail = tail
         #: The :class:`~repro.spatial.SpatialTileIndex` over the flat
         #: columns once a count series has routed through it (or the one
         #: ``build`` made because the previous index had tiles); ``None``
@@ -122,7 +126,10 @@ class MASTIndex:
 
         For every gap between consecutive sampled frames the ST-PC motion
         estimate predicts the object set of each interior frame; sampled
-        frames contribute their raw detections.
+        frames contribute their raw detections.  Frames after the last
+        sample (the open tail of a live, growing sampling) are
+        extrapolated by the last gap's estimate, with its confidence
+        factors clamped.
 
         ``engine`` is the one that served ``result``'s detections: each
         gap's estimate comes through its motion memo
@@ -171,12 +178,8 @@ class MASTIndex:
             ]
             n_rows = len(parts[0].frame_index)
 
-            # Unsampled frames: ST-PC prediction per gap (Alg. 3 lines 2-6).
-            for start, end in zip(sampled[:-1], sampled[1:]):
-                start, end = int(start), int(end)
-                if end - start <= 1:
-                    continue
-                estimate = analyze_pair_once(
+            def analyse(start: int, end: int) -> MotionEstimate:
+                return analyze_pair_once(
                     engine,
                     result.detections[start],
                     result.detections[end],
@@ -184,20 +187,40 @@ class MASTIndex:
                     timestamps[end],
                     max_distance=config.match_max_distance,
                 )
+
+            def predict(estimate: MotionEstimate, frames: np.ndarray) -> ObjectRows:
+                local_idx, labels, positions, scores = estimate.predict_flat(
+                    timestamps[frames]
+                )
+                return ObjectRows(frames[local_idx], labels, positions, scores)
+
+            # Unsampled frames: ST-PC prediction per gap (Alg. 3 lines 2-6).
+            for start, end in zip(sampled[:-1], sampled[1:]):
+                start, end = int(start), int(end)
+                if end - start <= 1:
+                    continue
+                estimate = analyse(start, end)
                 estimates[(start, end)] = estimate
                 if prior_estimates.get((start, end)) is estimate:
                     assert prior_columns is not None
                     lo, hi = prior_rows[(start, end)]
                     gap = ObjectRows(*(column[lo:hi] for column in prior_columns))
                 else:
-                    interior = np.arange(start + 1, end, dtype=np.int64)
-                    local_idx, labels, positions, scores = estimate.predict_flat(
-                        timestamps[interior]
-                    )
-                    gap = ObjectRows(interior[local_idx], labels, positions, scores)
+                    gap = predict(estimate, np.arange(start + 1, end, dtype=np.int64))
                 gap_rows[(start, end)] = (n_rows, n_rows + len(gap.frame_index))
                 parts.append(gap)
                 n_rows += len(gap.frame_index)
+
+            # A live sequence's newest frames may follow its last sample:
+            # the last gap's motion extrapolates them.  A batch sampling
+            # always holds the last frame, so it has no tail.
+            tail = None
+            if len(sampled) >= 2 and sampled[-1] < result.n_frames - 1:
+                last = int(sampled[-1])
+                tail = analyse(int(sampled[-2]), last)
+                parts.append(
+                    predict(tail, np.arange(last + 1, result.n_frames, dtype=np.int64))
+                )
         rows = ObjectRows.concatenate(parts)
 
         spatial_index = None
@@ -218,6 +241,7 @@ class MASTIndex:
             gap_rows=gap_rows,
             detections=result.detections,
             spatial_index=spatial_index,
+            tail=tail,
         )
 
     def _tiles(self):
@@ -280,13 +304,16 @@ class MASTIndex:
         """The indexed object set of one frame (real or ST-predicted)."""
         if not 0 <= frame_id < self.n_frames:
             raise IndexError(f"frame_id {frame_id} out of range [0, {self.n_frames})")
-        if frame_id in self._detections:
-            return self._detections[frame_id]
         position = int(np.searchsorted(self.sampled_ids, frame_id))
-        if position == 0 or position >= len(self.sampled_ids):
+        if position < len(self.sampled_ids) and self.sampled_ids[position] == frame_id:
+            return self._detections[frame_id]
+        if position == 0:
             return ObjectArray.empty()
-        key = (int(self.sampled_ids[position - 1]), int(self.sampled_ids[position]))
-        estimate = self._estimates.get(key)
+        if position == len(self.sampled_ids):
+            estimate = self._tail
+        else:
+            key = (int(self.sampled_ids[position - 1]), int(self.sampled_ids[position]))
+            estimate = self._estimates.get(key)
         if estimate is None:
             return ObjectArray.empty()
         return estimate.predict(float(self.timestamps[frame_id]))
@@ -309,7 +336,8 @@ class LinearCountProvider:
 
     The series is continuous; the paper's Example 5.3 floors it before
     checking a retrieval predicate, which is the evaluator's job
-    (:meth:`~repro.query.engine.QueryEngine.floored`).
+    (:meth:`~repro.query.engine.QueryEngine.floored`).  Frames after the
+    last sample hold its count (``np.interp`` clamps).
     """
 
     result: SamplingResult

@@ -20,11 +20,17 @@ Typical use::
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.core.config import MASTConfig
 from repro.core.index import LinearCountProvider, MASTIndex
-from repro.core.sampler import HierarchicalMultiAgentSampler, SamplingResult
+from repro.core.sampler import (
+    AdaptiveSamplingSession,
+    HierarchicalMultiAgentSampler,
+    SamplingResult,
+)
 from repro.data.frame import PointCloudFrame
 from repro.data.sequence import FrameSequence
 from repro.inference import DetectionStore, InferenceEngine
@@ -40,6 +46,9 @@ from repro.query.engine import QueryEngine
 from repro.query.parser import parse_query
 from repro.utils.timing import CostLedger
 from repro.utils.validation import require
+
+if TYPE_CHECKING:
+    from repro.corpus.allocator import BudgetAllocator
 
 __all__ = ["MASTPipeline", "predictor_kind"]
 
@@ -90,6 +99,9 @@ class MASTPipeline:
         self._sequence: FrameSequence | None = None
         self._model: DetectionModel | None = None
         self._sampling: SamplingResult | None = None
+        #: The sampling session that produced ``_sampling`` and that
+        #: :meth:`extend` grows (``None`` for an external sampling run).
+        self._session: AdaptiveSamplingSession | None = None
         self._index: MASTIndex | None = None
         #: Predictor kind -> engine for the current index epoch.
         self._engines: dict[str, QueryEngine] = {}
@@ -104,20 +116,19 @@ class MASTPipeline:
     # ------------------------------------------------------------------
     def fit(self, sequence: FrameSequence, model: DetectionModel) -> MASTPipeline:
         """Run the sampling and indexing procedures on ``sequence``."""
-        self._sequence = sequence
-        self._model = model
-        sampler = HierarchicalMultiAgentSampler(self.config)
-        self._sampling = sampler.sample(
-            sequence, model, ledger=self.ledger, engine=self.engine
+        session = HierarchicalMultiAgentSampler(self.config).session(
+            sequence, model, engine=self.engine, ledger=self.ledger
         )
-        self._rebuild_index()
-        return self
+        session.step(session.remaining)
+        return self.fit_from_sampling(sequence, model, session.result(), session=session)
 
     def fit_from_sampling(
         self,
         sequence: FrameSequence,
         model: DetectionModel,
         sampling: SamplingResult,
+        *,
+        session: AdaptiveSamplingSession | None = None,
     ) -> MASTPipeline:
         """Install an externally produced sampling run and build the index.
 
@@ -126,7 +137,9 @@ class MASTPipeline:
         a root allocator can move budget between sequences) and then
         adopts each session's result here; everything downstream —
         index, providers, engines, ``query()`` — is identical to a
-        :meth:`fit` that produced the same ``sampling``.
+        :meth:`fit` that produced the same ``sampling``.  ``session`` is
+        the live session ``sampling`` is a result of; only a pipeline
+        that holds one can :meth:`extend`.
         """
         require(
             sampling.n_frames == len(sequence),
@@ -136,6 +149,7 @@ class MASTPipeline:
         self._sequence = sequence
         self._model = model
         self._sampling = sampling
+        self._session = session
         self._rebuild_index()
         return self
 
@@ -145,13 +159,25 @@ class MASTPipeline:
         *,
         model: DetectionModel | None = None,
         extended: FrameSequence | None = None,
+        allocator: BudgetAllocator | None = None,
     ) -> MASTPipeline:
         """Ingest a new batch of frames (periodic arrival, Problem 1).
 
-        The extended region is sampled with the same budget fraction —
-        a uniform share plus adaptive samples via a fresh run restricted
-        to the new frames — and the index is rebuilt.  Query results
-        afterwards cover the extended sequence.
+        The live sampling session grows over the new frames
+        (:meth:`~repro.core.sampler.AdaptiveSamplingSession.grow`): the
+        uniform-stride points that land in them are detected, nothing
+        already sampled moves, and frames past the last sample are
+        extrapolated by the index.  Query results afterwards cover the
+        extended sequence.
+
+        ``allocator`` is the root allocator that owns the session (a
+        corpus's): the session takes its cap and the adaptive budget the
+        frames accrued is left for that allocator's next run.  Without
+        one the pipeline spends its own accrual here, as
+        :class:`~repro.corpus.UniformAllocator` would for one session.
+        Extending by no frames publishes whatever the session sampled
+        since the last one.  If the detector raises, the session and the
+        index stay as they were; each frame it paid for is kept.
 
         ``extended`` is the grown sequence when the caller has already
         built it (the corpus catalog grows its entry first); it must be
@@ -159,8 +185,17 @@ class MASTPipeline:
         """
         require(self._sequence is not None, "fit() must be called before extend()")
         assert self._sequence is not None and self._sampling is not None
-        model = model or self._model
-        assert model is not None
+        session = self._session
+        require(
+            session is not None,
+            "extend() grows the sampling session of fit(); this pipeline "
+            "installed a sampling run without one",
+        )
+        assert session is not None
+        require(
+            model is None or model is self._model,
+            "extend() detects with the model the pipeline was fit with",
+        )
         old_n = self._sampling.n_frames
         if extended is None:
             extended = self._sequence.extended(new_frames)
@@ -173,50 +208,34 @@ class MASTPipeline:
                 f"{len(new_frames)}",
             )
 
-        # Counts at frame t depend only on detections at the sampled
-        # frames bracketing t.  The tail run samples frame old_n - 1
-        # onward, so every series prefix up to the last old sample below
-        # that is provably unchanged by this extension.
-        prefix_ids = self._sampling.sampled_ids[
-            self._sampling.sampled_ids < old_n - 1
-        ]
-        self.last_extend_boundary = int(prefix_ids.max()) if len(prefix_ids) else -1
-        sub_config = self.config.with_overrides()
-        sampler = HierarchicalMultiAgentSampler(sub_config)
-        # Sample the new region (seam frame onward) as its own
-        # sub-problem, through a view that keeps every frame's true id
-        # and the sequence's name: each tail detection is the canonical
-        # detection of its frame, and the seam resolves from the
-        # detection store instead of being billed again.
-        seam = old_n - 1
-        tail_result = sampler.sample(
-            extended.tail(seam), model, ledger=self.ledger, engine=self.engine
-        )
-
-        merged_ids = np.union1d(
-            self._sampling.sampled_ids, tail_result.sampled_ids + seam
-        )
-        merged_detections = dict(self._sampling.detections)
-        for frame_id, objects in tail_result.detections.items():
-            # The seam keeps the object the index already holds, so its
-            # gap's motion estimate and rows stay reusable.
-            merged_detections.setdefault(int(frame_id) + seam, objects)
-
+        if allocator is not None:
+            session.grow(extended, budget=allocator.session_budget(len(extended)))
+        else:
+            with session.atomic():
+                session.grow(extended)
+                session.step(max(0, session.base_budget - session.frames_sampled))
+        grown = session.result()
+        # Counts at frame t depend only on the samples bracketing t (or,
+        # past the last sample, on the last two).  Old samples all stay,
+        # so every series prefix up to the last old sample before the
+        # earliest new one is provably unchanged; with no new sample the
+        # whole old series is.
+        old_ids = self._sampling.sampled_ids
+        added = np.setdiff1d(grown.sampled_ids, old_ids)
+        if len(added):
+            prefix = old_ids[old_ids < added[0]]
+            self.last_extend_boundary = int(prefix[-1]) if len(prefix) else -1
+        else:
+            self.last_extend_boundary = old_n - 1
         self._sequence = extended
-        self._model = model
-        self._sampling = SamplingResult(
-            sequence_name=extended.name,
-            n_frames=len(extended),
-            timestamps=extended.timestamps,
-            budget=self._sampling.budget + tail_result.budget,
-            sampled_ids=merged_ids,
-            detections=merged_detections,
-            rewards=self._sampling.rewards + tail_result.rewards,
-            ledger=self.ledger,
-            policy_info=dict(self._sampling.policy_info),
-        )
+        self._sampling = grown
         self._rebuild_index()
         return self
+
+    @property
+    def session(self) -> AdaptiveSamplingSession | None:
+        """The live sampling session :meth:`extend` grows, if any."""
+        return self._session
 
     def _rebuild_index(self) -> None:
         assert self._sampling is not None

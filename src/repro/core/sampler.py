@@ -14,7 +14,10 @@ pass) that the baselines in :mod:`repro.baselines` reuse, and the
 from __future__ import annotations
 
 import bisect
+import copy
 from abc import ABC, abstractmethod
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -283,6 +286,12 @@ class AdaptiveSamplingSession:
     tree, rewards — is bit-identical to a fresh session, because
     detectors are deterministic per frame and the policy never iterates
     the detections dict, it only looks frames up by id.
+
+    A live session follows a growing sequence with :meth:`grow`: the
+    uniform grid continues into the new frames and the budget the growth
+    accrued becomes steppable, with nothing already sampled re-drawn.
+    Frames past the last grid point stay outside the tree until the grid
+    reaches them.
     """
 
     def __init__(
@@ -302,7 +311,22 @@ class AdaptiveSamplingSession:
         self._model = model
         self._engine = engine
         self.ledger = ledger if ledger is not None else CostLedger()
-        n_frames = len(sequence)
+        self._set_budget(len(sequence), budget)
+        uniform_budget = config.uniform_budget_for(self.base_budget)
+
+        self._sampled, self._detections = sampler._uniform_phase(
+            sequence, model, uniform_budget, self.ledger, engine, known=known
+        )
+        #: The last uniform point: :meth:`grow` continues the grid from it.
+        self._last_grid = self._sampled[-1]
+        self.rewards: list[float] = []
+        self._exhausted = False
+        self._sampled_set: set[int] = set(self._sampled)
+        self._tree: SegmentTree | None = None
+        self._plant()
+
+    def _set_budget(self, n_frames: int, budget: int | None) -> None:
+        config = self._sampler.config
         #: The sequence's own paper budget (``budget_fraction * n``);
         #: the uniform pass is always sized from this, per Alg. 2.
         self.base_budget = config.budget_for(n_frames)
@@ -311,25 +335,20 @@ class AdaptiveSamplingSession:
         else:
             require(budget >= 2, f"session budget must be >= 2, got {budget}")
             self.budget = min(int(budget), n_frames)
-        uniform_budget = config.uniform_budget_for(self.base_budget)
 
-        self._sampled, self._detections = sampler._uniform_phase(
-            sequence, model, uniform_budget, self.ledger, engine, known=known
+    def _plant(self) -> None:
+        """Build the segment tree once there are two samples to bound it."""
+        if self._tree is not None or len(self._sampled) < 2:
+            return
+        config = self._sampler.config
+        self._tree = SegmentTree(
+            self._sampled,
+            branching=config.branching,
+            max_depth=config.max_depth,
+            ucb_c=config.ucb_c,
+            alpha_r=config.alpha_r,
+            rng=ensure_rng(config.seed, "sampler", self._sequence.name),
         )
-        self.rewards: list[float] = []
-        self._exhausted = False
-        self._sampled_set: set[int] = set(self._sampled)
-        self._tree: SegmentTree | None = None
-        if len(self._sampled) >= 2:
-            rng = ensure_rng(config.seed, "sampler", sequence.name)
-            self._tree = SegmentTree(
-                self._sampled,
-                branching=config.branching,
-                max_depth=config.max_depth,
-                ucb_c=config.ucb_c,
-                alpha_r=config.alpha_r,
-                rng=rng,
-            )
 
     # ------------------------------------------------------------------
     # Telemetry (read by the corpus budget allocator)
@@ -346,6 +365,16 @@ class AdaptiveSamplingSession:
     def frames_sampled(self) -> int:
         """Frames processed by the deep model so far (uniform + adaptive)."""
         return len(self._sampled)
+
+    @property
+    def detections(self) -> dict[int, ObjectArray]:
+        """Every frame this session has paid for, sampled or not yet.
+
+        A detection that resolved before a detector fault stays here, so
+        the retry (or a re-plan re-entered with it as ``known=``) does
+        not bill it again.
+        """
+        return self._detections
 
     @property
     def remaining(self) -> int:
@@ -407,8 +436,72 @@ class AdaptiveSamplingSession:
                 self.rewards.append(reward)
         return self.rewards[before:]
 
+    def grow(self, sequence: FrameSequence, *, budget: int | None = None) -> None:
+        """Follow ``sequence`` (this session's sequence plus new frames).
+
+        The uniform grid continues at its fixed stride
+        ``round(1 / (beta * budget_fraction))`` from the last grid point:
+        the points that land in the new frames are detected and join the
+        tree as first-level segments, as the uniform pass's do.  Nothing
+        sampled is re-drawn and the tree's RNG stream continues.  The
+        paper budget becomes ``budget_for(len(sequence))`` and the cap
+        ``budget`` (``None``: that paper budget); the adaptive budget the
+        growth accrued is left for :meth:`step`.
+
+        Every detection resolves before any state changes: a detector
+        fault leaves the session at its old length, with each frame it
+        paid for kept in :attr:`detections`.
+        """
+        require(
+            sequence.name == self._sequence.name and len(sequence) >= self.n_frames,
+            f"cannot grow {self._sequence.name!r} ({self.n_frames} frames) into "
+            f"{sequence.name!r} ({len(sequence)} frames)",
+        )
+        config = self._sampler.config
+        stride = max(1, round(1 / (config.beta * config.budget_fraction)))
+        grid = list(range(self._last_grid + stride, len(sequence), stride))
+        self._engine.detect_wave(
+            sequence, grid, self._model, ledger=self.ledger, known=self._detections
+        )
+        self._sequence = sequence
+        self._set_budget(len(sequence), budget)
+        if grid:
+            self._last_grid = grid[-1]
+            self._sampled.extend(grid)
+            self._sampled_set.update(grid)
+            if self._tree is None:
+                self._plant()
+            else:
+                self._tree.append(grid)
+        self._exhausted = False
+
+    @contextmanager
+    def atomic(self) -> Iterator[None]:
+        """Roll the session back to its entry state if the block raises.
+
+        The tree, samples, rewards and budgets are restored; detections
+        are not, so a retry bills none of the frames the failed attempt
+        already paid for.
+        """
+        saved = dict(vars(self))
+        saved.update(
+            _tree=copy.deepcopy(self._tree),
+            _sampled=list(self._sampled),
+            _sampled_set=set(self._sampled_set),
+            rewards=list(self.rewards),
+        )
+        try:
+            yield
+        except BaseException:
+            vars(self).update(saved)
+            raise
+
     def result(self) -> SamplingResult:
-        """Snapshot the session as a :class:`SamplingResult`."""
+        """Snapshot the session as a :class:`SamplingResult`.
+
+        The snapshot owns its detections dict, so a later :meth:`grow`
+        or :meth:`step` never changes a result already published.
+        """
         policy_info: dict = {
             "sampler": self._sampler.name,
             "reward_kind": self._sampler.reward_kind,
@@ -425,7 +518,7 @@ class AdaptiveSamplingSession:
             timestamps=self._sequence.timestamps,
             budget=self.budget,
             sampled_ids=np.asarray(self._sampled, dtype=np.int64),
-            detections=self._detections,
+            detections=dict(self._detections),
             rewards=list(self.rewards),
             ledger=self.ledger,
             policy_info=policy_info,

@@ -95,6 +95,28 @@ class SegmentTree:
         ]
         self._refresh_exhausted(self.root)
 
+    def append(self, boundaries: list[int]) -> None:
+        """Grow the root's range with new first-level segments.
+
+        ``boundaries`` continue the root's last one: each consecutive
+        pair becomes a depth-1 segment, as the uniform pass's segments
+        are.  Statistics and the RNG stream carry on untouched.
+        """
+        boundaries = [int(b) for b in boundaries]
+        if not boundaries:
+            return
+        edges = [self.root.hi] + boundaries
+        require(
+            edges == sorted(set(edges)),
+            "appended boundaries must continue the root strictly increasing",
+        )
+        assert self.root.children is not None
+        self.root.children.extend(
+            SegmentNode(lo, hi, depth=1) for lo, hi in zip(edges[:-1], edges[1:])
+        )
+        self.root.hi = edges[-1]
+        self.root.exhausted = False
+
     # ------------------------------------------------------------------
     # Selection
     # ------------------------------------------------------------------

@@ -20,7 +20,9 @@ Two policies over the same total budget ``sum_i B_i``:
 Both drive :class:`~repro.core.sampler.AdaptiveSamplingSession`
 objects: the uniform pass of every session is always its paper-sized
 pass (so indexes stay well-conditioned), and only the adaptive
-remainder is steerable.
+remainder is steerable.  A run spends what the sessions have not spent
+yet, so re-running a policy over live sessions that grew since its last
+run spends only the budget their growth accrued.
 """
 
 from __future__ import annotations
@@ -124,9 +126,9 @@ class BudgetAllocator(ABC):
     ) -> AllocationReport:
         """Spend the corpus's adaptive budget across ``sessions``.
 
-        The shared pool is always ``sum_i (B_i - uniform_i)`` — the
-        same total an independent per-sequence run would spend — so
-        policies are comparable at equal cost.
+        The shared pool is always ``sum_i (B_i - spent_i)`` — after a
+        fresh uniform pass, the same total an independent per-sequence
+        run would spend — so policies are comparable at equal cost.
         """
 
 
@@ -138,8 +140,13 @@ def _uniform_frames(
 
 
 def _adaptive_pool(sessions: Sequence[AdaptiveSamplingSession]) -> int:
-    """Total steerable budget: paper budgets minus uniform spends."""
-    return sum(max(0, s.base_budget - s.frames_sampled) for s in sessions)
+    """Total steerable budget: paper budgets minus every frame spent.
+
+    A session over its own paper budget (UCB moved frames to it earlier)
+    shrinks the pool by its surplus, so live sessions re-run every epoch
+    never spend past the corpus budget.
+    """
+    return max(0, sum(s.base_budget - s.frames_sampled for s in sessions))
 
 
 class UniformAllocator(BudgetAllocator):

@@ -7,7 +7,10 @@
   :class:`~repro.core.sampler.AdaptiveSamplingSession` per sequence and
   hands them to a :class:`~repro.corpus.allocator.BudgetAllocator`,
   so a root-level policy (uniform split or UCB) decides how the shared
-  adaptive budget is spread across sequences;
+  adaptive budget is spread across sequences.  Each shard keeps its
+  session live: as its sequence grows the session grows with it, and
+  :meth:`~CorpusPipeline.spend` runs the policy again over the live
+  sessions to spend what the growth accrued;
 * **inference** runs through one shared
   :class:`~repro.inference.InferenceEngine` — every shard uses the same
   cross-run :class:`~repro.inference.DetectionStore`;
@@ -31,6 +34,7 @@ single-sequence pipeline on that sequence, for both budget policies.
 from __future__ import annotations
 
 from collections.abc import Collection
+from contextlib import ExitStack
 from typing import Union
 
 from repro.core.config import MASTConfig
@@ -105,44 +109,66 @@ class CorpusPipeline:
     # ------------------------------------------------------------------
     # Fitting
     # ------------------------------------------------------------------
+    def _open(self, name: str, model: DetectionModel) -> AdaptiveSamplingSession:
+        """A fresh session over ``name``, charged to its shard's ledger.
+
+        An already-fitted shard's session *re-enters* with every
+        detection its live session paid for (``known=``): each is the
+        canonical detection of its frame, so none is billed again.
+        """
+        sequence = self.catalog.sequence(name)
+        shard = self._shards.get(name)
+        live = shard.session if shard is not None else None
+        return HierarchicalMultiAgentSampler(self.config).session(
+            sequence,
+            model,
+            engine=self.engine,
+            ledger=shard.ledger if shard is not None else CostLedger(),
+            budget=self.allocator.session_budget(len(sequence)),
+            known=live.detections if live is not None else None,
+        )
+
     def plan(
         self, model: DetectionModel
-    ) -> tuple[dict[str, SamplingResult], AllocationReport]:
+    ) -> tuple[dict[str, AdaptiveSamplingSession], AllocationReport]:
         """Run one full budget plan over the current catalog.
 
         One session opens per sequence and the allocator spends the
         shared adaptive pool across them, exactly as :meth:`fit` does.
-        Sessions for already-fitted shards *re-enter* with the shard's
-        accumulated detections (``known=``) and charge the shard's
-        ledger, so a re-plan after catalog growth replays the same
-        deterministic trajectory a from-scratch fit would take while
-        only billing genuinely new frames.
+        Sessions for already-fitted shards re-enter with every detection
+        paid for so far and charge the shard's ledger, so a re-plan
+        after catalog growth replays the same deterministic trajectory a
+        from-scratch fit would take while only billing frames no epoch
+        has detected yet.  Returns the sessions, which stay live.
         """
-        sampler = HierarchicalMultiAgentSampler(self.config)
-        names = self.catalog.names()
-        sessions: list[AdaptiveSamplingSession] = []
-        for name in names:
-            sequence = self.catalog.sequence(name)
+        sessions = {
+            name: self._open(name, model) for name in self.catalog.names()
+        }
+        return sessions, self.allocator.run(list(sessions.values()))
+
+    def spend(
+        self, model: DetectionModel
+    ) -> tuple[dict[str, AdaptiveSamplingSession], AllocationReport]:
+        """Run the allocator over the shards' live sessions.
+
+        Each live session has grown with its sequence
+        (:meth:`MASTPipeline.extend` under this corpus's allocator), so
+        the run spends only the adaptive budget accrued since the last
+        one, and nothing already sampled is re-drawn.  A sequence
+        registered since the last plan opens a fresh session.  If the
+        detector raises, every session rolls back to its state before
+        the run; each frame paid for stays paid for.
+        """
+        sessions: dict[str, AdaptiveSamplingSession] = {}
+        for name in self.catalog.names():
             shard = self._shards.get(name)
-            # Every detection the shard holds is the canonical detection
-            # of its frame (extend samples its tail under true frame
-            # ids), so all of them carry over and none is billed again.
-            known = shard.sampling_result.detections if shard is not None else None
-            sessions.append(
-                sampler.session(
-                    sequence,
-                    model,
-                    engine=self.engine,
-                    ledger=shard.ledger if shard is not None else CostLedger(),
-                    budget=self.allocator.session_budget(len(sequence)),
-                    known=known,
-                )
-            )
-        allocation = self.allocator.run(sessions)
-        return (
-            {name: session.result() for name, session in zip(names, sessions)},
-            allocation,
-        )
+            live = shard.session if shard is not None else None
+            sessions[name] = live if live is not None else self._open(name, model)
+        with ExitStack() as stack:
+            for session in sessions.values():
+                stack.enter_context(session.atomic())
+            allocation = self.allocator.run(list(sessions.values()))
+        return sessions, allocation
 
     def fit(self, model: DetectionModel) -> CorpusPipeline:
         """Sample every sequence under the budget policy; build shards.
@@ -178,10 +204,11 @@ class CorpusPipeline:
         deep-model bill for frames an earlier epoch already paid for.
         Sequences registered since the last plan gain a shard.
         """
-        samplings, allocation = self.plan(model)
-        for name, sampling in samplings.items():
+        sessions, allocation = self.plan(model)
+        for name, session in sessions.items():
+            sampling = session.result()
             self._shard_for(name, sampling).fit_from_sampling(
-                self.catalog.sequence(name), model, sampling
+                self.catalog.sequence(name), model, sampling, session=session
             )
         self.allocation = allocation
         return allocation

@@ -44,7 +44,7 @@ from repro.corpus.pipeline import (
 )
 from repro.corpus.results import merge
 from repro.data.frame import PointCloudFrame
-from repro.inference.store import DetectionStore, persist_sampled_detections
+from repro.inference.store import persist_sampled_detections
 from repro.models.base import DetectionModel
 from repro.query.ast import (
     AggregateQuery,
@@ -96,7 +96,6 @@ class CorpusQueryService:
         self._dispatcher: Dispatcher | None = None
         self._owns_store_dir = False
         self._store_dir: Path | None = None
-        self._patched_store: DetectionStore | None = None
         if backend == "process":
             self._start_process_backend(
                 workers, store_dir, max_inflight, max_batch
@@ -114,9 +113,9 @@ class CorpusQueryService:
         The parent stays authoritative: its per-shard services keep
         billing extensions and re-plans exactly as the thread backend
         would, while queries route to the worker fleet.  The shared
-        detection-store directory is what makes worker warm-up (and
-        post-extension tail detection) cost disk reads, not model
-        invocations.
+        detection-store directory is what makes worker warm-up cost
+        disk reads, not model invocations; afterwards every change
+        reaches the workers as an adopted sampling run.
         """
         from repro.serving.dispatcher import Dispatcher
         from repro.serving.mp import ProcessShardPool, WorkerClient
@@ -133,14 +132,6 @@ class CorpusQueryService:
             self._owns_store_dir = True
         else:
             self._store_dir = Path(store_dir)
-        # Route every future parent-side detection (extend tails,
-        # re-plans) through the shared npz directory so workers resolve
-        # the same frames as disk hits instead of re-billing them.
-        engine_store = corpus.engine.store
-        if engine_store is not None and engine_store.persist_dir is None:
-            engine_store.persist_dir = self._store_dir
-            self._store_dir.mkdir(parents=True, exist_ok=True)
-            self._patched_store = engine_store
         warmups: dict[str, ShardWarmup] = {}
         for name, shard in corpus.shards.items():
             sampling = shard.sampling_result
@@ -319,70 +310,90 @@ class CorpusQueryService:
     ) -> CorpusQueryService:
         """Ingest a frame batch into one shard (incremental invalidation).
 
-        The catalog entry grows with the shard or not at all: it takes
-        the frames only once the shard has ingested them, so a detector
-        fault mid-extend leaves both at their old length and a later
-        :meth:`replan` plans over exactly the frames the shard holds.
+        The shard's live sampling session grows over the frames and
+        detects only the uniform-grid points that land in them; the
+        adaptive budget they accrue is the corpus allocator's to spend,
+        at the next :meth:`replan`.  The catalog entry grows with the
+        shard or not at all: it takes the frames only once the shard has
+        ingested them, so a detector fault mid-extend leaves both at
+        their old length.
 
         With the process backend the parent's extend stays authoritative
-        (the model is billed here, once, and the tail detections land in
-        the shared npz store), then a versioned
-        :class:`~repro.serving.protocol.ExtendRequest` broadcasts to
-        every replica; this method returns only after all replicas ack,
-        so subsequent queries answer from the new epoch.
+        (the model is billed here, once), then the grown
+        :class:`~repro.core.sampler.SamplingResult` and the new frames
+        ship to every replica through
+        :meth:`~repro.serving.mp.ProcessShardPool.adopt`; this method
+        returns only after all replicas ack, so subsequent queries
+        answer from the new epoch.  Workers never sample.
         """
-        catalog = self._corpus.catalog
-        extended = catalog.sequence(name).extended(new_frames)
-        self.service(name).extend(new_frames, model=model, extended=extended)
-        catalog.extend_sequence(name, new_frames)
+        corpus = self._corpus
+        extended = corpus.catalog.sequence(name).extended(new_frames)
+        self.service(name).extend(
+            new_frames, model=model, extended=extended, allocator=corpus.allocator
+        )
+        corpus.catalog.extend_sequence(name, new_frames)
         if self._pool is not None:
             from repro.serving.protocol import materialize_frames
 
-            assert self._store_dir is not None
-            shard = self._corpus.shards[name]
-            sampling = shard.sampling_result
-            persist_sampled_detections(
-                self._store_dir,
+            self.pool.adopt(
                 name,
-                list(shard.sequence),
-                sampling.detections,
-                shard.model,
+                corpus.shard(name).sampling_result,
+                frames=materialize_frames(new_frames),
             )
-            self.pool.extend(name, materialize_frames(new_frames))
         return self
 
-    def replan(self, model: DetectionModel) -> AllocationReport:
-        """Re-plan the corpus budget; every shard adopts its new sampling.
+    def replan(self, model: DetectionModel, *, exact: bool = False) -> AllocationReport:
+        """Run the corpus budget policy again; shards publish what changed.
 
-        Runs :meth:`CorpusPipeline.plan` over the current (grown)
-        catalog, then swaps each shard's service onto its fresh
-        :class:`~repro.core.sampler.SamplingResult` via
-        :meth:`QueryService.adopt` — an atomic per-shard epoch bump, so
-        concurrent readers of any one shard see either the old or the
-        new plan, never a mixture.  Sequences registered since the last
-        plan gain a service.
+        By default this is an online epoch (:meth:`CorpusPipeline.spend`):
+        the allocator spends only the budget the live sessions accrued
+        since its last run, and a shard that sampled new frames publishes
+        them through :meth:`QueryService.extend` — its cached series keep
+        the prefix before the earliest new sample.  A shard with no new
+        sample is left as it is.
+
+        ``exact`` re-plans from scratch (:meth:`CorpusPipeline.plan`),
+        paying only for frames no epoch has detected yet, so the corpus
+        becomes bit-identical to a batch fit of the current catalog;
+        every shard adopts its plan through :meth:`QueryService.adopt`, a
+        wholesale cache invalidation.  Either way each shard swaps its
+        state atomically, so concurrent readers see the old or the new
+        epoch, never a mixture.  Sequences registered since the last plan
+        gain a service.  :meth:`extend` and this method both move the
+        live sessions, so call them from one writer thread (the
+        streaming service calls both under its ingest lock).
         """
         corpus = self._corpus
-        samplings, allocation = corpus.plan(model)
-        for name, sampling in samplings.items():
-            shard = corpus._shard_for(name, sampling)
+        sessions, allocation = corpus.plan(model) if exact else corpus.spend(model)
+        changed = []
+        for name, session in sessions.items():
+            sequence = corpus.catalog.sequence(name)
             if name not in self._services:
-                shard.fit_from_sampling(
-                    corpus.catalog.sequence(name), model, sampling
+                sampling = session.result()
+                corpus._shard_for(name, sampling).fit_from_sampling(
+                    sequence, model, sampling, session=session
                 )
                 self._services[name] = QueryService(
-                    shard, max_cache_entries=self._max_cache_entries
+                    corpus.shard(name), max_cache_entries=self._max_cache_entries
+                )
+            elif exact:
+                self._services[name].adopt(
+                    sequence, model, session.result(), session=session
+                )
+            elif session.frames_sampled != len(corpus.shard(name).sampling_result.sampled_ids):
+                self._services[name].extend(
+                    [], model=model, extended=sequence, allocator=corpus.allocator
                 )
             else:
-                self._services[name].adopt(
-                    corpus.catalog.sequence(name), model, sampling
-                )
+                continue
+            changed.append(name)
         corpus.allocation = allocation
         if self._pool is not None:
             from repro.serving.mp import ProcessShardPool
 
             pool = self.pool
-            for name, sampling in samplings.items():
+            for name in changed:
+                sampling = corpus.shard(name).sampling_result
                 warmup = None
                 if name not in pool.versions:
                     warmup = ProcessShardPool.make_warmup(
@@ -408,9 +419,6 @@ class CorpusQueryService:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._patched_store is not None:
-            self._patched_store.persist_dir = None
-            self._patched_store = None
         if self._owns_store_dir and self._store_dir is not None:
             shutil.rmtree(self._store_dir, ignore_errors=True)
             self._owns_store_dir = False

@@ -137,18 +137,6 @@ class FrameSequence(AbcSequence):
         )
         return self._derived(self._frames + new_frames, timestamps)
 
-    def tail(self, start: int) -> FrameSequence:
-        """A view of frames ``[start, n)``, addressed from 0.
-
-        The view shares the frame objects — each keeps its true
-        ``frame_id`` — and this sequence's name, so a detection made
-        through it is the detection a run over the whole sequence makes
-        for the same frame, under the same
-        :class:`~repro.inference.DetectionStore` key.
-        """
-        require(0 <= start < len(self), f"start must be in [0, {len(self)})")
-        return self._derived(self._frames[start:], self._timestamps[start:])
-
     def head(self, n_frames: int, name: str | None = None) -> FrameSequence:
         """Return a prefix of the sequence (used by the scalability sweep)."""
         require(0 < n_frames <= len(self), f"n_frames must be in [1, {len(self)}]")

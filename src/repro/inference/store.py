@@ -291,14 +291,13 @@ def persist_sampled_detections(
 ) -> int:
     """Export one shard's sampled detections as npz store entries.
 
-    The serving tier's parent process calls this before spawning (or
-    after extending past) its shard workers: every ``frame_id ->
-    detections`` entry is written under its canonical content key, so a
-    worker rebuilding the shard resolves each sampled frame as a disk
-    hit — warm-up costs npz reads, never model invocations.  Existing
-    files are kept (``DetectionStore.put`` write-through skips them), so
-    repeated exports after incremental extensions only pay for the new
-    tail.  Returns the number of entries exported.
+    The serving tier's parent process calls this before spawning its
+    shard workers: every ``frame_id -> detections`` entry is written
+    under its canonical content key, so a worker rebuilding the shard
+    resolves each sampled frame as a disk hit — warm-up costs npz reads,
+    never model invocations.  Existing files are kept
+    (``DetectionStore.put`` write-through skips them).  Returns the
+    number of entries exported.
     """
     store = DetectionStore(max_entries=1, persist_dir=persist_dir)
     fingerprint = model_fingerprint(model)

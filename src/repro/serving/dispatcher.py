@@ -22,7 +22,7 @@ threads) a thread-safe facade.  Three serving behaviors live here:
   round-trips under load without any timer (and therefore without the
   wall clock, per project lint rule RPR002).
 
-Versioning: the pool bumps a shard's version after extend/adopt acks;
+Versioning: the pool bumps a shard's version after adopt acks;
 requests admitted under the old version finish against whichever epoch
 their worker held when the batch drained — within the bounded-staleness
 window PR 5 defines — while new arrivals key their coalescing entries

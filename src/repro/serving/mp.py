@@ -10,13 +10,13 @@ model invocations (``WorkerReady`` reports the counters that prove it).
 :class:`ProcessShardPool` spawns the fleet, places shards with
 :func:`~repro.serving.protocol.assign_shards` (replicating shards when
 workers outnumber them), and exposes the parent-side control plane:
-versioned extend/adopt invalidation broadcast to every replica, fleet
+versioned adopt invalidation broadcast to every replica, fleet
 stats, shutdown.  The data plane (query routing, coalescing, admission)
 lives in :mod:`repro.serving.dispatcher`.
 
 Pipes are FIFO per worker, which is the ordering backbone of the
-invalidation protocol: a query request sent after an ``ExtendRequest``
-on the same pipe is always answered by the post-extension epoch.
+invalidation protocol: a query request sent after an ``AdoptRequest``
+on the same pipe is always answered by the adopted epoch.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from repro.serving.protocol import (
     AdoptRequest,
     ExecuteRequest,
     ExecuteResponse,
-    ExtendAck,
-    ExtendRequest,
     ShardStats,
     ShardWarmup,
     Shutdown,
@@ -169,17 +167,6 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
         try:
             if isinstance(message, ExecuteRequest):
                 conn.send(_handle_execute(services, message))
-            elif isinstance(message, ExtendRequest):
-                service = services[message.shard]
-                service.extend(list(message.frames), model=init.model)
-                conn.send(
-                    ExtendAck(
-                        request_id=message.request_id,
-                        shard=message.shard,
-                        version=message.version,
-                        generation=service.generation,
-                    )
-                )
             elif isinstance(message, AdoptRequest):
                 service = services.get(message.shard)
                 if service is None:
@@ -198,6 +185,8 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
                     services[message.shard] = service
                 else:
                     sequence = service.pipeline.sequence
+                    if message.frames:
+                        sequence = sequence.extended(list(message.frames))
                     service.adopt(sequence, init.model, message.sampling)
                 conn.send(
                     AdoptAck(
@@ -438,8 +427,8 @@ class ProcessShardPool:
     """A fleet of shard workers plus the versioned control plane.
 
     ``versions`` is the parent's authoritative per-shard invalidation
-    counter: :meth:`extend` / :meth:`adopt` broadcast to every replica,
-    wait for all acks, then bump — so by the time either returns, every
+    counter: :meth:`adopt` broadcasts to every replica, waits for all
+    acks, then bumps — so by the time it returns, every
     worker answers from the new epoch (the synchronous half of PR 5's
     bounded-staleness story).
 
@@ -518,31 +507,21 @@ class ProcessShardPool:
                 raise RuntimeError(f"shard {shard!r} invalidation failed:\n{error}")
         return acks
 
-    def extend(self, shard: str, frames: tuple[Any, ...]) -> int:
-        """Broadcast a versioned extension; returns the new version."""
-        version = self.versions[shard] + 1
-        self._broadcast(
-            shard,
-            lambda request_id: ExtendRequest(
-                request_id=request_id,
-                shard=shard,
-                version=version,
-                frames=frames,
-            ),
-        )
-        self.versions[shard] = version
-        return version
-
     def adopt(
         self,
         shard: str,
         sampling: SamplingResult,
         warmup: ShardWarmup | None = None,
+        *,
+        frames: tuple[Any, ...] = (),
     ) -> int:
-        """Broadcast a versioned re-plan adoption; returns the new version.
+        """Broadcast a versioned sampling adoption; returns the new version.
 
-        A shard new to the pool (sequence registered since spawn) is
-        placed on the least-loaded worker and shipped its ``warmup``.
+        Every change the parent makes to a shard — an extend (whose new
+        ``frames`` ride along) or a re-plan — reaches the workers this
+        way, so a worker never samples.  A shard new to the pool
+        (sequence registered since spawn) is placed on the least-loaded
+        worker and shipped its ``warmup``.
         """
         if shard not in self._replicas:
             if warmup is None:
@@ -568,6 +547,7 @@ class ProcessShardPool:
                 version=version,
                 sampling=detached,
                 warmup=warmup,
+                frames=frames,
             ),
         )
         self.versions[shard] = version

@@ -35,8 +35,6 @@ __all__ = [
     "WorkerReady",
     "ExecuteRequest",
     "ExecuteResponse",
-    "ExtendRequest",
-    "ExtendAck",
     "AdoptRequest",
     "AdoptAck",
     "StatsRequest",
@@ -169,37 +167,15 @@ class ExecuteResponse:
 
 
 @dataclass(frozen=True)
-class ExtendRequest:
-    """Versioned invalidation: apply a frame batch to one shard.
-
-    The parent already ran its authoritative extend (billing the model
-    once and persisting the new detections to the shared store), so the
-    worker's own extend resolves every tail detection as a store hit.
-    """
-
-    request_id: int
-    shard: str
-    version: int
-    frames: tuple[PointCloudFrame, ...]
-
-
-@dataclass(frozen=True)
-class ExtendAck:
-    request_id: int
-    shard: str
-    version: int
-    generation: int
-    error: str | None = None
-
-
-@dataclass(frozen=True)
 class AdoptRequest:
-    """Versioned invalidation: install a re-planned sampling run.
+    """Versioned invalidation: install the parent's sampling run.
 
     Carries the full :class:`~repro.core.sampler.SamplingResult`
     (detections included — a re-plan may sample anywhere, so the store
-    round-trip would buy nothing).  ``warmup`` is set when the shard is
-    new to this worker (a sequence registered since the last plan).
+    round-trip would buy nothing).  ``frames`` are the frames an extend
+    appended to the shard's sequence, which the sampling run already
+    covers.  ``warmup`` is set when the shard is new to this worker (a
+    sequence registered since the last plan).
     """
 
     request_id: int
@@ -207,6 +183,7 @@ class AdoptRequest:
     version: int
     sampling: SamplingResult
     warmup: ShardWarmup | None = None
+    frames: tuple[PointCloudFrame, ...] = ()
 
 
 @dataclass(frozen=True)

@@ -36,12 +36,12 @@ from __future__ import annotations
 import threading
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core.pipeline import MASTPipeline, predictor_kind
-from repro.core.sampler import SamplingResult
+from repro.core.sampler import AdaptiveSamplingSession, SamplingResult
 from repro.data.frame import PointCloudFrame
 from repro.data.sequence import FrameSequence
 from repro.models.base import DetectionModel
@@ -52,6 +52,9 @@ from repro.query.predicates import ObjectFilter
 from repro.serving.batching import Query, base_kind, plan_batch
 from repro.serving.cache import CacheStats, CountSeriesCache
 from repro.utils.timing import STAGE_QUERY, CostLedger
+
+if TYPE_CHECKING:
+    from repro.corpus.allocator import BudgetAllocator
 
 __all__ = ["QueryService"]
 
@@ -237,6 +240,7 @@ class QueryService:
         *,
         model: DetectionModel | None = None,
         extended: FrameSequence | None = None,
+        allocator: BudgetAllocator | None = None,
     ) -> QueryService:
         """Ingest a frame batch; invalidate only changed series tails.
 
@@ -244,11 +248,10 @@ class QueryService:
         to the prefix the extension left unchanged; each is completed,
         tail only, by the next lookup that asks for it.  Queries already
         in flight keep answering on the pre-extension snapshot.
-        ``extended`` passes an already-grown sequence through to the
-        pipeline.
+        ``extended`` and ``allocator`` pass through to the pipeline.
         """
         with self._extend_lock:
-            self._pipeline.extend(new_frames, model=model, extended=extended)  # repro: noqa[RPR010] deliberate: _extend_lock serializes writers only; readers answer from the immutable pre-extension snapshot while the pipeline runs
+            self._pipeline.extend(new_frames, model=model, extended=extended, allocator=allocator)  # repro: noqa[RPR010] deliberate: _extend_lock serializes writers only; readers answer from the immutable pre-extension snapshot while the pipeline runs
             boundary = self._pipeline.last_extend_boundary
             assert boundary is not None
             providers = self._pipeline.providers
@@ -266,21 +269,23 @@ class QueryService:
         sequence: FrameSequence,
         model: DetectionModel,
         sampling: SamplingResult,
+        *,
+        session: AdaptiveSamplingSession | None = None,
     ) -> QueryService:
         """Install a re-planned sampling run; full cache invalidation.
 
-        The streaming layer periodically re-plans the corpus budget over
-        grown sequences and adopts each shard's fresh
-        :class:`~repro.core.sampler.SamplingResult` here.  Unlike
-        :meth:`extend`, a re-plan may move sampled frames *anywhere* in
-        the sequence, so no cached prefix is provably reusable: the
-        cache bumps a generation wholesale and the immutable state
-        snapshot is swapped under the same lock that serializes
-        extensions.  Queries already in flight keep answering on the
-        pre-adoption snapshot.
+        The streaming layer's drain re-plans the corpus budget from
+        scratch over the final sequences and adopts each shard's fresh
+        :class:`~repro.core.sampler.SamplingResult` (and the ``session``
+        that produced it) here.  Unlike :meth:`extend`, a re-plan may
+        move sampled frames *anywhere* in the sequence, so no cached
+        prefix is provably reusable: the cache bumps a generation
+        wholesale and the immutable state snapshot is swapped under the
+        same lock that serializes extensions.  Queries already in flight
+        keep answering on the pre-adoption snapshot.
         """
         with self._extend_lock:
-            self._pipeline.fit_from_sampling(sequence, model, sampling)
+            self._pipeline.fit_from_sampling(sequence, model, sampling, session=session)
             providers = self._pipeline.providers
             generation = self.cache.bump()
             self._state = _ServiceState(

@@ -7,18 +7,21 @@ through a :class:`~repro.streaming.source.FrameSource`; the service
 * **ingests** under an explicit bounded-staleness contract — each
   sequence buffers at most ``max_lag_frames`` arrived-but-unindexed
   frames before its buffer is flushed through the incremental
-  :meth:`~repro.corpus.CorpusQueryService.extend` path (tail-only cache
-  invalidation), and every answer reports the per-sequence watermark
-  and lag it was served under.  An arrival whose frames do not continue
+  :meth:`~repro.corpus.CorpusQueryService.extend` path: the sequence's
+  live sampling session grows over the frames and detects only the
+  uniform-grid points that land in them, the index extrapolates past
+  the last sample, and cached series keep their unchanged prefix.
+  Every answer reports the per-sequence watermark and lag it was
+  served under.  An arrival whose frames do not continue
   its sequence (a duplicate, a gap, a reordering) is rejected with a
   ``ValueError`` before it touches any state, so a malformed source
   cannot poison a buffer;
 * **re-plans** the corpus budget online — every ``replan_every``
-  ingested frames the UCB (or uniform) allocator re-runs over the grown
-  catalog through :meth:`~repro.corpus.CorpusQueryService.replan`;
-  sessions re-enter with each shard's paid-for detections, so an epoch
-  only bills genuinely new frames while replaying the exact trajectory
-  a from-scratch fit would take;
+  ingested frames the UCB (or uniform) allocator runs over the live
+  sessions through :meth:`~repro.corpus.CorpusQueryService.replan` and
+  spends only the adaptive budget accrued since the last epoch; nothing
+  already sampled is re-drawn, so every frame a stream detects is
+  detected once;
 * **answers queries concurrently** — ``execute`` may be called from any
   number of threads while one thread pumps the source; each shard
   answers from immutable state snapshots, so readers see a coherent
@@ -27,10 +30,11 @@ through a :class:`~repro.streaming.source.FrameSource`; the service
   call it makes; this layer adds no scheduling point of its own.
 
 The headline guarantee: after :meth:`quiesce` (source drained, buffers
-flushed, one final re-plan), every scoped answer is bit-identical to a
-batch :class:`~repro.corpus.CorpusQueryService` fit from scratch on the
-same final corpus — streaming is a latency/staleness trade-off, never
-an accuracy one.
+flushed, one exact from-scratch re-plan re-entered with every detection
+already paid for), every scoped answer is bit-identical to a batch
+:class:`~repro.corpus.CorpusQueryService` fit from scratch on the same
+final corpus — the drained state is never an accuracy trade-off.  Live
+answers before the drain come from the online plan.
 
 Time is virtual throughout (event times come from the source), so runs
 are exactly reproducible and never read the wall clock.
@@ -225,12 +229,13 @@ class StreamingCorpusService:
         self._clock = 0.0
         self._events_processed = 0
         self._epochs = 0
-        #: Deep-model invocations by what asked for them; the three sum
-        #: to the ledger's invocation count.
+        #: Deep-model invocations by what asked for them; they sum to
+        #: the ledger's invocation count.
         self._detections_by_origin = {
             "initial_fit": self._model_invocations(),
             "flush": 0,
             "replan": 0,
+            "drain": 0,
         }
 
     # ------------------------------------------------------------------
@@ -344,17 +349,19 @@ class StreamingCorpusService:
         return processed
 
     def quiesce(self) -> dict[str, object]:
-        """Drain the source, flush every buffer, and re-plan one last time.
+        """Drain the source, flush every buffer, and re-plan exactly.
 
-        Afterwards the corpus state is bit-identical to a from-scratch
-        batch fit on the final sequences (same policy, same seed), and
-        every sequence's staleness is zero.  Returns :meth:`report`.
+        The last epoch re-plans from scratch, paying only for frames no
+        earlier epoch detected, so afterwards the corpus state is
+        bit-identical to a batch fit on the final sequences (same
+        policy, same seed), and every sequence's staleness is zero.
+        Returns :meth:`report`.
         """
         self.pump()
         with self._ingest_lock:
             for name in self.names:
                 self._flush(name)  # repro: noqa[RPR010] quiesce runs after the pump stops; holding _ingest_lock across the final flush is what makes drain atomic
-            self._replan()  # repro: noqa[RPR010] final re-plan must see the fully flushed corpus; no reader path ever takes _ingest_lock
+            self._replan(exact=True)  # repro: noqa[RPR010] final re-plan must see the fully flushed corpus; no reader path ever takes _ingest_lock
         return self.report()
 
     def _ingest(self, event: ArrivalEvent) -> None:  # repro: locked[_ingest_lock]
@@ -421,14 +428,23 @@ class StreamingCorpusService:
                 self._watermark[name] = self._arrived[name]
         return len(frames)
 
-    def _replan(self) -> None:  # repro: locked[_ingest_lock]
-        """Re-run the budget plan and snapshot the standing queries."""
+    def _replan(self, *, exact: bool = False) -> None:  # repro: locked[_ingest_lock]
+        """Run one epoch of the budget plan and snapshot the standing queries.
+
+        An epoch spends the budget accrued since the last one; ``exact``
+        (the drain) re-plans from scratch instead.  A detector fault
+        leaves every session, index and the epoch count as they were;
+        the frames it did pay for are counted by origin.
+        """
         before = self._model_invocations()
-        allocation = self._service.replan(self.model)  # repro: noqa[RPR010] the UCB re-plan detects under _ingest_lock by design: arrivals must not move the corpus mid-plan
-        billed = self._model_invocations() - before
+        try:
+            allocation = self._service.replan(self.model, exact=exact)  # repro: noqa[RPR010] the UCB re-plan detects under _ingest_lock by design: arrivals must not move the corpus mid-plan
+        finally:
+            billed = self._model_invocations() - before
+            with self._state_lock:
+                self._detections_by_origin["drain" if exact else "replan"] += billed
         self._frames_since_replan = 0
         with self._state_lock:
-            self._detections_by_origin["replan"] += billed
             self._epochs += 1
             epoch = self._epochs
             clock = self._clock

@@ -62,6 +62,26 @@ class TestUCBAllocator:
         report = allocator.run(sessions)
         assert report.total_frames == uniform_total
 
+    def test_a_session_over_its_budget_shrinks_the_pool(
+        self, catalog, config, model, engine
+    ):
+        """A live session an earlier run gave more than its paper budget
+        counts its surplus against the shared pool, so the corpus never
+        spends past its budget."""
+        allocator = UCBAllocator(config, round_size=4)
+        over, *rest = _open_sessions(catalog, config, model, allocator, engine)
+        surplus = 3
+        over.step(over.base_budget - over.frames_sampled + surplus)
+        assert over.frames_sampled == over.base_budget + surplus
+        owed = sum(s.base_budget - s.frames_sampled for s in rest)
+        assert owed > surplus
+
+        report = allocator.run([over, *rest])
+        assert sum(report.adaptive_by_sequence.values()) == owed - surplus
+        assert report.total_frames == sum(
+            config.budget_for(catalog.n_frames(name)) for name in catalog.names()
+        )
+
     def test_sessions_open_at_capacity(self, config):
         allocator = UCBAllocator(config)
         assert allocator.session_budget(100) == 100

@@ -114,12 +114,18 @@ class TestExtendInvalidation:
         assert service.cache_stats().entries == len(queries)
 
         counted_rows.clear()
-        service.extend(tail_frames[:30])
-        service.extend(tail_frames[30:])
+        boundaries = []
+        for frames in (tail_frames[:30], tail_frames[30:]):
+            service.extend(frames)
+            boundaries.append(service.pipeline.last_extend_boundary)
         assert counted_rows == []
 
-        # The read that asks for a truncated entry completes it, tail only.
+        # The read that asks for a truncated entry completes it, tail
+        # only: from the sample bracketing the first frame neither
+        # extension proved unchanged.
         sampled_ids = service.pipeline.sampling_result.sampled_ids
+        start = min(boundaries) + 1
+        first = np.searchsorted(sampled_ids, start, side="right") - 1
         service.execute(queries[0])
         ((_, n_samples),) = counted_rows
-        assert 0 < n_samples < len(sampled_ids) / 2
+        assert 0 < n_samples == len(sampled_ids) - first < len(sampled_ids)

@@ -1,8 +1,8 @@
 """The motion memo under the re-plan path: fewer analyses, the same numbers.
 
-Every re-plan replays every sequence's sampler from frame 0 over the
-detections earlier epochs paid for, so its ST-PC analyses and Eq. 1
-rewards repeat on the identical objects.  The corpus engine's memo
+The drain's exact re-plan replays every sequence's sampler from frame 0
+over the detections the live sessions paid for, so its ST-PC analyses
+and Eq. 1 rewards repeat on the identical objects.  The corpus engine's memo
 answers the repeats; here the streaming service and a batch
 ``CorpusPipeline.fit`` run once with it and once under
 ``always_computing()`` (every lookup computes), and every sampled id,
@@ -126,17 +126,20 @@ def test_report_counts_detections_by_origin(stream_sequences, config, model):
         source, model, config, policy="ucb", max_lag_frames=2, replan_every=12
     ) as service:
         by_origin = service.report()["detections_by_origin"]
-        assert set(by_origin) == {"initial_fit", "flush", "replan"}
+        assert set(by_origin) == {"initial_fit", "flush", "replan", "drain"}
         assert by_origin["initial_fit"] > 0
-        assert by_origin["flush"] == by_origin["replan"] == 0
+        assert by_origin["flush"] == by_origin["replan"] == by_origin["drain"] == 0
 
+        # The first arrivals land before any sequence's next grid point:
+        # flushes index them by extrapolation and bill nothing.
         service.pump(max_events=6)
         pumped = service.report()
-        assert pumped["detections_by_origin"]["initial_fit"] == by_origin["initial_fit"]
-        assert pumped["detections_by_origin"]["flush"] > 0
+        assert pumped["detections_by_origin"] == by_origin
+        assert pumped["watermarks"] != {name: 10 for name in service.names}
 
         report = service.quiesce()
         by_origin = report["detections_by_origin"]
+        assert by_origin["flush"] > 0 and by_origin["drain"] > 0
         assert by_origin["replan"] > 0 and report["replan_epochs"] >= 2
         assert (
             sum(by_origin.values())

@@ -15,9 +15,11 @@ corpus budget:
 * the merged ledger charges exactly one deep-model invocation per
   detection-store miss, no ``(sequence, frame id)`` ever reaches the
   detector twice, and the bill never exceeds the frames that arrived —
-  extends detect under true frame ids and epochs re-enter sessions with
-  every carried detection, so interleaving can change the bill's size
-  but can never double-charge a frame.
+  live sessions never re-draw and the drain re-enters with every
+  carried detection, so interleaving can change the bill's size but
+  can never double-charge a frame;
+* the bill is at most twice the configured budget: once live, once
+  for the drain's exact plan.
 
 Follows the ``tests/property`` conventions: seeded strategies, bounded
 ``max_examples``, ``deadline=None`` for model-running examples.
@@ -145,6 +147,54 @@ def test_total_spend_equals_configured_budget(run) -> None:
         assert_billed_once(
             service, model, sum(len(sequence) for sequence in SEQUENCES)
         )
+
+        # The stream spends its budget once, plus the drain's top-up.
+        # Live sessions never spend past the corpus budget except by
+        # rounding: a sequence's next grid point can land up to one frame
+        # before the budget that pays for it accrues.  The drain bills
+        # only final-plan frames not yet paid for, and every plan holds
+        # each sequence's frame 0, paid at the initial fit.  Together:
+        # invocations <= 2 * configured, with no slack left over.
+        by_origin = service.report()["detections_by_origin"]
+        invocations = sum(by_origin.values())
+        assert invocations - by_origin["drain"] <= configured + len(names)
+        assert by_origin["drain"] <= configured - len(names)
+        assert invocations <= 2 * configured
+
+
+def _heterogeneous_source() -> ScheduledFrameSource:
+    """Sequences growing at different rates (240 / 240 / 160 frames)."""
+    return ScheduledFrameSource(
+        [spec.build() for spec in heterogeneous_specs(240, 160)],
+        initial_frames=12,
+        schedule={
+            "static-drive": ArrivalSchedule(rate=20.0, batch_frames=1),
+            "volatile-drive": ArrivalSchedule(rate=30.0, batch_frames=1),
+            "sparse-urban": ArrivalSchedule(rate=8.0, batch_frames=2),
+        },
+        seed=1,
+    )
+
+
+def test_stream_bills_its_budget_once_plus_the_drain() -> None:
+    """The detections a stream bills, by origin, on the 240/240/160
+    stream below.  Flushes detect only grid points and epochs only the
+    budget accrued since the last one, so the live split stays under the
+    64-frame plan; the drain tops it up to the batch plan.  (Re-drawing
+    every epoch billed 6 / 151 / 227 here, six times the plan.)"""
+    with StreamingCorpusService(
+        _heterogeneous_source(),
+        pv_rcnn(seed=5),
+        MASTConfig(budget_fraction=0.10, seed=1),
+        policy="ucb",
+        max_lag_frames=3,
+        replan_every=24,
+    ) as stream:
+        report = stream.quiesce()
+    assert report["detections_by_origin"] == {
+        "initial_fit": 6, "flush": 16, "replan": 42, "drain": 50,
+    }
+    assert report["model_invocations"] == 114 <= 2 * report["allocation"]["total_frames"]
 
 
 def test_online_ucb_error_no_worse_than_static_uniform_at_equal_spend() -> None:

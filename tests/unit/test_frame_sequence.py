@@ -159,15 +159,6 @@ class TestFrameSequence:
         assert np.array_equal(extended.timestamps, built.timestamps)
         assert (extended.fps, extended.name) == (built.fps, built.name)
 
-    def test_tail_view_keeps_true_ids_and_name(self):
-        seq = make_sequence(6)
-        tail = seq.tail(4)
-        assert len(tail) == 2 and tail.name == seq.name and tail.fps == seq.fps
-        assert tail[0] is seq[4] and tail[1].frame_id == 5
-        assert np.array_equal(tail.timestamps, seq.timestamps[4:])
-        with pytest.raises(ValueError):
-            seq.tail(6)
-
     def test_head(self):
         seq = make_sequence(10)
         head = seq.head(4)

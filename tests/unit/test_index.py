@@ -9,6 +9,7 @@ from repro.core import (
     MASTConfig,
     MASTIndex,
 )
+from repro.core.stpc import analyze_pair
 from repro.query import ObjectFilter, SpatialPredicate
 from repro.utils.timing import STAGE_INDEX
 
@@ -114,6 +115,31 @@ class TestObjectsAt:
     def test_out_of_range(self, index):
         with pytest.raises(IndexError):
             index.objects_at(index.n_frames)
+
+    def test_open_tail_extrapolates_the_last_gap(self, extended_sampling):
+        """Frames after a live sampling's last sample: ``objects_at`` and
+        the flat rows agree on the last gap's extrapolation, and linear
+        interpolation holds the last sampled count."""
+        ids = extended_sampling.sampled_ids
+        last, n_frames = int(ids[-1]), extended_sampling.n_frames
+        assert last < n_frames - 1
+        index = MASTIndex.build(extended_sampling, MASTConfig(seed=2))
+        everything = ObjectFilter(label=None, confidence=0.0)
+        counts = index.count_series(everything)
+        linear = LinearCountProvider(extended_sampling).count_series(CAR_NEAR)
+        estimate = analyze_pair(
+            extended_sampling.detections[int(ids[-2])],
+            extended_sampling.detections[last],
+            extended_sampling.timestamps[int(ids[-2])],
+            extended_sampling.timestamps[last],
+        )
+        for frame_id in range(last + 1, n_frames):
+            objects = index.objects_at(frame_id)
+            want = estimate.predict(float(extended_sampling.timestamps[frame_id]))
+            assert np.array_equal(objects.centers, want.centers)
+            assert np.array_equal(objects.scores, want.scores)
+            assert len(objects) == counts[frame_id]
+            assert linear[frame_id] == linear[last]
 
 
 class TestLinearCountProvider:
@@ -286,16 +312,25 @@ class TestEstimateReuse:
         analysed = _counting_analyze_pair(monkeypatch)
         predicted = _counting_predict_flat(monkeypatch)
         pipe.extend(list(full[240:]))
+        sampling = pipe.sampling_result
+        ids, times = sampling.sampled_ids, sampling.timestamps
+        # Frames past the last sample are extrapolated by the last gap's
+        # estimate, predicted on every build.
+        tail = []
+        if ids[-1] < sampling.n_frames - 1:
+            tail = [(float(times[ids[-2]]), float(times[ids[-1]]))]
+        assert predicted[len(predicted) - len(tail):] == tail
         # Rows are predicted for exactly the gaps that were analysed;
         # every other gap's rows are sliced out of the previous index.
-        assert predicted == analysed
-
-        sampling = pipe.sampling_result
-        boundary_time = float(sampling.timestamps[pipe.last_extend_boundary])
         gaps = _gaps(sampling)
+        assert predicted[: len(predicted) - len(tail)] == [
+            pair for pair in analysed if pair in gaps
+        ]
+
+        boundary_time = float(times[pipe.last_extend_boundary])
         assert len(analysed) == len(set(analysed)) < len(gaps) / 2
         assert all(t_start >= boundary_time for t_start, _ in analysed)
-        assert set(analysed) <= set(gaps)
+        assert set(analysed) <= set(gaps) | set(tail)
         # A one-frame extension adds a gap with no interior frame, so it
         # may analyse nothing at all; a longer one must analyse its tail.
         assert analysed or new_frames == 1

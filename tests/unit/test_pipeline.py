@@ -148,10 +148,14 @@ class TestExtend:
         result = pipe.sampling_result
         assert result.n_frames == 300
         assert len(result.sampled_ids) > n_before
-        # New region received samples, including the final frame.
-        new_samples = result.sampled_ids[result.sampled_ids >= 200]
-        assert len(new_samples) >= 2
-        assert result.sampled_ids[-1] == 299
+        # The uniform grid continued into the new region at its fixed
+        # stride from the old last frame; frames after the last grid
+        # point are extrapolated, not sampled.
+        stride = round(1 / (pipe.config.beta * pipe.config.budget_fraction))
+        grid = set(range(199 + stride, 300, stride))
+        assert len(grid) >= 2
+        assert grid <= set(map(int, result.sampled_ids))
+        assert result.sampled_ids[-1] == max(grid)
 
     def test_extend_keeps_queries_working(self, detector):
         from repro.simulation import semantickitti_like
@@ -323,7 +327,10 @@ class TestExtendFrameIdAlignment:
 
         pipe.extend(list(full[200:300]))
         boundary = pipe.last_extend_boundary
-        expected_prefix = old_ids[old_ids < 199]
+        # The last old sample before the earliest new one.
+        new_ids = np.setdiff1d(pipe.sampling_result.sampled_ids, old_ids)
+        assert len(new_ids)
+        expected_prefix = old_ids[old_ids < new_ids[0]]
         expected = int(expected_prefix.max()) if len(expected_prefix) else -1
         assert boundary == expected
         # Counts on frames up to the boundary only depend on detections

@@ -493,7 +493,9 @@ class TestCarryRule:
             with CorpusQueryService(corpus) as service:
                 service.execute(REGION_TEXT)
                 before = corpus.shard(drive.name).index.spatial_index
-                service.replan(detector)
+                # The exact re-plan rebuilds every shard; an online epoch
+                # rebuilds only a shard that sampled new frames.
+                service.replan(detector, exact=True)
                 assert_tiles_carried(
                     corpus.shard(drive.name).index,
                     before,

@@ -8,11 +8,14 @@ matching gate, ``c_var``) and ``benchmarks/bench_fig11_design.py``
 sampled frame and simulated cost.  A change that moves one of them moves
 a paper table too, so it regenerates that table and updates the pin in
 the same change.
+
+``FLAT_BANDIT_PINS`` cover what the MAST-only pins cannot: the flat
+``UCBAgent`` of Seiden-PC / Seiden-PCST / MAST-noH at two budgets.
 """
 
 import pytest
 
-from repro.baselines import MAST
+from repro.baselines import MAST, MAST_NOH, SEIDEN_PC, SEIDEN_PCST
 from repro.core import MASTConfig
 from repro.evalx import experiment_digest, run_experiment
 from repro.models import pv_rcnn
@@ -44,5 +47,27 @@ def test_experiment_digest_is_pinned(sequence, overrides, digest):
         generate_workload(rng=0),
         methods=(MAST,),
         config=MASTConfig(seed=1, **overrides),
+    )
+    assert experiment_digest(report) == digest
+
+
+FLAT_BANDIT_PINS = {
+    0.05: "916d20446f41be9a342e60f5f4bdf54a",
+    0.15: "eade8008905bbe067a47fb3203172f93",
+}
+
+
+@pytest.mark.parametrize(
+    "budget_fraction, digest",
+    FLAT_BANDIT_PINS.items(),
+    ids=[f"budget={b}" for b in FLAT_BANDIT_PINS],
+)
+def test_flat_bandit_digest_is_pinned(sequence, budget_fraction, digest):
+    report = run_experiment(
+        sequence,
+        pv_rcnn(seed=5),
+        generate_workload(rng=0),
+        methods=(SEIDEN_PC, SEIDEN_PCST, MAST_NOH, MAST),
+        config=MASTConfig(seed=1, budget_fraction=budget_fraction),
     )
     assert experiment_digest(report) == digest

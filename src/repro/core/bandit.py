@@ -20,7 +20,7 @@ import numpy as np
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require, require_positive
 
-__all__ = ["ucb_score", "UCBAgent"]
+__all__ = ["ucb_score", "ucb_scores", "UCBAgent"]
 
 
 def ucb_score(reward: float, n_selected: int, n_total: int, c: float) -> float:
@@ -30,6 +30,25 @@ def ucb_score(reward: float, n_selected: int, n_total: int, c: float) -> float:
     if n_total <= 0:
         return reward
     return reward + c * math.sqrt(2.0 * math.log(n_total) / n_selected)
+
+
+def ucb_scores(
+    rewards: np.ndarray, visits: np.ndarray, n_total: int, c: float
+) -> np.ndarray:
+    """:func:`ucb_score` of every arm at once, element-for-element equal.
+
+    The log term is the same Python scalar; division and ``sqrt`` are
+    correctly rounded in both, so no element differs in any bit.
+    """
+    rewards = np.asarray(rewards, dtype=np.float64)
+    visits = np.asarray(visits)
+    if n_total <= 0:
+        values = rewards.copy()
+    else:
+        log_term = 2.0 * math.log(n_total)
+        values = rewards + c * np.sqrt(log_term / np.maximum(visits, 1))
+    values[visits <= 0] = math.inf
+    return values
 
 
 class UCBAgent:
@@ -57,12 +76,7 @@ class UCBAgent:
     # ------------------------------------------------------------------
     def scores(self) -> np.ndarray:
         """Current UCB value of every arm."""
-        values = np.empty(self.n_arms)
-        for arm in range(self.n_arms):
-            values[arm] = ucb_score(
-                float(self.rewards[arm]), int(self.pulls[arm]), self.total_pulls, self.c
-            )
-        return values
+        return ucb_scores(self.rewards, self.pulls, self.total_pulls, self.c)
 
     def select(self, available: np.ndarray | None = None) -> int:
         """Pick the arm with maximal UCB value among ``available`` arms.

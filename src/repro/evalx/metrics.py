@@ -31,6 +31,37 @@ def _as_id_set(ids: IdLike) -> set[int]:
     return set(int(i) for i in np.asarray(ids).ravel())
 
 
+def _as_id_array(ids: IdLike) -> np.ndarray | None:
+    """Sorted, unique int64 ids, or ``None`` when ``ids`` are not integers.
+
+    Sets (which may hold non-integer ids such as a corpus's
+    ``(sequence, frame)`` pairs) and non-integer arrays return ``None``.
+    """
+    array = np.asarray(ids)
+    if array.dtype.kind not in "iu" or not np.can_cast(array.dtype, np.int64):
+        return None
+    array = array.astype(np.int64, copy=False).ravel()
+    if array.size > 1 and not (array[1:] > array[:-1]).all():
+        array = np.unique(array)
+    return array
+
+
+def _id_counts(predicted_ids: IdLike, true_ids: IdLike) -> tuple[int, int, int]:
+    """``(|predicted & truth|, |predicted|, |truth|)`` with set semantics.
+
+    Two integer id arrays are counted on sorted arrays; anything else
+    falls back to Python sets.
+    """
+    predicted = _as_id_array(predicted_ids)
+    truth = _as_id_array(true_ids)
+    if predicted is None or truth is None:
+        predicted_set = _as_id_set(predicted_ids)
+        truth_set = _as_id_set(true_ids)
+        return len(predicted_set & truth_set), len(predicted_set), len(truth_set)
+    true_positive = np.intersect1d(predicted, truth, assume_unique=True).size
+    return int(true_positive), int(predicted.size), int(truth.size)
+
+
 def precision_recall_f1(
     predicted_ids: IdLike, true_ids: IdLike
 ) -> tuple[float, float, float]:
@@ -39,14 +70,13 @@ def precision_recall_f1(
     Follows the paper's conventions: when the true set is empty, any
     prediction is all false positives (precision 0 unless also empty);
     an empty prediction against an empty truth scores a perfect 1.0.
+    Duplicate ids count once, as in a set.
     """
-    predicted = _as_id_set(predicted_ids)
-    truth = _as_id_set(true_ids)
-    if not predicted and not truth:
+    true_positive, n_predicted, n_truth = _id_counts(predicted_ids, true_ids)
+    if not n_predicted and not n_truth:
         return 1.0, 1.0, 1.0
-    true_positive = len(predicted & truth)
-    precision = true_positive / len(predicted) if predicted else 0.0
-    recall = true_positive / len(truth) if truth else 0.0
+    precision = true_positive / n_predicted if n_predicted else 0.0
+    recall = true_positive / n_truth if n_truth else 0.0
     if precision + recall == 0.0:
         return precision, recall, 0.0
     f1 = 2.0 * precision * recall / (precision + recall)

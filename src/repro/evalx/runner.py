@@ -317,7 +317,7 @@ def evaluate_method(
             QueryEvaluation(
                 query_text=query.describe(),
                 kind="retrieval",
-                metric=f1_score(predicted.id_set(), oracle_result.id_set()),
+                metric=f1_score(predicted.frame_ids, oracle_result.frame_ids),
                 oracle_value=float(oracle_result.cardinality),
                 predicted_value=float(predicted.cardinality),
                 selectivity=oracle_result.selectivity,

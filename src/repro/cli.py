@@ -143,17 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="file with one query per line ('#' comments allowed)")
     serve.add_argument("--repeat", type=int, default=2,
                        help="times to replay the batch (>= 2 shows cache hits)")
-    serve.add_argument("--backend", choices=("thread", "process"),
-                       default="thread",
-                       help="serving backend: 'process' routes queries "
-                       "through spawned shard workers behind the "
-                       "coalescing dispatcher")
-    serve.add_argument("--workers", type=int, default=0,
-                       help="process-backend worker count "
-                       "(0 = one per sequence)")
-    serve.add_argument("--wave-size", type=int, default=0,
-                       help="replay the workload in client waves of this "
-                       "many queries (0 = the whole batch at once)")
     serve.add_argument("--show", type=int, default=5,
                        help="print the first N answers (0 for none)")
     serve.add_argument("--corpus", nargs="+", default=None, metavar="SPEC",
@@ -625,43 +614,23 @@ def _cmd_serve_workload(args, out) -> int:
     )
     catalog = _catalog(specs)
     corpus = CorpusPipeline(catalog, config, policy="ucb").fit(model)
-    with CorpusQueryService(
-        corpus,
-        backend=args.backend,
-        workers=args.workers if args.workers > 0 else None,
-    ) as service:
-        scope_note = f" across {len(catalog)} sequences" if args.corpus else ""
-        if args.backend == "process":
-            scope_note += f" ({len(service.pool.workers)} process workers)"
-        wave = max(0, args.wave_size)
-        start = perf_counter()
-        results = []
-        for _ in range(max(1, args.repeat)):
-            if wave and wave < len(queries):
-                results = []
-                for lo in range(0, len(queries), wave):
-                    results.extend(service.execute_batch(queries[lo:lo + wave]))
-            else:
-                results = service.execute_batch(queries)
-        elapsed = perf_counter() - start
+    service = CorpusQueryService(corpus)
+    scope_note = f" across {len(catalog)} sequences" if args.corpus else ""
+    start = perf_counter()
+    results = []
+    for _ in range(max(1, args.repeat)):
+        results = service.execute_batch(queries)
+    elapsed = perf_counter() - start
 
-        n_retrieval = sum(hasattr(r, "cardinality") for r in results)
-        print(
-            f"served {max(1, args.repeat)} x {len(queries)} queries over "
-            f"{catalog.total_frames()} frames{scope_note} in {elapsed:.3f}s "
-            f"({n_retrieval} retrieval / {len(results) - n_retrieval} "
-            "aggregate per batch)",
-            file=out,
-        )
-        print(f"cache: {service.cache_stats().describe()}", file=out)
-        if args.backend == "process":
-            counters = service.dispatcher.counters()
-            print(
-                f"dispatcher: {counters['coalesced']} coalesced / "
-                f"{counters['shed']} shed / "
-                f"{counters['dispatched_batches']} batches dispatched",
-                file=out,
-            )
+    n_retrieval = sum(hasattr(r, "cardinality") for r in results)
+    print(
+        f"served {max(1, args.repeat)} x {len(queries)} queries over "
+        f"{catalog.total_frames()} frames{scope_note} in {elapsed:.3f}s "
+        f"({n_retrieval} retrieval / {len(results) - n_retrieval} "
+        "aggregate per batch)",
+        file=out,
+    )
+    print(f"cache: {service.cache_stats().describe()}", file=out)
     for stage, counters in corpus.merged_ledger().cache_summary().items():
         print(
             f"ledger[{stage}]: {counters['hits']} hits / "

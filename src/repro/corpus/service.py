@@ -15,6 +15,11 @@ shard (answered query by query, or through
 :meth:`QueryService.execute_batch` so each distinct series is computed
 once), and answers reassemble in submission order.
 
+``backend="process"`` answers the same requests from a fleet of worker
+processes (:mod:`repro.serving.mp`) behind an asyncio dispatcher.  That
+tier serves the corpus it was started with: :meth:`extend` and
+:meth:`replan` need the thread backend.
+
 This is the layer clients call, so it owns the request's one scheduling
 point: a request never blocks, and left alone CPython hands the GIL
 between CPU-bound client threads only every 5 ms switch interval, so
@@ -77,9 +82,6 @@ class CorpusQueryService:
         max_cache_entries: int = 512,
         backend: str = "thread",
         workers: int | None = None,
-        store_dir: str | Path | None = None,
-        max_inflight: int = 1024,
-        max_batch: int = 128,
     ) -> None:
         require(
             backend in BACKENDS,
@@ -87,35 +89,22 @@ class CorpusQueryService:
         )
         self._corpus = corpus
         self._max_cache_entries = int(max_cache_entries)
-        self._backend = backend
         self._services = {
             name: QueryService(shard, max_cache_entries=max_cache_entries)
             for name, shard in corpus.shards.items()
         }
         self._pool: ProcessShardPool | None = None
         self._dispatcher: Dispatcher | None = None
-        self._owns_store_dir = False
         self._store_dir: Path | None = None
         if backend == "process":
-            self._start_process_backend(
-                workers, store_dir, max_inflight, max_batch
-            )
+            self._start_process_backend(workers)
 
-    def _start_process_backend(
-        self,
-        workers: int | None,
-        store_dir: str | Path | None,
-        max_inflight: int,
-        max_batch: int,
-    ) -> None:
+    def _start_process_backend(self, workers: int | None) -> None:
         """Export shard detections, spawn workers, stand up the dispatcher.
 
-        The parent stays authoritative: its per-shard services keep
-        billing extensions and re-plans exactly as the thread backend
-        would, while queries route to the worker fleet.  The shared
-        detection-store directory is what makes worker warm-up cost
-        disk reads, not model invocations; afterwards every change
-        reaches the workers as an adopted sampling run.
+        The detections go to a temporary store directory the workers
+        warm from, so warm-up costs disk reads, not model invocations;
+        :meth:`close` removes it.
         """
         from repro.serving.dispatcher import Dispatcher
         from repro.serving.mp import ProcessShardPool, WorkerClient
@@ -125,13 +114,7 @@ class CorpusQueryService:
         names = self.names
         n_workers = int(workers) if workers is not None else len(names)
         require(n_workers >= 1, f"workers must be >= 1, got {n_workers}")
-        if store_dir is None:
-            self._store_dir = Path(
-                tempfile.mkdtemp(prefix="repro-serve-store-")
-            )
-            self._owns_store_dir = True
-        else:
-            self._store_dir = Path(store_dir)
+        self._store_dir = Path(tempfile.mkdtemp(prefix="repro-serve-store-"))
         warmups: dict[str, ShardWarmup] = {}
         for name, shard in corpus.shards.items():
             sampling = shard.sampling_result
@@ -163,14 +146,7 @@ class CorpusQueryService:
             for worker_id, owned in enumerate(assignment)
         ]
         self._pool = ProcessShardPool(clients, names)
-        self._dispatcher = Dispatcher(
-            self._pool, max_inflight=max_inflight, max_batch=max_batch
-        )
-
-    @property
-    def backend(self) -> str:
-        """Active serving backend (``"thread"`` or ``"process"``)."""
-        return self._backend
+        self._dispatcher = Dispatcher(self._pool)
 
     @property
     def dispatcher(self) -> Dispatcher:
@@ -316,30 +292,16 @@ class CorpusQueryService:
         at the next :meth:`replan`.  The catalog entry grows with the
         shard or not at all: it takes the frames only once the shard has
         ingested them, so a detector fault mid-extend leaves both at
-        their old length.
-
-        With the process backend the parent's extend stays authoritative
-        (the model is billed here, once), then the grown
-        :class:`~repro.core.sampler.SamplingResult` and the new frames
-        ship to every replica through
-        :meth:`~repro.serving.mp.ProcessShardPool.adopt`; this method
-        returns only after all replicas ack, so subsequent queries
-        answer from the new epoch.  Workers never sample.
+        their old length.  A process-backed service refuses the call
+        before anything changes.
         """
+        self._require_writable("extend")
         corpus = self._corpus
         extended = corpus.catalog.sequence(name).extended(new_frames)
         self.service(name).extend(
             new_frames, model=model, extended=extended, allocator=corpus.allocator
         )
         corpus.catalog.extend_sequence(name, new_frames)
-        if self._pool is not None:
-            from repro.serving.protocol import materialize_frames
-
-            self.pool.adopt(
-                name,
-                corpus.shard(name).sampling_result,
-                frames=materialize_frames(new_frames),
-            )
         return self
 
     def replan(self, model: DetectionModel, *, exact: bool = False) -> AllocationReport:
@@ -361,11 +323,12 @@ class CorpusQueryService:
         epoch, never a mixture.  Sequences registered since the last plan
         gain a service.  :meth:`extend` and this method both move the
         live sessions, so call them from one writer thread (the
-        streaming service calls both under its ingest lock).
+        streaming service calls both under its ingest lock).  A
+        process-backed service refuses the call before anything changes.
         """
+        self._require_writable("replan")
         corpus = self._corpus
         sessions, allocation = corpus.plan(model) if exact else corpus.spend(model)
-        changed = []
         for name, session in sessions.items():
             sequence = corpus.catalog.sequence(name)
             if name not in self._services:
@@ -384,23 +347,15 @@ class CorpusQueryService:
                 self._services[name].extend(
                     [], model=model, extended=sequence, allocator=corpus.allocator
                 )
-            else:
-                continue
-            changed.append(name)
         corpus.allocation = allocation
-        if self._pool is not None:
-            from repro.serving.mp import ProcessShardPool
-
-            pool = self.pool
-            for name in changed:
-                sampling = corpus.shard(name).sampling_result
-                warmup = None
-                if name not in pool.versions:
-                    warmup = ProcessShardPool.make_warmup(
-                        name, corpus.catalog.sequence(name), sampling
-                    )
-                pool.adopt(name, sampling, warmup)
         return allocation
+
+    def _require_writable(self, call: str) -> None:
+        require(
+            self._pool is None,
+            f"{call} needs backend='thread': the process tier serves "
+            "the corpus it was started with",
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -409,9 +364,8 @@ class CorpusQueryService:
         """Stop the process tier, if any (idempotent).
 
         With the process backend this stops the dispatcher loop, shuts
-        down the worker fleet, and removes the temporary store directory
-        when this service created it; the thread backend owns nothing
-        to release.
+        down the worker fleet, and removes the store directory the
+        workers warmed from; the thread backend owns nothing to release.
         """
         if self._dispatcher is not None:
             self._dispatcher.close()
@@ -419,9 +373,9 @@ class CorpusQueryService:
         if self._pool is not None:
             self._pool.close()
             self._pool = None
-        if self._owns_store_dir and self._store_dir is not None:
+        if self._store_dir is not None:
             shutil.rmtree(self._store_dir, ignore_errors=True)
-            self._owns_store_dir = False
+            self._store_dir = None
 
     def __enter__(self) -> CorpusQueryService:
         return self

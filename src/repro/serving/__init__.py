@@ -6,9 +6,9 @@ predictors, batched workload execution on the caller's thread, and
 incremental cache invalidation when the sequence is extended.
 
 The process tier (:mod:`repro.serving.mp`, :mod:`repro.serving.dispatcher`,
-:mod:`repro.serving.protocol`) moves corpus shards into long-lived
-worker processes behind an asyncio dispatcher with admission control and
-request coalescing; it is imported lazily by
+:mod:`repro.serving.protocol`) serves a fitted corpus read-only
+from long-lived worker processes behind an asyncio dispatcher with
+admission control and request coalescing; it is imported lazily by
 :class:`~repro.corpus.CorpusQueryService` (``backend="process"``) so the
 thread path never pays for it.
 """

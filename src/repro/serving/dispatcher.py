@@ -9,10 +9,10 @@ threads) a thread-safe facade.  Three serving behaviors live here:
   shed immediately with :class:`Overloaded` (an explicit response, never
   an unbounded queue).
 * **Request coalescing** — identical in-flight queries, keyed by
-  ``(shard, version, need-counts, canonical query text)``, share one
+  ``(shard, need-counts, canonical query text)``, share one
   underlying computation; every caller gets the same answer object.
   Fan-out queries coalesce at two levels: the whole query (shard gather
-  + merge shared, keyed by the corpus version vector) and each shard
+  + merge shared) and each shard
   sub-query, so a hot ``IN ALL SEQUENCES`` aggregate shares work with
   concurrent copies of itself and with other fan-outs touching the same
   shards.  Coalesced joiners bypass admission — they add no computation.
@@ -22,11 +22,8 @@ threads) a thread-safe facade.  Three serving behaviors live here:
   round-trips under load without any timer (and therefore without the
   wall clock, per project lint rule RPR002).
 
-Versioning: the pool bumps a shard's version after adopt acks;
-requests admitted under the old version finish against whichever epoch
-their worker held when the batch drained — within the bounded-staleness
-window PR 5 defines — while new arrivals key their coalescing entries
-under the new version and never reuse stale shared answers.
+The pool serves the corpus it was started with, so a query's answer
+depends on its text alone: a coalescing key needs no epoch.
 """
 
 from __future__ import annotations
@@ -105,12 +102,8 @@ class Dispatcher:
         self._started.wait()
         # Loop-confined state (no locks needed: every mutation happens
         # on the dispatcher loop's thread).
-        self._pending: dict[
-            tuple[str, int, bool, str], asyncio.Future[WireResult]
-        ]
-        self._fanout_pending: dict[
-            tuple[str, tuple[int, ...], str, str], asyncio.Task[Any]
-        ]
+        self._pending: dict[tuple[str, bool, str], asyncio.Future[WireResult]]
+        self._fanout_pending: dict[tuple[str, str], asyncio.Task[Any]]
         self._queues: dict[int, asyncio.Queue[_Entry]]
         self._drainers: list[asyncio.Task[None]]
         future = asyncio.run_coroutine_threadsafe(self._setup(), self._loop)
@@ -201,14 +194,13 @@ class Dispatcher:
         self, shard: str, query: Query, *, need_counts: bool
     ) -> asyncio.Future[WireResult]:
         """Coalesce-or-enqueue one shard-bound computation."""
-        version = self._pool.versions[shard]
         # The need-counts flag is part of the identity: a joiner must
         # receive exactly the answer shape it asked for (scoped answers
         # travel value-only; fan-out sub-answers keep their series for
         # the exact Med/Avg merge).  Keying the two shapes separately
         # still lets N identical fan-out sub-queries share one
         # computation, which is where coalescing pays most.
-        key = (shard, version, need_counts, query.describe())
+        key = (shard, need_counts, query.describe())
         pending = self._pending.get(key)
         if pending is not None:
             self._coalesced += 1
@@ -254,12 +246,8 @@ class Dispatcher:
                 )
             )
         # Whole-fan-out coalescing: identical in-flight corpus queries
-        # share the shard gather *and* the merge, keyed by the full
-        # version vector so any shard's invalidation retires the entry.
-        versions = tuple(
-            self._pool.versions[name] for name in self._pool.names
-        )
-        key = ("*", versions, type(scoped.query).__name__, scoped.query.describe())
+        # share the shard gather *and* the merge.
+        key = (type(scoped.query).__name__, scoped.query.describe())
         task = self._fanout_pending.get(key)
         if task is None:
             task = asyncio.get_running_loop().create_task(

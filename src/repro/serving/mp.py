@@ -7,16 +7,16 @@ npz persistence the parent exports before spawning — every sampled-frame
 detection resolves as a disk hit, so standing up a worker bills **zero**
 model invocations (``WorkerReady`` reports the counters that prove it).
 
+The fleet serves the corpus it was started with: no message changes a
+worker's shards after warm-up, so a worker never samples, detects or
+re-indexes.
+
 :class:`ProcessShardPool` spawns the fleet, places shards with
 :func:`~repro.serving.protocol.assign_shards` (replicating shards when
 workers outnumber them), and exposes the parent-side control plane:
-versioned adopt invalidation broadcast to every replica, fleet
-stats, shutdown.  The data plane (query routing, coalescing, admission)
-lives in :mod:`repro.serving.dispatcher`.
-
-Pipes are FIFO per worker, which is the ordering backbone of the
-invalidation protocol: a query request sent after an ``AdoptRequest``
-on the same pipe is always answered by the adopted epoch.
+request ids, replica round-robin, fleet stats, shutdown.  The data plane
+(query routing, coalescing, admission) lives in
+:mod:`repro.serving.dispatcher`.
 """
 
 from __future__ import annotations
@@ -38,8 +38,6 @@ from repro.inference.engine import InferenceEngine
 from repro.inference.store import DetectionStore, load_sampled_detections
 from repro.query.ast import AggregateResult
 from repro.serving.protocol import (
-    AdoptAck,
-    AdoptRequest,
     ExecuteRequest,
     ExecuteResponse,
     ShardStats,
@@ -51,6 +49,7 @@ from repro.serving.protocol import (
     WorkerInit,
     WorkerReady,
     assign_shards,
+    materialize_frames,
     replicas_of,
 )
 from repro.serving.service import QueryService
@@ -124,7 +123,6 @@ def _handle_execute(
     return ExecuteResponse(
         request_id=message.request_id,
         results=_strip_counts(results, message.need_counts, slots),
-        generation=service.generation,
     )
 
 
@@ -167,40 +165,10 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
         try:
             if isinstance(message, ExecuteRequest):
                 conn.send(_handle_execute(services, message))
-            elif isinstance(message, AdoptRequest):
-                service = services.get(message.shard)
-                if service is None:
-                    assert message.warmup is not None
-                    warm = message.warmup
-                    sequence = FrameSequence(
-                        list(warm.frames), fps=warm.fps, name=warm.name
-                    )
-                    pipeline = MASTPipeline(init.config, engine=engine)
-                    pipeline.fit_from_sampling(
-                        sequence, init.model, message.sampling
-                    )
-                    service = QueryService(
-                        pipeline, max_cache_entries=init.max_cache_entries
-                    )
-                    services[message.shard] = service
-                else:
-                    sequence = service.pipeline.sequence
-                    if message.frames:
-                        sequence = sequence.extended(list(message.frames))
-                    service.adopt(sequence, init.model, message.sampling)
-                conn.send(
-                    AdoptAck(
-                        request_id=message.request_id,
-                        shard=message.shard,
-                        version=message.version,
-                        generation=service.generation,
-                    )
-                )
             elif isinstance(message, StatsRequest):
                 shards = {
                     name: ShardStats(
                         cache=service.cache_stats(),
-                        generation=service.generation,
                         n_frames=service.n_frames,
                         invocations=service.ledger.invocations(STAGE_MODEL),
                         query_cache_hits=service.ledger.cache_summary()
@@ -225,11 +193,7 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
                 )
             elif isinstance(message, Shutdown):
                 conn.send(
-                    ExecuteResponse(
-                        request_id=message.request_id,
-                        results=(),
-                        generation=-1,
-                    )
+                    ExecuteResponse(request_id=message.request_id, results=())
                 )
                 break
             else:
@@ -240,7 +204,6 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
                 ExecuteResponse(
                     request_id=int(request_id),
                     results=(),
-                    generation=-1,
                     error=traceback.format_exc(),
                 )
             )
@@ -256,27 +219,20 @@ class WorkerClient:
     """Parent handle on one worker: pipe, response demux, pending futures.
 
     ``request()`` is safe from any thread (sends serialize under
-    ``_send_lock``, which also preserves the FIFO ordering the
-    invalidation protocol relies on); responses resolve each pending
-    :class:`~concurrent.futures.Future` by ``request_id``.
-
-    Two demux modes share that pending map:
-
-    * **reader thread** (standalone pools) — a lazily-started daemon
-      thread blocks in ``recv`` and resolves futures as replies land.
-    * **event loop** (:class:`~repro.serving.dispatcher.Dispatcher`) —
-      :meth:`attach_loop` registers the pipe fd with ``loop.add_reader``
-      so replies are demuxed *on the dispatcher's loop thread*.  On a
-      single-CPU host this saves one GIL handoff per round-trip, which
-      is the dominant cost of a warm-cache request.
+    ``_send_lock``); responses resolve each pending
+    :class:`~concurrent.futures.Future` by ``request_id``.  Replies are
+    demultiplexed on the :class:`~repro.serving.dispatcher.Dispatcher`'s
+    event loop: :meth:`attach_loop` registers the pipe fd with
+    ``loop.add_reader``, which on a single-CPU host saves the GIL handoff
+    a reader thread would cost per round-trip — the dominant cost of a
+    warm-cache request.
 
     Pipe discipline (too directional for a ``# guarded-by:`` registry):
-    every *send* on ``_conn`` serializes under ``_send_lock`` — that
-    FIFO order is the invalidation protocol's backbone — while *reads*
-    have exactly one consumer at a time: the ready-wait in ``__init__``,
-    then either the reader thread or the attached loop's callback.
+    every *send* on ``_conn`` serializes under ``_send_lock``, while
+    *reads* have exactly one consumer at a time: the ready-wait in
+    ``__init__``, then the attached loop's callback.
 
-    # guarded-by: _pending_lock: _pending, _reader, _loop
+    # guarded-by: _pending_lock: _pending, _loop
     """
 
     def __init__(self, worker_id: int, init: WorkerInit) -> None:
@@ -307,7 +263,6 @@ class WorkerClient:
                 f"worker {worker_id} failed to warm up:\n{ready.error}"
             )
         self.ready: WorkerReady = ready
-        self._reader: threading.Thread | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
 
     # ------------------------------------------------------------------
@@ -316,15 +271,10 @@ class WorkerClient:
     def attach_loop(self, loop: asyncio.AbstractEventLoop) -> None:
         """Demux responses on ``loop`` (call from the loop's thread).
 
-        Mutually exclusive with the reader thread: attach before the
-        first standalone :meth:`request` (the dispatcher attaches right
-        after pool construction, before any request can exist).
+        The dispatcher attaches right after pool construction, before any
+        request can exist; :meth:`request` refuses to send before it.
         """
         with self._pending_lock:
-            if self._reader is not None:
-                raise RuntimeError(
-                    f"worker {self.worker_id} already has a reader thread"
-                )
             self._loop = loop
         loop.add_reader(self._conn.fileno(), self._on_readable)
 
@@ -343,15 +293,6 @@ class WorkerClient:
         except (EOFError, OSError):
             self.detach_loop()
             self._fail_pending()
-
-    def _read_loop(self) -> None:
-        while True:
-            try:
-                message = self._conn.recv()
-            except (EOFError, OSError):
-                break
-            self._resolve(message)
-        self._fail_pending()
 
     def _resolve(self, message: Any) -> None:
         request_id = int(getattr(message, "request_id", -1))
@@ -379,19 +320,13 @@ class WorkerClient:
         with self._pending_lock:
             if self._closed:
                 raise ConnectionError(f"worker {self.worker_id} is closed")
-            if self._reader is None and self._loop is None:
-                self._reader = threading.Thread(
-                    target=self._read_loop,
-                    name=f"repro-serve-reader-{self.worker_id}",
-                    daemon=True,
+            if self._loop is None:
+                raise ConnectionError(
+                    f"worker {self.worker_id} has no event loop attached"
                 )
-                self._reader.start()
             self._pending[request_id] = future
-        # Pickle before taking the send lock: serialization may acquire
-        # payload locks (CostLedger.__getstate__ takes its ledger lock),
-        # and doing that under _send_lock adds a cross-object
-        # acquisition-order edge — the runtime witness caught exactly
-        # this when the pickling lived inside Connection.send below.
+        # Pickle before taking the send lock, so it covers the pipe write
+        # alone and no payload's own locks are ever taken under it.
         payload = ForkingPickler.dumps(message)
         try:
             with self._send_lock:
@@ -424,13 +359,11 @@ class WorkerClient:
 
 
 class ProcessShardPool:
-    """A fleet of shard workers plus the versioned control plane.
+    """A fleet of shard workers plus the parent-side control plane.
 
-    ``versions`` is the parent's authoritative per-shard invalidation
-    counter: :meth:`adopt` broadcasts to every replica, waits for all
-    acks, then bumps — so by the time it returns, every
-    worker answers from the new epoch (the synchronous half of PR 5's
-    bounded-staleness story).
+    Placement is fixed at construction: the pool serves the shards it
+    was started with, so ``assignment`` and each shard's replicas never
+    change.
 
     # guarded-by: _id_lock: _next_request_id
     """
@@ -441,7 +374,6 @@ class ProcessShardPool:
         self.workers = workers
         self.names = names
         self.assignment = assign_shards(names, len(workers))
-        self.versions: dict[str, int] = {name: 0 for name in names}
         self._replicas: dict[str, tuple[int, ...]] = {
             name: replicas_of(self.assignment, name) for name in names
         }
@@ -455,8 +387,6 @@ class ProcessShardPool:
     @staticmethod
     def make_warmup(name: str, sequence: FrameSequence, sampling: SamplingResult) -> ShardWarmup:
         """The detection-free warm-up recipe for one fitted shard."""
-        from repro.serving.protocol import materialize_frames
-
         return ShardWarmup(
             name=name,
             frames=materialize_frames(list(sequence)),
@@ -475,10 +405,6 @@ class ProcessShardPool:
             self._next_request_id += 1
             return self._next_request_id
 
-    def replicas(self, shard: str) -> tuple[int, ...]:
-        """Worker ids holding ``shard`` (>= 1 by construction)."""
-        return self._replicas[shard]
-
     def pick_replica(self, shard: str) -> int:
         """Round-robin worker id for one query on ``shard``."""
         owners = self._replicas[shard]
@@ -495,64 +421,6 @@ class ProcessShardPool:
     # ------------------------------------------------------------------
     # Control plane
     # ------------------------------------------------------------------
-    def _broadcast(self, shard: str, make_message: Any) -> list[Any]:
-        futures = []
-        for worker_id in self._replicas[shard]:
-            message = make_message(self.next_request_id())
-            futures.append(self.workers[worker_id].request(message))
-        acks = [future.result() for future in futures]
-        for ack in acks:
-            error = getattr(ack, "error", None)
-            if error is not None:
-                raise RuntimeError(f"shard {shard!r} invalidation failed:\n{error}")
-        return acks
-
-    def adopt(
-        self,
-        shard: str,
-        sampling: SamplingResult,
-        warmup: ShardWarmup | None = None,
-        *,
-        frames: tuple[Any, ...] = (),
-    ) -> int:
-        """Broadcast a versioned sampling adoption; returns the new version.
-
-        Every change the parent makes to a shard — an extend (whose new
-        ``frames`` ride along) or a re-plan — reaches the workers this
-        way, so a worker never samples.  A shard new to the pool
-        (sequence registered since spawn) is placed on the least-loaded
-        worker and shipped its ``warmup``.
-        """
-        if shard not in self._replicas:
-            if warmup is None:
-                raise ValueError(f"new shard {shard!r} needs a warm-up payload")
-            worker_id = min(
-                range(len(self.workers)),
-                key=lambda w: len(self.assignment[w]),
-            )
-            self.assignment[worker_id] = self.assignment[worker_id] + (shard,)
-            self.names = self.names + (shard,)
-            self._replicas[shard] = (worker_id,)
-            self._rr[shard] = 0
-            self.versions[shard] = 0
-        from repro.serving.protocol import wire_sampling
-
-        detached = wire_sampling(sampling)
-        version = self.versions[shard] + 1
-        self._broadcast(
-            shard,
-            lambda request_id: AdoptRequest(
-                request_id=request_id,
-                shard=shard,
-                version=version,
-                sampling=detached,
-                warmup=warmup,
-                frames=frames,
-            ),
-        )
-        self.versions[shard] = version
-        return version
-
     def stats(self) -> list[StatsResponse]:
         """One :class:`StatsResponse` per worker, in worker-id order."""
         futures = [
@@ -569,5 +437,5 @@ class ProcessShardPool:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"ProcessShardPool(workers={len(self.workers)}, "
-            f"shards={list(self.names)}, versions={self.versions})"
+            f"shards={list(self.names)})"
         )

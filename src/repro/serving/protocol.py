@@ -3,11 +3,10 @@
 Every message that crosses a worker pipe is a small frozen dataclass
 defined here, so :mod:`repro.serving.mp` (process side) and
 :mod:`repro.serving.dispatcher` (asyncio side) share one vocabulary and
-``pickle`` does the transport.  Messages correlate by ``request_id``;
-state-changing messages additionally carry the dispatcher's shard
-*version* so staleness is observable end to end (PR 5's bounded
-staleness contract: an answer computed under version ``v`` is consistent
-with the corpus somewhere between the ``v``-th and latest extension).
+``pickle`` does the transport.  Messages correlate by ``request_id``.
+The tier serves the corpus it was started with: after the warm-up
+recipe, only queries, stats requests and the shutdown cross a pipe, and
+none of them changes a worker's state.
 
 The module also owns :func:`assign_shards`, the deterministic shard ->
 worker placement both sides agree on: with at least one worker per
@@ -22,7 +21,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.config import MASTConfig
-from repro.core.sampler import SamplingResult
 from repro.data.frame import PointCloudFrame
 from repro.models.base import DetectionModel
 from repro.query.ast import AggregateResult, RetrievalResult
@@ -35,8 +33,6 @@ __all__ = [
     "WorkerReady",
     "ExecuteRequest",
     "ExecuteResponse",
-    "AdoptRequest",
-    "AdoptAck",
     "StatsRequest",
     "StatsResponse",
     "ShardStats",
@@ -45,30 +41,7 @@ __all__ = [
     "assign_shards",
     "replicas_of",
     "materialize_frames",
-    "wire_sampling",
 ]
-
-
-def wire_sampling(sampling: SamplingResult) -> SamplingResult:
-    """A pickle-safe copy of a sampling run.
-
-    :class:`~repro.utils.timing.CostLedger` carries a thread lock, so
-    the wire copy swaps in a fresh one — workers keep their own ledgers;
-    the parent's stays authoritative for cost accounting.
-    """
-    from repro.utils.timing import CostLedger
-
-    return SamplingResult(
-        sequence_name=sampling.sequence_name,
-        n_frames=sampling.n_frames,
-        timestamps=sampling.timestamps,
-        budget=sampling.budget,
-        sampled_ids=sampling.sampled_ids,
-        detections=dict(sampling.detections),
-        rewards=list(sampling.rewards),
-        ledger=CostLedger(),
-        policy_info=dict(sampling.policy_info),
-    )
 
 #: What a worker sends back per query slot.
 WireResult = RetrievalResult | AggregateResult
@@ -162,36 +135,6 @@ class ExecuteRequest:
 class ExecuteResponse:
     request_id: int
     results: tuple[WireResult, ...]
-    generation: int
-    error: str | None = None
-
-
-@dataclass(frozen=True)
-class AdoptRequest:
-    """Versioned invalidation: install the parent's sampling run.
-
-    Carries the full :class:`~repro.core.sampler.SamplingResult`
-    (detections included — a re-plan may sample anywhere, so the store
-    round-trip would buy nothing).  ``frames`` are the frames an extend
-    appended to the shard's sequence, which the sampling run already
-    covers.  ``warmup`` is set when the shard is new to this worker (a
-    sequence registered since the last plan).
-    """
-
-    request_id: int
-    shard: str
-    version: int
-    sampling: SamplingResult
-    warmup: ShardWarmup | None = None
-    frames: tuple[PointCloudFrame, ...] = ()
-
-
-@dataclass(frozen=True)
-class AdoptAck:
-    request_id: int
-    shard: str
-    version: int
-    generation: int
     error: str | None = None
 
 
@@ -200,7 +143,6 @@ class ShardStats:
     """Per-shard serving counters snapshotted inside one worker."""
 
     cache: CacheStats
-    generation: int
     n_frames: int
     invocations: int
     query_cache_hits: int

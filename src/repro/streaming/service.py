@@ -174,8 +174,6 @@ class StreamingCorpusService:
         replan_every: int = 32,
         max_cache_entries: int = 512,
         detection_store: DetectionStore | None = None,
-        backend: str = "thread",
-        serving_workers: int | None = None,
     ) -> None:
         require(max_lag_frames >= 0, "max_lag_frames must be >= 0")
         require(replan_every >= 1, "replan_every must be >= 1")
@@ -203,14 +201,8 @@ class StreamingCorpusService:
             detection_store=self.store,
         )
         self._corpus.fit(model)
-        # Serving backend pass-through: ``backend="process"`` moves
-        # query answering into the sharded worker fleet while ingest
-        # stays parent-side (flushes broadcast versioned invalidations).
         self._service = CorpusQueryService(
-            self._corpus,
-            max_cache_entries=max_cache_entries,
-            backend=backend,
-            workers=serving_workers,
+            self._corpus, max_cache_entries=max_cache_entries
         )
 
         self._ingest_lock = threading.Lock()
@@ -555,7 +547,7 @@ class StreamingCorpusService:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Stop the serving process tier, if any."""
+        """Close the in-thread query service (it holds nothing to release)."""
         self._service.close()
 
     def __enter__(self) -> StreamingCorpusService:

@@ -1,11 +1,10 @@
 """Shared fixtures for the process-serving tests.
 
 Spawning a worker costs a fresh interpreter plus a numpy import, so the
-fitted corpus and its process-backed service are **package-scoped** and
-the tests that share them are read-only (coalescing counters only ever
-move forward; every assertion is a delta).  Tests that mutate corpus
-state — extend, re-plan, streaming ingest — build their own short-lived
-service instead.
+fitted corpus and its process-backed service are **package-scoped**.
+Sharing them is safe because the tier is read-only: it serves the corpus
+it was started with, and coalescing counters only ever move forward
+(every assertion is a delta).
 """
 
 from __future__ import annotations

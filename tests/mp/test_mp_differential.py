@@ -4,8 +4,8 @@ Bit-identity is the contract, not approximation: the worker processes
 rebuild each shard from the same sampling result over the same store,
 run the same provider code, and the parent merges fan-outs with the
 same exact merge — so every answer must match the serial reference to
-the last bit, including after an incremental extend and while a
-streaming source drip-feeds frames through versioned invalidations.
+the last bit.  The tier has no write path: ``extend`` and ``replan``
+are refused.
 """
 
 from __future__ import annotations
@@ -14,13 +14,7 @@ import numpy as np
 import pytest
 
 from repro.corpus import CorpusQueryService
-from repro.query import parse_query
 from repro.simulation import semantickitti_like
-from repro.streaming import (
-    ArrivalSchedule,
-    ScheduledFrameSource,
-    StreamingCorpusService,
-)
 
 
 def mixed_workload(names: tuple[str, ...]) -> list[str]:
@@ -74,95 +68,20 @@ class TestMixedWorkload:
             mp_service.execute("SELECT AVG OF COUNT(Car) IN SEQUENCE nope")
 
 
-class TestExtendInvalidation:
-    def test_answers_track_extend(self, mp_config, mp_model):
-        """A versioned extend retires every stale coalescing entry: the
-        fleet answers from the new epoch as soon as extend() returns."""
-        from repro.corpus import CorpusPipeline, SequenceCatalog, SequenceSpec
-
-        catalog = SequenceCatalog()
-        catalog.register(SequenceSpec("semantickitti", 0, n_frames=60))
-        catalog.register(SequenceSpec("once", 0, n_frames=48))
-        with CorpusPipeline(catalog, mp_config, policy="uniform") as corpus:
-            corpus.fit(mp_model)
-            with CorpusQueryService(
-                corpus, backend="process", workers=2
-            ) as service:
-                name = corpus.names[0]
-                other = corpus.names[1]
-                text = f"SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1 IN SEQUENCE {name}"
-                fan_out = "SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1"
-                before = service.execute(text).n_frames
-                stale_fan_out = service.execute(fan_out)
-
-                full = semantickitti_like(0, n_frames=72, with_points=False)
-                tail = list(full)[60:]
-                service.extend(name, tail, model=mp_model)
-
-                assert service.pool.versions[name] == 1
-                after = service.execute(text)
-                assert after.n_frames == before + len(tail)
-                # Bit-identical to the parent's post-extend answer.
-                want = corpus.shard(name).query(
-                    parse_query("SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1")
-                )
-                assert np.array_equal(after.frame_ids, want.frame_ids)
-                # The fan-out keys on the version vector, so the stale
-                # shared answer is never reused.
-                fresh = service.execute(fan_out)
-                assert fresh.n_frames == stale_fan_out.n_frames + len(tail)
-                assert (
-                    fresh.by_sequence[other].n_frames
-                    == stale_fan_out.by_sequence[other].n_frames
-                )
-
-
-class TestStreamingIngest:
-    def test_process_backend_tracks_drip_feed(self, config):
-        """Under 1-frame streaming ingest every flush broadcasts a
-        versioned invalidation; each post-pump answer must equal the
-        parent corpus's serial answer for the same epoch."""
-        from repro.models import pv_rcnn
-
-        model = pv_rcnn(seed=5)
-        sequence = semantickitti_like(0, n_frames=36, with_points=False)
-        source = ScheduledFrameSource(
-            [sequence],
-            initial_frames=30,
-            schedule=ArrivalSchedule(rate=10.0, batch_frames=1),
-            seed=3,
-        )
-        with StreamingCorpusService(
-            source,
-            model,
-            config,
-            max_lag_frames=0,
-            replan_every=10_000,  # no epoch inside the drip window
-            backend="process",
-            serving_workers=1,
-        ) as service:
-            name = service.names[0]
-            scoped_text = (
-                f"SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1 "
-                f"IN SEQUENCE {name}"
-            )
-            fan_out_text = "SELECT AVG OF COUNT(Car)"
-            while service.pump(max_events=1):
-                answer = service.execute(scoped_text)
-                assert answer.staleness[name] == 0
-                want = service._corpus.query(scoped_text)
-                assert np.array_equal(
-                    answer.result.frame_ids, want.frame_ids
-                )
-                aggregate = service.execute(fan_out_text)
-                assert (
-                    aggregate.result.value
-                    == service._corpus.query(fan_out_text).value
-                )
-            assert service.watermarks()[name] == 36
-            # quiesce() re-plans: the fleet adopts the new sampling via
-            # versioned AdoptRequests and must keep answering correctly.
-            service.quiesce()
-            answer = service.execute(scoped_text)
-            want = service._corpus.query(scoped_text)
-            assert np.array_equal(answer.result.frame_ids, want.frame_ids)
+class TestReadOnly:
+    def test_extend_and_replan_are_refused(self, mp_service, mp_corpus, mp_model):
+        """The tier serves the corpus it was started with: a write is
+        refused before it touches the catalog, a shard or the ledger."""
+        name = mp_service.names[0]
+        frames = len(mp_corpus.catalog.sequence(name))
+        invocations = mp_corpus.merged_ledger().invocations("deep_model")
+        text = f"SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1 IN SEQUENCE {name}"
+        before = mp_service.execute(text)
+        tail = list(semantickitti_like(0, n_frames=frames + 12, with_points=False))[frames:]
+        with pytest.raises(ValueError, match="extend needs backend='thread'"):
+            mp_service.extend(name, tail, model=mp_model)
+        with pytest.raises(ValueError, match="replan needs backend='thread'"):
+            mp_service.replan(mp_model)
+        assert len(mp_corpus.catalog.sequence(name)) == frames
+        assert mp_corpus.merged_ledger().invocations("deep_model") == invocations
+        assert np.array_equal(mp_service.execute(text).frame_ids, before.frame_ids)

@@ -103,9 +103,3 @@ class TestWarmup:
             for stats in response.shards.values():
                 assert stats.invocations == 0
                 assert stats.n_frames > 0
-                assert stats.generation >= 0
-
-    def test_versions_start_at_zero(self, mp_service):
-        assert all(
-            version == 0 for version in mp_service.pool.versions.values()
-        )

@@ -178,11 +178,10 @@ FLOW_DEFAULTS = {
         "frames": 1000, "model": "pv_rcnn", "seed": 1, "sequence_index": 0,
     }),
     (["serve-workload"], {
-        "command": "serve-workload", "backend": "thread", "budget": 0.1,
+        "command": "serve-workload", "budget": 0.1,
         "corpus": None, "dataset": "semantickitti", "frames": 600,
         "model": "pv_rcnn", "queries": 50, "repeat": 2, "seed": 1,
-        "sequence_index": 0, "show": 5, "wave_size": 0, "workers": 0,
-        "workload": None,
+        "sequence_index": 0, "show": 5, "workload": None,
     }),
     (["corpus", "--sequences", "once"], {
         "command": "corpus", "budget": 0.1, "model": "pv_rcnn", "policy": "ucb",

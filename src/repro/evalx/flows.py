@@ -15,6 +15,12 @@ re-expressed here as :class:`~repro.flow.Flow` graphs of pure steps:
   returns, **bit-identically** (pinned by :func:`experiment_digest`,
   which excludes only measured wall-clock by construction).
 
+The report assemblies (``report:<budget>``, ``corpus-report``) are
+``cache=False`` like the builders: they only bundle values their
+upstream steps already checkpointed, so storing them would save, load
+and re-verify every method report twice.  A resume rebuilds them from
+the verified upstream values.
+
 The corpus flow mirrors :func:`run_corpus_experiment` with one twist:
 the shared in-memory detection store becomes a *persistent* store under
 the run's checkpoint directory (``ctx.store_dir``), so a crash between
@@ -262,6 +268,7 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
                 _report_step,
                 name=f"report:{label}",
                 deps={"truth": "oracle", "methods": tuple(method_steps)},
+                cache=False,
             )
         )
     flow.add(
@@ -411,6 +418,7 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
         _corpus_report_step,
         name="corpus-report",
         deps={"truth": "corpus-oracle", "policies": tuple(policy_steps)},
+        cache=False,
     )
     return flow
 

@@ -47,7 +47,8 @@ class StepSpec:
 
     ``cache=False`` marks a step that is cheap and deterministic enough
     to recompute on every run (sequence simulation, workload
-    generation); it is never written to the checkpoint store, and its
+    generation, assembling a report from checkpointed upstream values);
+    it is never written to the checkpoint store, and its
     fingerprint is its checkpoint key itself, asserting "same inputs,
     same output" instead of hashing a value nobody stores.  A cached
     step's fingerprint is the digest of its saved value, so downstream

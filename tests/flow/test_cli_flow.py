@@ -45,8 +45,9 @@ class TestRun:
         ckpt, first = completed_run
         status, second = run_flow("run", "experiment", ckpt=ckpt)
         assert status == 0
-        # Everything cacheable replayed; digests unchanged.
-        assert "5 replayed from checkpoints" in second
+        # Everything cacheable replayed (the report assembly is rebuilt
+        # from replayed values); digests unchanged.
+        assert "3 steps executed, 4 replayed from checkpoints" in second
         assert first.splitlines()[-1] == second.splitlines()[-1]
 
     def test_interrupt_after_exits_3(self, tmp_path):

@@ -9,6 +9,15 @@ wholesale, :meth:`CountSeriesCache.invalidate_tail` truncates each
 series to the prefix the extension provably left unchanged, so the next
 lookup only recomputes the tail region.
 
+An entry also holds the answers evaluated from its series
+(:meth:`CountSeriesCache.remember`), so a query repeated within one
+generation is one hit that also returns its answer
+(:meth:`CountSeriesCache.lookup_answer`).  An answer lives and dies with
+its entry: eviction, a ``put`` over the key, ``invalidate_tail``,
+``bump`` and ``clear`` all replace or drop the entry, so no answer can
+outlive the series it came from.  The entry bound also caps the answers
+cache-wide, the least recently used shed first.
+
 All operations are guarded by one lock and stored arrays are read-only
 copies, so concurrent readers can never observe a torn series and
 :class:`CacheStats` counters are exact.
@@ -16,9 +25,12 @@ copies, so concurrent readers can never observe a torn series and
 
 from __future__ import annotations
 
+import itertools
 import threading
 from collections import OrderedDict
+from collections.abc import Hashable
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -93,12 +105,14 @@ class CacheStats:
 
 
 class _Entry:
-    __slots__ = ("series", "generation", "complete")
+    __slots__ = ("series", "generation", "complete", "answers")
 
     def __init__(self, series: np.ndarray, generation: int, complete: bool) -> None:
         self.series = series
         self.generation = generation
         self.complete = complete
+        #: Answer key -> ``(answer, bytes it keeps beside the series, its id)``.
+        self.answers: dict[Hashable, tuple[Any, int, int]] = {}
 
 
 class CountSeriesCache:
@@ -108,9 +122,10 @@ class CountSeriesCache:
     recently used entry is evicted first.  Every stored array is a
     read-only copy owned by the cache — providers keep no series of
     their own, so these entries are the only count-series state of a
-    served shard — and safe to hand to concurrent readers.
+    served shard — and safe to hand to concurrent readers.  The same
+    bound caps the answers memoized on the entries, cache-wide.
 
-    # guarded-by: _lock: _entries, _generation, _bytes
+    # guarded-by: _lock: _entries, _generation, _bytes, _answer_order, _answer_ids
     # guarded-by: _lock: _hits, _misses, _partial_hits, _evictions, _invalidations
     """
 
@@ -119,6 +134,10 @@ class CountSeriesCache:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = int(max_entries)
         self._entries: OrderedDict[CacheKey, _Entry] = OrderedDict()
+        #: Answer id -> ``(key, answer_key)`` of every memoized answer, least
+        #: recently used first (ids, not keys, so bookkeeping hashes an int).
+        self._answer_order: OrderedDict[int, tuple[CacheKey, Hashable]] = OrderedDict()
+        self._answer_ids = itertools.count()
         self._lock = threading.Lock()
         self._generation = 0
         self._bytes = 0
@@ -142,17 +161,33 @@ class CountSeriesCache:
         returned when the entry belongs to a different generation, so a
         reader racing an ``extend()`` never sees the other epoch's data).
         """
+        series, prefix, _ = self.lookup_answer(key, generation, None)
+        return series, prefix
+
+    def lookup_answer(
+        self, key: CacheKey, generation: int, answer_key: Hashable
+    ) -> tuple[np.ndarray | None, np.ndarray | None, Any]:
+        """:meth:`lookup`, plus the answer memoized as ``answer_key``.
+
+        The answer (``None`` if there is none) is read after the series
+        lookup, in the same critical section, and only on a complete
+        hit; it counts nothing beyond the lookup itself.
+        """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None or entry.generation != generation:
                 self._misses += 1
-                return None, None
+                return None, None, None
             self._entries.move_to_end(key)
-            if entry.complete:
-                self._hits += 1
-                return entry.series, None
-            self._partial_hits += 1
-            return None, entry.series
+            if not entry.complete:
+                self._partial_hits += 1
+                return None, entry.series, None
+            self._hits += 1
+            memo = entry.answers.get(answer_key) if entry.answers else None
+            if memo is None:
+                return entry.series, None, None
+            self._answer_order.move_to_end(memo[2])
+            return entry.series, None, memo[0]
 
     def put(
         self,
@@ -161,22 +196,66 @@ class CountSeriesCache:
         generation: int,
         *,
         complete: bool = True,
-    ) -> None:
-        """Store ``series`` for ``key``; drops writes from stale generations."""
+    ) -> np.ndarray:
+        """Store ``series`` for ``key``; drops writes from stale generations.
+
+        Returns the read-only copy the cache keeps (also when the write
+        is dropped), so a caller hands out the cache's array.
+        """
         stored = np.array(series, dtype=float, copy=True)
         stored.setflags(write=False)
         with self._lock:
             if generation != self._generation:
-                return
+                return stored
             previous = self._entries.pop(key, None)
             if previous is not None:
-                self._bytes -= previous.series.nbytes
+                self._drop(key, previous)
             self._entries[key] = _Entry(stored, generation, complete)
             self._bytes += stored.nbytes
             while len(self._entries) > self.max_entries:
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.series.nbytes
+                evicted_key, evicted = self._entries.popitem(last=False)
+                self._drop(evicted_key, evicted)
                 self._evictions += 1
+        return stored
+
+    def _drop(self, key: CacheKey, entry: _Entry) -> None:  # repro: locked[_lock]
+        """Account for ``entry`` and its answers leaving the cache."""
+        self._bytes -= entry.series.nbytes
+        for _, nbytes, answer_id in entry.answers.values():
+            del self._answer_order[answer_id]
+            self._bytes -= nbytes
+
+    # ------------------------------------------------------------------
+    # Answers
+    # ------------------------------------------------------------------
+    def remember(
+        self,
+        key: CacheKey,
+        generation: int,
+        answer_key: Hashable,
+        answer: Any,
+        nbytes: int = 0,
+    ) -> None:
+        """Memoize ``answer``, evaluated from ``key``'s series at ``generation``.
+
+        Every later reader shares ``answer``, so its arrays must be
+        read-only.  ``nbytes`` is what it keeps alive beside the series
+        and counts toward ``bytes``.  Nothing is kept unless ``key`` has
+        a complete entry of ``generation``; past ``max_entries`` answers
+        cache-wide, the least recently used is shed.
+        """
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None or entry.generation != generation or not entry.complete:
+                return
+            memo = (answer, nbytes, next(self._answer_ids))
+            if entry.answers.setdefault(answer_key, memo) is not memo:
+                return
+            self._answer_order[memo[2]] = (key, answer_key)
+            self._bytes += nbytes
+            while len(self._answer_order) > self.max_entries:
+                _, (shed_key, shed_answer) = self._answer_order.popitem(last=False)
+                self._bytes -= self._entries[shed_key].answers.pop(shed_answer)[1]
 
     # ------------------------------------------------------------------
     # Invalidation
@@ -187,27 +266,29 @@ class CountSeriesCache:
         Entries become incomplete prefix entries of the new generation
         (their tail region must be recomputed on next use); with
         ``boundary < 0`` nothing is reusable and all entries are
-        dropped.  Each touched entry counts as one invalidation.  A
-        shortened entry stores a compact copy of its prefix, so the
-        dropped tail is freed and ``bytes`` stays what the cache keeps
-        alive.
+        dropped.  Each touched entry counts as one invalidation and
+        loses its answers.  A shortened entry stores a compact copy of
+        its prefix, so the dropped tail is freed and ``bytes`` stays what
+        the cache keeps alive.
         """
         with self._lock:
             self._generation = int(generation)
+            self._answer_order.clear()
             if boundary < 0:
                 self._invalidations += len(self._entries)
                 self._entries.clear()
                 self._bytes = 0
                 return
             keep = boundary + 1
+            self._bytes = 0
             for key, entry in list(self._entries.items()):
                 self._invalidations += 1
                 prefix = entry.series
                 if len(prefix) > keep:
                     prefix = prefix[:keep].copy()
                     prefix.setflags(write=False)
-                    self._bytes -= entry.series.nbytes - prefix.nbytes
                 self._entries[key] = _Entry(prefix, self._generation, False)
+                self._bytes += prefix.nbytes
 
     def bump(self) -> int:
         """Advance one generation with nothing reusable; return it.
@@ -222,6 +303,7 @@ class CountSeriesCache:
             self._generation += 1
             self._invalidations += len(self._entries)
             self._entries.clear()
+            self._answer_order.clear()
             self._bytes = 0
             return self._generation
 
@@ -230,6 +312,7 @@ class CountSeriesCache:
         with self._lock:
             self._evictions += len(self._entries)
             self._entries.clear()
+            self._answer_order.clear()
             self._bytes = 0
 
     # ------------------------------------------------------------------

@@ -7,6 +7,13 @@ clients:
   fronts the ST and linear providers and is the only place a served
   shard keeps count series (floored-linear retrieval floors the
   continuous linear series at evaluation time, so it shares entries);
+* a single-filter query's answer is kept on its series' cache entry,
+  keyed by ``(kind, query)``: a repeat within the same generation is the
+  series lookup it always made, which now also returns the answer, not a
+  mask and a ``nonzero``; the answer dies with the entry, so no
+  ``extend`` / ``adopt`` can serve it stale.
+  Served answers are shared, so their arrays are read-only.  Compound
+  retrievals evaluate every time;
 * :meth:`execute_batch` parses a workload up front, computes each
   distinct count series exactly once via the providers' batched
   ``count_series_many`` kernels, then answers the queries in order
@@ -45,7 +52,7 @@ from repro.core.sampler import AdaptiveSamplingSession, SamplingResult
 from repro.data.frame import PointCloudFrame
 from repro.data.sequence import FrameSequence
 from repro.models.base import DetectionModel
-from repro.query.ast import AggregateResult, RetrievalResult
+from repro.query.ast import AggregateResult, CompoundRetrievalQuery, RetrievalResult
 from repro.query.engine import evaluate_query
 from repro.query.parser import parse_query
 from repro.query.predicates import ObjectFilter
@@ -57,6 +64,20 @@ if TYPE_CHECKING:
     from repro.corpus.allocator import BudgetAllocator
 
 __all__ = ["QueryService"]
+
+
+def _freeze(answer: RetrievalResult | AggregateResult) -> int:
+    """Make ``answer``'s arrays read-only; return the bytes beside its series.
+
+    An aggregate's ``counts`` is the cache's own series, a retrieval's
+    ``frame_ids`` an array of its own.
+    """
+    if isinstance(answer, RetrievalResult):
+        answer.frame_ids.setflags(write=False)
+        return answer.frame_ids.nbytes
+    assert answer.counts is not None
+    answer.counts.setflags(write=False)
+    return 0
 
 
 @dataclass(frozen=True)
@@ -141,16 +162,34 @@ class QueryService:
     ) -> list[np.ndarray]:
         """The (unfloored) series of distinct ``filters`` under one provider kind.
 
-        One cache lookup per filter, in order; what misses is computed by
-        one ``count_series_many`` call per start frame (0, or the length
-        of a prefix an ``extend`` left) and put back prefixes first.
+        One cache lookup per filter, in order; what misses is completed
+        by :meth:`_complete`.
         """
         series: list = []
-        by_start: dict[int, list[tuple[int, np.ndarray | None]]] = {}
-        for position, object_filter in enumerate(filters):
+        prefixes: list = []
+        for object_filter in filters:
             cached, prefix = self.cache.lookup((kind, object_filter), state.generation)
             self.ledger.record_cache(STAGE_QUERY, hit=cached is not None)
             series.append(cached)
+            prefixes.append(prefix)
+        return self._complete(state, kind, filters, series, prefixes)
+
+    def _complete(
+        self,
+        state: _ServiceState,
+        kind: str,
+        filters: list[ObjectFilter],
+        series: list,
+        prefixes: list,
+    ) -> list[np.ndarray]:
+        """Fill the missed (``None``) ``series`` of ``filters`` and cache them.
+
+        One ``count_series_many`` call per start frame (0, or the length
+        of a ``prefixes`` entry an ``extend`` left); the results are put
+        back prefixes first, and the cache's read-only copies returned.
+        """
+        by_start: dict[int, list[tuple[int, np.ndarray | None]]] = {}
+        for position, (cached, prefix) in enumerate(zip(series, prefixes)):
             if cached is None:
                 start = len(prefix) if prefix is not None and len(prefix) < state.n_frames else 0
                 by_start.setdefault(start, []).append((position, prefix))
@@ -164,7 +203,9 @@ class QueryService:
                 series[position] = np.concatenate([prefix, tail]) if start else tail
         completed = sorted(p for start, missing in by_start.items() if start for p, _ in missing)
         for position in completed + [p for p, _ in by_start.get(0, [])]:
-            self.cache.put((kind, filters[position]), series[position], state.generation)
+            series[position] = self.cache.put(
+                (kind, filters[position]), series[position], state.generation
+            )
         return series
 
     # ------------------------------------------------------------------
@@ -190,7 +231,8 @@ class QueryService:
         self, state: _ServiceState, query: Query
     ) -> RetrievalResult | AggregateResult:
         kind = predictor_kind(self._pipeline.config, query)
-        provider = state.provider(base_kind(kind))
+        series_kind = base_kind(kind)
+        provider = state.provider(series_kind)
         ledger = self.ledger
         with ledger.measure(STAGE_QUERY):
             ledger.charge(
@@ -198,11 +240,28 @@ class QueryService:
                 provider.simulated_query_cost_per_frame * state.n_frames,
                 count=0,
             )
-            return evaluate_query(
-                query,
-                lambda object_filter: self._resolve(state, kind, object_filter),
-                state.n_frames,
+            if isinstance(query, CompoundRetrievalQuery):
+                return evaluate_query(
+                    query,
+                    lambda object_filter: self._resolve(state, kind, object_filter),
+                    state.n_frames,
+                )
+            # A single-filter answer is memoized on its series' entry.
+            key = (series_kind, query.object_filter)
+            cached, prefix, answer = self.cache.lookup_answer(
+                key, state.generation, (kind, query)
             )
+            ledger.record_cache(STAGE_QUERY, hit=cached is not None)
+            if answer is not None:
+                return answer
+            (series,) = self._complete(
+                state, series_kind, [query.object_filter], [cached], [prefix]
+            )
+            if kind == "linear_floor":
+                series = np.floor(series)
+            answer = evaluate_query(query, lambda _: series, state.n_frames)
+            self.cache.remember(key, state.generation, (kind, query), answer, _freeze(answer))
+            return answer
 
     def execute_batch(
         self, queries: Iterable[str | Query]

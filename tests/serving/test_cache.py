@@ -149,6 +149,76 @@ class TestInvalidation:
         assert len(series) == 12
 
 
+class TestAnswers:
+    def test_a_remembered_answer_comes_with_its_series_lookup(self):
+        cache = CountSeriesCache()
+        key = _key(1.0)
+        cache.put(key, _series(10), 0)
+        series, prefix, answer = cache.lookup_answer(key, 0, "q")
+        assert (prefix, answer) == (None, None)
+        cache.remember(key, 0, "q", "answer", nbytes=24)
+        before = cache.stats()
+        hit, prefix, answer = cache.lookup_answer(key, 0, "q")
+        assert (hit is series, prefix, answer) == (True, None, "answer")
+        hit, prefix = cache.lookup(key, 0)
+        assert (hit is series, prefix) == (True, None)
+        after = cache.stats()
+        assert (after.hits, after.misses) == (before.hits + 2, before.misses)
+        assert after.bytes == _series(10).nbytes + 24
+
+    def test_only_a_complete_entry_of_the_generation_keeps_answers(self):
+        cache = CountSeriesCache()
+        key = _key(1.0)
+        cache.remember(key, 0, "q", "no entry")
+        cache.put(key, _series(10), 0)
+        cache.remember(key, 1, "q", "stale generation")
+        cache.invalidate_tail(3, 1)
+        cache.remember(key, 1, "q", "prefix entry")
+        series, prefix, answer = cache.lookup_answer(key, 1, "q")
+        assert series is None and answer is None and len(prefix) == 4
+        cache.put(key, _series(12), 1)
+        assert cache.lookup_answer(key, 1, "q")[2] is None
+        assert cache.stats().bytes == _series(12).nbytes
+
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda cache, key: cache.put(key, _series(10), 0),
+            lambda cache, key: cache.put(_key(2.0), _series(10), 0),
+            lambda cache, key: cache.invalidate_tail(9, 0),
+            lambda cache, key: cache.bump(),
+            lambda cache, key: cache.clear(),
+        ],
+        ids=["put-over", "evicted", "invalidate-tail", "bump", "clear"],
+    )
+    def test_answers_die_with_their_entry(self, drop):
+        cache = CountSeriesCache(max_entries=1)
+        key = _key(1.0)
+        cache.put(key, _series(10), 0)
+        cache.remember(key, 0, "q", "answer", nbytes=8)
+        drop(cache, key)
+        for generation in (0, 1):
+            assert cache.lookup_answer(key, generation, "q")[2] is None
+        assert not cache._answer_order
+        stored = sum(entry.series.nbytes for entry in cache._entries.values())
+        assert cache.stats().bytes == stored
+
+    def test_answers_are_capped_cache_wide_least_recent_first(self):
+        cache = CountSeriesCache(max_entries=2)
+        first, second = _key(1.0), _key(2.0)
+        cache.put(first, _series(4), 0)
+        cache.put(second, _series(4), 0)
+        cache.remember(first, 0, "a", "A", nbytes=1)
+        cache.remember(second, 0, "b", "B", nbytes=2)
+        assert cache.lookup_answer(first, 0, "a")[2] == "A"  # `b` is now least recent
+        cache.remember(first, 0, "c", "C", nbytes=4)
+        assert cache.lookup_answer(second, 0, "b")[2] is None
+        assert cache.lookup_answer(first, 0, "a")[2] == "A"
+        assert cache.lookup_answer(first, 0, "c")[2] == "C"
+        assert cache.stats().bytes == 2 * _series(4).nbytes + 1 + 4
+        assert cache.stats().evictions == 0
+
+
 class TestStats:
     def test_monotone_counters_snapshot(self):
         cache = CountSeriesCache(max_entries=1)

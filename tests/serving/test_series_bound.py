@@ -1,8 +1,9 @@
-"""``max_cache_entries`` bounds the count series a served shard keeps.
+"""``max_cache_entries`` bounds the count series and answers a served shard keeps.
 
 Providers compute and keep nothing, so once the cache is full, serving
-more distinct filters leaves the number of arrays reachable from the
-service — its cache, pipeline, index and providers — where it was.
+more distinct filters — or more distinct count predicates over one
+filter, each a memoized answer — leaves the number of arrays reachable
+from the service (its cache, pipeline, index and providers) where it was.
 """
 
 from __future__ import annotations
@@ -49,27 +50,36 @@ def _filters(n: int) -> list[str]:
     ]
 
 
-TEMPLATES = {
-    "st": "SELECT FRAMES WHERE COUNT({}) >= 1",
-    "linear": "SELECT AVG OF COUNT({})",
+def _predicates(n: int) -> list[str]:
+    """``n`` distinct count predicates: four operators times ``n / 4`` thresholds."""
+    return [f"{('>=', '<=', '>', '<')[i % 4]} {i // 4}" for i in range(n)]
+
+
+#: Input name -> ``4 * MAX_ENTRIES`` query texts.
+INPUTS = {
+    "st": [f"SELECT FRAMES WHERE COUNT({f}) >= 1" for f in _filters(4 * MAX_ENTRIES)],
+    "linear": [f"SELECT AVG OF COUNT({f})" for f in _filters(4 * MAX_ENTRIES)],
+    "predicates": [
+        f"SELECT FRAMES WHERE COUNT(Car DIST <= 20) {p}" for p in _predicates(4 * MAX_ENTRIES)
+    ],
 }
 
 
-@pytest.mark.parametrize("kind", ["st", "linear"])
-def test_distinct_filters_grow_nothing_but_the_bounded_cache(kitti_pipeline, kind):
-    queries = [
-        parse_query(TEMPLATES[kind].format(object_filter))
-        for object_filter in _filters(4 * MAX_ENTRIES)
-    ]
+@pytest.mark.parametrize("name", sorted(INPUTS))
+def test_distinct_filters_grow_nothing_but_the_bounded_cache(kitti_pipeline, name):
+    queries = [parse_query(text) for text in INPUTS[name]]
+    assert len(set(queries)) == 4 * MAX_ENTRIES
+    n_filters = len({query.object_filter for query in queries})
     quarters = [queries[i : i + MAX_ENTRIES] for i in range(0, len(queries), MAX_ENTRIES)]
     service = QueryService(kitti_pipeline, max_cache_entries=MAX_ENTRIES)
 
     empty = _reachable_arrays(service)
     service.execute_batch(quarters[0])
     full = _reachable_arrays(service)
-    assert len(service.cache) == MAX_ENTRIES
+    entries = min(n_filters, MAX_ENTRIES)
+    assert len(service.cache) == entries
     # The cache's entries, plus the tile index the first region query built.
-    assert full >= empty + MAX_ENTRIES
+    assert full >= empty + entries
 
     service.execute_batch(quarters[1])
     for query in quarters[2]:
@@ -78,7 +88,7 @@ def test_distinct_filters_grow_nothing_but_the_bounded_cache(kitti_pipeline, kin
         service.execute_batch(quarters[3][start : start + 4])
 
     stats = service.cache_stats()
-    assert stats.misses == 4 * MAX_ENTRIES
-    assert stats.evictions == 3 * MAX_ENTRIES
-    assert stats.entries == MAX_ENTRIES
+    assert stats.misses == n_filters
+    assert stats.evictions == n_filters - entries
+    assert stats.entries == entries
     assert _reachable_arrays(service) == full

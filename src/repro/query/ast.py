@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.query.aggregates import AGGREGATE_OPERATORS, requires_count_predicate
+from repro.query.hashing import HashOnce
 from repro.query.predicates import CountPredicate, ObjectFilter
 
 __all__ = [
@@ -84,8 +85,10 @@ def _child_text(condition) -> str:
 
 
 @dataclass(frozen=True)
-class RetrievalQuery:
+class RetrievalQuery(HashOnce):
     """``SELECT FRAMES WHERE COUNT(<filter>) op num``."""
+
+    __hash__ = HashOnce.__hash__
 
     object_filter: ObjectFilter
     count_predicate: CountPredicate
@@ -128,8 +131,10 @@ class CompoundRetrievalQuery:
 
 
 @dataclass(frozen=True)
-class AggregateQuery:
+class AggregateQuery(HashOnce):
     """``SELECT <op> OF COUNT(<filter>)`` (plus the Count-operator form)."""
+
+    __hash__ = HashOnce.__hash__
 
     object_filter: ObjectFilter
     operator: str

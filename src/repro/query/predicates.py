@@ -27,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.data.annotations import ObjectArray
+from repro.query.hashing import HashOnce
 
 __all__ = [
     "COMPARISONS",
@@ -62,7 +63,7 @@ def compare(values: np.ndarray, op: str, threshold: float) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SpatialPredicate:
+class SpatialPredicate(HashOnce):
     """``Distance(Obj, center) op threshold`` in meters.
 
     The paper's spatial predicate.  Like the extended filters in
@@ -72,6 +73,8 @@ class SpatialPredicate:
     (``tile_bounds_overlap`` / ``tile_bounds_contained``) the
     :mod:`repro.spatial` index uses to prune whole tiles.
     """
+
+    __hash__ = HashOnce.__hash__
 
     op: str
     threshold: float
@@ -126,8 +129,10 @@ def _box_distance_range(bounds) -> tuple[float, float]:
 
 
 @dataclass(frozen=True)
-class CountPredicate:
+class CountPredicate(HashOnce):
     """The semantic predicate ``|Obj| op threshold`` over per-frame counts."""
+
+    __hash__ = HashOnce.__hash__
 
     op: str
     threshold: float
@@ -145,7 +150,7 @@ class CountPredicate:
 
 
 @dataclass(frozen=True)
-class ObjectFilter:
+class ObjectFilter(HashOnce):
     """Object-level filter: label + optional spatial filter + confidence cut.
 
     ``label=None`` matches every object class.  ``spatial`` is any
@@ -156,6 +161,8 @@ class ObjectFilter:
     prediction (boxes whose decayed/grown confidence falls below it do
     not count).
     """
+
+    __hash__ = HashOnce.__hash__
 
     label: str | None = None
     spatial: object | None = None

@@ -44,6 +44,8 @@ from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.query.hashing import HashOnce
+
 __all__ = [
     "SpatialFilter",
     "SectorPredicate",
@@ -83,13 +85,15 @@ def _as_positions(positions) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SectorPredicate:
+class SectorPredicate(HashOnce):
     """Objects within an angular sector of the sensor.
 
     Angles are degrees counter-clockwise from the sensor's forward (+x)
     axis; the sector spans from ``start_deg`` to ``end_deg`` going
     counter-clockwise.  ``SECTOR -45 45`` is a 90-degree forward cone.
     """
+
+    __hash__ = HashOnce.__hash__
 
     start_deg: float
     end_deg: float
@@ -138,8 +142,10 @@ class SectorPredicate:
 
 
 @dataclass(frozen=True)
-class RegionPredicate:
+class RegionPredicate(HashOnce):
     """Objects inside an axis-aligned bird's-eye-view window."""
+
+    __hash__ = HashOnce.__hash__
 
     x_min: float
     y_min: float
@@ -186,7 +192,7 @@ class RegionPredicate:
 
 
 @dataclass(frozen=True)
-class TilePredicate:
+class TilePredicate(HashOnce):
     """Objects inside one canonical quadtree tile (``TILE <path>``).
 
     ``path`` is a string of quadrant digits descending from the fixed
@@ -196,6 +202,8 @@ class TilePredicate:
     the predicate stays frozen/hashable and evaluates standalone — the
     spatial hierarchy merely accelerates it like any other region.
     """
+
+    __hash__ = HashOnce.__hash__
 
     path: str
 
@@ -228,8 +236,10 @@ class TilePredicate:
 
 
 @dataclass(frozen=True)
-class AllOf:
+class AllOf(HashOnce):
     """Conjunction of spatial filters (all must hold)."""
+
+    __hash__ = HashOnce.__hash__
 
     filters: tuple
 

@@ -18,6 +18,11 @@ its entry: eviction, a ``put`` over the key, ``invalidate_tail``,
 outlive the series it came from.  The entry bound also caps the answers
 cache-wide, the least recently used shed first.
 
+A served batch makes all of its lookups in one
+:meth:`CountSeriesCache.lookup_many` walk: one critical section, in the
+order the lookups would have been made one by one, that only stops
+where a missed series must be stored before the next lookup.
+
 All operations are guarded by one lock and stored arrays are read-only
 copies, so concurrent readers can never observe a torn series and
 :class:`CacheStats` counters are exact.
@@ -28,7 +33,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable
+from collections.abc import Hashable, Sequence
 from dataclasses import dataclass
 from typing import Any
 
@@ -169,25 +174,65 @@ class CountSeriesCache:
     ) -> tuple[np.ndarray | None, np.ndarray | None, Any]:
         """:meth:`lookup`, plus the answer memoized as ``answer_key``.
 
-        The answer (``None`` if there is none) is read after the series
-        lookup, in the same critical section, and only on a complete
-        hit; it counts nothing beyond the lookup itself.
+        The answer (``None`` if there is none, and always for an
+        ``answer_key`` of ``None``) is read after the series lookup, in
+        the same critical section, and only on a complete hit; it counts
+        nothing beyond the lookup itself.
         """
+        (result,), _ = self.lookup_many([(key, answer_key)], generation)
+        return result
+
+    def lookup_many(
+        self,
+        probes: Sequence[tuple[CacheKey, Hashable]],
+        generation: int,
+        *,
+        groups: Sequence[int] = (),
+        start: int = 0,
+    ) -> tuple[list[tuple[np.ndarray | None, np.ndarray | None, Any]], list[int]]:
+        """:meth:`lookup_answer` of ``probes[start:]`` in order, in one critical section.
+
+        A caller must store a missed series before any later probe
+        looks, so the walk stops after the first probe that misses or
+        hits only a prefix — unless that probe lies in a *group*: the
+        probes before each end in ``groups`` (ascending ``probes``
+        indices) form groups that are looked up whole before the walk
+        stops.  Returns the results of the probes walked and the
+        ``probes`` indices of those that missed or hit a prefix (all in
+        the last group walked); the caller stores what missed and resumes
+        at ``start + len(results)``.
+        """
+        results: list[tuple[np.ndarray | None, np.ndarray | None, Any]] = []
+        missed: list[int] = []
+        grouped = groups[-1] if groups else 0
+        hits = 0
+        append = results.append
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None or entry.generation != generation:
-                self._misses += 1
-                return None, None, None
-            self._entries.move_to_end(key)
-            if not entry.complete:
-                self._partial_hits += 1
-                return None, entry.series, None
-            self._hits += 1
-            memo = entry.answers.get(answer_key) if entry.answers else None
-            if memo is None:
-                return entry.series, None, None
-            self._answer_order.move_to_end(memo[2])
-            return entry.series, None, memo[0]
+            entries = self._entries
+            for index, (key, answer_key) in enumerate(probes[start:], start):
+                entry = entries.get(key)
+                if entry is None or entry.generation != generation:
+                    self._misses += 1
+                    append((None, None, None))
+                    missed.append(index)
+                else:
+                    entries.move_to_end(key)
+                    if not entry.complete:
+                        self._partial_hits += 1
+                        append((None, entry.series, None))
+                        missed.append(index)
+                    else:
+                        hits += 1
+                        memo = entry.answers.get(answer_key) if entry.answers else None
+                        if memo is None:
+                            append((entry.series, None, None))
+                        else:
+                            self._answer_order.move_to_end(memo[2])
+                            append((entry.series, None, memo[0]))
+                if missed and (index >= grouped or index + 1 in groups):
+                    break
+            self._hits += hits
+        return results, missed
 
     def put(
         self,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import defaultdict
-from contextlib import contextmanager
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 __all__ = ["CostLedger", "STAGE_MODEL", "STAGE_POLICY", "STAGE_INDEX", "STAGE_QUERY"]
@@ -84,17 +84,17 @@ class CostLedger:
             self.simulated[stage] += seconds
             self.counts[stage] += count
 
-    @contextmanager
-    def measure(self, stage: str):
-        """Context manager adding elapsed wall-clock time to ``stage``."""
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            with self._lock:
-                self.measured[stage] += elapsed
-                self.counts[stage] += 1
+    def measure(self, stage: str, *, count: int = 1) -> _Measure:
+        """Context manager adding elapsed wall-clock time to ``stage``.
+
+        ``count`` is how many invocations the timed block performs.
+        """
+        return _Measure(self, stage, count)
+
+    def _add_measured(self, stage: str, elapsed: float, count: int) -> None:
+        with self._lock:
+            self.measured[stage] += elapsed
+            self.counts[stage] += count
 
     def record_cache(self, stage: str, *, hit: bool, count: int = 1) -> None:
         """Record ``count`` cache lookups (hits or misses) for ``stage``."""
@@ -103,6 +103,29 @@ class CostLedger:
                 self.cache_hits[stage] += count
             else:
                 self.cache_misses[stage] += count
+
+    def settle(
+        self, stage: str, charges: Sequence[float], *, hits: int = 0, misses: int = 0
+    ) -> None:
+        """Charge each of ``charges`` to ``stage`` and record cache lookups, in one update.
+
+        The charges are added one by one, in order, exactly as that many
+        :meth:`charge` calls with ``count=0`` would add them, so the
+        simulated total is the same float; a served batch times its
+        invocations with :meth:`measure`.
+        """
+        if charges and min(charges) < 0:
+            raise ValueError(f"cannot charge negative time ({min(charges)})")
+        with self._lock:
+            if charges:
+                simulated = self.simulated[stage]
+                for seconds in charges:
+                    simulated += seconds
+                self.simulated[stage] = simulated
+            if hits:
+                self.cache_hits[stage] += hits
+            if misses:
+                self.cache_misses[stage] += misses
 
     def merge(self, other: CostLedger) -> None:
         """Fold another ledger's charges into this one."""
@@ -198,3 +221,21 @@ class CostLedger:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         parts = ", ".join(f"{k}={v:.3f}s" for k, v in self.summary().items())
         return f"CostLedger({parts})"
+
+
+class _Measure:
+    """:meth:`CostLedger.measure`'s context manager (a class: it times hot paths)."""
+
+    __slots__ = ("_ledger", "_stage", "_count", "_start")
+
+    def __init__(self, ledger: CostLedger, stage: str, count: int) -> None:
+        self._ledger = ledger
+        self._stage = stage
+        self._count = count
+        self._start = 0.0
+
+    def __enter__(self) -> None:
+        self._start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._ledger._add_measured(self._stage, time.perf_counter() - self._start, self._count)

@@ -93,6 +93,8 @@ def test_batch_is_accounted_like_a_serial_execute_loop(catalog, config, model):
     A batch looks each distinct series of a shard's sub-batch up once
     before the queries read it, so every shard records exactly as many
     extra hits as it has misses (one per distinct series, cold cache).
+    The cold batch memoizes no answer (none of its series was cached
+    before it), so its ``bytes`` are its series alone.
     """
     # Two fits of one catalog are the same corpus: fresh ledgers and caches.
     with _fit(catalog, config, model) as batch_corpus, _fit(
@@ -121,10 +123,13 @@ def test_batch_is_accounted_like_a_serial_execute_loop(catalog, config, model):
             assert distinct > 0
             assert got["cache_hits"] == want["cache_hits"] + distinct, name
             assert batch_caches[name].hits == serial_caches[name].hits + distinct
-            for field in ("misses", "partial_hits", "evictions", "entries", "bytes"):
+            for field in ("misses", "partial_hits", "evictions", "entries"):
                 assert getattr(batch_caches[name], field) == getattr(
                     serial_caches[name], field
                 ), (name, field)
+            n_frames = batch_service.service(name).n_frames
+            assert batch_caches[name].bytes == 8 * n_frames * batch_caches[name].entries
+            assert batch_caches[name].bytes <= serial_caches[name].bytes
 
 
 def test_one_scheduling_point_per_request_not_per_shard(

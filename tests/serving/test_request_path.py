@@ -13,7 +13,7 @@ import threading
 import pytest
 
 from repro.serving import QueryService
-from repro.serving.batching import plan_batch
+from repro.serving.batching import plan_batch, router
 from repro.utils.timing import STAGE_QUERY
 from tests.serving.harness import assert_results_identical, random_workload
 
@@ -44,15 +44,17 @@ def test_execute_batch_starts_no_threads(kitti_pipeline):
 
 
 def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
-    """Same answers, charges, misses and cache contents as ``execute``.
+    """Same answers, charges, misses and cache entries as ``execute``.
 
-    The one difference is by construction: the warm pass looks every
+    Two differences are by construction: the warm pass looks every
     distinct series up once before the queries read it, so a batch
-    records exactly ``n_series`` more hits than the serial loop.
+    records exactly ``n_series`` more hits than the serial loop; and an
+    answer is memoized only if its series was cached before its request,
+    so the cold batch keeps no answer where the serial loop keeps those
+    of queries whose series an earlier ``execute`` computed.
     """
     queries = random_workload(seed=22, n_queries=40)
-    _, filters_by_kind = plan_batch(queries, kitti_pipeline.config)
-    n_series = sum(len(filters) for filters in filters_by_kind.values())
+    n_series = plan_batch(queries, router(kitti_pipeline.config)).n_warm
 
     batch_service = QueryService(kitti_pipeline)
     batched, batch_ledger = _ledger_delta(
@@ -76,9 +78,11 @@ def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
     batch_stats = batch_service.cache_stats()
     serial_stats = serial_service.cache_stats()
     assert batch_stats.hits == serial_stats.hits + n_series
-    for name in ("misses", "partial_hits", "evictions", "invalidations", "entries", "bytes"):
+    for name in ("misses", "partial_hits", "evictions", "invalidations", "entries"):
         assert getattr(batch_stats, name) == getattr(serial_stats, name), name
     assert batch_stats.misses == n_series
+    series_bytes = batch_stats.entries * 8 * batch_service.n_frames
+    assert batch_stats.bytes == series_bytes < serial_stats.bytes
 
 
 def test_public_calls_never_yield(kitti_pipeline, yields):

@@ -224,5 +224,20 @@ class ObjectArray:
             ids=np.concatenate([p.ids for p in parts]) if keep_ids else None,
         )
 
+    def __getstate__(self) -> dict[str, np.ndarray | None]:
+        """The columns, a read-only one as a writable copy.
+
+        A read-only column is a view its owner shares (an experiment's
+        replayed detections), not part of the value: the set pickles to
+        the same bytes, and unpickles writable, either way.
+        """
+        state = self.__dict__
+        if all(value is None or value.flags.writeable for value in state.values()):
+            return state
+        return {
+            name: value if value is None or value.flags.writeable else value.copy()
+            for name, value in state.items()
+        }
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ObjectArray(n={len(self)}, labels={sorted(self.label_set())})"

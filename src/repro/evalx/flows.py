@@ -9,7 +9,9 @@ re-expressed here as :class:`~repro.flow.Flow` graphs of pure steps:
 * ``oracle`` — the full-processing truth pass, checkpointed once and
   replayed under every method and budget;
 * ``method:<name>:<budget>`` — one checkpointed
-  :func:`~repro.evalx.runner.evaluate_method` call per (method, budget);
+  :func:`~repro.evalx.runner.evaluate_method` call per (method, budget),
+  detecting through the run's replay of the oracle step's detections
+  (``ctx.recording``; billed like a detection, simulated once a run);
 * ``report:<budget>`` / ``summary`` — assembly of the same
   :class:`~repro.evalx.runner.ExperimentReport` objects the legacy path
   returns, **bit-identically** (pinned by :func:`experiment_digest`,
@@ -140,8 +142,16 @@ def _oracle_step(
     workload: QueryWorkload,
     model: str,
     model_seed: int,
+    ctx: StepContext,
 ) -> OracleTruth:
-    return oracle_truth(sequence, make_model(model, seed=model_seed), workload)
+    truth = oracle_truth(
+        sequence,
+        make_model(model, seed=model_seed),
+        workload,
+        recording=ctx.recording,
+    )
+    ctx.ledger.merge(truth.ledger)
+    return truth
 
 
 def _method_step(
@@ -157,7 +167,7 @@ def _method_step(
     report = evaluate_method(
         get_method(method),
         sequence,
-        make_model(model, seed=model_seed),
+        ctx.recording.replaying(sequence, make_model(model, seed=model_seed)),
         MASTConfig(seed=seed, budget_fraction=budget),
         truth,
     )

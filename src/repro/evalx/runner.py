@@ -12,6 +12,12 @@ This is the harness behind every table and figure bench.  One call to
    assignment, answers the same workload through it, and scores
    F1 / aggregate accuracy against the Oracle's answers;
 4. returns a structured report with per-query metrics and cost ledgers.
+
+The Oracle pass of step 1 detects every frame.  The call records those
+detections (:class:`~repro.inference.DetectionRecording`) and every
+method of step 3 detects through a replaying wrapper of the model, so a
+sampled frame is billed exactly as before but simulated only once per
+call.  The recording dies with the call.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from repro.core.pipeline import MASTPipeline
 from repro.core.sampler import SamplingResult
 from repro.data.sequence import FrameSequence
 from repro.evalx.metrics import aggregate_accuracy, f1_score
-from repro.inference import DetectionStore, InferenceEngine
+from repro.inference import DetectionRecording, DetectionStore, InferenceEngine
 from repro.models.base import DetectionModel
 from repro.query.ast import (
     AggregateQuery,
@@ -183,16 +189,23 @@ def run_experiment(
     call — are served from the store and **not** re-charged to the
     method's ledger, so only pass one when comparing wall-clock cost
     rather than per-method simulated budgets.
+
+    Every method detects through a replay of the Oracle pass's
+    detections (see the module docstring): same output, same bill.
     """
     config = config or MASTConfig()
 
     if engine is None and detection_store is not None:
         engine = InferenceEngine(store=detection_store)
-    truth, oracle_provider = _oracle_pass(sequence, model, workload, engine=engine)
+    recording = DetectionRecording()
+    truth, oracle_provider = _oracle_pass(
+        sequence, model, workload, engine=engine, recording=recording
+    )
+    replaying = recording.replaying(sequence, model)
     # The Oracle method spec reuses the truth pass instead of re-detecting.
     reports = {
         spec.name: evaluate_method(
-            spec, sequence, model, config, truth,
+            spec, sequence, replaying, config, truth,
             engine=engine, oracle_provider=oracle_provider,
         )
         for spec in methods
@@ -237,9 +250,16 @@ def oracle_truth(
     workload: QueryWorkload,
     *,
     engine: InferenceEngine | None = None,
+    recording: DetectionRecording | None = None,
 ) -> OracleTruth:
-    """Run the full-processing Oracle and answer the whole workload."""
-    truth, _ = _oracle_pass(sequence, model, workload, engine=engine)
+    """Run the full-processing Oracle and answer the whole workload.
+
+    With ``recording``, the pass's detections are also recorded there,
+    for the same experiment's methods to replay.
+    """
+    truth, _ = _oracle_pass(
+        sequence, model, workload, engine=engine, recording=recording
+    )
     return truth
 
 
@@ -249,10 +269,17 @@ def _oracle_pass(
     workload: QueryWorkload,
     *,
     engine: InferenceEngine | None,
+    recording: DetectionRecording | None,
 ) -> tuple[OracleTruth, OracleCountProvider]:
     # The provider's own ledger is the detection bill; the truth ledger
     # (and an Oracle method reusing the provider) adds only its queries.
     oracle_provider = OracleCountProvider(sequence, model, engine=engine)
+    if recording is not None:
+        recording.record(
+            sequence,
+            model,
+            {i: oracle_provider.detections_at(i) for i in range(len(sequence))},
+        )
     oracle_ledger = CostLedger()
     oracle_ledger.merge(oracle_provider.ledger)
     oracle_engine = QueryEngine(oracle_provider, ledger=oracle_ledger)

@@ -137,7 +137,7 @@ class Flow:
         if explicit:
             raise FlowDefinitionError(
                 f"step {name!r}: deps {sorted(explicit)} do not match any "
-                f"parameter of {fn.__name__}"
+                "parameter"
             )
         unknown_params = set(static) - set(signature.parameters)
         if unknown_params:
@@ -147,8 +147,8 @@ class Flow:
             )
         if undeclared:
             raise FlowDefinitionError(
-                f"step {name!r}: parameters {undeclared} of {fn.__name__} "
-                "are declared in neither deps nor params"
+                f"step {name!r}: parameters {undeclared} are declared in "
+                "neither deps nor params"
             )
         self._steps[name] = StepSpec(
             name=name,

@@ -35,6 +35,7 @@ from repro.flow.checkpoint import CheckpointStore
 from repro.flow.definition import Flow, StepSpec
 from repro.flow.events import EventLog
 from repro.flow.fingerprint import stable_digest
+from repro.inference.replay import DetectionRecording
 from repro.utils.timing import CostLedger
 
 __all__ = ["FlowInterrupted", "FlowResult", "FlowRunner", "StepContext"]
@@ -68,12 +69,19 @@ class StepContext:
       directory) for a persistent DetectionStore shared by steps of the
       same run, mirroring the shared-store semantics of the legacy
       corpus path.
+    * ``recording`` — a :class:`~repro.inference.DetectionRecording`
+      shared by the steps of one :meth:`FlowRunner.run` call and gone
+      with it: an oracle step records its detections there and method
+      steps replay them.  A step replayed from its checkpoint records
+      nothing, so later steps then detect on their own, with the same
+      output and the same bill.
 
     Nothing in the context enters the checkpoint key.
     """
 
-    def __init__(self, checkpoint_dir: Path) -> None:
+    def __init__(self, checkpoint_dir: Path, recording: DetectionRecording) -> None:
         self.ledger = CostLedger()
+        self.recording = recording
         self._checkpoint_dir = checkpoint_dir
 
     @property
@@ -130,6 +138,7 @@ class FlowRunner:
         order = self.flow.order()
         result = FlowResult(flow=self.flow.name)
         resumed = len(self.store) > 0
+        recording = DetectionRecording()
         with EventLog(self.events_path) as events:
             events.emit(
                 "run_start",
@@ -139,7 +148,9 @@ class FlowRunner:
             )
             try:
                 for name in order:
-                    self._run_step(self.flow.spec(name), result, events)
+                    self._run_step(
+                        self.flow.spec(name), result, events, recording
+                    )
                     if name == self.interrupt_after:
                         events.emit("run_interrupt", after=name)
                         raise FlowInterrupted(name)
@@ -163,7 +174,11 @@ class FlowRunner:
     # Internals
     # ------------------------------------------------------------------
     def _run_step(
-        self, spec: StepSpec, result: FlowResult, events: EventLog
+        self,
+        spec: StepSpec,
+        result: FlowResult,
+        events: EventLog,
+        recording: DetectionRecording,
     ) -> None:
         key = self._checkpoint_key(spec, result)
         result.keys[spec.name] = key
@@ -187,7 +202,7 @@ class FlowRunner:
         kwargs.update(dict(spec.params))
         context: StepContext | None = None
         if spec.wants_context:
-            context = StepContext(self.checkpoint_dir)
+            context = StepContext(self.checkpoint_dir, recording)
             kwargs["ctx"] = context
         stage = f"step:{spec.name}"
         with result.ledger.measure(stage):

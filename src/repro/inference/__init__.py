@@ -14,11 +14,15 @@ detection is executed:
   (cache hits are never billed as model invocations);
 * :mod:`repro.inference.motion` — the engine's bounded
   :class:`MotionMemo`, under which ST-PC analysis runs once per pair of
-  detections and the Eq. 1 reward once per triple, whoever asks.
+  detections and the Eq. 1 reward once per triple, whoever asks;
+* :mod:`repro.inference.replay` — an experiment's
+  :class:`DetectionRecording` of the Oracle pass, which its sampled
+  methods replay (still billed) instead of re-simulating.
 """
 
 from repro.inference.engine import InferenceEngine
 from repro.inference.motion import MOTION_MEMO_ENTRIES, MotionMemo
+from repro.inference.replay import DetectionRecording
 from repro.inference.store import (
     DetectionKey,
     DetectionStore,
@@ -31,6 +35,7 @@ __all__ = [
     "InferenceEngine",
     "MOTION_MEMO_ENTRIES",
     "MotionMemo",
+    "DetectionRecording",
     "DetectionKey",
     "DetectionStore",
     "StoreStats",

@@ -1,5 +1,7 @@
 """DAG mechanics: registration, wiring validation, topological order."""
 
+import functools
+
 import pytest
 
 from repro.flow import Flow, FlowDefinitionError
@@ -48,6 +50,25 @@ class TestRegistration:
         with pytest.raises(FlowDefinitionError, match="params \\['y'\\]"):
             Flow("t").add(fn, name="a", params={"x": 1, "y": 2})
 
+    @pytest.mark.parametrize(
+        ("wiring", "message"),
+        [
+            ({"deps": {"y": "up"}}, r"step 'a': deps \['y'\] do not match any parameter"),
+            ({}, r"step 'a': parameters \['x'\] are declared in neither"),
+        ],
+    )
+    def test_a_nameless_callable_is_reported_by_its_step(self, wiring, message):
+        """A ``functools.partial`` has no ``__name__``: bad wiring still
+        raises :class:`FlowDefinitionError` naming the step."""
+
+        def fn(scale, x):
+            return x * scale
+
+        step = functools.partial(fn, 2)
+        assert not hasattr(step, "__name__")
+        with pytest.raises(FlowDefinitionError, match=message):
+            Flow("t").add(step, name="a", **wiring)
+
     def test_same_function_many_names_with_params(self):
         def fn(method):
             return method
@@ -69,7 +90,8 @@ class TestWiring:
             return upstream, seed
 
         with pytest.raises(
-            FlowDefinitionError, match=r"\['upstream'\] of fn are declared in neither"
+            FlowDefinitionError,
+            match=r"step 'down': parameters \['upstream'\] are declared in neither",
         ):
             flow.add(fn, name="down", params={"seed": 1})
         assert "down" not in flow

@@ -15,16 +15,20 @@ from repro.core import MASTConfig
 from repro.evalx import (
     CorpusFlowSpec,
     ExperimentFlowSpec,
+    ExperimentReport,
     corpus_digest,
     corpus_flow,
+    evaluate_method,
     experiment_digest,
     experiment_flow,
+    oracle_truth,
     run_corpus_experiment,
     run_experiment,
 )
-from repro.evalx.flows import _summary_step
+from repro.evalx.flows import _summary_step, budget_label
 from repro.flow import EventLog, FlowInterrupted, FlowRunner, read_events
 from repro.models import make_model
+from repro.models.detectors import SimulatedDetector
 from repro.query.workload import generate_workload
 from repro.simulation import build_sequence, dataset_spec
 from repro.utils.timing import STAGE_MODEL
@@ -124,6 +128,111 @@ class TestExperimentDifferential:
             if record["event"] == "step_cached"
         }
         assert {"oracle", "method:seiden_pc:10pct"} <= cached_events
+
+
+class TestReplayEqualsDetecting:
+    """Method steps replay the oracle step's detections within a run.
+
+    Each (method, budget) report of a sweep must equal a standalone
+    :func:`evaluate_method` whose model detects every sampled frame
+    itself: same digest, same ledger, one billed invocation per sampled
+    frame — whether the run replayed (a cold run) or detected (a resume
+    whose oracle step came from its checkpoint).
+    """
+
+    SPEC = ExperimentFlowSpec(
+        n_frames=N_FRAMES,
+        methods=("seiden_pc", "seiden_pcst", "mast"),
+        budgets=(0.05, 0.10),
+    )
+
+    @pytest.fixture(scope="class")
+    def standalone(self):
+        spec = self.SPEC
+        sequence = build_sequence(
+            dataset_spec(spec.dataset), spec.sequence_index,
+            n_frames=spec.n_frames, with_points=False,
+        )
+        truth = oracle_truth(
+            sequence,
+            make_model(spec.model, seed=spec.model_seed),
+            generate_workload(rng=spec.seed),
+        )
+        reports = {}
+        for budget in spec.budgets:
+            methods = {
+                method: evaluate_method(
+                    get_method(method),
+                    sequence,
+                    make_model(spec.model, seed=spec.model_seed),
+                    MASTConfig(seed=spec.seed, budget_fraction=budget),
+                    truth,
+                )
+                for method in spec.methods
+            }
+            reports[budget_label(budget)] = ExperimentReport(
+                sequence=truth.sequence,
+                model=truth.model,
+                n_frames=truth.n_frames,
+                oracle_ledger=truth.ledger,
+                methods=methods,
+                n_retrieval_queries=len(truth.retrieval_queries),
+                n_aggregate_queries=len(truth.aggregate_queries),
+            )
+        return reports
+
+    @staticmethod
+    def counting_detects(monkeypatch):
+        calls = []
+        detect = SimulatedDetector.detect
+
+        def counting(self, frame):
+            calls.append(frame.frame_id)
+            return detect(self, frame)
+
+        monkeypatch.setattr(SimulatedDetector, "detect", counting)
+        return calls
+
+    def assert_matches(self, result, standalone):
+        for label, reference in standalone.items():
+            report = result[f"report:{label}"]
+            assert experiment_digest(report) == experiment_digest(reference), label
+            for method in self.SPEC.methods:
+                ledger = report[method].ledger
+                assert ledger.deterministic_state() == (
+                    reference[method].ledger.deterministic_state()
+                ), (method, label)
+                assert ledger.invocations(STAGE_MODEL) == len(
+                    report[method].sampling.sampled_ids
+                ), (method, label)
+
+    def sampled_frames(self, result):
+        return sum(
+            len(result[f"report:{budget_label(b)}"][m].sampling.sampled_ids)
+            for b in self.SPEC.budgets
+            for m in self.SPEC.methods
+        )
+
+    def test_a_cold_run_replays_and_matches(self, tmp_path, monkeypatch, standalone):
+        calls = self.counting_detects(monkeypatch)
+        result = FlowRunner(experiment_flow(self.SPEC), checkpoint_dir=tmp_path).run()
+        # Every frame is simulated once, by the oracle step.
+        assert sorted(calls) == list(range(N_FRAMES))
+        self.assert_matches(result, standalone)
+
+    def test_a_resume_after_the_oracle_detects_and_matches(
+        self, tmp_path, monkeypatch, standalone
+    ):
+        flow = experiment_flow(self.SPEC)
+        with pytest.raises(FlowInterrupted):
+            FlowRunner(flow, checkpoint_dir=tmp_path, interrupt_after="oracle").run()
+        calls = self.counting_detects(monkeypatch)
+        resumed = FlowRunner(flow, checkpoint_dir=tmp_path).run()
+        assert "oracle" in resumed.cached
+        # The recording died with the interrupted run: each method step
+        # simulated its own sampled frames.
+        assert len(calls) == self.sampled_frames(resumed)
+        self.assert_matches(resumed, standalone)
 
 
 def test_a_lost_step_finish_resumes_from_the_checkpoint(tmp_path, monkeypatch):

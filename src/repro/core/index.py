@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -84,21 +85,29 @@ class MASTIndex:
         timestamps: np.ndarray,
         sampled_ids: np.ndarray,
         rows: ObjectRows,
+        sample_rows: np.ndarray,
         estimates: dict[tuple[int, int], MotionEstimate],
-        gap_rows: dict[tuple[int, int], tuple[int, int]],
         detections: dict[int, ObjectArray],
+        gate: float | None = None,
         spatial_index=None,
         tail: MotionEstimate | None = None,
     ) -> None:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
         self.sampled_ids = np.asarray(sampled_ids, dtype=np.int64)
+        #: Flat columns in sample order: ``[det(s0)][gap(s0, s1)][det(s1)]
+        #: ... [det(sk)][tail]``, so the rows of the frames up to any
+        #: sampled frame are a prefix.
         self._rows = rows
+        #: ``(k, 2)``: the ``[lo, hi)`` rows of each sampled frame's
+        #: detections.  Gap ``i`` is ``[sample_rows[i, 1],
+        #: sample_rows[i + 1, 0])``; the tail follows the last sample.
+        self._sample_rows = sample_rows
+        #: Gap -> its motion estimate, in sample order.
         self._estimates = estimates
-        #: Gap -> ``[lo, hi)`` span of its predicted rows in the flat
-        #: columns; a later build slices them instead of re-predicting.
-        self._gap_rows = gap_rows
         self._detections = detections
+        #: The matching gate the estimates were analysed under.
+        self._gate = gate
         #: The last gap's estimate, which extrapolates the frames after
         #: the last sample (``None`` when the last frame is sampled).
         self._tail = tail
@@ -136,33 +145,38 @@ class MASTIndex:
         (:func:`~repro.core.stpc.analyze_pair_once`), so a gap the
         sampler or an earlier build already analysed is not analysed
         again (without an engine every gap is).  ``previous`` hands over
-        the prior index: where it holds the very estimate the memo
-        returned — the same detections at the same timestamps under the
-        same gate — and the two indexes agree on every shared frame's
-        timestamp, that gap's predicted rows are sliced out of the prior
-        flat columns.  A rebuild therefore runs ST-PC analysis and
-        prediction only on the gaps that changed: after a one-frame
-        ``extend``, the ones past the invalidation boundary.  If the prior
-        index had built its tiles, the new index is built with tiles too
-        (:meth:`~repro.spatial.SpatialTileIndex.updated`), on the caller's
-        thread, so no reader pays for a build after the first one.
+        the prior index.  When both indexes agree on every shared
+        frame's timestamp and on the matching gate, each sampled frame
+        whose detections are the very object the prior index holds keeps
+        its rows, and so does each gap the prior index held between the
+        same two detection objects — with its estimate, which is a pure
+        function of them.  The leading run of such frames and gaps is one
+        view of the prior columns, every later run of them another, and
+        the new columns are one ``concatenate`` of those views and the
+        new rows, so the prior index's columns are never written.  A
+        rebuild therefore analyses and predicts only the gaps that
+        changed, plus the tail: after a one-frame ``extend``, the ones
+        past the invalidation boundary.  A build with no ``previous`` is
+        the same code with nothing to reuse, and lays the rows out
+        identically.  If the prior index had built its tiles, the new
+        index is built with tiles too
+        (:meth:`~repro.spatial.SpatialTileIndex.updated`), on the
+        caller's thread, so no reader pays for a build after the first
+        one.
         """
         config = config or MASTConfig()
         ledger = ledger if ledger is not None else result.ledger
         sampled = result.sampled_ids
         timestamps = result.timestamps
-
-        estimates: dict[tuple[int, int], MotionEstimate] = {}
-        gap_rows: dict[tuple[int, int], tuple[int, int]] = {}
-        prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
-        prior_rows: dict[tuple[int, int], tuple[int, int]] = {}
-        prior_columns: ObjectRows | None = None
-        if previous is not None:
-            shared = min(previous.n_frames, result.n_frames)
-            if np.array_equal(previous.timestamps[:shared], timestamps[:shared]):
-                prior_estimates = previous._estimates
-                prior_rows = previous._gap_rows
-                prior_columns = previous._rows
+        detections = result.detections
+        gate = config.match_max_distance
+        prior = previous
+        if prior is not None:
+            shared = min(prior.n_frames, result.n_frames)
+            if prior._gate != gate or not np.array_equal(
+                prior.timestamps[:shared], timestamps[:shared]
+            ):
+                prior = None
 
         with ledger.measure(STAGE_INDEX):
             ledger.charge(
@@ -170,22 +184,15 @@ class MASTIndex:
                 SIMULATED_INDEX_COST_PER_FRAME * result.n_frames,
                 count=0,
             )
-            # Sampled frames: store the model output directly.
-            parts = [
-                ObjectRows.flatten(
-                    {int(frame_id): result.detections[int(frame_id)] for frame_id in sampled}
-                )
-            ]
-            n_rows = len(parts[0].frame_index)
 
             def analyse(start: int, end: int) -> MotionEstimate:
                 return analyze_pair_once(
                     engine,
-                    result.detections[start],
-                    result.detections[end],
+                    detections[start],
+                    detections[end],
                     timestamps[start],
                     timestamps[end],
-                    max_distance=config.match_max_distance,
+                    max_distance=gate,
                 )
 
             def predict(estimate: MotionEstimate, frames: np.ndarray) -> ObjectRows:
@@ -194,52 +201,107 @@ class MASTIndex:
                 )
                 return ObjectRows(frames[local_idx], labels, positions, scores)
 
-            # Unsampled frames: ST-PC prediction per gap (Alg. 3 lines 2-6).
-            for start, end in zip(sampled[:-1], sampled[1:]):
-                start, end = int(start), int(end)
-                if end - start <= 1:
-                    continue
-                estimate = analyse(start, end)
-                estimates[(start, end)] = estimate
-                if prior_estimates.get((start, end)) is estimate:
-                    assert prior_columns is not None
-                    lo, hi = prior_rows[(start, end)]
-                    gap = ObjectRows(*(column[lo:hi] for column in prior_columns))
+            ids = sampled.tolist()
+            layout = _Layout(prior._rows if prior is not None else None)
+            sample_rows = np.empty((len(ids), 2), dtype=np.int64)
+            estimates: dict[tuple[int, int], MotionEstimate] = {}
+            # ``held[i]``: where the prior index holds sampled frame ``i``
+            # with the very same detections, or -1.  The leading run of
+            # frames held at their own position is the shared prefix.
+            held = [-1] * len(ids)
+            first = 0
+            prior_rows: list[list[int]] = []
+            prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
+            if prior is not None:
+                prior_ids = prior.sampled_ids.tolist()
+                prior_rows = prior._sample_rows.tolist()
+                prior_estimates = prior._estimates
+                prior_detections = prior._detections
+                for frame_id, prior_id in zip(ids, prior_ids):
+                    if frame_id != prior_id or (
+                        prior_detections[frame_id] is not detections[frame_id]
+                    ):
+                        break
+                    held[first] = first
+                    first += 1
+                if first:
+                    sample_rows[:first] = prior._sample_rows[:first]
+                    layout.reuse(0, prior_rows[first - 1][1])
+                    # Prior estimates are in sample order: the prefix's
+                    # gaps are its first ones.
+                    inner = int(np.count_nonzero(np.diff(sampled[:first]) > 1))
+                    estimates.update(islice(prior_estimates.items(), inner))
+                positions = np.searchsorted(prior.sampled_ids, sampled[first:])
+                for i, position in enumerate(positions.tolist(), start=first):
+                    frame_id = ids[i]
+                    if (
+                        position < len(prior_ids)
+                        and prior_ids[position] == frame_id
+                        and prior_detections[frame_id] is detections[frame_id]
+                    ):
+                        held[i] = position
+
+            # The sampled frames the prior index does not hold, flattened
+            # at once; ``fresh_ends`` delimits each frame's rows.
+            fresh = [frame_id for frame_id, at in zip(ids, held) if at < 0]
+            fresh_rows = ObjectRows.flatten({frame_id: detections[frame_id] for frame_id in fresh})
+            fresh_ends = iter(np.cumsum([len(detections[f]) for f in fresh]).tolist())
+            fresh_lo = 0
+
+            # Alg. 3 lines 2-6 from the first sample the prior index does
+            # not hold: each gap's ST-PC prediction, then the next sample.
+            for i in range(first, len(ids)):
+                frame_id = ids[i]
+                if i > 0 and frame_id - ids[i - 1] > 1:
+                    gap = (ids[i - 1], frame_id)
+                    if held[i - 1] >= 0 and held[i] == held[i - 1] + 1:
+                        estimates[gap] = prior_estimates[gap]
+                        layout.reuse(prior_rows[held[i - 1]][1], prior_rows[held[i]][0])
+                    else:
+                        estimates[gap] = analyse(*gap)
+                        interior = np.arange(gap[0] + 1, frame_id, dtype=np.int64)
+                        layout.add(predict(estimates[gap], interior))
+                lo = layout.n_rows
+                if held[i] >= 0:
+                    layout.reuse(*prior_rows[held[i]])
                 else:
-                    gap = predict(estimate, np.arange(start + 1, end, dtype=np.int64))
-                gap_rows[(start, end)] = (n_rows, n_rows + len(gap.frame_index))
-                parts.append(gap)
-                n_rows += len(gap.frame_index)
+                    fresh_hi = next(fresh_ends)
+                    layout.add(fresh_rows.span(fresh_lo, fresh_hi))
+                    fresh_lo = fresh_hi
+                sample_rows[i] = lo, layout.n_rows
 
             # A live sequence's newest frames may follow its last sample:
             # the last gap's motion extrapolates them.  A batch sampling
             # always holds the last frame, so it has no tail.
             tail = None
-            if len(sampled) >= 2 and sampled[-1] < result.n_frames - 1:
-                last = int(sampled[-1])
-                tail = analyse(int(sampled[-2]), last)
-                parts.append(
+            if len(ids) >= 2 and ids[-1] < result.n_frames - 1:
+                start, last = ids[-2], ids[-1]
+                tail = estimates.get((start, last))
+                if tail is None:
+                    tail = analyse(start, last)
+                layout.add(
                     predict(tail, np.arange(last + 1, result.n_frames, dtype=np.int64))
                 )
-        rows = ObjectRows.concatenate(parts)
+        rows = layout.rows()
 
         spatial_index = None
         if previous is not None:
             # Taking the lock waits out a first-use build racing this
             # rebuild on a client thread, so its tiles are carried too.
             with previous._tile_lock:
-                prior = previous.spatial_index
-            if prior is not None:
-                spatial_index = prior.updated(*rows, result.n_frames)
+                tiles = previous.spatial_index
+            if tiles is not None:
+                spatial_index = tiles.updated(*rows, result.n_frames)
 
         return cls(
             n_frames=result.n_frames,
             timestamps=timestamps,
             sampled_ids=sampled,
             rows=rows,
+            sample_rows=sample_rows,
             estimates=estimates,
-            gap_rows=gap_rows,
-            detections=result.detections,
+            detections=detections,
+            gate=gate,
             spatial_index=spatial_index,
             tail=tail,
         )
@@ -276,8 +338,9 @@ class MASTIndex:
         One routing rule: a region-shaped filter (any spatial filter but
         a plain distance cut) asked from frame 0 walks the tile index —
         building it on first use; every other series is one batched
-        flat scan of the rows of frames ``>= start``.  Both are
-        bit-identical to the brute-force count.
+        flat scan of the rows from the segment holding ``start`` on (the
+        rows are in frame order segment by segment, so no earlier row
+        can count).  Both are bit-identical to the brute-force count.
         """
         filters = list(dict.fromkeys(filters))
         region = [f for f in filters if start == 0 and _region_shaped(f)]
@@ -286,8 +349,19 @@ class MASTIndex:
             tiles = self._tiles()
             series = {f: tiles.count_series(f) for f in region}
         flat = [f for f in filters if f not in series]
-        series.update(self._rows.count_series(flat, self.n_frames, start=start))
+        series.update(
+            self._rows_from(start).count_series(flat, self.n_frames, start=start)
+        )
         return series
+
+    def _rows_from(self, frame: int) -> ObjectRows:
+        """The rows from the segment holding ``frame`` on: ``frame``'s
+        detections if it is sampled, else the gap or tail it lies in."""
+        position = int(np.searchsorted(self.sampled_ids, frame, side="right")) - 1
+        if position < 0:
+            return self._rows
+        lo, hi = self._sample_rows[position]
+        return self._rows.span(lo if self.sampled_ids[position] == frame else hi)
 
     def spatial_stats(self) -> dict[str, float] | None:
         """Tile-pruning counters of the spatial index.
@@ -328,6 +402,45 @@ class MASTIndex:
             f"MASTIndex(frames={self.n_frames}, sampled={len(self.sampled_ids)}, "
             f"objects={self.n_indexed_objects})"
         )
+
+
+class _Layout:
+    """The flat columns of a build, part by part, in order.
+
+    A run of rows reused from the prior index stays one view until a new
+    part follows it; :meth:`rows` concatenates everything once.
+    """
+
+    def __init__(self, prior: ObjectRows | None) -> None:
+        self._prior = prior
+        self._parts: list[ObjectRows] = []
+        self._run: tuple[int, int] | None = None
+        self.n_rows = 0
+
+    def reuse(self, lo: int, hi: int) -> None:
+        """Append the prior index's rows ``[lo, hi)``."""
+        if self._run is not None and self._run[1] == lo:
+            self._run = (self._run[0], hi)
+        else:
+            self._close_run()
+            self._run = (lo, hi)
+        self.n_rows += hi - lo
+
+    def add(self, rows: ObjectRows) -> None:
+        """Append new rows."""
+        self._close_run()
+        self._parts.append(rows)
+        self.n_rows += len(rows.frame_index)
+
+    def _close_run(self) -> None:
+        if self._run is not None:
+            assert self._prior is not None
+            self._parts.append(self._prior.span(*self._run))
+            self._run = None
+
+    def rows(self) -> ObjectRows:
+        self._close_run()
+        return ObjectRows.concatenate(self._parts)
 
 
 @dataclass

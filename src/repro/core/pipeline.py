@@ -220,11 +220,14 @@ class MASTPipeline:
         # so every series prefix up to the last old sample before the
         # earliest new one is provably unchanged; with no new sample the
         # whole old series is.
+        # Both id lists are sorted and the old one is a subset of the new,
+        # so the earliest new sample sits where they first differ.
         old_ids = self._sampling.sampled_ids
-        added = np.setdiff1d(grown.sampled_ids, old_ids)
-        if len(added):
-            prefix = old_ids[old_ids < added[0]]
-            self.last_extend_boundary = int(prefix[-1]) if len(prefix) else -1
+        new_ids = grown.sampled_ids
+        if len(new_ids) > len(old_ids):
+            differ = np.flatnonzero(new_ids[: len(old_ids)] != old_ids)
+            first = int(differ[0]) if len(differ) else len(old_ids)
+            self.last_extend_boundary = int(old_ids[first - 1]) if first else -1
         else:
             self.last_extend_boundary = old_n - 1
         self._sequence = extended

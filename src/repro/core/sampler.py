@@ -14,7 +14,6 @@ pass) that the baselines in :mod:`repro.baselines` reuse, and the
 from __future__ import annotations
 
 import bisect
-import copy
 from abc import ABC, abstractmethod
 from collections.abc import Iterator
 from contextlib import contextmanager
@@ -479,13 +478,14 @@ class AdaptiveSamplingSession:
     def atomic(self) -> Iterator[None]:
         """Roll the session back to its entry state if the block raises.
 
-        The tree, samples, rewards and budgets are restored; detections
-        are not, so a retry bills none of the frames the failed attempt
-        already paid for.
+        The tree (a :meth:`~repro.core.segment_tree.SegmentTree.clone`
+        taken on entry: every node and the RNG state), samples, rewards
+        and budgets are restored; detections are not, so a retry bills
+        none of the frames the failed attempt already paid for.
         """
         saved = dict(vars(self))
         saved.update(
-            _tree=copy.deepcopy(self._tree),
+            _tree=self._tree.clone() if self._tree is not None else None,
             _sampled=list(self._sampled),
             _sampled_set=set(self._sampled_set),
             rewards=list(self.rewards),

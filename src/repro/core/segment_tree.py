@@ -19,6 +19,7 @@ left) are pruned from selection so high budgets terminate.
 
 from __future__ import annotations
 
+import copy
 import math
 from typing import Callable
 
@@ -53,6 +54,16 @@ class SegmentNode:
     @property
     def is_leaf(self) -> bool:
         return self.children is None
+
+    def clone(self) -> SegmentNode:
+        """This node and its subtree, copied field by field."""
+        twin = SegmentNode.__new__(SegmentNode)
+        twin.lo, twin.hi, twin.depth = self.lo, self.hi, self.depth
+        twin.reward, twin.visits, twin.exhausted = self.reward, self.visits, self.exhausted
+        twin.children = (
+            None if self.children is None else [child.clone() for child in self.children]
+        )
+        return twin
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -116,6 +127,20 @@ class SegmentTree:
         )
         self.root.hi = edges[-1]
         self.root.exhausted = False
+
+    def clone(self) -> SegmentTree:
+        """An independent copy: every node, and the RNG at its current state.
+
+        Selecting, recording or appending on either tree leaves the
+        other as it was, so a clone taken before a step is that step's
+        rollback.
+        """
+        twin = copy.copy(self)
+        bit_generator = type(self._rng.bit_generator)()
+        bit_generator.state = self._rng.bit_generator.state
+        twin._rng = np.random.Generator(bit_generator)
+        twin.root = self.root.clone()
+        return twin
 
     # ------------------------------------------------------------------
     # Selection

@@ -26,10 +26,11 @@ from typing import Any, TypeVar
 
 __all__ = ["MOTION_MEMO_ENTRIES", "MotionMemo"]
 
-#: Entries one memo keeps.  A ``stream_mixed`` repetition's working set
-#: is 3,349 (2,316 estimates + 1,033 rewards): at 4,096 nothing is
-#: evicted, for ~3.3 MB; at 1,024 the same repetition computes 2,609
-#: estimates and 1,141 rewards.  A constant, not a knob: no caller has
+#: Entries one memo keeps.  A ``stream_mixed`` repetition, drain
+#: included, holds 462 (319 estimates + 143 rewards) and evicts nothing:
+#: a stream samples each frame once, and an index rebuild looks up only
+#: the gaps its predecessor did not hold.  The bound leaves room for
+#: sequences several times longer.  A constant, not a knob: no caller has
 #: measured a need for another value.
 MOTION_MEMO_ENTRIES = 4096
 

@@ -285,6 +285,10 @@ class ObjectRows(NamedTuple):
             )
         return cls(*(np.concatenate(column) for column in zip(*parts)))
 
+    def span(self, lo: int, hi: int | None = None) -> ObjectRows:
+        """Rows ``[lo, hi)`` (to the end when ``hi`` is ``None``), as views."""
+        return ObjectRows(*(column[lo:hi] for column in self))
+
     def count_series(
         self, filters: Iterable[ObjectFilter], n_frames: int, *, start: int = 0
     ) -> dict[ObjectFilter, np.ndarray]:

@@ -7,14 +7,19 @@ afterwards
 
 * the catalog, the session tree and the index are at the old epoch:
   every catalog entry has exactly its shard's frames, every arrived
-  frame is either indexed or still buffered, the failing session holds
-  its old samples, rewards and tree, and the shard keeps its old index;
+  frame is either indexed or still buffered, every session holds its
+  old samples and rewards, and its tree equals the old one node for
+  node down to its RNG state, and each shard keeps its old index;
 * the frame the failed step did pay for stays in its session's
   detections, and live queries answer at the old epoch;
 * the next ``pump`` + ``quiesce`` drains, the drained answers equal a
   batch fit of the final corpus bit for bit, and every frame is billed
   once — the fault is one store miss that was never billed, and the
-  retry does not even look the paid frame up again.
+  retry does not even look the paid frame up again;
+* before the drain, the retried step leaves the service where a
+  fault-free twin stands whose same step was refused before it began:
+  the live answers after every later arrival and the standing answers
+  of every later epoch are equal.
 
 The source misdelivers (a duplicated, skipped or swapped arrival): each
 event that does not continue its sequence is rejected by ``pump`` and
@@ -57,14 +62,30 @@ def drives():
     ]
 
 
+def _tree_state(tree) -> tuple | None:
+    """Every node's fields, children nested in order, and the tree RNG's state."""
+    if tree is None:
+        return None
+
+    def walk(node) -> tuple:
+        children = None if node.children is None else tuple(map(walk, node.children))
+        return (
+            node.lo, node.hi, node.depth, node.reward, node.visits, node.exhausted, children
+        )
+
+    return walk(tree.root), tree._rng.bit_generator.state
+
+
 def _epoch_state(service: StreamingCorpusService) -> dict[str, tuple]:
-    """Per shard: its index, its live session's result and length, its catalog entry."""
+    """Per shard: its index, its live session's result, length and tree,
+    its catalog entry."""
     corpus = service._corpus
     return {
         name: (
             corpus.shard(name).index,
             corpus.shard(name).session.result(),
             corpus.shard(name).session.n_frames,
+            _tree_state(corpus.shard(name).session._tree),
             corpus.catalog.n_frames(name),
         )
         for name in service.names
@@ -72,13 +93,14 @@ def _epoch_state(service: StreamingCorpusService) -> dict[str, tuple]:
 
 
 def _assert_at_epoch(service: StreamingCorpusService, state: dict[str, tuple]) -> None:
-    for name, (index, sampling, n_frames, catalogued) in _epoch_state(service).items():
-        want_index, want, want_n, want_catalogued = state[name]
+    for name, (index, sampling, n_frames, tree, catalogued) in _epoch_state(service).items():
+        want_index, want, want_n, want_tree, want_catalogued = state[name]
         assert index is want_index, name
         assert (n_frames, catalogued) == (want_n, want_catalogued), name
         assert np.array_equal(sampling.sampled_ids, want.sampled_ids), name
         assert sampling.rewards == want.rewards, name
-        assert sampling.policy_info == want.policy_info, name  # the tree's shape
+        assert sampling.policy_info == want.policy_info, name
+        assert tree is not None and tree == want_tree, name
 
 
 def _paid_but_unsampled(service: StreamingCorpusService) -> set[tuple[str, int]]:
@@ -178,6 +200,103 @@ def test_fault_inside_a_replan(drives, model, config, monkeypatch):
         _assert_at_epoch(service, seen["state"])
         assert len(_paid_but_unsampled(service)) == 1
         _assert_drains_to_batch(service, drives, model, config, faulty)
+
+
+STANDING = ("SELECT AVG OF COUNT(Car)", "SELECT FRAMES WHERE COUNT(Car) >= 2")
+#: The detection a faulted step raises at.  A flush's grow detects its
+#: grid points before it changes anything; an epoch's second detection
+#: comes after its first sample has split the tree, and after its second
+#: selection has drawn from the tree's RNG.
+DETECTIONS = {"extend": 1, "replan": 2}
+
+
+def _live_run(drives, model, config, monkeypatch, step, refuse=None):
+    """Pump one arrival at a time, with one online call of ``step`` (a
+    flush's ``extend`` or an epoch's ``replan``) failing.
+
+    With ``refuse=None`` the first such call that makes
+    ``DETECTIONS[step]`` detections raises at the last of them;
+    otherwise call number ``refuse`` raises before it begins and the
+    detector never does.  Returns the live answers after every arrival
+    (``"fault"`` where the pump raised), the standing answers of every
+    epoch, and the number of the call that failed.
+    """
+    source = ScheduledFrameSource(
+        drives, initial_frames=12, schedule=ArrivalSchedule(rate=10.0), seed=3
+    )
+    detector = RaisesOnce(model, at=0)
+    real = getattr(CorpusQueryService, step)
+    calls = 0
+    failed: list[int] = []
+
+    def armed(self, *args, **kwargs):
+        nonlocal calls
+        if kwargs.get("exact"):
+            return real(self, *args, **kwargs)
+        calls += 1
+        if calls == refuse:
+            failed.append(calls)
+            raise RuntimeError("CUDA error: refused before the step began")
+        if refuse is None and not failed:
+            detector.at = detector.calls + DETECTIONS[step]
+        try:
+            return real(self, *args, **kwargs)
+        except RuntimeError:
+            failed.append(calls)
+            raise
+        finally:
+            detector.at = 0  # a call that detected less is not the faulted one
+
+    timeline: list = []
+    with StreamingCorpusService(
+        source, detector, config, policy="ucb", max_lag_frames=3, replan_every=12
+    ) as service:
+        for text in STANDING:
+            service.register_standing(text)
+        with monkeypatch.context() as patch:
+            patch.setattr(CorpusQueryService, step, armed)
+            while True:
+                try:
+                    if not service.pump(max_events=1):
+                        break
+                except RuntimeError as error:
+                    assert "CUDA" in str(error)
+                    timeline.append("fault")
+                timeline.append(
+                    (
+                        service.epochs,
+                        service.events_processed,
+                        [service.execute(text).result for text in QUERIES],
+                    )
+                )
+        epochs = [snapshot.answers for snapshot in service.epoch_snapshots()]
+    assert len(failed) == 1 and timeline.count("fault") == 1
+    return timeline, epochs, failed[0]
+
+
+@pytest.mark.parametrize("step", ["extend", "replan"])
+def test_live_answers_after_a_fault_equal_a_fault_free_run(
+    drives, model, config, monkeypatch, step
+):
+    """A flush or an online epoch raises mid-way.  A fault-free twin
+    refuses the same call before it begins, so both retry at the same
+    arrival, and nothing may tell them apart before the drain's
+    from-scratch re-plan would hide it."""
+    timeline, epochs, failed = _live_run(drives, model, config, monkeypatch, step)
+    twin, twin_epochs, _ = _live_run(
+        drives, model, config, monkeypatch, step, refuse=failed
+    )
+    fault = timeline.index("fault")
+    assert twin.index("fault") == fault
+    # Epochs follow the retry, so live divergence would show.
+    assert timeline[-1][0] > timeline[fault - 1][0] + 1
+    assert epochs == twin_epochs
+    for entry, want in zip(timeline, twin, strict=True):
+        if entry == "fault":
+            continue
+        assert entry[:2] == want[:2]
+        for text, got, expected in zip(QUERIES, entry[2], want[2]):
+            assert_same_corpus_answer(got, expected, f"{step} after event {entry[1]}: {text}")
 
 
 class _Misdelivered(FrameSource):

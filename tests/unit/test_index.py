@@ -454,3 +454,24 @@ class TestEstimateReuse:
             engine=engine,
         )
         assert analysed == _gaps(sampling)
+
+    def test_dropped_sample_predicts_the_merged_gap(
+        self, sampling, index, engine, monkeypatch
+    ):
+        """A plan without one of the prior's samples: the two gaps around
+        it merge into one the prior never held, so its rows are predicted;
+        the samples and gaps on either side are reused."""
+        from dataclasses import replace
+
+        config = MASTConfig(seed=2)
+        ids = sampling.sampled_ids
+        position = len(ids) // 2
+        fewer = replace(sampling, sampled_ids=np.delete(ids, position))
+        predicted = _counting_predict_flat(monkeypatch)
+        rebuilt = MASTIndex.build(fewer, config, previous=index, engine=engine)
+        times = sampling.timestamps
+        assert predicted == [(float(times[ids[position - 1]]), float(times[ids[position + 1]]))]
+        scratch = MASTIndex.build(fewer, config)
+        _assert_same_columns(rebuilt, scratch)
+        assert np.array_equal(rebuilt._sample_rows, scratch._sample_rows)
+        assert list(rebuilt._estimates) == list(scratch._estimates)

@@ -75,6 +75,30 @@ def predictor_kind(config: MASTConfig, query) -> str:
     raise TypeError(f"unsupported query type {type(query).__name__}")
 
 
+def _unchanged_prefix(old: SamplingResult | None, new: SamplingResult) -> int | None:
+    """The last frame whose counts installing ``new`` over ``old`` leaves unchanged.
+
+    Counts at frame ``t`` depend only on the detections at the samples
+    bracketing ``t`` (past the last sample, on the last two).  If every
+    old sample is still sampled with the very same detection object, that
+    is the last old sample before the earliest new one (the last old
+    frame when nothing was added); otherwise -1.  ``None`` with no ``old``.
+    """
+    if old is None:
+        return None
+    old_ids, new_ids = old.sampled_ids, new.sampled_ids
+    if not np.isin(old_ids, new_ids, assume_unique=True).all() or any(
+        new.detections[i] is not old.detections[i] for i in old_ids.tolist()
+    ):
+        return -1
+    if len(new_ids) == len(old_ids):
+        return min(old.n_frames, new.n_frames) - 1
+    # Both lists are sorted, so the earliest new sample is where they first differ.
+    differ = np.flatnonzero(new_ids[: len(old_ids)] != old_ids)
+    first = int(differ[0]) if len(differ) else len(old_ids)
+    return int(old_ids[first - 1]) if first else -1
+
+
 def _routes_to_st(config: MASTConfig) -> bool:
     """Whether :func:`predictor_kind` can answer any query with ``"st"``."""
     return (
@@ -105,10 +129,10 @@ class MASTPipeline:
         self._index: MASTIndex | None = None
         #: Predictor kind -> engine for the current index epoch.
         self._engines: dict[str, QueryEngine] = {}
-        #: Highest frame id whose count series were provably unchanged by
-        #: the most recent :meth:`extend` (-1 when nothing was reusable;
-        #: ``None`` before any extension).  Serving caches keep the
-        #: series prefix ``[0, boundary]`` and recompute only the tail.
+        #: Highest frame id whose count series the most recent install
+        #: (:meth:`fit_from_sampling`, which :meth:`extend` ends in) left
+        #: provably unchanged: -1 when nothing was, ``None`` on the first.
+        #: Serving caches keep the prefix ``[0, boundary]`` of each series.
         self.last_extend_boundary: int | None = None
 
     # ------------------------------------------------------------------
@@ -139,13 +163,15 @@ class MASTPipeline:
         index, providers, engines, ``query()`` — is identical to a
         :meth:`fit` that produced the same ``sampling``.  ``session`` is
         the live session ``sampling`` is a result of; only a pipeline
-        that holds one can :meth:`extend`.
+        that holds one can :meth:`extend`.  Every install ends here and
+        sets :attr:`last_extend_boundary`.
         """
         require(
             sampling.n_frames == len(sequence),
             f"sampling covers {sampling.n_frames} frames but sequence "
             f"{sequence.name!r} has {len(sequence)}",
         )
+        self.last_extend_boundary = _unchanged_prefix(self._sampling, sampling)
         self._sequence = sequence
         self._model = model
         self._sampling = sampling
@@ -157,7 +183,6 @@ class MASTPipeline:
         self,
         new_frames: list[PointCloudFrame],
         *,
-        model: DetectionModel | None = None,
         extended: FrameSequence | None = None,
         allocator: BudgetAllocator | None = None,
     ) -> MASTPipeline:
@@ -175,16 +200,16 @@ class MASTPipeline:
         frames accrued is left for that allocator's next run.  Without
         one the pipeline spends its own accrual here, as
         :class:`~repro.corpus.UniformAllocator` would for one session.
-        Extending by no frames publishes whatever the session sampled
-        since the last one.  If the detector raises, the session and the
-        index stay as they were; each frame it paid for is kept.
+        The frames are detected with the model the pipeline was fit
+        with.  If the detector raises, the session and the index stay as
+        they were; each frame it paid for is kept.
 
         ``extended`` is the grown sequence when the caller has already
-        built it (the corpus catalog grows its entry first); it must be
-        this pipeline's sequence followed by ``new_frames``.
+        built it (the corpus layer builds it once, and its catalog
+        installs this very sequence after the shard); it must be this
+        pipeline's sequence followed by ``new_frames``.
         """
-        require(self._sequence is not None, "fit() must be called before extend()")
-        assert self._sequence is not None and self._sampling is not None
+        sequence = self.sequence  # raises before fit()
         session = self._session
         require(
             session is not None,
@@ -192,48 +217,21 @@ class MASTPipeline:
             "installed a sampling run without one",
         )
         assert session is not None
-        require(
-            model is None or model is self._model,
-            "extend() detects with the model the pipeline was fit with",
-        )
-        old_n = self._sampling.n_frames
         if extended is None:
-            extended = self._sequence.extended(new_frames)
-        else:
-            require(
-                extended.name == self._sequence.name
-                and len(extended) == old_n + len(new_frames),
-                f"extended sequence {extended.name!r} ({len(extended)} frames) is "
-                f"not {self._sequence.name!r} ({old_n} frames) plus "
-                f"{len(new_frames)}",
-            )
-
+            extended = sequence.extended(new_frames)
+        require(
+            extended.name == sequence.name
+            and len(extended) == len(sequence) + len(new_frames),
+            f"extended sequence {extended.name!r} ({len(extended)} frames) is "
+            f"not {sequence.name!r} ({len(sequence)} frames) plus {len(new_frames)}",
+        )
         if allocator is not None:
             session.grow(extended, budget=allocator.session_budget(len(extended)))
         else:
             with session.atomic():
                 session.grow(extended)
                 session.step(max(0, session.base_budget - session.frames_sampled))
-        grown = session.result()
-        # Counts at frame t depend only on the samples bracketing t (or,
-        # past the last sample, on the last two).  Old samples all stay,
-        # so every series prefix up to the last old sample before the
-        # earliest new one is provably unchanged; with no new sample the
-        # whole old series is.
-        # Both id lists are sorted and the old one is a subset of the new,
-        # so the earliest new sample sits where they first differ.
-        old_ids = self._sampling.sampled_ids
-        new_ids = grown.sampled_ids
-        if len(new_ids) > len(old_ids):
-            differ = np.flatnonzero(new_ids[: len(old_ids)] != old_ids)
-            first = int(differ[0]) if len(differ) else len(old_ids)
-            self.last_extend_boundary = int(old_ids[first - 1]) if first else -1
-        else:
-            self.last_extend_boundary = old_n - 1
-        self._sequence = extended
-        self._sampling = grown
-        self._rebuild_index()
-        return self
+        return self.fit_from_sampling(extended, self.model, session.result(), session=session)
 
     @property
     def session(self) -> AdaptiveSamplingSession | None:

@@ -474,6 +474,16 @@ class AdaptiveSamplingSession:
                 self._tree.append(grid)
         self._exhausted = False
 
+    def reoffer(self) -> None:
+        """Offer the session to the next allocator run again.
+
+        :meth:`step` marks a session whose tree ran dry unavailable;
+        :meth:`grow` clears the mark, and so does a corpus epoch that
+        published the session's new samples, so the next run may pull it
+        once more (an empty chunk marks it again).
+        """
+        self._exhausted = False
+
     @contextmanager
     def atomic(self) -> Iterator[None]:
         """Roll the session back to its entry state if the block raises.

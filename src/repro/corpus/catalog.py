@@ -179,25 +179,33 @@ class SequenceCatalog:
     def extend_sequence(
         self, name: str, new_frames: list[PointCloudFrame]
     ) -> FrameSequence:
-        """Append frames to a registered sequence (building it if lazy).
+        """Append frames to a registered sequence (building it if lazy)."""
+        require(bool(new_frames), "extend_sequence needs at least one frame")
+        return self.grow_sequence(name, self.sequence(name).extended(new_frames))
 
-        The grown sequence replaces the entry in place and the metadata
-        frame count tracks the growth; the lazy spec, if any, is dropped
-        — it no longer describes the stored sequence.  This is the
-        catalog half of streaming ingest: the corpus layer grows the
-        catalog and the owning shard in one step, so routing metadata
+    def grow_sequence(self, name: str, grown: FrameSequence) -> FrameSequence:
+        """Install ``grown``, the registered sequence followed by new frames.
+
+        The metadata frame count tracks the growth and the lazy spec, if
+        any, is dropped.  This is the catalog half of streaming ingest: the
+        corpus layer grows the owning shard into ``grown`` first, so the
+        entry and the shard share one sequence and routing metadata
         (``n_frames``, ``total_frames``) never lags the live indexes.
         """
-        require(bool(new_frames), "extend_sequence needs at least one frame")
         with self._lock:
             entry = self._entry(name)
-            if entry.sequence is None:
-                assert entry.spec is not None
-                entry.sequence = entry.spec.build()
-            entry.sequence = entry.sequence.extended(new_frames)
+            current = entry.sequence
+            require(
+                current is not None
+                and len(grown) > len(current)
+                and grown[len(current) - 1] is current[-1],
+                f"{grown.name!r} ({len(grown)} frames) does not continue "
+                f"sequence {name!r}",
+            )
+            entry.sequence = grown
             entry.spec = None
-            entry.metadata["n_frames"] = len(entry.sequence)
-            return entry.sequence
+            entry.metadata["n_frames"] = len(grown)
+            return grown
 
     # ------------------------------------------------------------------
     # Lookup

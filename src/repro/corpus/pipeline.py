@@ -42,7 +42,6 @@ from repro.core.pipeline import MASTPipeline
 from repro.core.sampler import (
     AdaptiveSamplingSession,
     HierarchicalMultiAgentSampler,
-    SamplingResult,
 )
 from repro.corpus.allocator import AllocationReport, BudgetAllocator, make_allocator
 from repro.corpus.catalog import SequenceCatalog
@@ -180,8 +179,15 @@ class CorpusPipeline:
         self.replan(model)
         return self
 
-    def _shard_for(self, name: str, sampling: SamplingResult) -> MASTPipeline:
-        """The shard of ``name``, opened on its first sampling's ledger."""
+    def install(
+        self, name: str, model: DetectionModel, session: AdaptiveSamplingSession
+    ) -> MASTPipeline:
+        """Adopt ``session``'s run as ``name``'s shard and return it.
+
+        :meth:`MASTPipeline.fit_from_sampling` over the catalog's sequence;
+        a new shard is opened on the run's ledger.
+        """
+        sampling = session.result()
         shard = self._shards.get(name)
         if shard is None:
             shard = MASTPipeline(self.config, engine=self.engine)
@@ -189,14 +195,15 @@ class CorpusPipeline:
             # sampling, indexing and query costs roll up in one place.
             shard.ledger = sampling.ledger
             self._shards[name] = shard
-        return shard
+        return shard.fit_from_sampling(
+            self.catalog.sequence(name), model, sampling, session=session
+        )
 
     def replan(self, model: DetectionModel) -> AllocationReport:
         """Re-run the budget plan over the (possibly grown) catalog.
 
-        Every shard adopts its fresh sampling in place
-        (:meth:`MASTPipeline.fit_from_sampling`), which makes the
-        post-replan corpus bit-identical to a from-scratch :meth:`fit`
+        Every shard adopts its fresh sampling (:meth:`install`), which
+        makes the post-replan corpus bit-identical to a from-scratch :meth:`fit`
         on the same catalog state: sessions re-derive their RNG streams
         from ``(seed, sequence name)`` and the allocator re-derives its
         own from ``(seed, "corpus-allocator")``, so the plan is a pure
@@ -206,10 +213,7 @@ class CorpusPipeline:
         """
         sessions, allocation = self.plan(model)
         for name, session in sessions.items():
-            sampling = session.result()
-            self._shard_for(name, sampling).fit_from_sampling(
-                self.catalog.sequence(name), model, sampling, session=session
-            )
+            self.install(name, model, session)
         self.allocation = allocation
         return allocation
 

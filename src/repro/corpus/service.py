@@ -321,31 +321,23 @@ class CorpusQueryService:
     # ------------------------------------------------------------------
     # Extension / re-planning
     # ------------------------------------------------------------------
-    def extend(
-        self,
-        name: str,
-        new_frames: list[PointCloudFrame],
-        *,
-        model: DetectionModel | None = None,
-    ) -> CorpusQueryService:
+    def extend(self, name: str, new_frames: list[PointCloudFrame]) -> CorpusQueryService:
         """Ingest a frame batch into one shard (incremental invalidation).
 
         The shard's live sampling session grows over the frames and
         detects only the uniform-grid points that land in them; the
         adaptive budget they accrue is the corpus allocator's to spend,
-        at the next :meth:`replan`.  The catalog entry grows with the
-        shard or not at all: it takes the frames only once the shard has
-        ingested them, so a detector fault mid-extend leaves both at
-        their old length.  A process-backed service refuses the call
-        before anything changes.
+        at the next :meth:`replan`.  The grown sequence is built once:
+        the catalog installs the very sequence the shard grew into, and
+        only once the shard has ingested it, so a detector fault
+        mid-extend leaves both at their old length.  A process-backed
+        service refuses the call before anything changes.
         """
         self._require_writable("extend")
         corpus = self._corpus
         extended = corpus.catalog.sequence(name).extended(new_frames)
-        self.service(name).extend(
-            new_frames, model=model, extended=extended, allocator=corpus.allocator
-        )
-        corpus.catalog.extend_sequence(name, new_frames)
+        self.service(name).extend(new_frames, extended=extended, allocator=corpus.allocator)
+        corpus.catalog.grow_sequence(name, extended)
         return self
 
     def replan(self, model: DetectionModel, *, exact: bool = False) -> AllocationReport:
@@ -353,43 +345,39 @@ class CorpusQueryService:
 
         By default this is an online epoch (:meth:`CorpusPipeline.spend`):
         the allocator spends only the budget the live sessions accrued
-        since its last run, and a shard that sampled new frames publishes
-        them through :meth:`QueryService.extend` — its cached series keep
-        the prefix before the earliest new sample.  A shard with no new
-        sample is left as it is.
+        since its last run.  ``exact`` re-plans from scratch
+        (:meth:`CorpusPipeline.plan`), paying only for frames no epoch
+        has detected yet, so the corpus becomes bit-identical to a batch
+        fit of the current catalog.
 
-        ``exact`` re-plans from scratch (:meth:`CorpusPipeline.plan`),
-        paying only for frames no epoch has detected yet, so the corpus
-        becomes bit-identical to a batch fit of the current catalog;
-        every shard adopts its plan through :meth:`QueryService.adopt`, a
-        wholesale cache invalidation.  Either way each shard swaps its
-        state atomically, so concurrent readers see the old or the new
-        epoch, never a mixture.  Sequences registered since the last plan
-        gain a service.  :meth:`extend` and this method both move the
-        live sessions, so call them from one writer thread (the
-        streaming service calls both under its ingest lock).  A
-        process-backed service refuses the call before anything changes.
+        A shard whose run changed (every shard, after an exact re-plan)
+        installs it through :meth:`QueryService.adopt`, atomically for
+        readers; an online epoch also re-offers its session to the next
+        run (:meth:`~repro.core.sampler.AdaptiveSamplingSession.reoffer`).
+        A sequence registered since the last plan gains a shard
+        (:meth:`CorpusPipeline.install`) and a service.  :meth:`extend`
+        and this method both move the live sessions, so call them from
+        one writer thread (the streaming service calls both under its
+        ingest lock).  A process-backed service refuses the call before
+        anything changes.
         """
         self._require_writable("replan")
         corpus = self._corpus
         sessions, allocation = corpus.plan(model) if exact else corpus.spend(model)
         for name, session in sessions.items():
-            sequence = corpus.catalog.sequence(name)
-            if name not in self._services:
-                sampling = session.result()
-                corpus._shard_for(name, sampling).fit_from_sampling(
-                    sequence, model, sampling, session=session
-                )
+            service = self._services.get(name)
+            if service is None:
                 self._services[name] = QueryService(
-                    corpus.shard(name), max_cache_entries=self._max_cache_entries
+                    corpus.install(name, model, session),
+                    max_cache_entries=self._max_cache_entries,
                 )
-            elif exact:
-                self._services[name].adopt(
-                    sequence, model, session.result(), session=session
-                )
-            elif session.frames_sampled != len(corpus.shard(name).sampling_result.sampled_ids):
-                self._services[name].extend(
-                    [], model=model, extended=sequence, allocator=corpus.allocator
+            elif exact or session.frames_sampled != len(
+                service.pipeline.sampling_result.sampled_ids
+            ):
+                if not exact:
+                    session.reoffer()
+                service.adopt(
+                    corpus.catalog.sequence(name), model, session.result(), session=session
                 )
         corpus.allocation = allocation
         return allocation

@@ -338,19 +338,13 @@ class CountSeriesCache:
     def bump(self) -> int:
         """Advance one generation with nothing reusable; return it.
 
-        The full-invalidation counterpart of :meth:`invalidate_tail`,
-        used when an ingest epoch re-plans the backing sampling run —
-        any cached series may have changed anywhere, so every entry is
-        dropped (each counted as one invalidation) and readers of the
-        old generation miss cleanly.
+        :meth:`invalidate_tail` at boundary -1: every entry is dropped
+        (each counted as one invalidation) and readers of the old
+        generation miss cleanly.
         """
-        with self._lock:
-            self._generation += 1
-            self._invalidations += len(self._entries)
-            self._entries.clear()
-            self._answer_order.clear()
-            self._bytes = 0
-            return self._generation
+        generation = self.generation + 1
+        self.invalidate_tail(-1, generation)
+        return generation
 
     def clear(self) -> None:
         """Drop every entry (counted as evictions); generation is kept."""

@@ -22,10 +22,11 @@ clients:
   against the warmed cache — all on the calling thread.  A request
   makes all of its cache lookups in one walk and its ledger entries in
   one timed update;
-* :meth:`extend` ingests a new frame batch and invalidates the cache
-  *incrementally* — series keep the prefix the extension provably left
-  unchanged and only tails are recomputed, via the providers'
-  ``count_series_many(filters, start=len(prefix))``.
+* :meth:`extend` (a new frame batch) and :meth:`adopt` (a re-planned
+  sampling run) install through the pipeline and end in one publish
+  that invalidates the cache *incrementally* — series keep the prefix
+  the install provably left unchanged and only tails are recomputed,
+  via the providers' ``count_series_many(filters, start=len(prefix))``.
 
 Thread-safety contract: ``execute`` / ``execute_many`` /
 ``execute_batch`` may be called from any number of threads, including
@@ -97,6 +98,12 @@ class _ServiceState:
     n_frames: int
     providers: dict[str, Any]
 
+    @classmethod
+    def of(cls, pipeline: MASTPipeline, generation: int) -> _ServiceState:
+        """The snapshot of ``pipeline``'s current providers at ``generation``."""
+        providers = pipeline.providers  # raises unless the pipeline is fit
+        return cls(generation, providers["linear"].n_frames, providers)
+
     def provider(self, kind: str) -> Any:
         return self.providers[kind]
 
@@ -115,16 +122,11 @@ class QueryService:
         *,
         max_cache_entries: int = 512,
     ) -> None:
-        providers = pipeline.providers  # raises unless the pipeline is fit
         self._pipeline = pipeline
         self.cache = CountSeriesCache(max_entries=max_cache_entries)
         self._extend_lock = threading.Lock()
         self._route = router(pipeline.config)
-        self._state = _ServiceState(
-            generation=self.cache.generation,
-            n_frames=providers["linear"].n_frames,
-            providers=providers,
-        )
+        self._state = _ServiceState.of(pipeline, self.cache.generation)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -143,7 +145,7 @@ class QueryService:
 
     @property
     def generation(self) -> int:
-        """Extension epoch (starts at 0, +1 per :meth:`extend`)."""
+        """Publish epoch (starts at 0, +1 per :meth:`extend` or :meth:`adopt`)."""
         return self._state.generation
 
     def cache_stats(self) -> CacheStats:
@@ -325,30 +327,18 @@ class QueryService:
         self,
         new_frames: list[PointCloudFrame],
         *,
-        model: DetectionModel | None = None,
         extended: FrameSequence | None = None,
         allocator: BudgetAllocator | None = None,
     ) -> QueryService:
-        """Ingest a frame batch; invalidate only changed series tails.
+        """Ingest a frame batch (:meth:`MASTPipeline.extend`) and publish it.
 
-        Runs :meth:`MASTPipeline.extend`, then truncates cached series
-        to the prefix the extension left unchanged; each is completed,
-        tail only, by the next lookup that asks for it.  Queries already
-        in flight keep answering on the pre-extension snapshot.
-        ``extended`` and ``allocator`` pass through to the pipeline.
+        Each cached series is completed, tail only, by the next lookup
+        that asks for it; queries in flight keep answering on the old
+        snapshot.  ``extended`` and ``allocator`` pass through.
         """
         with self._extend_lock:
-            self._pipeline.extend(new_frames, model=model, extended=extended, allocator=allocator)  # repro: noqa[RPR010] deliberate: _extend_lock serializes writers only; readers answer from the immutable pre-extension snapshot while the pipeline runs
-            boundary = self._pipeline.last_extend_boundary
-            assert boundary is not None
-            providers = self._pipeline.providers
-            generation = self._state.generation + 1
-            self.cache.invalidate_tail(boundary, generation)
-            self._state = _ServiceState(
-                generation=generation,
-                n_frames=providers["linear"].n_frames,
-                providers=providers,
-            )
+            self._pipeline.extend(new_frames, extended=extended, allocator=allocator)  # repro: noqa[RPR010] deliberate: _extend_lock serializes writers only; readers answer from the immutable pre-extension snapshot while the pipeline runs
+            self._publish()
         return self
 
     def adopt(
@@ -359,28 +349,33 @@ class QueryService:
         *,
         session: AdaptiveSamplingSession | None = None,
     ) -> QueryService:
-        """Install a re-planned sampling run; full cache invalidation.
+        """Install a re-planned sampling run and publish it.
 
-        The streaming layer's drain re-plans the corpus budget from
-        scratch over the final sequences and adopts each shard's fresh
-        :class:`~repro.core.sampler.SamplingResult` (and the ``session``
-        that produced it) here.  Unlike :meth:`extend`, a re-plan may
-        move sampled frames *anywhere* in the sequence, so no cached
-        prefix is provably reusable: the cache bumps a generation
-        wholesale and the immutable state snapshot is swapped under the
-        same lock that serializes extensions.  Queries already in flight
-        keep answering on the pre-adoption snapshot.
+        The corpus layer's re-plans adopt each shard's new run (and the
+        ``session`` that produced it) here, through
+        :meth:`MASTPipeline.fit_from_sampling`.  An online epoch's run
+        keeps every live sample, so cached series keep the prefix before
+        its earliest new one; the drain's exact plan moves samples and
+        keeps nothing.  Queries in flight keep answering on the old
+        snapshot.
         """
         with self._extend_lock:
             self._pipeline.fit_from_sampling(sequence, model, sampling, session=session)
-            providers = self._pipeline.providers
-            generation = self.cache.bump()
-            self._state = _ServiceState(
-                generation=generation,
-                n_frames=providers["linear"].n_frames,
-                providers=providers,
-            )
+            self._publish()
         return self
+
+    def _publish(self) -> None:  # repro: locked[_extend_lock]
+        """Swap in the pipeline's new state, one generation on.
+
+        Every write ends here: the cache keeps each series' prefix up to
+        :attr:`MASTPipeline.last_extend_boundary`, then readers pick up
+        the new snapshot.
+        """
+        boundary = self._pipeline.last_extend_boundary
+        assert boundary is not None
+        generation = self._state.generation + 1
+        self.cache.invalidate_tail(boundary, generation)
+        self._state = _ServiceState.of(self._pipeline, generation)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

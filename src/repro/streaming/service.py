@@ -42,6 +42,7 @@ are exactly reproducible and never read the wall clock.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import Union
@@ -80,9 +81,9 @@ def drift_zscore(history: list[float], value: float) -> float:
     """Z-score of ``value`` against the ``history`` of earlier values.
 
     Returns ``nan`` with fewer than 2 history points (not enough data to
-    call anything drift), ``inf``-signed drift when a perfectly constant
-    history changes at all, and the plain ``(value - mean) / std``
-    otherwise.
+    call anything drift), an infinity signed like the change when a
+    perfectly constant history changes at all, and the plain
+    ``(value - mean) / std`` otherwise.
     """
     if len(history) < 2:
         return float("nan")
@@ -90,7 +91,7 @@ def drift_zscore(history: list[float], value: float) -> float:
     center = float(np.mean(history))
     if spread > 1e-12:
         return (value - center) / spread
-    return 0.0 if value == center else float("inf")
+    return 0.0 if value == center else math.copysign(math.inf, value - center)
 
 
 @dataclass(frozen=True)
@@ -409,7 +410,7 @@ class StreamingCorpusService:
         frames = list(pending)
         before = self._model_invocations()
         try:
-            self._service.extend(name, frames, model=self.model)  # repro: noqa[RPR010] shard extension is the flush; _ingest_lock serializes writers while readers answer from the previous snapshot
+            self._service.extend(name, frames)  # repro: noqa[RPR010] shard extension is the flush; _ingest_lock serializes writers while readers answer from the previous snapshot
         finally:
             billed = self._model_invocations() - before
             with self._state_lock:

@@ -183,7 +183,7 @@ def test_memoized_texts_answer_from_the_new_epoch(catalog, config, model):
 
             name = service.names[0]
             full = semantickitti_like(0, n_frames=72, with_points=False)
-            service.extend(name, list(full)[60:], model=model)
+            service.extend(name, list(full)[60:])
             _assert_answers_current(service, texts, "after extend")
             assert service.execute(texts[0]).n_frames == frames_before + 12
 

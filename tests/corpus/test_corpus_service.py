@@ -130,7 +130,7 @@ class TestRollups:
 
 
 class TestExtension:
-    def test_extend_one_shard_only(self, service, corpus, model):
+    def test_extend_one_shard_only(self, service, corpus):
         name = corpus.names[0]
         other = corpus.names[1]
         before = service.execute(f"{RETRIEVAL} IN SEQUENCE {name}").n_frames
@@ -141,7 +141,10 @@ class TestExtension:
         # run of the same world and take the tail.
         full = semantickitti_like(0, n_frames=72, with_points=False)
         tail = list(full)[60:]
-        service.extend(name, tail, model=model)
+        service.extend(name, tail)
+        # One grown sequence: the catalog installs the one the shard grew into.
+        assert corpus.catalog.sequence(name) is corpus.shard(name).sequence
+        assert corpus.catalog.n_frames(name) == len(corpus.shard(name).sequence)
         after = service.execute(f"{RETRIEVAL} IN SEQUENCE {name}").n_frames
         assert after == before + len(tail)
         assert (

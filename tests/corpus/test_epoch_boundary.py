@@ -94,7 +94,7 @@ def test_answers_at_every_epoch_boundary_match_the_serial_reference(catalog, con
     tail = list(semantickitti_like(0, n_frames=84, with_points=False))[60:]
     service = CorpusQueryService(corpus)
     steps = [
-        lambda: service.extend(grown, tail, model=stepped),
+        lambda: service.extend(grown, tail),
         lambda: service.replan(stepped),
         lambda: service.replan(stepped, exact=True),
     ]
@@ -199,7 +199,7 @@ def test_a_reused_fanout_merge_reads_the_new_epoch(catalog, config, model, monke
     ask_thrice()
     before = service.execute(FANOUT[0]).by_sequence[grown].counts
     tail = list(semantickitti_like(0, n_frames=84, with_points=False))[60:]
-    service.extend(grown, tail, model=model)
+    service.extend(grown, tail)
     ask_thrice()
     after = service.execute(FANOUT[0]).by_sequence[grown].counts
     assert len(after) == len(before) + len(tail)

@@ -79,7 +79,7 @@ class TestReadOnly:
         before = mp_service.execute(text)
         tail = list(semantickitti_like(0, n_frames=frames + 12, with_points=False))[frames:]
         with pytest.raises(ValueError, match="extend needs backend='thread'"):
-            mp_service.extend(name, tail, model=mp_model)
+            mp_service.extend(name, tail)
         with pytest.raises(ValueError, match="replan needs backend='thread'"):
             mp_service.replan(mp_model)
         assert len(mp_corpus.catalog.sequence(name)) == frames

@@ -294,7 +294,7 @@ def test_one_walk_counts_like_lookups_one_by_one(
             frames = tail[extended : extended + CHUNK]
             extended += CHUNK
             for side in sides:
-                side.extend(grown, frames, model=model)
+                side.extend(grown, frames)
         elif step == "replan":
             for side in sides:
                 side.replan(model, exact=True)

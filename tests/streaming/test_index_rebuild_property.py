@@ -104,7 +104,7 @@ def test_rebuilt_index_equals_a_scratch_build(initial, steps):
                     frames = list(SEQUENCES[which][have : have + size])
                     if not frames:
                         continue
-                    service.extend(name, frames, model=MODEL)
+                    service.extend(name, frames)
                 else:
                     service.replan(MODEL, exact=step[1])
                 for name in corpus.names:

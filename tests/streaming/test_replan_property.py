@@ -162,7 +162,7 @@ def test_total_spend_equals_configured_budget(run) -> None:
         assert invocations <= 2 * configured
 
 
-def _heterogeneous_source() -> ScheduledFrameSource:
+def _heterogeneous_source(seed: int = 1) -> ScheduledFrameSource:
     """Sequences growing at different rates (240 / 240 / 160 frames)."""
     return ScheduledFrameSource(
         [spec.build() for spec in heterogeneous_specs(240, 160)],
@@ -172,8 +172,32 @@ def _heterogeneous_source() -> ScheduledFrameSource:
             "volatile-drive": ArrivalSchedule(rate=30.0, batch_frames=1),
             "sparse-urban": ArrivalSchedule(rate=8.0, batch_frames=2),
         },
-        seed=1,
+        seed=seed,
     )
+
+
+def test_an_epoch_reoffers_the_sessions_it_published() -> None:
+    """A UCB epoch can run a session's tree dry.  The epoch that
+    publishes that session's new samples offers it to the next run
+    again (``AdaptiveSamplingSession.reoffer``), where an empty chunk
+    marks it dry once more.  The extra pull draws from the root agent's
+    stream, so it shapes the live plan: here the epochs pull 47 chunks
+    and the last one holds 76 / 60 / 116 frames (without the re-offer,
+    45 chunks and 65 / 71 / 116)."""
+    with StreamingCorpusService(
+        _heterogeneous_source(seed=3),
+        pv_rcnn(seed=5),
+        MASTConfig(budget_fraction=0.4, seed=3),
+        policy="ucb",
+        max_lag_frames=5,
+        replan_every=16,
+    ) as stream:
+        stream.pump()
+        epochs = stream.epoch_snapshots()
+    assert sum(epoch.allocation.rounds for epoch in epochs) == 47
+    assert epochs[-1].allocation.frames_by_sequence == {
+        "static-drive": 76, "volatile-drive": 60, "sparse-urban": 116,
+    }
 
 
 def test_stream_bills_its_budget_once_plus_the_drain() -> None:

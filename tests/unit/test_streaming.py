@@ -74,3 +74,5 @@ class TestDriftDetection:
     def test_zscore_against_a_varying_history(self):
         assert drift_zscore([1.0, 3.0], 4.0) == pytest.approx(2.0)
         assert drift_zscore([2.0, 2.0], 2.0) == 0.0
+        assert drift_zscore([2.0, 2.0], 3.0) == float("inf")
+        assert drift_zscore([2.0, 2.0], 1.0) == -float("inf")

@@ -63,11 +63,10 @@ def st_reward(
     pairs, _, _ = match_by_label(estimated, actual, max_distance=max_distance)
     n_matched = len(pairs)
     if n_matched:
-        idx_est = np.array([i for i, _ in pairs])
-        idx_act = np.array([j for _, j in pairs])
-        dists = np.linalg.norm(
-            estimated.centers[idx_est] - actual.centers[idx_act], axis=1
-        )
+        idx_est, idx_act = np.array(pairs).T
+        diff = estimated.centers[idx_est] - actual.centers[idx_act]
+        # ``np.linalg.norm(diff, axis=1)``'s own formula.
+        dists = np.sqrt(np.add.reduce(diff * diff, axis=1))
         distance_term = float(dists.sum()) / (d_max * n_matched)
     else:
         distance_term = 0.0
@@ -105,10 +104,9 @@ def triple_reward(
         estimate = analyze_pair_once(
             engine, left, right, t_left, t_right, max_distance=max_distance
         )
-        predicted = estimate.predict(t_actual)
         return st_reward(
-            predicted.filter(predicted.scores >= confidence_threshold),
-            actual.filter(actual.scores >= confidence_threshold),
+            _confident(estimate.predict(t_actual), confidence_threshold),
+            _confident(actual, confidence_threshold),
             d_max=d_max,
             c_var=c_var,
             max_distance=max_distance,
@@ -122,6 +120,12 @@ def triple_reward(
         (t_left, t_right, t_actual, confidence_threshold, d_max, c_var, max_distance),
         compute,
     )
+
+
+def _confident(objects: ObjectArray, threshold: float) -> ObjectArray:
+    """``objects`` cut at ``threshold``: the set itself when nothing is cut."""
+    keep = objects.scores >= threshold
+    return objects if keep.all() else objects.filter(keep)
 
 
 def count_deviation_reward(actual_count: float, interpolated_count: float) -> float:

@@ -517,11 +517,8 @@ class AdaptiveSamplingSession:
             "reward_kind": self._sampler.reward_kind,
         }
         if self._tree is not None:
-            policy_info.update(
-                tree_depth=self._tree.depth_reached(),
-                tree_nodes=self._tree.n_nodes(),
-                tree_leaves=len(self._tree.leaves()),
-            )
+            depth, nodes, leaves = self._tree.shape()
+            policy_info.update(tree_depth=depth, tree_nodes=nodes, tree_leaves=leaves)
         return SamplingResult(
             sequence_name=self._sequence.name,
             n_frames=self.n_frames,

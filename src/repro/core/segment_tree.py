@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.bandit import ucb_score
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
 
@@ -167,18 +166,35 @@ class SegmentTree:
         return None
 
     def _select_child(self, node: SegmentNode) -> SegmentNode:
+        """The child with the highest :func:`~repro.core.bandit.ucb_score`.
+
+        One pass over the children: the log term is computed once, the
+        values are ``ucb_score``'s bit for bit, and exhausted children
+        never enter the tie set the RNG draws from.
+        """
         children = node.children
         assert children is not None
-        values = np.array(
-            [
-                ucb_score(child.reward, child.visits, node.visits, self.ucb_c)
-                if not child.exhausted
-                else -math.inf
-                for child in children
-            ]
-        )
-        best = np.flatnonzero(values == values.max())
-        if not len(best) or values.max() == -math.inf:
+        n_total = node.visits
+        log_term = 2.0 * math.log(n_total) if n_total > 0 else 0.0
+        c = self.ucb_c
+        best_value = -math.inf
+        best: list[int] = []
+        for k, child in enumerate(children):
+            if child.exhausted:
+                continue
+            visits = child.visits
+            if visits <= 0:
+                value = math.inf
+            elif n_total <= 0:
+                value = child.reward
+            else:
+                value = child.reward + c * math.sqrt(log_term / visits)
+            if value > best_value:
+                best_value = value
+                best = [k]
+            elif value == best_value:
+                best.append(k)
+        if not best:
             raise RuntimeError(
                 "selection descended into a fully exhausted node; "
                 "exhaustion propagation is broken"
@@ -267,24 +283,17 @@ class SegmentTree:
                 stack.extend(reversed(node.children))
         return out
 
-    def depth_reached(self) -> int:
-        """Deepest node depth currently in the tree."""
-        best = 0
+    def shape(self) -> tuple[int, int, int]:
+        """``(deepest depth, node count, leaf count)`` in one walk."""
+        depth = nodes = leaves = 0
         stack = [self.root]
         while stack:
             node = stack.pop()
-            best = max(best, node.depth)
-            if node.children is not None:
+            nodes += 1
+            if node.depth > depth:
+                depth = node.depth
+            if node.children is None:
+                leaves += 1
+            else:
                 stack.extend(node.children)
-        return best
-
-    def n_nodes(self) -> int:
-        """Total node count."""
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            count += 1
-            if node.children is not None:
-                stack.extend(node.children)
-        return count
+        return depth, nodes, leaves

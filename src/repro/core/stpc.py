@@ -49,35 +49,29 @@ def match_by_label(
 
     Returns ``(pairs, unmatched_a, unmatched_b)`` with indices into the
     original arrays.  "We only match objects with the same category", so
-    matching runs independently per label.  Each side's labels are
-    grouped once per call; nothing is cached on the object sets, which
-    are pickled into checkpoints and fingerprints.
+    matching runs independently per label, on that label's block of
+    center distances.  Each side's labels are grouped once per call;
+    nothing is cached on the object sets, which are pickled into
+    checkpoints and fingerprints.
     """
     pairs: list[tuple[int, int]] = []
-    free_a = np.ones(len(objects_a), dtype=bool)
-    free_b = np.ones(len(objects_b), dtype=bool)
     rows_a = _rows_by_label(objects_a.labels)
     rows_b = _rows_by_label(objects_b.labels)
     for label in sorted(rows_a.keys() & rows_b.keys()):
-        idx_a = np.array(rows_a[label], dtype=np.int64)
-        idx_b = np.array(rows_b[label], dtype=np.int64)
-        diff = (
-            objects_a.centers[idx_a][:, None, :] - objects_b.centers[idx_b][None, :, :]
-        )
-        cost = np.linalg.norm(diff, axis=2)
-        local_pairs = match_pairs(cost, max_distance)
-        if not local_pairs:
-            continue
-        local = np.array(local_pairs)
-        global_a = idx_a[local[:, 0]]
-        global_b = idx_b[local[:, 1]]
-        free_a[global_a] = False
-        free_b[global_b] = False
-        pairs.extend(zip(global_a.tolist(), global_b.tolist()))
+        idx_a = rows_a[label]
+        idx_b = rows_b[label]
+        diff = objects_a.centers[idx_a][:, None, :] - objects_b.centers[idx_b][None, :, :]
+        # ``np.linalg.norm(diff, axis=2)``'s own formula, without its
+        # dispatch: the same values bit for bit.
+        cost = np.sqrt(np.add.reduce(diff * diff, axis=2))
+        pairs.extend((idx_a[i], idx_b[j]) for i, j in match_pairs(cost, max_distance))
+    pairs.sort()
+    matched_a = {i for i, _ in pairs}
+    matched_b = {j for _, j in pairs}
     return (
-        sorted(pairs),
-        np.flatnonzero(free_a).tolist(),
-        np.flatnonzero(free_b).tolist(),
+        pairs,
+        [i for i in range(len(objects_a)) if i not in matched_a],
+        [j for j in range(len(objects_b)) if j not in matched_b],
     )
 
 
@@ -133,6 +127,24 @@ class MotionEstimate:
         return self.t_end - self.t_start
 
     # ------------------------------------------------------------------
+    def _parts(self) -> list[tuple[ObjectArray, np.ndarray]]:
+        """``(source set, row indices)`` of the non-empty prediction parts.
+
+        In row order: the matched boxes and the disappearing ones (both
+        from the start set), then the appearing ones (from the end set).
+        Empty parts are left out, so a label column's dtype is the
+        promotion of the parts that contribute rows.
+        """
+        start_rows = self.matched[0]
+        if self.disappearing:
+            start_rows = np.concatenate(
+                [start_rows, np.asarray(self.disappearing, dtype=np.int64)]
+            )
+        parts = [(self.objects_start, start_rows)] if len(start_rows) else []
+        if self.appearing:
+            parts.append((self.objects_end, np.asarray(self.appearing, dtype=np.int64)))
+        return parts
+
     def predict(self, t: float) -> ObjectArray:
         """Estimated object set at time ``t`` (Example 5.2).
 
@@ -141,30 +153,38 @@ class MotionEstimate:
         ``(t2 - t) / (t2 - t1)``; appearing boxes sit at their ``t2``
         location with confidence scaled by ``(t - t1) / (t2 - t1)``.
         ``t`` outside ``[t1, t2]`` extrapolates (confidence factors are
-        clamped to [0, 1]).
+        clamped to [0, 1]).  Rows are matched, disappearing, appearing.
         """
+        parts = self._parts()
+        if not parts:
+            return ObjectArray.empty()
         frac = (t - self.t_start) / self.duration
         conf_appear = float(np.clip(frac, 0.0, 1.0))
-        conf_disappear = 1.0 - conf_appear
-        parts: list[ObjectArray] = []
+        n_matched = self.matched.shape[1]
+        n_start = n_matched + len(self.disappearing)
 
-        matched_idx = self.matched[0]
-        if len(matched_idx):
-            moved = self.objects_start.filter(matched_idx)
-            deltas = self.velocities[matched_idx] * (t - self.t_start)
-            parts.append(moved.translated(deltas))
+        def column(name: str) -> np.ndarray:
+            return np.concatenate([getattr(source, name)[rows] for source, rows in parts])
 
-        if self.disappearing:
-            idx = np.asarray(self.disappearing, dtype=np.int64)
-            ghosts = self.objects_start.filter(idx)
-            parts.append(ghosts.with_scores(ghosts.scores * conf_disappear))
+        def optional(name: str) -> np.ndarray | None:
+            if any(getattr(source, name) is None for source, _ in parts):
+                return None
+            return column(name)
 
-        if self.appearing:
-            idx = np.asarray(self.appearing, dtype=np.int64)
-            newcomers = self.objects_end.filter(idx)
-            parts.append(newcomers.with_scores(newcomers.scores * conf_appear))
-
-        return ObjectArray.concatenate(parts)
+        centers = column("centers")
+        centers[:n_matched, :2] += self.velocities[self.matched[0]] * (t - self.t_start)
+        scores = column("scores")
+        scores[n_matched:n_start] *= 1.0 - conf_appear
+        scores[n_start:] *= conf_appear
+        return ObjectArray(
+            labels=column("labels"),
+            centers=centers,
+            sizes=column("sizes"),
+            yaws=column("yaws"),
+            scores=scores,
+            velocities=optional("velocities"),
+            ids=optional("ids"),
+        )
 
     def predict_flat(
         self, timestamps: np.ndarray
@@ -174,11 +194,14 @@ class MotionEstimate:
         Returns ``(row_timestamp_index, labels, positions, scores)``
         flattened over ``len(timestamps) x n_boxes`` rows, with
         ``positions`` of shape ``(rows, 2)`` — exactly the columns the
-        flat index needs, skipping ObjectArray construction.
+        flat index needs, skipping ObjectArray construction.  Rows run
+        part by part (matched, disappearing, appearing) and, within a
+        part, timestamp by timestamp.
         """
         timestamps = np.asarray(timestamps, dtype=float)
         n_t = len(timestamps)
-        if n_t == 0:
+        parts = self._parts() if n_t else []
+        if not parts:
             empty = np.zeros(0)
             return (
                 empty.astype(np.int64),
@@ -186,60 +209,42 @@ class MotionEstimate:
                 np.zeros((0, 2)),
                 empty,
             )
-
         frac = np.clip((timestamps - self.t_start) / self.duration, 0.0, 1.0)
-        labels_parts: list[np.ndarray] = []
-        position_parts: list[np.ndarray] = []
-        score_parts: list[np.ndarray] = []
-        index_parts: list[np.ndarray] = []
+        n_matched = self.matched.shape[1]
+        n_start = n_matched + len(self.disappearing)
+        n_boxes = n_start + len(self.appearing)
+        labels = np.concatenate([source.labels[rows] for source, rows in parts])
+        base = np.concatenate([source.centers[rows, :2] for source, rows in parts])
+        base_scores = np.concatenate([source.scores[rows] for source, rows in parts])
 
-        matched_idx = self.matched[0]
-        if len(matched_idx):
-            base = self.objects_start.centers[matched_idx, :2]  # (K, 2)
-            vel = self.velocities[matched_idx]  # (K, 2)
-            dts = (timestamps - self.t_start)[:, None, None]  # (T, 1, 1)
-            positions = base[None, :, :] + vel[None, :, :] * dts  # (T, K, 2)
-            position_parts.append(positions.reshape(-1, 2))
-            labels_parts.append(
-                np.tile(self.objects_start.labels[matched_idx], n_t)
-            )
-            score_parts.append(np.tile(self.objects_start.scores[matched_idx], n_t))
-            index_parts.append(np.repeat(np.arange(n_t), len(matched_idx)))
-
-        if self.disappearing:
-            idx = np.asarray(self.disappearing, dtype=np.int64)
-            static = self.objects_start.centers[idx, :2]
-            position_parts.append(np.tile(static, (n_t, 1)))
-            labels_parts.append(np.tile(self.objects_start.labels[idx], n_t))
-            score_parts.append(
-                (self.objects_start.scores[idx][None, :] * (1.0 - frac)[:, None]).ravel()
-            )
-            index_parts.append(np.repeat(np.arange(n_t), len(idx)))
-
-        if self.appearing:
-            idx = np.asarray(self.appearing, dtype=np.int64)
-            static = self.objects_end.centers[idx, :2]
-            position_parts.append(np.tile(static, (n_t, 1)))
-            labels_parts.append(np.tile(self.objects_end.labels[idx], n_t))
-            score_parts.append(
-                (self.objects_end.scores[idx][None, :] * frac[:, None]).ravel()
-            )
-            index_parts.append(np.repeat(np.arange(n_t), len(idx)))
-
-        if not labels_parts:
-            empty = np.zeros(0)
-            return (
-                empty.astype(np.int64),
-                np.empty(0, dtype="<U16"),
-                np.zeros((0, 2)),
-                empty,
-            )
-        return (
-            np.concatenate(index_parts),
-            np.concatenate(labels_parts),
-            np.concatenate(position_parts),
-            np.concatenate(score_parts),
-        )
+        out_index = np.empty(n_t * n_boxes, dtype=np.int64)
+        out_labels = np.empty(n_t * n_boxes, dtype=labels.dtype)
+        out_positions = np.empty((n_t * n_boxes, 2))
+        out_scores = np.empty(n_t * n_boxes)
+        time_index = np.arange(n_t)[:, None]
+        for lo, hi, weights in (
+            (0, n_matched, None),
+            (n_matched, n_start, 1.0 - frac),
+            (n_start, n_boxes, frac),
+        ):
+            if lo == hi:
+                continue
+            block = slice(n_t * lo, n_t * hi)
+            shape = (n_t, hi - lo)
+            out_index[block].reshape(shape)[...] = time_index
+            out_labels[block].reshape(shape)[...] = labels[lo:hi]
+            positions = out_positions[block].reshape(shape + (2,))
+            if weights is None:  # matched: constant velocity from t1
+                dts = (timestamps - self.t_start)[:, None, None]
+                np.multiply(self.velocities[self.matched[0]], dts, out=positions)
+                positions += base[lo:hi]
+                out_scores[block].reshape(shape)[...] = base_scores[lo:hi]
+            else:
+                positions[...] = base[lo:hi]
+                np.multiply(
+                    base_scores[lo:hi], weights[:, None], out=out_scores[block].reshape(shape)
+                )
+        return out_index, out_labels, out_positions, out_scores
 
 
 def analyze_pair(

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import SegmentTree
+from tests.kernel_specs import check_select_child
 
 
 @st.composite
@@ -75,7 +76,9 @@ def test_depth_never_exceeds_cap_plus_one(params):
     boundaries, branching, max_depth, n_steps, seed = params
     tree, _, _ = run_tree(boundaries, branching, max_depth, n_steps, seed)
     # Nodes at max_depth never split, so depth is bounded by the cap.
-    assert tree.depth_reached() <= max_depth
+    depth, nodes, leaves = tree.shape()
+    assert depth <= max_depth
+    assert leaves == len(tree.leaves()) <= nodes
 
 
 @given(tree_runs())
@@ -108,3 +111,58 @@ def test_visit_counts_consistent(params):
             check(child)
 
     check(tree.root)
+
+
+# ----------------------------------------------------------------------
+# The one-pass UCB choice against the per-child ``ucb_score`` spec
+# ----------------------------------------------------------------------
+def choose_as_the_spec(tree, node):
+    return check_select_child(tree, node, SegmentTree._select_child)
+
+
+def internal_nodes(tree):
+    stack, out = [tree.root], []
+    while stack:
+        node = stack.pop()
+        if node.children is not None:
+            out.append(node)
+            stack.extend(node.children)
+    return out
+
+
+@given(tree_runs(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=120, deadline=None)
+def test_select_child_equals_the_per_child_spec(params, tied_rewards, seed):
+    """Every choice of a run, then every internal node with children
+    marked exhausted or unvisited and rewards tied."""
+    boundaries, branching, max_depth, n_steps, tree_seed = params
+    rng = np.random.default_rng(tree_seed)
+    tree = SegmentTree(boundaries, branching=branching, max_depth=max_depth, rng=rng)
+    tree._select_child = lambda node: choose_as_the_spec(tree, node)
+    sampled = set(boundaries)
+    for _ in range(n_steps):
+        selection = tree.select(sampled.__contains__)
+        if selection is None:
+            break
+        path, frame_id = selection
+        reward = float(rng.integers(0, 2)) if tied_rewards else float(rng.random())
+        tree.record(path, frame_id, reward=reward)
+        sampled.add(frame_id)
+
+    perturb = np.random.default_rng(seed)
+    for node in internal_nodes(tree):
+        for child in node.children:
+            draw = perturb.random()
+            if draw < 0.2:
+                child.exhausted = True
+            elif draw < 0.4:
+                child.visits = 0
+            elif draw < 0.6 and node.children[0].visits:
+                child.reward = node.children[0].reward
+                child.visits = node.children[0].visits
+        if perturb.random() < 0.1:
+            node.visits = 0
+        choose_as_the_spec(tree, node)
+        for child in node.children:
+            child.exhausted = True
+        choose_as_the_spec(tree, node)  # both raise

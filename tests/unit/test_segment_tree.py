@@ -166,5 +166,7 @@ class TestIntrospection:
 
     def test_depth_and_node_counts(self):
         tree = make_tree((0, 100))
-        assert tree.depth_reached() == 1
-        assert tree.n_nodes() == 2
+        assert tree.shape() == (1, 2, 1)
+        path, frame_id = tree.select({0, 100}.__contains__)
+        tree.record(path, frame_id, reward=0.0)
+        assert tree.shape() == (2, 4, 2)

@@ -27,21 +27,9 @@ the scan on plain Python lists and :func:`_assign_wide` as whole-row
 numpy operations; both perform the same float64 operations in the same
 order with the same first-minimum tie-break, so they return the same
 assignment, and :data:`WIDE_SCAN_MIN_COLUMNS` picks between them.
-
-Before either scan, both kernels assign the conflict-free prefix in
-closed form.  While every row so far took a first-minimum column that no
-earlier row holds, the column potentials ``v`` are still 0, and the scan
-of the next row reduces to its first minimum: it ends with ``u[i] = 0.0
-+ min(row)`` and the row on its argmin.  Tracking matrices are mostly
-such rows (objects barely move between nearby frames), so the rows up to
-the first collision are assigned from one C-level argmin each, and the
-scan resumes at the colliding row from exactly the state it would have
-reached.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -80,17 +68,21 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
         return []
     if not np.isfinite(cost).all():
         raise ValueError("cost matrix must contain only finite values")
-    if n > m:
-        return sorted((row, col) for col, row in hungarian(cost.T))
+    tall = n > m
+    if tall:  # solve the transpose; the pairs are mirrored back below
+        cost, n, m = cost.T, m, n
     if n == 1:
         # Single row: the optimum is the cheapest column.  ``argmin``
         # returns the first minimum, matching the full algorithm's
         # strict-improvement tie-breaking.
-        return [(0, int(np.argmin(cost[0])))]
+        col = int(np.argmin(cost[0]))
+        return [(col, 0)] if tall else [(0, col)]
     if m < WIDE_SCAN_MIN_COLUMNS:
         row_of = _assign_narrow(cost.tolist(), n, m)
     else:
         row_of = _assign_wide(np.ascontiguousarray(cost), n, m)
+    if tall:  # row_of is indexed by the caller's rows, so already in order
+        return [(row, col) for row, col in enumerate(row_of) if col >= 0]
     return sorted((row, col) for col, row in enumerate(row_of) if row >= 0)
 
 
@@ -102,42 +94,13 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
 # 2 <= n <= m they return row_of.
 
 
-def _closed_form_prefix(
-    firsts: Iterable[tuple[int, float]], u: list[float] | np.ndarray, row_of: list[int]
-) -> int:
-    """Assign rows 0, 1, ... to their first minima until two collide.
-
-    ``firsts`` yields each row's ``(argmin, min)`` in row order.  While
-    no earlier row holds a row's argmin, ``v`` is still 0 and the scan
-    would end with exactly this state: ``u[i] = 0.0 + min`` (``0.0 +``
-    as the scan's ``u[i] += delta``, so a ``-0.0`` minimum leaves the
-    same bits) and the row on its argmin.  Returns the number of rows
-    assigned; the scan resumes at that row.
-    """
-    count = 0
-    for j, best in firsts:
-        if row_of[j] >= 0:
-            break
-        u[count] = 0.0 + best
-        row_of[j] = count
-        count += 1
-    return count
-
-
-def _first_minima(rows: list[list[float]]) -> Iterator[tuple[int, float]]:
-    """``(argmin, min)`` of each row, the first minimum as the scan's strict ``<``."""
-    for row in rows:
-        best = min(row)
-        yield row.index(best), best
-
-
 def _assign_narrow(rows: list[list[float]], n: int, m: int) -> list[int]:
     """The assignment of ``rows`` (``cost.tolist()``), scanning in Python."""
     u = [0.0] * n
     v = [0.0] * m
     row_of = [-1] * m
     way = [-1] * m
-    for i in range(_closed_form_prefix(_first_minima(rows), u, row_of), n):
+    for i in range(n):
         minv = [_INF] * m
         free = list(range(m))  # columns outside the tree, ascending
         tree_cols: list[int] = []
@@ -188,9 +151,7 @@ def _assign_wide(cost: np.ndarray, n: int, m: int) -> list[int]:
     tree_rows = np.empty(n, dtype=np.intp)
     tree_cols = np.empty(n, dtype=np.intp)
     tree_v = np.empty(n)  # v of the tree's columns, written back per row
-    argmins = cost.argmin(axis=1)  # first minima, as the scan's argmin
-    firsts = zip(argmins.tolist(), cost[np.arange(n), argmins].tolist())
-    for i in range(_closed_form_prefix(firsts, u, row_of), n):
+    for i in range(n):
         minv.fill(_INF)
         # A column's entry turns -inf when it joins the tree, so its
         # reduced cost reads +inf: it never improves and, with its minv

@@ -1,22 +1,14 @@
 """Property-based tests for the Hungarian implementation."""
 
 import itertools
-import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from repro.geometry import hungarian, match_pairs, match_with_threshold, matching
-from tests.kernel_specs import (
-    assign_narrow_spec,
-    assign_wide_spec,
-    hungarian_spec,
-    tracking_costs,
-)
 
 cost_matrices = st.integers(1, 8).flatmap(
     lambda n: st.integers(1, 8).flatmap(
@@ -100,123 +92,14 @@ def test_layouts_agree(case, integer_costs):
 @given(st.integers(2, 40), st.integers(0, 40), st.integers(0, 2**32 - 1), st.booleans())
 @settings(max_examples=120, deadline=None)
 def test_both_scans_return_the_same_assignment(n, extra, seed, integer_costs):
-    """The width constant chooses a speed, never an answer — ties included —
-    and both scans return the full-scan spec's assignment."""
+    """The width constant chooses a speed, never an answer — ties included."""
     m = n + extra
     rng = np.random.default_rng(seed)
     if integer_costs:
         cost = rng.integers(0, 3, size=(n, m)).astype(float)
     else:
         cost = euclidean_costs(n, m, seed)
-    want = assign_narrow_spec(cost.tolist(), n, m)
-    assert assign_wide_spec(cost, n, m) == want
-    assert matching._assign_narrow(cost.tolist(), n, m) == want
-    assert matching._assign_wide(cost, n, m) == want
-
-
-# ----------------------------------------------------------------------
-# The closed-form prefix against the full-scan spec
-# (``tests/kernel_specs.py``): same pairs on every matrix, and the same
-# potentials wherever the two scans could part ways.
-# ----------------------------------------------------------------------
-SPEC_KINDS = ("uniform", "integer", "signed_zero", "tracking")
-
-
-def spec_case(kind, n, m, seed):
-    """A cost matrix of ``kind``; ``tracking`` ignores ``m`` (births and
-    deaths set it), the rest are ``n x m``."""
-    rng = np.random.default_rng(seed)
-    if kind == "uniform":
-        return rng.uniform(-100.0, 100.0, size=(n, m))
-    if kind == "integer":  # ties everywhere
-        return rng.integers(0, 3, size=(n, m)).astype(float)
-    if kind == "signed_zero":  # 0.0 and -0.0 tie; the prefix must keep the bits
-        cost = rng.integers(0, 3, size=(n, m)).astype(float)
-        cost[rng.random((n, m)) < 0.5] = -0.0
-        return cost
-    return tracking_costs(rng, n)
-
-
-def assert_equals_the_spec(cost):
-    assert hungarian(cost) == hungarian_spec(cost)
-    n, m = cost.shape
-    if n > m:
-        cost = cost.T
-        n, m = m, n
-    if n >= 2:
-        want = assign_narrow_spec(cost.tolist(), n, m)
-        assert matching._assign_narrow(cost.tolist(), n, m) == want
-        assert matching._assign_wide(np.ascontiguousarray(cost), n, m) == want
-
-
-@given(
-    st.sampled_from(SPEC_KINDS),
-    st.integers(1, CUT + 16),
-    st.integers(1, CUT + 16),
-    st.integers(0, 2**32 - 1),
-)
-@settings(max_examples=150, deadline=None)
-def test_hungarian_equals_the_full_scan_spec(kind, n, m, seed):
-    """Random, tie-heavy, signed-zero and tracking-shaped matrices on both
-    sides of the scan cut-over, tall ones too."""
-    assert_equals_the_spec(spec_case(kind, n, m, seed))
-
-
-def test_signed_zero_prefix_leaves_the_scan_bits():
-    """A ``-0.0`` minimum: the prefix writes ``0.0 + -0.0`` as the scan
-    does, so the rows after it see the same reduced costs."""
-    cost = np.array([[-0.0, 1.0, 2.0], [-0.0, -0.0, 3.0], [0.0, -0.0, -0.0]])
-    u = [0.0] * 3
-    row_of = [-1] * 3
-    assert matching._closed_form_prefix(matching._first_minima(cost.tolist()), u, row_of) == 1
-    assert [math.copysign(1.0, x) for x in u] == [1.0, 1.0, 1.0]
-    assert_equals_the_spec(cost)
-    assert_equals_the_spec(np.ascontiguousarray(np.repeat(cost, 30, axis=1)))
-
-
-@pytest.fixture
-def prefix_rows(monkeypatch):
-    """Rows the closed-form prefix assigned, one entry per kernel call."""
-    assigned: list[int] = []
-    prefix = matching._closed_form_prefix
-
-    def counting(firsts, u, row_of):
-        count = prefix(firsts, u, row_of)
-        assigned.append(count)
-        return count
-
-    monkeypatch.setattr(matching, "_closed_form_prefix", counting)
-    return assigned
-
-
-@pytest.mark.parametrize("wide", [False, True])
-def test_the_prefix_fires_on_tracking_shaped_input(prefix_rows, wide):
-    """Objects that barely move: most rows are assigned in closed form, and
-    the pairs are still the spec's."""
-    rng = np.random.default_rng(40)
-    total = 0
-    for _ in range(40):
-        cost = tracking_costs(rng, 90 if wide else 12, extent=300.0 if wide else 60.0)
-        cost = cost if cost.shape[0] <= cost.shape[1] else cost.T
-        assert (cost.shape[1] >= CUT) == wide
-        assert_equals_the_spec(cost)
-        total += cost.shape[0]
-    # hungarian, _assign_narrow and _assign_wide each ran the prefix once.
-    assert len(prefix_rows) == 3 * 40
-    assert sum(prefix_rows) / 3 > 0.3 * total
-    assert sum(count == 0 for count in prefix_rows) < len(prefix_rows)
-
-
-@pytest.mark.stress
-def test_hungarian_equals_the_spec_on_thousands_of_tracking_matrices():
-    """2,400 tracking-shaped matrices, vehicle- and city-sized."""
-    rng = np.random.default_rng(2024)
-    for case in range(2400):
-        if case % 8 == 7:
-            cost = tracking_costs(rng, int(rng.integers(60, 160)), extent=300.0)
-        else:
-            cost = tracking_costs(rng, int(rng.integers(2, 40)))
-        assert_equals_the_spec(cost)
+    assert matching._assign_wide(cost, n, m) == matching._assign_narrow(cost.tolist(), n, m)
 
 
 def test_city_scale_euclidean_instances_equal_scipy():

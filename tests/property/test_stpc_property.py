@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from repro.core import MotionEstimate, analyze_pair, match_by_label, st_reward
 from repro.data import ObjectArray
+from repro.geometry import match_pairs
 from tests.kernel_specs import (
-    match_pairs_spec,
     object_columns,
     predict_flat_spec,
     predict_spec,
@@ -101,8 +101,8 @@ def test_reward_symmetric_in_cardinality_term(estimated, actual, c_var):
 # ----------------------------------------------------------------------
 def _match_by_label_spec(objects_a, objects_b, *, max_distance=None):
     """The pre-grouping ``match_by_label``: ``np.unique`` label sets, a
-    ``labels == label`` scan per label per side, ``np.linalg.norm`` costs
-    and the full-scan assignment spec.  Kept as the reference."""
+    ``labels == label`` scan per label per side and ``np.linalg.norm``
+    costs.  Kept as the reference."""
     pairs = []
     free_a = np.ones(len(objects_a), dtype=bool)
     free_b = np.ones(len(objects_b), dtype=bool)
@@ -113,7 +113,7 @@ def _match_by_label_spec(objects_a, objects_b, *, max_distance=None):
             objects_a.centers[idx_a][:, None, :] - objects_b.centers[idx_b][None, :, :]
         )
         cost = np.linalg.norm(diff, axis=2)
-        local_pairs = match_pairs_spec(cost, max_distance)
+        local_pairs = match_pairs(cost, max_distance)
         if not local_pairs:
             continue
         local = np.array(local_pairs)
@@ -181,8 +181,7 @@ def test_match_by_label_equals_the_spec_at_city_scale(data, gate):
 
 # ----------------------------------------------------------------------
 # Tracking-shaped scenes: scene b is scene a jittered, plus births and
-# deaths — the pairs ST-PC analysis sees, whose cost matrices take the
-# assignment's closed-form prefix.
+# deaths — the pairs ST-PC analysis sees.
 # ----------------------------------------------------------------------
 @st.composite
 def tracked_pairs(draw, *, max_objects=14, extent=60.0):

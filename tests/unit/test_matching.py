@@ -4,12 +4,30 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
-from repro.geometry import hungarian, match_pairs, match_with_threshold
+from repro.geometry import hungarian, match_pairs, match_with_threshold, matching
 
 
 def optimal_cost(cost):
     rows, cols = linear_sum_assignment(cost)
     return cost[rows, cols].sum()
+
+
+_BLOCK = [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
+
+#: Tie-heavy matrices, each with several optimal assignments, and the one
+#: the scan's first-minimum rule picks.
+TIE_PINS = [
+    ([[1, 0, 0, 1], [0, 0, 1, 1], [0, 1, 0, 0], [1, 1, 0, 0]], [(0, 1), (1, 0), (2, 2), (3, 3)]),
+    ([[2, 1, 1, 2, 1], [1, 1, 2, 1, 1], [1, 2, 1, 1, 2]], [(0, 1), (1, 0), (2, 2)]),
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 1]], [(0, 0), (1, 1), (2, 2)]),
+    # tall: solved as its transpose
+    ([[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0], [1, 0, 1]], [(0, 2), (1, 1), (2, 0)]),
+    # 0.0 and -0.0 tie
+    ([[1, -0.0, 0.0, -0.0], [-0.0, 0.0, 1, 0.0], [0.0, 1, -0.0, -0.0]], [(0, 1), (1, 0), (2, 2)]),
+    # one block on both sides of WIDE_SCAN_MIN_COLUMNS: 60 and 68 columns
+    (np.tile(_BLOCK, (1, 15)), [(0, 3), (1, 0), (2, 2), (3, 1)]),
+    (np.tile(_BLOCK, (1, 17)), [(0, 3), (1, 0), (2, 2), (3, 1)]),
+]
 
 
 class TestHungarian:
@@ -36,6 +54,28 @@ class TestHungarian:
         pairs = hungarian(cost)
         assert len(pairs) == 2
         assert sum(cost[i, j] for i, j in pairs) == pytest.approx(2.0)
+
+    def test_a_tall_matrix_is_one_call(self, monkeypatch):
+        calls = []
+        solve = matching.hungarian
+        monkeypatch.setattr(matching, "hungarian", lambda cost: calls.append(cost) or solve(cost))
+        cost = np.array([[10.0, 1.0], [1.0, 10.0], [5.0, 5.0]])
+        assert matching.hungarian(cost) == [(0, 1), (1, 0)]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("cost, pairs", TIE_PINS)
+    def test_ties_resolve_to_the_pinned_pairs(self, cost, pairs):
+        cost = np.array(cost, dtype=float)
+        assert hungarian(cost) == pairs
+        tall = cost.shape[0] > cost.shape[1]
+        oriented = cost.T if tall else cost
+        n, m = oriented.shape
+        for row_of in (
+            matching._assign_narrow(oriented.tolist(), n, m),
+            matching._assign_wide(np.ascontiguousarray(oriented), n, m),
+        ):
+            found = [(row, col) for col, row in enumerate(row_of) if row >= 0]
+            assert sorted((col, row) if tall else (row, col) for row, col in found) == pairs
 
     def test_empty_matrix(self):
         assert hungarian(np.zeros((0, 3))) == []

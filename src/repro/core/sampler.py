@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.config import MASTConfig
 from repro.core.reward import count_deviation_reward, triple_reward
 from repro.core.segment_tree import SegmentTree
-from repro.data.annotations import ObjectArray
+from repro.data.annotations import ObjectArray, pack_frames, unpack_frames
 from repro.data.sequence import FrameSequence
 from repro.inference import InferenceEngine
 from repro.models.base import DetectionModel
@@ -85,6 +85,23 @@ class SamplingResult:
     def __post_init__(self) -> None:
         self.sampled_ids = np.asarray(self.sampled_ids, dtype=np.int64)
         self.timestamps = np.asarray(self.timestamps, dtype=float)
+
+    def __getstate__(self) -> dict[str, object]:
+        """The fields, with ``detections`` as columns (:func:`pack_frames`).
+
+        The value is unchanged, and so is its ``stable_digest``; only the
+        pickle holds a few concatenated arrays instead of one object set
+        per sampled frame.
+        """
+        state = dict(self.__dict__)
+        state["detections"] = pack_frames(self.detections)
+        return state
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        detections = state["detections"]
+        if isinstance(detections, tuple):  # columns; older pickles hold the map
+            state = {**state, "detections": unpack_frames(detections)}
+        self.__dict__.update(state)
 
     @property
     def sampling_fraction(self) -> float:

@@ -10,13 +10,14 @@ materialized on demand for the object-oriented public API.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.geometry.box import BoundingBox3D
 
-__all__ = ["ObjectArray"]
+__all__ = ["ObjectArray", "FrameColumns", "pack_frames", "unpack_frames"]
 
 
 def _column(values, name: str, shape_tail: tuple[int, ...], dtype) -> np.ndarray:
@@ -228,8 +229,11 @@ class ObjectArray:
         """The columns, a read-only one as a writable copy.
 
         A read-only column is a view its owner shares (an experiment's
-        replayed detections), not part of the value: the set pickles to
-        the same bytes, and unpickles writable, either way.
+        replayed detections), not part of the value: a set pickled on its
+        own pickles to the same bytes, and unpickles writable, either way.
+        A map of sets inside a checkpointed sampling run does not come
+        here: it pickles as columns (:func:`pack_frames`), whose
+        concatenated arrays are fresh and writable anyway.
         """
         state = self.__dict__
         if all(value is None or value.flags.writeable for value in state.values()):
@@ -241,3 +245,66 @@ class ObjectArray:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"ObjectArray(n={len(self)}, labels={sorted(self.label_set())})"
+
+
+_FIELDS = tuple(column.name for column in fields(ObjectArray))
+
+#: One block of frames that share a column layout: their frame ids, their
+#: row counts, and one concatenated array per field (``None`` where the
+#: block's frames carry none).
+_Block = tuple[list[int], np.ndarray, tuple[np.ndarray | None, ...]]
+#: A ``frame_id -> ObjectArray`` map as columns: its frame ids in
+#: insertion order, and its frames in blocks of one column layout each.
+FrameColumns = tuple[list[int], list[_Block]]
+
+
+def pack_frames(frames: Mapping[int, ObjectArray]) -> FrameColumns:
+    """``frames`` as a few concatenated columns instead of one set per frame.
+
+    Frames are grouped by column layout (the labels dtype and which
+    optional columns they carry), so each one unpacks with its own
+    dtypes.  A map of a few thousand small sets pickles and unpickles
+    as a handful of arrays instead of tens of thousands.
+    """
+    layouts: dict[tuple, tuple[list[int], list[ObjectArray]]] = {}
+    for key, objects in frames.items():
+        layout = (objects.labels.dtype, objects.velocities is None, objects.ids is None)
+        keys, sets = layouts.setdefault(layout, ([], []))
+        keys.append(key)
+        sets.append(objects)
+    blocks = []
+    for keys, sets in layouts.values():
+        columns = tuple(
+            None
+            if getattr(sets[0], name) is None
+            else np.concatenate([getattr(objects, name) for objects in sets])
+            for name in _FIELDS
+        )
+        counts = np.array([len(objects) for objects in sets], dtype=np.int64)
+        blocks.append((keys, counts, columns))
+    return list(frames), blocks
+
+
+def unpack_frames(packed: FrameColumns) -> dict[int, ObjectArray]:
+    """The map :func:`pack_frames` packed, in its insertion order.
+
+    Each set's columns are slices of the block's concatenated arrays:
+    writable, and disjoint from every other set's.  The sets are built
+    without re-validation, as an unpickled set is.
+    """
+    order, blocks = packed
+    frames: dict[int, ObjectArray] = {}
+    for keys, counts, columns in blocks:
+        named = tuple(zip(_FIELDS, columns))
+        start = 0
+        for key, stop in zip(keys, np.cumsum(counts).tolist()):
+            objects = object.__new__(ObjectArray)
+            objects.__dict__.update(
+                (name, None if column is None else column[start:stop])
+                for name, column in named
+            )
+            frames[key] = objects
+            start = stop
+    if len(blocks) > 1:
+        frames = {key: frames[key] for key in order}
+    return frames

@@ -8,7 +8,8 @@ fingerprint drifted — a checkpoint replay is *verified* bit-identical,
 not assumed.
 
 Writes go through a temp file + :func:`os.replace` so a crash mid-write
-never leaves a truncated checkpoint that a resume would trust.
+never leaves a truncated checkpoint that a resume would trust, and a
+write that fails removes its temp file.
 """
 
 from __future__ import annotations
@@ -65,8 +66,14 @@ class CheckpointStore:
         )
         target = self.path(key)
         scratch = target.with_suffix(_SUFFIX + ".tmp")
-        with open(scratch, "wb") as handle:
-            pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        try:
+            with open(scratch, "wb") as handle:
+                pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
+        except BaseException:
+            # A value that digests but does not pickle (or an interrupt)
+            # leaves no scratch file behind; the error is the caller's.
+            scratch.unlink(missing_ok=True)
+            raise
         os.replace(scratch, target)
         return fingerprint
 

@@ -113,68 +113,73 @@ def apply_noise(
     """Corrupt a frame's ground truth according to ``profile``.
 
     Returns a detection-style :class:`ObjectArray` (no ids, no
-    velocities) already filtered by the profile's score threshold.
+    velocities) already filtered by the profile's score threshold: the
+    detected true boxes, then the false positives, in draw order.
     """
     n = len(ground_truth)
-    parts: list[ObjectArray] = []
+    # One list of parts per column: the detected true boxes, then the
+    # false positives.  The result is built once, from both.
+    labels: list[np.ndarray] = []
+    centers: list[np.ndarray] = []
+    sizes: list[np.ndarray] = []
+    yaws: list[np.ndarray] = []
+    scores: list[np.ndarray] = []
 
     if n:
         distances = ground_truth.distances_to_origin()
         detected = rng.random(n) < profile.recall_at(distances)
-        kept = ground_truth.filter(detected)
-        k = len(kept)
+        dist_kept = distances[detected]
+        k = len(dist_kept)
         if k:
-            dist_kept = distances[detected]
             sigma = profile.center_sigma * (1.0 + dist_kept / 50.0)
-            centers = kept.centers + rng.normal(0.0, 1.0, (k, 3)) * sigma[:, None]
-            sizes = np.maximum(
-                kept.sizes + rng.normal(0.0, profile.size_sigma, (k, 3)), 0.2
+            centers.append(
+                ground_truth.centers[detected]
+                + rng.normal(0.0, 1.0, (k, 3)) * sigma[:, None]
             )
-            yaws = kept.yaws + rng.normal(0.0, profile.yaw_sigma, k)
-            scores = np.clip(
-                profile.score_mean
-                - profile.score_distance_slope * (dist_kept / profile.sensor_range)
-                + rng.normal(0.0, profile.score_spread, k),
-                0.05,
-                1.0,
-            )
-            parts.append(
-                ObjectArray(
-                    labels=kept.labels.copy(),
-                    centers=centers,
-                    sizes=sizes,
-                    yaws=yaws,
-                    scores=scores,
+            sizes.append(
+                np.maximum(
+                    ground_truth.sizes[detected]
+                    + rng.normal(0.0, profile.size_sigma, (k, 3)),
+                    0.2,
                 )
             )
+            yaws.append(ground_truth.yaws[detected] + rng.normal(0.0, profile.yaw_sigma, k))
+            scores.append(
+                np.clip(
+                    profile.score_mean
+                    - profile.score_distance_slope * (dist_kept / profile.sensor_range)
+                    + rng.normal(0.0, profile.score_spread, k),
+                    0.05,
+                    1.0,
+                )
+            )
+            labels.append(ground_truth.labels[detected])
 
     n_fp = int(rng.poisson(profile.false_positive_rate))
     if n_fp:
-        labels = rng.choice(_FP_LABELS, n_fp)
+        fp_labels = rng.choice(_FP_LABELS, n_fp)
         radius = rng.uniform(5.0, profile.sensor_range, n_fp)
         angle = rng.uniform(0.0, 2.0 * math.pi, n_fp)
-        sizes = np.array([_FP_SIZES[str(lab)] for lab in labels]) * rng.uniform(
+        fp_sizes = np.array([_FP_SIZES[str(lab)] for lab in fp_labels]) * rng.uniform(
             0.85, 1.15, (n_fp, 1)
         )
-        centers = np.column_stack(
-            [
-                radius * np.cos(angle),
-                radius * np.sin(angle),
-                -1.7 + sizes[:, 2] / 2.0,
-            ]
-        )
-        scores = np.clip(
-            rng.normal(profile.false_positive_score, 0.1, n_fp), 0.05, 1.0
-        )
-        parts.append(
-            ObjectArray(
-                labels=labels.astype("<U16"),
-                centers=centers,
-                sizes=sizes,
-                yaws=rng.uniform(-math.pi, math.pi, n_fp),
-                scores=scores,
-            )
-        )
+        fp_centers = np.empty((n_fp, 3))
+        fp_centers[:, 0] = radius * np.cos(angle)
+        fp_centers[:, 1] = radius * np.sin(angle)
+        fp_centers[:, 2] = -1.7 + fp_sizes[:, 2] / 2.0
+        scores.append(np.clip(rng.normal(profile.false_positive_score, 0.1, n_fp), 0.05, 1.0))
+        labels.append(fp_labels.astype("<U16"))
+        centers.append(fp_centers)
+        sizes.append(fp_sizes)
+        yaws.append(rng.uniform(-math.pi, math.pi, n_fp))
 
-    merged = ObjectArray.concatenate(parts)
-    return merged.filter(merged.scores >= profile.score_threshold)
+    if not labels:
+        return ObjectArray.empty()
+    columns = [
+        parts[0] if len(parts) == 1 else np.concatenate(parts)
+        for parts in (labels, centers, sizes, yaws, scores)
+    ]
+    keep = columns[-1] >= profile.score_threshold
+    if not keep.all():
+        columns = [column[keep] for column in columns]
+    return ObjectArray(*columns)

@@ -98,6 +98,15 @@ class WorldConfig:
             raise ValueError(f"spawn_radius must satisfy 0 < low < high, got {self.spawn_radius}")
 
 
+def _norms(xy: np.ndarray) -> np.ndarray:
+    """Row norms of a real ``(n, 2)`` array.
+
+    ``np.linalg.norm(xy, axis=1)`` computes exactly this, bit for bit,
+    behind a few layers of argument handling.
+    """
+    return np.sqrt(np.add.reduce(xy * xy, axis=1))
+
+
 @dataclass
 class _ActorState:
     """Structure-of-arrays state for the active actor population."""
@@ -221,17 +230,16 @@ class TrafficWorld:
             )
             np.maximum(actors.speeds, 0.0, out=actors.speeds)
             actors.headings = actors.headings + actors.yaw_rates * dt
-            actors.positions = actors.positions + (
-                actors.speeds[:, None]
-                * np.column_stack([np.cos(actors.headings), np.sin(actors.headings)])
-                * dt
-            )
+            unit = np.empty((n, 2))
+            unit[:, 0] = np.cos(actors.headings)
+            unit[:, 1] = np.sin(actors.headings)
+            actors.positions = actors.positions + actors.speeds[:, None] * unit * dt
 
         self._time = t + dt
 
         # --- despawn: scheduled end of life, or drifted far out of range.
         if len(actors):
-            dist = np.linalg.norm(actors.positions - self._ego.position, axis=1)
+            dist = _norms(actors.positions - (self._ego.x, self._ego.y))
             keep = (actors.despawn_times > self._time) & (
                 dist < cfg.sensor_range * 1.4
             )
@@ -264,36 +272,37 @@ class TrafficWorld:
         actors = self._actors
         if not len(actors):
             return ObjectArray.empty()
-        rel_world = actors.positions - self._ego.position
-        dist = np.linalg.norm(rel_world, axis=1)
-        mask = dist <= self.config.sensor_range
-        if not mask.any():
+        ego = self._ego
+        rel_world = actors.positions - (ego.x, ego.y)
+        dist = _norms(rel_world)
+        (seen,) = np.nonzero(dist <= self.config.sensor_range)
+        m = len(seen)
+        if not m:
             return ObjectArray.empty()
 
-        rot = rotation_matrix_2d(-self._ego.yaw)
-        xy = rel_world[mask] @ rot.T
-        sizes = actors.sizes[mask]
-        centers = np.column_stack([xy, GROUND_Z + sizes[:, 2] / 2.0])
-        yaws = np.array(
-            [wrap_angle(h - self._ego.yaw) for h in actors.headings[mask]]
-        )
+        # Integer indexing copies, so every column below is the frame's own.
+        rot = rotation_matrix_2d(-ego.yaw)
+        sizes = actors.sizes[seen]
+        centers = np.empty((m, 3))
+        centers[:, :2] = rel_world[seen] @ rot.T
+        centers[:, 2] = GROUND_Z + sizes[:, 2] / 2.0
+        headings = actors.headings[seen]
+        yaws = np.array([wrap_angle(h - ego.yaw) for h in headings.tolist()])
 
-        ego_vel = self._ego_speed * np.array(
-            [math.cos(self._ego.yaw), math.sin(self._ego.yaw)]
-        )
-        actor_vel = actors.speeds[mask, None] * np.column_stack(
-            [np.cos(actors.headings[mask]), np.sin(actors.headings[mask])]
-        )
-        rel_vel = (actor_vel - ego_vel) @ rot.T
+        speed = self._ego_speed
+        speeds = actors.speeds[seen]
+        rel_vel = np.empty((m, 2))
+        rel_vel[:, 0] = speeds * np.cos(headings) - speed * math.cos(ego.yaw)
+        rel_vel[:, 1] = speeds * np.sin(headings) - speed * math.sin(ego.yaw)
 
         return ObjectArray(
-            labels=actors.labels[mask].copy(),
+            labels=actors.labels[seen],
             centers=centers,
-            sizes=sizes.copy(),
+            sizes=sizes,
             yaws=yaws,
-            scores=np.ones(int(mask.sum())),
-            velocities=rel_vel,
-            ids=actors.ids[mask].copy(),
+            scores=np.ones(m),
+            velocities=rel_vel @ rot.T,
+            ids=actors.ids[seen],
         )
 
     # ------------------------------------------------------------------

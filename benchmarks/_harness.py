@@ -8,21 +8,31 @@ evaluation, policy stepping, index construction, ...).
 
 Scale: sequences default to ``REPRO_BENCH_SCALE`` (default 0.1) of the
 paper's frame counts so the whole suite runs in a couple of minutes;
-set ``REPRO_BENCH_SCALE=1`` to reproduce at full scale.  Experiments are
-cached in-process, so benches that share a (sequence, model, config)
-combination — e.g. Tables 3, 4 and 5 — compute it once.
+set ``REPRO_BENCH_SCALE=1`` to reproduce at full scale.
+
+Every experiment runs as an :func:`~repro.evalx.experiment_flow`
+against one checkpoint directory per session (temporary, removed at
+exit), so an Oracle step runs once per (sequence, model, workload)
+whatever the policy seed or config overrides.  Reports are also cached
+in-process by their flow spec, so benches that share an experiment —
+e.g. Tables 3, 4 and 5 — compute it once.
 """
 
 from __future__ import annotations
 
+import atexit
+import functools
 import os
+import shutil
+import tempfile
 from pathlib import Path
 
 from repro.baselines import PAPER_METHODS, MethodSpec
 from repro.core import MASTConfig
 from repro.data import FrameSequence
-from repro.evalx import ExperimentReport, run_experiment
-from repro.models import make_model
+from repro.evalx import ExperimentFlowSpec, ExperimentReport, experiment_flow
+from repro.evalx.flows import budget_label
+from repro.flow import FlowRunner
 from repro.query import QueryWorkload, generate_workload
 from repro.simulation import (
     ONCE_LENGTHS,
@@ -48,7 +58,7 @@ PAPER_LENGTHS = {
 }
 
 _SEQUENCE_CACHE: dict[tuple, FrameSequence] = {}
-_EXPERIMENT_CACHE: dict[tuple, ExperimentReport] = {}
+_EXPERIMENT_CACHE: dict[ExperimentFlowSpec, ExperimentReport] = {}
 _WORKLOAD_CACHE: dict[int, QueryWorkload] = {}
 
 
@@ -84,6 +94,14 @@ def get_workload() -> QueryWorkload:
     return _WORKLOAD_CACHE[SEED]
 
 
+@functools.cache
+def _checkpoint_dir() -> Path:
+    """The session's flow checkpoint directory (removed at exit)."""
+    path = Path(tempfile.mkdtemp(prefix="repro-bench-flows-"))
+    atexit.register(shutil.rmtree, path, ignore_errors=True)
+    return path
+
+
 def get_experiment(
     dataset: str,
     sequence_index: int = 0,
@@ -94,25 +112,29 @@ def get_experiment(
     seed: int | None = None,
     **config_overrides,
 ) -> ExperimentReport:
-    """Run (and cache) one full method-comparison experiment."""
-    seed = SEED if seed is None else seed
-    key = (
-        dataset,
-        sequence_index,
-        n_frames if n_frames is not None else scaled_length(dataset, sequence_index),
-        model_name,
-        tuple(spec.name for spec in methods),
-        seed,
-        tuple(sorted(config_overrides.items())),
+    """Run (and cache) one full method-comparison experiment.
+
+    ``seed`` seeds the sampling policy; the workload is always
+    :func:`get_workload`'s.  ``config_overrides`` are ``MASTConfig``
+    fields, ``budget_fraction`` included.
+    """
+    budget = config_overrides.pop("budget_fraction", MASTConfig.budget_fraction)
+    spec = ExperimentFlowSpec(
+        dataset=dataset,
+        sequence_index=sequence_index,
+        n_frames=scaled_length(dataset, sequence_index) if n_frames is None else n_frames,
+        model=model_name,
+        model_seed=MODEL_SEED,
+        seed=SEED if seed is None else seed,
+        methods=tuple(method.name for method in methods),
+        budgets=(budget,),
+        workload_seed=SEED,
+        overrides=tuple(sorted(config_overrides.items())),
     )
-    if key not in _EXPERIMENT_CACHE:
-        sequence = get_sequence(dataset, sequence_index, n_frames=n_frames)
-        model = make_model(model_name, seed=MODEL_SEED)
-        config = MASTConfig(seed=seed, **config_overrides)
-        _EXPERIMENT_CACHE[key] = run_experiment(
-            sequence, model, get_workload(), methods=methods, config=config
-        )
-    return _EXPERIMENT_CACHE[key]
+    if spec not in _EXPERIMENT_CACHE:
+        result = FlowRunner(experiment_flow(spec), checkpoint_dir=_checkpoint_dir()).run()
+        _EXPERIMENT_CACHE[spec] = result[f"report:{budget_label(budget)}"]
+    return _EXPERIMENT_CACHE[spec]
 
 
 #: Seeds used by benches that average the sampling policy's randomness.

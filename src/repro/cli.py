@@ -568,14 +568,24 @@ def _cmd_tracks(args, out) -> int:
 
 
 def _cmd_experiment(args, out) -> int:
-    from repro.evalx import format_table, run_experiment
-    from repro.query import generate_workload
+    import tempfile
 
-    config, model = _config_and_model(args)
-    sequence = _sequence_spec(args).build()
-    report = run_experiment(
-        sequence, model, generate_workload(rng=args.seed), config=config
+    from repro.evalx import ExperimentFlowSpec, experiment_flow, format_table
+    from repro.evalx.flows import budget_label
+    from repro.flow import FlowRunner
+
+    spec = ExperimentFlowSpec(
+        dataset=args.dataset,
+        sequence_index=args.sequence_index,
+        n_frames=args.frames,
+        model=args.model,
+        seed=args.seed,
+        budgets=(args.budget,),
     )
+    flow = experiment_flow(spec)
+    with tempfile.TemporaryDirectory(prefix="repro-experiment-") as checkpoint_dir:
+        result = FlowRunner(flow, checkpoint_dir=checkpoint_dir).run()
+    report = result[f"report:{budget_label(args.budget)}"]
     rows = []
     for name, method_report in report.methods.items():
         accuracy = method_report.aggregate_accuracy_by_operator()
@@ -591,7 +601,7 @@ def _cmd_experiment(args, out) -> int:
         format_table(
             ["method", "retrieval F1", "Count%", "Avg%", "Med%", "model sec"],
             rows,
-            title=f"{sequence.name} ({args.model}, budget "
+            title=f"{report.sequence} ({args.model}, budget "
             f"{int(100 * args.budget)}%, {report.n_retrieval_queries} "
             f"retrieval queries kept)",
         ),

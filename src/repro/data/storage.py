@@ -57,25 +57,29 @@ def _flatten_objects(
 
 
 def _unflatten_objects(data, n_frames: int) -> list[ObjectArray]:
-    """Invert :func:`_flatten_objects`."""
+    """Invert :func:`_flatten_objects`.
+
+    Each member is read once (every ``data[name]`` decompresses the whole
+    member) and its rows are split by frame, so a load is linear in the
+    rows.  Each set's columns are disjoint, writable slices.
+    """
     frame_index = data["obj_frame_index"]
-    velocities = data["obj_velocities"] if "obj_velocities" in data else None
-    ids = data["obj_ids"] if "obj_ids" in data else None
-    out: list[ObjectArray] = []
-    for i in range(n_frames):
-        mask = frame_index == i
-        out.append(
-            ObjectArray(
-                labels=data["obj_labels"][mask],
-                centers=data["obj_centers"][mask],
-                sizes=data["obj_sizes"][mask],
-                yaws=data["obj_yaws"][mask],
-                scores=data["obj_scores"][mask],
-                velocities=None if velocities is None else velocities[mask],
-                ids=None if ids is None else ids[mask],
-            )
+    columns = {
+        name: data[f"obj_{name}"] if f"obj_{name}" in data else None
+        for name in ("labels", "centers", "sizes", "yaws", "scores", "velocities", "ids")
+    }
+    if np.any(frame_index[1:] < frame_index[:-1]):
+        raise ValueError("object rows are not grouped by frame")
+    bounds = np.searchsorted(frame_index, np.arange(n_frames + 1)).tolist()
+    return [
+        ObjectArray(
+            **{
+                name: None if column is None else column[start:stop]
+                for name, column in columns.items()
+            }
         )
-    return out
+        for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def save_sequence(sequence: FrameSequence, path: str | Path) -> Path:

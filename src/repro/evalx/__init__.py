@@ -16,7 +16,6 @@ from repro.evalx.corpus import (
     CorpusPolicyReport,
     CorpusTruth,
     corpus_oracle_truth,
-    run_corpus_experiment,
     score_policy,
 )
 from repro.evalx.flows import (
@@ -52,7 +51,6 @@ from repro.evalx.runner import (
     QueryEvaluation,
     evaluate_method,
     oracle_truth,
-    run_experiment,
 )
 from repro.evalx.sampling_study import (
     SamplingStudy,
@@ -103,8 +101,6 @@ __all__ = [
     "observed_errors",
     "piecewise_linear_approximation",
     "precision_recall_f1",
-    "run_corpus_experiment",
-    "run_experiment",
     "sampling_density_profile",
     "selectivity",
     "study_sampling",

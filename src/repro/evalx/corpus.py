@@ -1,18 +1,17 @@
-"""Corpus experiment runner: score budget policies against the Oracle.
+"""Corpus experiment units: score budget policies against the Oracle.
 
-:func:`run_corpus_experiment` extends the single-sequence harness of
-:mod:`repro.evalx.runner` to a :class:`~repro.corpus.SequenceCatalog`:
+The steps of :func:`~repro.evalx.flows.corpus_flow`, which extends the
+single-sequence experiment to a :class:`~repro.corpus.SequenceCatalog`:
 
-1. an Oracle pass detects every frame of every sequence once (shared
-   inference engine, so the detection store deduplicates across
-   policies) and answers the whole workload exactly, corpus-wide —
-   aggregates via the concatenated count series, retrievals as
-   ``(sequence, frame_id)`` sets;
-2. retrieval queries whose oracle cardinality is zero are dropped,
+1. :func:`corpus_oracle_truth` detects every frame of every sequence once
+   and answers the whole workload exactly, corpus-wide — aggregates via
+   the concatenated count series, retrievals as ``(sequence, frame_id)``
+   sets — dropping retrieval queries whose oracle cardinality is zero,
    matching the paper's §7.1 convention;
-3. each budget policy fits a :class:`~repro.corpus.CorpusPipeline` at
-   the *same total budget*, answers the same fan-out workload, and is
-   scored on corpus-wide aggregate error and retrieval F1.
+2. :func:`score_policy` fits a :class:`~repro.corpus.CorpusPipeline`
+   under one budget policy at the *same total budget*, answers the same
+   fan-out workload, and scores corpus-wide aggregate error and
+   retrieval F1.
 
 This is the harness behind the allocation accuracy comparison (UCB vs
 uniform at equal cost) that ``tests/corpus/test_allocator.py`` pins.
@@ -30,14 +29,12 @@ from repro.core.config import MASTConfig
 from repro.corpus.catalog import SequenceCatalog
 from repro.corpus.pipeline import CorpusPipeline
 from repro.evalx.metrics import aggregate_accuracy, f1_score
-from repro.inference import DetectionStore, InferenceEngine
+from repro.inference import InferenceEngine
 from repro.models.base import DetectionModel
 from repro.query.aggregates import aggregate
 from repro.query.ast import AggregateQuery, CompoundRetrievalQuery, RetrievalQuery
 from repro.query.engine import QueryEngine, evaluate_query
-from repro.query.workload import generate_workload
 from repro.utils.timing import CostLedger
-from repro.utils.validation import require
 
 __all__ = [
     "CorpusPolicyReport",
@@ -45,7 +42,6 @@ __all__ = [
     "CorpusTruth",
     "corpus_oracle_truth",
     "score_policy",
-    "run_corpus_experiment",
 ]
 
 #: Queries the corpus harness understands (unscoped; every query fans
@@ -246,64 +242,4 @@ def score_policy(
         n_retrieval_queries=len(truth.retrieval_truth),
         n_aggregate_queries=len(truth.aggregate_truth),
         ledger=corpus.merged_ledger(),
-    )
-
-
-def run_corpus_experiment(
-    catalog: SequenceCatalog,
-    model: DetectionModel,
-    *,
-    config: MASTConfig | None = None,
-    policies: tuple[str, ...] = ("uniform", "ucb"),
-    round_size: int = 8,
-    retrieval_queries: Sequence[CorpusRetrievalQuery] | None = None,
-    aggregate_queries: Sequence[AggregateQuery] | None = None,
-    detection_store: DetectionStore | None = None,
-) -> CorpusExperimentReport:
-    """Score budget policies on a corpus at equal total budget.
-
-    The workload defaults to the paper's Tbl-2 grids.  One shared
-    detection store serves the Oracle pass and every policy's sampling,
-    so frames detected once are never re-billed as model invocations
-    within a policy (cross-policy runs share raw detections but keep
-    their own ledgers).
-    """
-    require(len(catalog) >= 1, "catalog must register at least one sequence")
-    config = config or MASTConfig()
-    if retrieval_queries is None or aggregate_queries is None:
-        workload = generate_workload(rng=config.seed)
-        if retrieval_queries is None:
-            retrieval_queries = list(workload.retrieval)
-        if aggregate_queries is None:
-            aggregate_queries = list(workload.aggregates)
-
-    store = detection_store if detection_store is not None else DetectionStore()
-    engine = InferenceEngine(store=store)
-    truth = corpus_oracle_truth(
-        catalog,
-        model,
-        retrieval_queries=retrieval_queries,
-        aggregate_queries=aggregate_queries,
-        engine=engine,
-    )
-    reports: dict[str, CorpusPolicyReport] = {}
-    for policy in policies:
-        reports[policy] = score_policy(
-            catalog,
-            model,
-            config,
-            truth,
-            policy=policy,
-            round_size=round_size,
-            engine=engine,
-        )
-
-    return CorpusExperimentReport(
-        sequences=truth.sequences,
-        model=truth.model,
-        total_corpus_frames=truth.total_corpus_frames,
-        oracle_ledger=truth.ledger,
-        policies=reports,
-        n_retrieval_queries=len(truth.retrieval_truth),
-        n_aggregate_queries=len(truth.aggregate_truth),
     )

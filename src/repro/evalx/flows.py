@@ -1,21 +1,24 @@
-"""Named experiment flows: the evalx harness decomposed into DAG steps.
+"""Named experiment flows: the one orchestrator of every experiment.
 
-The monolithic :func:`~repro.evalx.runner.run_experiment` and
-:func:`~repro.evalx.corpus.run_corpus_experiment` pipelines are
-re-expressed here as :class:`~repro.flow.Flow` graphs of pure steps:
+An experiment is a :class:`~repro.flow.Flow` of pure steps, run by
+:class:`~repro.flow.FlowRunner` against a checkpoint directory (a
+temporary one when the caller keeps nothing):
 
 * ``sequence`` / ``workload`` — cheap deterministic builders
   (``cache=False``: recomputed every run, fingerprinted by inputs);
-* ``oracle`` — the full-processing truth pass, checkpointed once and
-  replayed under every method and budget;
+* ``oracle`` — the full-processing truth pass
+  (:func:`~repro.evalx.runner.oracle_truth`), checkpointed once and
+  replayed under every method, budget, policy seed and config override
+  that shares its (sequence, model, workload);
 * ``method:<name>:<budget>`` — one checkpointed
   :func:`~repro.evalx.runner.evaluate_method` call per (method, budget),
   detecting through the run's replay of the oracle step's detections
   (``ctx.recording``; billed like a detection, simulated once a run);
-* ``report:<budget>`` / ``summary`` — assembly of the same
-  :class:`~repro.evalx.runner.ExperimentReport` objects the legacy path
-  returns, **bit-identically** (pinned by :func:`experiment_digest`,
-  which excludes only measured wall-clock by construction).
+* ``report:<budget>`` / ``summary`` — one
+  :class:`~repro.evalx.runner.ExperimentReport` per budget, and
+  fig9-shaped rows over the sweep.  :func:`experiment_digest` pins a
+  report's content; it excludes only measured wall-clock, by
+  construction.
 
 The report assemblies (``report:<budget>``, ``corpus-report``) are
 ``cache=False`` like the builders: they only bundle values their
@@ -23,20 +26,23 @@ upstream steps already checkpointed, so storing them would save, load
 and re-verify every method report twice.  A resume rebuilds them from
 the verified upstream values.
 
-The corpus flow mirrors :func:`run_corpus_experiment` with one twist:
-the shared in-memory detection store becomes a *persistent* store under
-the run's checkpoint directory (``ctx.store_dir``), so a crash between
-policy steps resumes without re-detecting — the engine records disk
-hits exactly like memory hits and never re-bills them.
+The corpus flow has the same shape over a catalog
+(:func:`~repro.evalx.corpus.corpus_oracle_truth`, then one
+:func:`~repro.evalx.corpus.score_policy` step per policy).  Its
+detections go to a *persistent* store under the run's checkpoint
+directory (``ctx.store_dir``), so a crash between policy steps resumes
+without re-detecting — the engine records disk hits exactly like memory
+hits and never re-bills them.
 
 Both builders check every value a later step would reject (method and
-policy names, budgets, the UCB round size) before returning, so a bad
-value fails before any step runs or writes a checkpoint.
+policy names, budgets, config overrides, the UCB round size) before
+returning, so a bad value fails before any step runs or writes a
+checkpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.baselines.variants import get_method
 from repro.core.config import MASTConfig
@@ -77,10 +83,11 @@ __all__ = [
 class ExperimentFlowSpec:
     """Configuration of one single-sequence experiment flow.
 
-    ``budgets`` sweeps ``MASTConfig.budget_fraction``.  With several
-    budgets the flow shares one oracle step across the whole sweep — the
-    DAG-shaped win over the legacy path, which re-ran the oracle once
-    per budget.
+    ``budgets`` sweeps ``MASTConfig.budget_fraction``; every budget
+    shares the one oracle step.  ``seed`` seeds the sampling policy and,
+    unless ``workload_seed`` is set, the generated workload.  Fixing
+    ``workload_seed`` while ``seed`` or ``overrides`` vary keeps the
+    oracle step's checkpoint key, so one truth pass serves them all.
     """
 
     dataset: str = "semantickitti"
@@ -91,6 +98,11 @@ class ExperimentFlowSpec:
     seed: int = 1
     methods: tuple[str, ...] = ("seiden_pc", "seiden_pcst", "mast")
     budgets: tuple[float, ...] = (0.10,)
+    #: Seed of the generated workload (``None`` means ``seed``).
+    workload_seed: int | None = None
+    #: ``(field, value)`` pairs of ``MASTConfig`` fields other than
+    #: ``seed`` and ``budget_fraction``, set in every method step's config.
+    overrides: tuple[tuple[str, object], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -112,6 +124,30 @@ class CorpusFlowSpec:
     round_size: int = 8
     #: Truncate the generated retrieval workload (None keeps all).
     n_retrieval: int | None = None
+
+
+#: ``MASTConfig`` fields the spec sets itself, never through ``overrides``.
+_SPEC_FIELDS = ("seed", "budget_fraction")
+
+
+def _method_config(
+    seed: int, budget: float, overrides: tuple[tuple[str, object], ...]
+) -> MASTConfig:
+    return MASTConfig(seed=seed, budget_fraction=budget, **dict(overrides))
+
+
+def _check_overrides(overrides: tuple[tuple[str, object], ...]) -> None:
+    known = {field.name for field in fields(MASTConfig)}
+    names = [name for name, _ in overrides]
+    for name in names:
+        if name in _SPEC_FIELDS:
+            raise ValueError(
+                f"overrides cannot set {name!r}; it is an ExperimentFlowSpec field"
+            )
+        if name not in known:
+            raise ValueError(f"overrides name unknown MASTConfig field {name!r}")
+    if len(set(names)) != len(names):
+        raise ValueError(f"overrides set a field twice: {names}")
 
 
 def _budget_percent(budget: float) -> int:
@@ -164,11 +200,27 @@ def _method_step(
     budget: float,
     ctx: StepContext,
 ) -> MethodReport:
+    return _tuned_method_step(
+        sequence, truth, method, model, model_seed, seed, budget, (), ctx
+    )
+
+
+def _tuned_method_step(
+    sequence: FrameSequence,
+    truth: OracleTruth,
+    method: str,
+    model: str,
+    model_seed: int,
+    seed: int,
+    budget: float,
+    overrides: tuple[tuple[str, object], ...],
+    ctx: StepContext,
+) -> MethodReport:
     report = evaluate_method(
         get_method(method),
         sequence,
         ctx.recording.replaying(sequence, make_model(model, seed=model_seed)),
-        MASTConfig(seed=seed, budget_fraction=budget),
+        _method_config(seed, budget, overrides),
         truth,
     )
     ctx.ledger.merge(report.ledger)
@@ -223,14 +275,17 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
     """The single-sequence method-comparison harness as a flow.
 
     Output steps: ``report:<budget>`` per budget (an
-    :class:`ExperimentReport` bit-identical to the legacy path at that
-    budget) and ``summary`` with fig9-shaped rows over the sweep.
-    Raises ``ValueError`` on an unknown method name or a bad budget.
+    :class:`ExperimentReport`) and ``summary`` with fig9-shaped rows
+    over the sweep.  Raises ``ValueError`` on an unknown method name, a
+    bad budget, or an override that names a spec field, an unknown
+    ``MASTConfig`` field or an out-of-range value.
     """
     for method in spec.methods:
         get_method(method)
+    _check_overrides(spec.overrides)
     for budget in spec.budgets:
-        MASTConfig(seed=spec.seed, budget_fraction=budget)
+        _method_config(spec.seed, budget, spec.overrides)
+    workload_seed = spec.seed if spec.workload_seed is None else spec.workload_seed
     flow = Flow(f"experiment-{spec.dataset}-{spec.sequence_index}")
     flow.add(
         _sequence_step,
@@ -245,7 +300,7 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
     flow.add(
         _workload_step,
         name="workload",
-        params={"seed": spec.seed},
+        params={"seed": workload_seed},
         cache=False,
     )
     flow.add(
@@ -259,18 +314,25 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
         label = budget_label(budget)
         method_steps: list[str] = []
         for method in spec.methods:
+            params = {
+                "method": method,
+                "model": spec.model,
+                "model_seed": spec.model_seed,
+                "seed": spec.seed,
+                "budget": budget,
+            }
+            step = _method_step
+            if spec.overrides:
+                # Only a non-empty override is a param, so a default
+                # spec keeps the checkpoint keys it always had.
+                step = _tuned_method_step
+                params["overrides"] = spec.overrides
             method_steps.append(
                 flow.add(
-                    _method_step,
+                    step,
                     name=f"method:{method}:{label}",
                     deps={"sequence": "sequence", "truth": "oracle"},
-                    params={
-                        "method": method,
-                        "model": spec.model,
-                        "model_seed": spec.model_seed,
-                        "seed": spec.seed,
-                        "budget": budget,
-                    },
+                    params=params,
                 )
             )
         report_steps.append(
@@ -377,9 +439,8 @@ def _corpus_report_step(
 def corpus_flow(spec: CorpusFlowSpec) -> Flow:
     """The corpus allocation harness as a flow.
 
-    The ``corpus-report`` step reproduces
-    :func:`~repro.evalx.corpus.run_corpus_experiment` bit-identically
-    (pinned by :func:`corpus_digest`); oracle detections persist in the
+    Output step: ``corpus-report`` (a :class:`CorpusExperimentReport`,
+    pinned by :func:`corpus_digest`).  Oracle detections persist in the
     run's shared store, so policy steps — and resumed runs — replay
     them as cache hits instead of re-billing model invocations.
     Raises ``ValueError`` on an unknown policy name, a bad budget or a
@@ -434,7 +495,7 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
 
 
 # ----------------------------------------------------------------------
-# Differential digests (flow-vs-legacy bit-identity pins)
+# Report digests (bit-identity pins)
 # ----------------------------------------------------------------------
 def experiment_digest(report: ExperimentReport) -> str:
     """Content fingerprint of an experiment report.

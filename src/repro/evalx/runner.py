@@ -1,23 +1,23 @@
-"""Experiment runner: run methods on a sequence and score against Oracle.
+"""Experiment units: the Oracle pass and one scored method.
 
-This is the harness behind every table and figure bench.  One call to
-:func:`run_experiment`:
+These are the steps of :func:`~repro.evalx.flows.experiment_flow`, the
+one orchestrator every experiment runs through:
 
-1. runs the Oracle (full deep-model processing) and answers the whole
-   workload exactly;
-2. drops retrieval queries whose oracle cardinality is zero (paper §7.1:
-   "we omit the generated retrieval queries with a cardinality of 0");
-3. for each method spec, runs its sampler, hands the run to a
-   :class:`~repro.core.pipeline.MASTPipeline` on the spec's predictor
-   assignment, answers the same workload through it, and scores
-   F1 / aggregate accuracy against the Oracle's answers;
-4. returns a structured report with per-query metrics and cost ledgers.
+1. :func:`oracle_truth` runs the Oracle (full deep-model processing),
+   answers the whole workload exactly and drops retrieval queries whose
+   oracle cardinality is zero (paper §7.1: "we omit the generated
+   retrieval queries with a cardinality of 0");
+2. :func:`evaluate_method` runs one method spec's sampler, hands the run
+   to a :class:`~repro.core.pipeline.MASTPipeline` on the spec's
+   predictor assignment, answers the same workload through it, and
+   scores F1 / aggregate accuracy against the Oracle's answers;
+3. an :class:`ExperimentReport` bundles the truth and every method's
+   :class:`MethodReport` with their cost ledgers.
 
-The Oracle pass of step 1 detects every frame.  The call records those
-detections (:class:`~repro.inference.DetectionRecording`) and every
-method of step 3 detects through a replaying wrapper of the model, so a
-sampled frame is billed exactly as before but simulated only once per
-call.  The recording dies with the call.
+Both units are pure over their inputs.  With a ``recording``, the Oracle
+pass keeps its detections (:class:`~repro.inference.DetectionRecording`)
+so that methods detecting through its replaying wrapper are billed
+exactly as before but simulate each frame only once.
 """
 
 from __future__ import annotations
@@ -27,13 +27,13 @@ from dataclasses import dataclass, field
 from typing import Any, overload
 
 from repro.baselines.oracle import OracleCountProvider
-from repro.baselines.variants import PAPER_METHODS, MethodSpec
+from repro.baselines.variants import MethodSpec
 from repro.core.config import MASTConfig
 from repro.core.pipeline import MASTPipeline
 from repro.core.sampler import SamplingResult
 from repro.data.sequence import FrameSequence
 from repro.evalx.metrics import aggregate_accuracy, f1_score
-from repro.inference import DetectionRecording, DetectionStore, InferenceEngine
+from repro.inference import DetectionRecording
 from repro.models.base import DetectionModel
 from repro.query.ast import (
     AggregateQuery,
@@ -54,7 +54,6 @@ __all__ = [
     "OracleTruth",
     "oracle_truth",
     "evaluate_method",
-    "run_experiment",
 ]
 
 
@@ -129,27 +128,20 @@ class MethodExecutor:
         sequence: FrameSequence,
         model: DetectionModel,
         config: MASTConfig,
-        *,
-        oracle_provider: OracleCountProvider | None = None,
-        engine: InferenceEngine | None = None,
     ) -> None:
         self.spec = spec
         self.sampling: SamplingResult | None = None
         self._answer: Callable[[Any], RetrievalResult | AggregateResult]
         if spec.make_sampler is None:
             self.ledger = CostLedger()
-            provider = oracle_provider or OracleCountProvider(
-                sequence, model, ledger=self.ledger, engine=engine
-            )
-            if oracle_provider is not None:
-                self.ledger.merge(oracle_provider.ledger)
+            provider = OracleCountProvider(sequence, model, ledger=self.ledger)
             self._answer = QueryEngine(provider, ledger=self.ledger).execute
             return
         assignment = config.with_overrides(
             retrieval_predictor=spec.retrieval_predictor,
             predictor_by_operator=dict(spec.predictor_by_operator),
         )
-        pipeline = MASTPipeline(assignment, engine=engine)
+        pipeline = MASTPipeline(assignment)
         self.ledger = pipeline.ledger
         self.sampling = spec.make_sampler(config).sample(
             sequence, model, ledger=self.ledger, engine=pipeline.engine
@@ -169,56 +161,6 @@ class MethodExecutor:
     ) -> RetrievalResult | AggregateResult:
         """Answer one query with the spec's predictor assignment."""
         return self._answer(query)
-
-
-def run_experiment(
-    sequence: FrameSequence,
-    model: DetectionModel,
-    workload: QueryWorkload,
-    *,
-    methods: tuple[MethodSpec, ...] = PAPER_METHODS,
-    config: MASTConfig | None = None,
-    engine: InferenceEngine | None = None,
-    detection_store: DetectionStore | None = None,
-) -> ExperimentReport:
-    """Run ``methods`` on ``sequence`` and score them against the Oracle.
-
-    ``engine`` (or a fresh engine wrapping ``detection_store``) is shared
-    by every method's detection passes.  With a store attached, frames
-    already detected by an earlier method — or an earlier ``run_experiment``
-    call — are served from the store and **not** re-charged to the
-    method's ledger, so only pass one when comparing wall-clock cost
-    rather than per-method simulated budgets.
-
-    Every method detects through a replay of the Oracle pass's
-    detections (see the module docstring): same output, same bill.
-    """
-    config = config or MASTConfig()
-
-    if engine is None and detection_store is not None:
-        engine = InferenceEngine(store=detection_store)
-    recording = DetectionRecording()
-    truth, oracle_provider = _oracle_pass(
-        sequence, model, workload, engine=engine, recording=recording
-    )
-    replaying = recording.replaying(sequence, model)
-    # The Oracle method spec reuses the truth pass instead of re-detecting.
-    reports = {
-        spec.name: evaluate_method(
-            spec, sequence, replaying, config, truth,
-            engine=engine, oracle_provider=oracle_provider,
-        )
-        for spec in methods
-    }
-    return ExperimentReport(
-        sequence=sequence.name,
-        model=model.name,
-        n_frames=len(sequence),
-        oracle_ledger=truth.ledger,
-        methods=reports,
-        n_retrieval_queries=len(truth.retrieval_queries),
-        n_aggregate_queries=len(truth.aggregate_queries),
-    )
 
 
 @dataclass
@@ -249,7 +191,6 @@ def oracle_truth(
     model: DetectionModel,
     workload: QueryWorkload,
     *,
-    engine: InferenceEngine | None = None,
     recording: DetectionRecording | None = None,
 ) -> OracleTruth:
     """Run the full-processing Oracle and answer the whole workload.
@@ -257,23 +198,9 @@ def oracle_truth(
     With ``recording``, the pass's detections are also recorded there,
     for the same experiment's methods to replay.
     """
-    truth, _ = _oracle_pass(
-        sequence, model, workload, engine=engine, recording=recording
-    )
-    return truth
-
-
-def _oracle_pass(
-    sequence: FrameSequence,
-    model: DetectionModel,
-    workload: QueryWorkload,
-    *,
-    engine: InferenceEngine | None,
-    recording: DetectionRecording | None,
-) -> tuple[OracleTruth, OracleCountProvider]:
     # The provider's own ledger is the detection bill; the truth ledger
-    # (and an Oracle method reusing the provider) adds only its queries.
-    oracle_provider = OracleCountProvider(sequence, model, engine=engine)
+    # adds the queries.
+    oracle_provider = OracleCountProvider(sequence, model)
     if recording is not None:
         recording.record(
             sequence,
@@ -295,7 +222,7 @@ def _oracle_pass(
     oracle_aggregates = [
         oracle_engine.execute(query) for query in workload.aggregates
     ]
-    truth = OracleTruth(
+    return OracleTruth(
         sequence=sequence.name,
         model=model.name,
         n_frames=len(sequence),
@@ -305,7 +232,6 @@ def _oracle_pass(
         aggregate_results=oracle_aggregates,
         ledger=oracle_ledger,
     )
-    return truth, oracle_provider
 
 
 def evaluate_method(
@@ -314,24 +240,15 @@ def evaluate_method(
     model: DetectionModel,
     config: MASTConfig,
     truth: OracleTruth,
-    *,
-    engine: InferenceEngine | None = None,
-    oracle_provider: OracleCountProvider | None = None,
 ) -> MethodReport:
     """Run one method and score it against precomputed oracle truth.
 
     Pure over its inputs (detections are deterministic per frame), so
-    the flow layer runs one call per method step; :func:`run_experiment`
-    calls it in a loop with a shared ``oracle_provider``.
+    the flow layer runs one call per method step.  The Oracle method
+    detects every frame itself and is billed its own queries, not the
+    truth pass's.
     """
-    executor = MethodExecutor(
-        spec,
-        sequence,
-        model,
-        config,
-        oracle_provider=oracle_provider if spec.is_oracle else None,
-        engine=engine,
-    )
+    executor = MethodExecutor(spec, sequence, model, config)
     report = MethodReport(
         method=spec.name,
         sequence=sequence.name,

@@ -1,9 +1,9 @@
 """Replaying an experiment's own detections instead of re-simulating them.
 
-An experiment (one :func:`~repro.evalx.runner.run_experiment` call, or
-one run of an :func:`~repro.evalx.flows.experiment_flow`) first runs
-the Oracle pass, which detects every frame, and then runs each sampled
-method, which detects its sampled frames again.  Detectors are
+An experiment (one :class:`~repro.flow.FlowRunner` run of an
+:func:`~repro.evalx.flows.experiment_flow`) first runs the Oracle pass,
+which detects every frame, and then runs each sampled method, which
+detects its sampled frames again.  Detectors are
 deterministic per frame, so the second detection is the first one's
 output recomputed.  A :class:`DetectionRecording` keeps the Oracle
 pass's detections for the lifetime of the experiment, and

@@ -1,32 +1,38 @@
-"""Flow-vs-legacy differentials and mid-DAG crash/resume accounting.
+"""Flow-vs-standalone differentials and mid-DAG crash/resume accounting.
 
-The acceptance contract of the DAG migration: the flow-shaped
-experiment and corpus pipelines produce reports that are
+The flows are the one experiment orchestrator.  Their reports must be
 *bit-identical* (per the content digests, which exclude only measured
-wall-clock) to the legacy monolithic paths — and a run killed after a
-mid-pipeline checkpoint resumes to the same result without re-detecting
-a single checkpointed frame.
+wall-clock) to the same units called by hand — ``oracle_truth`` then
+``evaluate_method`` per method, ``corpus_oracle_truth`` then
+``score_policy`` per policy — and a run killed after a mid-pipeline
+checkpoint resumes to the same result without re-detecting a single
+checkpointed frame.
 """
+
+from dataclasses import replace
 
 import pytest
 
 from repro.baselines.variants import get_method
 from repro.core import MASTConfig
 from repro.evalx import (
+    CorpusExperimentReport,
     CorpusFlowSpec,
     ExperimentFlowSpec,
     ExperimentReport,
     corpus_digest,
     corpus_flow,
+    corpus_oracle_truth,
     evaluate_method,
     experiment_digest,
     experiment_flow,
     oracle_truth,
-    run_corpus_experiment,
-    run_experiment,
+    score_policy,
 )
+from repro.evalx import flows
 from repro.evalx.flows import _summary_step, budget_label
 from repro.flow import EventLog, FlowInterrupted, FlowRunner, read_events
+from repro.inference import DetectionStore, InferenceEngine
 from repro.models import make_model
 from repro.models.detectors import SimulatedDetector
 from repro.query.workload import generate_workload
@@ -59,44 +65,81 @@ def corpus_spec():
     return CorpusFlowSpec(sequences=CORPUS_SEQUENCES, n_retrieval=N_RETRIEVAL)
 
 
-def flow_and_legacy_reports(spec, checkpoint_dir):
-    """The ``report:10pct`` of ``spec``'s flow and ``run_experiment``'s report."""
-    result = FlowRunner(experiment_flow(spec), checkpoint_dir=checkpoint_dir).run()
+def standalone_reports(spec):
+    """``spec``'s reports by budget label, from the units called by hand.
+
+    Every method's model detects its sampled frames itself: no recording.
+    """
     sequence = build_sequence(
         dataset_spec(spec.dataset), spec.sequence_index,
         n_frames=spec.n_frames, with_points=False,
     )
-    legacy = run_experiment(
+    workload_seed = spec.seed if spec.workload_seed is None else spec.workload_seed
+    truth = oracle_truth(
         sequence,
         make_model(spec.model, seed=spec.model_seed),
-        generate_workload(rng=spec.seed),
-        methods=tuple(get_method(m) for m in spec.methods),
-        config=MASTConfig(seed=spec.seed, budget_fraction=BUDGET),
+        generate_workload(rng=workload_seed),
     )
-    return result["report:10pct"], legacy
+    reports = {}
+    for budget in spec.budgets:
+        config = MASTConfig(
+            seed=spec.seed, budget_fraction=budget, **dict(spec.overrides)
+        )
+        methods = {
+            method: evaluate_method(
+                get_method(method),
+                sequence,
+                make_model(spec.model, seed=spec.model_seed),
+                config,
+                truth,
+            )
+            for method in spec.methods
+        }
+        reports[budget_label(budget)] = ExperimentReport(
+            sequence=truth.sequence,
+            model=truth.model,
+            n_frames=truth.n_frames,
+            oracle_ledger=truth.ledger,
+            methods=methods,
+            n_retrieval_queries=len(truth.retrieval_queries),
+            n_aggregate_queries=len(truth.aggregate_queries),
+        )
+    return reports
+
+
+def flow_and_standalone_reports(spec, checkpoint_dir):
+    """The ``report:10pct`` of ``spec``'s flow and of its standalone units."""
+    result = FlowRunner(experiment_flow(spec), checkpoint_dir=checkpoint_dir).run()
+    return result["report:10pct"], standalone_reports(spec)["10pct"]
 
 
 class TestExperimentDifferential:
-    def test_flow_report_matches_legacy_run_experiment(
-        self, tmp_path, experiment_spec
-    ):
-        flow_report, legacy = flow_and_legacy_reports(experiment_spec, tmp_path)
-        assert experiment_digest(flow_report) == experiment_digest(legacy)
+    def test_flow_report_matches_standalone_units(self, tmp_path):
+        """The two settable fields reach the units as a caller would set
+        them: ``workload_seed`` the workload, ``overrides`` the config."""
+        spec = ExperimentFlowSpec(
+            n_frames=N_FRAMES, methods=METHODS, budgets=(BUDGET,),
+            seed=2, workload_seed=0, overrides=(("beta", 0.5), ("c_var", 0.25)),
+        )
+        flow_report, standalone = flow_and_standalone_reports(spec, tmp_path)
+        assert experiment_digest(flow_report) == experiment_digest(standalone)
 
     def test_oracle_method_is_billed_only_its_own_queries(self, tmp_path):
-        """The Oracle method shares the truth pass's detections, not its
-        query charges: flow and legacy agree with it in the sweep."""
+        """The Oracle method detects every frame once and is billed its
+        own queries, not the truth pass's: flow and standalone agree."""
         spec = ExperimentFlowSpec(
             n_frames=N_FRAMES, methods=("oracle", "mast"), budgets=(BUDGET,)
         )
-        flow_report, legacy = flow_and_legacy_reports(spec, tmp_path)
-        assert legacy["oracle"].ledger.deterministic_state() == (
+        flow_report, standalone = flow_and_standalone_reports(spec, tmp_path)
+        assert standalone["oracle"].ledger.deterministic_state() == (
             flow_report["oracle"].ledger.deterministic_state()
         )
-        assert experiment_digest(flow_report) == experiment_digest(legacy)
-        truth_queries = legacy.oracle_ledger.invocations("query")
-        assert legacy["oracle"].ledger.invocations("query") == (
-            legacy["mast"].ledger.invocations("query")
+        assert experiment_digest(flow_report) == experiment_digest(standalone)
+        oracle_ledger = flow_report["oracle"].ledger
+        assert oracle_ledger.invocations(STAGE_MODEL) == N_FRAMES
+        truth_queries = flow_report.oracle_ledger.invocations("query")
+        assert oracle_ledger.invocations("query") == (
+            flow_report["mast"].ledger.invocations("query")
         ) < truth_queries
 
     def test_experiment_flow_crash_resume_is_bit_identical(
@@ -148,38 +191,7 @@ class TestReplayEqualsDetecting:
 
     @pytest.fixture(scope="class")
     def standalone(self):
-        spec = self.SPEC
-        sequence = build_sequence(
-            dataset_spec(spec.dataset), spec.sequence_index,
-            n_frames=spec.n_frames, with_points=False,
-        )
-        truth = oracle_truth(
-            sequence,
-            make_model(spec.model, seed=spec.model_seed),
-            generate_workload(rng=spec.seed),
-        )
-        reports = {}
-        for budget in spec.budgets:
-            methods = {
-                method: evaluate_method(
-                    get_method(method),
-                    sequence,
-                    make_model(spec.model, seed=spec.model_seed),
-                    MASTConfig(seed=spec.seed, budget_fraction=budget),
-                    truth,
-                )
-                for method in spec.methods
-            }
-            reports[budget_label(budget)] = ExperimentReport(
-                sequence=truth.sequence,
-                model=truth.model,
-                n_frames=truth.n_frames,
-                oracle_ledger=truth.ledger,
-                methods=methods,
-                n_retrieval_queries=len(truth.retrieval_queries),
-                n_aggregate_queries=len(truth.aggregate_queries),
-            )
-        return reports
+        return standalone_reports(self.SPEC)
 
     @staticmethod
     def counting_detects(monkeypatch):
@@ -233,6 +245,20 @@ class TestReplayEqualsDetecting:
         # simulated its own sampled frames.
         assert len(calls) == self.sampled_frames(resumed)
         self.assert_matches(resumed, standalone)
+
+    def test_a_rerun_detects_nothing(self, tmp_path, monkeypatch, standalone):
+        """A second run in the same directory replays every checkpointed
+        step, so no frame is simulated or billed again."""
+        flow = experiment_flow(self.SPEC)
+        first = FlowRunner(flow, checkpoint_dir=tmp_path).run()
+        calls = self.counting_detects(monkeypatch)
+        second = FlowRunner(flow, checkpoint_dir=tmp_path).run()
+        assert calls == []
+        uncached = {"sequence", "workload"} | {
+            f"report:{budget_label(b)}" for b in self.SPEC.budgets
+        }
+        assert second.cached == set(first.keys) - uncached
+        self.assert_matches(second, standalone)
 
 
 def test_a_lost_step_finish_resumes_from_the_checkpoint(tmp_path, monkeypatch):
@@ -302,35 +328,86 @@ def test_unknown_names_fail_before_the_flow_exists():
         corpus_flow(CorpusFlowSpec(sequences=CORPUS_SEQUENCES, policies=("nosuch",)))
 
 
-def test_bad_values_fail_before_the_flow_exists():
+def test_bad_values_fail_before_the_flow_exists(monkeypatch):
+    def no_flow(name):
+        raise AssertionError(f"flow {name!r} was built from a bad spec")
+
+    monkeypatch.setattr(flows, "Flow", no_flow)
     with pytest.raises(ValueError, match="budget_fraction must be in"):
         experiment_flow(ExperimentFlowSpec(methods=("mast",), budgets=(0.1, 1.5)))
     with pytest.raises(ValueError, match="budget_fraction must be in"):
         corpus_flow(CorpusFlowSpec(sequences=CORPUS_SEQUENCES, budget_fraction=0.0))
     with pytest.raises(ValueError, match="round_size must be >= 1"):
         corpus_flow(CorpusFlowSpec(sequences=CORPUS_SEQUENCES, round_size=0))
+    for overrides, message in (
+        ((("seed", 2),), "cannot set 'seed'"),
+        ((("budget_fraction", 0.2),), "cannot set 'budget_fraction'"),
+        ((("nosuch", 1),), "unknown MASTConfig field 'nosuch'"),
+        ((("beta", 0.5), ("beta", 0.7)), "set a field twice"),
+        ((("beta", 1.5),), "beta must be in"),
+        ((("branching", 1),), "branching must be >= 2"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            experiment_flow(ExperimentFlowSpec(methods=("mast",), overrides=overrides))
+
+
+def test_the_oracle_step_is_shared_across_seeds_and_overrides(tmp_path):
+    """Specs that differ only in ``seed``, or only in ``overrides``, key
+    the same oracle step: a run in the same directory replays it and
+    executes its own method steps."""
+    base = ExperimentFlowSpec(n_frames=N_FRAMES, methods=("mast",), workload_seed=1)
+    step = "method:mast:10pct"
+    first = FlowRunner(experiment_flow(base), checkpoint_dir=tmp_path).run()
+    assert not first.cached
+    for spec in (replace(base, seed=2), replace(base, overrides=(("beta", 0.5),))):
+        result = FlowRunner(experiment_flow(spec), checkpoint_dir=tmp_path).run()
+        assert result.keys["oracle"] == first.keys["oracle"]
+        assert "oracle" in result.cached
+        assert step not in result.cached
+        assert result.keys[step] != first.keys[step]
+    # ``workload_seed=None`` means ``seed``: the default spec is the same DAG.
+    default = FlowRunner(
+        experiment_flow(replace(base, workload_seed=None)), checkpoint_dir=tmp_path
+    ).run()
+    assert default.keys == first.keys
+    assert default.cached == {"oracle", step, "summary"}
 
 
 class TestCorpusDifferential:
-    def test_flow_report_matches_legacy_run_corpus_experiment(
-        self, tmp_path, corpus_spec
-    ):
+    def test_flow_report_matches_standalone_units(self, tmp_path, corpus_spec):
         result = FlowRunner(
             corpus_flow(corpus_spec), checkpoint_dir=tmp_path
         ).run()
         catalog = corpus_flow_catalog(corpus_spec)
+        model = make_model(corpus_spec.model, seed=corpus_spec.model_seed)
         workload = generate_workload(rng=corpus_spec.seed)
-        legacy = run_corpus_experiment(
+        engine = InferenceEngine(store=DetectionStore())
+        truth = corpus_oracle_truth(
             catalog,
-            make_model("pv_rcnn", seed=corpus_spec.model_seed),
-            config=MASTConfig(
-                seed=corpus_spec.seed,
-                budget_fraction=corpus_spec.budget_fraction,
-            ),
+            model,
             retrieval_queries=list(workload.retrieval)[:N_RETRIEVAL],
             aggregate_queries=list(workload.aggregates),
+            engine=engine,
         )
-        assert corpus_digest(result["corpus-report"]) == corpus_digest(legacy)
+        config = MASTConfig(
+            seed=corpus_spec.seed, budget_fraction=corpus_spec.budget_fraction
+        )
+        standalone = CorpusExperimentReport(
+            sequences=truth.sequences,
+            model=truth.model,
+            total_corpus_frames=truth.total_corpus_frames,
+            oracle_ledger=truth.ledger,
+            policies={
+                policy: score_policy(
+                    catalog, model, config, truth, policy=policy,
+                    round_size=corpus_spec.round_size, engine=engine,
+                )
+                for policy in corpus_spec.policies
+            },
+            n_retrieval_queries=len(truth.retrieval_truth),
+            n_aggregate_queries=len(truth.aggregate_truth),
+        )
+        assert corpus_digest(result["corpus-report"]) == corpus_digest(standalone)
 
     def test_two_cold_runs_agree_on_every_key_and_fingerprint(
         self, tmp_path, corpus_spec

@@ -11,13 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.baselines.variants import MAST, SEIDEN_PC
 from repro.core.config import MASTConfig
 from repro.core.pipeline import MASTPipeline
-from repro.evalx.runner import run_experiment
 from repro.inference import DetectionStore
 from repro.models import pv_rcnn
-from repro.query.workload import QueryWorkload, generate_workload
 from repro.utils.timing import STAGE_MODEL
 
 
@@ -91,45 +88,3 @@ class TestStoreDeterminism:
         assert_snapshots_equal(cold, warm, same_cost=False)
         assert warm["invocations"] == 0
         assert fresh.stats().disk_hits == cold["invocations"]
-
-
-class TestExperimentStoreReuse:
-    def test_repeat_run_skips_all_redetections(self, sequence):
-        full = generate_workload(per_operator=2, rng=2)
-        workload = QueryWorkload(
-            retrieval=full.retrieval[:6], aggregates=full.aggregates
-        )
-        config = MASTConfig(budget_fraction=0.10, seed=3)
-        model = pv_rcnn(seed=5)
-        store = DetectionStore()
-
-        first = run_experiment(
-            sequence, model, workload,
-            methods=(SEIDEN_PC, MAST), config=config, detection_store=store,
-        )
-        before = store.stats()
-        assert before.misses > 0
-
-        second = run_experiment(
-            sequence, model, workload,
-            methods=(SEIDEN_PC, MAST), config=config, detection_store=store,
-        )
-        after = store.stats()
-        # The warm run resolved every lookup from the store: the miss
-        # counter did not move, so 100 % of re-detections were skipped.
-        assert after.misses == before.misses
-        assert after.hits > before.hits
-
-        for name in ("seiden_pc", "mast"):
-            ledger = second.methods[name].ledger
-            assert ledger.invocations(STAGE_MODEL) == 0
-            assert ledger.cache_hit_rate(STAGE_MODEL) == 1.0
-            assert first.methods[name].mean_retrieval_f1 == pytest.approx(
-                second.methods[name].mean_retrieval_f1, nan_ok=True
-            )
-            first_aggs = [e.predicted_value for e in first.methods[name].aggregates]
-            second_aggs = [e.predicted_value for e in second.methods[name].aggregates]
-            assert first_aggs == second_aggs
-            first_ids = first.methods[name].sampling.sampled_ids
-            second_ids = second.methods[name].sampling.sampled_ids
-            assert np.array_equal(first_ids, second_ids)

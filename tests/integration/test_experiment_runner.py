@@ -1,23 +1,30 @@
-"""Integration tests for the experiment runner (the bench harness core)."""
+"""Integration tests for the experiment flow (the bench harness core)."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import ABLATION_METHODS, ORACLE, PAPER_METHODS
-from repro.core import MASTConfig
-from repro.evalx import run_experiment
-from repro.models import pv_rcnn, second
-from repro.query import generate_workload
-from repro.simulation import semantickitti_like
+from repro.evalx import ExperimentFlowSpec, experiment_flow
+from repro.flow import FlowRunner
+
+
+def run_report(checkpoint_dir, n_frames, methods=PAPER_METHODS, model="pv_rcnn"):
+    """A ``semantickitti`` report at 10 %: workload seed 0, policy seed 1."""
+    spec = ExperimentFlowSpec(
+        n_frames=n_frames,
+        model=model,
+        model_seed=5,
+        seed=1,
+        methods=tuple(method.name for method in methods),
+        workload_seed=0,
+    )
+    result = FlowRunner(experiment_flow(spec), checkpoint_dir=checkpoint_dir).run()
+    return result["report:10pct"]
 
 
 @pytest.fixture(scope="module")
-def report():
-    sequence = semantickitti_like(0, n_frames=600, with_points=False)
-    workload = generate_workload(rng=0)
-    return run_experiment(
-        sequence, pv_rcnn(seed=5), workload, config=MASTConfig(seed=1)
-    )
+def report(tmp_path_factory):
+    return run_report(tmp_path_factory.mktemp("experiment"), 600)
 
 
 class TestReportStructure:
@@ -77,41 +84,25 @@ class TestResultQuality:
 
 
 class TestVariants:
-    def test_oracle_method_scores_perfectly(self):
-        sequence = semantickitti_like(0, n_frames=200, with_points=False)
-        workload = generate_workload(rng=0)
-        report = run_experiment(
-            sequence, pv_rcnn(seed=5), workload,
-            methods=(ORACLE,), config=MASTConfig(seed=1),
-        )
+    def test_oracle_method_scores_perfectly(self, tmp_path):
+        report = run_report(tmp_path, 200, methods=(ORACLE,))
         oracle_report = report["oracle"]
         assert oracle_report.mean_retrieval_f1 == pytest.approx(1.0)
         for evaluation in oracle_report.aggregates:
             assert evaluation.metric == pytest.approx(1.0)
 
-    def test_ablation_methods_run(self):
-        sequence = semantickitti_like(0, n_frames=300, with_points=False)
-        workload = generate_workload(rng=0)
-        report = run_experiment(
-            sequence, pv_rcnn(seed=5), workload,
-            methods=ABLATION_METHODS, config=MASTConfig(seed=1),
-        )
+    def test_ablation_methods_run(self, tmp_path):
+        report = run_report(tmp_path, 300, methods=ABLATION_METHODS)
         assert set(report.methods) == {m.name for m in ABLATION_METHODS}
 
-    def test_other_oracle_model(self):
-        sequence = semantickitti_like(0, n_frames=300, with_points=False)
-        workload = generate_workload(rng=0)
-        report = run_experiment(
-            sequence, second(seed=5), workload, config=MASTConfig(seed=1)
-        )
+    def test_other_oracle_model(self, tmp_path):
+        report = run_report(tmp_path, 300, model="second")
         assert report.model == "second"
         assert report["mast"].mean_retrieval_f1 > 0.5
 
-    def test_determinism(self):
-        sequence = semantickitti_like(0, n_frames=200, with_points=False)
-        workload = generate_workload(rng=0)
-        a = run_experiment(sequence, pv_rcnn(seed=5), workload, config=MASTConfig(seed=1))
-        b = run_experiment(sequence, pv_rcnn(seed=5), workload, config=MASTConfig(seed=1))
+    def test_determinism(self, tmp_path):
+        a = run_report(tmp_path / "a", 200)
+        b = run_report(tmp_path / "b", 200)
         assert a["mast"].mean_retrieval_f1 == b["mast"].mean_retrieval_f1
         assert np.array_equal(
             a["mast"].sampling.sampled_ids, b["mast"].sampling.sampled_ids

@@ -7,7 +7,8 @@ matching gate, ``c_var``) and ``benchmarks/bench_fig11_design.py``
 ``experiment_digest`` of a small MAST-only run: every answer, metric,
 sampled frame and simulated cost.  A change that moves one of them moves
 a paper table too, so it regenerates that table and updates the pin in
-the same change.
+the same change.  Each run goes through ``experiment_flow`` and
+``FlowRunner``, the way the paper scripts run it.
 
 ``FLAT_BANDIT_PINS`` cover what the MAST-only pins cannot: the flat
 ``UCBAgent`` of Seiden-PC / Seiden-PCST / MAST-noH at two budgets.
@@ -15,12 +16,9 @@ the same change.
 
 import pytest
 
-from repro.baselines import MAST, MAST_NOH, SEIDEN_PC, SEIDEN_PCST
-from repro.core import MASTConfig
-from repro.evalx import experiment_digest, run_experiment
-from repro.models import pv_rcnn
-from repro.query import generate_workload
-from repro.simulation import semantickitti_like
+from repro.evalx import ExperimentFlowSpec, experiment_digest, experiment_flow
+from repro.evalx.flows import budget_label
+from repro.flow import FlowRunner
 
 PINS = {
     "beta=0.5": ({"beta": 0.5}, "da0171f48bc1c68bde701e987b8beda5"),
@@ -34,20 +32,24 @@ PINS = {
 }
 
 
-@pytest.fixture(scope="module")
-def sequence():
-    return semantickitti_like(0, n_frames=600, with_points=False)
+def run_report(tmp_path, methods, budget=0.10, overrides=()):
+    """One 600-frame ``semantickitti`` report: workload seed 0, policy seed 1."""
+    spec = ExperimentFlowSpec(
+        n_frames=600,
+        model_seed=5,
+        seed=1,
+        methods=methods,
+        budgets=(budget,),
+        workload_seed=0,
+        overrides=tuple(overrides),
+    )
+    result = FlowRunner(experiment_flow(spec), checkpoint_dir=tmp_path).run()
+    return result[f"report:{budget_label(budget)}"]
 
 
 @pytest.mark.parametrize("overrides, digest", PINS.values(), ids=PINS.keys())
-def test_experiment_digest_is_pinned(sequence, overrides, digest):
-    report = run_experiment(
-        sequence,
-        pv_rcnn(seed=5),
-        generate_workload(rng=0),
-        methods=(MAST,),
-        config=MASTConfig(seed=1, **overrides),
-    )
+def test_experiment_digest_is_pinned(tmp_path, overrides, digest):
+    report = run_report(tmp_path, ("mast",), overrides=overrides.items())
     assert experiment_digest(report) == digest
 
 
@@ -62,12 +64,8 @@ FLAT_BANDIT_PINS = {
     FLAT_BANDIT_PINS.items(),
     ids=[f"budget={b}" for b in FLAT_BANDIT_PINS],
 )
-def test_flat_bandit_digest_is_pinned(sequence, budget_fraction, digest):
-    report = run_experiment(
-        sequence,
-        pv_rcnn(seed=5),
-        generate_workload(rng=0),
-        methods=(SEIDEN_PC, SEIDEN_PCST, MAST_NOH, MAST),
-        config=MASTConfig(seed=1, budget_fraction=budget_fraction),
+def test_flat_bandit_digest_is_pinned(tmp_path, budget_fraction, digest):
+    report = run_report(
+        tmp_path, ("seiden_pc", "seiden_pcst", "mast_noh", "mast"), budget_fraction
     )
     assert experiment_digest(report) == digest

@@ -1,9 +1,12 @@
 """Unit tests for npz persistence."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from repro.data import (
+    FrameSequence,
     ObjectArray,
     load_detections,
     load_sequence,
@@ -80,3 +83,92 @@ class TestDetectionsRoundtrip:
         restored, _ = load_detections(path)
         assert set(restored) == {0, 5}
         assert len(restored[0]) == 0
+
+
+def _emptied(objects: ObjectArray) -> ObjectArray:
+    """``objects`` with no rows, keeping its optional columns."""
+    return objects.filter(np.zeros(len(objects), dtype=bool))
+
+
+def _assert_same_objects(restored: ObjectArray, original: ObjectArray) -> None:
+    for column in fields(ObjectArray):
+        expected = getattr(original, column.name)
+        actual = getattr(restored, column.name)
+        if expected is None:
+            assert actual is None, column.name
+        else:
+            np.testing.assert_array_equal(actual, expected, err_msg=column.name)
+
+
+class TestLoadReadsEachMemberOnce:
+    """A load decompresses each archive member once, however many frames
+    it holds, and still splits the rows back to the right frames."""
+
+    @staticmethod
+    def counting_reads(monkeypatch):
+        reads = []
+        getitem = np.lib.npyio.NpzFile.__getitem__
+
+        def counting(self, key):
+            reads.append(key)
+            return getitem(self, key)
+
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+        return reads
+
+    @staticmethod
+    def n_members(path) -> int:
+        with np.load(path) as data:
+            return len(data.files)
+
+    def test_sequence_with_empty_frames_and_optional_columns(
+        self, small_sequence, tmp_path, monkeypatch
+    ):
+        frames = [
+            replace(frame, ground_truth=_emptied(frame.ground_truth))
+            if frame.frame_id % 3 == 0 or frame.frame_id == len(small_sequence) - 1
+            else frame
+            for frame in small_sequence
+        ]
+        sequence = FrameSequence(frames, fps=small_sequence.fps, name=small_sequence.name)
+        truth = sequence[1].ground_truth
+        assert len(truth) and truth.velocities is not None and truth.ids is not None
+        path = save_sequence(sequence, tmp_path / "seq.npz")
+        members = self.n_members(path)
+
+        reads = self.counting_reads(monkeypatch)
+        loaded = load_sequence(path)
+        assert len(reads) <= members
+        assert len(loaded) == len(sequence)
+        for original, restored in zip(sequence, loaded):
+            _assert_same_objects(restored.ground_truth, original.ground_truth)
+
+    def test_detections_with_empty_frames(self, small_sequence, tmp_path, monkeypatch):
+        from repro.models import pv_rcnn
+
+        model = pv_rcnn(seed=1)
+        detections = {
+            frame.frame_id: model.detect(frame).objects for frame in small_sequence
+        }
+        detections[0] = _emptied(detections[0])
+        detections[7] = _emptied(detections[7])
+        path = save_detections(detections, tmp_path / "det.npz", model_name="pv_rcnn")
+        members = self.n_members(path)
+
+        reads = self.counting_reads(monkeypatch)
+        restored, _ = load_detections(path)
+        assert len(reads) <= members
+        assert list(restored) == sorted(detections)
+        for frame_id, objects in detections.items():
+            _assert_same_objects(restored[frame_id], objects)
+
+    def test_rows_out_of_frame_order_are_refused(self, small_sequence, tmp_path):
+        path = save_sequence(small_sequence, tmp_path / "seq.npz")
+        with np.load(path) as data:
+            payload = {
+                name: data[name][::-1] if name.startswith("obj_") else data[name]
+                for name in data.files
+            }
+        np.savez_compressed(tmp_path / "reversed.npz", **payload)
+        with pytest.raises(ValueError, match="not grouped by frame"):
+            load_sequence(tmp_path / "reversed.npz")

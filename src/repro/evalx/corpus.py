@@ -11,7 +11,12 @@ single-sequence experiment to a :class:`~repro.corpus.SequenceCatalog`:
 2. :func:`score_policy` fits a :class:`~repro.corpus.CorpusPipeline`
    under one budget policy at the *same total budget*, answers the same
    fan-out workload, and scores corpus-wide aggregate error and
-   retrieval F1.
+   retrieval F1.  The policy's ledger bills every frame it samples.
+
+Like the single-sequence units, both are pure over their inputs: with a
+``recording``, the Oracle pass keeps its detections so that a policy
+fitting through ``recording.replaying(model)`` is billed exactly as
+before but simulates no frame again.
 
 This is the harness behind the allocation accuracy comparison (UCB vs
 uniform at equal cost) that ``tests/corpus/test_allocator.py`` pins.
@@ -29,7 +34,7 @@ from repro.core.config import MASTConfig
 from repro.corpus.catalog import SequenceCatalog
 from repro.corpus.pipeline import CorpusPipeline
 from repro.evalx.metrics import aggregate_accuracy, f1_score
-from repro.inference import InferenceEngine
+from repro.inference import DetectionRecording, InferenceEngine
 from repro.models.base import DetectionModel
 from repro.query.aggregates import aggregate
 from repro.query.ast import AggregateQuery, CompoundRetrievalQuery, RetrievalQuery
@@ -120,17 +125,23 @@ class _CorpusOracle:
         catalog: SequenceCatalog,
         model: DetectionModel,
         *,
-        engine: InferenceEngine,
+        engine: InferenceEngine | None,
+        recording: DetectionRecording | None,
     ) -> None:
         self.ledger = CostLedger()
-        self._engines = {
-            name: QueryEngine(
-                OracleCountProvider(
-                    catalog.sequence(name), model, ledger=self.ledger, engine=engine
-                )
+        self._engines: dict[str, QueryEngine] = {}
+        for name in catalog.names():
+            sequence = catalog.sequence(name)
+            provider = OracleCountProvider(
+                sequence, model, ledger=self.ledger, engine=engine
             )
-            for name in catalog.names()
-        }
+            if recording is not None:
+                recording.record(
+                    sequence,
+                    model,
+                    {i: provider.detections_at(i) for i in range(len(sequence))},
+                )
+            self._engines[name] = QueryEngine(provider)
 
     def retrieval_ids(
         self, query: RetrievalQuery | CompoundRetrievalQuery
@@ -177,10 +188,15 @@ def corpus_oracle_truth(
     *,
     retrieval_queries: Sequence[CorpusRetrievalQuery],
     aggregate_queries: Sequence[AggregateQuery],
-    engine: InferenceEngine,
+    engine: InferenceEngine | None = None,
+    recording: DetectionRecording | None = None,
 ) -> CorpusTruth:
-    """Detect every frame once and answer the whole corpus workload."""
-    oracle = _CorpusOracle(catalog, model, engine=engine)
+    """Detect every frame once and answer the whole corpus workload.
+
+    With ``recording``, the pass's detections are also recorded there,
+    for the same experiment's policies to replay.
+    """
+    oracle = _CorpusOracle(catalog, model, engine=engine, recording=recording)
 
     # Oracle truth; zero-cardinality retrievals are dropped (§7.1).
     retrieval_truth: list[tuple[CorpusRetrievalQuery, set[tuple[str, int]]]] = []
@@ -209,15 +225,10 @@ def score_policy(
     *,
     policy: str,
     round_size: int,
-    engine: InferenceEngine,
 ) -> CorpusPolicyReport:
     """Fit one budget policy and score it against corpus oracle truth."""
     corpus = CorpusPipeline(
-        catalog,
-        config,
-        policy=policy,
-        round_size=round_size,
-        engine=engine,
+        catalog, config, policy=policy, round_size=round_size
     ).fit(model)
     f1_scores = [
         f1_score(corpus.query(query).id_set(), expected)

@@ -12,8 +12,8 @@ temporary one when the caller keeps nothing):
   that shares its (sequence, model, workload);
 * ``method:<name>:<budget>`` — one checkpointed
   :func:`~repro.evalx.runner.evaluate_method` call per (method, budget),
-  detecting through the run's replay of the oracle step's detections
-  (``ctx.recording``; billed like a detection, simulated once a run);
+  detecting through a replay of the oracle step's detections (billed
+  like a detection, simulated once per flow object);
 * ``report:<budget>`` / ``summary`` — one
   :class:`~repro.evalx.runner.ExperimentReport` per budget, and
   fig9-shaped rows over the sweep.  :func:`experiment_digest` pins a
@@ -28,11 +28,17 @@ the verified upstream values.
 
 The corpus flow has the same shape over a catalog
 (:func:`~repro.evalx.corpus.corpus_oracle_truth`, then one
-:func:`~repro.evalx.corpus.score_policy` step per policy).  Its
-detections go to a *persistent* store under the run's checkpoint
-directory (``ctx.store_dir``), so a crash between policy steps resumes
-without re-detecting — the engine records disk hits exactly like memory
-hits and never re-bills them.
+:func:`~repro.evalx.corpus.score_policy` step per policy), and shares
+detections the same way.
+
+Each builder makes one :class:`~repro.inference.DetectionRecording` per
+flow object it returns and binds it positionally into the oracle and
+method (or policy) step functions: the oracle step records its
+detections there and the later steps fit through
+``recording.replaying(model)``.  The recording enters no checkpoint key
+and no param, and lives as long as the flow object.  A run whose oracle
+step comes from its checkpoint records nothing, so its later steps
+detect on their own, with the same output and the same bill.
 
 Both builders check every value a later step would reject (method and
 policy names, budgets, config overrides, the UCB round size) before
@@ -43,6 +49,7 @@ checkpoint.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 
 from repro.baselines.variants import get_method
 from repro.core.config import MASTConfig
@@ -63,8 +70,8 @@ from repro.evalx.runner import (
     evaluate_method,
     oracle_truth,
 )
-from repro.flow import Flow, StepContext, stable_digest
-from repro.inference import DetectionStore, InferenceEngine
+from repro.flow import Flow, stable_digest
+from repro.inference import DetectionRecording
 from repro.models import DEFAULT_MODEL_SEED, make_model
 from repro.query.workload import QueryWorkload, generate_workload
 from repro.simulation import build_sequence, dataset_spec
@@ -161,7 +168,8 @@ def budget_label(budget: float) -> str:
 
 
 # ----------------------------------------------------------------------
-# Step functions (pure over their declared inputs)
+# Step functions (pure over their declared inputs; a leading
+# ``recording`` is bound by the builder and is no step input)
 # ----------------------------------------------------------------------
 def _sequence_step(dataset: str, sequence_index: int, n_frames: int) -> FrameSequence:
     return build_sequence(
@@ -174,23 +182,19 @@ def _workload_step(seed: int) -> QueryWorkload:
 
 
 def _oracle_step(
+    recording: DetectionRecording,
     sequence: FrameSequence,
     workload: QueryWorkload,
     model: str,
     model_seed: int,
-    ctx: StepContext,
 ) -> OracleTruth:
-    truth = oracle_truth(
-        sequence,
-        make_model(model, seed=model_seed),
-        workload,
-        recording=ctx.recording,
+    return oracle_truth(
+        sequence, make_model(model, seed=model_seed), workload, recording=recording
     )
-    ctx.ledger.merge(truth.ledger)
-    return truth
 
 
 def _method_step(
+    recording: DetectionRecording,
     sequence: FrameSequence,
     truth: OracleTruth,
     method: str,
@@ -198,14 +202,14 @@ def _method_step(
     model_seed: int,
     seed: int,
     budget: float,
-    ctx: StepContext,
 ) -> MethodReport:
     return _tuned_method_step(
-        sequence, truth, method, model, model_seed, seed, budget, (), ctx
+        recording, sequence, truth, method, model, model_seed, seed, budget, ()
     )
 
 
 def _tuned_method_step(
+    recording: DetectionRecording,
     sequence: FrameSequence,
     truth: OracleTruth,
     method: str,
@@ -214,17 +218,14 @@ def _tuned_method_step(
     seed: int,
     budget: float,
     overrides: tuple[tuple[str, object], ...],
-    ctx: StepContext,
 ) -> MethodReport:
-    report = evaluate_method(
+    return evaluate_method(
         get_method(method),
         sequence,
-        ctx.recording.replaying(sequence, make_model(model, seed=model_seed)),
+        recording.replaying(make_model(model, seed=model_seed)),
         _method_config(seed, budget, overrides),
         truth,
     )
-    ctx.ledger.merge(report.ledger)
-    return report
 
 
 def _report_step(
@@ -286,6 +287,7 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
     for budget in spec.budgets:
         _method_config(spec.seed, budget, spec.overrides)
     workload_seed = spec.seed if spec.workload_seed is None else spec.workload_seed
+    recording = DetectionRecording()
     flow = Flow(f"experiment-{spec.dataset}-{spec.sequence_index}")
     flow.add(
         _sequence_step,
@@ -304,7 +306,7 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
         cache=False,
     )
     flow.add(
-        _oracle_step,
+        partial(_oracle_step, recording),
         name="oracle",
         deps={"sequence": "sequence", "workload": "workload"},
         params={"model": spec.model, "model_seed": spec.model_seed},
@@ -329,7 +331,7 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
                 params["overrides"] = spec.overrides
             method_steps.append(
                 flow.add(
-                    step,
+                    partial(step, recording),
                     name=f"method:{method}:{label}",
                     deps={"sequence": "sequence", "truth": "oracle"},
                     params=params,
@@ -373,32 +375,29 @@ def _catalog_step(
 
 
 def _corpus_oracle_step(
+    recording: DetectionRecording,
     catalog: SequenceCatalog,
     model: str,
     model_seed: int,
     seed: int,
     budget_fraction: float,
     n_retrieval: int | None,
-    ctx: StepContext,
 ) -> CorpusTruth:
     workload = generate_workload(rng=seed)
     retrieval = list(workload.retrieval)
     if n_retrieval is not None:
         retrieval = retrieval[:n_retrieval]
-    config = MASTConfig(seed=seed, budget_fraction=budget_fraction)
-    store = DetectionStore(persist_dir=ctx.store_dir)
-    truth = corpus_oracle_truth(
+    return corpus_oracle_truth(
         catalog,
         make_model(model, seed=model_seed),
         retrieval_queries=retrieval,
         aggregate_queries=list(workload.aggregates),
-        engine=InferenceEngine(store=store),
+        recording=recording,
     )
-    ctx.ledger.merge(truth.ledger)
-    return truth
 
 
 def _policy_step(
+    recording: DetectionRecording,
     catalog: SequenceCatalog,
     truth: CorpusTruth,
     policy: str,
@@ -407,18 +406,14 @@ def _policy_step(
     seed: int,
     budget_fraction: float,
     round_size: int,
-    ctx: StepContext,
 ) -> CorpusPolicyReport:
-    config = MASTConfig(seed=seed, budget_fraction=budget_fraction)
-    store = DetectionStore(persist_dir=ctx.store_dir)
     return score_policy(
         catalog,
-        make_model(model, seed=model_seed),
-        config,
+        recording.replaying(make_model(model, seed=model_seed)),
+        MASTConfig(seed=seed, budget_fraction=budget_fraction),
         truth,
         policy=policy,
         round_size=round_size,
-        engine=InferenceEngine(store=store),
     )
 
 
@@ -440,15 +435,15 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
     """The corpus allocation harness as a flow.
 
     Output step: ``corpus-report`` (a :class:`CorpusExperimentReport`,
-    pinned by :func:`corpus_digest`).  Oracle detections persist in the
-    run's shared store, so policy steps — and resumed runs — replay
-    them as cache hits instead of re-billing model invocations.
-    Raises ``ValueError`` on an unknown policy name, a bad budget or a
-    bad round size.
+    pinned by :func:`corpus_digest`).  Policy steps replay the oracle
+    step's detections and bill each frame they sample.  Raises
+    ``ValueError`` on an unknown policy name, a bad budget or a bad
+    round size.
     """
     config = MASTConfig(seed=spec.seed, budget_fraction=spec.budget_fraction)
     for policy in spec.policies:
         make_allocator(policy, config, round_size=spec.round_size)
+    recording = DetectionRecording()
     flow = Flow("corpus")
     flow.add(
         _catalog_step,
@@ -457,7 +452,7 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
         cache=False,
     )
     flow.add(
-        _corpus_oracle_step,
+        partial(_corpus_oracle_step, recording),
         name="corpus-oracle",
         deps={"catalog": "catalog"},
         params={
@@ -472,7 +467,7 @@ def corpus_flow(spec: CorpusFlowSpec) -> Flow:
     for policy in spec.policies:
         policy_steps.append(
             flow.add(
-                _policy_step,
+                partial(_policy_step, recording),
                 name=f"policy:{policy}",
                 deps={"catalog": "catalog", "truth": "corpus-oracle"},
                 params={

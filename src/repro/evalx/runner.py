@@ -16,8 +16,10 @@ one orchestrator every experiment runs through:
 
 Both units are pure over their inputs.  With a ``recording``, the Oracle
 pass keeps its detections (:class:`~repro.inference.DetectionRecording`)
-so that methods detecting through its replaying wrapper are billed
-exactly as before but simulate each frame only once.
+so that methods detecting through ``recording.replaying(model)`` are
+billed exactly as before but simulate each frame only once.  The flow
+builder owns the recording and binds it into its step functions; the
+flow runner never sees it.
 """
 
 from __future__ import annotations

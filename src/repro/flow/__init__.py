@@ -2,8 +2,8 @@
 
 Experiments are expressed as *flows* of pure step functions registered
 with ``Flow.add``.  Each step names every input at registration
-(upstream steps in ``deps``, static values in ``params``, or the
-reserved ``ctx`` effect channel), is keyed by a
+(upstream steps in ``deps``, static values in ``params``), returns its
+only effect (its bill is its output's ``ledger``), is keyed by a
 content-addressed fingerprint chain (seed + config + upstream content,
 the DetectionStore idea lifted to whole pipeline stages), and persists
 its result to a checkpoint store.  Re-running a flow against the same
@@ -17,19 +17,12 @@ CLI surface.  See ``docs/experiments.md`` for the step contract.
 """
 
 from repro.flow.checkpoint import Checkpoint, CheckpointCorrupted, CheckpointStore
-from repro.flow.definition import CONTEXT_PARAM, Flow, FlowDefinitionError, StepSpec
+from repro.flow.definition import Flow, FlowDefinitionError, StepSpec
 from repro.flow.events import EventLog, format_event, read_events, tail_events
 from repro.flow.fingerprint import stable_digest
-from repro.flow.runner import (
-    KEY_SCHEME,
-    FlowInterrupted,
-    FlowResult,
-    FlowRunner,
-    StepContext,
-)
+from repro.flow.runner import KEY_SCHEME, FlowInterrupted, FlowResult, FlowRunner
 
 __all__ = [
-    "CONTEXT_PARAM",
     "Checkpoint",
     "CheckpointCorrupted",
     "CheckpointStore",
@@ -40,7 +33,6 @@ __all__ = [
     "FlowResult",
     "FlowRunner",
     "KEY_SCHEME",
-    "StepContext",
     "StepSpec",
     "format_event",
     "read_events",

@@ -8,33 +8,31 @@ declared at registration:
   parameter may map to one step name (``deps={"truth": "oracle"}``) or,
   for fan-in, to a *tuple* of names, which the runner delivers as a
   tuple of outputs in that order;
-* in ``params`` — a static value bound at registration time, part of
-  the step's checkpoint key;
-* or it is the reserved name ``ctx`` — a
-  :class:`~repro.flow.runner.StepContext` giving access to the run's
-  effect channels (the shared on-disk detection store, the step
-  ledger).  ``ctx`` never enters the checkpoint key.
+* or in ``params`` — a static value bound at registration time, part of
+  the step's checkpoint key.
 
-A parameter named nowhere is a :class:`FlowDefinitionError`, not a guess.
+A parameter named in neither is a :class:`FlowDefinitionError`, not a
+guess.  A value bound before registration (a closure, or an argument
+bound positionally with :func:`functools.partial`) is not a parameter:
+it enters no checkpoint key.  A step's output is its only effect; the
+runner reports the deterministic state of the output's ``ledger``, when
+it has one, as the step's bill.
 
 Step bodies must stay pure — no wall-clock reads, no module-global
 mutation, no unseeded RNG — so that replaying a checkpoint is
 indistinguishable from re-executing the step.  Statically, RPR002
 (no wall-clock) and RPR005 (no unseeded RNG) run in full on the modules
 that define steps; dynamically, the crash/resume bit-identity and
-flow-vs-legacy digest tests replay every step and compare.
+flow-vs-standalone-units digest tests replay every step and compare.
 """
 
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-__all__ = ["Flow", "FlowDefinitionError", "StepSpec", "CONTEXT_PARAM"]
-
-#: Reserved signature name through which the runner injects StepContext.
-CONTEXT_PARAM = "ctx"
+__all__ = ["Flow", "FlowDefinitionError", "StepSpec"]
 
 
 class FlowDefinitionError(ValueError):
@@ -65,8 +63,6 @@ class StepSpec:
     #: Static ``(name, value)`` parameters, part of the checkpoint key.
     params: tuple[tuple[str, object], ...]
     cache: bool = True
-    #: Whether the function takes the reserved ``ctx`` parameter.
-    wants_context: bool = field(default=False, compare=False)
 
     def upstreams(self) -> tuple[str, ...]:
         """Every upstream step name, in declaration order, de-duplicated."""
@@ -116,7 +112,6 @@ class Flow:
             )
         resolved: list[tuple[str, tuple[str, ...], bool]] = []
         undeclared: list[str] = []
-        wants_context = False
         signature = inspect.signature(fn)
         for parameter in signature.parameters.values():
             if parameter.kind in (
@@ -127,9 +122,7 @@ class Flow:
                     f"step {name!r}: *args/**kwargs are not allowed in a "
                     "step signature; every input must be declared"
                 )
-            if parameter.name == CONTEXT_PARAM:
-                wants_context = True
-            elif parameter.name in explicit:
+            if parameter.name in explicit:
                 names, fan_in = explicit.pop(parameter.name)
                 resolved.append((parameter.name, names, fan_in))
             elif parameter.name not in static:
@@ -156,7 +149,6 @@ class Flow:
             deps=tuple(resolved),
             params=tuple(sorted(static.items())),
             cache=cache,
-            wants_context=wants_context,
         )
         return name
 

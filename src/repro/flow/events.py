@@ -9,8 +9,9 @@ Every run appends one JSON object per line to its events file:
 ``step_start``     ``step``, ``key``
 ``step_finish``    ``step``, ``key``, ``fingerprint``, ``seconds``
                    (measured through the run ledger), ``ledger`` (the
-                   step ledger's deterministic state: simulated seconds,
-                   invocation counts, cache hit/miss deltas)
+                   deterministic state of the output's ``ledger``:
+                   simulated seconds, invocation counts, cache hit/miss
+                   counts; null for an output without one)
 ``step_cached``    ``step``, ``key``, ``fingerprint`` — replayed from a
                    checkpoint, **not** re-executed ("skip-cached")
 ``run_interrupt``  ``after`` — a crash-drill interruption point

@@ -8,7 +8,10 @@ results, chained from the root of the DAG — and then either
 * replays the persisted result (``step_cached``: the checkpoint store
   verifies the value still matches its saved fingerprint), or
 * executes the step function under the run ledger's ``measure`` channel,
-  persists the result, and records its fingerprint.
+  persists the result, and records its fingerprint.  The ``step_finish``
+  event carries the deterministic state of the output's ``ledger`` (a
+  :class:`~repro.utils.timing.CostLedger`), or null for an output
+  without one.
 
 A step's fingerprint follows from its ``cache`` flag: a cached step's is
 the digest of its saved checkpoint, a ``cache=False`` step's is its
@@ -35,10 +38,9 @@ from repro.flow.checkpoint import CheckpointStore
 from repro.flow.definition import Flow, StepSpec
 from repro.flow.events import EventLog
 from repro.flow.fingerprint import stable_digest
-from repro.inference.replay import DetectionRecording
 from repro.utils.timing import CostLedger
 
-__all__ = ["FlowInterrupted", "FlowResult", "FlowRunner", "StepContext"]
+__all__ = ["FlowInterrupted", "FlowResult", "FlowRunner"]
 
 #: Version tag mixed into every checkpoint key so a change to the
 #: keying scheme invalidates old checkpoints instead of mis-replaying.
@@ -54,42 +56,6 @@ class FlowInterrupted(RuntimeError):
             "re-run with the same checkpoint directory to resume"
         )
         self.step = step
-
-
-class StepContext:
-    """The blessed effect channel handed to steps that ask for ``ctx``.
-
-    Steps stay pure over their declared inputs; anything observable
-    beyond the return value must go through here:
-
-    * ``ledger`` — a per-step :class:`CostLedger`; its deterministic
-      state is reported in the ``step_finish`` event as the step's
-      ledger delta.
-    * ``store_dir`` — a per-run directory (under the checkpoint
-      directory) for a persistent DetectionStore shared by steps of the
-      same run, mirroring the shared-store semantics of the legacy
-      corpus path.
-    * ``recording`` — a :class:`~repro.inference.DetectionRecording`
-      shared by the steps of one :meth:`FlowRunner.run` call and gone
-      with it: an oracle step records its detections there and method
-      steps replay them.  A step replayed from its checkpoint records
-      nothing, so later steps then detect on their own, with the same
-      output and the same bill.
-
-    Nothing in the context enters the checkpoint key.
-    """
-
-    def __init__(self, checkpoint_dir: Path, recording: DetectionRecording) -> None:
-        self.ledger = CostLedger()
-        self.recording = recording
-        self._checkpoint_dir = checkpoint_dir
-
-    @property
-    def store_dir(self) -> Path:
-        """Per-run persistent detection-store directory (created lazily)."""
-        path = self._checkpoint_dir / "detections"
-        path.mkdir(parents=True, exist_ok=True)
-        return path
 
 
 @dataclass
@@ -124,8 +90,7 @@ class FlowRunner:
         interrupt_after: str | None = None,
     ) -> None:
         self.flow = flow
-        self.checkpoint_dir = Path(checkpoint_dir)
-        self.store = CheckpointStore(self.checkpoint_dir / "steps")
+        self.store = CheckpointStore(Path(checkpoint_dir) / "steps")
         self.events_path = Path(events_path) if events_path else None
         if interrupt_after is not None and interrupt_after not in flow:
             raise ValueError(
@@ -138,7 +103,6 @@ class FlowRunner:
         order = self.flow.order()
         result = FlowResult(flow=self.flow.name)
         resumed = len(self.store) > 0
-        recording = DetectionRecording()
         with EventLog(self.events_path) as events:
             events.emit(
                 "run_start",
@@ -148,9 +112,7 @@ class FlowRunner:
             )
             try:
                 for name in order:
-                    self._run_step(
-                        self.flow.spec(name), result, events, recording
-                    )
+                    self._run_step(self.flow.spec(name), result, events)
                     if name == self.interrupt_after:
                         events.emit("run_interrupt", after=name)
                         raise FlowInterrupted(name)
@@ -174,11 +136,7 @@ class FlowRunner:
     # Internals
     # ------------------------------------------------------------------
     def _run_step(
-        self,
-        spec: StepSpec,
-        result: FlowResult,
-        events: EventLog,
-        recording: DetectionRecording,
+        self, spec: StepSpec, result: FlowResult, events: EventLog
     ) -> None:
         key = self._checkpoint_key(spec, result)
         result.keys[spec.name] = key
@@ -200,10 +158,6 @@ class FlowRunner:
             values = tuple(result.outputs[name] for name in upstreams)
             kwargs[parameter] = values if fan_in else values[0]
         kwargs.update(dict(spec.params))
-        context: StepContext | None = None
-        if spec.wants_context:
-            context = StepContext(self.checkpoint_dir, recording)
-            kwargs["ctx"] = context
         stage = f"step:{spec.name}"
         with result.ledger.measure(stage):
             value = spec.fn(**kwargs)
@@ -212,13 +166,18 @@ class FlowRunner:
         )
         result.outputs[spec.name] = value
         result.fingerprints[spec.name] = fingerprint
+        ledger = getattr(value, "ledger", None)
         events.emit(
             "step_finish",
             step=spec.name,
             key=key,
             fingerprint=fingerprint,
             seconds=result.ledger.measured.get(stage, 0.0),
-            ledger=context.ledger.deterministic_state() if context else None,
+            ledger=(
+                ledger.deterministic_state()
+                if isinstance(ledger, CostLedger)
+                else None
+            ),
         )
 
     def _checkpoint_key(self, spec: StepSpec, result: FlowResult) -> str:

@@ -17,7 +17,8 @@ detection is executed:
   detections and the Eq. 1 reward once per triple, whoever asks;
 * :mod:`repro.inference.replay` — an experiment's
   :class:`DetectionRecording` of the Oracle pass, which its sampled
-  methods replay (still billed) instead of re-simulating.
+  methods or budget policies replay (still billed) instead of
+  re-simulating.
 """
 
 from repro.inference.engine import InferenceEngine

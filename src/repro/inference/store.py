@@ -48,6 +48,8 @@ __all__ = [
 
 #: Store key: ``(sequence id, frame id, model fingerprint, content hash)``.
 DetectionKey = tuple[str, int, str, str]
+#: The store key without the sequence id.
+FrameKey = tuple[int, str, str]
 
 
 def model_fingerprint(model: DetectionModel) -> str:
@@ -92,11 +94,17 @@ def _frame_content_hash(frame: PointCloudFrame) -> str:
     return digest.hexdigest()
 
 
+def frame_key(frame: PointCloudFrame, fingerprint: str) -> FrameKey:
+    """``(frame id, model fingerprint, content hash)``: the store key
+    without the sequence name, which a detection does not depend on."""
+    return (int(frame.frame_id), fingerprint, _frame_content_hash(frame))
+
+
 def detection_key(
     sequence_name: str, frame: PointCloudFrame, fingerprint: str
 ) -> DetectionKey:
     """The store key for one ``(sequence, frame, model)`` detection."""
-    return (sequence_name, int(frame.frame_id), fingerprint, _frame_content_hash(frame))
+    return (sequence_name, *frame_key(frame, fingerprint))
 
 
 @dataclass(frozen=True)

@@ -174,7 +174,6 @@ class StreamingCorpusService:
         max_lag_frames: int = 0,
         replan_every: int = 32,
         max_cache_entries: int = 512,
-        detection_store: DetectionStore | None = None,
     ) -> None:
         require(max_lag_frames >= 0, "max_lag_frames must be >= 0")
         require(replan_every >= 1, "replan_every must be >= 1")
@@ -183,7 +182,7 @@ class StreamingCorpusService:
         self.config = config or MASTConfig()
         self.max_lag_frames = int(max_lag_frames)
         self.replan_every = int(replan_every)
-        self.store = detection_store or DetectionStore()
+        self.store = DetectionStore()
 
         catalog = SequenceCatalog()
         for name in source.names():

@@ -124,7 +124,7 @@ def mixed(sequence):
     detected = {f.frame_id: model.detect(f).objects for f in sequence}
     recording = DetectionRecording()
     recording.record(sequence, model, detected)
-    replayed = recording.replaying(sequence, model).detect(sequence[9]).objects
+    replayed = recording.replaying(model).detect(sequence[9]).objects
     assert not replayed.centers.flags.writeable and len(replayed)
     return {
         7: detected[7],
@@ -189,7 +189,7 @@ class TestDetectionColumns:
         detected = {f.frame_id: model.detect(f).objects for f in sequence}
         recording = DetectionRecording()
         recording.record(sequence, model, detected)
-        replaying = recording.replaying(sequence, model)
+        replaying = recording.replaying(model)
         ids = (3, 0, 8, 5)
         replayed = {i: replaying.detect(sequence[i]).objects for i in ids}
         fresh = {i: model.detect(sequence[i]).objects for i in ids}

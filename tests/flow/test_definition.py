@@ -140,16 +140,18 @@ class TestWiring:
         flow.add(fn, name="down", deps={"x": ("b", "a"), "y": "b"})
         assert flow.spec("down").upstreams() == ("b", "a")
 
-    def test_ctx_is_not_a_dependency(self):
-        flow = Flow("t")
+    def test_ctx_is_an_ordinary_parameter(self):
+        """No parameter name is reserved: ``ctx`` is declared or refused
+        like any other."""
 
         def fn(ctx):
-            return None
+            return ctx
 
-        flow.add(fn, name="a")
-        spec = flow.spec("a")
-        assert spec.deps == ()
-        assert spec.wants_context is True
+        with pytest.raises(FlowDefinitionError, match=r"\['ctx'\] are declared in neither"):
+            Flow("t").add(fn, name="a")
+        flow = Flow("t")
+        flow.add(fn, name="a", params={"ctx": 1})
+        assert flow.spec("a").params == (("ctx", 1),)
 
 
 class TestOrder:

@@ -5,8 +5,10 @@ The flows are the one experiment orchestrator.  Their reports must be
 wall-clock) to the same units called by hand — ``oracle_truth`` then
 ``evaluate_method`` per method, ``corpus_oracle_truth`` then
 ``score_policy`` per policy — and a run killed after a mid-pipeline
-checkpoint resumes to the same result without re-detecting a single
-checkpointed frame.
+checkpoint resumes to the same result and the same bill.
+
+A flow object's detection recording lives as long as the flow, so a
+test that stands for a new process builds a fresh flow for each run.
 """
 
 from dataclasses import replace
@@ -32,7 +34,6 @@ from repro.evalx import (
 from repro.evalx import flows
 from repro.evalx.flows import _summary_step, budget_label
 from repro.flow import EventLog, FlowInterrupted, FlowRunner, read_events
-from repro.inference import DetectionStore, InferenceEngine
 from repro.models import make_model
 from repro.models.detectors import SimulatedDetector
 from repro.query.workload import generate_workload
@@ -145,19 +146,22 @@ class TestExperimentDifferential:
     def test_experiment_flow_crash_resume_is_bit_identical(
         self, tmp_path, experiment_spec
     ):
-        flow = experiment_flow(experiment_spec)
-        clean = FlowRunner(flow, checkpoint_dir=tmp_path / "clean").run()
+        clean = FlowRunner(
+            experiment_flow(experiment_spec), checkpoint_dir=tmp_path / "clean"
+        ).run()
 
         crash_dir = tmp_path / "crash"
         with pytest.raises(FlowInterrupted):
             FlowRunner(
-                flow,
+                experiment_flow(experiment_spec),
                 checkpoint_dir=crash_dir,
                 interrupt_after="method:seiden_pc:10pct",
             ).run()
         events_path = crash_dir / "resume.jsonl"
         resumed = FlowRunner(
-            flow, checkpoint_dir=crash_dir, events_path=events_path
+            experiment_flow(experiment_spec),
+            checkpoint_dir=crash_dir,
+            events_path=events_path,
         ).run()
 
         assert experiment_digest(resumed["report:10pct"]) == experiment_digest(
@@ -173,8 +177,21 @@ class TestExperimentDifferential:
         assert {"oracle", "method:seiden_pc:10pct"} <= cached_events
 
 
+def counting_detects(monkeypatch):
+    """Record the frame id of every ``SimulatedDetector.detect`` call."""
+    calls = []
+    detect = SimulatedDetector.detect
+
+    def counting(self, frame):
+        calls.append(frame.frame_id)
+        return detect(self, frame)
+
+    monkeypatch.setattr(SimulatedDetector, "detect", counting)
+    return calls
+
+
 class TestReplayEqualsDetecting:
-    """Method steps replay the oracle step's detections within a run.
+    """Method steps replay the oracle step's detections within a flow object.
 
     Each (method, budget) report of a sweep must equal a standalone
     :func:`evaluate_method` whose model detects every sampled frame
@@ -192,18 +209,6 @@ class TestReplayEqualsDetecting:
     @pytest.fixture(scope="class")
     def standalone(self):
         return standalone_reports(self.SPEC)
-
-    @staticmethod
-    def counting_detects(monkeypatch):
-        calls = []
-        detect = SimulatedDetector.detect
-
-        def counting(self, frame):
-            calls.append(frame.frame_id)
-            return detect(self, frame)
-
-        monkeypatch.setattr(SimulatedDetector, "detect", counting)
-        return calls
 
     def assert_matches(self, result, standalone):
         for label, reference in standalone.items():
@@ -226,7 +231,7 @@ class TestReplayEqualsDetecting:
         )
 
     def test_a_cold_run_replays_and_matches(self, tmp_path, monkeypatch, standalone):
-        calls = self.counting_detects(monkeypatch)
+        calls = counting_detects(monkeypatch)
         result = FlowRunner(experiment_flow(self.SPEC), checkpoint_dir=tmp_path).run()
         # Every frame is simulated once, by the oracle step.
         assert sorted(calls) == list(range(N_FRAMES))
@@ -235,24 +240,26 @@ class TestReplayEqualsDetecting:
     def test_a_resume_after_the_oracle_detects_and_matches(
         self, tmp_path, monkeypatch, standalone
     ):
-        flow = experiment_flow(self.SPEC)
         with pytest.raises(FlowInterrupted):
-            FlowRunner(flow, checkpoint_dir=tmp_path, interrupt_after="oracle").run()
-        calls = self.counting_detects(monkeypatch)
-        resumed = FlowRunner(flow, checkpoint_dir=tmp_path).run()
+            FlowRunner(
+                experiment_flow(self.SPEC),
+                checkpoint_dir=tmp_path,
+                interrupt_after="oracle",
+            ).run()
+        calls = counting_detects(monkeypatch)
+        resumed = FlowRunner(experiment_flow(self.SPEC), checkpoint_dir=tmp_path).run()
         assert "oracle" in resumed.cached
-        # The recording died with the interrupted run: each method step
-        # simulated its own sampled frames.
+        # The recording died with the interrupted run's flow object: each
+        # method step simulated its own sampled frames.
         assert len(calls) == self.sampled_frames(resumed)
         self.assert_matches(resumed, standalone)
 
     def test_a_rerun_detects_nothing(self, tmp_path, monkeypatch, standalone):
         """A second run in the same directory replays every checkpointed
         step, so no frame is simulated or billed again."""
-        flow = experiment_flow(self.SPEC)
-        first = FlowRunner(flow, checkpoint_dir=tmp_path).run()
-        calls = self.counting_detects(monkeypatch)
-        second = FlowRunner(flow, checkpoint_dir=tmp_path).run()
+        first = FlowRunner(experiment_flow(self.SPEC), checkpoint_dir=tmp_path).run()
+        calls = counting_detects(monkeypatch)
+        second = FlowRunner(experiment_flow(self.SPEC), checkpoint_dir=tmp_path).run()
         assert calls == []
         uncached = {"sequence", "workload"} | {
             f"report:{budget_label(b)}" for b in self.SPEC.budgets
@@ -266,8 +273,8 @@ def test_a_lost_step_finish_resumes_from_the_checkpoint(tmp_path, monkeypatch):
     checkpoint is written: the run raises, and the resume replays that
     step, reaches the uninterrupted run's keys, fingerprints and digest,
     and leaves one event log whose ``seq`` never goes back."""
-    flow = experiment_flow(ExperimentFlowSpec(n_frames=N_FRAMES, methods=("mast",)))
-    clean = FlowRunner(flow, checkpoint_dir=tmp_path / "clean").run()
+    spec = ExperimentFlowSpec(n_frames=N_FRAMES, methods=("mast",))
+    clean = FlowRunner(experiment_flow(spec), checkpoint_dir=tmp_path / "clean").run()
 
     step = "method:mast:10pct"
     emit = EventLog.emit
@@ -283,8 +290,12 @@ def test_a_lost_step_finish_resumes_from_the_checkpoint(tmp_path, monkeypatch):
     ckpt = tmp_path / "crash"
     events_path = ckpt / "events.jsonl"
     with pytest.raises(OSError, match="append failed"):
-        FlowRunner(flow, checkpoint_dir=ckpt, events_path=events_path).run()
-    resumed = FlowRunner(flow, checkpoint_dir=ckpt, events_path=events_path).run()
+        FlowRunner(
+            experiment_flow(spec), checkpoint_dir=ckpt, events_path=events_path
+        ).run()
+    resumed = FlowRunner(
+        experiment_flow(spec), checkpoint_dir=ckpt, events_path=events_path
+    ).run()
 
     assert step in resumed.cached
     assert resumed.keys == clean.keys
@@ -375,19 +386,19 @@ def test_the_oracle_step_is_shared_across_seeds_and_overrides(tmp_path):
 
 class TestCorpusDifferential:
     def test_flow_report_matches_standalone_units(self, tmp_path, corpus_spec):
+        """The standalone policies detect every sampled frame themselves;
+        the flow's replay the oracle step's detections: same digest."""
         result = FlowRunner(
             corpus_flow(corpus_spec), checkpoint_dir=tmp_path
         ).run()
         catalog = corpus_flow_catalog(corpus_spec)
         model = make_model(corpus_spec.model, seed=corpus_spec.model_seed)
         workload = generate_workload(rng=corpus_spec.seed)
-        engine = InferenceEngine(store=DetectionStore())
         truth = corpus_oracle_truth(
             catalog,
             model,
             retrieval_queries=list(workload.retrieval)[:N_RETRIEVAL],
             aggregate_queries=list(workload.aggregates),
-            engine=engine,
         )
         config = MASTConfig(
             seed=corpus_spec.seed, budget_fraction=corpus_spec.budget_fraction
@@ -400,7 +411,7 @@ class TestCorpusDifferential:
             policies={
                 policy: score_policy(
                     catalog, model, config, truth, policy=policy,
-                    round_size=corpus_spec.round_size, engine=engine,
+                    round_size=corpus_spec.round_size,
                 )
                 for policy in corpus_spec.policies
             },
@@ -409,50 +420,106 @@ class TestCorpusDifferential:
         )
         assert corpus_digest(result["corpus-report"]) == corpus_digest(standalone)
 
+    def test_each_policy_bills_the_frames_it_samples(self, tmp_path, corpus_spec):
+        """Replayed detections are billed: every policy's ledger holds one
+        deep-model invocation per sampled frame, at ``cost_per_frame``."""
+        report = FlowRunner(
+            corpus_flow(corpus_spec), checkpoint_dir=tmp_path
+        ).run()["corpus-report"]
+        model = make_model(corpus_spec.model, seed=corpus_spec.model_seed)
+        for policy in report.policies.values():
+            assert policy.ledger.invocations(STAGE_MODEL) == policy.total_frames > 0
+            assert policy.ledger.total(STAGE_MODEL) == pytest.approx(
+                policy.total_frames * model.cost_per_frame
+            )
+
+    def test_a_cold_run_simulates_each_frame_once(
+        self, tmp_path, monkeypatch, corpus_spec
+    ):
+        """The policy steps replay the oracle step's detections of every
+        sequence, so each corpus frame is simulated once, and the run
+        leaves no detection files behind."""
+        calls = counting_detects(monkeypatch)
+        FlowRunner(corpus_flow(corpus_spec), checkpoint_dir=tmp_path).run()
+        total_frames = sum(entry[2] for entry in CORPUS_SEQUENCES)
+        assert len(calls) == total_frames
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["steps"]
+
     def test_two_cold_runs_agree_on_every_key_and_fingerprint(
         self, tmp_path, corpus_spec
     ):
         """Measured wall-clock enters no step's fingerprint, so two cold
         runs in fresh directories share every checkpoint key."""
-        flow = corpus_flow(corpus_spec)
-        first = FlowRunner(flow, checkpoint_dir=tmp_path / "first").run()
-        second = FlowRunner(flow, checkpoint_dir=tmp_path / "second").run()
+        first = FlowRunner(
+            corpus_flow(corpus_spec), checkpoint_dir=tmp_path / "first"
+        ).run()
+        second = FlowRunner(
+            corpus_flow(corpus_spec), checkpoint_dir=tmp_path / "second"
+        ).run()
         assert not first.cached and not second.cached
         assert second.keys == first.keys
         assert second.fingerprints == first.fingerprints
 
-    def test_corpus_crash_resume_with_zero_re_detection(
-        self, tmp_path, corpus_spec
+    def test_a_resume_detects_and_matches(
+        self, tmp_path, monkeypatch, corpus_spec
     ):
-        """Kill after the oracle checkpoint; resume must not re-detect.
-
-        The oracle pass detects every corpus frame into the run's
-        persistent store, so ``invocations == store.misses`` — one model
-        run per persisted frame file, and none after the resume.
-        """
-        flow = corpus_flow(corpus_spec)
-        clean = FlowRunner(flow, checkpoint_dir=tmp_path / "clean").run()
+        """Kill after the oracle checkpoint and resume with a new flow
+        object: the policy steps detect their sampled frames on their
+        own, with the clean run's bill and digest."""
+        clean = FlowRunner(
+            corpus_flow(corpus_spec), checkpoint_dir=tmp_path / "clean"
+        ).run()
 
         crash_dir = tmp_path / "crash"
         with pytest.raises(FlowInterrupted):
             FlowRunner(
-                flow, checkpoint_dir=crash_dir, interrupt_after="corpus-oracle"
+                corpus_flow(corpus_spec),
+                checkpoint_dir=crash_dir,
+                interrupt_after="corpus-oracle",
             ).run()
-
-        total_frames = sum(entry[2] for entry in CORPUS_SEQUENCES)
-        persisted = sorted((crash_dir / "detections").glob("*.npz"))
-        assert len(persisted) == total_frames
-
-        resumed = FlowRunner(flow, checkpoint_dir=crash_dir).run()
+        calls = counting_detects(monkeypatch)
+        resumed = FlowRunner(corpus_flow(corpus_spec), checkpoint_dir=crash_dir).run()
         assert resumed.cached == {"corpus-oracle"}
-        assert corpus_digest(resumed["corpus-report"]) == corpus_digest(
-            clean["corpus-report"]
-        )
-        # Ledger no-double-charge: the oracle billed one invocation per
-        # frame file, and the resumed policy steps added none.
         report = resumed["corpus-report"]
+        assert corpus_digest(report) == corpus_digest(clean["corpus-report"])
+        assert len(calls) == sum(p.total_frames for p in report.policies.values())
+        for name, policy in report.policies.items():
+            assert policy.ledger.deterministic_state() == (
+                clean["corpus-report"][name].ledger.deterministic_state()
+            )
+        total_frames = sum(entry[2] for entry in CORPUS_SEQUENCES)
         assert report.oracle_ledger.invocations(STAGE_MODEL) == total_frames
-        assert sorted((crash_dir / "detections").glob("*.npz")) == persisted
+
+
+def test_every_billed_step_reports_its_output_ledger(
+    tmp_path, experiment_spec, corpus_spec
+):
+    """A step's ``step_finish`` ledger is its output's ledger state: the
+    oracle, method and policy steps report what their outputs bill."""
+    for flow in (experiment_flow(experiment_spec), corpus_flow(corpus_spec)):
+        events_path = tmp_path / f"{flow.name}.jsonl"
+        result = FlowRunner(
+            flow, checkpoint_dir=tmp_path / flow.name, events_path=events_path
+        ).run()
+        finished = {
+            record["step"]: record["ledger"]
+            for record in read_events(events_path)
+            if record["event"] == "step_finish"
+        }
+        billed = {
+            name for name, value in result.outputs.items() if hasattr(value, "ledger")
+        }
+        assert billed == {
+            name for name in flow.names()
+            if name.split(":")[0] in ("oracle", "method", "corpus-oracle", "policy")
+        }
+        for name, ledger in finished.items():
+            if name in billed:
+                state = result[name].ledger.deterministic_state()
+                assert ledger == state, name
+                assert ledger["counts"][STAGE_MODEL] > 0, name
+            else:
+                assert ledger is None, name
 
 
 def corpus_flow_catalog(spec):

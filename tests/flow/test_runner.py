@@ -1,4 +1,4 @@
-"""Runner mechanics: keying, replay, crash/resume, events, context."""
+"""Runner mechanics: keying, replay, crash/resume, events, step ledgers."""
 
 import pytest
 
@@ -253,35 +253,38 @@ class TestEventsAndContext:
         assert records[-1]["step"] == "boom"
         assert "RuntimeError: boom" in records[-1]["error"]
 
-    def test_context_store_dir(self, tmp_path):
-        flow = Flow("t")
-
-        def probing(ctx):
-            return str(ctx.store_dir)
-
-        flow.add(probing, name="probe")
-        result = FlowRunner(flow, checkpoint_dir=tmp_path).run()
-        assert result["probe"] == str(tmp_path / "detections")
-        assert (tmp_path / "detections").is_dir()
-
     def test_step_ledger_delta_lands_in_step_finish(self, tmp_path):
-        from repro.utils.timing import STAGE_MODEL
+        """A step's bill is its output's ``ledger`` when that is a
+        ``CostLedger``; any other output reports a null ledger."""
+        from types import SimpleNamespace
+
+        from repro.utils.timing import STAGE_MODEL, CostLedger
 
         flow = Flow("t")
 
-        def charged(ctx):
-            ctx.ledger.charge(STAGE_MODEL, 2.5, count=5)
-            return None
+        def charged():
+            ledger = CostLedger()
+            ledger.charge(STAGE_MODEL, 2.5, count=5)
+            return SimpleNamespace(ledger=ledger)
 
-        flow.add(charged, name="charged")
+        def plain():
+            return 1
+
+        def not_a_ledger():
+            return SimpleNamespace(ledger={"counts": {STAGE_MODEL: 5}})
+
+        for fn in (charged, plain, not_a_ledger):
+            flow.add(fn, name=fn.__name__, cache=False)
         events_path = tmp_path / "events.jsonl"
         FlowRunner(
             flow, checkpoint_dir=tmp_path, events_path=events_path
         ).run()
-        finish = [
-            record
+        ledgers = {
+            record["step"]: record["ledger"]
             for record in read_events(events_path)
             if record["event"] == "step_finish"
-        ][0]
-        assert finish["ledger"]["counts"] == {STAGE_MODEL: 5}
-        assert finish["ledger"]["simulated"] == {STAGE_MODEL: 2.5}
+        }
+        assert ledgers["charged"]["counts"] == {STAGE_MODEL: 5}
+        assert ledgers["charged"]["simulated"] == {STAGE_MODEL: 2.5}
+        assert ledgers["plain"] is None
+        assert ledgers["not_a_ledger"] is None

@@ -641,12 +641,6 @@ def _cmd_serve_workload(args, out) -> int:
         file=out,
     )
     print(f"cache: {service.cache_stats().describe()}", file=out)
-    for stage, counters in corpus.merged_ledger().cache_summary().items():
-        print(
-            f"ledger[{stage}]: {counters['hits']} hits / "
-            f"{counters['misses']} misses",
-            file=out,
-        )
     for query, answer in list(zip(queries, results))[: max(0, args.show)]:
         _format_answer(query.describe(), answer, out)
     return 0

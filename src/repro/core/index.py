@@ -448,8 +448,9 @@ class LinearCountProvider:
     """Seiden-style linear interpolation of sampled-frame counts.
 
     The series is continuous; the paper's Example 5.3 floors it before
-    checking a retrieval predicate, which is the evaluator's job
-    (:meth:`~repro.query.engine.QueryEngine.floored`).  Frames after the
+    checking a retrieval predicate, which the answer path does for the
+    ``"linear_floor"`` route (:meth:`~repro.query.engine.SeriesState.answer`).
+    Frames after the
     last sample hold its count (``np.interp`` clamps).
     """
 

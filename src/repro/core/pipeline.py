@@ -4,7 +4,11 @@
 sampling module (Alg. 2), the deep model, the indexing module (Alg. 3),
 and the query-processing module with the paper's per-operator predictor
 assignment (§7.1: ST-based prediction for retrieval / Count / Med,
-linear prediction for Avg).
+linear prediction for Avg).  Queries are answered by
+:meth:`~repro.query.engine.SeriesState.answer`, the one answer path
+:class:`~repro.serving.QueryService` and
+:class:`~repro.query.engine.QueryEngine` share, over a cache of this
+index epoch's series.
 
 Typical use::
 
@@ -20,6 +24,7 @@ Typical use::
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -42,15 +47,17 @@ from repro.query.ast import (
     RetrievalQuery,
     RetrievalResult,
 )
-from repro.query.engine import QueryEngine
+from repro.query.engine import CountProvider, SeriesState, base_kind
 from repro.query.parser import parse_query
+from repro.serving.batching import Query, plan_batch
+from repro.serving.cache import CountSeriesCache
 from repro.utils.timing import CostLedger
 from repro.utils.validation import require
 
 if TYPE_CHECKING:
     from repro.corpus.allocator import BudgetAllocator
 
-__all__ = ["MASTPipeline", "predictor_kind"]
+__all__ = ["MASTPipeline", "predictor_kind", "router"]
 
 
 def predictor_kind(config: MASTConfig, query) -> str:
@@ -60,9 +67,8 @@ def predictor_kind(config: MASTConfig, query) -> str:
     interpolation, used for aggregates), or ``"linear_floor"`` (floored
     interpolation, used for retrieval when ``retrieval_predictor`` is
     linear).  An aggregate operator the assignment does not name follows
-    ``retrieval_predictor``.  Shared by the pipeline's engine routing and
-    the serving layer's cache keying so both answer through the same
-    provider.
+    ``retrieval_predictor``.  Every answer path routes through it
+    (:func:`router`), so all of them answer through the same provider.
     """
     if isinstance(query, (RetrievalQuery, CompoundRetrievalQuery)):
         if config.retrieval_predictor == "linear":
@@ -73,6 +79,25 @@ def predictor_kind(config: MASTConfig, query) -> str:
             query.operator, config.retrieval_predictor
         )
     raise TypeError(f"unsupported query type {type(query).__name__}")
+
+
+def router(config: MASTConfig) -> Callable[[Query], str]:
+    """:func:`predictor_kind` under ``config``, memoized on the query's shape.
+
+    A route is a function of the query's class and aggregate operator
+    only: a handful of entries whatever the traffic, never one per query
+    text.
+    """
+    kinds: dict[type | str, str] = {}
+
+    def route(query: Query) -> str:
+        shape = query.operator if isinstance(query, AggregateQuery) else type(query)
+        kind = kinds.get(shape)
+        if kind is None:
+            kind = kinds[shape] = predictor_kind(config, query)
+        return kind
+
+    return route
 
 
 def _unchanged_prefix(old: SamplingResult | None, new: SamplingResult) -> int | None:
@@ -127,8 +152,10 @@ class MASTPipeline:
         #: :meth:`extend` grows (``None`` for an external sampling run).
         self._session: AdaptiveSamplingSession | None = None
         self._index: MASTIndex | None = None
-        #: Predictor kind -> engine for the current index epoch.
-        self._engines: dict[str, QueryEngine] = {}
+        #: The current index epoch's providers and the cache of their
+        #: series (a fresh cache per install).
+        self._state: SeriesState | None = None
+        self._route = (self.config, router(self.config))
         #: Highest frame id whose count series the most recent install
         #: (:meth:`fit_from_sampling`, which :meth:`extend` ends in) left
         #: provably unchanged: -1 when nothing was, ``None`` on the first.
@@ -160,7 +187,7 @@ class MASTPipeline:
         :class:`~repro.core.sampler.AdaptiveSamplingSession` objects (so
         a root allocator can move budget between sequences) and then
         adopts each session's result here; everything downstream —
-        index, providers, engines, ``query()`` — is identical to a
+        index, providers, ``query()`` — is identical to a
         :meth:`fit` that produced the same ``sampling``.  ``session`` is
         the live session ``sampling`` is a result of; only a pipeline
         that holds one can :meth:`extend`.  Every install ends here and
@@ -240,9 +267,7 @@ class MASTPipeline:
 
     def _rebuild_index(self) -> None:
         assert self._sampling is not None
-        # Fresh engines: no series resolved on the old index outlives it.
-        linear = QueryEngine(LinearCountProvider(self._sampling), ledger=self.ledger)
-        engines = {"linear": linear, "linear_floor": linear.floored()}
+        providers: dict[str, CountProvider] = {"linear": LinearCountProvider(self._sampling)}
         # The ST index exists only where the assignment can route a
         # query to it: an all-linear method charges no indexing seconds.
         index: MASTIndex | None = None
@@ -258,21 +283,33 @@ class MASTPipeline:
                 previous=self._index,
                 engine=self.engine,
             )
-            engines["st"] = QueryEngine(index, ledger=self.ledger)
-        self._index, self._engines = index, engines
+            providers["st"] = index
+        self._index = index
+        # A fresh cache: no series resolved on the old index outlives it.
+        self._state = SeriesState(CountSeriesCache(), 0, self._sampling.n_frames, providers)
 
     @property
-    def providers(self) -> dict[str, object]:
+    def providers(self) -> dict[str, CountProvider]:
         """Provider kind -> count provider for the current index.
 
         ``"linear"`` always; ``"st"`` when the assignment routes to it.
         """
-        require(self._sampling is not None, "fit() has not been called")
-        return {
-            kind: engine.provider
-            for kind, engine in self._engines.items()
-            if kind != "linear_floor"
-        }
+        require(self._state is not None, "fit() has not been called")
+        assert self._state is not None
+        return dict(self._state.providers)
+
+    @property
+    def route(self) -> Callable[[Query], str]:
+        """:func:`router` of the current :attr:`config`.
+
+        Rebuilt when the config is replaced (:meth:`calibrate_predictors`
+        does), so every answer path routes the way the pipeline now would.
+        """
+        config, route = self._route
+        if config is not self.config:
+            route = router(self.config)
+            self._route = (self.config, route)
+        return route
 
     # ------------------------------------------------------------------
     # Querying
@@ -281,12 +318,16 @@ class MASTPipeline:
         """Answer one query (object or query-language text).
 
         The predictor is chosen per the paper's §7.1 assignment
-        (configurable via :class:`MASTConfig`).
+        (configurable via :class:`MASTConfig`); the answer comes from
+        :meth:`~repro.query.engine.SeriesState.answer` over this index
+        epoch's cache, so a repeated single-filter query returns the
+        memoized, read-only answer, as :class:`~repro.serving.QueryService`
+        does.
         """
-        require(self._sampling is not None, "fit() must be called before query()")
-        if isinstance(query, str):
-            query = parse_query(query)
-        return self._engine_for(query).execute(query)
+        state = self._state
+        require(state is not None, "fit() must be called before query()")
+        assert state is not None
+        return state.answer(plan_batch([query], self.route, warm=False), self.ledger)[0]
 
     def query_many(self, queries) -> list[RetrievalResult | AggregateResult]:
         """Answer a list of queries in order."""
@@ -315,9 +356,6 @@ class MASTPipeline:
             lipschitz=lipschitz, safety=safety,
         )
         return result, interval
-
-    def _engine_for(self, query) -> QueryEngine:
-        return self._engines[predictor_kind(self.config, query)]
 
     # ------------------------------------------------------------------
     # Calibration
@@ -357,14 +395,16 @@ class MASTPipeline:
 
         Reports the parsed form, the predictor assignment (§7.1), the
         estimated per-query cost from the provider's simulated constants,
-        and whether its engine already holds each referenced count series.
+        and whether this index epoch's cache already holds each
+        referenced count series.
         """
-        require(self._sampling is not None, "fit() must be called before explain()")
+        state = self._state
+        require(state is not None, "fit() must be called before explain()")
+        assert state is not None
         if isinstance(query, str):
             query = parse_query(query)
         kind = predictor_kind(self.config, query)
-        engine = self._engines[kind]
-        provider = engine.provider
+        provider = state.providers[base_kind(kind)]
         predictor = {
             "st": "st (motion-predicted index)",
             "linear_floor": "linear (floored interpolation)",
@@ -376,7 +416,6 @@ class MASTPipeline:
             object_filters = [c.object_filter for c in query.leaf_conditions()]
         else:
             object_filters = [query.object_filter]
-        cached_filters = set(engine.cached_filters())
         lines = [
             f"query     : {query.describe()}",
             f"kind      : {type(query).__name__}",
@@ -385,7 +424,7 @@ class MASTPipeline:
             f"est. cost : {estimated:.4f} s (simulated)",
         ]
         for object_filter in object_filters:
-            cached = object_filter in cached_filters
+            cached = (base_kind(kind), object_filter) in state.cache
             lines.append(
                 f"filter    : {object_filter.describe()} "
                 f"[count series {'cached' if cached else 'not cached'}]"

@@ -26,9 +26,12 @@
   fails :func:`require_sequence`, the one check every corpus entry
   point shares.
 
-:meth:`query_many` stays a plain per-query loop: it is the serial
-reference the served paths are tested against.  With a one-sequence catalog every answer is bit-identical to the
-single-sequence pipeline on that sequence, for both budget policies.
+:meth:`query` and :meth:`query_many` answer each shard through
+:meth:`MASTPipeline.query`, the same answer path (and the same kind of
+cache) as the served shards, one query at a time; the tests' uncached
+references evaluate over the providers instead.  With a one-sequence
+catalog every answer is bit-identical to the single-sequence pipeline
+on that sequence, for both budget policies.
 """
 
 from __future__ import annotations
@@ -269,7 +272,7 @@ class CorpusPipeline:
         return merge(scoped.query, per_shard)
 
     def query_many(self, queries) -> list[CorpusResult]:
-        """Answer a list of (possibly scoped) queries in order."""
+        """Answer a list of (possibly scoped) queries in order, one :meth:`query` each."""
         return [self.query(q) for q in queries]
 
     # ------------------------------------------------------------------
@@ -286,12 +289,6 @@ class CorpusPipeline:
     def cost_summary(self) -> dict[str, float]:
         """Stage -> seconds rolled up across every shard."""
         return self.merged_ledger().summary()
-
-    def cost_summary_by_sequence(self) -> dict[str, dict[str, float]]:
-        """Per-sequence stage -> seconds summaries."""
-        return {
-            name: shard.ledger.summary() for name, shard in self._shards.items()
-        }
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -217,13 +217,6 @@ class CorpusQueryService:
             total = total + service.cache_stats()
         return total
 
-    def cache_stats_by_sequence(self) -> dict[str, CacheStats]:
-        """Per-shard cache counters."""
-        return {
-            name: service.cache_stats()
-            for name, service in self._services.items()
-        }
-
     def cost_summary(self) -> dict[str, float]:
         """Stage -> seconds rolled up across every shard ledger."""
         return self._corpus.cost_summary()

@@ -38,7 +38,7 @@ from repro.inference import DetectionRecording, InferenceEngine
 from repro.models.base import DetectionModel
 from repro.query.aggregates import aggregate
 from repro.query.ast import AggregateQuery, CompoundRetrievalQuery, RetrievalQuery
-from repro.query.engine import QueryEngine, evaluate_query
+from repro.query.engine import QueryEngine
 from repro.utils.timing import CostLedger
 
 __all__ = [
@@ -116,8 +116,9 @@ class CorpusExperimentReport:
 class _CorpusOracle:
     """Exact corpus-wide answers from full per-sequence detection.
 
-    One engine per sequence keeps each filter's series; queries evaluate
-    through it without charging query seconds to the oracle ledger.
+    One :class:`~repro.query.engine.QueryEngine` per sequence answers
+    and keeps each filter's series, on its own ledger: the oracle ledger
+    is billed detections only.
     """
 
     def __init__(
@@ -129,7 +130,7 @@ class _CorpusOracle:
         recording: DetectionRecording | None,
     ) -> None:
         self.ledger = CostLedger()
-        self._engines: dict[str, QueryEngine] = {}
+        self._oracles: dict[str, QueryEngine] = {}
         for name in catalog.names():
             sequence = catalog.sequence(name)
             provider = OracleCountProvider(
@@ -141,23 +142,22 @@ class _CorpusOracle:
                     model,
                     {i: provider.detections_at(i) for i in range(len(sequence))},
                 )
-            self._engines[name] = QueryEngine(provider)
+            self._oracles[name] = QueryEngine(provider)
 
     def retrieval_ids(
         self, query: RetrievalQuery | CompoundRetrievalQuery
     ) -> set[tuple[str, int]]:
         matches: set[tuple[str, int]] = set()
-        for name, engine in self._engines.items():
-            result = evaluate_query(query, engine.count_series, engine.provider.n_frames)
-            for frame_id in result.frame_ids:
+        for name, oracle in self._oracles.items():
+            for frame_id in oracle.execute(query).frame_ids:
                 matches.add((name, int(frame_id)))
         return matches
 
     def aggregate_value(self, query: AggregateQuery) -> float:
         combined = np.concatenate(
             [
-                engine.count_series(query.object_filter)
-                for engine in self._engines.values()
+                oracle.count_series(query.object_filter)
+                for oracle in self._oracles.values()
             ]
         )
         return float(aggregate(query.operator, combined, query.count_predicate))

@@ -121,7 +121,10 @@ class MethodExecutor:
     Construction runs the method's sampling (or the full Oracle pass).
     A sampled method is a :class:`~repro.core.pipeline.MASTPipeline` on
     the spec's predictor assignment, fed the spec's sampling run: index,
-    providers and routing are the pipeline's.
+    providers and routing are the pipeline's.  The Oracle is a
+    :class:`~repro.query.engine.QueryEngine` over its provider.  Both
+    answer through :meth:`~repro.query.engine.SeriesState.answer`, so a
+    repeated single-filter query returns the same read-only answer.
     """
 
     def __init__(

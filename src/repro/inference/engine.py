@@ -27,7 +27,6 @@ from repro.data.sequence import FrameSequence
 from repro.inference.motion import MotionMemo
 from repro.inference.store import (
     DetectionStore,
-    StoreStats,
     detection_key,
     model_fingerprint,
 )
@@ -143,10 +142,6 @@ class InferenceEngine:
         return fingerprint
 
     # ------------------------------------------------------------------
-    def store_stats(self) -> StoreStats | None:
-        """The detection store's counters (``None`` without a store)."""
-        return self.store.stats() if self.store is not None else None
-
     # ``with`` is kept for callers that scope an engine to a block (the
     # observatory does); there is nothing to release on exit.
     def __enter__(self) -> InferenceEngine:

@@ -122,9 +122,11 @@ class CompoundRetrievalQuery:
         def walk(node) -> None:
             if isinstance(node, Condition):
                 leaves.append(node)
-            else:
+            elif isinstance(node, (ConditionAnd, ConditionOr)):
                 for child in node.children:
                     walk(child)
+            else:
+                raise TypeError(f"unsupported condition type {type(node).__name__}")
 
         walk(self.condition)
         return leaves

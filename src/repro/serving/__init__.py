@@ -4,6 +4,9 @@ Fronts a fitted :class:`~repro.core.pipeline.MASTPipeline` with a
 :class:`QueryService` — one shared count-series cache across all
 predictors, batched workload execution on the caller's thread, and
 incremental cache invalidation when the sequence is extended.
+:class:`QueryService` is imported on first use: the pipeline plans and
+caches through :mod:`repro.serving.batching` and
+:mod:`repro.serving.cache`, and the service imports the pipeline.
 
 The process tier (:mod:`repro.serving.mp`, :mod:`repro.serving.dispatcher`,
 :mod:`repro.serving.protocol`) serves a fitted corpus read-only
@@ -15,7 +18,6 @@ thread path never pays for it.
 
 from repro.serving.batching import base_kind, plan_batch
 from repro.serving.cache import CacheKey, CacheStats, CountSeriesCache
-from repro.serving.service import QueryService
 
 __all__ = [
     "Dispatcher",
@@ -32,7 +34,11 @@ __all__ = [
 
 
 def __getattr__(name: str) -> object:
-    """Lazy exports for the process tier (keeps asyncio/mp off hot paths)."""
+    """Lazy exports: the service, and the process tier (keeps asyncio/mp off hot paths)."""
+    if name == "QueryService":
+        from repro.serving.service import QueryService
+
+        return QueryService
     if name in ("Dispatcher", "Overloaded"):
         from repro.serving import dispatcher
 

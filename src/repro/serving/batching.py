@@ -4,14 +4,14 @@
 provider kind (the paper's §7.1 predictor assignment), and collects the
 distinct object filters each provider kind's series are read for.  Its
 :class:`BatchPlan` lists the request's cache lookups in order: the
-distinct series once each, then every query's own.  The service makes
-them in one walk, computes each missing series exactly once — sharing
-predicate work inside a provider's ``count_series_many`` — and answers
-the queries in order on the calling thread.
-
-A route is a function of the query's class and aggregate operator only,
-so :func:`router` memoizes it on that shape: a handful of entries
-whatever the traffic, never one per query text.
+distinct series once each, then every query's own.
+:meth:`~repro.query.engine.SeriesState.answer` makes them in one walk,
+computes each missing series exactly once — sharing predicate work
+inside a provider's ``count_series_many`` — and answers the queries in
+order on the calling thread.  Every answer path plans here:
+:class:`~repro.serving.QueryService` requests, and
+:meth:`~repro.core.pipeline.MASTPipeline.query` and
+:meth:`~repro.query.engine.QueryEngine.execute` with ``warm=False``.
 """
 
 from __future__ import annotations
@@ -19,41 +19,16 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from typing import NamedTuple
 
-from repro.core.config import MASTConfig
-from repro.core.pipeline import predictor_kind
 from repro.query.ast import AggregateQuery, CompoundRetrievalQuery, RetrievalQuery
+from repro.query.engine import base_kind
 from repro.query.parser import parse_query
 from repro.query.predicates import ObjectFilter
 from repro.serving.cache import CacheKey
 
-__all__ = ["BatchPlan", "Query", "base_kind", "plan_batch", "router"]
+__all__ = ["BatchPlan", "Query", "base_kind", "plan_batch"]
 
 #: A parsed query of any shape the service can answer.
 Query = RetrievalQuery | CompoundRetrievalQuery | AggregateQuery
-
-
-def base_kind(kind: str) -> str:
-    """The cache-key namespace backing ``kind``.
-
-    The floored-linear retrieval view is derived from the continuous
-    linear series (``floor`` applied at evaluation time), so both share
-    one cached series under the ``"linear"`` namespace.
-    """
-    return "linear" if kind == "linear_floor" else kind
-
-
-def router(config: MASTConfig) -> Callable[[Query], str]:
-    """:func:`predictor_kind` under ``config``, memoized on the query's shape."""
-    kinds: dict[type | str, str] = {}
-
-    def route(query: Query) -> str:
-        shape = query.operator if isinstance(query, AggregateQuery) else type(query)
-        kind = kinds.get(shape)
-        if kind is None:
-            kind = kinds[shape] = predictor_kind(config, query)
-        return kind
-
-    return route
 
 
 class BatchPlan(NamedTuple):

@@ -53,7 +53,7 @@ from repro.serving.protocol import (
     replicas_of,
 )
 from repro.serving.service import QueryService
-from repro.utils.timing import STAGE_MODEL, STAGE_QUERY
+from repro.utils.timing import STAGE_MODEL
 
 __all__ = ["WorkerClient", "ProcessShardPool"]
 
@@ -171,12 +171,6 @@ def _worker_main(conn: Connection, init: WorkerInit) -> None:
                         cache=service.cache_stats(),
                         n_frames=service.n_frames,
                         invocations=service.ledger.invocations(STAGE_MODEL),
-                        query_cache_hits=service.ledger.cache_summary()
-                        .get(STAGE_QUERY, {})
-                        .get("hits", 0),
-                        query_cache_misses=service.ledger.cache_summary()
-                        .get(STAGE_QUERY, {})
-                        .get("misses", 0),
                     )
                     for name, service in services.items()
                 }

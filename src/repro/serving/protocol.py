@@ -145,8 +145,6 @@ class ShardStats:
     cache: CacheStats
     n_frames: int
     invocations: int
-    query_cache_hits: int
-    query_cache_misses: int
 
 
 @dataclass(frozen=True)

@@ -396,9 +396,6 @@ class SpatialTileIndex:
         )
         return snapshot
 
-    def reset_stats(self) -> None:
-        self.stats = SpatialIndexStats()
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"SpatialTileIndex(rows={self.n_rows}, leaves={self.n_leaves}, "

@@ -32,9 +32,8 @@ class CostLedger:
     All access goes through a lock, so one ledger may be charged from
     many threads (every serving client evaluates on its own thread)
     while another thread reads a consistent report.
-    Besides seconds, the ledger keeps per-stage cache counters so
-    serving-layer hit rates land in the same report as the costs they
-    amortize.
+    Besides seconds, the ledger counts the detection store's lookups
+    (:meth:`record_cache`), the hits that bill no deep-model seconds.
 
     # guarded-by: _lock: simulated, measured, counts, cache_hits, cache_misses
     """
@@ -104,28 +103,23 @@ class CostLedger:
             else:
                 self.cache_misses[stage] += count
 
-    def settle(
-        self, stage: str, charges: Sequence[float], *, hits: int = 0, misses: int = 0
-    ) -> None:
-        """Charge each of ``charges`` to ``stage`` and record cache lookups, in one update.
+    def settle(self, stage: str, charges: Sequence[float]) -> None:
+        """Charge each of ``charges`` to ``stage``, in one update.
 
         The charges are added one by one, in order, exactly as that many
         :meth:`charge` calls with ``count=0`` would add them, so the
         simulated total is the same float; a served batch times its
         invocations with :meth:`measure`.
         """
-        if charges and min(charges) < 0:
+        if not charges:
+            return
+        if min(charges) < 0:
             raise ValueError(f"cannot charge negative time ({min(charges)})")
         with self._lock:
-            if charges:
-                simulated = self.simulated[stage]
-                for seconds in charges:
-                    simulated += seconds
-                self.simulated[stage] = simulated
-            if hits:
-                self.cache_hits[stage] += hits
-            if misses:
-                self.cache_misses[stage] += misses
+            simulated = self.simulated[stage]
+            for seconds in charges:
+                simulated += seconds
+            self.simulated[stage] = simulated
 
     def merge(self, other: CostLedger) -> None:
         """Fold another ledger's charges into this one."""
@@ -181,14 +175,6 @@ class CostLedger:
         with self._lock:
             return self.counts.get(stage, 0)
 
-    def cache_hit_rate(self, stage: str) -> float:
-        """Fraction of ``stage`` cache lookups that hit (NaN if none)."""
-        with self._lock:
-            hits = self.cache_hits.get(stage, 0)
-            misses = self.cache_misses.get(stage, 0)
-        lookups = hits + misses
-        return hits / lookups if lookups else float("nan")
-
     def deterministic_state(self) -> dict[str, dict[str, float] | dict[str, int]]:
         """The run-stable part of the ledger, for content fingerprints.
 
@@ -204,18 +190,6 @@ class CostLedger:
                 "counts": dict(self.counts),
                 "cache_hits": dict(self.cache_hits),
                 "cache_misses": dict(self.cache_misses),
-            }
-
-    def cache_summary(self) -> dict[str, dict[str, int]]:
-        """Stage -> ``{"hits": ..., "misses": ...}`` for stages with lookups."""
-        with self._lock:
-            stages = sorted(set(self.cache_hits) | set(self.cache_misses))
-            return {
-                stage: {
-                    "hits": self.cache_hits.get(stage, 0),
-                    "misses": self.cache_misses.get(stage, 0),
-                }
-                for stage in stages
             }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

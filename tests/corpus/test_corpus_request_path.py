@@ -20,7 +20,7 @@ from repro.streaming import ScheduledFrameSource, StreamingCorpusService
 from repro.utils.timing import STAGE_QUERY
 from tests.streaming.harness import assert_same_answer
 
-LEDGER_FIELDS = ("counts", "cache_hits", "cache_misses", "simulated")
+LEDGER_FIELDS = ("counts", "simulated")
 
 
 def _workload(names: tuple[str, ...]) -> list[str]:
@@ -113,23 +113,21 @@ def test_batch_is_accounted_like_a_serial_execute_loop(catalog, config, model):
             _assert_same(got, want, text)
         batch_ledgers = _query_ledgers(batch_service)
         serial_ledgers = _query_ledgers(serial_service)
-        batch_caches = batch_service.cache_stats_by_sequence()
-        serial_caches = serial_service.cache_stats_by_sequence()
         for name in batch_service.names:
-            got, want = batch_ledgers[name], serial_ledgers[name]
-            for field in ("counts", "cache_misses", "simulated"):
-                assert got[field] == want[field], (name, field)
-            distinct = got["cache_misses"] - before[name]["cache_misses"]
+            assert batch_ledgers[name] == serial_ledgers[name], name
+            assert STAGE_QUERY not in batch_service.service(name).ledger.cache_hits
+            batch_cache = batch_service.service(name).cache_stats()
+            serial_cache = serial_service.service(name).cache_stats()
+            distinct = batch_cache.misses
             assert distinct > 0
-            assert got["cache_hits"] == want["cache_hits"] + distinct, name
-            assert batch_caches[name].hits == serial_caches[name].hits + distinct
+            assert batch_cache.hits == serial_cache.hits + distinct
             for field in ("misses", "partial_hits", "evictions", "entries"):
-                assert getattr(batch_caches[name], field) == getattr(
-                    serial_caches[name], field
-                ), (name, field)
+                assert getattr(batch_cache, field) == getattr(serial_cache, field), (
+                    name, field
+                )
             n_frames = batch_service.service(name).n_frames
-            assert batch_caches[name].bytes == 8 * n_frames * batch_caches[name].entries
-            assert batch_caches[name].bytes <= serial_caches[name].bytes
+            assert batch_cache.bytes == 8 * n_frames * batch_cache.entries
+            assert batch_cache.bytes <= serial_cache.bytes
 
 
 def test_one_scheduling_point_per_request_not_per_shard(

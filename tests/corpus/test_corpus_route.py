@@ -21,7 +21,7 @@ from repro.streaming import ScheduledFrameSource, StreamingCorpusService
 from repro.utils.timing import STAGE_QUERY
 from tests.streaming.harness import assert_same_corpus_answer
 
-LEDGER_FIELDS = ("counts", "cache_hits", "cache_misses", "simulated")
+LEDGER_FIELDS = ("counts", "simulated")
 
 
 def _texts(names: tuple[str, ...]) -> list[str]:
@@ -48,7 +48,7 @@ def _state(service: CorpusQueryService) -> tuple[dict, dict]:
         }
         for name in service.names
     }
-    return ledgers, service.cache_stats_by_sequence()
+    return ledgers, {name: service.service(name).cache_stats() for name in service.names}
 
 
 def _per_query_loop(service: CorpusQueryService, texts: list[str]) -> list:
@@ -133,7 +133,7 @@ def test_unknown_scope_fails_alike_and_changes_nothing(stack, entry):
     def counters():
         return (
             corpus.merged_ledger().deterministic_state(),
-            service.cache_stats_by_sequence(),
+            [service.service(name).cache_stats() for name in names],
             stream.cost_ledger().deterministic_state(),
             stream.cache_stats(),
         )

@@ -98,11 +98,11 @@ class TestBatching:
 class TestRollups:
     def test_cache_stats_rollup_is_sum_of_shards(self, service):
         service.execute_batch([RETRIEVAL, AGGREGATE, RETRIEVAL, AGGREGATE])
-        per_shard = service.cache_stats_by_sequence()
+        per_shard = [service.service(name).cache_stats() for name in service.names]
         total = service.cache_stats()
-        assert total.hits == sum(s.hits for s in per_shard.values())
-        assert total.misses == sum(s.misses for s in per_shard.values())
-        assert total.entries == sum(s.entries for s in per_shard.values())
+        assert total.hits == sum(s.hits for s in per_shard)
+        assert total.misses == sum(s.misses for s in per_shard)
+        assert total.entries == sum(s.entries for s in per_shard)
         assert total.misses > 0
         assert total.hits > 0  # repeated filters hit the shard caches
 
@@ -123,8 +123,7 @@ class TestRollups:
         assert all(seconds >= 0.0 for seconds in summary.values())
 
     def test_corpus_cost_summaries(self, corpus):
-        by_sequence = corpus.cost_summary_by_sequence()
-        assert set(by_sequence) == set(corpus.names)
+        by_sequence = {name: corpus.shard(name).ledger.summary() for name in corpus.names}
         total = corpus.cost_summary()
         assert total
 

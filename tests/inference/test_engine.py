@@ -46,8 +46,7 @@ class TestEngineLedger:
         assert sorted(result) == [0, 3, 7]
         assert warm.invocations(STAGE_MODEL) == 0
         assert warm.simulated.get(STAGE_MODEL, 0.0) == 0.0
-        assert warm.cache_hits[STAGE_MODEL] == 3
-        assert warm.cache_hit_rate(STAGE_MODEL) == 1.0
+        assert warm.cache_hits[STAGE_MODEL] == store.stats().hits == 3
 
     def test_known_frames_skip_lookup_and_charge(self, sequence):
         model = pv_rcnn(seed=5)
@@ -90,7 +89,7 @@ class TestEngineLedger:
     def test_store_stats_exposed(self, sequence):
         with InferenceEngine(store=DetectionStore()) as engine:
             engine.detect_wave(sequence, [0], pv_rcnn(seed=5))
-            assert engine.store_stats().misses == 1
+            assert engine.store.stats().misses == 1
         with InferenceEngine() as engine:
-            assert engine.store_stats() is None
+            assert engine.store is None
 

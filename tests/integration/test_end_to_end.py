@@ -26,6 +26,7 @@ from repro.query import (
     generate_workload,
     register_aggregate,
 )
+from repro.query.engine import evaluate_query
 from repro.simulation import semantickitti_like
 
 
@@ -100,21 +101,31 @@ class TestCostStructure:
 
 
 def _hand_wired_engines(spec, sequence, model, config):
-    """query -> engine with no pipeline: index -> providers -> ``QueryEngine``."""
+    """query -> answer with no pipeline and no cache: providers -> ``evaluate_query``.
+
+    The floored-linear retrieval series is floored here, by hand.
+    """
     if spec.is_oracle:
-        oracle = QueryEngine(OracleCountProvider(sequence, model))
-        return lambda query: oracle
+        oracle = OracleCountProvider(sequence, model)
+        return lambda query: evaluate_query(query, oracle.count_series, len(sequence))
     sampling = spec.make_sampler(config).sample(sequence, model)
-    linear = QueryEngine(LinearCountProvider(sampling))
-    engines = {"linear": linear, "linear_floor": linear.floored()}
+    linear = LinearCountProvider(sampling)
+    series = {
+        "linear": linear.count_series,
+        "linear_floor": lambda object_filter: np.floor(linear.count_series(object_filter)),
+    }
     if "st" in (spec.retrieval_predictor, *spec.predictor_by_operator.values()):
-        engines["st"] = QueryEngine(MASTIndex.build(sampling, config))
+        series["st"] = MASTIndex.build(sampling, config).count_series
     retrieval = "st" if spec.retrieval_predictor == "st" else "linear_floor"
-    unnamed = "st" if "st" in engines else "linear"  # the pre-PR-23 executor's rule
-    return lambda query: engines[
-        spec.predictor_by_operator.get(query.operator, unnamed)
-        if isinstance(query, AggregateQuery) else retrieval
-    ]
+    unnamed = "st" if "st" in series else "linear"  # the pre-PR-23 executor's rule
+    return lambda query: evaluate_query(
+        query,
+        series[
+            spec.predictor_by_operator.get(query.operator, unnamed)
+            if isinstance(query, AggregateQuery) else retrieval
+        ],
+        len(sequence),
+    )
 
 
 @pytest.fixture
@@ -140,7 +151,7 @@ class TestMethodExecutor:
         executor = MethodExecutor(spec, sequence, model, config)
         reference = _hand_wired_engines(spec, sequence, model, config)
         for query in queries:
-            got, want = executor.execute(query), reference(query).execute(query)
+            got, want = executor.execute(query), reference(query)
             if isinstance(want, RetrievalResult):
                 assert np.array_equal(got.frame_ids, want.frame_ids), query.describe()
             else:

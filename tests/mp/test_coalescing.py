@@ -29,7 +29,7 @@ def loop_submit(dispatcher, scoped_list):
 
 def fleet_query_misses(service) -> int:
     return sum(
-        stats.query_cache_misses
+        stats.cache.misses
         for response in service.worker_stats()
         for stats in response.shards.values()
     )

@@ -25,8 +25,8 @@ class _SeriesProvider:
         self._series = np.asarray(series, dtype=float)
         self.n_frames = len(self._series)
 
-    def count_series(self, object_filter):
-        return self._series
+    def count_series_many(self, filters, *, start=0):
+        return {f: self._series[start:] for f in filters}
 
 
 @given(count_series)

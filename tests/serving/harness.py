@@ -23,11 +23,11 @@ from repro.query import (
     ConditionOr,
     CountPredicate,
     ObjectFilter,
-    QueryEngine,
     RetrievalQuery,
     RetrievalResult,
     SpatialPredicate,
 )
+from repro.query.engine import evaluate_query
 
 LABELS = ("Car", "Pedestrian", "Cyclist", "Truck", None)
 COUNT_OPS = ("<=", ">=", "<", ">")
@@ -99,15 +99,21 @@ def random_workload(seed: int, n_queries: int) -> list:
 # Serial uncached baseline
 # ----------------------------------------------------------------------
 def serial_uncached_answers(sampling, config, queries) -> list:
-    """Ground-truth answers: serial execution, a fresh engine per query."""
+    """Ground-truth answers: serial evaluation over the providers, no cache.
+
+    The floored-linear retrieval series is floored here, by hand.
+    """
     st = MASTIndex.build(sampling, config)
     linear = LinearCountProvider(sampling)
-    engines = {
-        "st": lambda: QueryEngine(st),
-        "linear": lambda: QueryEngine(linear),
-        "linear_floor": lambda: QueryEngine(linear, floor=True),
+    series = {
+        "st": st.count_series,
+        "linear": linear.count_series,
+        "linear_floor": lambda object_filter: np.floor(linear.count_series(object_filter)),
     }
-    return [engines[predictor_kind(config, query)]().execute(query) for query in queries]
+    return [
+        evaluate_query(query, series[predictor_kind(config, query)], sampling.n_frames)
+        for query in queries
+    ]
 
 
 def assert_results_identical(actual, expected, context: str = "") -> None:

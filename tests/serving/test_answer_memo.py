@@ -16,7 +16,7 @@ import pytest
 
 from repro.query import parse_query
 from repro.serving import QueryService
-from repro.serving import service as service_module
+from repro.query import engine as engine_module
 
 SINGLE_FILTER = {
     "retrieval": "SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 2",
@@ -33,15 +33,15 @@ def _served_array(result):
 
 @pytest.fixture()
 def evaluations(monkeypatch):
-    """Queries the service evaluated (rather than served from its memo)."""
+    """Queries the answer path evaluated (rather than served from its memo)."""
     calls: list = []
-    real = service_module.evaluate_query
+    real = engine_module.evaluate_query
 
     def counting(query, resolve, n_frames):
         calls.append(query)
         return real(query, resolve, n_frames)
 
-    monkeypatch.setattr(service_module, "evaluate_query", counting)
+    monkeypatch.setattr(engine_module, "evaluate_query", counting)
     return calls
 
 

@@ -13,8 +13,9 @@ them with repeats, cache bounds small enough to evict inside a batch,
 and ``extend`` / ``replan(exact=True)`` (each shard's ``adopt``) /
 ``cache.clear()`` between requests.  After every request both corpora
 must agree on every answer, every shard's ``CacheStats`` counters, and
-its ledger's run-stable state (cache hits and misses, invocation counts
-and simulated seconds per stage), to the last bit.
+its ledger's run-stable state (invocation counts and simulated seconds
+per stage; a query's cache lookups are counted by the cache alone), to
+the last bit.
 """
 
 from __future__ import annotations
@@ -41,11 +42,9 @@ from repro.query import (
     ScopedQuery,
     SpatialPredicate,
 )
-from repro.query.engine import evaluate_query
+from repro.query.engine import _freeze, base_kind, evaluate_query
 from repro.query.parser import parse_query
 from repro.serving import QueryService
-from repro.serving.batching import base_kind
-from repro.serving.service import _freeze
 from repro.simulation import semantickitti_like
 from repro.utils.timing import STAGE_QUERY
 
@@ -67,20 +66,19 @@ class _LookupByLookup(QueryService):
         prefixes: list = []
         for object_filter in filters:
             cached, prefix = self.cache.lookup((kind, object_filter), state.generation)
-            self.ledger.record_cache(STAGE_QUERY, hit=cached is not None)
             series.append(cached)
             prefixes.append(prefix)
-        return self._complete(state, kind, filters, series, prefixes)
+        return state._complete(kind, filters, series, prefixes)
 
     def execute(self, query):
         if isinstance(query, str):
             query = parse_query(query)
-        return self._execute_on(self._state, query)
+        return self._execute_on(self._current()[0], query)
 
     def _execute_on(self, state, query):
         kind = predictor_kind(self._pipeline.config, query)
         series_kind = base_kind(kind)
-        provider = state.provider(series_kind)
+        provider = state.providers[series_kind]
         ledger = self.ledger
         with ledger.measure(STAGE_QUERY):
             ledger.charge(
@@ -98,12 +96,9 @@ class _LookupByLookup(QueryService):
             cached, prefix, answer = self.cache.lookup_answer(
                 key, state.generation, (kind, query)
             )
-            ledger.record_cache(STAGE_QUERY, hit=cached is not None)
             if answer is not None:
                 return answer
-            (series,) = self._complete(
-                state, series_kind, [query.object_filter], [cached], [prefix]
-            )
+            (series,) = state._complete(series_kind, [query.object_filter], [cached], [prefix])
             if kind == "linear_floor":
                 series = np.floor(series)
             answer = evaluate_query(query, lambda _: series, state.n_frames)
@@ -126,7 +121,7 @@ class _LookupByLookup(QueryService):
             )
             for object_filter in leaves:
                 filters.setdefault(object_filter, None)
-        state = self._state
+        state = self._current()[0]
         for kind, filters in distinct.items():
             self._warm_kind(state, kind, list(filters))
         return [self._execute_on(state, query) for query in parsed]
@@ -219,10 +214,10 @@ def _assert_same_answer(got, want) -> None:
 def _counters(service: CorpusQueryService) -> dict:
     """Every counter the walk must keep, per shard.
 
-    The ledger's run-stable state holds its cache hits and misses,
-    invocation counts and simulated seconds per stage (a stage it never
-    touched is absent, not zero); the query stage's simulated seconds
-    are also compared by ``repr``, to the last bit.
+    The ledger's run-stable state holds its invocation counts and
+    simulated seconds per stage (a stage it never touched is absent, not
+    zero); the query stage's simulated seconds are also compared by
+    ``repr``, to the last bit.
     """
     counters = {}
     for name in service.names:

@@ -13,11 +13,11 @@ import threading
 import pytest
 
 from repro.serving import QueryService
-from repro.serving.batching import plan_batch, router
+from repro.serving.batching import plan_batch
 from repro.utils.timing import STAGE_QUERY
 from tests.serving.harness import assert_results_identical, random_workload
 
-LEDGER_FIELDS = ("counts", "cache_hits", "cache_misses", "simulated")
+LEDGER_FIELDS = ("counts", "simulated")
 
 
 def _query_ledger(pipeline) -> dict[str, float]:
@@ -47,14 +47,15 @@ def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
     """Same answers, charges, misses and cache entries as ``execute``.
 
     Two differences are by construction: the warm pass looks every
-    distinct series up once before the queries read it, so a batch
-    records exactly ``n_series`` more hits than the serial loop; and an
+    distinct series up once before the queries read it, so a batch's
+    cache counts exactly ``n_series`` more hits than the serial loop's
+    (the ledger counts none: it is the bill only); and an
     answer is memoized only if its series was cached before its request,
     so the cold batch keeps no answer where the serial loop keeps those
     of queries whose series an earlier ``execute`` computed.
     """
     queries = random_workload(seed=22, n_queries=40)
-    n_series = plan_batch(queries, router(kitti_pipeline.config)).n_warm
+    n_series = plan_batch(queries, kitti_pipeline.route).n_warm
 
     batch_service = QueryService(kitti_pipeline)
     batched, batch_ledger = _ledger_delta(
@@ -66,14 +67,14 @@ def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
     )
 
     assert_results_identical(batched, serial, "[batch vs serial execute]")
-    for name in ("counts", "cache_misses"):
-        assert batch_ledger[name] == serial_ledger[name], name
+    assert batch_ledger["counts"] == serial_ledger["counts"]
     # Deltas of one shared float accumulator: equal up to its rounding.
     assert batch_ledger["simulated"] == pytest.approx(
         serial_ledger["simulated"], rel=1e-9
     )
     assert batch_ledger["counts"] == len(queries)
-    assert batch_ledger["cache_hits"] == serial_ledger["cache_hits"] + n_series
+    assert STAGE_QUERY not in kitti_pipeline.ledger.cache_hits
+    assert STAGE_QUERY not in kitti_pipeline.ledger.cache_misses
 
     batch_stats = batch_service.cache_stats()
     serial_stats = serial_service.cache_stats()
@@ -83,6 +84,18 @@ def test_batch_is_accounted_like_a_serial_execute_loop(kitti_pipeline):
     assert batch_stats.misses == n_series
     series_bytes = batch_stats.entries * 8 * batch_service.n_frames
     assert batch_stats.bytes == series_bytes < serial_stats.bytes
+
+
+def test_a_served_batch_counts_its_lookups_in_the_cache_only(kitti_pipeline):
+    """The cache counts a request's lookups; the ledger is the bill only."""
+    service = QueryService(kitti_pipeline)
+    queries = random_workload(seed=24, n_queries=12)
+    service.execute_batch(queries)
+    service.execute_batch(queries)
+    stats = service.cache_stats()
+    assert stats.hits > 0 and stats.misses > 0
+    assert STAGE_QUERY not in kitti_pipeline.ledger.cache_hits
+    assert STAGE_QUERY not in kitti_pipeline.ledger.cache_misses
 
 
 def test_public_calls_never_yield(kitti_pipeline, yields):

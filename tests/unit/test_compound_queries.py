@@ -23,11 +23,9 @@ class LabelProvider:
     simulated_query_cost_per_frame = 0.0
     n_frames = 30
 
-    def count_series(self, object_filter):
-        t = np.arange(self.n_frames)
-        if object_filter.label == "Car":
-            return (t % 5).astype(float)
-        return (t % 3).astype(float)
+    def count_series_many(self, filters, *, start=0):
+        t = np.arange(start, self.n_frames)
+        return {f: (t % (5 if f.label == "Car" else 3)).astype(float) for f in filters}
 
 
 def leaf(label, op, threshold):

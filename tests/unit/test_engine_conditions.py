@@ -11,8 +11,8 @@ class _Provider:
     simulated_query_cost_per_frame = 0.0
     n_frames = 10
 
-    def count_series(self, object_filter):
-        return np.arange(10.0)
+    def count_series_many(self, filters, *, start=0):
+        return {f: np.arange(float(start), 10.0) for f in filters}
 
 
 class TestConditionMaskErrors:

@@ -24,8 +24,8 @@ class FakeProvider:
     def __init__(self, n_frames=20):
         self.n_frames = n_frames
 
-    def count_series(self, object_filter):
-        return (np.arange(self.n_frames) % 5).astype(float)
+    def count_series_many(self, filters, *, start=0):
+        return {f: (np.arange(start, self.n_frames) % 5).astype(float) for f in filters}
 
 
 class TestQueryEngine:
@@ -90,13 +90,13 @@ class CountingProvider:
     def __init__(self):
         self.calls = []
 
-    def count_series(self, object_filter):
-        self.calls.append(object_filter)
-        return np.arange(self.n_frames) * (0.25 + object_filter.confidence)
+    def count_series_many(self, filters, *, start=0):
+        self.calls += filters
+        return {f: np.arange(start, self.n_frames) * (0.25 + f.confidence) for f in filters}
 
 
 class TestSeriesMemo:
-    """An engine asks its provider once per distinct filter."""
+    """An engine asks its provider once per distinct filter, through its cache."""
 
     QUERIES = [
         f"SELECT {head} COUNT({label}{conf}){tail}"
@@ -108,36 +108,61 @@ class TestSeriesMemo:
     def test_one_provider_call_per_distinct_filter(self):
         provider = CountingProvider()
         engine = QueryEngine(provider)
-        assert engine.cached_filters() == ()
+        assert len(engine.cache) == 0
         engine.execute_many(self.QUERIES * 2)
         assert len(provider.calls) == len(set(provider.calls)) == 4
-        assert set(engine.cached_filters()) == set(provider.calls)
+        assert set(engine.cache.keys()) == {("provider", f) for f in provider.calls}
+        stats = engine.cache.stats()
+        assert (stats.misses, stats.hits) == (4, 2 * len(self.QUERIES) - 4)
 
-    def test_floored_view_shares_series_and_floors_them(self):
+    def test_count_series_is_a_complete_hit_the_second_time(self):
         provider = CountingProvider()
         engine = QueryEngine(provider)
-        floored = engine.floored()
-        assert floored.provider is provider and floored.ledger is engine.ledger
-        assert floored.floor and not engine.floor
+        car = ObjectFilter("Car")
+        first = engine.count_series(car)
+        assert engine.cache.stats().misses == 1 and engine.cache.stats().hits == 0
+        second = engine.count_series(car)
+        assert second is first and not second.flags.writeable
+        stats = engine.cache.stats()
+        assert (stats.hits, stats.partial_hits, stats.misses) == (1, 0, 1)
+        assert provider.calls == [car]
+
+    def test_a_repeated_answer_is_the_memoized_read_only_one(self):
+        engine = QueryEngine(CountingProvider())
+        text = "SELECT FRAMES WHERE COUNT(Car) >= 3"
+        first, second, third = (engine.execute(text) for _ in range(3))
+        assert first is not second and second is third
+        assert np.array_equal(first.frame_ids, second.frame_ids)
+        assert not second.frame_ids.flags.writeable
+        assert engine.ledger.counts[STAGE_QUERY] == 3
+        assert not engine.ledger.cache_hits and not engine.ledger.cache_misses
+
+    def test_floored_view_shares_series_and_floors_them(self):
+        """The ``linear_floor`` route reads the ``linear`` series, floored."""
+        from repro.query.engine import SeriesState
+        from repro.serving.batching import plan_batch
+        from repro.serving.cache import CountSeriesCache
+        from repro.utils.timing import CostLedger
+
+        provider = CountingProvider()
+        state = SeriesState(CountSeriesCache(), 0, provider.n_frames, {"linear": provider})
+        ledger = CostLedger()
+
+        def ask(text, kind):
+            return state.answer(plan_batch([text], lambda _: kind, warm=False), ledger)[0]
 
         text = "SELECT MAX OF COUNT(Car)"
-        continuous = engine.execute(text).counts
+        continuous = ask(text, "linear").counts
         calls = list(provider.calls)
-        result = floored.execute(text)
+        result = ask(text, "linear_floor")
         assert provider.calls == calls
         assert not np.array_equal(continuous, np.floor(continuous))
         assert np.array_equal(result.counts, np.floor(continuous))
-        # Either view resolves a new filter for both.
-        floored.execute("SELECT MAX OF COUNT(Pedestrian)")
-        engine.execute("SELECT MAX OF COUNT(Pedestrian)")
+        # Either route resolves a new filter for both.
+        ask("SELECT MAX OF COUNT(Pedestrian)", "linear_floor")
+        ask("SELECT MAX OF COUNT(Pedestrian)", "linear")
         assert len(provider.calls) == len(calls) + 1
-        assert engine.ledger.counts[STAGE_QUERY] == 4
-
-    def test_floor_flag_equals_floored_view(self):
-        text = "SELECT FRAMES WHERE COUNT(Car) >= 3"
-        flagged = QueryEngine(CountingProvider(), floor=True).execute(text)
-        viewed = QueryEngine(CountingProvider()).floored().execute(text)
-        assert np.array_equal(flagged.frame_ids, viewed.frame_ids)
+        assert ledger.counts[STAGE_QUERY] == 4
 
 
 class TestExecuteManySemantics:

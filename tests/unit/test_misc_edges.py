@@ -53,8 +53,8 @@ class TestQueryEngineCostCharging:
         simulated_query_cost_per_frame = 1e-3
         n_frames = 100
 
-        def count_series(self, object_filter):
-            return np.zeros(self.n_frames)
+        def count_series_many(self, filters, *, start=0):
+            return {f: np.zeros(self.n_frames - start) for f in filters}
 
     def test_each_query_charges_simulated_cost(self):
         from repro.query import QueryEngine

@@ -6,6 +6,7 @@ import pytest
 from repro.core import MASTConfig, MASTPipeline
 from repro.core.pipeline import predictor_kind
 from repro.query import AggregateResult, RetrievalResult, parse_query
+from repro.serving.batching import base_kind
 
 
 @pytest.fixture(scope="module")
@@ -36,30 +37,39 @@ class TestFitAndQuery:
 
     def test_avg_uses_linear_predictor(self, pipeline):
         """Paper §7.1: MAST answers Avg with linear prediction."""
-        from repro.query import parse_query
-
         query = parse_query("SELECT AVG OF COUNT(Car DIST <= 20)")
-        assert pipeline._engine_for(query) is pipeline._engines["linear"]
+        assert pipeline.route(query) == "linear"
+        linear = pipeline.providers["linear"].count_series(query.object_filter)
+        assert np.array_equal(pipeline.query(query).counts, linear)
 
     def test_med_uses_st_predictor(self, pipeline):
-        from repro.query import parse_query
-
         query = parse_query("SELECT MED OF COUNT(Car DIST <= 20)")
-        assert pipeline._engine_for(query) is pipeline._engines["st"]
+        assert pipeline.route(query) == "st"
+        st = pipeline.index.count_series(query.object_filter)
+        assert np.array_equal(pipeline.query(query).counts, st)
 
     def test_retrieval_uses_st_predictor(self, pipeline):
-        from repro.query import parse_query
-
         query = parse_query("SELECT FRAMES WHERE COUNT(Car) >= 1")
-        assert pipeline._engine_for(query) is pipeline._engines["st"]
+        assert pipeline.route(query) == "st"
 
     def test_retrieval_predictor_override(self, kitti_sequence, detector):
         config = MASTConfig(seed=4, retrieval_predictor="linear")
         pipe = MASTPipeline(config).fit(kitti_sequence, detector)
-        from repro.query import parse_query
-
         query = parse_query("SELECT FRAMES WHERE COUNT(Car) >= 1")
-        assert pipe._engine_for(query) is pipe._engines["linear_floor"]
+        assert pipe.route(query) == "linear_floor"
+        floored = np.floor(pipe.providers["linear"].count_series(query.object_filter))
+        assert np.array_equal(pipe.query(query).frame_ids, np.flatnonzero(floored >= 1))
+
+    def test_a_repeat_returns_the_memoized_read_only_answer(self, kitti_sequence, detector):
+        """A repeated single-filter query shares one answer, as QueryService does."""
+        pipe = MASTPipeline(MASTConfig(seed=4)).fit(kitti_sequence, detector)
+        for text in ("SELECT FRAMES WHERE COUNT(Car) >= 2", "SELECT MED OF COUNT(Pedestrian)"):
+            first, second, third = (pipe.query(text) for _ in range(3))
+            assert second is third and first is not second
+            array = second.frame_ids if isinstance(second, RetrievalResult) else second.counts
+            assert not array.flags.writeable
+            assert repr(first) == repr(second)
+        assert not pipe.ledger.cache_hits and not pipe.ledger.cache_misses
 
     def test_cost_summary(self, pipeline):
         summary = pipeline.cost_summary()
@@ -104,8 +114,7 @@ class TestAllLinearAssignment:
         assert "not built" in linear_pipe.explain(self.TEXTS[1])
         # Min is not named: it follows retrieval_predictor, like every query.
         for text in [*self.TEXTS, "SELECT MIN OF COUNT(Car)"]:
-            engine = linear_pipe._engine_for(parse_query(text))
-            assert engine.provider is linear_pipe.providers["linear"]
+            assert base_kind(linear_pipe.route(parse_query(text))) == "linear"
             linear_pipe.query(text)
 
     def test_unnamed_operator_follows_retrieval_predictor(self):
@@ -129,6 +138,39 @@ class TestAllLinearAssignment:
         }
         assert ("st" in kinds) <= ("st" in linear_pipe.providers)
         linear_pipe.query_many(self.TEXTS)
+
+    def test_a_live_service_routes_to_the_index_calibration_built(self, linear_pipe):
+        from repro.serving import QueryService
+
+        service = QueryService(linear_pipe)
+        service.execute_batch(self.TEXTS)
+        linear_pipe.calibrate_predictors(max_holdouts=20)
+        assert "st" in {linear_pipe.route(parse_query(t)) for t in self.TEXTS}
+        for text, served in zip(self.TEXTS, service.execute_batch(self.TEXTS)):
+            assert repr(served) == repr(linear_pipe.query(text))
+        assert service.generation == 0
+
+
+class TestCalibrationReroutesLiveServices:
+    """A service built before ``calibrate_predictors`` routes as the pipeline now does."""
+
+    def test_served_retrieval_follows_the_calibrated_config(self):
+        from repro.models import pv_rcnn
+        from repro.serving import QueryService
+        from repro.simulation import once_like
+
+        pipe = MASTPipeline(MASTConfig(budget_fraction=0.2)).fit(
+            once_like(0, n_frames=300), pv_rcnn()
+        )
+        service = QueryService(pipe)
+        text = "SELECT FRAMES WHERE COUNT(Car) >= 3"
+        before = service.execute(text)
+        pipe.calibrate_predictors()
+        assert pipe.config.retrieval_predictor == "linear"
+        after = service.execute(text)
+        assert repr(after) == repr(pipe.query(text))
+        assert after.cardinality != before.cardinality
+        assert [repr(r) for r in service.execute_batch([text])] == [repr(after)]
 
 
 class TestExtend:
@@ -180,19 +222,16 @@ class TestExtend:
         assert fraction == pytest.approx(0.1, abs=0.02)
 
 
-class TestEnginesLiveOneIndexEpoch:
-    """Series an engine resolved are never served for a later index."""
+class TestCacheLivesOneIndexEpoch:
+    """Series resolved on one index are never served for a later one."""
 
     TEXTS = [
         "SELECT FRAMES WHERE COUNT(Car DIST <= 20) >= 1",
         "SELECT AVG OF COUNT(Car DIST <= 20)",
     ]
 
-    def _engines(self, pipe):
-        return tuple(pipe._engines[kind] for kind in ("st", "linear", "linear_floor"))
-
     @pytest.mark.parametrize("rebuild", ["extend", "fit_from_sampling"])
-    def test_rebuild_installs_fresh_engines(self, detector, rebuild):
+    def test_rebuild_starts_an_empty_cache(self, detector, rebuild):
         from repro.simulation import semantickitti_like
 
         full = semantickitti_like(0, n_frames=260, with_points=False)
@@ -200,19 +239,15 @@ class TestEnginesLiveOneIndexEpoch:
             full.head(200, name=full.name), detector
         )
         pipe.query_many(self.TEXTS)
-        old = self._engines(pipe)
-        assert old[0].cached_filters() and old[1].cached_filters()
-        assert old[2].cached_filters() == old[1].cached_filters()
+        for text in self.TEXTS:
+            assert "[count series cached]" in pipe.explain(text)
 
         if rebuild == "extend":
             pipe.extend(list(full[200:]))
         else:
             pipe.fit_from_sampling(pipe.sequence, detector, pipe.sampling_result)
-        new = self._engines(pipe)
-        assert not set(map(id, new)) & set(map(id, old))
-        assert all(engine.cached_filters() == () for engine in new)
-        assert new[0].provider is pipe.index
-        assert new[1].provider is new[2].provider is pipe.providers["linear"]
+        for text in self.TEXTS:
+            assert "[count series not cached]" in pipe.explain(text)
 
         fresh = MASTPipeline(pipe.config).fit_from_sampling(
             pipe.sequence, detector, pipe.sampling_result

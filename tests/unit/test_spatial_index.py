@@ -20,6 +20,7 @@ from repro.query.spatial import (
 from repro.spatial import (
     CANONICAL_ROOT,
     MAX_TILE_DEPTH,
+    SpatialIndexStats,
     SpatialTileIndex,
     TileBounds,
     tile_path_bounds,
@@ -171,8 +172,9 @@ class TestPruningStats:
     def test_reset(self):
         index = build(make_columns())
         index.count_series(FILTERS[0])
-        index.reset_stats()
-        assert index.stats.queries == 0
+        assert index.stats.queries == 1
+        index.stats = SpatialIndexStats()
+        assert index.stats_snapshot()["queries"] == 0
 
     def test_snapshot_includes_structure(self):
         index = build(make_columns())

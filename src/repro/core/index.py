@@ -76,8 +76,6 @@ class MASTIndex:
     """
 
     simulated_query_cost_per_frame = SIMULATED_QUERY_COST_ST
-    #: Provider kind used as the cache-key namespace by the serving layer.
-    kind = "st"
 
     def __init__(
         self,
@@ -457,8 +455,6 @@ class LinearCountProvider:
     result: SamplingResult
 
     simulated_query_cost_per_frame = SIMULATED_QUERY_COST_LINEAR
-    #: Provider kind used as the cache-key namespace by the serving layer.
-    kind = "linear"
 
     def __post_init__(self) -> None:
         self.n_frames = self.result.n_frames

@@ -231,8 +231,8 @@ class ObjectArray:
         A read-only column is a view its owner shares (an experiment's
         replayed detections), not part of the value: a set pickled on its
         own pickles to the same bytes, and unpickles writable, either way.
-        A map of sets inside a checkpointed sampling run does not come
-        here: it pickles as columns (:func:`pack_frames`), whose
+        A sampling run's detections and a sequence's ground truth do not
+        come here: they pickle as columns (:func:`pack_frames`), whose
         concatenated arrays are fresh and writable anyway.
         """
         state = self.__dict__

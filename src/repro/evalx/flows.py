@@ -4,8 +4,12 @@ An experiment is a :class:`~repro.flow.Flow` of pure steps, run by
 :class:`~repro.flow.FlowRunner` against a checkpoint directory (a
 temporary one when the caller keeps nothing):
 
-* ``sequence`` / ``workload`` — cheap deterministic builders
-  (``cache=False``: recomputed every run, fingerprinted by inputs);
+* ``sequence`` — the simulated sequence, checkpointed as its columns
+  (:meth:`~repro.data.sequence.FrameSequence.to_columns`), so a resume
+  loads and verifies it instead of simulating it again, and later steps
+  key on its content;
+* ``workload`` — a cheap deterministic builder (``cache=False``:
+  recomputed every run, fingerprinted by inputs);
 * ``oracle`` — the full-processing truth pass
   (:func:`~repro.evalx.runner.oracle_truth`), checkpointed once and
   replayed under every method, budget, policy seed and config override
@@ -21,10 +25,10 @@ temporary one when the caller keeps nothing):
   construction.
 
 The report assemblies (``report:<budget>``, ``corpus-report``) are
-``cache=False`` like the builders: they only bundle values their
-upstream steps already checkpointed, so storing them would save, load
-and re-verify every method report twice.  A resume rebuilds them from
-the verified upstream values.
+``cache=False`` like the workload and catalog builders: they only
+bundle values their upstream steps already checkpointed, so storing
+them would save, load and re-verify every method report twice.  A
+resume rebuilds them from the verified upstream values.
 
 The corpus flow has the same shape over a catalog
 (:func:`~repro.evalx.corpus.corpus_oracle_truth`, then one
@@ -297,7 +301,6 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
             "sequence_index": spec.sequence_index,
             "n_frames": spec.n_frames,
         },
-        cache=False,
     )
     flow.add(
         _workload_step,

@@ -44,8 +44,8 @@ class StepSpec:
     """One registered step: its function, wiring, and checkpoint policy.
 
     ``cache=False`` marks a step that is cheap and deterministic enough
-    to recompute on every run (sequence simulation, workload
-    generation, assembling a report from checkpointed upstream values);
+    to recompute on every run (workload generation, assembling a report
+    from checkpointed upstream values);
     it is never written to the checkpoint store, and its
     fingerprint is its checkpoint key itself, asserting "same inputs,
     same output" instead of hashing a value nobody stores.  A cached

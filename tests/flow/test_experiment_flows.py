@@ -261,7 +261,7 @@ class TestReplayEqualsDetecting:
         calls = counting_detects(monkeypatch)
         second = FlowRunner(experiment_flow(self.SPEC), checkpoint_dir=tmp_path).run()
         assert calls == []
-        uncached = {"sequence", "workload"} | {
+        uncached = {"workload"} | {
             f"report:{budget_label(b)}" for b in self.SPEC.budgets
         }
         assert second.cached == set(first.keys) - uncached
@@ -310,6 +310,40 @@ def test_a_lost_step_finish_resumes_from_the_checkpoint(tmp_path, monkeypatch):
     assert [record["event"] for record in events].count("run_start") == 2
     seqs = [record["seq"] for record in events]
     assert seqs == sorted(set(seqs))
+
+
+def test_a_resume_loads_the_sequence_instead_of_simulating_it(
+    tmp_path, monkeypatch, experiment_spec
+):
+    """The ``sequence`` step is checkpointed as the sequence's columns: a
+    resume replays it (``step_cached``) and never calls ``build_sequence``."""
+    with pytest.raises(FlowInterrupted):
+        FlowRunner(
+            experiment_flow(experiment_spec),
+            checkpoint_dir=tmp_path,
+            interrupt_after="oracle",
+        ).run()
+    builds = []
+    build = flows.build_sequence
+
+    def counting_build(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "build_sequence", counting_build)
+    events_path = tmp_path / "resume.jsonl"
+    resumed = FlowRunner(
+        experiment_flow(experiment_spec),
+        checkpoint_dir=tmp_path,
+        events_path=events_path,
+    ).run()
+    assert builds == []
+    assert "sequence" in resumed.cached
+    assert "sequence" in {
+        record["step"]
+        for record in read_events(events_path)
+        if record["event"] == "step_cached"
+    }
 
 
 def test_summary_rows_are_labelled_like_their_report_steps():
@@ -381,7 +415,7 @@ def test_the_oracle_step_is_shared_across_seeds_and_overrides(tmp_path):
         experiment_flow(replace(base, workload_seed=None)), checkpoint_dir=tmp_path
     ).run()
     assert default.keys == first.keys
-    assert default.cached == {"oracle", step, "summary"}
+    assert default.cached == {"sequence", "oracle", step, "summary"}
 
 
 class TestCorpusDifferential:

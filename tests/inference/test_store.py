@@ -159,6 +159,51 @@ class TestDetectionStore:
             store._path_for(key_for(sequence, i, model)) for i in frame_ids
         )
 
+    def test_a_format_1_entry_is_a_miss_redetected_once_and_rewritten(
+        self, sequence, tmp_path
+    ):
+        """An entry an older release wrote (format 1: one row table with
+        a frame index column) is refused on load: the frame is detected
+        again, billed once, and its entry rewritten in the current format."""
+        from repro.data.storage import load_detections
+        from repro.inference import InferenceEngine
+        from repro.utils.timing import STAGE_MODEL, CostLedger
+
+        model = pv_rcnn(seed=3)
+        frame_ids = range(3)
+        with InferenceEngine(store=DetectionStore(persist_dir=tmp_path)) as engine:
+            first = engine.detect_wave(sequence, frame_ids, model)
+        old = DetectionStore(persist_dir=tmp_path)._path_for(
+            key_for(sequence, 1, model)
+        )
+        objects = first[1]
+        np.savez_compressed(
+            old,
+            format_version=np.int64(1),
+            model_name=np.str_(model.name),
+            frame_ids=np.array([1], dtype=np.int64),
+            obj_frame_index=np.zeros(len(objects), dtype=np.int64),
+            obj_labels=objects.labels.astype("<U16"),
+            obj_centers=objects.centers,
+            obj_sizes=objects.sizes,
+            obj_yaws=objects.yaws,
+            obj_scores=objects.scores,
+        )
+        with pytest.raises(ValueError, match="version 1"):
+            load_detections(old)
+
+        store = DetectionStore(persist_dir=tmp_path)
+        ledger = CostLedger()
+        with InferenceEngine(store=store) as engine:
+            second = engine.detect_wave(sequence, frame_ids, model, ledger=ledger)
+        assert ledger.invocations(STAGE_MODEL) == 1 == store.stats().misses
+        assert store.stats().disk_hits == 2
+        rewritten, _ = load_detections(old)
+        for frame_id in frame_ids:
+            assert np.array_equal(second[frame_id].centers, first[frame_id].centers)
+        assert np.array_equal(rewritten[1].centers, objects.centers)
+        assert np.array_equal(rewritten[1].labels, objects.labels)
+
     def test_every_flipped_byte_is_a_hit_or_a_miss_redetected_once(
         self, sequence, tmp_path
     ):

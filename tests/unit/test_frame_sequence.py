@@ -170,3 +170,41 @@ class TestFrameSequence:
             make_sequence(3).head(0)
         with pytest.raises(ValueError):
             make_sequence(3).head(4)
+
+
+class TestColumns:
+    """A sequence pickles and fingerprints as one column state."""
+
+    def test_pickle_round_trip_keeps_every_column(self):
+        import pickle
+
+        from repro.flow import stable_digest
+        from repro.simulation import semantickitti_like
+
+        sequence = semantickitti_like(0, n_frames=40, with_points=False)
+        restored = pickle.loads(pickle.dumps(sequence))
+        assert stable_digest(restored) == stable_digest(sequence)
+        assert restored.name == sequence.name and restored.fps == sequence.fps
+        for original, copy in zip(sequence, restored):
+            assert copy.frame_id == original.frame_id
+            assert copy.timestamp == original.timestamp
+            assert copy.ego_pose == original.ego_pose
+            assert stable_digest(copy.ground_truth) == stable_digest(
+                original.ground_truth
+            )
+
+    def test_a_sequence_with_points_refuses_to_pickle(self):
+        import pickle
+
+        from repro.simulation import semantickitti_like
+
+        sequence = semantickitti_like(0, n_frames=5, with_points=True)
+        with pytest.raises(TypeError, match="point clouds"):
+            pickle.dumps(sequence)
+
+    def test_columns_that_miss_a_frame_are_refused(self):
+        sequence = FrameSequence([make_frame(i) for i in range(3)], fps=10.0)
+        columns = sequence.to_columns()
+        columns["ego_poses"] = columns["ego_poses"][:2]
+        with pytest.raises(ValueError, match="3 poses"):
+            FrameSequence.from_columns(columns)

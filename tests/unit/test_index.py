@@ -67,7 +67,6 @@ class TestBuild:
 
 class TestCountSeries:
     def test_declares_query_cost(self, index):
-        assert index.kind == "st"
         assert index.simulated_query_cost_per_frame > 0
 
     def test_shape(self, index):

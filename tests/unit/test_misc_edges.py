@@ -24,6 +24,37 @@ class TestStorageVersioning:
         with pytest.raises(ValueError, match="version"):
             load_detections(path)
 
+    @staticmethod
+    def v1_members() -> dict[str, np.ndarray]:
+        """The format-1 layout: one row table with a frame index column."""
+        return {
+            "format_version": np.int64(1),
+            "obj_frame_index": np.zeros(1, dtype=np.int64),
+            "obj_labels": np.array(["Car"], dtype="<U16"),
+            "obj_centers": np.zeros((1, 3)),
+            "obj_sizes": np.ones((1, 3)),
+            "obj_yaws": np.zeros(1),
+            "obj_scores": np.ones(1),
+        }
+
+    def test_v1_sequence_is_refused(self, tmp_path):
+        path = tmp_path / "v1.npz"
+        np.savez_compressed(
+            path, name=np.str_("s"), fps=np.float64(10.0), timestamps=np.zeros(1),
+            ego_poses=np.zeros((1, 3)), **self.v1_members(),
+        )
+        with pytest.raises(ValueError, match="version 1"):
+            load_sequence(path)
+
+    def test_v1_detections_are_refused(self, tmp_path):
+        path = tmp_path / "v1.npz"
+        np.savez_compressed(
+            path, model_name=np.str_("pv_rcnn"),
+            frame_ids=np.zeros(1, dtype=np.int64), **self.v1_members(),
+        )
+        with pytest.raises(ValueError, match="version 1"):
+            load_detections(path)
+
 
 class TestLidarConfigValidation:
     def test_rejects_bad_range(self):

@@ -13,6 +13,7 @@ from repro.data import (
     save_detections,
     save_sequence,
 )
+from repro.flow import stable_digest
 from repro.simulation import semantickitti_like
 
 
@@ -162,13 +163,71 @@ class TestLoadReadsEachMemberOnce:
         for frame_id, objects in detections.items():
             _assert_same_objects(restored[frame_id], objects)
 
-    def test_rows_out_of_frame_order_are_refused(self, small_sequence, tmp_path):
+    def test_miscounted_blocks_are_refused(self, small_sequence, tmp_path):
         path = save_sequence(small_sequence, tmp_path / "seq.npz")
         with np.load(path) as data:
-            payload = {
-                name: data[name][::-1] if name.startswith("obj_") else data[name]
-                for name in data.files
-            }
-        np.savez_compressed(tmp_path / "reversed.npz", **payload)
-        with pytest.raises(ValueError, match="not grouped by frame"):
-            load_sequence(tmp_path / "reversed.npz")
+            payload = {name: data[name] for name in data.files}
+        counts = payload["block0_counts"].copy()
+        counts[np.argmax(counts)] -= 1
+        payload["block0_counts"] = counts
+        np.savez_compressed(tmp_path / "short.npz", **payload)
+        with pytest.raises(ValueError, match="row counts"):
+            load_sequence(tmp_path / "short.npz")
+
+    def test_block_frame_ids_off_the_file_order_are_refused(self, tmp_path):
+        path = save_detections({3: ObjectArray.empty()}, tmp_path / "det.npz")
+        with np.load(path) as data:
+            payload = {name: data[name] for name in data.files}
+        payload["frame_ids"] = np.array([4], dtype=np.int64)
+        np.savez_compressed(tmp_path / "moved.npz", **payload)
+        with pytest.raises(ValueError, match="frame_ids"):
+            load_detections(tmp_path / "moved.npz")
+
+
+def _objects(labels, *, optional: bool) -> ObjectArray:
+    n = len(labels)
+    rows = np.arange(n, dtype=float)
+    return ObjectArray(
+        labels=labels,
+        centers=np.stack([rows, -rows, rows / 2], axis=1),
+        sizes=np.ones((n, 3)),
+        yaws=rows / 10,
+        scores=np.linspace(0.5, 1.0, n),
+        velocities=np.stack([rows, rows], axis=1) if optional else None,
+        ids=np.arange(n) + 100 if optional else None,
+    )
+
+
+class TestExactRoundtrip:
+    """Every set comes back with the columns, dtypes and digest it was
+    saved with: long labels, narrow label columns and frames with and
+    without velocities / ids side by side."""
+
+    SETS = {
+        0: _objects(np.array(["A" * 20, "Car"]), optional=True),
+        1: _objects(np.array(["Car", "Pedestrian"], dtype="<U10"), optional=False),
+        2: _objects(np.array(["Cyclist"], dtype="<U10"), optional=True),
+        3: ObjectArray.empty(),
+        4: _objects(np.array(["Car", "Car", "Truck"], dtype="<U16"), optional=False),
+    }
+
+    def test_detections(self, tmp_path):
+        path = save_detections(self.SETS, tmp_path / "det.npz")
+        restored, _ = load_detections(path)
+        assert list(restored) == list(self.SETS)
+        for frame_id, objects in self.SETS.items():
+            assert stable_digest(restored[frame_id]) == stable_digest(objects)
+            _assert_same_objects(restored[frame_id], objects)
+
+    def test_sequence(self, small_sequence, tmp_path):
+        frames = [
+            replace(frame, ground_truth=self.SETS[frame.frame_id])
+            for frame in small_sequence[: len(self.SETS)]
+        ]
+        sequence = FrameSequence(frames, fps=small_sequence.fps, name="exact")
+        loaded = load_sequence(save_sequence(sequence, tmp_path / "seq.npz"))
+        assert stable_digest(loaded) == stable_digest(sequence)
+        for original, restored in zip(sequence, loaded):
+            assert stable_digest(restored.ground_truth) == stable_digest(
+                original.ground_truth
+            )

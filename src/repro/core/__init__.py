@@ -1,7 +1,7 @@
 """MAST core: ST-PC analysis, hierarchical sampling, indexing, pipeline."""
 
 from repro.core.autopredict import PredictorCalibration, calibrate_predictors
-from repro.core.bandit import UCBAgent, ucb_score, ucb_scores
+from repro.core.bandit import UCBAgent, ucb_scores
 from repro.core.config import MASTConfig
 from repro.core.index import LinearCountProvider, MASTIndex
 from repro.core.pipeline import MASTPipeline
@@ -35,7 +35,6 @@ __all__ = [
     "count_deviation_reward",
     "match_by_label",
     "st_reward",
-    "ucb_score",
     "ucb_scores",
     "uniform_ids",
 ]

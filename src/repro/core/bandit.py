@@ -20,25 +20,17 @@ import numpy as np
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require, require_positive
 
-__all__ = ["ucb_score", "ucb_scores", "UCBAgent"]
-
-
-def ucb_score(reward: float, n_selected: int, n_total: int, c: float) -> float:
-    """UCB value of one arm; unvisited arms score ``+inf``."""
-    if n_selected <= 0:
-        return math.inf
-    if n_total <= 0:
-        return reward
-    return reward + c * math.sqrt(2.0 * math.log(n_total) / n_selected)
+__all__ = ["ucb_scores", "UCBAgent"]
 
 
 def ucb_scores(
     rewards: np.ndarray, visits: np.ndarray, n_total: int, c: float
 ) -> np.ndarray:
-    """:func:`ucb_score` of every arm at once, element-for-element equal.
+    """The UCB value of every arm; unvisited arms score ``+inf``.
 
-    The log term is the same Python scalar; division and ``sqrt`` are
-    correctly rounded in both, so no element differs in any bit.
+    An arm's value is ``tests/spec/mast.py``'s ``ucb`` bit for bit: the
+    log term is one Python scalar, and division and ``sqrt`` are
+    correctly rounded.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     visits = np.asarray(visits)

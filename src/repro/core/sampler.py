@@ -99,9 +99,12 @@ class SamplingResult:
 
     def __setstate__(self, state: dict[str, object]) -> None:
         detections = state["detections"]
-        if isinstance(detections, tuple):  # columns; older pickles hold the map
-            state = {**state, "detections": unpack_frames(detections)}
-        self.__dict__.update(state)
+        if not isinstance(detections, tuple):
+            raise TypeError(
+                "a pickled SamplingResult holds its detections as pack_frames "
+                f"columns, got {type(detections).__name__}"
+            )
+        self.__dict__.update(state, detections=unpack_frames(detections))
 
     @property
     def sampling_fraction(self) -> float:

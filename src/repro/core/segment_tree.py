@@ -166,11 +166,10 @@ class SegmentTree:
         return None
 
     def _select_child(self, node: SegmentNode) -> SegmentNode:
-        """The child with the highest :func:`~repro.core.bandit.ucb_score`.
+        """The child with the highest UCB value (``tests/spec/mast.py``'s ``ucb``).
 
-        One pass over the children: the log term is computed once, the
-        values are ``ucb_score``'s bit for bit, and exhausted children
-        never enter the tie set the RNG draws from.
+        One pass over the children: the log term is computed once, and
+        exhausted children never enter the tie set the RNG draws from.
         """
         children = node.children
         assert children is not None

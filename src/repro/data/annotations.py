@@ -171,18 +171,6 @@ class ObjectArray:
             ids=None if self.ids is None else self.ids[mask],
         )
 
-    def with_scores(self, scores) -> ObjectArray:
-        """Return a copy with ``scores`` replaced."""
-        return ObjectArray(
-            labels=self.labels,
-            centers=self.centers,
-            sizes=self.sizes,
-            yaws=self.yaws,
-            scores=np.asarray(scores, dtype=float),
-            velocities=self.velocities,
-            ids=self.ids,
-        )
-
     def translated(self, deltas) -> ObjectArray:
         """Return a copy with per-object xy translations applied.
 
@@ -203,26 +191,6 @@ class ObjectArray:
             scores=self.scores,
             velocities=self.velocities,
             ids=self.ids,
-        )
-
-    @staticmethod
-    def concatenate(parts: list[ObjectArray]) -> ObjectArray:
-        """Concatenate object sets; velocity/id columns survive only if all parts have them."""
-        parts = [p for p in parts if len(p)]
-        if not parts:
-            return ObjectArray.empty()
-        keep_vel = all(p.velocities is not None for p in parts)
-        keep_ids = all(p.ids is not None for p in parts)
-        return ObjectArray(
-            labels=np.concatenate([p.labels for p in parts]),
-            centers=np.concatenate([p.centers for p in parts]),
-            sizes=np.concatenate([p.sizes for p in parts]),
-            yaws=np.concatenate([p.yaws for p in parts]),
-            scores=np.concatenate([p.scores for p in parts]),
-            velocities=(
-                np.concatenate([p.velocities for p in parts]) if keep_vel else None
-            ),
-            ids=np.concatenate([p.ids for p in parts]) if keep_ids else None,
         )
 
     def __getstate__(self) -> dict[str, np.ndarray | None]:

@@ -375,14 +375,6 @@ class SpatialTileIndex:
     def n_leaves(self) -> int:
         return self._nodes[0].leaf_count if self._nodes else 0
 
-    def leaf_extents(self) -> list[TileBounds]:
-        """Tight extents of all non-empty leaf tiles."""
-        return [
-            node.extent
-            for node in self._nodes
-            if node.is_leaf and node.extent is not None
-        ]
-
     def stats_snapshot(self) -> dict[str, float]:
         """Cumulative pruning counters plus structural facts."""
         snapshot = self.stats.snapshot()

@@ -1,20 +1,16 @@
-"""Differential pins: 1-seq corpus ≡ single-sequence pipeline.
+"""Differential pin: a sharded corpus service answers as the corpus does.
 
-These tests are the refactor's safety net: routing the single-sequence
-stack through the corpus layer (sessions + allocator + shards) must not
-change a single sampled frame or answer.  ``SamplingResult.budget`` is
-deliberately *not* compared — the UCB allocator opens sessions at
-capacity, so the recorded cap differs even though the frames sampled
-are identical.
+A corpus of one sequence is checked against the executable spec of the
+paper (``tests/spec/test_differential.py``); this file keeps the
+multi-sequence case, where scoped and fanned-out answers from
+``CorpusQueryService`` must equal ``CorpusPipeline.query``.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
-from repro.core.pipeline import MASTPipeline
-from repro.corpus import CorpusPipeline, SequenceCatalog, SequenceSpec
+from repro.corpus import CorpusPipeline
 from repro.query.ast import AggregateResult, RetrievalResult
 from repro.query.workload import generate_workload
 
@@ -26,57 +22,6 @@ def _assert_same_answer(got, want, text):
     else:
         assert isinstance(want, RetrievalResult)
         assert np.array_equal(got.frame_ids, want.frame_ids), text
-
-
-@pytest.mark.parametrize("policy", ["uniform", "ucb"])
-class TestSingleSequenceEquivalence:
-    @pytest.fixture()
-    def spec(self):
-        return SequenceSpec("semantickitti", 0, n_frames=60)
-
-    def test_sampling_is_bit_identical(self, spec, config, model, policy):
-        with MASTPipeline(config) as single:
-            single.fit(spec.build(), model)
-            catalog = SequenceCatalog()
-            name = catalog.register(spec)
-            with CorpusPipeline(catalog, config, policy=policy) as corpus:
-                corpus.fit(model)
-                shard = corpus.shard(name)
-                assert np.array_equal(
-                    shard.sampling_result.sampled_ids,
-                    single.sampling_result.sampled_ids,
-                )
-                assert shard.sampling_result.rewards == (
-                    single.sampling_result.rewards
-                )
-                assert corpus.allocation.total_frames == len(
-                    single.sampling_result.sampled_ids
-                )
-
-    def test_answers_are_bit_identical(self, spec, config, model, policy):
-        workload = generate_workload(rng=config.seed)
-        with MASTPipeline(config) as single:
-            single.fit(spec.build(), model)
-            catalog = SequenceCatalog()
-            name = catalog.register(spec)
-            with CorpusPipeline(catalog, config, policy=policy) as corpus:
-                corpus.fit(model)
-                for query in workload.all_queries():
-                    text = query.describe()
-                    want = single.query(query)
-                    # Scoped routing hits the shard directly.
-                    _assert_same_answer(
-                        corpus.query(f"{text} IN SEQUENCE {name}"), want, text
-                    )
-                    # A fan-out over one sequence must agree too.
-                    merged = corpus.query(query)
-                    if isinstance(want, AggregateResult):
-                        assert merged.value == want.value, text
-                    else:
-                        assert merged.cardinality == want.cardinality, text
-                        assert merged.id_set() == {
-                            (name, int(fid)) for fid in want.frame_ids
-                        }, text
 
 
 class TestShardedServingEquivalence:

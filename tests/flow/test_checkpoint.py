@@ -202,7 +202,9 @@ class TestDetectionColumns:
         loaded = pickle.loads(pickle.dumps(sampling_of({})))
         assert loaded.detections == {}
 
-    def test_a_per_frame_checkpoint_loads_and_verifies(self, store, mixed):
+    def test_a_per_frame_checkpoint_is_refused(self, store, mixed):
+        """A run pickled with its map per frame (the layout before
+        columns) is unreadable, never loaded half-converted."""
         sampling = sampling_of(mixed)
         fingerprint = store.save("k1", "method", sampling)
         envelope = Checkpoint(
@@ -211,10 +213,8 @@ class TestDetectionColumns:
         payload = per_frame_dumps(envelope)
         assert b"ObjectArray" in payload
         store.path("k1").write_bytes(payload)
-        loaded = store.load("k1").value
-        assert stable_digest(loaded) == fingerprint
-        assert list(loaded.detections) == list(mixed)
-        assert isinstance(loaded.detections[7], ObjectArray)
+        with pytest.raises(CheckpointCorrupted, match="pack_frames columns, got dict"):
+            store.load("k1")
 
     def test_a_tampered_column_is_refused(self, store, mixed):
         store.save("k1", "method", sampling_of(mixed))

@@ -1,11 +1,12 @@
-"""Property tests: the UCB array kernel equals the scalar rule bit for bit."""
+"""Property tests: the UCB array kernel equals the spec's UCB rule bit for bit."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import UCBAgent, ucb_score, ucb_scores
+from repro.core import UCBAgent, ucb_scores
+from tests.spec.mast import ucb
 
 finite_rewards = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -27,16 +28,16 @@ def test_ucb_scores_equal_scalar_rule(arms, n_total, c):
     visits = np.array([n for _, n in arms], dtype=np.int64)
     values = ucb_scores(rewards, visits, n_total, c)
     for i, (reward, n_selected) in enumerate(arms):
-        assert values[i] == ucb_score(reward, n_selected, n_total, c)
+        assert values[i] == ucb(reward, n_selected, n_total, c)
 
 
 class _ScalarLoopAgent(UCBAgent):
-    """The per-arm loop ``UCBAgent.scores`` ran before the array kernel."""
+    """``UCBAgent.scores`` as a per-arm loop over the spec's UCB rule."""
 
     def scores(self) -> np.ndarray:
         values = np.empty(self.n_arms)
         for arm in range(self.n_arms):
-            values[arm] = ucb_score(
+            values[arm] = ucb(
                 float(self.rewards[arm]), int(self.pulls[arm]), self.total_pulls, self.c
             )
         return values

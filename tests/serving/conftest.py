@@ -1,9 +1,8 @@
-"""Fixtures for the serving-layer test harness.
+"""Fixtures for the serving-layer tests.
 
-Three session-scoped fitted pipelines give the differential tests
-scenario diversity (KITTI-like 10 FPS, ONCE-like 2 FPS, and a dense
-highway world); stress tests build their own short pipelines because
-``extend`` mutates pipeline state.
+A session-scoped fitted pipeline over the KITTI-like sequence; stress
+tests build their own short pipelines because ``extend`` mutates
+pipeline state.
 """
 
 from __future__ import annotations
@@ -11,33 +10,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import MASTConfig, MASTPipeline
-from repro.simulation import highway_scenario
-
-
-@pytest.fixture(scope="session")
-def highway_sequence():
-    return highway_scenario(n_frames=260, seed=3, with_points=False)
 
 
 @pytest.fixture(scope="session")
 def kitti_pipeline(kitti_sequence, detector):
     return MASTPipeline(MASTConfig(seed=13)).fit(kitti_sequence, detector)
-
-
-@pytest.fixture(scope="session")
-def once_pipeline(once_sequence, detector):
-    return MASTPipeline(MASTConfig(seed=13)).fit(once_sequence, detector)
-
-
-@pytest.fixture(scope="session")
-def highway_pipeline(highway_sequence, detector):
-    return MASTPipeline(MASTConfig(seed=13)).fit(highway_sequence, detector)
-
-
-@pytest.fixture(scope="session")
-def scenario_pipelines(kitti_pipeline, once_pipeline, highway_pipeline):
-    return {
-        "kitti": kitti_pipeline,
-        "once": once_pipeline,
-        "highway": highway_pipeline,
-    }

@@ -108,12 +108,6 @@ class TestCombinators:
         assert len(subset) == 2
         assert np.allclose(subset.centers[1], objects.centers[4])
 
-    def test_with_scores(self):
-        objects = make_objects(2)
-        rescored = objects.with_scores([0.1, 0.2])
-        assert np.allclose(rescored.scores, [0.1, 0.2])
-        assert rescored.labels is objects.labels
-
     def test_translated(self):
         objects = make_objects(2)
         moved = objects.translated(np.array([[1.0, 0.0], [0.0, 2.0]]))
@@ -125,23 +119,3 @@ class TestCombinators:
     def test_translated_shape_check(self):
         with pytest.raises(ValueError, match="shape"):
             make_objects(2).translated(np.zeros((3, 2)))
-
-    def test_concatenate(self):
-        merged = ObjectArray.concatenate([make_objects(2), make_objects(3)])
-        assert len(merged) == 5
-
-    def test_concatenate_empty_list(self):
-        assert len(ObjectArray.concatenate([])) == 0
-
-    def test_concatenate_drops_partial_velocity(self):
-        merged = ObjectArray.concatenate(
-            [make_objects(2, with_velocity=True), make_objects(2)]
-        )
-        assert merged.velocities is None
-
-    def test_concatenate_keeps_uniform_velocity(self):
-        merged = ObjectArray.concatenate(
-            [make_objects(2, with_velocity=True), make_objects(2, with_velocity=True)]
-        )
-        assert merged.velocities is not None
-        assert merged.velocities.shape == (4, 2)

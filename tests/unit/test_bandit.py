@@ -5,23 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import UCBAgent, ucb_score
+from repro.core import UCBAgent, ucb_scores
+from tests.spec.mast import ucb
 
 
 class TestUcbScore:
     def test_unvisited_is_infinite(self):
-        assert ucb_score(0.0, 0, 10, c=2.0) == math.inf
+        assert ucb_scores([0.0], [0], 10, c=2.0)[0] == ucb(0.0, 0, 10, 2.0) == math.inf
 
     def test_formula(self):
-        value = ucb_score(1.0, 4, 100, c=2.0)
+        (value,) = ucb_scores([1.0], [4], 100, c=2.0)
+        assert value == ucb(1.0, 4, 100, 2.0)
         assert value == pytest.approx(1.0 + 2.0 * math.sqrt(2 * math.log(100) / 4))
 
     def test_zero_total_returns_reward(self):
-        assert ucb_score(0.7, 3, 0, c=2.0) == pytest.approx(0.7)
+        assert ucb_scores([0.7], [3], 0, c=2.0)[0] == ucb(0.7, 3, 0, 2.0) == 0.7
 
     def test_exploration_bonus_shrinks_with_pulls(self):
-        few = ucb_score(0.0, 1, 100, c=2.0)
-        many = ucb_score(0.0, 50, 100, c=2.0)
+        few, many = ucb_scores([0.0, 0.0], [1, 50], 100, c=2.0)
         assert few > many
 
 

@@ -338,7 +338,8 @@ class MASTIndex:
         building it on first use; every other series is one batched
         flat scan of the rows from the segment holding ``start`` on (the
         rows are in frame order segment by segment, so no earlier row
-        can count).  Both are bit-identical to the brute-force count.
+        can count), made only when some filter routes there.  Both are
+        bit-identical to the brute-force count.
         """
         filters = list(dict.fromkeys(filters))
         region = [f for f in filters if start == 0 and _region_shaped(f)]
@@ -347,9 +348,10 @@ class MASTIndex:
             tiles = self._tiles()
             series = {f: tiles.count_series(f) for f in region}
         flat = [f for f in filters if f not in series]
-        series.update(
-            self._rows_from(start).count_series(flat, self.n_frames, start=start)
-        )
+        if flat:
+            series.update(
+                self._rows_from(start).count_series(flat, self.n_frames, start=start)
+            )
         return series
 
     def _rows_from(self, frame: int) -> ObjectRows:

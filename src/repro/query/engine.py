@@ -288,9 +288,9 @@ class SeriesState:
                     counts = np.floor(series) if kind == "linear_floor" else series
                     answer = evaluated[query] = evaluate_query(query, lambda _: counts, n_frames)
                     nbytes = _freeze(answer)
-                    key = probes[position - 1][0]
+                    key, answer_key = probes[position - 1]
                     if key not in fresh_keys:
-                        self.cache.remember(key, self.generation, query, answer, nbytes)
+                        self.cache.remember(key, self.generation, answer_key, answer, nbytes)
                 answers.append(answer)
         ledger.settle(STAGE_QUERY, [costs[kind] for kind in kinds])
         return answers

@@ -64,9 +64,8 @@ Extensions beyond the paper's templates:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
+from typing import Any, NamedTuple
 
 from repro.query.aggregates import AGGREGATE_OPERATORS, requires_count_predicate
 from repro.query.ast import (
@@ -102,26 +101,28 @@ class QuerySyntaxError(ValueError):
     """Raised when query text cannot be parsed."""
 
 
+#: One match per token: leading whitespace is skipped inside the match,
+#: and ``BAD`` takes any other character that is not whitespace.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<STRING>'[^']*'|"[^"]*")
-  | (?P<NUMBER>-?\d+(\.\d+)?([eE][+-]?\d+)?)
-  | (?P<CMP><=|>=|<|>)
-  | (?P<DASH>-)
-  | (?P<COMMA>,)
-  | (?P<LPAREN>\()
-  | (?P<RPAREN>\))
-  | (?P<STAR>\*)
-  | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<WS>\s+)
-  | (?P<BAD>.)
+    \s*(?:
+      (?P<STRING>'[^']*'|"[^"]*")
+    | (?P<NUMBER>-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?)
+    | (?P<CMP><=|>=|<|>)
+    | (?P<DASH>-)
+    | (?P<COMMA>,)
+    | (?P<LPAREN>\()
+    | (?P<RPAREN>\))
+    | (?P<STAR>\*)
+    | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<BAD>\S)
+    )
     """,
     re.VERBOSE,
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     position: int
@@ -131,13 +132,14 @@ def _tokenize(text: str) -> list[_Token]:
     tokens = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "WS":
-            continue
+        assert kind is not None
+        value = match[kind]
+        position = match.end() - len(value)
         if kind == "BAD":
             raise QuerySyntaxError(
-                f"unexpected character {match.group()!r} at position {match.start()}"
+                f"unexpected character {value!r} at position {position}"
             )
-        tokens.append(_Token(kind, match.group(), match.start()))
+        tokens.append(_Token(kind, value, position))
     return tokens
 
 

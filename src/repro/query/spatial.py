@@ -32,8 +32,8 @@ used by the :mod:`repro.spatial` hierarchy to prune region queries:
 Both are allowed to be conservative (``overlap=True`` /
 ``contained=False`` is always sound — the tile just falls back to exact
 per-object evaluation), and filters that do not implement the protocol
-are treated exactly that way via :func:`filter_tile_overlap` /
-:func:`filter_tile_contained`.
+are treated exactly that way via :func:`tile_tests` (and
+:func:`filter_tile_overlap` / :func:`filter_tile_contained`).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ __all__ = [
     "conjoin_spatial",
     "filter_tile_overlap",
     "filter_tile_contained",
+    "tile_tests",
     "register_spatial_operator",
     "spatial_operator_keywords",
     "spatial_operator_arg_count",
@@ -285,25 +286,36 @@ def conjoin_spatial(existing, extra):
 # Tile-classification helpers
 # ----------------------------------------------------------------------
 
-def filter_tile_overlap(spatial_filter, bounds) -> bool:
-    """Sound ``tile_bounds_overlap`` for any spatial filter.
+def tile_tests(spatial_filter) -> tuple[Callable[[object], bool], Callable[[object], bool]]:
+    """Sound ``(tile_bounds_overlap, tile_bounds_contained)`` of any spatial filter.
 
     Filters that do not implement the protocol (e.g. operators
-    registered at runtime) are treated as overlapping every tile, which
-    only costs pruning opportunity, never correctness.
+    registered at runtime) are treated as overlapping every tile and
+    containing none, which only costs pruning opportunity, never
+    correctness.  A tile walk looks the pair up once per filter.
     """
-    method = getattr(spatial_filter, "tile_bounds_overlap", None)
-    if method is None:
-        return True
-    return bool(method(bounds))
+    return (
+        getattr(spatial_filter, "tile_bounds_overlap", _overlaps_every_tile),
+        getattr(spatial_filter, "tile_bounds_contained", _contains_no_tile),
+    )
+
+
+def _overlaps_every_tile(bounds) -> bool:
+    return True
+
+
+def _contains_no_tile(bounds) -> bool:
+    return False
+
+
+def filter_tile_overlap(spatial_filter, bounds) -> bool:
+    """Sound ``tile_bounds_overlap`` for any spatial filter."""
+    return bool(getattr(spatial_filter, "tile_bounds_overlap", _overlaps_every_tile)(bounds))
 
 
 def filter_tile_contained(spatial_filter, bounds) -> bool:
     """Sound ``tile_bounds_contained`` for any spatial filter."""
-    method = getattr(spatial_filter, "tile_bounds_contained", None)
-    if method is None:
-        return False
-    return bool(method(bounds))
+    return bool(getattr(spatial_filter, "tile_bounds_contained", _contains_no_tile)(bounds))
 
 
 def _box_corners(bounds) -> np.ndarray:

@@ -15,10 +15,17 @@ the tile-classification protocol of :mod:`repro.query.spatial`:
   (their rows are never touched);
 * tiles fully contained in the predicate are answered from the count
   summaries without evaluating a single box (when the filter's
-  confidence cut matches the summary cut; otherwise their rows are
-  re-masked by label/confidence only — still no geometry);
-* only *boundary* tiles fall back to exact ``mask_positions`` over
-  their rows.
+  confidence cut matches the summary cut; otherwise the asked label's
+  rows are re-masked by confidence only — still no geometry);
+* only *boundary* tiles fall back to exact ``mask_positions``, over the
+  asked label's rows in them.
+
+The index keeps its own copy of the four columns in tile order: each
+leaf is a contiguous span, and inside a leaf the rows are grouped by
+label (one stable sort on (leaf, label) at build time).  Every
+(leaf, label) pair is therefore one contiguous span too, so a filter
+reads the slices of its label and never compares a label or gathers a
+row it does not need; ``*`` reads whole leaves.
 
 Answers are bit-identical to the brute-force scan by construction: the
 tiles partition the rows, classification is sound (``contained`` tiles
@@ -38,7 +45,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from repro.query.predicates import DEFAULT_CONFIDENCE, ObjectFilter
-from repro.query.spatial import filter_tile_contained, filter_tile_overlap
+from repro.query.spatial import tile_tests
 from repro.spatial.tiles import TileBounds
 
 __all__ = [
@@ -68,7 +75,8 @@ class SpatialIndexStats:
     tiles_contained: int = 0
     #: Leaf tiles that fell back to exact per-object evaluation.
     tiles_boundary: int = 0
-    #: Rows whose positions were actually tested by ``mask_positions``.
+    #: Rows whose positions were actually tested by ``mask_positions``:
+    #: the asked label's rows in the boundary leaves.
     rows_scanned: int = 0
     #: Rows answered from precomputed summaries (never materialized).
     rows_summarized: int = 0
@@ -105,12 +113,16 @@ class _Node:
     center: tuple[float, float] | None = None
     #: Child node ids in quadrant order (internal nodes only).
     children: tuple[int, int, int, int] | None = None
-    #: Leaf tiles in this node's subtree (1 for leaves).
-    leaf_count: int = 1
+    #: Node ids of the leaf tiles in this node's subtree (itself for a leaf).
+    leaves: tuple[int, ...] = ()
 
     @property
     def is_leaf(self) -> bool:
         return self.center is None
+
+    @property
+    def leaf_count(self) -> int:
+        return len(self.leaves)
 
     @property
     def n_rows(self) -> int:
@@ -119,6 +131,10 @@ class _Node:
 
 #: Sparse per-(leaf, label) count summary: (unique frame ids, counts).
 _Summary = tuple[np.ndarray, np.ndarray]
+#: One leaf's rows of one label (of every label under ``_ANY_LABEL``):
+#: the ``[lo, hi)`` span of the tile-ordered columns, and its count
+#: summary at the summary confidence (``None`` when no row passes it).
+_Span = tuple[int, int, _Summary | None]
 
 
 class SpatialTileIndex:
@@ -153,16 +169,18 @@ class SpatialTileIndex:
         self.version: int = 0
 
         self._nodes: list[_Node] = []
-        self._order: np.ndarray = np.zeros(0, dtype=np.int64)
-        self._summaries: dict[tuple[int, str | None], _Summary] = {}
-        self._build()
-        self._build_summaries()
+        #: (leaf id, label or ``_ANY_LABEL``) -> its span and summary.
+        self._spans: dict[tuple[int, str | None], _Span] = {}
+        self._group(self._build())
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
-        """Recursive center-split quadtree build over the row set."""
+    def _build(self) -> np.ndarray:
+        """Recursive center-split quadtree build over the row set.
+
+        Returns the rows in leaf order: each leaf's ``[start, end)``.
+        """
         n = len(self._frame_index)
         self._nodes = []
         segments: list[np.ndarray] = []
@@ -177,7 +195,7 @@ class SpatialTileIndex:
                 start = offset
                 offset += len(rows)
                 segments.append(rows)
-                self._nodes[node_id] = _Node(start, offset, extent)
+                self._nodes[node_id] = _Node(start, offset, extent, leaves=(node_id,))
                 return node_id
             # Split at the center of the node's geometric bounds; the
             # root splits at the center of the data's tight bbox.
@@ -192,41 +210,76 @@ class SpatialTileIndex:
                 children.append(
                     recurse(child_rows, split_bounds.quadrant(digit), depth + 1)
                 )
-            node = _Node(
+            self._nodes[node_id] = _Node(
                 start,
                 offset,
                 extent,
                 center=(center_x, center_y),
                 children=tuple(children),
+                leaves=sum((self._nodes[child].leaves for child in children), ()),
             )
-            node.leaf_count = sum(self._nodes[c].leaf_count for c in children)
-            self._nodes[node_id] = node
             return node_id
 
         recurse(np.arange(n, dtype=np.int64), None, 0)
-        self._order = (
-            np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64)
-        )
+        return np.concatenate(segments) if segments else np.zeros(0, dtype=np.int64)
 
-    def _build_summaries(self) -> None:
-        """Per-(leaf, label) sparse count series at the summary confidence."""
-        summaries: dict[tuple[int, str | None], _Summary] = {}
-        for node_id, node in enumerate(self._nodes):
-            if not node.is_leaf or node.n_rows == 0:
-                continue
-            rows = self._order[node.start : node.end]
-            rows = rows[self._scores[rows] >= self.summary_confidence]
-            if not len(rows):
-                continue
-            frames = self._frame_index[rows]
-            row_labels = self._labels[rows]
-            frame_ids, counts = np.unique(frames, return_counts=True)
-            summaries[(node_id, _ANY_LABEL)] = (frame_ids, counts.astype(float))
-            for label in np.unique(row_labels):
-                selector = row_labels == label
-                frame_ids, counts = np.unique(frames[selector], return_counts=True)
-                summaries[(node_id, str(label))] = (frame_ids, counts.astype(float))
-        self._summaries = summaries
+    def _group(self, order: np.ndarray) -> None:
+        """Put the columns in tile order, each leaf's rows grouped by label.
+
+        One stable sort on (leaf, label) of the leaf-ordered rows keeps
+        every leaf's span and makes each (leaf, label) pair a span of its
+        own; the spans and their count summaries go into ``_spans``.
+        """
+        leaves = [
+            (node_id, node)
+            for node_id, node in enumerate(self._nodes)
+            if node.is_leaf and node.n_rows
+        ]
+        names, codes = np.unique(self._labels[order], return_inverse=True)
+        leaf_rank = np.repeat(
+            np.arange(len(leaves), dtype=np.int64), [node.n_rows for _, node in leaves]
+        )
+        key = leaf_rank * len(names) + codes.reshape(-1)
+        grouped = np.argsort(key, kind="stable")
+        rows = order[grouped]
+        key = key[grouped]
+        self._frame_index = self._frame_index[rows]
+        self._labels = self._labels[rows]
+        self._positions = self._positions[rows]
+        self._scores = self._scores[rows]
+
+        # A (leaf, label) span starts wherever the sorted key changes.
+        starts = np.flatnonzero(np.diff(key)) + 1
+        bounds = [0, *starts.tolist(), len(key)] if len(key) else [0]
+        span_of_row = np.zeros(len(key), dtype=np.int64)
+        span_of_row[starts] = 1
+        span_summaries = self._summaries(np.cumsum(span_of_row), len(bounds) - 1)
+        spans: dict[tuple[int, str | None], _Span] = {}
+        for (node_id, node), summary in zip(leaves, self._summaries(leaf_rank, len(leaves))):
+            spans[(node_id, _ANY_LABEL)] = (node.start, node.end, summary)
+        for lo, hi, summary in zip(bounds[:-1], bounds[1:], span_summaries):
+            rank, code = divmod(int(key[lo]), len(names))
+            spans[(leaves[rank][0], str(names[code]))] = (lo, hi, summary)
+        self._spans = spans
+
+    def _summaries(self, group: np.ndarray, n_groups: int) -> list[_Summary | None]:
+        """Each row group's sparse count series at the summary confidence.
+
+        ``group`` numbers the tile-ordered rows' groups ``0 .. n_groups - 1``,
+        ascending; one ``unique`` over (group, frame) counts them all.
+        """
+        confident = self._scores >= self.summary_confidence
+        stride = int(self._frame_index.max()) + 1 if len(group) else 1
+        keys, counts = np.unique(
+            group[confident] * stride + self._frame_index[confident], return_counts=True
+        )
+        bounds = np.searchsorted(keys, np.arange(n_groups + 1) * stride).tolist()
+        frame_ids = keys % stride
+        weights = counts.astype(float)
+        return [
+            (frame_ids[lo:hi], weights[lo:hi]) if hi > lo else None
+            for lo, hi in zip(bounds[:-1], bounds[1:])
+        ]
 
     def updated(
         self,
@@ -267,96 +320,89 @@ class SpatialTileIndex:
         spatial = object_filter.spatial
         if spatial is None:
             raise ValueError("count_series requires a filter with a spatial predicate")
+        overlaps, contains = tile_tests(spatial)
         pruned_leaves = 0
-        contained: list[int] = []
-        boundary: list[_Node] = []
-        if self._nodes:
-            stack = [0]
-            while stack:
-                node_id = stack.pop()
-                node = self._nodes[node_id]
-                if node.n_rows == 0:
-                    continue
-                assert node.extent is not None
-                if not filter_tile_overlap(spatial, node.extent):
-                    pruned_leaves += node.leaf_count
-                    continue
-                if filter_tile_contained(spatial, node.extent):
-                    contained.append(node_id)
-                    continue
-                if node.is_leaf:
-                    boundary.append(node)
-                else:
-                    assert node.children is not None
-                    stack.extend(node.children)
+        contained: list[_Node] = []
+        boundary: list[int] = []
+        nodes = self._nodes
+        stack = [0] if nodes else []
+        while stack:
+            node_id = stack.pop()
+            node = nodes[node_id]
+            if node.start == node.end:
+                continue
+            if not overlaps(node.extent):
+                pruned_leaves += node.leaf_count
+            elif contains(node.extent):
+                contained.append(node)
+            elif node.children is None:
+                boundary.append(node_id)
+            else:
+                stack.extend(node.children)
 
         total = np.zeros(self.n_frames, dtype=float)
         stats = self.stats
         stats.queries += 1
         stats.tiles_pruned += pruned_leaves
-        stats.tiles_contained += sum(
-            self._nodes[node_id].leaf_count for node_id in contained
-        )
+        stats.tiles_contained += sum(node.leaf_count for node in contained)
         stats.tiles_boundary += len(boundary)
         stats.rows_total += len(self._frame_index)
 
         # Contained tiles: count summaries when the confidence cut
-        # matches; otherwise label/confidence masking without geometry.
+        # matches; otherwise the label's spans, masked by confidence only.
+        label = object_filter.label
         use_summaries = object_filter.confidence == self.summary_confidence
         summary_frames: list[np.ndarray] = []
         summary_counts: list[np.ndarray] = []
-        exact_rows: list[np.ndarray] = []
-        for node_id in contained:
-            node = self._nodes[node_id]
+        exact: list[_Span] = []
+        for node in contained:
+            leaf_spans = [
+                span
+                for leaf_id in node.leaves
+                if (span := self._spans.get((leaf_id, label))) is not None
+            ]
             if use_summaries:
-                for leaf_id in self._leaves_under(node_id):
-                    entry = self._summaries.get((leaf_id, object_filter.label))
-                    if entry is not None:
-                        summary_frames.append(entry[0])
-                        summary_counts.append(entry[1])
+                for _, _, summary in leaf_spans:
+                    if summary is not None:
+                        summary_frames.append(summary[0])
+                        summary_counts.append(summary[1])
                 stats.rows_summarized += node.n_rows
             else:
-                exact_rows.append(self._order[node.start : node.end])
+                exact += leaf_spans
         if summary_frames:
             total += np.bincount(
                 np.concatenate(summary_frames),
                 weights=np.concatenate(summary_counts),
                 minlength=self.n_frames,
             )
-        if exact_rows:
-            total += self._count_rows(
-                replace(object_filter, spatial=None), np.concatenate(exact_rows)
+        if exact:
+            total += self._count_spans(
+                replace(object_filter, label=None, spatial=None), exact
             )
 
-        # Boundary tiles: exact evaluation over their rows only.
-        if boundary:
-            rows = np.concatenate(
-                [self._order[node.start : node.end] for node in boundary]
-            )
-            stats.rows_scanned += len(rows)
-            total += self._count_rows(object_filter, rows)
+        # Boundary tiles: exact evaluation over the label's spans only.
+        scanned = [
+            span
+            for leaf_id in boundary
+            if (span := self._spans.get((leaf_id, label))) is not None
+        ]
+        if scanned:
+            stats.rows_scanned += sum(hi - lo for lo, hi, _ in scanned)
+            total += self._count_spans(replace(object_filter, label=None), scanned)
         return total
 
-    def _count_rows(self, object_filter: ObjectFilter, rows: np.ndarray) -> np.ndarray:
-        """Per-frame counts of the given rows that ``object_filter`` keeps."""
-        mask = object_filter.mask(
-            self._scores[rows], self._labels[rows], self._positions[rows]
-        )
-        return np.bincount(self._frame_index[rows][mask], minlength=self.n_frames)
-
-    def _leaves_under(self, node_id: int) -> list[int]:
-        """Leaf node ids in a subtree."""
-        leaves: list[int] = []
-        stack = [node_id]
-        while stack:
-            current_id = stack.pop()
-            current = self._nodes[current_id]
-            if current.is_leaf:
-                leaves.append(current_id)
-            else:
-                assert current.children is not None
-                stack.extend(current.children)
-        return leaves
+    def _count_spans(self, object_filter: ObjectFilter, spans: list[_Span]) -> np.ndarray:
+        """Per-frame counts of the rows in ``spans`` that ``object_filter`` keeps."""
+        columns = (self._frame_index, self._labels, self._positions, self._scores)
+        if len(spans) == 1:
+            lo, hi, _ = spans[0]
+            frames, labels, positions, scores = (column[lo:hi] for column in columns)
+        else:
+            frames, labels, positions, scores = (
+                np.concatenate([column[lo:hi] for lo, hi, _ in spans]) for column in columns
+            )
+        mask = object_filter.mask(scores, labels, positions)
+        return np.bincount(frames[mask], minlength=self.n_frames)
 
     # ------------------------------------------------------------------
     # Introspection

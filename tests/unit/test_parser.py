@@ -7,6 +7,7 @@ from repro.query import (
     QuerySyntaxError,
     RetrievalQuery,
     parse_query,
+    parse_scoped_query,
 )
 
 
@@ -99,3 +100,89 @@ class TestErrors:
     def test_error_mentions_position(self):
         with pytest.raises(QuerySyntaxError, match="position"):
             parse_query("SELECT FRAMES WHERE COUNT(Car) @@ 3")
+
+
+#: Malformed text -> the exact message, position included.  The lexer
+#: and the grammar may be rewritten; what a user reads may not move.
+ERROR_MESSAGES = [
+    (
+        "SELECT FRAMES WHERE COUNT(Car $) >= 1",
+        "unexpected character '$' at position 30",
+    ),
+    (
+        "  SELECT  FRAMES\tWHERE COUNT(Car) >= 1 @",
+        "unexpected character '@' at position 39",
+    ),
+    (
+        "SELECT MED OF\nCOUNT(Car) ;\n",
+        "unexpected character ';' at position 25",
+    ),
+    (
+        "SELECT FRAMES WHERE COUNT(Car) >= 1 extra",
+        "unexpected trailing input 'extra' at position 36",
+    ),
+    (
+        "SELECT FRAMES WHERE COUNT(Car) >= 1 IN SEQUENCE x",
+        "unexpected trailing input 'IN' at position 36",
+    ),
+    (
+        "SELECT FRAMES COUNT(Car) >= 1",
+        "expected 'WHERE' at position 14, got 'COUNT'",
+    ),
+    ("SELECT AVG COUNT(Car)", "expected 'OF' at position 11, got 'COUNT'"),
+    (
+        "SELECT FRAMES WHERE COUNT(Car",
+        "unexpected end of query: 'SELECT FRAMES WHERE COUNT(Car'",
+    ),
+    (
+        "SELECT FRAMES WHERE COUNT(Car TILE 0241) >= 1",
+        "tile path must be a non-empty string of quadrant digits 0-3, "
+        "got '0241' (at position 35)",
+    ),
+    (
+        "SELECT FRAMES WHERE COUNT(Car) 3",
+        "expected a comparison operator at position 31, got '3'",
+    ),
+    (
+        "SELECT FRAMES WHERE COUNT(Car DIST 10) >= 1",
+        "expected a comparison operator at position 35, got '10'",
+    ),
+    (
+        "SELECT FRAMES WHERE COUNT(5) >= 1",
+        "expected a label or '*' at position 26, got '5'",
+    ),
+    (
+        "SELECT MED OF COUNT(*) WITHIN REGION (1, 2, 3)",
+        "expected a number at position 45, got ')'",
+    ),
+]
+
+SCOPED_ERROR_MESSAGES = [
+    (
+        "SELECT FRAMES WHERE COUNT(Car) >= 1 IN SEQUENCE ''",
+        "empty sequence name at position 48",
+    ),
+    (
+        "SELECT FRAMES WHERE COUNT(Car) >= 1 IN SEQUENCE 7",
+        "expected a sequence name at position 48, got '7'",
+    ),
+]
+
+
+class TestErrorMessages:
+    @pytest.mark.parametrize("text, message", ERROR_MESSAGES)
+    def test_message_is_pinned(self, text, message):
+        with pytest.raises(QuerySyntaxError) as raised:
+            parse_query(text)
+        assert str(raised.value) == message
+
+    @pytest.mark.parametrize("text, message", SCOPED_ERROR_MESSAGES)
+    def test_scoped_message_is_pinned(self, text, message):
+        with pytest.raises(QuerySyntaxError) as raised:
+            parse_scoped_query(text)
+        assert str(raised.value) == message
+
+    def test_whitespace_around_tokens_is_skipped(self):
+        text = "SELECT MED OF COUNT(Car REGION -1 -2 3 4)"
+        spaced = "\t " + text.replace(" ", " \n\t").replace("(", " ( ") + " \r\n"
+        assert parse_query(spaced) == parse_query(text)

@@ -10,7 +10,7 @@ classification is sound, and a successor index is a fresh build of both.
 import numpy as np
 import pytest
 
-from repro.query.predicates import DEFAULT_CONFIDENCE, ObjectFilter
+from repro.query.predicates import DEFAULT_CONFIDENCE, ObjectFilter, SpatialPredicate
 from repro.query.spatial import (
     AllOf,
     RegionPredicate,
@@ -101,30 +101,62 @@ class TestBitIdentity:
             index.count_series(ObjectFilter("Car"))
 
 
+def tile_rows(frame_index, labels, positions, scores, *_):
+    """The rows of four columns as a sorted list of tuples (a multiset)."""
+    return sorted(
+        zip(
+            frame_index.tolist(),
+            labels.tolist(),
+            positions[:, 0].tolist(),
+            positions[:, 1].tolist(),
+            scores.tolist(),
+        )
+    )
+
+
+def leaf_nodes(index):
+    return [(node_id, node) for node_id, node in enumerate(index._nodes) if node.is_leaf]
+
+
 class TestStructure:
     def test_leaves_partition_rows(self):
         columns = make_columns()
         index = build(columns, leaf_capacity=16, max_depth=8)
-        spans = [
-            (node.start, node.end) for node in index._nodes if node.is_leaf
-        ]
-        covered = np.concatenate(
-            [index._order[start:end] for start, end in spans]
-        )
-        assert sorted(covered.tolist()) == list(range(len(columns[0])))
+        spans = sorted((node.start, node.end) for _, node in leaf_nodes(index))
+        assert spans[0][0] == 0 and spans[-1][1] == len(columns[0])
+        assert all(end == start for (_, end), (start, _) in zip(spans, spans[1:]))
         assert index.n_leaves == len(spans)
+        # The tile-ordered columns hold every input row exactly once.
+        tiled = (index._frame_index, index._labels, index._positions, index._scores)
+        assert tile_rows(*tiled) == tile_rows(*columns)
+
+    def test_each_leaf_is_grouped_by_label(self):
+        columns = make_columns()
+        index = build(columns, leaf_capacity=16, max_depth=8)
+        for node_id, node in leaf_nodes(index):
+            if not node.n_rows:
+                continue
+            present = set(index._labels[node.start : node.end].tolist())
+            assert {label for leaf, label in index._spans if leaf == node_id} == present | {None}
+            assert index._spans[(node_id, None)][:2] == (node.start, node.end)
+            # One contiguous span per label present, tiling the leaf.
+            spans = sorted(index._spans[(node_id, label)][:2] for label in present)
+            assert [lo for lo, _ in spans] == [node.start] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == node.end
+            for label in present:
+                lo, hi, _ = index._spans[(node_id, label)]
+                assert set(index._labels[lo:hi].tolist()) == {label}
 
     def test_leaf_extents_are_tight(self):
         columns = make_columns()
-        positions = columns[2]
         index = build(columns, leaf_capacity=16)
         for node in index._nodes:
             if not node.is_leaf or node.n_rows == 0:
                 continue
-            rows = index._order[node.start : node.end]
+            positions = index._positions[node.start : node.end]
             assert node.extent is not None
-            assert node.extent.x_min == positions[rows, 0].min()
-            assert node.extent.y_max == positions[rows, 1].max()
+            assert node.extent.x_min == positions[:, 0].min()
+            assert node.extent.y_max == positions[:, 1].max()
 
     def test_validation(self):
         columns = make_columns(n=10)
@@ -184,6 +216,65 @@ class TestPruningStats:
         assert snapshot["version"] == 0
 
 
+def boundary_leaves(index, spatial):
+    """Non-empty leaves a region overlaps without containing them."""
+    return [
+        node
+        for _, node in leaf_nodes(index)
+        if node.n_rows
+        and spatial.tile_bounds_overlap(node.extent)
+        and not spatial.tile_bounds_contained(node.extent)
+    ]
+
+
+class TestLabelSpans:
+    """A boundary leaf is read through the asked label's span only."""
+
+    REGION = RegionPredicate(-23, -17, 29, 31)
+
+    @pytest.mark.parametrize("label", ["Car", "Pedestrian", "Cyclist"])
+    def test_rows_scanned_are_the_labels_rows_in_boundary_leaves(self, label):
+        columns = make_columns()
+        index = build(columns, leaf_capacity=16, max_depth=8)
+        object_filter = ObjectFilter(label, self.REGION)
+        assert np.array_equal(
+            index.count_series(object_filter), brute_force(columns, object_filter)
+        )
+        boundary = boundary_leaves(index, self.REGION)
+        assert boundary and index.stats.tiles_boundary == len(boundary)
+        want = sum(
+            int((index._labels[node.start : node.end] == label).sum()) for node in boundary
+        )
+        assert 0 < index.stats.rows_scanned == want < sum(node.n_rows for node in boundary)
+
+    def test_a_label_absent_from_the_boundary_scans_nothing(self):
+        frame_index, labels, positions, scores, n_frames = make_columns()
+        # Cyclists only far from the region: none in a boundary leaf.
+        labels = np.where(labels == "Cyclist", "Car", labels)
+        far = np.arange(0, len(labels), 10)
+        labels[far] = "Cyclist"
+        positions[far] = [70.0, 70.0]
+        columns = (frame_index, labels, positions, scores, n_frames)
+        index = build(columns, leaf_capacity=16, max_depth=8)
+        for label in ("Cyclist", "Truck"):
+            object_filter = ObjectFilter(label, self.REGION)
+            assert np.array_equal(
+                index.count_series(object_filter), brute_force(columns, object_filter)
+            )
+        assert index.stats.tiles_boundary > 0
+        assert index.stats.rows_scanned == 0
+
+    def test_any_label_scans_whole_boundary_leaves(self):
+        columns = make_columns()
+        index = build(columns, leaf_capacity=16, max_depth=8)
+        object_filter = ObjectFilter(None, self.REGION)
+        assert np.array_equal(
+            index.count_series(object_filter), brute_force(columns, object_filter)
+        )
+        boundary = boundary_leaves(index, self.REGION)
+        assert index.stats.rows_scanned == sum(node.n_rows for node in boundary) > 0
+
+
 def extend_columns(columns, extra_n, extra_frames, seed=99):
     """Append rows for new frames past the current maximum (extend shape)."""
     frame_index, labels, positions, scores, n_frames = columns
@@ -220,8 +311,9 @@ class TestIncrementalUpdate:
         successor = index.updated(*grown)
         fresh = build(grown, leaf_capacity=32, max_depth=6, summary_confidence=0.7)
         assert successor._nodes == fresh._nodes
-        assert np.array_equal(successor._order, fresh._order)
-        assert successor._summaries.keys() == fresh._summaries.keys()
+        for column in ("_frame_index", "_labels", "_positions", "_scores"):
+            assert np.array_equal(getattr(successor, column), getattr(fresh, column))
+        assert successor._spans.keys() == fresh._spans.keys()
         assert (successor.version, fresh.version) == (1, 0)
 
     def test_chained_updates(self):
@@ -432,6 +524,35 @@ class TestFirstUseBuild:
         assert np.array_equal(eager.index.count_series(REGION_FILTER), want)
         assert np.array_equal(lazy.index.count_series(REGION_FILTER), want)
         assert lazy.index.spatial_index.version == 0
+
+
+def test_a_region_only_request_makes_no_flat_scan(drive, detector, monkeypatch):
+    """Every series of a region-only request comes from the tiles: the
+    flat kernel is not called, not even with an empty filter list."""
+    from repro.query import parse_query
+    from repro.query.predicates import ObjectRows
+
+    pipeline = fitted(drive, detector)
+    pipeline.query(REGION_TEXT)  # builds the tiles
+    scans = []
+    real = ObjectRows.count_series
+
+    def counting(self, filters, n_frames, *, start=0):
+        filters = list(filters)
+        scans.append(filters)
+        return real(self, filters, n_frames, start=start)
+
+    monkeypatch.setattr(ObjectRows, "count_series", counting)
+    text = REGION_TEXT.replace("COUNT(Car) >= 1", "COUNT(Pedestrian) >= 1")
+    assert pipeline.route(parse_query(text)) == "st"
+    pipeline.query(text)
+    pipeline.index.count_series_many(REGION_FILTERS)
+    assert scans == []
+    # A distance cut beside a region still scans flat, once.
+    pipeline.index.count_series_many(
+        [REGION_FILTER, ObjectFilter("Car", SpatialPredicate("<=", 20.0))]
+    )
+    assert len(scans) == 1
 
 
 #: Region-shaped filters of every predicate kind the tiles answer.

@@ -156,8 +156,12 @@ class MASTIndex:
         changed, plus the tail: after a one-frame ``extend``, the ones
         past the invalidation boundary.  A build with no ``previous`` is
         the same code with nothing to reuse, and lays the rows out
-        identically.  If the prior index had built its tiles, the new
-        index is built with tiles too
+        identically.  The ledger is charged
+        :data:`SIMULATED_INDEX_COST_PER_FRAME` for each frame whose rows
+        the build made, not for the frames whose rows it reused: a
+        from-scratch build pays for every frame, a rebuild for its new
+        gaps, samples and tail.  If the prior index had built its tiles,
+        the new index is built with tiles too
         (:meth:`~repro.spatial.SpatialTileIndex.updated`), on the
         caller's thread, so no reader pays for a build after the first
         one.
@@ -177,12 +181,6 @@ class MASTIndex:
                 prior = None
 
         with ledger.measure(STAGE_INDEX):
-            ledger.charge(
-                STAGE_INDEX,
-                SIMULATED_INDEX_COST_PER_FRAME * result.n_frames,
-                count=0,
-            )
-
             def analyse(start: int, end: int) -> MotionEstimate:
                 return analyze_pair_once(
                     engine,
@@ -208,6 +206,7 @@ class MASTIndex:
             # frames held at their own position is the shared prefix.
             held = [-1] * len(ids)
             first = 0
+            reused_frames = 0  # frames whose rows come from the prior index
             prior_rows: list[list[int]] = []
             prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
             if prior is not None:
@@ -225,6 +224,7 @@ class MASTIndex:
                 if first:
                     sample_rows[:first] = prior._sample_rows[:first]
                     layout.reuse(0, prior_rows[first - 1][1])
+                    reused_frames += ids[first - 1] - ids[0] + 1
                     # Prior estimates are in sample order: the prefix's
                     # gaps are its first ones.
                     inner = int(np.count_nonzero(np.diff(sampled[:first]) > 1))
@@ -255,6 +255,7 @@ class MASTIndex:
                     if held[i - 1] >= 0 and held[i] == held[i - 1] + 1:
                         estimates[gap] = prior_estimates[gap]
                         layout.reuse(prior_rows[held[i - 1]][1], prior_rows[held[i]][0])
+                        reused_frames += frame_id - ids[i - 1] - 1
                     else:
                         estimates[gap] = analyse(*gap)
                         interior = np.arange(gap[0] + 1, frame_id, dtype=np.int64)
@@ -262,6 +263,7 @@ class MASTIndex:
                 lo = layout.n_rows
                 if held[i] >= 0:
                     layout.reuse(*prior_rows[held[i]])
+                    reused_frames += 1
                 else:
                     fresh_hi = next(fresh_ends)
                     layout.add(fresh_rows.span(fresh_lo, fresh_hi))
@@ -280,6 +282,11 @@ class MASTIndex:
                 layout.add(
                     predict(tail, np.arange(last + 1, result.n_frames, dtype=np.int64))
                 )
+            ledger.charge(
+                STAGE_INDEX,
+                SIMULATED_INDEX_COST_PER_FRAME * (result.n_frames - reused_frames),
+                count=0,
+            )
         rows = layout.rows()
 
         spatial_index = None

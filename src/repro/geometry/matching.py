@@ -14,11 +14,12 @@ bounding boxes.  This module provides:
 * :func:`match_with_threshold` — the same pairs plus the unmatched rows
   and columns.
 
-The algorithm grows, for each row in turn, an alternating tree of
-matched columns until it reaches a free column: every step scans the
-columns outside the tree for the smallest reduced cost, shifts the dual
-potentials by it, and adds that column.  The scan is the hot loop, and
-the two matrix scales the system sees want it written differently (see
+The algorithm is the shortest-augmenting-path form of Jonker and
+Volgenant: for each row in turn it grows a tree of matched columns, in
+the order of their shortest path length from the row, until it reaches a
+free column, and only then moves the dual potentials, once for the
+whole tree.  Growing the tree is the hot loop, and the two matrix scales
+the system sees want it written differently (see
 ``docs/performance.md``): vehicle-scale scenes produce thousands of
 matrices a few columns wide, where any numpy call costs more than the
 whole scan, and city-scale scenes a few matrices ~200 columns wide, where
@@ -37,10 +38,10 @@ __all__ = ["hungarian", "match_pairs", "match_with_threshold"]
 
 #: Matrices with at least this many columns (after transposition to
 #: rows <= columns) scan with whole-row numpy operations.  The measured
-#: cross-over on Euclidean-distance costs is ~64 columns; the captured
+#: cross-over on Euclidean-distance costs is 36-40 columns; the captured
 #: vehicle-scale matrices are at most 47 wide, the city-scale ones that
 #: matter 180-203.
-WIDE_SCAN_MIN_COLUMNS = 64
+WIDE_SCAN_MIN_COLUMNS = 40
 
 _INF = float("inf")
 
@@ -86,12 +87,22 @@ def hungarian(cost: np.ndarray) -> list[tuple[int, int]]:
     return sorted((row, col) for col, row in enumerate(row_of) if row >= 0)
 
 
-# Both kernels below are the potentials formulation after the classic
-# e-maxx/CP presentation, 0-indexed with -1 for its virtual root column:
-# u/v are the dual potentials, row_of[j] the row matched to column j (-1
-# = free), way[j] the predecessor column on the alternating path, minv[j]
-# the smallest reduced cost seen from the tree to column j.  For
-# 2 <= n <= m they return row_of.
+# Both kernels below are the shortest-augmenting-path (Dijkstra) form of
+# the potentials formulation (Jonker & Volgenant, Computing 38, 1987),
+# 0-indexed with -1 for the virtual root column.  u/v are the dual
+# potentials, row_of[j] the row matched to column j (-1 = free), way[j]
+# the predecessor column on the alternating path (the narrow scan's
+# record of it; the wide scan recomputes it), d[j] the length of the
+# shortest path found so far from row i to column j, in absolute terms
+# (reduced costs under the duals as they stood when row i began).  The
+# duals stay fixed while the tree grows: a row that joins the tree at
+# path length dist relaxes d[j] = (c[i0][j] - v[j]) + (dist - u[i0]) over
+# the columns outside the tree, and the column with the smallest d joins
+# next (the first one on ties; way changes only on a strict improvement).
+# The scan stops at the first free column it reaches.  Only then do the
+# duals move, once per row: u[i] += dist and, for each tree column j,
+# u[row_of[j]] += dist - d[j], v[j] -= dist - d[j].  For 2 <= n <= m they
+# return row_of.
 
 
 def _assign_narrow(rows: list[list[float]], n: int, m: int) -> list[int]:
@@ -101,37 +112,36 @@ def _assign_narrow(rows: list[list[float]], n: int, m: int) -> list[int]:
     row_of = [-1] * m
     way = [-1] * m
     for i in range(n):
-        minv = [_INF] * m
+        d = [_INF] * m
         free = list(range(m))  # columns outside the tree, ascending
         tree_cols: list[int] = []
-        i0, j0 = i, -1
+        i0, j0, dist = i, -1, 0.0
         while True:
             row = rows[i0]
-            u_i0 = u[i0]
-            delta = _INF
+            offset = dist - u[i0]
+            dist = _INF
             j1 = -1
             for j in free:
-                cur = row[j] - u_i0 - v[j]
-                if cur < minv[j]:
-                    minv[j] = cur
+                cur = row[j] - v[j] + offset
+                if cur < d[j]:
+                    d[j] = cur
                     way[j] = j0
                 else:
-                    cur = minv[j]
-                if cur < delta:
-                    delta = cur
+                    cur = d[j]
+                if cur < dist:
+                    dist = cur
                     j1 = j
-            u[i] += delta
-            for j in tree_cols:
-                u[row_of[j]] += delta
-                v[j] -= delta
             free.remove(j1)
             j0 = j1
             i0 = row_of[j0]
             if i0 < 0:
                 break
-            for j in free:
-                minv[j] -= delta
             tree_cols.append(j0)
+        u[i] += dist
+        for j in tree_cols:
+            delta = dist - d[j]
+            u[row_of[j]] += delta
+            v[j] -= delta
         while j0 >= 0:
             j1 = way[j0]
             row_of[j0] = row_of[j1] if j1 >= 0 else i
@@ -141,52 +151,61 @@ def _assign_narrow(rows: list[list[float]], n: int, m: int) -> list[int]:
 
 def _assign_wide(cost: np.ndarray, n: int, m: int) -> list[int]:
     """The assignment of ``cost``, each scan as whole-row numpy operations."""
-    u = np.zeros(n)
+    u = [0.0] * n
     v = np.zeros(m)
     row_of = [-1] * m
-    way = np.empty(m, dtype=np.intp)
-    minv = np.empty(m)
+    d = np.empty(m)
     reduced = np.empty(m)
-    improved = np.empty(m, dtype=bool)
-    tree_rows = np.empty(n, dtype=np.intp)
-    tree_cols = np.empty(n, dtype=np.intp)
-    tree_v = np.empty(n)  # v of the tree's columns, written back per row
     for i in range(n):
-        minv.fill(_INF)
+        d.fill(_INF)
         # A column's entry turns -inf when it joins the tree, so its
-        # reduced cost reads +inf: it never improves and, with its minv
-        # at +inf too, never wins the argmin.  v of a column outside the
-        # tree does not change while the tree grows.
+        # reduced cost reads +inf: with its d at +inf too, it never wins
+        # the argmin again.
         v_outside = v.copy()
-        tree_rows[0] = i
-        size = 0  # columns in the tree; rows in the tree = size + 1
-        i0, j0 = i, -1
+        tree_rows = [i]
+        offsets: list[float] = []  # dist - u[i0] of each tree row's scan
+        tree_cols: list[int] = []
+        joined: list[float] = []  # d of each tree column as it joined
+        i0, dist = i, 0.0
         while True:
-            np.subtract(cost[i0], u[i0], out=reduced)
-            np.subtract(reduced, v_outside, out=reduced)
-            np.less(reduced, minv, out=improved)
-            np.copyto(minv, reduced, where=improved)
-            np.copyto(way, j0, where=improved)
-            j1 = int(minv.argmin())  # first minimum, as the narrow scan
-            delta = minv[j1]
-            u[tree_rows[: size + 1]] += delta
-            tree_v[:size] -= delta
-            j0 = j1
+            offset = dist - u[i0]
+            offsets.append(offset)
+            np.subtract(cost[i0], v_outside, out=reduced)
+            np.add(reduced, offset, out=reduced)
+            np.minimum(d, reduced, out=d)
+            j0 = int(d.argmin())  # first minimum, as the narrow scan
+            dist = float(d[j0])
             i0 = row_of[j0]
             if i0 < 0:
                 break
-            minv -= delta
-            minv[j0] = _INF
+            d[j0] = _INF
             v_outside[j0] = -_INF
-            tree_cols[size] = j0
-            tree_v[size] = v[j0]
-            size += 1
-            tree_rows[size] = i0
-        v[tree_cols[:size]] = tree_v[:size]
-        while j0 >= 0:
-            j1 = int(way[j0])
-            row_of[j0] = row_of[j1] if j1 >= 0 else i
-            j0 = j1
+            tree_rows.append(i0)
+            tree_cols.append(j0)
+            joined.append(dist)
+        # No way array: a column's predecessor is the first tree row whose
+        # scan reached it at its final d (the step the narrow scan records
+        # in way), recomputed with the scan's arithmetic before v moves.
+        # The first ``steps`` tree rows scanned while j0 was outside.
+        steps = len(tree_rows)
+        if steps > 1:
+            at_rows = np.array(tree_rows)
+            at_offsets = np.array(offsets)
+        while steps > 1:
+            reach = cost[at_rows[:steps], j0] - v[j0]
+            reach += at_offsets[:steps]
+            k = int(reach.argmin())
+            if k == 0:
+                break
+            pred = tree_cols[k - 1]
+            row_of[j0] = row_of[pred]
+            j0, steps = pred, k
+        row_of[j0] = i
+        u[i] += dist
+        for j, row, at in zip(tree_cols, tree_rows[1:], joined):
+            delta = dist - at
+            u[row] += delta
+            v[j] -= delta
     return row_of
 
 

@@ -103,12 +103,18 @@ def test_both_scans_return_the_same_assignment(n, extra, seed, integer_costs):
 
 
 def test_city_scale_euclidean_instances_equal_scipy():
-    """The city regime: a few 150-250-wide rectangular distance matrices."""
+    """The city regime: a few 150-250-wide rectangular distance matrices,
+    on which the two scans also agree with each other."""
     for seed, (n, m) in enumerate([(183, 185), (203, 192), (150, 250), (241, 160)]):
         cost = euclidean_costs(n, m, seed)
         pairs = hungarian(cost)
         assert pairs == scipy_pairs(cost)
         assert sorted((i, j) for j, i in hungarian(cost.T)) == pairs
+        oriented = cost.T if n > m else cost
+        rows, cols = oriented.shape
+        assert matching._assign_narrow(oriented.tolist(), rows, cols) == matching._assign_wide(
+            np.ascontiguousarray(oriented), rows, cols
+        )
 
 
 @given(cost_matrices)

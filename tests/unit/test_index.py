@@ -9,6 +9,7 @@ from repro.core import (
     MASTConfig,
     MASTIndex,
 )
+from repro.core.index import SIMULATED_INDEX_COST_PER_FRAME
 from repro.core.stpc import analyze_pair
 from repro.query import ObjectFilter, SpatialPredicate
 from repro.utils.timing import STAGE_INDEX
@@ -285,6 +286,52 @@ def _gaps(sampling):
         for a, b in zip(ids[:-1], ids[1:])
         if b - a > 1
     ]
+
+
+class TestIndexBill:
+    """A build bills ``SIMULATED_INDEX_COST_PER_FRAME`` for each frame
+    whose rows it made, not for the rows it reused."""
+
+    def test_a_fresh_fit_bills_every_frame(self, detector):
+        from repro.core import MASTPipeline
+        from repro.simulation import semantickitti_like
+
+        full = semantickitti_like(0, n_frames=241, with_points=False)
+        pipe = MASTPipeline(MASTConfig(seed=4)).fit(full, detector)
+        assert pipe.ledger.simulated[STAGE_INDEX] == SIMULATED_INDEX_COST_PER_FRAME * 241
+
+    def test_a_one_frame_extend_bills_only_the_frames_it_rebuilt(
+        self, detector, monkeypatch
+    ):
+        from repro.core import MASTPipeline
+        from repro.core.stpc import MotionEstimate
+        from repro.serving import QueryService
+        from repro.simulation import semantickitti_like
+
+        full = semantickitti_like(0, n_frames=244, with_points=False)
+        pipe = MASTPipeline(MASTConfig(seed=4)).fit(
+            full.head(240, name=full.name), detector
+        )
+        service = QueryService(pipe)
+        predicted = []  # frames each gap or tail prediction covers
+        real = MotionEstimate.predict_flat
+        monkeypatch.setattr(
+            MotionEstimate,
+            "predict_flat",
+            lambda self, timestamps: predicted.append(len(timestamps)) or real(self, timestamps),
+        )
+        for frame_id in range(240, 244):
+            last_sample = int(pipe.sampling_result.sampled_ids[-1])
+            before = pipe.ledger.simulated[STAGE_INDEX]
+            predicted.clear()
+            service.extend([full[frame_id]])
+            # The rebuilt frames: the predicted ones, plus the new frame if
+            # it was sampled.  Up to the prior index's last sample, every
+            # frame's rows are reused.
+            rebuilt = sum(predicted) + int(frame_id in pipe.sampling_result.sampled_ids)
+            assert rebuilt == frame_id - last_sample
+            bill = pipe.ledger.simulated[STAGE_INDEX] - before
+            assert bill == pytest.approx(SIMULATED_INDEX_COST_PER_FRAME * rebuilt)
 
 
 def _assert_same_objects(got, want):

@@ -13,6 +13,15 @@ def optimal_cost(cost):
 
 
 _BLOCK = [[1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]]
+# 20 optimal assignments; the scans' trees grow five columns deep: one
+# row's augmenting path displaces four earlier rows.
+_CHAIN = [
+    [0, 2, 1, 0, 2, 0],
+    [0, 0, 0, 0, 2, 0],
+    [2, 0, 1, 0, 0, 0],
+    [0, 1, 0, 1, 1, 1],
+    [2, 1, 1, 0, 2, 0],
+]
 
 #: Tie-heavy matrices, each with several optimal assignments, and the one
 #: the scan's first-minimum rule picks.
@@ -24,9 +33,20 @@ TIE_PINS = [
     ([[0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 0, 0], [1, 0, 1]], [(0, 2), (1, 1), (2, 0)]),
     # 0.0 and -0.0 tie
     ([[1, -0.0, 0.0, -0.0], [-0.0, 0.0, 1, 0.0], [0.0, 1, -0.0, -0.0]], [(0, 1), (1, 0), (2, 2)]),
-    # one block on both sides of WIDE_SCAN_MIN_COLUMNS: 60 and 68 columns
+    # one block repeated to 60 and 68 columns
     (np.tile(_BLOCK, (1, 15)), [(0, 3), (1, 0), (2, 2), (3, 1)]),
     (np.tile(_BLOCK, (1, 17)), [(0, 3), (1, 0), (2, 2), (3, 1)]),
+    # trees three or more columns deep on both sides of the cut-over: 6
+    # columns, repeated to 66, and after 150 columns of ones that tie
+    # with the chain's own
+    (_CHAIN, [(0, 0), (1, 1), (2, 4), (3, 2), (4, 3)]),
+    (np.tile(_CHAIN, (1, 11)), [(0, 0), (1, 1), (2, 4), (3, 2), (4, 3)]),
+    (np.hstack([np.ones((5, 150)), _CHAIN]), [(0, 150), (1, 151), (2, 154), (3, 152), (4, 153)]),
+    # tall, 32 optimal assignments, trees four columns deep
+    (
+        [[1, 1, 1, 1], [2, 0, 0, 2], [0, 2, 0, 1], [2, 0, 2, 0], [0, 1, 1, 2], [0, 0, 0, 2], [0, 0, 1, 0]],
+        [(1, 1), (2, 2), (3, 3), (4, 0)],
+    ),
 ]
 
 

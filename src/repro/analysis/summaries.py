@@ -10,8 +10,9 @@ produces a :class:`FunctionSummary` recording
 * every **call site** that resolves to another project function, with
   the locks held at the call;
 * every **blocking operation** (pipe ``send``/``recv``/``poll``,
-  ``Future.result``, ``queue.get/put``, ``time.sleep``, subprocess,
-  file I/O, …) with the locks held when it runs.
+  ``Future.result``, ``queue.get/put``, ``time.sleep``,
+  ``os.sched_yield``, subprocess, file I/O, …) with the locks held when
+  it runs.
 
 Locks have whole-program identity (:class:`LockId` — owning class +
 attribute), seeded by the ``# guarded-by:`` registries RPR003 already
@@ -83,6 +84,7 @@ _FUTURE_FACTORIES = {
 #: attribute underneath.
 _BLOCKING_QUALIFIED: dict[str, str] = {
     "time.sleep": "sleep",
+    "os.sched_yield": "sleep",
     "os.system": "subprocess",
     "os.popen": "subprocess",
     "select.select": "pipe",

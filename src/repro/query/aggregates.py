@@ -34,12 +34,28 @@ __all__ = [
 AggregateFn = Callable[[np.ndarray, CountPredicate | None], float]
 
 
+# ``Avg`` and ``Med`` run numpy's own arithmetic without the ``np.mean`` /
+# ``np.median`` wrappers, whose fixed cost is most of a short series'
+# answer, and give their bytes: ``np.mean`` is ``add.reduce`` over the
+# count, and ``np.median`` is one ``partition`` at the middle index or
+# indices plus ``-1`` (NaNs sort last), then the mean of the middle
+# slice, or the last element if it is NaN.  Taking the mean of a
+# one-element slice, not the element, is what turns ``-0.0`` into
+# ``0.0`` as ``np.median`` does (``tests/unit/test_aggregate_bytes.py``).
 def _avg(counts: np.ndarray, _pred: CountPredicate | None) -> float:
-    return float(np.mean(counts))
+    return float(np.add.reduce(counts) / counts.size)
 
 
 def _med(counts: np.ndarray, _pred: CountPredicate | None) -> float:
-    return float(np.median(counts))
+    n = counts.size
+    half = n // 2
+    kth = [half, -1] if n % 2 else [half - 1, half, -1]
+    part = np.partition(counts, kth)
+    last = part[-1]
+    if last != last:
+        return float(last)
+    middle = part[half - 1 + n % 2 : half + 1]
+    return float(np.add.reduce(middle) / middle.size)
 
 
 def _min(counts: np.ndarray, _pred: CountPredicate | None) -> float:

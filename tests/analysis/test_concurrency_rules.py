@@ -150,6 +150,31 @@ def test_rpr010_positive_direct():
     assert "Box._lock" in finding.message
 
 
+def test_rpr010_positive_scheduling_point():
+    """``os.sched_yield`` hands the GIL over like ``time.sleep(0)``; under
+    a held lock every other client waits on the lock instead."""
+    report = run_rule(
+        "RPR010",
+        """
+        import os
+        import threading
+
+        class Box:
+            def __init__(self):
+                self._lock = threading.Lock()
+
+            def turn(self):
+                with self._lock:
+                    os.sched_yield()
+        """,
+    )
+    assert len(report.findings) == 1
+    finding = report.findings[0]
+    assert finding.code == "RPR010"
+    assert "os.sched_yield" in finding.message
+    assert "Box._lock" in finding.message
+
+
 def test_rpr010_positive_interprocedural():
     report = run_rule(
         "RPR010",

@@ -56,10 +56,11 @@ def config():
 
 @pytest.fixture()
 def yields(monkeypatch):
-    """Arguments of every ``time.sleep`` a test makes (the serving
-    layer's per-request scheduling point is ``time.sleep(0)``)."""
-    calls: list[float] = []
-    monkeypatch.setattr("time.sleep", calls.append)
+    """Arguments of every ``os.sched_yield`` a test makes, one ``()`` a
+    call (the serving layer's per-request scheduling point is
+    ``os.sched_yield()``)."""
+    calls: list[tuple] = []
+    monkeypatch.setattr("os.sched_yield", lambda *args: calls.append(args))
     return calls
 
 

@@ -138,16 +138,16 @@ def test_one_scheduling_point_per_request_not_per_shard(
             assert len(service.names) == 2
             texts = _workload(service.names)
             service.execute_batch(texts)  # every shard answers a sub-batch
-            assert yields == [0]
+            assert yields == [()]
             service.execute(texts[0])  # fan-out: one execute per shard
-            assert yields == [0, 0]
+            assert yields == [(), ()]
             service.execute_many(texts[:4])
-            assert yields == [0, 0, 0]
+            assert yields == [(), (), ()]
             with pytest.raises(ValueError, match="unknown sequence"):
                 service.execute_batch([f"{texts[0]} IN SEQUENCE nope"])
-            assert yields == [0, 0, 0, 0]
+            assert yields == [(), (), (), ()]
             service.execute_batch(texts)  # the failed request unwound its nesting
-            assert yields == [0, 0, 0, 0, 0]
+            assert yields == [(), (), (), (), ()]
 
 
 def test_streaming_request_is_one_turn(config, model, yields):
@@ -159,16 +159,16 @@ def test_streaming_request_is_one_turn(config, model, yields):
     with StreamingCorpusService(source, model, config, replan_every=4) as stream:
         texts = _workload(stream.names)
         stream.execute_batch(texts)
-        assert yields == [0]
+        assert yields == [()]
         stream.execute(texts[0])
-        assert yields == [0, 0]
+        assert yields == [(), ()]
         # Standing queries run inside a re-plan epoch, outside any
         # request: each is its own outermost call on the pump thread.
         stream.register_standing(texts[1])
         del yields[:]
         stream.quiesce()
         assert stream.epochs > 0
-        assert yields == [0] * stream.epochs
+        assert yields == [()] * stream.epochs
 
 
 def test_memoized_texts_answer_from_the_new_epoch(catalog, config, model):

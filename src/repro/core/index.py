@@ -35,9 +35,10 @@ from itertools import islice
 
 import numpy as np
 
+from repro.core import stpc
 from repro.core.config import MASTConfig
 from repro.core.sampler import SamplingResult
-from repro.core.stpc import MotionEstimate, analyze_pair_once
+from repro.core.stpc import MotionEstimate
 from repro.data.annotations import ObjectArray
 from repro.inference import InferenceEngine
 from repro.query.predicates import ObjectFilter, ObjectRows, SpatialPredicate
@@ -138,11 +139,14 @@ class MASTIndex:
         extrapolated by the last gap's estimate, with its confidence
         factors clamped.
 
-        ``engine`` is the one that served ``result``'s detections: each
-        gap's estimate comes through its motion memo
-        (:func:`~repro.core.stpc.analyze_pair_once`), so a gap the
-        sampler or an earlier build already analysed is not analysed
-        again (without an engine every gap is).  ``previous`` hands over
+        Every gap the build does not reuse, and the tail, is analysed
+        and predicted in one batch (:func:`~repro.core.stpc.analyze_pairs`,
+        :func:`~repro.core.stpc.predict_gaps`), with rows byte-identical
+        to one gap at a time.  ``engine`` is the one that served
+        ``result``'s detections: each gap's estimate comes through its
+        motion memo (:func:`~repro.core.stpc.analyze_pairs_once`), so a
+        gap the sampler or an earlier build already analysed is not
+        analysed again (without an engine every gap is).  ``previous`` hands over
         the prior index.  When both indexes agree on every shared
         frame's timestamp and on the matching gate, each sampled frame
         whose detections are the very object the prior index holds keeps
@@ -181,22 +185,6 @@ class MASTIndex:
                 prior = None
 
         with ledger.measure(STAGE_INDEX):
-            def analyse(start: int, end: int) -> MotionEstimate:
-                return analyze_pair_once(
-                    engine,
-                    detections[start],
-                    detections[end],
-                    timestamps[start],
-                    timestamps[end],
-                    max_distance=gate,
-                )
-
-            def predict(estimate: MotionEstimate, frames: np.ndarray) -> ObjectRows:
-                local_idx, labels, positions, scores = estimate.predict_flat(
-                    timestamps[frames]
-                )
-                return ObjectRows(frames[local_idx], labels, positions, scores)
-
             ids = sampled.tolist()
             layout = _Layout(prior._rows if prior is not None else None)
             sample_rows = np.empty((len(ids), 2), dtype=np.int64)
@@ -239,6 +227,56 @@ class MASTIndex:
                     ):
                         held[i] = position
 
+            # The gaps after the shared prefix that the prior index does
+            # not hold between the same two samples: their rows are new.
+            new_gaps = {
+                i: (ids[i - 1], ids[i])
+                for i in range(max(first, 1), len(ids))
+                if ids[i] - ids[i - 1] > 1
+                and not (held[i - 1] >= 0 and held[i] == held[i - 1] + 1)
+            }
+            # A live sequence's newest frames may follow its last sample:
+            # the last gap's motion extrapolates them.  A batch sampling
+            # always holds the last frame, so it has no tail.
+            tail_gap = None
+            if len(ids) >= 2 and ids[-1] < result.n_frames - 1:
+                tail_gap = (ids[-2], ids[-1])
+            # Alg. 3 lines 2-6 over every new gap at once: one ST-PC
+            # batch for the estimates nobody holds (the tail's too, when
+            # its two samples are adjacent), one for their rows.
+            pending = list(new_gaps.values())
+            if tail_gap is not None and tail_gap[1] - tail_gap[0] == 1:
+                pending.append(tail_gap)
+            analysed = dict(
+                zip(
+                    pending,
+                    stpc.analyze_pairs_once(
+                        engine,
+                        [
+                            (detections[a], detections[b], timestamps[a], timestamps[b])
+                            for a, b in pending
+                        ],
+                        max_distance=gate,
+                    ),
+                )
+            )
+            tail = None
+            if tail_gap is not None:
+                tail = analysed.get(tail_gap, estimates.get(tail_gap))
+                if tail is None:  # the last gap, held by the prior index
+                    tail = prior_estimates[tail_gap]
+            predicted = [analysed[gap] for gap in new_gaps.values()]
+            frames = [np.arange(a + 1, b, dtype=np.int64) for a, b in new_gaps.values()]
+            if tail is not None:
+                predicted.append(tail)
+                frames.append(np.arange(ids[-1] + 1, result.n_frames, dtype=np.int64))
+            ends, time_index, labels, xy, scores = stpc.predict_gaps(
+                predicted, [timestamps[f] for f in frames]
+            )
+            frame_index = np.concatenate([np.zeros(0, dtype=np.int64), *frames])[time_index]
+            new_rows = ObjectRows(frame_index, labels, xy, scores)
+            spans = iter(zip([0, *ends], ends))
+
             # The sampled frames the prior index does not hold, flattened
             # at once; ``fresh_ends`` delimits each frame's rows.
             fresh = [frame_id for frame_id, at in zip(ids, held) if at < 0]
@@ -246,20 +284,19 @@ class MASTIndex:
             fresh_ends = iter(np.cumsum([len(detections[f]) for f in fresh]).tolist())
             fresh_lo = 0
 
-            # Alg. 3 lines 2-6 from the first sample the prior index does
-            # not hold: each gap's ST-PC prediction, then the next sample.
+            # From the first sample the prior index does not hold on:
+            # each gap's rows, then the next sample's.
             for i in range(first, len(ids)):
                 frame_id = ids[i]
                 if i > 0 and frame_id - ids[i - 1] > 1:
                     gap = (ids[i - 1], frame_id)
-                    if held[i - 1] >= 0 and held[i] == held[i - 1] + 1:
+                    if i in new_gaps:
+                        estimates[gap] = analysed[gap]
+                        layout.add(new_rows.span(*next(spans)))
+                    else:
                         estimates[gap] = prior_estimates[gap]
                         layout.reuse(prior_rows[held[i - 1]][1], prior_rows[held[i]][0])
                         reused_frames += frame_id - ids[i - 1] - 1
-                    else:
-                        estimates[gap] = analyse(*gap)
-                        interior = np.arange(gap[0] + 1, frame_id, dtype=np.int64)
-                        layout.add(predict(estimates[gap], interior))
                 lo = layout.n_rows
                 if held[i] >= 0:
                     layout.reuse(*prior_rows[held[i]])
@@ -269,19 +306,8 @@ class MASTIndex:
                     layout.add(fresh_rows.span(fresh_lo, fresh_hi))
                     fresh_lo = fresh_hi
                 sample_rows[i] = lo, layout.n_rows
-
-            # A live sequence's newest frames may follow its last sample:
-            # the last gap's motion extrapolates them.  A batch sampling
-            # always holds the last frame, so it has no tail.
-            tail = None
-            if len(ids) >= 2 and ids[-1] < result.n_frames - 1:
-                start, last = ids[-2], ids[-1]
-                tail = estimates.get((start, last))
-                if tail is None:
-                    tail = analyse(start, last)
-                layout.add(
-                    predict(tail, np.arange(last + 1, result.n_frames, dtype=np.int64))
-                )
+            if tail is not None:
+                layout.add(new_rows.span(*next(spans)))
             ledger.charge(
                 STAGE_INDEX,
                 SIMULATED_INDEX_COST_PER_FRAME * (result.n_frames - reused_frames),

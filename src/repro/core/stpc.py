@@ -13,11 +13,21 @@ and classifies the unmatched remainder:
 The resulting :class:`MotionEstimate` predicts the object set of any
 unsampled frame in between (Example 5.2), which powers both the sampling
 reward (Eq. 1) and the index of Alg. 3.
+
+Both halves run over a batch of pairs in one pass, because an index
+build needs one estimate per gap and the rows of every gap (see
+``docs/performance.md``): :func:`analyze_pairs` matches every pair's
+same-label blocks together, and :func:`predict_gaps` expands every
+gap's rows from one segment table.  :func:`match_by_label`,
+:func:`analyze_pair` and :meth:`MotionEstimate.predict_flat` are their
+one-pair and one-gap calls.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,15 +38,152 @@ from repro.geometry.matching import match_pairs
 if TYPE_CHECKING:
     from repro.inference import InferenceEngine
 
-__all__ = ["MotionEstimate", "analyze_pair", "analyze_pair_once", "match_by_label"]
+__all__ = [
+    "MotionEstimate",
+    "analyze_pair",
+    "analyze_pair_once",
+    "analyze_pairs",
+    "analyze_pairs_once",
+    "match_by_label",
+    "predict_gaps",
+]
+
+#: Cost entries computed at once.  A batch's blocks are taken in runs
+#: of at most this many entries, and a block wider than that alone, so a
+#: wide city block costs the temporaries it cost on its own.
+BATCH_COST_ENTRIES = 1 << 14
 
 
-def _rows_by_label(labels: np.ndarray) -> dict[str, list[int]]:
-    """``label -> ascending row indices`` in one pass over ``labels``."""
+def _rows_by_label(labels: np.ndarray, first: int) -> dict[str, list[int]]:
+    """``label -> ascending row indices`` (from ``first`` on) in one pass."""
     groups: dict[str, list[int]] = {}
-    for row, label in enumerate(labels.tolist()):
+    for row, label in enumerate(labels.tolist(), first):
         groups.setdefault(label, []).append(row)
     return groups
+
+
+def _require_finite(cost: np.ndarray) -> None:
+    if not np.isfinite(cost).all():
+        raise ValueError("cost matrix must contain only finite values")
+
+
+def _match(
+    starts: Sequence[ObjectArray],
+    ends: Sequence[ObjectArray],
+    max_distance: float | None,
+) -> tuple[list[list[tuple[int, int]]], np.ndarray]:
+    """Hungarian matching restricted to same-label pairs, for every pair.
+
+    Returns ``(found, centers)``: ``centers`` stacks every start set's
+    centers, then every end set's, and ``found[p]`` lists pair ``p``'s
+    matched ``(start row, end row)`` pairs as rows of it, sorted.
+    "We only match objects with the same category", so each pair's
+    matching runs independently per label, on that label's block of
+    center distances, oriented rows <= columns as
+    :func:`~repro.geometry.matching.hungarian` orients it.  All blocks'
+    costs are computed together, in runs of at most
+    :data:`BATCH_COST_ENTRIES`.  Without a gate, a block whose rows'
+    first-minimum columns are all distinct is settled by them: the
+    Jonker–Volgenant scan of a row whose first-minimum column is free
+    takes that column while the column duals are still 0, so it grows no
+    tree and moves no dual, and the next row starts from the same state.
+    Every other block, and with a gate every block, is solved by
+    :func:`~repro.geometry.matching.match_pairs`.
+    """
+    centers = np.concatenate([objects.centers for objects in chain(starts, ends)])
+    # Each block: (pair, tall, row side's rows, column side's rows), as
+    # flat rows of ``centers`` (start sets first, then end sets).
+    blocks: list[tuple[int, bool, list[int], list[int]]] = []
+    a0, b0 = 0, sum(map(len, starts))
+    for p, (objects_start, objects_end) in enumerate(zip(starts, ends)):
+        rows_a = _rows_by_label(objects_start.labels, a0)
+        rows_b = _rows_by_label(objects_end.labels, b0)
+        for label in sorted(rows_a.keys() & rows_b.keys()):
+            ia, ib = rows_a[label], rows_b[label]
+            tall = len(ia) > len(ib)
+            blocks.append((p, tall, ib, ia) if tall else (p, False, ia, ib))
+        a0 += len(objects_start)
+        b0 += len(objects_end)
+
+    found: list[list[tuple[int, int]]] = [[] for _ in starts]
+    lo = 0
+    while lo < len(blocks):
+        # One run of blocks: per block row its flat row, its block's
+        # width, its first entry and the shift from its entries to its
+        # block's columns in ``col_rows``.
+        row_rows: list[int] = []
+        widths: list[int] = []
+        row_first: list[int] = []
+        col_shift: list[int] = []
+        col_rows: list[int] = []
+        hi, entry = lo, 0
+        while hi < len(blocks):
+            _, _, rows, cols = blocks[hi]
+            r, c = len(rows), len(cols)
+            if hi > lo and entry + r * c > BATCH_COST_ENTRIES:
+                break
+            row_rows.extend(rows)
+            widths.extend([c] * r)
+            row_first.extend(range(entry, entry + r * c, c))
+            col_shift.extend(range(len(col_rows) - entry, len(col_rows) - entry - r * c, -c))
+            col_rows.extend(cols)
+            entry += r * c
+            hi += 1
+        # ``np.linalg.norm(diff, axis=-1)``'s own formula, without its
+        # dispatch: the same values bit for bit.  A block alone in its
+        # run (a wide one, or a pair's only label) broadcasts its rows
+        # against its columns and takes its rows' first minima with
+        # ``argmin``: no per-entry index arrays.
+        alone = hi - lo == 1
+        if alone:
+            diff = np.take(centers, row_rows, axis=0)[:, None, :]
+            diff = diff - np.take(centers, col_rows, axis=0)
+            cost = np.sqrt(np.add.reduce(diff * diff, axis=2)).ravel()
+        else:
+            width = np.array(widths)
+            col = np.array(col_rows)[np.array(col_shift).repeat(width) + np.arange(entry)]
+            diff = np.take(centers, np.array(row_rows).repeat(width), axis=0)
+            diff -= np.take(centers, col, axis=0)
+            cost = np.sqrt(np.add.reduce(diff * diff, axis=1))
+        # ``hungarian``'s finiteness check.  A lone block is checked only
+        # if it settles (``hungarian`` checks the others): a wide block's
+        # costs are read once more, not twice.
+        unchecked = False
+        if max_distance is None:
+            if alone:
+                first_min = cost.reshape(len(row_rows), -1).argmin(axis=1).tolist()
+                unchecked = True
+            else:
+                _require_finite(cost)
+                starts_at = np.array(row_first)
+                row_min = np.minimum.reduceat(cost, starts_at)
+                (at_min,) = (cost == row_min.repeat(width)).nonzero()
+                first_min = (at_min[at_min.searchsorted(starts_at)] - starts_at).tolist()
+
+        row = entry = 0
+        for p, tall, rows, cols in blocks[lo:hi]:
+            r, c = len(rows), len(cols)
+            # The block's (row, column) assignment, in its orientation.
+            picks = first_min[row : row + r] if max_distance is None else []
+            if len(set(picks)) == r:
+                if unchecked:
+                    _require_finite(cost)
+                solved = list(enumerate(picks))
+            else:
+                block = cost[entry : entry + r * c].reshape(r, c)
+                if tall:  # ``match_pairs`` gets the caller's orientation
+                    solved = [(j, i) for i, j in match_pairs(block.T, max_distance)]
+                else:
+                    solved = match_pairs(block, max_distance)
+            if tall:
+                found[p].extend((cols[j], rows[i]) for i, j in solved)
+            else:
+                found[p].extend((rows[i], cols[j]) for i, j in solved)
+            row, entry = row + r, entry + r * c
+        lo = hi
+    for pairs in found:
+        pairs.sort()
+    return found, centers
 
 
 def match_by_label(
@@ -48,29 +195,19 @@ def match_by_label(
     """Hungarian matching restricted to same-label pairs (Alg. 1 line 6).
 
     Returns ``(pairs, unmatched_a, unmatched_b)`` with indices into the
-    original arrays.  "We only match objects with the same category", so
-    matching runs independently per label, on that label's block of
-    center distances.  Each side's labels are grouped once per call;
-    nothing is cached on the object sets, which are pickled into
-    checkpoints and fingerprints.
+    original arrays, pairs sorted: the one-pair call of the matching
+    :func:`analyze_pairs` batches.  Each side's labels are grouped once
+    per call; nothing is cached on the object sets, which are pickled
+    into checkpoints and fingerprints.
     """
-    pairs: list[tuple[int, int]] = []
-    rows_a = _rows_by_label(objects_a.labels)
-    rows_b = _rows_by_label(objects_b.labels)
-    for label in sorted(rows_a.keys() & rows_b.keys()):
-        idx_a = rows_a[label]
-        idx_b = rows_b[label]
-        diff = objects_a.centers[idx_a][:, None, :] - objects_b.centers[idx_b][None, :, :]
-        # ``np.linalg.norm(diff, axis=2)``'s own formula, without its
-        # dispatch: the same values bit for bit.
-        cost = np.sqrt(np.add.reduce(diff * diff, axis=2))
-        pairs.extend((idx_a[i], idx_b[j]) for i, j in match_pairs(cost, max_distance))
-    pairs.sort()
+    (pairs,), _ = _match([objects_a], [objects_b], max_distance)
+    n_a = len(objects_a)
+    pairs = [(i, j - n_a) for i, j in pairs]
     matched_a = {i for i, _ in pairs}
     matched_b = {j for _, j in pairs}
     return (
         pairs,
-        [i for i in range(len(objects_a)) if i not in matched_a],
+        [i for i in range(n_a) if i not in matched_a],
         [j for j in range(len(objects_b)) if j not in matched_b],
     )
 
@@ -196,55 +333,173 @@ class MotionEstimate:
         ``positions`` of shape ``(rows, 2)`` — exactly the columns the
         flat index needs, skipping ObjectArray construction.  Rows run
         part by part (matched, disappearing, appearing) and, within a
-        part, timestamp by timestamp.
+        part, timestamp by timestamp.  The one-gap call of
+        :func:`predict_gaps`.
         """
-        timestamps = np.asarray(timestamps, dtype=float)
-        n_t = len(timestamps)
-        parts = self._parts() if n_t else []
-        if not parts:
-            empty = np.zeros(0)
-            return (
-                empty.astype(np.int64),
-                np.empty(0, dtype="<U16"),
-                np.zeros((0, 2)),
-                empty,
-            )
-        frac = np.clip((timestamps - self.t_start) / self.duration, 0.0, 1.0)
-        n_matched = self.matched.shape[1]
-        n_start = n_matched + len(self.disappearing)
-        n_boxes = n_start + len(self.appearing)
-        labels = np.concatenate([source.labels[rows] for source, rows in parts])
-        base = np.concatenate([source.centers[rows, :2] for source, rows in parts])
-        base_scores = np.concatenate([source.scores[rows] for source, rows in parts])
+        return predict_gaps([self], [np.asarray(timestamps, dtype=float)])[1:]
 
-        out_index = np.empty(n_t * n_boxes, dtype=np.int64)
-        out_labels = np.empty(n_t * n_boxes, dtype=labels.dtype)
-        out_positions = np.empty((n_t * n_boxes, 2))
-        out_scores = np.empty(n_t * n_boxes)
-        time_index = np.arange(n_t)[:, None]
-        for lo, hi, weights in (
-            (0, n_matched, None),
-            (n_matched, n_start, 1.0 - frac),
-            (n_start, n_boxes, frac),
-        ):
-            if lo == hi:
-                continue
-            block = slice(n_t * lo, n_t * hi)
-            shape = (n_t, hi - lo)
-            out_index[block].reshape(shape)[...] = time_index
-            out_labels[block].reshape(shape)[...] = labels[lo:hi]
-            positions = out_positions[block].reshape(shape + (2,))
-            if weights is None:  # matched: constant velocity from t1
-                dts = (timestamps - self.t_start)[:, None, None]
-                np.multiply(self.velocities[self.matched[0]], dts, out=positions)
-                positions += base[lo:hi]
-                out_scores[block].reshape(shape)[...] = base_scores[lo:hi]
-            else:
-                positions[...] = base[lo:hi]
-                np.multiply(
-                    base_scores[lo:hi], weights[:, None], out=out_scores[block].reshape(shape)
-                )
-        return out_index, out_labels, out_positions, out_scores
+
+def predict_gaps(
+    estimates: Sequence[MotionEstimate], timestamps: Sequence[np.ndarray]
+) -> tuple[list[int], np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Alg. 3 line 5 for a batch of gaps: every gap's predicted rows.
+
+    ``timestamps[g]`` (float64) are the times gap ``g``'s estimate
+    predicts.  Returns ``(ends, time_index, labels, positions,
+    scores)``: gap ``g`` owns rows ``[ends[g - 1], ends[g])`` (from 0
+    for the first), laid out exactly as :meth:`MotionEstimate.predict_flat`
+    lays out one gap, and ``time_index`` indexes the concatenated
+    ``timestamps``.  Every row comes from one segment table — one
+    segment per predicted box of a gap: its source row (label, base xy,
+    base score), velocity, part (matched, disappearing, appearing) and
+    gap — with the float64 operations ``predict_flat`` applies to one gap.
+    """
+    # The segment table, gap by gap and part by part.  A segment's
+    # source is a flat row of the distinct detection sets (consecutive
+    # gaps share one), its speed a flat row of the gaps' velocities (row
+    # 0, a zero, for a box that is not matched).  Each (gap, part) block
+    # with rows is ``(first segment, boxes, times, first time, part)``.
+    first_of: dict[int, int] = {}
+    sets: list[ObjectArray] = []
+    source: list[int] = []
+    speed: list[int] = []
+    velocities: list[np.ndarray] = [np.zeros((1, 2))]
+    blocks: list[tuple[int, int, int, int, int]] = []
+    label_types = set()
+    ends: list[int] = []
+    n_source = n_rows = first_time = 0
+    n_speed = 1
+    for e, times in zip(estimates, timestamps):
+        n_t = len(times)
+        if n_t:
+            for objects in (e.objects_start, e.objects_end):
+                if id(objects) not in first_of:
+                    first_of[id(objects)] = n_source
+                    sets.append(objects)
+                    n_source += len(objects.labels)
+            s0, e0 = first_of[id(e.objects_start)], first_of[id(e.objects_end)]
+            matched = e.matched[0].tolist()
+            parts = (
+                [s0 + i for i in matched],
+                [s0 + i for i in e.disappearing],
+                [e0 + j for j in e.appearing],
+            )
+            for part, rows in enumerate(parts):
+                if rows:
+                    blocks.append((len(source), len(rows), n_t, first_time, part))
+                    source += rows
+                    n_rows += len(rows) * n_t
+            speed += [n_speed + i for i in matched]
+            speed += [0] * (len(parts[1]) + len(parts[2]))
+            velocities.append(e.velocities)
+            n_speed += len(e.velocities)
+            if parts[0] or parts[1]:
+                label_types.add(e.objects_start.labels.dtype)
+            if parts[2]:
+                label_types.add(e.objects_end.labels.dtype)
+        first_time += n_t
+        ends.append(n_rows)
+    if not n_rows:
+        return (
+            ends,
+            np.zeros(0, dtype=np.int64),
+            np.empty(0, dtype="<U16"),
+            np.zeros((0, 2)),
+            np.zeros(0),
+        )
+
+    # Rows: per block, its times one by one, and per time its boxes.
+    first_segment, boxes, ticks, block_time, part_of = np.array(blocks, dtype=np.int64).T
+    rows_of = boxes * ticks
+    block = np.repeat(np.arange(len(blocks)), rows_of)
+    segment = np.arange(n_rows)
+    segment -= np.repeat(np.cumsum(rows_of) - rows_of, rows_of)  # row within its block
+    width = boxes[block]
+    tick = segment // width
+    segment -= tick * width  # box within its block
+    segment += first_segment[block]
+    time_index = block_time[block]
+    time_index += tick
+    part = part_of[block]
+    del block, width, tick
+
+    times = np.concatenate(timestamps)
+    n_times = [len(t) for t in timestamps]
+    t_start = np.repeat([e.t_start for e in estimates], n_times)
+    elapsed = times - t_start
+    t_end = np.repeat([e.t_end for e in estimates], n_times)
+    frac = np.clip(elapsed / (t_end - t_start), 0.0, 1.0)
+    weights = np.concatenate([np.ones_like(frac), 1.0 - frac, frac])
+
+    # (``np.take``: a fancy index of a 2-D array costs ~15x as much.)
+    rows_source = np.array(source)[segment]
+    base = np.concatenate([objects.centers for objects in sets])[:, :2]
+    positions = np.take(np.ascontiguousarray(base), rows_source, axis=0)
+    moved = np.take(np.concatenate(velocities), np.array(speed)[segment], axis=0)
+    moved *= elapsed[time_index, None]
+    moved += positions
+    np.copyto(positions, moved, where=(part == 0)[:, None])
+    del moved
+    scores = np.concatenate([objects.scores for objects in sets])[rows_source]
+    scores *= np.take(weights, part * len(times) + time_index)
+    labels = np.concatenate([objects.labels for objects in sets if len(objects.labels)])
+    # The dtype ``predict_flat`` gives one gap's labels: the promotion
+    # of the sets that contribute rows.
+    labels = np.take(labels, rows_source).astype(np.result_type(*label_types), copy=False)
+    return ends, time_index, labels, positions, scores
+
+
+def analyze_pairs(
+    pairs: Sequence[tuple[ObjectArray, ObjectArray, float, float]],
+    *,
+    max_distance: float | None = None,
+) -> list[MotionEstimate]:
+    """Run Alg. 1 on a batch of ``(objects_start, objects_end, t_start,
+    t_end)`` pairs, one estimate each.
+
+    Matched boxes get velocity ``(c2 - c1) / (t2 - t1)``; all unmatched
+    boxes get velocity 0 and enter the disappearing/appearing lists.
+    All pairs are matched in one pass (``_match``), and the velocities
+    of all matched boxes are one expression.
+    """
+    for _, _, t_start, t_end in pairs:
+        if not t_end > t_start:
+            raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
+    if not pairs:
+        return []
+    starts = [pair[0] for pair in pairs]
+    found, centers = _match(starts, [pair[1] for pair in pairs], max_distance)
+    rows = [i for matched in found for i, _ in matched]
+    cols = [j for matched in found for _, j in matched]
+    dt = [
+        t_end - t_start
+        for (_, _, t_start, t_end), matched in zip(pairs, found)
+        for _ in matched
+    ]
+    n_start = sum(map(len, starts))
+    velocities = np.zeros((n_start, 2))
+    moved = np.take(centers, cols, axis=0) - np.take(centers, rows, axis=0)
+    velocities[rows] = moved[:, :2] / np.array(dt)[:, None]
+    estimates = []
+    a0, b0 = 0, n_start  # each pair's first start and end row of ``centers``
+    for (objects_start, objects_end, t_start, t_end), matched in zip(pairs, found):
+        n_a, n_b = len(objects_start), len(objects_end)
+        taken_a = [i - a0 for i, _ in matched]
+        taken_b = [j - b0 for _, j in matched]
+        estimates.append(
+            MotionEstimate(
+                objects_start=objects_start,
+                objects_end=objects_end,
+                t_start=float(t_start),
+                t_end=float(t_end),
+                matched=np.array([taken_a, taken_b], dtype=np.int64),
+                velocities=velocities[a0 : a0 + n_a],
+                disappearing=tuple(sorted(set(range(n_a)).difference(taken_a))),
+                appearing=tuple(sorted(set(range(n_b)).difference(taken_b))),
+            )
+        )
+        a0, b0 = a0 + n_a, b0 + n_b
+    return estimates
 
 
 def analyze_pair(
@@ -255,33 +510,21 @@ def analyze_pair(
     *,
     max_distance: float | None = None,
 ) -> MotionEstimate:
-    """Run Alg. 1 on the detections of two sampled frames.
+    """Run Alg. 1 on the detections of two sampled frames: the one-pair
+    call of :func:`analyze_pairs`."""
+    return analyze_pairs(
+        [(objects_start, objects_end, t_start, t_end)], max_distance=max_distance
+    )[0]
 
-    Matched boxes get velocity ``(c2 - c1) / (t2 - t1)``; all unmatched
-    boxes get velocity 0 and enter the disappearing/appearing lists.
-    """
-    if not t_end > t_start:
-        raise ValueError(f"need t_end > t_start, got [{t_start}, {t_end}]")
-    pairs, unmatched_a, unmatched_b = match_by_label(
-        objects_start, objects_end, max_distance=max_distance
-    )
-    velocities = np.zeros((len(objects_start), 2))
-    dt = t_end - t_start
-    matched = np.ascontiguousarray(np.array(pairs, dtype=np.int64).reshape(-1, 2).T)
-    rows, cols = matched
-    velocities[rows] = (
-        objects_end.centers[cols, :2] - objects_start.centers[rows, :2]
-    ) / dt
-    return MotionEstimate(
-        objects_start=objects_start,
-        objects_end=objects_end,
-        t_start=float(t_start),
-        t_end=float(t_end),
-        matched=matched,
-        velocities=velocities,
-        disappearing=tuple(unmatched_a),
-        appearing=tuple(unmatched_b),
-    )
+
+def _memo_key(
+    objects_start: ObjectArray,
+    objects_end: ObjectArray,
+    t_start: float,
+    t_end: float,
+    max_distance: float | None,
+) -> tuple[str, tuple, tuple]:
+    return "estimate", (objects_start, objects_end), (float(t_start), float(t_end), max_distance)
 
 
 def analyze_pair_once(
@@ -312,8 +555,36 @@ def analyze_pair_once(
     if engine is None:
         return compute()
     return engine.motion.get(
-        "estimate",
-        (objects_start, objects_end),
-        (t_start, t_end, max_distance),
-        compute,
+        *_memo_key(objects_start, objects_end, t_start, t_end, max_distance), compute
     )
+
+
+def analyze_pairs_once(
+    engine: InferenceEngine | None,
+    pairs: Sequence[tuple[ObjectArray, ObjectArray, float, float]],
+    *,
+    max_distance: float | None = None,
+) -> list[MotionEstimate]:
+    """:func:`analyze_pairs` under :func:`analyze_pair_once`'s reuse rule.
+
+    The pairs the engine's motion memo does not hold are analysed as one
+    batch, and every estimate is handed out through the memo, so a pair
+    analysed earlier, by anyone, is the memo's estimate.
+    """
+    pairs = [(a, b, float(t_start), float(t_end)) for a, b, t_start, t_end in pairs]
+    if engine is None:
+        return analyze_pairs(pairs, max_distance=max_distance)
+    memo = engine.motion
+    keys = [_memo_key(*pair, max_distance) for pair in pairs]
+    missing = [k for k, key in enumerate(keys) if not memo.holds(*key)]
+    fresh = dict(
+        zip(missing, analyze_pairs([pairs[k] for k in missing], max_distance=max_distance))
+    )
+
+    def compute(k: int) -> MotionEstimate:
+        # A pair evicted since the batch looked is analysed on its own.
+        if k in fresh:
+            return fresh[k]
+        return analyze_pair(*pairs[k], max_distance=max_distance)
+
+    return [memo.get(*key, lambda k=k: compute(k)) for k, key in enumerate(keys)]

@@ -80,6 +80,12 @@ class MotionMemo:
                 self._evictions += 1
         return entry[1]
 
+    def holds(self, kind: str, objects: tuple, scalars: tuple) -> bool:
+        """Whether :meth:`get` would answer these inputs without computing
+        (as of now; a later store may evict the entry).  Counts nothing."""
+        with self._lock:
+            return (kind, *map(id, objects), *scalars) in self._entries
+
     def stats(self) -> dict[str, int]:
         """``hits`` / ``misses`` / ``evictions`` / ``entries`` so far."""
         with self._lock:

@@ -8,6 +8,7 @@ the suite fast.
 from __future__ import annotations
 
 import os
+import signal
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -16,6 +17,35 @@ import pytest
 from repro.core import MASTConfig
 from repro.models import GroundTruthDetector, pv_rcnn
 from repro.simulation import once_like, semantickitti_like
+
+
+class WallBoundExceeded(BaseException):
+    """A test ran past its ``wall_bound``.  Not an ``Exception``, so
+    Hypothesis does not treat it as a falsifying example and re-run the
+    hang while shrinking it."""
+
+
+@pytest.fixture(autouse=True)
+def _wall_bound(request):
+    """``@pytest.mark.wall_bound(seconds)``: fail the test once it has run
+    that long (SIGALRM), so a loop that never ends fails instead of
+    hanging the suite."""
+    marker = request.node.get_closest_marker("wall_bound")
+    if marker is None:
+        yield
+        return
+    seconds = marker.args[0]
+
+    def expire(signum, frame):
+        raise WallBoundExceeded(f"{request.node.nodeid} ran past its {seconds} s wall bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -3,12 +3,17 @@
 import itertools
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import linear_sum_assignment
 
 from repro.geometry import hungarian, match_pairs, match_with_threshold, matching
+
+# A scan that never ends fails its test instead of hanging the suite;
+# each test takes about a second here.
+pytestmark = pytest.mark.wall_bound(60)
 
 cost_matrices = st.integers(1, 8).flatmap(
     lambda n: st.integers(1, 8).flatmap(

@@ -228,19 +228,20 @@ class TestBatchedSeriesAPI:
                 assert np.array_equal(got_column, want_column)
 
 
-def _counting_analyze_pair(monkeypatch):
-    """Record the ``(t_start, t_end)`` of every ST-PC analysis an index build runs."""
+def _counting_analyses(monkeypatch):
+    """Record the ``(t_start, t_end)`` of every gap an index build hands to
+    the ST-PC batch for analysis."""
     from repro.core import stpc
 
     analysed = []
     building = []
-    real = stpc.analyze_pair
+    real = stpc.analyze_pairs
     real_build = MASTIndex.build.__func__
 
-    def counting(objects_start, objects_end, t_start, t_end, **kwargs):
+    def counting(pairs, **kwargs):
         if building:
-            analysed.append((t_start, t_end))
-        return real(objects_start, objects_end, t_start, t_end, **kwargs)
+            analysed.extend((t_start, t_end) for _, _, t_start, t_end in pairs)
+        return real(pairs, **kwargs)
 
     def build(cls, *args, **kwargs):
         building.append(True)
@@ -249,25 +250,32 @@ def _counting_analyze_pair(monkeypatch):
         finally:
             building.pop()
 
-    # Every caller analyses through ``stpc.analyze_pair``; only the calls
-    # made while an index build is running are the build's own.
-    monkeypatch.setattr(stpc, "analyze_pair", counting)
+    # Every caller analyses through ``stpc.analyze_pairs`` (one pair is a
+    # batch of one); only the calls made while an index build is running
+    # are the build's own.
+    monkeypatch.setattr(stpc, "analyze_pairs", counting)
     monkeypatch.setattr(MASTIndex, "build", classmethod(build))
     return analysed
 
 
-def _counting_predict_flat(monkeypatch):
-    """Record the ``(t_start, t_end)`` of every gap an index build predicts rows for."""
-    from repro.core.stpc import MotionEstimate
+def _counting_predictions(monkeypatch, count=None):
+    """Record ``count(estimate, timestamps)`` — by default the ``(t_start,
+    t_end)`` — of every gap (or tail) an index build hands to the batched
+    prediction."""
+    from repro.core import stpc
+
+    if count is None:
+        def count(estimate, timestamps):
+            return estimate.t_start, estimate.t_end
 
     predicted = []
-    real = MotionEstimate.predict_flat
+    real = stpc.predict_gaps
 
-    def counting(self, timestamps):
-        predicted.append((self.t_start, self.t_end))
-        return real(self, timestamps)
+    def counting(estimates, timestamps):
+        predicted.extend(map(count, estimates, timestamps))
+        return real(estimates, timestamps)
 
-    monkeypatch.setattr(MotionEstimate, "predict_flat", counting)
+    monkeypatch.setattr(stpc, "predict_gaps", counting)
     return predicted
 
 
@@ -304,7 +312,6 @@ class TestIndexBill:
         self, detector, monkeypatch
     ):
         from repro.core import MASTPipeline
-        from repro.core.stpc import MotionEstimate
         from repro.serving import QueryService
         from repro.simulation import semantickitti_like
 
@@ -313,12 +320,9 @@ class TestIndexBill:
             full.head(240, name=full.name), detector
         )
         service = QueryService(pipe)
-        predicted = []  # frames each gap or tail prediction covers
-        real = MotionEstimate.predict_flat
-        monkeypatch.setattr(
-            MotionEstimate,
-            "predict_flat",
-            lambda self, timestamps: predicted.append(len(timestamps)) or real(self, timestamps),
+        # Frames each gap or tail prediction covers.
+        predicted = _counting_predictions(
+            monkeypatch, count=lambda estimate, timestamps: len(timestamps)
         )
         for frame_id in range(240, 244):
             last_sample = int(pipe.sampling_result.sampled_ids[-1])
@@ -355,8 +359,8 @@ class TestEstimateReuse:
         pipe = MASTPipeline(MASTConfig(seed=4)).fit(
             full.head(240, name=full.name), detector
         )
-        analysed = _counting_analyze_pair(monkeypatch)
-        predicted = _counting_predict_flat(monkeypatch)
+        analysed = _counting_analyses(monkeypatch)
+        predicted = _counting_predictions(monkeypatch)
         pipe.extend(list(full[240:]))
         sampling = pipe.sampling_result
         ids, times = sampling.sampled_ids, sampling.timestamps
@@ -425,8 +429,8 @@ class TestEstimateReuse:
         _assert_same_columns(pipe.index, MASTIndex.build(first, config))
 
         second = plan(first.budget + 6)
-        analysed = _counting_analyze_pair(monkeypatch)
-        predicted = _counting_predict_flat(monkeypatch)
+        analysed = _counting_analyses(monkeypatch)
+        predicted = _counting_predictions(monkeypatch)
         pipe.fit_from_sampling(pipe.sequence, detector, second)
         assert predicted == analysed
         assert 0 < len(analysed) <= 12 < len(_gaps(second))
@@ -438,8 +442,8 @@ class TestEstimateReuse:
         from dataclasses import replace
 
         config = MASTConfig(seed=2)
-        analysed = _counting_analyze_pair(monkeypatch)
-        predicted = _counting_predict_flat(monkeypatch)
+        analysed = _counting_analyses(monkeypatch)
+        predicted = _counting_predictions(monkeypatch)
         MASTIndex.build(sampling, config, previous=index, engine=engine)
         assert analysed == [] and predicted == []
 
@@ -481,8 +485,8 @@ class TestEstimateReuse:
         timestamps[start + 1] += 0.01  # an unsampled frame: every estimate stays valid
         moved = replace(sampling, timestamps=timestamps)
 
-        analysed = _counting_analyze_pair(monkeypatch)
-        predicted = _counting_predict_flat(monkeypatch)
+        analysed = _counting_analyses(monkeypatch)
+        predicted = _counting_predictions(monkeypatch)
         rebuilt = MASTIndex.build(moved, config, previous=index, engine=engine)
         assert analysed == []
         assert predicted == _gaps(moved)
@@ -492,7 +496,7 @@ class TestEstimateReuse:
     def test_other_matching_gate_reuses_nothing(
         self, sampling, index, engine, monkeypatch
     ):
-        analysed = _counting_analyze_pair(monkeypatch)
+        analysed = _counting_analyses(monkeypatch)
         MASTIndex.build(
             sampling,
             MASTConfig(seed=2, match_max_distance=5.0),
@@ -513,7 +517,7 @@ class TestEstimateReuse:
         ids = sampling.sampled_ids
         position = len(ids) // 2
         fewer = replace(sampling, sampled_ids=np.delete(ids, position))
-        predicted = _counting_predict_flat(monkeypatch)
+        predicted = _counting_predictions(monkeypatch)
         rebuilt = MASTIndex.build(fewer, config, previous=index, engine=engine)
         times = sampling.timestamps
         assert predicted == [(float(times[ids[position - 1]]), float(times[ids[position + 1]]))]

@@ -2,12 +2,17 @@
 
 A :class:`MethodSpec` names a complete query-processing method: which
 sampler selects frames and which predictor (linear vs ST) answers each
-query type.  The paper's four methods plus the RQ7 ablations:
+query type.  The paper's four methods plus the RQ7 ablations.  "Flat
+MAB" is the hierarchical sampler's segment tree at depth cap 1 on the
+``"seiden"`` RNG stream (:class:`~repro.baselines.seiden.SeidenPCSampler`);
+``tests/spec/mast.py`` specifies every sampled row:
 
 ===============  ==========================  =====================
 method           sampler                     prediction
 ===============  ==========================  =====================
 Oracle           all frames                  exact
+Uniform          one uniform pass            linear (everything)
+Random           endpoints + random frames   linear (everything)
 Seiden-PC        flat MAB, count reward      linear (everything)
 Seiden-PCST      flat MAB, count reward      ST (everything)
 MAST             hierarchical, ST reward     ST, except linear Avg

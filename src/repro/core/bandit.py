@@ -1,8 +1,10 @@
 """Upper-Confidence-Bound agents (paper §5.1, RL agent design).
 
-Each non-leaf segment-tree node owns a UCB decision over its children;
-the Seiden-PC baseline uses one flat agent over all segments.  Both use
-the same rule: pick the arm maximizing
+Each non-leaf segment-tree node owns a UCB decision over its children.
+The root, the one wide node (one child per uniform-pass segment), decides
+with a :class:`UCBAgent` over whole arrays; an inner node scores its few
+children in a loop.  The corpus allocator runs one agent over sequences.
+All use the same rule: pick the arm maximizing
 
 .. math:: v_k = r_k + c \\sqrt{2 \\ln N / N_k}
 
@@ -13,6 +15,7 @@ the exponential moving average of Eq. 2:
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -86,9 +89,21 @@ class UCBAgent:
                 )
             if not available.any():
                 raise ValueError("no available arms to select from")
-            values = np.where(available, values, -np.inf)
-        best = np.flatnonzero(values == values.max())
-        return int(self._rng.choice(best))
+            values[~available] = -np.inf
+        (best,) = (values == values.max()).nonzero()
+        return int(best[self._rng.integers(len(best))])
+
+    def add_arms(self, n_arms: int) -> None:
+        """Append ``n_arms`` unvisited arms; the others keep their statistics."""
+        self.n_arms += int(n_arms)
+        self.rewards = np.concatenate([self.rewards, np.zeros(n_arms)])
+        self.pulls = np.concatenate([self.pulls, np.zeros(n_arms, dtype=np.int64)])
+
+    def clone(self, rng: np.random.Generator) -> UCBAgent:
+        """An independent copy of the statistics that draws from ``rng``."""
+        twin = copy.copy(self)
+        twin.rewards, twin.pulls, twin._rng = self.rewards.copy(), self.pulls.copy(), rng
+        return twin
 
     def update(self, arm: int, reward: float) -> None:
         """Record a pull of ``arm`` and fold ``reward`` in via Eq. 2."""

@@ -188,8 +188,8 @@ class BaseSampler(ABC):
         timestamps = sequence.timestamps
 
         if left is None or right is None:
-            # Endpoint regions: the uniform pass covers both ends, so this
-            # only occurs in tiny sequences.  Reward content directly.
+            # A one-sided frame: the segment tree never offers one (the
+            # uniform pass samples both of its ends).  Reward content directly.
             return float(_confident_count(actual, threshold)) * config.c_var
 
         if reward_kind == "count":
@@ -226,9 +226,14 @@ class HierarchicalMultiAgentSampler(BaseSampler):
     * ``"st"`` (default) — Eq. 1, the ST-PC deviation reward;
     * ``"count"`` — the Seiden-style count-deviation reward, giving the
       MAST-noST ablation of RQ7.
+
+    The flat baselines (:class:`~repro.baselines.seiden.SeidenPCSampler`)
+    are this sampler at depth cap 1 on their own RNG stream.
     """
 
     name = "mast"
+    #: The segment tree's RNG stream: ``(seed, rng_stream, sequence name)``.
+    rng_stream = "sampler"
 
     def __init__(
         self, config: MASTConfig | None = None, *, reward_kind: str = "st"
@@ -366,7 +371,7 @@ class AdaptiveSamplingSession:
             max_depth=config.max_depth,
             ucb_c=config.ucb_c,
             alpha_r=config.alpha_r,
-            rng=ensure_rng(config.seed, "sampler", self._sequence.name),
+            rng=ensure_rng(config.seed, self._sampler.rng_stream, self._sequence.name),
         )
 
     # ------------------------------------------------------------------

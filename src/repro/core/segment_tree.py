@@ -6,7 +6,14 @@ pass, and every adaptive sample splits the chosen leaf into
 ``branching`` sub-segments, assigning a fresh UCB decision to the node.
 Selection walks UCB choices from the root to a leaf; the leaf yields the
 middle unsampled frame of its range (or a random one once ``max_depth``
-is exceeded, per the paper's depth cap).
+is exceeded, per the paper's depth cap).  The root, one child per
+uniform-pass segment, decides with a :class:`~repro.core.bandit.UCBAgent`
+over arrays of its children's statistics; inner nodes, a few children
+each, score them in a loop.  Both draw ties from the tree's one RNG.
+
+At ``max_depth=1`` no leaf ever splits and every leaf draws its frame
+uniformly: that is the flat bandit of Seiden-PC and MAST-noH (paper
+§7.1), fixed arms with a random unsampled frame inside the chosen one.
 
 Nodes cover half-open ranges ``(lo, hi]``: a node's candidate frames are
 ``lo+1 .. hi`` (frames the sampler may still pick), which makes sibling
@@ -25,6 +32,7 @@ from typing import Callable
 
 import numpy as np
 
+from repro.core.bandit import UCBAgent
 from repro.utils.rng import ensure_rng
 from repro.utils.validation import require
 
@@ -36,12 +44,14 @@ IsSampled = Callable[[int], bool]
 class SegmentNode:
     """One segment ``(lo, hi)`` with its bandit statistics."""
 
-    __slots__ = ("lo", "hi", "depth", "children", "reward", "visits", "exhausted")
+    __slots__ = ("lo", "hi", "depth", "arm", "children", "reward", "visits", "exhausted")
 
-    def __init__(self, lo: int, hi: int, depth: int) -> None:
+    def __init__(self, lo: int, hi: int, depth: int, arm: int = 0) -> None:
         self.lo = int(lo)
         self.hi = int(hi)
         self.depth = int(depth)
+        #: This node's index among its parent's children.
+        self.arm = int(arm)
         self.children: list[SegmentNode] | None = None
         self.reward = 0.0
         self.visits = 0
@@ -57,7 +67,7 @@ class SegmentNode:
     def clone(self) -> SegmentNode:
         """This node and its subtree, copied field by field."""
         twin = SegmentNode.__new__(SegmentNode)
-        twin.lo, twin.hi, twin.depth = self.lo, self.hi, self.depth
+        twin.lo, twin.hi, twin.depth, twin.arm = self.lo, self.hi, self.depth, self.arm
         twin.reward, twin.visits, twin.exhausted = self.reward, self.visits, self.exhausted
         twin.children = (
             None if self.children is None else [child.clone() for child in self.children]
@@ -100,10 +110,15 @@ class SegmentTree:
 
         self.root = SegmentNode(boundaries[0], boundaries[-1], depth=0)
         self.root.children = [
-            SegmentNode(lo, hi, depth=1)
-            for lo, hi in zip(boundaries[:-1], boundaries[1:])
+            SegmentNode(lo, hi, depth=1, arm=k)
+            for k, (lo, hi) in enumerate(zip(boundaries[:-1], boundaries[1:]))
         ]
-        self._refresh_exhausted(self.root)
+        #: The root's decision: its arms are the root's children, in order.
+        self._agent = UCBAgent(
+            len(self.root.children), c=ucb_c, alpha=alpha_r, rng=self._rng
+        )
+        #: The root children that are not exhausted (the agent's ``available``).
+        self._open = np.ones(len(self.root.children), dtype=bool)
 
     def append(self, boundaries: list[int]) -> None:
         """Grow the root's range with new first-level segments.
@@ -120,10 +135,15 @@ class SegmentTree:
             edges == sorted(set(edges)),
             "appended boundaries must continue the root strictly increasing",
         )
-        assert self.root.children is not None
-        self.root.children.extend(
-            SegmentNode(lo, hi, depth=1) for lo, hi in zip(edges[:-1], edges[1:])
+        children = self.root.children
+        assert children is not None
+        first = len(children)
+        children.extend(
+            SegmentNode(lo, hi, depth=1, arm=first + k)
+            for k, (lo, hi) in enumerate(zip(edges[:-1], edges[1:]))
         )
+        self._agent.add_arms(len(boundaries))
+        self._open = np.concatenate([self._open, np.ones(len(boundaries), dtype=bool)])
         self.root.hi = edges[-1]
         self.root.exhausted = False
 
@@ -138,6 +158,8 @@ class SegmentTree:
         bit_generator = type(self._rng.bit_generator)()
         bit_generator.state = self._rng.bit_generator.state
         twin._rng = np.random.Generator(bit_generator)
+        twin._agent = self._agent.clone(twin._rng)
+        twin._open = self._open.copy()
         twin.root = self.root.clone()
         return twin
 
@@ -152,9 +174,11 @@ class SegmentTree:
         Discovering that a leaf has no unsampled frame marks it exhausted
         and retries, so a returned frame is always fresh.
         """
+        children = self.root.children
+        assert children is not None
         while not self.root.exhausted:
-            path = [self.root]
-            node = self.root
+            node = children[self._agent.select(self._open)]
+            path = [self.root, node]
             while node.children is not None:
                 node = self._select_child(node)
                 path.append(node)
@@ -166,7 +190,8 @@ class SegmentTree:
         return None
 
     def _select_child(self, node: SegmentNode) -> SegmentNode:
-        """The child with the highest UCB value (``tests/spec/mast.py``'s ``ucb``).
+        """An inner node's child with the highest UCB value
+        (``tests/spec/mast.py``'s ``ucb``), as the root's agent picks it.
 
         One pass over the children: the log term is computed once, and
         exhausted children never enter the tie set the RNG draws from.
@@ -198,7 +223,7 @@ class SegmentTree:
                 "selection descended into a fully exhausted node; "
                 "exhaustion propagation is broken"
             )
-        return children[int(self._rng.choice(best))]
+        return children[best[int(self._rng.integers(len(best)))]]
 
     def _pick_frame(self, leaf: SegmentNode, is_sampled: IsSampled) -> int | None:
         """Choose the next frame in a leaf, or ``None`` if it is spent.
@@ -215,7 +240,7 @@ class SegmentTree:
             candidates = [f for f in range(lo + 1, hi + 1) if not is_sampled(f)]
             if not candidates:
                 return None
-            return int(self._rng.choice(candidates))
+            return candidates[int(self._rng.integers(len(candidates)))]
         middle = (lo + hi) // 2
         for offset in range(hi - lo + 1):
             for candidate in (middle - offset, middle + offset):
@@ -240,6 +265,7 @@ class SegmentTree:
         for node in path:
             node.visits += 1
             node.reward = (1.0 - self.alpha_r) * node.reward + self.alpha_r * reward
+        self._agent.update(path[1].arm, reward)
         self._propagate_exhaustion(path)
 
     def _split(self, leaf: SegmentNode, frame_id: int) -> None:
@@ -252,20 +278,16 @@ class SegmentTree:
         if len(boundaries) < 3:
             return  # segment too short to split; stays a leaf
         leaf.children = [
-            SegmentNode(a, b, depth=leaf.depth + 1)
-            for a, b in zip(boundaries[:-1], boundaries[1:])
+            SegmentNode(a, b, depth=leaf.depth + 1, arm=k)
+            for k, (a, b) in enumerate(zip(boundaries[:-1], boundaries[1:]))
         ]
 
     def _propagate_exhaustion(self, path: list[SegmentNode]) -> None:
-        for node in reversed(path):
+        for node in reversed(path[1:]):
             if node.children is not None:
                 node.exhausted = all(child.exhausted for child in node.children)
-
-    def _refresh_exhausted(self, node: SegmentNode) -> None:
-        if node.children is not None:
-            for child in node.children:
-                self._refresh_exhausted(child)
-            node.exhausted = all(child.exhausted for child in node.children)
+        self._open[path[1].arm] = not path[1].exhausted
+        self.root.exhausted = not self._open.any()
 
     # ------------------------------------------------------------------
     # Introspection

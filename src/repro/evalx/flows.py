@@ -206,22 +206,7 @@ def _method_step(
     model_seed: int,
     seed: int,
     budget: float,
-) -> MethodReport:
-    return _tuned_method_step(
-        recording, sequence, truth, method, model, model_seed, seed, budget, ()
-    )
-
-
-def _tuned_method_step(
-    recording: DetectionRecording,
-    sequence: FrameSequence,
-    truth: OracleTruth,
-    method: str,
-    model: str,
-    model_seed: int,
-    seed: int,
-    budget: float,
-    overrides: tuple[tuple[str, object], ...],
+    overrides: tuple[tuple[str, object], ...] = (),
 ) -> MethodReport:
     return evaluate_method(
         get_method(method),
@@ -326,15 +311,13 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
                 "seed": spec.seed,
                 "budget": budget,
             }
-            step = _method_step
             if spec.overrides:
                 # Only a non-empty override is a param, so a default
                 # spec keeps the checkpoint keys it always had.
-                step = _tuned_method_step
                 params["overrides"] = spec.overrides
             method_steps.append(
                 flow.add(
-                    partial(step, recording),
+                    partial(_method_step, recording),
                     name=f"method:{method}:{label}",
                     deps={"sequence": "sequence", "truth": "oracle"},
                     params=params,

@@ -12,9 +12,10 @@ declared at registration:
   the step's checkpoint key.
 
 A parameter named in neither is a :class:`FlowDefinitionError`, not a
-guess.  A value bound before registration (a closure, or an argument
-bound positionally with :func:`functools.partial`) is not a parameter:
-it enters no checkpoint key.  A step's output is its only effect; the
+guess, unless it has a default.  A value bound before registration (a
+closure, or an argument bound positionally with
+:func:`functools.partial`) and a default left in place are not
+parameters: they enter no checkpoint key.  A step's output is its only effect; the
 runner reports the deterministic state of the output's ``ledger``, when
 it has one, as the step's bill.
 
@@ -125,7 +126,10 @@ class Flow:
             if parameter.name in explicit:
                 names, fan_in = explicit.pop(parameter.name)
                 resolved.append((parameter.name, names, fan_in))
-            elif parameter.name not in static:
+            elif (
+                parameter.name not in static
+                and parameter.default is inspect.Parameter.empty
+            ):
                 undeclared.append(parameter.name)
         if explicit:
             raise FlowDefinitionError(

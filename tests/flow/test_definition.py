@@ -96,6 +96,19 @@ class TestWiring:
             flow.add(fn, name="down", params={"seed": 1})
         assert "down" not in flow
 
+    def test_a_default_left_in_place_is_no_param(self):
+        """A defaulted parameter may go undeclared; only a declared value
+        enters the step's params (and so its checkpoint key)."""
+
+        def fn(seed, overrides=()):
+            return seed, overrides
+
+        flow = Flow("t")
+        flow.add(fn, name="plain", params={"seed": 1})
+        flow.add(fn, name="tuned", params={"seed": 1, "overrides": (("beta", 0.5),)})
+        assert flow.spec("plain").params == (("seed", 1),)
+        assert flow.spec("tuned").params == (("overrides", (("beta", 0.5),)), ("seed", 1))
+
     def test_renamed_dependency(self):
         flow = Flow("t")
         flow.add(_noop, name="oracle")

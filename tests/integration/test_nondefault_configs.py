@@ -11,7 +11,8 @@ the same change.  Each run goes through ``experiment_flow`` and
 ``FlowRunner``, the way the paper scripts run it.
 
 ``FLAT_BANDIT_PINS`` cover what the MAST-only pins cannot: the flat
-``UCBAgent`` of Seiden-PC / Seiden-PCST / MAST-noH at two budgets.
+bandit (the segment tree at depth cap 1, on the ``"seiden"`` stream) of
+Seiden-PC / Seiden-PCST / MAST-noH at two budgets.
 """
 
 import pytest

@@ -1,4 +1,4 @@
-"""MAST as the paper states it: an executable reference.
+"""MAST and its §7.1 baselines as the paper states them: an executable reference.
 
 A literal transcription, in plain loops over frames, with no memo, cache,
 tile, session, engine, store or wave: Alg. 1 (ST-PC analysis, with
@@ -6,7 +6,9 @@ scipy's assignment), Eq. 1 and Eq. 2, Alg. 2 (a uniform phase, then UCB
 descent over a segment tree), Problem 1's periodic arrival, Alg. 3 (every
 frame's real or extrapolated boxes) and §5 (the ST and linear count
 series, retrieval and the Avg / Med / Count / Max / Min aggregates, with
-the filters' masks re-implemented from their fields).
+the filters' masks re-implemented from their fields).  §7.1's methods
+(``METHODS``) pair a sampler — Alg. 2 with Eq. 1 or Seiden's count
+reward, the flat bandit, Uniform or Random — with a predictor per query.
 
 Every choice the paper leaves open is a ``CHOICE:`` comment, and a line
 of EXPERIMENTS.md "Known deviations".  A change that moves a sampling
@@ -19,7 +21,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -30,13 +33,13 @@ from repro.query.predicates import ObjectFilter, SpatialPredicate
 from repro.query.spatial import AllOf, RegionPredicate, SectorPredicate, TilePredicate
 
 
-def policy_rng(seed: int, sequence_name: str) -> np.random.Generator:
+def policy_rng(seed: int, sequence_name: str, stream: str = "sampler") -> np.random.Generator:
     """CHOICE (the RNG stream): one generator per sequence, keyed by (seed,
-    ``"sampler"``, name): PCG64 on ``SeedSequence([seed mod 2**32, h])``,
-    ``h`` the little-endian 8-byte blake2b of ``"sampler\\x1f<name>"``.  It
-    draws only for UCB ties and for a leaf's frame at the depth cap, in
-    selection order."""
-    digest = hashlib.blake2b(f"sampler\x1f{sequence_name}".encode(), digest_size=8).digest()
+    ``stream``, name): PCG64 on ``SeedSequence([seed mod 2**32, h])``,
+    ``h`` the little-endian 8-byte blake2b of ``"<stream>\\x1f<name>"``.
+    MAST's stream is ``"sampler"``; it draws only for UCB ties and for a
+    leaf's frame at the depth cap, in selection order."""
+    digest = hashlib.blake2b(f"{stream}\x1f{sequence_name}".encode(), digest_size=8).digest()
     entropy = [int(seed) & 0xFFFFFFFF, int.from_bytes(digest, "little")]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
@@ -159,6 +162,17 @@ def reward(estimated: Boxes, actual: Boxes, config) -> float:
     return (1.0 - config.c_var) * distance_term + config.c_var * mismatch_term
 
 
+def count_reward(left: int, right: int, actual: int, t_left: float, t_right: float, t: float) -> float:
+    """Seiden's content-variance reward over confident box counts: the
+    deviation ``x = |n - (n_l + (n_r - n_l) (t - t_l) / (t_r - t_l))|`` of
+    the frame's count from its sampled neighbours' linear interpolation.
+
+    CHOICE (the scale): ``x / (1 + x)``, so every arm's value lies in
+    ``[0, 1)``; Seiden leaves it open."""
+    deviation = abs(float(actual) - float(left + (right - left) * ((t - t_left) / (t_right - t_left))))
+    return deviation / (1.0 + deviation)
+
+
 def ucb(reward_: float, visits: int, parent_visits: int, c: float) -> float:
     """``v_k = r_k + c * sqrt(2 ln N / N_k)``.  CHOICE: an unvisited arm
     scores ``+inf``; under a parent never visited, an arm scores its reward."""
@@ -187,16 +201,38 @@ class Segment:
         self.reward, self.visits, self.exhausted = 0.0, 0, hi <= lo
 
 
-class Sampler:
-    """Alg. 2 over one sequence.  ``detect(frame_id)`` is the deep model:
-    each call is one billed invocation, and no frame is asked twice."""
+class Run:
+    """The frames a sampler chose over one sequence.  ``detect(frame_id)``
+    is the deep model: each call is one billed invocation, and no frame is
+    asked twice."""
 
     def __init__(self, sequence: FrameSequence, detect, config) -> None:
         self.config, self._detect = config, detect
         self.detections: dict[int, ObjectArray] = {}
         self.billed = 0
-        self.rng = policy_rng(config.seed, sequence.name)
+        self.sampled: list[int] = []
         self.timestamps, self.n_frames = np.asarray(sequence.timestamps, dtype=float), len(sequence)
+
+    def _detect_frame(self, frame_id: int) -> ObjectArray:
+        assert frame_id not in self.detections, f"frame {frame_id} detected twice"
+        self.billed += 1
+        self.detections[frame_id] = self._detect(frame_id)
+        return self.detections[frame_id]
+
+    def confident(self, frame_id: int) -> int:
+        """The sampled frame's box count at ``confidence_threshold``."""
+        return int(np.count_nonzero(self.detections[frame_id].scores >= self.config.confidence_threshold))
+
+
+class Sampler(Run):
+    """Alg. 2 over one sequence, scoring a sampled frame with Eq. 1
+    (``reward_kind="st"``) or Seiden's count reward (``"count"``), its
+    draws on RNG stream ``stream``."""
+
+    def __init__(self, sequence: FrameSequence, detect, config, reward_kind="st", stream="sampler") -> None:
+        super().__init__(sequence, detect, config)
+        self.reward_kind = reward_kind
+        self.rng = policy_rng(config.seed, sequence.name, stream)
         budget = paper_budget(config, self.n_frames)
         # CHOICE (the uniform grid): round(beta * B) frames (at least 2)
         # equally spaced over [0, n - 1], both endpoints included, rounded
@@ -210,12 +246,6 @@ class Sampler:
         self.root.exhausted = all(child.exhausted for child in self.root.children)
         self.last_grid = self.sampled[-1]
         self._adapt(budget)
-
-    def _detect_frame(self, frame_id: int) -> ObjectArray:
-        assert frame_id not in self.detections, f"frame {frame_id} detected twice"
-        self.billed += 1
-        self.detections[frame_id] = self._detect(frame_id)
-        return self.detections[frame_id]
 
     def grow(self, sequence: FrameSequence) -> None:
         """Problem 1: follow ``sequence``, this one plus newly arrived frames.
@@ -240,8 +270,12 @@ class Sampler:
         self._adapt(paper_budget(config, self.n_frames))
 
     def _adapt(self, budget: int) -> None:
-        """Lines 7-17: select, detect, score (Eq. 1), record, until ``budget``
-        frames are sampled or the tree is spent."""
+        """Lines 7-17: select, detect, score, record, until ``budget``
+        frames are sampled or the tree is spent.
+
+        CHOICE (the reward at an endpoint): none is needed.  The uniform
+        grid samples the tree's both ends, so every frame the tree offers
+        has a sampled neighbour on each side."""
         ts = self.timestamps
         for _ in range(max(0, budget - len(self.sampled))):
             selection = self._select()
@@ -251,11 +285,16 @@ class Sampler:
             actual = self._detect_frame(frame_id)
             position = bisect.bisect_left(self.sampled, frame_id)
             left, right = self.sampled[position - 1], self.sampled[position]
-            motion = analyse(
-                self.detections[left], self.detections[right], ts[left], ts[right],
-                self.config.match_max_distance,
-            )
-            self._record(path, frame_id, reward(predict(motion, ts[frame_id]), Boxes.of(actual), self.config))
+            if self.reward_kind == "count":
+                counts = (self.confident(left), self.confident(right), self.confident(frame_id))
+                value = count_reward(*counts, ts[left], ts[right], ts[frame_id])
+            else:
+                motion = analyse(
+                    self.detections[left], self.detections[right], ts[left], ts[right],
+                    self.config.match_max_distance,
+                )
+                value = reward(predict(motion, ts[frame_id]), Boxes.of(actual), self.config)
+            self._record(path, frame_id, value)
             self.sampled.insert(position, frame_id)
 
     def _select(self) -> tuple[list[Segment], int] | None:
@@ -332,9 +371,75 @@ class Sampler:
 
 
 # ----------------------------------------------------------------------
+# §7.1's baselines
+# ----------------------------------------------------------------------
+def flat_bandit(sequence: FrameSequence, detect, config, reward_kind: str) -> Sampler:
+    """Seiden's flat bandit (Seiden-PC, Seiden-PCST and MAST-noH): Alg. 2's
+    tree at depth cap 1.
+
+    CHOICE (the arm set): the uniform pass's gaps, fixed; at the cap no
+    leaf splits.  CHOICE (the frame inside an arm): ``_frame_of`` at the
+    cap, a uniform draw of the arm's unsampled frames.  CHOICE (the RNG
+    stream): ``"seiden"``, not MAST's ``"sampler"``.  CHOICE (a spent
+    arm): found spent when next selected, as in ``_select``.  Dropping it
+    at its last frame instead differs only where a later tie draws,
+    at budgets near the whole sequence.
+    """
+    return Sampler(sequence, detect, replace(config, max_depth=1), reward_kind, stream="seiden")
+
+
+def uniform(sequence: FrameSequence, detect, config) -> Run:
+    """The Uniform baseline.  CHOICE: all ``B`` frames on the uniform grid,
+    ``B`` points over ``[0, n - 1]``, both ends included, rounded half to
+    even, duplicates dropped."""
+    run = Run(sequence, detect, config)
+    points = np.linspace(0, run.n_frames - 1, paper_budget(config, run.n_frames))
+    run.sampled = sorted(set(int(p) for p in np.round(points)))
+    for frame_id in run.sampled:
+        run._detect_frame(frame_id)
+    return run
+
+
+def random(sequence: FrameSequence, detect, config) -> Run:
+    """The Random baseline.  CHOICE: both ends, so every frame has sampled
+    neighbours, then ``B - 2`` of the other frames drawn by one
+    ``rng.choice(frames 1 .. n - 2, size, replace=False)`` on stream
+    ``"random_sampler"``."""
+    run = Run(sequence, detect, config)
+    n_frames = run.n_frames
+    rest = np.arange(1, n_frames - 1)
+    size = min(max(paper_budget(config, n_frames) - 2, 0), len(rest))
+    drawn = policy_rng(config.seed, sequence.name, "random_sampler").choice(rest, size=size, replace=False)
+    run.sampled = sorted({0, n_frames - 1, *(int(f) for f in drawn)})
+    for frame_id in run.sampled:
+        run._detect_frame(frame_id)
+    return run
+
+
+OPERATORS = ("Avg", "Med", "Count", "Min", "Max")
+LINEAR = {operator: "linear" for operator in OPERATORS}
+ST = {operator: "st" for operator in OPERATORS}
+#: §7.1: ST everywhere except Avg, which reads the linear series.
+MAST_MIX = {**ST, "Avg": "linear"}
+
+#: §7.1's sampled methods: name -> (sampler, retrieval predictor,
+#: predictor by operator).  CHOICE: Random and Uniform, which the paper
+#: does not table, answer linearly, as Seiden-PC does.
+METHODS = {
+    "seiden_pc": (lambda s, d, c: flat_bandit(s, d, c, "count"), "linear", LINEAR),
+    "seiden_pcst": (lambda s, d, c: flat_bandit(s, d, c, "count"), "st", ST),
+    "mast": (lambda s, d, c: Sampler(s, d, c, "st"), "st", MAST_MIX),
+    "mast_nost": (lambda s, d, c: Sampler(s, d, c, "count"), "linear", LINEAR),
+    "mast_noh": (lambda s, d, c: flat_bandit(s, d, c, "st"), "st", MAST_MIX),
+    "random": (random, "linear", LINEAR),
+    "uniform": (uniform, "linear", LINEAR),
+}
+
+
+# ----------------------------------------------------------------------
 # Alg. 3 and §5
 # ----------------------------------------------------------------------
-def index(sampler: Sampler) -> list[Boxes]:
+def index(sampler: Run) -> list[Boxes]:
     """Every frame's boxes: detections where sampled, else the Alg. 1
     prediction from the sampled frames around it.  CHOICE (extrapolation
     past the last sample): from the last two sampled frames."""
@@ -391,7 +496,7 @@ def st_counts(frames: list[Boxes], object_filter: ObjectFilter) -> np.ndarray:
     return np.array([keeps(object_filter, boxes) for boxes in frames])
 
 
-def linear_counts(sampler: Sampler, object_filter: ObjectFilter) -> np.ndarray:
+def linear_counts(sampler: Run, object_filter: ObjectFilter) -> np.ndarray:
     """Linear prediction (Example 5.3): sampled counts interpolated in time.
 
     CHOICE: ``slope * (t - t_a) + n_a`` between sampled ``a < t < b``
@@ -413,8 +518,11 @@ def linear_counts(sampler: Sampler, object_filter: ObjectFilter) -> np.ndarray:
 
 @dataclass
 class Fitted:
-    sampler: Sampler
-    frames: list[Boxes]
+    sampler: Run
+
+    @cached_property
+    def frames(self) -> list[Boxes]:
+        return index(self.sampler)
 
     def series(self, kind: str, object_filter: ObjectFilter) -> np.ndarray:
         """CHOICE: a linear retrieval reads the floored interpolant
@@ -426,13 +534,19 @@ class Fitted:
 
 
 def fit(sequence: FrameSequence, detect, config) -> Fitted:
-    sampler = Sampler(sequence, detect, config)
-    return Fitted(sampler, index(sampler))
+    return Fitted(Sampler(sequence, detect, config))
+
+
+def fit_method(name: str, sequence: FrameSequence, detect, config) -> Fitted:
+    """§7.1's method ``name`` on ``config``'s sampling parameters."""
+    sample, retrieval, by_operator = METHODS[name]
+    config = replace(config, retrieval_predictor=retrieval, predictor_by_operator=dict(by_operator))
+    return Fitted(sample(sequence, detect, config))
 
 
 def grow(fitted: Fitted, sequence: FrameSequence) -> Fitted:
     fitted.sampler.grow(sequence)
-    return Fitted(fitted.sampler, index(fitted.sampler))
+    return Fitted(fitted.sampler)
 
 
 def route(config, query) -> str:

@@ -8,9 +8,12 @@ every answer, bit for bit, with :mod:`tests.spec.mast` on four paths:
 ``MASTPipeline.fit(...).query`` (each query asked three times: computed,
 admitted, memo hit), ``QueryService`` over a prefix and after every
 ``extend``, a corpus-of-one ``CorpusQueryService`` (scoped and fanned
-out) and ``StreamingCorpusService`` after ``quiesce()``.  A disagreement
-is a bug or a choice to name in the spec, never a reason to edit the
-spec until it agrees.
+out) and ``StreamingCorpusService`` after ``quiesce()``.  Every sampled
+``MethodSpec`` of §7.1 (MAST, its ablations, Seiden-PC(ST), Random and
+Uniform) is checked the same way against the spec's method of that name:
+sampled ids, invocations billed and every answer.  A disagreement is a
+bug or a choice to name in the spec, never a reason to edit the spec
+until it agrees.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import MASTConfig, MASTPipeline, QueryService
+from repro.baselines import available_methods, get_method
 from repro.corpus import CorpusPipeline, CorpusQueryService, SequenceCatalog
+from repro.evalx.runner import MethodExecutor
 from repro.models import pv_rcnn
 from repro.models.base import DetectionModel
 from repro.query import (
@@ -269,6 +274,19 @@ def check_stream(sequence, config, workload, fitted, policy, batch_frames, max_l
         assert_same_answer(one.result, expected, ("stream", query))
 
 
+SAMPLED_METHODS = [name for name in available_methods() if not get_method(name).is_oracle]
+
+
+def check_method(sequence, config, workload, name) -> None:
+    """One §7.1 method as the experiment harness runs it, against the spec's."""
+    executor = MethodExecutor(get_method(name), sequence, MODEL, config)
+    fitted = mast.fit_method(name, sequence, lambda frame_id: MODEL.detect(sequence[frame_id]).objects, config)
+    assert executor.sampling.sampled_ids.tolist() == fitted.sampler.sampled, name
+    assert executor.ledger.invocations(STAGE_MODEL) == fitted.sampler.billed, name
+    for query in workload:
+        assert_same_answer(executor.execute(query), mast.answer(fitted, query), (name, query))
+
+
 def check_all(case, data) -> None:
     sequence, config, workload = case
     fitted = spec_fit(sequence, config)
@@ -296,6 +314,17 @@ def test_every_path_equals_the_spec(case, data):
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_every_path_equals_the_spec_at_length(case, data):
     check_all(case, data)
+
+
+def test_the_spec_names_every_sampled_method():
+    assert sorted(SAMPLED_METHODS) == sorted(mast.METHODS)
+
+
+@pytest.mark.parametrize("name", SAMPLED_METHODS)
+@given(case=cases())
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_every_method_equals_its_spec(name, case):
+    check_method(*case, name)
 
 
 def test_a_city_world_equals_the_spec():

@@ -18,24 +18,26 @@ from repro.baselines import (
     get_method,
 )
 from repro.core import MASTConfig
+from repro.core.sampler import uniform_ids
 from repro.query import ObjectFilter, QueryEngine, SpatialPredicate
+from repro.simulation import semantickitti_like
 from repro.utils.timing import STAGE_MODEL
+from tests.streaming.harness import CountingModel
 
 
 class TestSeidenPCSampler:
-    @pytest.fixture(scope="class")
-    def result(self, kitti_sequence, detector):
-        return SeidenPCSampler(MASTConfig(seed=3)).sample(kitti_sequence, detector)
+    """What ``tests/spec/test_differential.py`` does not see: the sampled
+    ids, budget and determinism are the spec's; these are not."""
 
-    def test_budget_respected(self, result, kitti_sequence):
-        assert len(result.sampled_ids) == round(0.1 * len(kitti_sequence))
-
-    def test_sorted_unique(self, result):
-        assert np.all(np.diff(result.sampled_ids) > 0)
-
-    def test_policy_info(self, result):
-        assert result.policy_info["sampler"] == "seiden_pc"
-        assert result.policy_info["n_segments"] >= 1
+    def test_policy_info(self, kitti_sequence, detector):
+        config = MASTConfig(seed=3)
+        result = SeidenPCSampler(config).sample(kitti_sequence, detector)
+        n_frames = len(kitti_sequence)
+        uniform_budget = config.uniform_budget_for(config.budget_for(n_frames))
+        n_segments = len(uniform_ids(n_frames, uniform_budget)) - 1
+        assert result.policy_info == {
+            "sampler": "seiden_pc", "reward_kind": "count", "n_segments": n_segments,
+        }
 
     def test_st_reward_variant_is_mast_noh(self, kitti_sequence, detector):
         sampler = SeidenPCSampler(MASTConfig(seed=3), reward_kind="st")
@@ -47,10 +49,24 @@ class TestSeidenPCSampler:
         with pytest.raises(ValueError):
             SeidenPCSampler(MASTConfig(), reward_kind="bogus")
 
-    def test_deterministic(self, kitti_sequence, detector):
-        a = SeidenPCSampler(MASTConfig(seed=3)).sample(kitti_sequence, detector)
-        b = SeidenPCSampler(MASTConfig(seed=3)).sample(kitti_sequence, detector)
-        assert np.array_equal(a.sampled_ids, b.sampled_ids)
+
+@pytest.mark.wall_bound(60)
+@pytest.mark.parametrize("beta", [0.3, 0.9])
+@pytest.mark.parametrize(
+    "method", ["mast", "mast_nost", "mast_noh", "seiden_pc", "uniform", "random"]
+)
+def test_a_near_full_budget_is_spent_exactly_once(method, beta, detector):
+    """At 99 % every sampled method samples ``budget_for(n)`` distinct
+    frames, bills each once and stops: the exhaustion path of the tree,
+    which the flat configuration shares, ends instead of spinning."""
+    sequence = semantickitti_like(1, n_frames=150, with_points=False)
+    config = MASTConfig(budget_fraction=0.99, beta=beta, seed=2)
+    model = CountingModel(detector, [sequence])
+    result = get_method(method).make_sampler(config).sample(sequence, model)
+    ids = result.sampled_ids.tolist()
+    assert len(ids) == len(set(ids)) == config.budget_for(len(sequence))
+    assert sorted(model.detected) == [(sequence.name, frame_id) for frame_id in ids]
+    assert result.ledger.invocations(STAGE_MODEL) == len(ids)
 
 
 class TestSimpleSamplers:

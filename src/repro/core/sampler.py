@@ -178,19 +178,17 @@ class BaseSampler(ABC):
         once per (left, right, actual) triple of detections under
         ``engine``; ``reward_kind="count"`` computes the Seiden-style
         count-deviation reward against linear interpolation.  ``sampled``
-        must be sorted and must *not* yet contain ``frame_id``.
+        must be sorted and must *not* yet contain ``frame_id``, and
+        ``frame_id`` lies between two of its frames: the segment tree
+        offers only frames inside its range, whose ends the uniform pass
+        samples.
         """
         config = self.config
         position = bisect.bisect_left(sampled, frame_id)
-        left = sampled[position - 1] if position > 0 else None
-        right = sampled[position] if position < len(sampled) else None
+        assert 0 < position < len(sampled), "a frame without two sampled neighbours"
+        left, right = sampled[position - 1], sampled[position]
         threshold = config.confidence_threshold
         timestamps = sequence.timestamps
-
-        if left is None or right is None:
-            # A one-sided frame: the segment tree never offers one (the
-            # uniform pass samples both of its ends).  Reward content directly.
-            return float(_confident_count(actual, threshold)) * config.c_var
 
         if reward_kind == "count":
             left_n = _confident_count(detections[left], threshold)

@@ -46,12 +46,13 @@ class SegmentNode:
 
     __slots__ = ("lo", "hi", "depth", "arm", "children", "reward", "visits", "exhausted")
 
-    def __init__(self, lo: int, hi: int, depth: int, arm: int = 0) -> None:
+    def __init__(self, lo: int, hi: int, depth: int, arm: int | None = None) -> None:
         self.lo = int(lo)
         self.hi = int(hi)
         self.depth = int(depth)
-        #: This node's index among its parent's children.
-        self.arm = int(arm)
+        #: A root child's arm of the root's agent (its index among the
+        #: root's children); ``None`` at every other depth.
+        self.arm = arm
         self.children: list[SegmentNode] | None = None
         self.reward = 0.0
         self.visits = 0
@@ -114,6 +115,10 @@ class SegmentTree:
             for k, (lo, hi) in enumerate(zip(boundaries[:-1], boundaries[1:]))
         ]
         #: The root's decision: its arms are the root's children, in order.
+        #: Its ``rewards`` / ``pulls`` equal those children's ``reward`` /
+        #: ``visits``, and ``_open`` their ``not exhausted``: the arrays
+        #: make the wide decision one vectorized step, the nodes serve the
+        #: inner decisions and introspection (a property test checks both).
         self._agent = UCBAgent(
             len(self.root.children), c=ucb_c, alpha=alpha_r, rng=self._rng
         )
@@ -265,7 +270,9 @@ class SegmentTree:
         for node in path:
             node.visits += 1
             node.reward = (1.0 - self.alpha_r) * node.reward + self.alpha_r * reward
-        self._agent.update(path[1].arm, reward)
+        arm = path[1].arm
+        assert arm is not None, "a path's second node is a root child"
+        self._agent.update(arm, reward)
         self._propagate_exhaustion(path)
 
     def _split(self, leaf: SegmentNode, frame_id: int) -> None:
@@ -278,15 +285,17 @@ class SegmentTree:
         if len(boundaries) < 3:
             return  # segment too short to split; stays a leaf
         leaf.children = [
-            SegmentNode(a, b, depth=leaf.depth + 1, arm=k)
-            for k, (a, b) in enumerate(zip(boundaries[:-1], boundaries[1:]))
+            SegmentNode(a, b, depth=leaf.depth + 1)
+            for a, b in zip(boundaries[:-1], boundaries[1:])
         ]
 
     def _propagate_exhaustion(self, path: list[SegmentNode]) -> None:
         for node in reversed(path[1:]):
             if node.children is not None:
                 node.exhausted = all(child.exhausted for child in node.children)
-        self._open[path[1].arm] = not path[1].exhausted
+        arm = path[1].arm
+        assert arm is not None, "a path's second node is a root child"
+        self._open[arm] = not path[1].exhausted
         self.root.exhausted = not self._open.any()
 
     # ------------------------------------------------------------------

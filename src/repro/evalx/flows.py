@@ -206,7 +206,7 @@ def _method_step(
     model_seed: int,
     seed: int,
     budget: float,
-    overrides: tuple[tuple[str, object], ...] = (),
+    overrides: tuple[tuple[str, object], ...],
 ) -> MethodReport:
     return evaluate_method(
         get_method(method),
@@ -312,12 +312,15 @@ def experiment_flow(spec: ExperimentFlowSpec) -> Flow:
                 "budget": budget,
             }
             if spec.overrides:
-                # Only a non-empty override is a param, so a default
-                # spec keeps the checkpoint keys it always had.
                 params["overrides"] = spec.overrides
+                step = partial(_method_step, recording)
+            else:
+                # No override is bound before registration, not a param,
+                # so a default spec keeps the checkpoint keys it always had.
+                step = partial(_method_step, recording, overrides=())
             method_steps.append(
                 flow.add(
-                    partial(_method_step, recording),
+                    step,
                     name=f"method:{method}:{label}",
                     deps={"sequence": "sequence", "truth": "oracle"},
                     params=params,

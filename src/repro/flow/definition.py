@@ -12,11 +12,10 @@ declared at registration:
   the step's checkpoint key.
 
 A parameter named in neither is a :class:`FlowDefinitionError`, not a
-guess, unless it has a default.  A value bound before registration (a
-closure, or an argument bound positionally with
-:func:`functools.partial`) and a default left in place are not
-parameters: they enter no checkpoint key.  A step's output is its only effect; the
-runner reports the deterministic state of the output's ``ledger``, when
+guess; a default left in place does not count as declared.  A value
+bound before registration (a closure, or an argument bound with
+:func:`functools.partial`) is not a parameter: it enters no checkpoint
+key.  A step's output is its only effect; the runner reports the deterministic state of the output's ``ledger``, when
 it has one, as the step's bill.
 
 Step bodies must stay pure — no wall-clock reads, no module-global
@@ -31,6 +30,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Mapping
 
 __all__ = ["Flow", "FlowDefinitionError", "StepSpec"]
@@ -114,6 +114,7 @@ class Flow:
         resolved: list[tuple[str, tuple[str, ...], bool]] = []
         undeclared: list[str] = []
         signature = inspect.signature(fn)
+        bound = fn.keywords if isinstance(fn, partial) else {}
         for parameter in signature.parameters.values():
             if parameter.kind in (
                 inspect.Parameter.VAR_POSITIONAL,
@@ -126,10 +127,7 @@ class Flow:
             if parameter.name in explicit:
                 names, fan_in = explicit.pop(parameter.name)
                 resolved.append((parameter.name, names, fan_in))
-            elif (
-                parameter.name not in static
-                and parameter.default is inspect.Parameter.empty
-            ):
+            elif parameter.name not in static and parameter.name not in bound:
                 undeclared.append(parameter.name)
         if explicit:
             raise FlowDefinitionError(

@@ -96,18 +96,30 @@ class TestWiring:
             flow.add(fn, name="down", params={"seed": 1})
         assert "down" not in flow
 
-    def test_a_default_left_in_place_is_no_param(self):
-        """A defaulted parameter may go undeclared; only a declared value
-        enters the step's params (and so its checkpoint key)."""
+    def test_a_keyword_bound_by_partial_is_no_param(self):
+        """A value bound with ``functools.partial`` needs no declaration and
+        enters no params (so no checkpoint key); a declared value does."""
+
+        def fn(seed, overrides):
+            return seed, overrides
+
+        flow = Flow("t")
+        flow.add(functools.partial(fn, overrides=()), name="plain", params={"seed": 1})
+        flow.add(fn, name="tuned", params={"seed": 1, "overrides": (("beta", 0.5),)})
+        assert flow.spec("plain").params == (("seed", 1),)
+        assert flow.spec("tuned").params == (("overrides", (("beta", 0.5),)), ("seed", 1))
+
+    def test_a_default_left_in_place_is_undeclared(self):
+        """A default is not a declaration: it would take no part in the
+        step's checkpoint key, so leaving it out is an error."""
 
         def fn(seed, overrides=()):
             return seed, overrides
 
         flow = Flow("t")
-        flow.add(fn, name="plain", params={"seed": 1})
-        flow.add(fn, name="tuned", params={"seed": 1, "overrides": (("beta", 0.5),)})
-        assert flow.spec("plain").params == (("seed", 1),)
-        assert flow.spec("tuned").params == (("overrides", (("beta", 0.5),)), ("seed", 1))
+        with pytest.raises(FlowDefinitionError, match="overrides"):
+            flow.add(fn, name="plain", params={"seed": 1})
+        assert "plain" not in flow
 
     def test_renamed_dependency(self):
         flow = Flow("t")

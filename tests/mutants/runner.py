@@ -2,17 +2,15 @@
 
 Usage (from the repository root)::
 
-    python -m tests.mutants.runner                 # every mutant
-    python -m tests.mutants.runner --only ID ...   # some of them
-    python -m tests.mutants.runner --timeout 300   # seconds per mutant
+    python -m tests.mutants.runner
 
-First the union of every selected mutant's killers runs once on an
+First the union of every mutant's killers runs once on an
 unmutated copy of ``src/``: a test that already fails kills nothing.
 Then, per mutant, ``src/`` is copied to a temporary directory, the one
 textual change is applied there (the checkout is never written), and the
 killers run with that copy first on ``PYTHONPATH``.  Each mutant reads
 ``killed`` (a killer failed), ``survived`` (all passed), ``timed out``
-(the run passed ``--timeout``; a killer that hangs is a defect of the
+(the run passed ``TIMEOUT_S``; a killer that hangs is a defect of the
 test) or ``error`` (its ``old`` text is not in the file exactly once, or
 pytest could not run).  The exit status is 0 only if every mutant is
 killed.  Standard library only.
@@ -20,7 +18,6 @@ killed.  Standard library only.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import signal
@@ -33,6 +30,9 @@ from pathlib import Path
 from tests.mutants.registry import MUTANTS, Mutant
 
 ROOT = Path(__file__).resolve().parents[2]
+
+#: Seconds one mutant's killers may run before the mutant reads ``timed out``.
+TIMEOUT_S = 300.0
 
 
 def _copy_src(into: Path) -> Path:
@@ -82,49 +82,39 @@ def _imports_from(src: Path) -> bool:
     return Path(found).resolve().is_relative_to(src.resolve())
 
 
-def run_mutant(mutant: Mutant, timeout: float) -> str:
+def run_mutant(mutant: Mutant) -> str:
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         src = _copy_src(Path(scratch))
         reason = _apply(mutant, src)
         if reason is not None:
             return f"error: {reason}"
-        status = _pytest(src, list(mutant.killers), timeout)
+        status = _pytest(src, list(mutant.killers), TIMEOUT_S)
     if status is None:
         return "timed out"
     return {0: "survived", 1: "killed"}.get(status, f"error: pytest exited {status}")
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m tests.mutants.runner", description=__doc__.split("\n")[0])
-    parser.add_argument("--only", nargs="+", metavar="ID", help="run only these mutant ids")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant (default 300)")
-    args = parser.parse_args(argv)
-    known = {mutant.id for mutant in MUTANTS}
-    unknown = sorted(set(args.only or ()) - known)
-    if unknown:
-        parser.error(f"unknown mutant ids {unknown}; known: {sorted(known)}")
-    selected = [m for m in MUTANTS if args.only is None or m.id in args.only]
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="mutant-baseline-") as scratch:
         src = _copy_src(Path(scratch))
         if not _imports_from(src):
             print("error: a child process does not import repro from the copied src/")
             return 2
-        killers = list(dict.fromkeys(k for mutant in selected for k in mutant.killers))
-        status = _pytest(src, killers, args.timeout * len(selected))
+        killers = list(dict.fromkeys(k for mutant in MUTANTS for k in mutant.killers))
+        status = _pytest(src, killers, TIMEOUT_S * len(MUTANTS))
     if status != 0:
         print(f"error: the killers do not pass unmutated (pytest exited {status})")
         return 2
 
     outcomes = []
-    for mutant in selected:
+    for mutant in MUTANTS:
         start = time.perf_counter()
-        outcome = run_mutant(mutant, args.timeout)
+        outcome = run_mutant(mutant)
         outcomes.append(outcome)
         print(f"{mutant.id:<44} {outcome:<10} {time.perf_counter() - start:6.1f} s", flush=True)
     killed = outcomes.count("killed")
-    print(f"{killed} of {len(selected)} mutants killed")
-    return 0 if killed == len(selected) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":

@@ -110,3 +110,9 @@ def test_visit_counts_consistent(params):
             check(child)
 
     check(tree.root)
+    # The root's agent decides over copies of its children's statistics.
+    children = tree.root.children
+    assert tree._agent.pulls.tolist() == [c.visits for c in children]
+    assert tree._agent.rewards.tolist() == [c.reward for c in children]
+    assert tree._open.tolist() == [not c.exhausted for c in children]
+    assert tree.root.exhausted == all(c.exhausted for c in children)

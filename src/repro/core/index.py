@@ -90,14 +90,19 @@ class MASTIndex:
         gate: float | None = None,
         spatial_index=None,
         tail: MotionEstimate | None = None,
+        columns: _Columns | None = None,
     ) -> None:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
         self.sampled_ids = np.asarray(sampled_ids, dtype=np.int64)
         #: Flat columns in sample order: ``[det(s0)][gap(s0, s1)][det(s1)]
         #: ... [det(sk)][tail]``, so the rows of the frames up to any
-        #: sampled frame are a prefix.
+        #: sampled frame are a prefix.  The tail's rows run frame by
+        #: frame, so the tail of a longer stream extends this one's.
         self._rows = rows
+        #: The buffer ``_rows`` views, when a build made it; a successor
+        #: that only adds rows past this index's appends to it.
+        self._columns = columns
         #: ``(k, 2)``: the ``[lo, hi)`` rows of each sampled frame's
         #: detections.  Gap ``i`` is ``[sample_rows[i, 1],
         #: sample_rows[i + 1, 0])``; the tail follows the last sample.
@@ -152,15 +157,19 @@ class MASTIndex:
         whose detections are the very object the prior index holds keeps
         its rows, and so does each gap the prior index held between the
         same two detection objects — with its estimate, which is a pure
-        function of them.  The leading run of such frames and gaps is one
-        view of the prior columns, every later run of them another, and
-        the new columns are one ``concatenate`` of those views and the
-        new rows, so the prior index's columns are never written.  A
+        function of them.  The tail's rows run frame by frame, so when
+        the prior index extrapolated the same last two samples its tail
+        rows stay too, and only the frames past it are predicted.  A
         rebuild therefore analyses and predicts only the gaps that
-        changed, plus the tail: after a one-frame ``extend``, the ones
-        past the invalidation boundary.  A build with no ``previous`` is
-        the same code with nothing to reuse, and lays the rows out
-        identically.  The ledger is charged
+        changed and the new tail frames: after a one-frame ``extend``
+        that adds no sample, that frame alone, and the sample check is
+        all the rest of the work.  When the prior index's rows all lead
+        the new ones and it wrote its buffer last, the new rows are
+        written past them in that buffer's spare capacity; otherwise
+        every part is copied into a fresh buffer (a quarter larger for a
+        rebuild).  Rows an index can read are never written again.  A
+        build with no ``previous`` is the same code with nothing to
+        reuse, and lays the rows out identically.  The ledger is charged
         :data:`SIMULATED_INDEX_COST_PER_FRAME` for each frame whose rows
         the build made, not for the frames whose rows it reused: a
         from-scratch build pays for every frame, a rebuild for its new
@@ -185,135 +194,19 @@ class MASTIndex:
                 prior = None
 
         with ledger.measure(STAGE_INDEX):
-            ids = sampled.tolist()
-            layout = _Layout(prior._rows if prior is not None else None)
-            sample_rows = np.empty((len(ids), 2), dtype=np.int64)
-            estimates: dict[tuple[int, int], MotionEstimate] = {}
-            # ``held[i]``: where the prior index holds sampled frame ``i``
-            # with the very same detections, or -1.  The leading run of
-            # frames held at their own position is the shared prefix.
-            held = [-1] * len(ids)
-            first = 0
-            reused_frames = 0  # frames whose rows come from the prior index
-            prior_rows: list[list[int]] = []
-            prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
-            if prior is not None:
-                prior_ids = prior.sampled_ids.tolist()
-                prior_rows = prior._sample_rows.tolist()
-                prior_estimates = prior._estimates
-                prior_detections = prior._detections
-                for frame_id, prior_id in zip(ids, prior_ids):
-                    if frame_id != prior_id or (
-                        prior_detections[frame_id] is not detections[frame_id]
-                    ):
-                        break
-                    held[first] = first
-                    first += 1
-                if first:
-                    sample_rows[:first] = prior._sample_rows[:first]
-                    layout.reuse(0, prior_rows[first - 1][1])
-                    reused_frames += ids[first - 1] - ids[0] + 1
-                    # Prior estimates are in sample order: the prefix's
-                    # gaps are its first ones.
-                    inner = int(np.count_nonzero(np.diff(sampled[:first]) > 1))
-                    estimates.update(islice(prior_estimates.items(), inner))
-                positions = np.searchsorted(prior.sampled_ids, sampled[first:])
-                for i, position in enumerate(positions.tolist(), start=first):
-                    frame_id = ids[i]
-                    if (
-                        position < len(prior_ids)
-                        and prior_ids[position] == frame_id
-                        and prior_detections[frame_id] is detections[frame_id]
-                    ):
-                        held[i] = position
-
-            # The gaps after the shared prefix that the prior index does
-            # not hold between the same two samples: their rows are new.
-            new_gaps = {
-                i: (ids[i - 1], ids[i])
-                for i in range(max(first, 1), len(ids))
-                if ids[i] - ids[i - 1] > 1
-                and not (held[i - 1] >= 0 and held[i] == held[i - 1] + 1)
-            }
-            # A live sequence's newest frames may follow its last sample:
-            # the last gap's motion extrapolates them.  A batch sampling
-            # always holds the last frame, so it has no tail.
-            tail_gap = None
-            if len(ids) >= 2 and ids[-1] < result.n_frames - 1:
-                tail_gap = (ids[-2], ids[-1])
-            # Alg. 3 lines 2-6 over every new gap at once: one ST-PC
-            # batch for the estimates nobody holds (the tail's too, when
-            # its two samples are adjacent), one for their rows.
-            pending = list(new_gaps.values())
-            if tail_gap is not None and tail_gap[1] - tail_gap[0] == 1:
-                pending.append(tail_gap)
-            analysed = dict(
-                zip(
-                    pending,
-                    stpc.analyze_pairs_once(
-                        engine,
-                        [
-                            (detections[a], detections[b], timestamps[a], timestamps[b])
-                            for a, b in pending
-                        ],
-                        max_distance=gate,
-                    ),
-                )
-            )
-            tail = None
-            if tail_gap is not None:
-                tail = analysed.get(tail_gap, estimates.get(tail_gap))
-                if tail is None:  # the last gap, held by the prior index
-                    tail = prior_estimates[tail_gap]
-            predicted = [analysed[gap] for gap in new_gaps.values()]
-            frames = [np.arange(a + 1, b, dtype=np.int64) for a, b in new_gaps.values()]
-            if tail is not None:
-                predicted.append(tail)
-                frames.append(np.arange(ids[-1] + 1, result.n_frames, dtype=np.int64))
-            ends, time_index, labels, xy, scores = stpc.predict_gaps(
-                predicted, [timestamps[f] for f in frames]
-            )
-            frame_index = np.concatenate([np.zeros(0, dtype=np.int64), *frames])[time_index]
-            new_rows = ObjectRows(frame_index, labels, xy, scores)
-            spans = iter(zip([0, *ends], ends))
-
-            # The sampled frames the prior index does not hold, flattened
-            # at once; ``fresh_ends`` delimits each frame's rows.
-            fresh = [frame_id for frame_id, at in zip(ids, held) if at < 0]
-            fresh_rows = ObjectRows.flatten({frame_id: detections[frame_id] for frame_id in fresh})
-            fresh_ends = iter(np.cumsum([len(detections[f]) for f in fresh]).tolist())
-            fresh_lo = 0
-
-            # From the first sample the prior index does not hold on:
-            # each gap's rows, then the next sample's.
-            for i in range(first, len(ids)):
-                frame_id = ids[i]
-                if i > 0 and frame_id - ids[i - 1] > 1:
-                    gap = (ids[i - 1], frame_id)
-                    if i in new_gaps:
-                        estimates[gap] = analysed[gap]
-                        layout.add(new_rows.span(*next(spans)))
-                    else:
-                        estimates[gap] = prior_estimates[gap]
-                        layout.reuse(prior_rows[held[i - 1]][1], prior_rows[held[i]][0])
-                        reused_frames += frame_id - ids[i - 1] - 1
-                lo = layout.n_rows
-                if held[i] >= 0:
-                    layout.reuse(*prior_rows[held[i]])
-                    reused_frames += 1
-                else:
-                    fresh_hi = next(fresh_ends)
-                    layout.add(fresh_rows.span(fresh_lo, fresh_hi))
-                    fresh_lo = fresh_hi
-                sample_rows[i] = lo, layout.n_rows
-            if tail is not None:
-                layout.add(new_rows.span(*next(spans)))
-            ledger.charge(
-                STAGE_INDEX,
-                SIMULATED_INDEX_COST_PER_FRAME * (result.n_frames - reused_frames),
-                count=0,
-            )
-        rows = layout.rows()
+            if prior is not None and _adds_only_frames(prior, result):
+                # What ``_lay_out`` would make, without its per-sample
+                # walk: every prior row, span and estimate, then the
+                # tail's rows of the new frames.
+                layout = _Layout(prior)
+                layout.reuse(0, prior.n_indexed_objects)
+                layout.add(_tail_rows(prior._tail, timestamps, prior.n_frames, result.n_frames))
+                sample_rows, estimates, tail = prior._sample_rows, prior._estimates, prior._tail
+                made = result.n_frames - prior.n_frames
+            else:
+                layout, sample_rows, estimates, tail, made = _lay_out(result, prior, gate, engine)
+            ledger.charge(STAGE_INDEX, SIMULATED_INDEX_COST_PER_FRAME * made, count=0)
+        rows, columns = layout.rows(spare=previous is not None)
 
         spatial_index = None
         if previous is not None:
@@ -335,6 +228,7 @@ class MASTIndex:
             gate=gate,
             spatial_index=spatial_index,
             tail=tail,
+            columns=columns,
         )
 
     def _tiles(self):
@@ -437,43 +331,305 @@ class MASTIndex:
         )
 
 
+def _adds_only_frames(prior: MASTIndex, result: SamplingResult) -> bool:
+    """Whether ``result`` is ``prior``'s sampling plus frames past its open
+    tail: the same sampled ids, each with the very same detection object."""
+    if prior._tail is None or result.n_frames < prior.n_frames:
+        return False
+    if not np.array_equal(result.sampled_ids, prior.sampled_ids):
+        return False
+    held, detections = prior._detections, result.detections
+    return all(detections[f] is held[f] for f in prior.sampled_ids.tolist())
+
+
+def _tail_rows(tail: MotionEstimate, timestamps: np.ndarray, lo: int, hi: int) -> ObjectRows:
+    """The tail's rows of frames ``[lo, hi)``, frame by frame."""
+    frames = np.arange(lo, hi, dtype=np.int64)
+    _, time_index, labels, xy, scores = stpc.predict_gaps([tail], [timestamps[lo:hi]])
+    return _by_frame(ObjectRows(frames[time_index], labels, xy, scores))
+
+
+def _lay_out(
+    result: SamplingResult,
+    prior: MASTIndex | None,
+    gate: float | None,
+    engine: InferenceEngine | None,
+) -> tuple[_Layout, np.ndarray, dict[tuple[int, int], MotionEstimate], MotionEstimate | None, int]:
+    """Alg. 3's rows of ``result`` around what ``prior`` holds.
+
+    Returns the layout, the sample rows, the estimates, the tail's
+    estimate and the number of frames whose rows were made.
+    """
+    sampled = result.sampled_ids
+    timestamps = result.timestamps
+    detections = result.detections
+    ids = sampled.tolist()
+    layout = _Layout(prior)
+    sample_rows = np.empty((len(ids), 2), dtype=np.int64)
+    estimates: dict[tuple[int, int], MotionEstimate] = {}
+    # ``held[i]``: where the prior index holds sampled frame ``i``
+    # with the very same detections, or -1.  The leading run of
+    # frames held at their own position is the shared prefix.
+    held = [-1] * len(ids)
+    first = 0
+    reused_frames = 0  # frames whose rows come from the prior index
+    prior_ids: list[int] = []
+    prior_rows: list[list[int]] = []
+    prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
+    if prior is not None:
+        prior_ids = prior.sampled_ids.tolist()
+        prior_rows = prior._sample_rows.tolist()
+        prior_estimates = prior._estimates
+        prior_detections = prior._detections
+        for frame_id, prior_id in zip(ids, prior_ids):
+            if frame_id != prior_id or (
+                prior_detections[frame_id] is not detections[frame_id]
+            ):
+                break
+            held[first] = first
+            first += 1
+        if first:
+            sample_rows[:first] = prior._sample_rows[:first]
+            layout.reuse(0, prior_rows[first - 1][1])
+            reused_frames += ids[first - 1] - ids[0] + 1
+            # Prior estimates are in sample order: the prefix's
+            # gaps are its first ones.
+            inner = int(np.count_nonzero(np.diff(sampled[:first]) > 1))
+            estimates.update(islice(prior_estimates.items(), inner))
+        positions = np.searchsorted(prior.sampled_ids, sampled[first:])
+        for i, position in enumerate(positions.tolist(), start=first):
+            frame_id = ids[i]
+            if (
+                position < len(prior_ids)
+                and prior_ids[position] == frame_id
+                and prior_detections[frame_id] is detections[frame_id]
+            ):
+                held[i] = position
+
+    # The gaps after the shared prefix that the prior index does
+    # not hold between the same two samples: their rows are new.
+    new_gaps = {
+        i: (ids[i - 1], ids[i])
+        for i in range(max(first, 1), len(ids))
+        if ids[i] - ids[i - 1] > 1
+        and not (held[i - 1] >= 0 and held[i] == held[i - 1] + 1)
+    }
+    # A live sequence's newest frames may follow its last sample:
+    # the last gap's motion extrapolates them.  A batch sampling
+    # always holds the last frame, so it has no tail.
+    tail_gap = None
+    if len(ids) >= 2 and ids[-1] < result.n_frames - 1:
+        tail_gap = (ids[-2], ids[-1])
+    # The tail's rows run frame by frame, so the prior index's
+    # tail rows stay when it extrapolated the same last two
+    # samples over no more frames: only the frames past it are
+    # predicted, with its estimate.
+    tail = None
+    tail_from = ids[-1] + 1 if ids else 0
+    prior_tail = range(0)
+    if (
+        tail_gap is not None
+        and prior is not None
+        and prior._tail is not None
+        and prior.n_frames <= result.n_frames
+        and held[-2:] == [len(prior_ids) - 2, len(prior_ids) - 1]
+    ):
+        tail = prior._tail
+        prior_tail = range(prior_rows[-1][1], prior.n_indexed_objects)
+        reused_frames += prior.n_frames - tail_from
+        tail_from = prior.n_frames
+    # Alg. 3 lines 2-6 over every new gap at once: one ST-PC
+    # batch for the estimates nobody holds (the tail's too, when
+    # its two samples are adjacent), one for their rows.
+    pending = list(new_gaps.values())
+    if tail_gap is not None and tail is None and tail_gap[1] - tail_gap[0] == 1:
+        pending.append(tail_gap)
+    analysed = dict(
+        zip(
+            pending,
+            stpc.analyze_pairs_once(
+                engine,
+                [
+                    (detections[a], detections[b], timestamps[a], timestamps[b])
+                    for a, b in pending
+                ],
+                max_distance=gate,
+            ),
+        )
+    )
+    if tail_gap is not None and tail is None:
+        tail = analysed.get(tail_gap, estimates.get(tail_gap))
+        if tail is None:  # the last gap, held by the prior index
+            tail = prior_estimates[tail_gap]
+    predicted = [analysed[gap] for gap in new_gaps.values()]
+    frames = [np.arange(a + 1, b, dtype=np.int64) for a, b in new_gaps.values()]
+    if tail is not None and tail_from < result.n_frames:
+        predicted.append(tail)
+        frames.append(np.arange(tail_from, result.n_frames, dtype=np.int64))
+    ends, time_index, labels, xy, scores = stpc.predict_gaps(
+        predicted, [timestamps[f] for f in frames]
+    )
+    frame_index = np.concatenate([np.zeros(0, dtype=np.int64), *frames])[time_index]
+    new_rows = ObjectRows(frame_index, labels, xy, scores)
+    spans = iter(zip([0, *ends], ends))
+
+    # The sampled frames the prior index does not hold, flattened
+    # at once; ``fresh_ends`` delimits each frame's rows.
+    fresh = [frame_id for frame_id, at in zip(ids, held) if at < 0]
+    fresh_rows = ObjectRows.flatten({frame_id: detections[frame_id] for frame_id in fresh})
+    fresh_ends = iter(np.cumsum([len(detections[f]) for f in fresh]).tolist())
+    fresh_lo = 0
+
+    # From the first sample the prior index does not hold on:
+    # each gap's rows, then the next sample's.
+    for i in range(first, len(ids)):
+        frame_id = ids[i]
+        if i > 0 and frame_id - ids[i - 1] > 1:
+            gap = (ids[i - 1], frame_id)
+            if i in new_gaps:
+                estimates[gap] = analysed[gap]
+                layout.add(new_rows.span(*next(spans)))
+            else:
+                estimates[gap] = prior_estimates[gap]
+                layout.reuse(prior_rows[held[i - 1]][1], prior_rows[held[i]][0])
+                reused_frames += frame_id - ids[i - 1] - 1
+        lo = layout.n_rows
+        if held[i] >= 0:
+            layout.reuse(*prior_rows[held[i]])
+            reused_frames += 1
+        else:
+            fresh_hi = next(fresh_ends)
+            layout.add(fresh_rows.span(fresh_lo, fresh_hi))
+            fresh_lo = fresh_hi
+        sample_rows[i] = lo, layout.n_rows
+    if tail is not None:
+        if prior_tail:
+            layout.reuse(prior_tail.start, prior_tail.stop)
+        if tail_from < result.n_frames:
+            layout.add(_by_frame(new_rows.span(*next(spans))))
+    return layout, sample_rows, estimates, tail, result.n_frames - reused_frames
+
+
+def _by_frame(rows: ObjectRows) -> ObjectRows:
+    """``rows`` stably ordered by frame: the tail's layout, in which the
+    rows of frames ``[a, b)`` then ``[b, c)`` are the rows of ``[a, c)``."""
+    order = np.argsort(rows.frame_index, kind="stable")
+    return ObjectRows(*(column.take(order, axis=0) for column in rows))
+
+
 class _Layout:
     """The flat columns of a build, part by part, in order.
 
-    A run of rows reused from the prior index stays one view until a new
-    part follows it; :meth:`rows` concatenates everything once.
+    A run of rows reused from the prior index stays one range until a
+    new part follows it; :meth:`rows` writes everything once.
     """
 
-    def __init__(self, prior: ObjectRows | None) -> None:
+    def __init__(self, prior: MASTIndex | None) -> None:
         self._prior = prior
-        self._parts: list[ObjectRows] = []
-        self._run: tuple[int, int] | None = None
+        self._parts: list[ObjectRows | range] = []
         self.n_rows = 0
 
     def reuse(self, lo: int, hi: int) -> None:
         """Append the prior index's rows ``[lo, hi)``."""
-        if self._run is not None and self._run[1] == lo:
-            self._run = (self._run[0], hi)
+        last = self._parts[-1] if self._parts else None
+        if isinstance(last, range) and last.stop == lo:
+            self._parts[-1] = range(last.start, hi)
         else:
-            self._close_run()
-            self._run = (lo, hi)
+            self._parts.append(range(lo, hi))
         self.n_rows += hi - lo
 
     def add(self, rows: ObjectRows) -> None:
         """Append new rows."""
-        self._close_run()
         self._parts.append(rows)
         self.n_rows += len(rows.frame_index)
 
-    def _close_run(self) -> None:
-        if self._run is not None:
-            assert self._prior is not None
-            self._parts.append(self._prior.span(*self._run))
-            self._run = None
+    def rows(self, *, spare: bool) -> tuple[ObjectRows, _Columns]:
+        """The columns and the buffer they view.
 
-    def rows(self) -> ObjectRows:
-        self._close_run()
-        return ObjectRows.concatenate(self._parts)
+        When the prior index's rows lead, the rest is appended to its
+        buffer if it can be (:meth:`_Columns.append`); otherwise every
+        part is copied into a fresh buffer, with room to grow if
+        ``spare``.
+        """
+        prior = self._prior
+        parts = [
+            part if isinstance(part, ObjectRows) else prior._rows.span(part.start, part.stop)
+            for part in self._parts
+        ]
+        if (
+            prior is not None
+            and prior._columns is not None
+            and self._parts
+            and self._parts[0] == range(prior.n_indexed_objects)
+        ):
+            appended = prior._columns.append(prior.n_indexed_objects, parts[1:])
+            if appended is not None:
+                return appended
+        return _Columns.fresh(parts, spare=spare)
+
+
+class _Columns:
+    """A growable buffer of flat columns, shared along a chain of builds.
+
+    Rows ``[0, length)`` are published: each index on the buffer views a
+    prefix of them and may be read at any time, so no row is written
+    twice.  The build whose prior index views all of them — the buffer's
+    last writer — writes its new rows past them in place while the
+    capacity and the dtypes allow; any other build copies into a fresh
+    buffer that has room to grow.
+    """
+
+    def __init__(self, columns: tuple[np.ndarray, ...], length: int) -> None:
+        self._columns = columns
+        self._length = length
+        self._lock = threading.Lock()
+
+    @classmethod
+    def fresh(cls, parts: list[ObjectRows], *, spare: bool) -> tuple[ObjectRows, _Columns]:
+        """``parts`` concatenated into a new buffer (a quarter larger if
+        ``spare``), with :meth:`ObjectRows.concatenate`'s dtypes."""
+        parts = [part for part in parts if len(part.frame_index)]
+        if not parts:
+            rows = ObjectRows.concatenate([])
+            return rows, cls(tuple(rows), 0)
+        n = sum(len(part.frame_index) for part in parts)
+        capacity = n + n // 4 if spare else n
+        columns = []
+        for column in zip(*parts):
+            buffer = np.empty((capacity, *column[0].shape[1:]), np.result_type(*column))
+            np.concatenate(column, out=buffer[:n])
+            columns.append(buffer)
+        buffer = cls(tuple(columns), n)
+        return buffer._view(n), buffer
+
+    def append(self, at: int, parts: list[ObjectRows]) -> tuple[ObjectRows, _Columns] | None:
+        """``parts`` written past row ``at``, where the prior index's view ends.
+
+        ``None`` when another build already wrote past ``at``, or when
+        the rows do not fit or would widen a column's dtype: the caller
+        copies instead.  An empty buffer never grows, because its dtypes
+        are only :meth:`ObjectRows.concatenate`'s defaults.
+        """
+        parts = [part for part in parts if len(part.frame_index)]
+        n = at + sum(len(part.frame_index) for part in parts)
+        with self._lock:
+            if at != self._length:  # the prior index is not the last writer
+                return None
+            if at == 0 or n > len(self._columns[0]):
+                return None
+            for column, new in zip(self._columns, zip(*parts)):
+                if np.result_type(column.dtype, *(rows.dtype for rows in new)) != column.dtype:
+                    return None
+            for part in parts:
+                hi = at + len(part.frame_index)
+                for column, rows in zip(self._columns, part):
+                    column[at:hi] = rows
+                at = hi
+            self._length = n
+        return self._view(n), self
+
+    def _view(self, n: int) -> ObjectRows:
+        return ObjectRows(*(column[:n] for column in self._columns))
 
 
 @dataclass

@@ -112,11 +112,13 @@ def _unchanged_prefix(old: SamplingResult | None, new: SamplingResult) -> int | 
     if old is None:
         return None
     old_ids, new_ids = old.sampled_ids, new.sampled_ids
-    if not np.isin(old_ids, new_ids, assume_unique=True).all() or any(
+    # Equal ids (a flush that adds no sample) need no membership test.
+    same = np.array_equal(old_ids, new_ids)
+    if not (same or np.isin(old_ids, new_ids, assume_unique=True).all()) or any(
         new.detections[i] is not old.detections[i] for i in old_ids.tolist()
     ):
         return -1
-    if len(new_ids) == len(old_ids):
+    if same:
         return min(old.n_frames, new.n_frames) - 1
     # Both lists are sorted, so the earliest new sample is where they first differ.
     differ = np.flatnonzero(new_ids[: len(old_ids)] != old_ids)

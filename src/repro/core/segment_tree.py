@@ -124,6 +124,10 @@ class SegmentTree:
         )
         #: The root children that are not exhausted (the agent's ``available``).
         self._open = np.ones(len(self.root.children), dtype=bool)
+        #: :meth:`shape`, kept current by every split and append.
+        self._depth = 1
+        self._nodes = 1 + len(self.root.children)
+        self._leaves = len(self.root.children)
 
     def append(self, boundaries: list[int]) -> None:
         """Grow the root's range with new first-level segments.
@@ -149,6 +153,8 @@ class SegmentTree:
         )
         self._agent.add_arms(len(boundaries))
         self._open = np.concatenate([self._open, np.ones(len(boundaries), dtype=bool)])
+        self._nodes += len(boundaries)
+        self._leaves += len(boundaries)
         self.root.hi = edges[-1]
         self.root.exhausted = False
 
@@ -288,6 +294,9 @@ class SegmentTree:
             SegmentNode(a, b, depth=leaf.depth + 1)
             for a, b in zip(boundaries[:-1], boundaries[1:])
         ]
+        self._depth = max(self._depth, leaf.depth + 1)
+        self._nodes += len(leaf.children)
+        self._leaves += len(leaf.children) - 1
 
     def _propagate_exhaustion(self, path: list[SegmentNode]) -> None:
         for node in reversed(path[1:]):
@@ -314,16 +323,5 @@ class SegmentTree:
         return out
 
     def shape(self) -> tuple[int, int, int]:
-        """``(deepest depth, node count, leaf count)`` in one walk."""
-        depth = nodes = leaves = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            nodes += 1
-            if node.depth > depth:
-                depth = node.depth
-            if node.children is None:
-                leaves += 1
-            else:
-                stack.extend(node.children)
-        return depth, nodes, leaves
+        """``(deepest depth, node count, leaf count)``, without a walk."""
+        return self._depth, self._nodes, self._leaves

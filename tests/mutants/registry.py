@@ -29,9 +29,15 @@ class Mutant:
 
 FLAT_SAMPLER = "One adaptive sampler: the flat bandit is the segment tree at depth 1"
 STPC_BATCH = "One ST-PC pass per index build"
+TAIL_APPEND = "A flush that adds no sample appends its frames"
 
 _SPEC = "tests/spec/test_differential.py::test_every_method_equals_its_spec"
 _STPC_BATCH = "tests/property/test_stpc_property.py::test_the_batch_equals_per_pair_loops"
+_REBUILD = "tests/streaming/test_index_rebuild_property.py::test_rebuilt_index_equals_a_scratch_build"
+_ISOLATION = (
+    "tests/unit/test_index.py::TestTailAppend::"
+    "test_successors_of_one_index_leave_each_other_and_the_prior_alone"
+)
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -90,5 +96,21 @@ MUTANTS: tuple[Mutant, ...] = (
         new="            if len(picks) == r:\n",
         killers=(_STPC_BATCH,),
         claimed_by=STPC_BATCH,
+    ),
+    Mutant(
+        id="tail-append-ignores-the-last-writer",
+        file="src/repro/core/index.py",
+        old="            if at != self._length:  # the prior index is not the last writer\n",
+        new="            if False:\n",
+        killers=(_ISOLATION,),
+        claimed_by=TAIL_APPEND,
+    ),
+    Mutant(
+        id="tail-rows-part-major",
+        file="src/repro/core/index.py",
+        old='    order = np.argsort(rows.frame_index, kind="stable")\n',
+        new="    order = np.arange(len(rows.frame_index))\n",
+        killers=(_REBUILD,),
+        claimed_by=TAIL_APPEND,
     ),
 )

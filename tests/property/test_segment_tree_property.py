@@ -116,3 +116,48 @@ def test_visit_counts_consistent(params):
     assert tree._agent.rewards.tolist() == [c.reward for c in children]
     assert tree._open.tolist() == [not c.exhausted for c in children]
     assert tree.root.exhausted == all(c.exhausted for c in children)
+
+
+def _walked_shape(tree):
+    """``(deepest depth, node count, leaf count)`` by walking every node."""
+    depth = nodes = leaves = 0
+    stack = [tree.root]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        depth = max(depth, node.depth)
+        if node.children is None:
+            leaves += 1
+        else:
+            stack.extend(node.children)
+    return depth, nodes, leaves
+
+
+@given(tree_runs(), st.lists(st.integers(min_value=1, max_value=6), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_kept_shape_equals_a_walk_after_every_operation(params, appends):
+    """``shape()`` is kept through split, append and clone, never walked."""
+    boundaries, branching, max_depth, n_steps, seed = params
+    rng = np.random.default_rng(seed)
+    tree = SegmentTree(boundaries, branching=branching, max_depth=max_depth, rng=rng)
+    assert tree.shape() == _walked_shape(tree)
+    sampled = set(boundaries)
+    for step in range(n_steps):
+        if appends and step % 5 == 0:
+            width = appends.pop()
+            edges = [tree.root.hi + width, tree.root.hi + 2 * width]
+            tree.append(edges)
+            sampled.update(edges)
+            assert tree.shape() == _walked_shape(tree)
+        # Each step splits a clone: the clone's shape moves, the tree's not.
+        twin = tree.clone()
+        assert twin.shape() == _walked_shape(twin)
+        selection = twin.select(sampled.__contains__)
+        if selection is None:
+            break
+        path, frame_id = selection
+        twin.record(path, frame_id, reward=float(rng.random()))
+        sampled.add(frame_id)
+        assert twin.shape() == _walked_shape(twin)
+        assert tree.shape() == _walked_shape(tree)
+        tree = twin

@@ -315,7 +315,7 @@ class TestIndexBill:
         from repro.serving import QueryService
         from repro.simulation import semantickitti_like
 
-        full = semantickitti_like(0, n_frames=244, with_points=False)
+        full = semantickitti_like(0, n_frames=274, with_points=False)
         pipe = MASTPipeline(MASTConfig(seed=4)).fit(
             full.head(240, name=full.name), detector
         )
@@ -324,18 +324,36 @@ class TestIndexBill:
         predicted = _counting_predictions(
             monkeypatch, count=lambda estimate, timestamps: len(timestamps)
         )
-        for frame_id in range(240, 244):
-            last_sample = int(pipe.sampling_result.sampled_ids[-1])
+        flushes = set()
+        for frame_id in range(240, 274):
+            prior_ids = pipe.sampling_result.sampled_ids.tolist()
             before = pipe.ledger.simulated[STAGE_INDEX]
             predicted.clear()
             service.extend([full[frame_id]])
-            # The rebuilt frames: the predicted ones, plus the new frame if
-            # it was sampled.  Up to the prior index's last sample, every
-            # frame's rows are reused.
-            rebuilt = sum(predicted) + int(frame_id in pipe.sampling_result.sampled_ids)
-            assert rebuilt == frame_id - last_sample
+            ids = pipe.sampling_result.sampled_ids.tolist()
+            # The rebuilt frames: the predicted ones, plus the new sample.
+            added = sorted(set(ids) - set(prior_ids))
+            rebuilt = sum(predicted) + len(added)
+            if not added:
+                # No new sample: the prior index's rows, its tail's
+                # included, are all reused; only the new frame is made.
+                assert rebuilt == 1
+                flushes.add("no sample")
+            elif added == [frame_id]:
+                # A grid sample ends the old tail: every frame past the
+                # prior index's last sample is made again.
+                assert rebuilt == frame_id - prior_ids[-1]
+                flushes.add("grid sample")
+            else:
+                # An adaptive sample splits one gap: its frames are made
+                # again, and the tail keeps its rows but for the new frame.
+                (sample,) = added
+                position = ids.index(sample)
+                assert rebuilt == ids[position + 1] - ids[position - 1]
+                flushes.add("adaptive sample")
             bill = pipe.ledger.simulated[STAGE_INDEX] - before
             assert bill == pytest.approx(SIMULATED_INDEX_COST_PER_FRAME * rebuilt)
+        assert flushes == {"no sample", "grid sample", "adaptive sample"}
 
 
 def _assert_same_objects(got, want):
@@ -359,16 +377,24 @@ class TestEstimateReuse:
         pipe = MASTPipeline(MASTConfig(seed=4)).fit(
             full.head(240, name=full.name), detector
         )
+        # The fit sampled its last frame, so the prior index has no tail.
+        assert pipe.index._tail is None
         analysed = _counting_analyses(monkeypatch)
         predicted = _counting_predictions(monkeypatch)
+        tail_frames = _counting_predictions(
+            monkeypatch, count=lambda estimate, timestamps: len(timestamps)
+        )
         pipe.extend(list(full[240:]))
         sampling = pipe.sampling_result
         ids, times = sampling.sampled_ids, sampling.timestamps
         # Frames past the last sample are extrapolated by the last gap's
-        # estimate, predicted on every build.
+        # estimate.  It is handed over once, for exactly the frames this
+        # build made: with no prior tail to keep, every one past the
+        # last sample.
         tail = []
         if ids[-1] < sampling.n_frames - 1:
             tail = [(float(times[ids[-2]]), float(times[ids[-1]]))]
+            assert tail_frames[-1] == sampling.n_frames - 1 - ids[-1]
         assert predicted[len(predicted) - len(tail):] == tail
         # Rows are predicted for exactly the gaps that were analysed;
         # every other gap's rows are sliced out of the previous index.
@@ -525,3 +551,103 @@ class TestEstimateReuse:
         _assert_same_columns(rebuilt, scratch)
         assert np.array_equal(rebuilt._sample_rows, scratch._sample_rows)
         assert list(rebuilt._estimates) == list(scratch._estimates)
+
+
+class TestTailAppend:
+    """A rebuild that only adds frames past the prior index's tail writes
+    their rows past the prior's, in the buffer the prior wrote last."""
+
+    @staticmethod
+    def _builder(sampling):
+        """``build(n)``: the index of ``sampling``'s samples up to its widest
+        gap, over its first ``n`` frames, with the very same detection
+        objects; with a frame past that gap's first sample, an open tail.
+        Returns ``build`` and that sample."""
+        from dataclasses import replace
+
+        from repro.utils.timing import CostLedger
+
+        ids = sampling.sampled_ids
+        k = int(np.argmax(np.diff(ids)))
+        last = int(ids[k])
+        assert ids[k + 1] - last > 16
+        ids = ids[: k + 1]
+
+        def build(n_frames, previous=None):
+            grown = replace(
+                sampling,
+                n_frames=n_frames,
+                timestamps=sampling.timestamps[:n_frames],
+                sampled_ids=ids,
+                detections={int(f): sampling.detections[int(f)] for f in ids},
+            )
+            return MASTIndex.build(
+                grown, MASTConfig(seed=2), ledger=CostLedger(), previous=previous
+            )
+
+        return build, last
+
+    @staticmethod
+    def _assert_scratch_columns(index, build):
+        scratch = build(index.n_frames)
+        for column, got, want in zip(scratch._rows._fields, index._rows, scratch._rows):
+            assert got.dtype == want.dtype, column
+            assert np.array_equal(got, want), column
+
+    def test_successors_of_one_index_leave_each_other_and_the_prior_alone(
+        self, sampling
+    ):
+        build, last = self._builder(sampling)
+        # A rebuild leaves room to grow; a scratch build does not.
+        prior = build(last + 3, previous=build(last + 1))
+        before = [column.copy() for column in prior._rows]
+        first = build(last + 7, previous=prior)
+        second = build(last + 11, previous=prior)
+        third = build(last + 11, previous=first)
+
+        # The first successor and its own successor appended in place;
+        # the second found the prior no longer the last writer and copied.
+        assert first._columns is prior._columns is third._columns
+        assert second._columns is not prior._columns
+        for index in (prior, first, second, third):
+            self._assert_scratch_columns(index, build)
+        for column, copy in zip(prior._rows, before):
+            assert column.tobytes() == copy.tobytes()
+
+    @pytest.mark.wall_bound(60)
+    def test_successors_built_on_many_threads_leave_each_other_alone(self, sampling):
+        """Eight threads build successors of one index, and one successor
+        of each, with a tiny switch interval: at most one first successor
+        appends in place, and every index holds its scratch build's rows."""
+        import sys
+        import threading
+
+        build, last = self._builder(sampling)
+        prior = build(last + 3, previous=build(last + 1))
+        before = [column.copy() for column in prior._rows]
+        built = {}
+        start = threading.Barrier(8)
+
+        def work(extra):
+            start.wait(timeout=10)
+            successor = build(last + 3 + extra, previous=prior)
+            built[extra] = (successor, build(last + 6 + extra, previous=successor))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(extra,)) for extra in range(1, 9)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(built) == list(range(1, 9))
+        assert sum(first._columns is prior._columns for first, _ in built.values()) <= 1
+        for pair in built.values():
+            for index in pair:
+                self._assert_scratch_columns(index, build)
+        for column, copy in zip(prior._rows, before):
+            assert column.tobytes() == copy.tobytes()

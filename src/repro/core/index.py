@@ -84,7 +84,6 @@ class MASTIndex:
         timestamps: np.ndarray,
         sampled_ids: np.ndarray,
         rows: ObjectRows,
-        sample_rows: np.ndarray,
         estimates: dict[tuple[int, int], MotionEstimate],
         detections: dict[int, ObjectArray],
         gate: float | None = None,
@@ -95,18 +94,15 @@ class MASTIndex:
         self.n_frames = int(n_frames)
         self.timestamps = np.asarray(timestamps, dtype=float)
         self.sampled_ids = np.asarray(sampled_ids, dtype=np.int64)
-        #: Flat columns in sample order: ``[det(s0)][gap(s0, s1)][det(s1)]
-        #: ... [det(sk)][tail]``, so the rows of the frames up to any
-        #: sampled frame are a prefix.  The tail's rows run frame by
-        #: frame, so the tail of a longer stream extends this one's.
+        #: Flat columns in frame order (a gap's or the tail's rows time
+        #: by time, each time's boxes as :meth:`MotionEstimate.predict`
+        #: orders them), so the rows of frames ``[a, b)`` are
+        #: ``frame_index.searchsorted([a, b])`` and the tail of a longer
+        #: stream extends this one's.
         self._rows = rows
         #: The buffer ``_rows`` views, when a build made it; a successor
         #: that only adds rows past this index's appends to it.
         self._columns = columns
-        #: ``(k, 2)``: the ``[lo, hi)`` rows of each sampled frame's
-        #: detections.  Gap ``i`` is ``[sample_rows[i, 1],
-        #: sample_rows[i + 1, 0])``; the tail follows the last sample.
-        self._sample_rows = sample_rows
         #: Gap -> its motion estimate, in sample order.
         self._estimates = estimates
         self._detections = detections
@@ -157,13 +153,13 @@ class MASTIndex:
         whose detections are the very object the prior index holds keeps
         its rows, and so does each gap the prior index held between the
         same two detection objects — with its estimate, which is a pure
-        function of them.  The tail's rows run frame by frame, so when
-        the prior index extrapolated the same last two samples its tail
-        rows stay too, and only the frames past it are predicted.  A
-        rebuild therefore analyses and predicts only the gaps that
-        changed and the new tail frames: after a one-frame ``extend``
-        that adds no sample, that frame alone, and the sample check is
-        all the rest of the work.  When the prior index's rows all lead
+        function of them.  Rows are in frame order, so when the prior
+        index extrapolated the same last two samples its tail rows stay
+        too, and only the frames past it are predicted.  A rebuild
+        therefore analyses and predicts only the gaps that changed and
+        the new tail frames: after a one-frame ``extend`` that adds no
+        sample, that frame alone, and the sample check is all the rest
+        of the work.  When the prior index's rows all lead
         the new ones and it wrote its buffer last, the new rows are
         written past them in that buffer's spare capacity; otherwise
         every part is copied into a fresh buffer (a quarter larger for a
@@ -194,17 +190,8 @@ class MASTIndex:
                 prior = None
 
         with ledger.measure(STAGE_INDEX):
-            if prior is not None and _adds_only_frames(prior, result):
-                # What ``_lay_out`` would make, without its per-sample
-                # walk: every prior row, span and estimate, then the
-                # tail's rows of the new frames.
-                layout = _Layout(prior)
-                layout.reuse(0, prior.n_indexed_objects)
-                layout.add(_tail_rows(prior._tail, timestamps, prior.n_frames, result.n_frames))
-                sample_rows, estimates, tail = prior._sample_rows, prior._estimates, prior._tail
-                made = result.n_frames - prior.n_frames
-            else:
-                layout, sample_rows, estimates, tail, made = _lay_out(result, prior, gate, engine)
+            layout, estimates, tail = _lay_out(result, prior, gate, engine)
+            made = result.n_frames - layout.reused
             ledger.charge(STAGE_INDEX, SIMULATED_INDEX_COST_PER_FRAME * made, count=0)
         rows, columns = layout.rows(spare=previous is not None)
 
@@ -222,7 +209,6 @@ class MASTIndex:
             timestamps=timestamps,
             sampled_ids=sampled,
             rows=rows,
-            sample_rows=sample_rows,
             estimates=estimates,
             detections=detections,
             gate=gate,
@@ -263,10 +249,9 @@ class MASTIndex:
         One routing rule: a region-shaped filter (any spatial filter but
         a plain distance cut) asked from frame 0 walks the tile index —
         building it on first use; every other series is one batched
-        flat scan of the rows from the segment holding ``start`` on (the
-        rows are in frame order segment by segment, so no earlier row
-        can count), made only when some filter routes there.  Both are
-        bit-identical to the brute-force count.
+        flat scan of the rows of frames ``start`` on, made only when
+        some filter routes there.  Both are bit-identical to the
+        brute-force count.
         """
         filters = list(dict.fromkeys(filters))
         region = [f for f in filters if start == 0 and _region_shaped(f)]
@@ -282,13 +267,8 @@ class MASTIndex:
         return series
 
     def _rows_from(self, frame: int) -> ObjectRows:
-        """The rows from the segment holding ``frame`` on: ``frame``'s
-        detections if it is sampled, else the gap or tail it lies in."""
-        position = int(np.searchsorted(self.sampled_ids, frame, side="right")) - 1
-        if position < 0:
-            return self._rows
-        lo, hi = self._sample_rows[position]
-        return self._rows.span(lo if self.sampled_ids[position] == frame else hi)
+        """The rows of frames ``frame`` on."""
+        return self._rows.span(int(self._rows.frame_index.searchsorted(frame)))
 
     def spatial_stats(self) -> dict[str, float] | None:
         """Tile-pruning counters of the spatial index.
@@ -331,54 +311,34 @@ class MASTIndex:
         )
 
 
-def _adds_only_frames(prior: MASTIndex, result: SamplingResult) -> bool:
-    """Whether ``result`` is ``prior``'s sampling plus frames past its open
-    tail: the same sampled ids, each with the very same detection object."""
-    if prior._tail is None or result.n_frames < prior.n_frames:
-        return False
-    if not np.array_equal(result.sampled_ids, prior.sampled_ids):
-        return False
-    held, detections = prior._detections, result.detections
-    return all(detections[f] is held[f] for f in prior.sampled_ids.tolist())
-
-
-def _tail_rows(tail: MotionEstimate, timestamps: np.ndarray, lo: int, hi: int) -> ObjectRows:
-    """The tail's rows of frames ``[lo, hi)``, frame by frame."""
-    frames = np.arange(lo, hi, dtype=np.int64)
-    _, time_index, labels, xy, scores = stpc.predict_gaps([tail], [timestamps[lo:hi]])
-    return _by_frame(ObjectRows(frames[time_index], labels, xy, scores))
-
-
 def _lay_out(
     result: SamplingResult,
     prior: MASTIndex | None,
     gate: float | None,
     engine: InferenceEngine | None,
-) -> tuple[_Layout, np.ndarray, dict[tuple[int, int], MotionEstimate], MotionEstimate | None, int]:
+) -> tuple[_Layout, dict[tuple[int, int], MotionEstimate], MotionEstimate | None]:
     """Alg. 3's rows of ``result`` around what ``prior`` holds.
 
-    Returns the layout, the sample rows, the estimates, the tail's
-    estimate and the number of frames whose rows were made.
+    Returns the layout, the estimates and the tail's estimate.  A part
+    the build does not have costs nothing: no ST-PC analysis without a
+    pending pair, no flattening without a fresh sample, and no search
+    per sample when ``prior`` holds every one.
     """
     sampled = result.sampled_ids
     timestamps = result.timestamps
     detections = result.detections
     ids = sampled.tolist()
     layout = _Layout(prior)
-    sample_rows = np.empty((len(ids), 2), dtype=np.int64)
     estimates: dict[tuple[int, int], MotionEstimate] = {}
-    # ``held[i]``: where the prior index holds sampled frame ``i``
-    # with the very same detections, or -1.  The leading run of
-    # frames held at their own position is the shared prefix.
-    held = [-1] * len(ids)
+    # The first ``first`` samples are the shared prefix: each is held
+    # by the prior index at its own position, with the very same
+    # detections.  ``held[i]``: where the prior holds a later sample.
     first = 0
-    reused_frames = 0  # frames whose rows come from the prior index
+    held: dict[int, int] = {}
     prior_ids: list[int] = []
-    prior_rows: list[list[int]] = []
     prior_estimates: dict[tuple[int, int], MotionEstimate] = {}
     if prior is not None:
         prior_ids = prior.sampled_ids.tolist()
-        prior_rows = prior._sample_rows.tolist()
         prior_estimates = prior._estimates
         prior_detections = prior._detections
         for frame_id, prior_id in zip(ids, prior_ids):
@@ -386,25 +346,26 @@ def _lay_out(
                 prior_detections[frame_id] is not detections[frame_id]
             ):
                 break
-            held[first] = first
             first += 1
         if first:
-            sample_rows[:first] = prior._sample_rows[:first]
-            layout.reuse(0, prior_rows[first - 1][1])
-            reused_frames += ids[first - 1] - ids[0] + 1
+            layout.reuse(ids[0], ids[first - 1] + 1)
+        if first == len(ids) == len(prior_ids):
+            estimates = prior_estimates  # the same samples: the same gaps
+        elif first:
             # Prior estimates are in sample order: the prefix's
             # gaps are its first ones.
             inner = int(np.count_nonzero(np.diff(sampled[:first]) > 1))
             estimates.update(islice(prior_estimates.items(), inner))
-        positions = np.searchsorted(prior.sampled_ids, sampled[first:])
-        for i, position in enumerate(positions.tolist(), start=first):
-            frame_id = ids[i]
-            if (
-                position < len(prior_ids)
-                and prior_ids[position] == frame_id
-                and prior_detections[frame_id] is detections[frame_id]
-            ):
-                held[i] = position
+        if first < len(ids):
+            positions = np.searchsorted(prior.sampled_ids, sampled[first:])
+            for i, position in enumerate(positions.tolist(), start=first):
+                frame_id = ids[i]
+                if (
+                    position < len(prior_ids)
+                    and prior_ids[position] == frame_id
+                    and prior_detections[frame_id] is detections[frame_id]
+                ):
+                    held[i] = position
 
     # The gaps after the shared prefix that the prior index does
     # not hold between the same two samples: their rows are new.
@@ -412,7 +373,7 @@ def _lay_out(
         i: (ids[i - 1], ids[i])
         for i in range(max(first, 1), len(ids))
         if ids[i] - ids[i - 1] > 1
-        and not (held[i - 1] >= 0 and held[i] == held[i - 1] + 1)
+        and not (i - 1 in held and held.get(i) == held[i - 1] + 1)
     }
     # A live sequence's newest frames may follow its last sample:
     # the last gap's motion extrapolates them.  A batch sampling
@@ -420,10 +381,9 @@ def _lay_out(
     tail_gap = None
     if len(ids) >= 2 and ids[-1] < result.n_frames - 1:
         tail_gap = (ids[-2], ids[-1])
-    # The tail's rows run frame by frame, so the prior index's
-    # tail rows stay when it extrapolated the same last two
-    # samples over no more frames: only the frames past it are
-    # predicted, with its estimate.
+    # The prior index's tail rows stay when it extrapolated the same
+    # last two samples over no more frames: only the frames past it
+    # are predicted, with its estimate.
     tail = None
     tail_from = ids[-1] + 1 if ids else 0
     prior_tail = range(0)
@@ -432,11 +392,11 @@ def _lay_out(
         and prior is not None
         and prior._tail is not None
         and prior.n_frames <= result.n_frames
-        and held[-2:] == [len(prior_ids) - 2, len(prior_ids) - 1]
+        and [i if i < first else held.get(i) for i in (len(ids) - 2, len(ids) - 1)]
+        == [len(prior_ids) - 2, len(prior_ids) - 1]
     ):
         tail = prior._tail
-        prior_tail = range(prior_rows[-1][1], prior.n_indexed_objects)
-        reused_frames += prior.n_frames - tail_from
+        prior_tail = range(tail_from, prior.n_frames)
         tail_from = prior.n_frames
     # Alg. 3 lines 2-6 over every new gap at once: one ST-PC
     # batch for the estimates nobody holds (the tail's too, when
@@ -444,19 +404,10 @@ def _lay_out(
     pending = list(new_gaps.values())
     if tail_gap is not None and tail is None and tail_gap[1] - tail_gap[0] == 1:
         pending.append(tail_gap)
-    analysed = dict(
-        zip(
-            pending,
-            stpc.analyze_pairs_once(
-                engine,
-                [
-                    (detections[a], detections[b], timestamps[a], timestamps[b])
-                    for a, b in pending
-                ],
-                max_distance=gate,
-            ),
-        )
-    )
+    analysed = {}
+    if pending:
+        pairs = [(detections[a], detections[b], timestamps[a], timestamps[b]) for a, b in pending]
+        analysed = dict(zip(pending, stpc.analyze_pairs_once(engine, pairs, max_distance=gate)))
     if tail_gap is not None and tail is None:
         tail = analysed.get(tail_gap, estimates.get(tail_gap))
         if tail is None:  # the last gap, held by the prior index
@@ -473,15 +424,14 @@ def _lay_out(
     new_rows = ObjectRows(frame_index, labels, xy, scores)
     spans = iter(zip([0, *ends], ends))
 
-    # The sampled frames the prior index does not hold, flattened
-    # at once; ``fresh_ends`` delimits each frame's rows.
-    fresh = [frame_id for frame_id, at in zip(ids, held) if at < 0]
-    fresh_rows = ObjectRows.flatten({frame_id: detections[frame_id] for frame_id in fresh})
-    fresh_ends = iter(np.cumsum([len(detections[f]) for f in fresh]).tolist())
-    fresh_lo = 0
-
-    # From the first sample the prior index does not hold on:
-    # each gap's rows, then the next sample's.
+    # From the first sample the prior index does not hold on: each
+    # gap's rows, then the next sample's.  The samples it does not hold
+    # at all are flattened at once; ``fresh_ends`` delimits each one's.
+    if first < len(ids):
+        fresh = [ids[i] for i in range(first, len(ids)) if i not in held]
+        fresh_rows = ObjectRows.flatten({frame_id: detections[frame_id] for frame_id in fresh})
+        fresh_ends = iter(np.cumsum([len(detections[f]) for f in fresh]).tolist())
+        fresh_lo = 0
     for i in range(first, len(ids)):
         frame_id = ids[i]
         if i > 0 and frame_id - ids[i - 1] > 1:
@@ -491,57 +441,47 @@ def _lay_out(
                 layout.add(new_rows.span(*next(spans)))
             else:
                 estimates[gap] = prior_estimates[gap]
-                layout.reuse(prior_rows[held[i - 1]][1], prior_rows[held[i]][0])
-                reused_frames += frame_id - ids[i - 1] - 1
-        lo = layout.n_rows
-        if held[i] >= 0:
-            layout.reuse(*prior_rows[held[i]])
-            reused_frames += 1
+                layout.reuse(ids[i - 1] + 1, frame_id)
+        if i in held:
+            layout.reuse(frame_id, frame_id + 1)
         else:
             fresh_hi = next(fresh_ends)
             layout.add(fresh_rows.span(fresh_lo, fresh_hi))
             fresh_lo = fresh_hi
-        sample_rows[i] = lo, layout.n_rows
     if tail is not None:
         if prior_tail:
             layout.reuse(prior_tail.start, prior_tail.stop)
         if tail_from < result.n_frames:
-            layout.add(_by_frame(new_rows.span(*next(spans))))
-    return layout, sample_rows, estimates, tail, result.n_frames - reused_frames
-
-
-def _by_frame(rows: ObjectRows) -> ObjectRows:
-    """``rows`` stably ordered by frame: the tail's layout, in which the
-    rows of frames ``[a, b)`` then ``[b, c)`` are the rows of ``[a, c)``."""
-    order = np.argsort(rows.frame_index, kind="stable")
-    return ObjectRows(*(column.take(order, axis=0) for column in rows))
+            layout.add(new_rows.span(*next(spans)))
+    return layout, estimates, tail
 
 
 class _Layout:
-    """The flat columns of a build, part by part, in order.
+    """The flat columns of a build, part by part, in frame order.
 
-    A run of rows reused from the prior index stays one range until a
-    new part follows it; :meth:`rows` writes everything once.
+    A part is new rows or a run of frames whose rows the prior index
+    holds; consecutive runs merge into one, and :meth:`rows` finds every
+    run's rows with one search of the prior's frame column.
     """
 
     def __init__(self, prior: MASTIndex | None) -> None:
         self._prior = prior
         self._parts: list[ObjectRows | range] = []
-        self.n_rows = 0
+        #: Frames whose rows come from the prior index.
+        self.reused = 0
 
     def reuse(self, lo: int, hi: int) -> None:
-        """Append the prior index's rows ``[lo, hi)``."""
+        """Append the prior index's rows of frames ``[lo, hi)``."""
         last = self._parts[-1] if self._parts else None
         if isinstance(last, range) and last.stop == lo:
             self._parts[-1] = range(last.start, hi)
         else:
             self._parts.append(range(lo, hi))
-        self.n_rows += hi - lo
+        self.reused += hi - lo
 
     def add(self, rows: ObjectRows) -> None:
         """Append new rows."""
         self._parts.append(rows)
-        self.n_rows += len(rows.frame_index)
 
     def rows(self, *, spare: bool) -> tuple[ObjectRows, _Columns]:
         """The columns and the buffer they view.
@@ -551,20 +491,25 @@ class _Layout:
         part is copied into a fresh buffer, with room to grow if
         ``spare``.
         """
-        prior = self._prior
-        parts = [
-            part if isinstance(part, ObjectRows) else prior._rows.span(part.start, part.stop)
-            for part in self._parts
-        ]
-        if (
-            prior is not None
-            and prior._columns is not None
-            and self._parts
-            and self._parts[0] == range(prior.n_indexed_objects)
-        ):
-            appended = prior._columns.append(prior.n_indexed_objects, parts[1:])
-            if appended is not None:
-                return appended
+        prior, parts = self._prior, self._parts
+        runs = [part for part in parts if isinstance(part, range)]
+        if runs:
+            bounds = prior._rows.frame_index.searchsorted(
+                [bound for run in runs for bound in (run.start, run.stop)]
+            ).tolist()
+            spans = iter(bounds)
+            parts = [
+                part if isinstance(part, ObjectRows) else prior._rows.span(next(spans), next(spans))
+                for part in parts
+            ]
+            if (
+                prior._columns is not None
+                and isinstance(self._parts[0], range)
+                and bounds[:2] == [0, prior.n_indexed_objects]
+            ):
+                appended = prior._columns.append(prior.n_indexed_objects, parts[1:])
+                if appended is not None:
+                    return appended
         return _Columns.fresh(parts, spare=spare)
 
 

@@ -332,8 +332,8 @@ class MotionEstimate:
         flattened over ``len(timestamps) x n_boxes`` rows, with
         ``positions`` of shape ``(rows, 2)`` — exactly the columns the
         flat index needs, skipping ObjectArray construction.  Rows run
-        part by part (matched, disappearing, appearing) and, within a
-        part, timestamp by timestamp.  The one-gap call of
+        timestamp by timestamp and, within a timestamp, in :meth:`predict`'s
+        order (matched, disappearing, appearing).  The one-gap call of
         :func:`predict_gaps`.
         """
         return predict_gaps([self], [np.asarray(timestamps, dtype=float)])[1:]
@@ -348,23 +348,26 @@ def predict_gaps(
     predicts.  Returns ``(ends, time_index, labels, positions,
     scores)``: gap ``g`` owns rows ``[ends[g - 1], ends[g])`` (from 0
     for the first), laid out exactly as :meth:`MotionEstimate.predict_flat`
-    lays out one gap, and ``time_index`` indexes the concatenated
-    ``timestamps``.  Every row comes from one segment table — one
-    segment per predicted box of a gap: its source row (label, base xy,
-    base score), velocity, part (matched, disappearing, appearing) and
-    gap — with the float64 operations ``predict_flat`` applies to one gap.
+    lays out one gap — time by time, and per time its matched,
+    disappearing and appearing boxes — and ``time_index`` indexes the
+    concatenated ``timestamps``, so it never decreases within a gap.
+    Every row comes from one segment table — one segment per predicted
+    box of a gap: its source row (label, base xy, base score), velocity
+    and part (matched, disappearing, appearing) — with the float64
+    operations ``predict_flat`` applies to one gap.
     """
-    # The segment table, gap by gap and part by part.  A segment's
-    # source is a flat row of the distinct detection sets (consecutive
-    # gaps share one), its speed a flat row of the gaps' velocities (row
-    # 0, a zero, for a box that is not matched).  Each (gap, part) block
-    # with rows is ``(first segment, boxes, times, first time, part)``.
+    # The segment table, gap by gap and box by box.  A segment's source
+    # is a flat row of the distinct detection sets (consecutive gaps
+    # share one), its speed a flat row of the gaps' velocities (row 0, a
+    # zero, for a box that is not matched).  Each gap with rows is one
+    # block ``(first segment, boxes, times, first time)``.
     first_of: dict[int, int] = {}
     sets: list[ObjectArray] = []
     source: list[int] = []
     speed: list[int] = []
+    part_of: list[int] = []
     velocities: list[np.ndarray] = [np.zeros((1, 2))]
-    blocks: list[tuple[int, int, int, int, int]] = []
+    blocks: list[tuple[int, int, int, int]] = []
     label_types = set()
     ends: list[int] = []
     n_source = n_rows = first_time = 0
@@ -379,23 +382,23 @@ def predict_gaps(
                     n_source += len(objects.labels)
             s0, e0 = first_of[id(e.objects_start)], first_of[id(e.objects_end)]
             matched = e.matched[0].tolist()
-            parts = (
-                [s0 + i for i in matched],
-                [s0 + i for i in e.disappearing],
-                [e0 + j for j in e.appearing],
-            )
-            for part, rows in enumerate(parts):
-                if rows:
-                    blocks.append((len(source), len(rows), n_t, first_time, part))
-                    source += rows
-                    n_rows += len(rows) * n_t
+            gap_boxes = [s0 + i for i in matched]
+            gap_boxes += [s0 + i for i in e.disappearing]
+            n_matched, n_start = len(matched), len(gap_boxes)
+            gap_boxes += [e0 + j for j in e.appearing]
+            if gap_boxes:
+                blocks.append((len(source), len(gap_boxes), n_t, first_time))
+                source += gap_boxes
+                n_rows += len(gap_boxes) * n_t
+            part_of += [0] * n_matched + [1] * (n_start - n_matched)
+            part_of += [2] * (len(gap_boxes) - n_start)
             speed += [n_speed + i for i in matched]
-            speed += [0] * (len(parts[1]) + len(parts[2]))
+            speed += [0] * (len(gap_boxes) - n_matched)
             velocities.append(e.velocities)
             n_speed += len(e.velocities)
-            if parts[0] or parts[1]:
+            if n_start:
                 label_types.add(e.objects_start.labels.dtype)
-            if parts[2]:
+            if e.appearing:
                 label_types.add(e.objects_end.labels.dtype)
         first_time += n_t
         ends.append(n_rows)
@@ -409,7 +412,7 @@ def predict_gaps(
         )
 
     # Rows: per block, its times one by one, and per time its boxes.
-    first_segment, boxes, ticks, block_time, part_of = np.array(blocks, dtype=np.int64).T
+    first_segment, boxes, ticks, block_time = np.array(blocks, dtype=np.int64).T
     rows_of = boxes * ticks
     block = np.repeat(np.arange(len(blocks)), rows_of)
     segment = np.arange(n_rows)
@@ -420,7 +423,7 @@ def predict_gaps(
     segment += first_segment[block]
     time_index = block_time[block]
     time_index += tick
-    part = part_of[block]
+    part = np.array(part_of)[segment]
     del block, width, tick
 
     times = np.concatenate(timestamps)

@@ -30,9 +30,11 @@ class Mutant:
 FLAT_SAMPLER = "One adaptive sampler: the flat bandit is the segment tree at depth 1"
 STPC_BATCH = "One ST-PC pass per index build"
 TAIL_APPEND = "A flush that adds no sample appends its frames"
+FRAME_ORDER = "Index rows in frame order"
 
 _SPEC = "tests/spec/test_differential.py::test_every_method_equals_its_spec"
 _STPC_BATCH = "tests/property/test_stpc_property.py::test_the_batch_equals_per_pair_loops"
+_TIES = "tests/unit/test_stpc.py::TestMatchByLabel::test_tied_minima_take_the_first_column"
 _REBUILD = "tests/streaming/test_index_rebuild_property.py::test_rebuilt_index_equals_a_scratch_build"
 _ISOLATION = (
     "tests/unit/test_index.py::TestTailAppend::"
@@ -75,7 +77,7 @@ MUTANTS: tuple[Mutant, ...] = (
             "first_min = (at_min[at_min.searchsorted(starts_at + width) - 1]"
             " - starts_at).tolist()"
         ),
-        killers=(_STPC_BATCH,),
+        killers=(_TIES, _STPC_BATCH),
         claimed_by=STPC_BATCH,
     ),
     Mutant(
@@ -86,7 +88,7 @@ MUTANTS: tuple[Mutant, ...] = (
             "first_min = (len(col_rows) - 1 - cost.reshape(len(row_rows), -1)"
             "[:, ::-1].argmin(axis=1)).tolist()"
         ),
-        killers=(_STPC_BATCH,),
+        killers=(_TIES, _STPC_BATCH),
         claimed_by=STPC_BATCH,
     ),
     Mutant(
@@ -106,11 +108,20 @@ MUTANTS: tuple[Mutant, ...] = (
         claimed_by=TAIL_APPEND,
     ),
     Mutant(
-        id="tail-rows-part-major",
-        file="src/repro/core/index.py",
-        old='    order = np.argsort(rows.frame_index, kind="stable")\n',
-        new="    order = np.arange(len(rows.frame_index))\n",
-        killers=(_REBUILD,),
-        claimed_by=TAIL_APPEND,
+        id="gap-rows-part-major",
+        file="src/repro/core/stpc.py",
+        old=(
+            "            if gap_boxes:\n"
+            "                blocks.append((len(source), len(gap_boxes), n_t, first_time))\n"
+        ),
+        new=(
+            "            for lo, hi in ((0, n_matched), (n_matched, n_start),"
+            " (n_start, len(gap_boxes))):\n"
+            "                if hi > lo:\n"
+            "                    blocks.append((len(source) + lo, hi - lo, n_t, first_time))\n"
+            "            if gap_boxes:\n"
+        ),
+        killers=(_REBUILD, _STPC_BATCH),
+        claimed_by=FRAME_ORDER,
     ),
 )

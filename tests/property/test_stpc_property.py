@@ -123,20 +123,19 @@ def reference_estimate(start, end, t_start, t_end, max_distance):
 
 
 def reference_rows(estimate, timestamps):
-    """Alg. 3 line 5 for one gap as a plain loop over part, time and box."""
+    """Alg. 3 line 5 for one gap as a plain loop over time, part and box."""
     start, end = estimate.objects_start, estimate.objects_end
     parts = [
         (start, estimate.matched[0].tolist(), "matched"),
         (start, list(estimate.disappearing), "disappearing"),
         (end, list(estimate.appearing), "appearing"),
     ]
-    index, labels, positions, scores, sources = [], [], [], [], []
-    for source, boxes, part in parts:
-        if boxes and len(timestamps):
-            sources.append(source.labels.dtype)
-        for k, t in enumerate(timestamps.tolist()):
-            elapsed = t - estimate.t_start
-            frac = min(max(elapsed / (estimate.t_end - estimate.t_start), 0.0), 1.0)
+    sources = [source.labels.dtype for source, boxes, _ in parts if boxes and len(timestamps)]
+    index, labels, positions, scores = [], [], [], []
+    for k, t in enumerate(timestamps.tolist()):
+        elapsed = t - estimate.t_start
+        frac = min(max(elapsed / (estimate.t_end - estimate.t_start), 0.0), 1.0)
+        for source, boxes, part in parts:
             for box in boxes:
                 index.append(k)
                 labels.append(source.labels[box])

@@ -69,6 +69,20 @@ class TestMatchByLabel:
         pairs, unmatched_a, unmatched_b = match_by_label(empty, scene([[0, 0]]))
         assert pairs == [] and unmatched_a == [] and unmatched_b == [0]
 
+    @pytest.mark.parametrize("other_label", [False, True], ids=["alone", "in-a-run"])
+    def test_tied_minima_take_the_first_column(self, other_label):
+        """A row whose two columns cost the same takes the first, as
+        ``hungarian`` does: on a label block alone in its cost run, and on
+        one that shares its run with another label's block."""
+        if other_label:
+            a = scene([[0, 0], [5, 5]], labels=["Car", "Pedestrian"])
+            b = scene([[1, 0], [-1, 0], [5, 6]], labels=["Car", "Car", "Pedestrian"])
+        else:
+            a, b = scene([[0, 0]]), scene([[1, 0], [-1, 0]])
+        pairs, _, unmatched_b = match_by_label(a, b)
+        assert pairs == ([(0, 0), (1, 2)] if other_label else [(0, 0)])
+        assert unmatched_b == [1]
+
 
 class TestAnalyzePair:
     def test_velocity_of_matched_object(self):
@@ -180,7 +194,8 @@ class TestPredict:
 
 class TestPredictFlat:
     def test_matches_predict(self):
-        """Vectorized flat prediction must agree with per-frame predict."""
+        """Flat prediction runs time by time, and each time's rows are
+        per-frame ``predict``'s, in its order."""
         rng = np.random.default_rng(0)
         a = scene(rng.uniform(-20, 20, (5, 2)))
         b = scene(rng.uniform(-20, 20, (4, 2)))
@@ -188,15 +203,13 @@ class TestPredictFlat:
         times = np.array([0.25, 0.5, 0.75])
         idx, labels, positions, scores = estimate.predict_flat(times)
         assert positions.shape == (len(idx), 2)
+        assert np.all(np.diff(idx) >= 0)
         for k, t in enumerate(times):
             reference = estimate.predict(float(t))
             mask = idx == k
-            assert mask.sum() == len(reference)
-            dists = np.hypot(positions[mask, 0], positions[mask, 1])
-            assert np.allclose(
-                np.sort(dists), np.sort(reference.distances_to_origin())
-            )
-            assert np.allclose(np.sort(scores[mask]), np.sort(reference.scores))
+            assert np.array_equal(labels[mask], reference.labels)
+            assert np.array_equal(positions[mask], reference.centers[:, :2])
+            assert np.array_equal(scores[mask], reference.scores)
 
     def test_empty_timestamps(self):
         estimate = analyze_pair(scene([[0, 0]]), scene([[1, 0]]), 0.0, 1.0)

@@ -46,6 +46,7 @@ class OracleCountProvider:
         self._detections = (engine or InferenceEngine()).detect_wave(
             sequence, range(self.n_frames), model, ledger=self.ledger
         )
+        #: Rows in frame order, as a count from ``start`` needs.
         self._rows = ObjectRows.flatten(self._detections)
 
     # ------------------------------------------------------------------

@@ -28,11 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core import stpc
 from repro.core.config import MASTConfig
 from repro.core.sampler import SamplingResult
-from repro.core.stpc import analyze_pair_once
 from repro.data.annotations import ObjectArray
-from repro.inference import InferenceEngine
 from repro.query.predicates import ObjectFilter
 from repro.utils.validation import require
 
@@ -89,7 +88,6 @@ def calibrate_predictors(
     *,
     config: MASTConfig | None = None,
     max_holdouts: int = 200,
-    engine: InferenceEngine | None = None,
 ) -> PredictorCalibration:
     """Run leave-one-out validation over the sampled frames.
 
@@ -102,9 +100,6 @@ def calibrate_predictors(
         the expected workload (``QueryWorkload.object_filters()``).
     max_holdouts:
         Cap on evaluated (frame, filter) combinations, spread evenly.
-    engine:
-        The engine that served ``sampling``'s detections; a hold-out
-        pair it has already analysed is answered from its motion memo.
     """
     require(bool(object_filters), "need at least one object filter")
     config = config or MASTConfig()
@@ -123,8 +118,7 @@ def calibrate_predictors(
     for frame_id in holdouts:
         position = sampled.index(frame_id)
         left, right = sampled[position - 1], sampled[position + 1]
-        estimate = analyze_pair_once(
-            engine,
+        estimate = stpc.analyze_pair(
             sampling.detections[left],
             sampling.detections[right],
             timestamps[left],

@@ -32,15 +32,15 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from itertools import islice
+from types import MappingProxyType
 
 import numpy as np
 
 from repro.core import stpc
 from repro.core.config import MASTConfig
-from repro.core.sampler import SamplingResult
+from repro.core.sampler import Installed, SamplingResult
 from repro.core.stpc import MotionEstimate
 from repro.data.annotations import ObjectArray
-from repro.inference import InferenceEngine
 from repro.query.predicates import ObjectFilter, ObjectRows, SpatialPredicate
 from repro.utils.timing import STAGE_INDEX, CostLedger
 
@@ -129,7 +129,6 @@ class MASTIndex:
         *,
         ledger: CostLedger | None = None,
         previous: MASTIndex | None = None,
-        engine: InferenceEngine | None = None,
     ) -> MASTIndex:
         """Run Alg. 3 over a sampling result.
 
@@ -143,12 +142,8 @@ class MASTIndex:
         Every gap the build does not reuse, and the tail, is analysed
         and predicted in one batch (:func:`~repro.core.stpc.analyze_pairs`,
         :func:`~repro.core.stpc.predict_gaps`), with rows byte-identical
-        to one gap at a time.  ``engine`` is the one that served
-        ``result``'s detections: each gap's estimate comes through its
-        motion memo (:func:`~repro.core.stpc.analyze_pairs_once`), so a
-        gap the sampler or an earlier build already analysed is not
-        analysed again (without an engine every gap is).  ``previous`` hands over
-        the prior index.  When both indexes agree on every shared
+        to one gap at a time.  ``previous`` hands over the prior index.
+        When both indexes agree on every shared
         frame's timestamp and on the matching gate, each sampled frame
         whose detections are the very object the prior index holds keeps
         its rows, and so does each gap the prior index held between the
@@ -190,7 +185,10 @@ class MASTIndex:
                 prior = None
 
         with ledger.measure(STAGE_INDEX):
-            layout, estimates, tail = _lay_out(result, prior, gate, engine)
+            # Typed so ``repro lint``'s lock graph sees ``layout.rows``
+            # take ``_Columns._lock`` under the caller's locks.
+            layout: _Layout
+            layout, estimates, tail = _lay_out(result, prior, gate)
             made = result.n_frames - layout.reused
             ledger.charge(STAGE_INDEX, SIMULATED_INDEX_COST_PER_FRAME * made, count=0)
         rows, columns = layout.rows(spare=previous is not None)
@@ -216,6 +214,13 @@ class MASTIndex:
             tail=tail,
             columns=columns,
         )
+
+    @property
+    def analysed(self) -> Installed:
+        """A read-only view of the gap -> estimate map and the matching
+        gate it was analysed under (the map is never written after the
+        build)."""
+        return MappingProxyType(self._estimates), self._gate
 
     def _tiles(self):
         """The tile index, built by the first request that routes through it.
@@ -261,14 +266,8 @@ class MASTIndex:
             series = {f: tiles.count_series(f) for f in region}
         flat = [f for f in filters if f not in series]
         if flat:
-            series.update(
-                self._rows_from(start).count_series(flat, self.n_frames, start=start)
-            )
+            series.update(self._rows.count_series(flat, self.n_frames, start=start))
         return series
-
-    def _rows_from(self, frame: int) -> ObjectRows:
-        """The rows of frames ``frame`` on."""
-        return self._rows.span(int(self._rows.frame_index.searchsorted(frame)))
 
     def spatial_stats(self) -> dict[str, float] | None:
         """Tile-pruning counters of the spatial index.
@@ -315,7 +314,6 @@ def _lay_out(
     result: SamplingResult,
     prior: MASTIndex | None,
     gate: float | None,
-    engine: InferenceEngine | None,
 ) -> tuple[_Layout, dict[tuple[int, int], MotionEstimate], MotionEstimate | None]:
     """Alg. 3's rows of ``result`` around what ``prior`` holds.
 
@@ -407,7 +405,7 @@ def _lay_out(
     analysed = {}
     if pending:
         pairs = [(detections[a], detections[b], timestamps[a], timestamps[b]) for a, b in pending]
-        analysed = dict(zip(pending, stpc.analyze_pairs_once(engine, pairs, max_distance=gate)))
+        analysed = dict(zip(pending, stpc.analyze_pairs(pairs, max_distance=gate)))
     if tail_gap is not None and tail is None:
         tail = analysed.get(tail_gap, estimates.get(tail_gap))
         if tail is None:  # the last gap, held by the prior index
@@ -491,7 +489,8 @@ class _Layout:
         part is copied into a fresh buffer, with room to grow if
         ``spare``.
         """
-        prior, parts = self._prior, self._parts
+        prior = self._prior
+        parts = self._parts
         runs = [part for part in parts if isinstance(part, range)]
         if runs:
             bounds = prior._rows.frame_index.searchsorted(

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.config import MASTConfig
 from repro.core.index import LinearCountProvider, MASTIndex
 from repro.core.sampler import (
+    NOTHING_INSTALLED,
     AdaptiveSamplingSession,
     HierarchicalMultiAgentSampler,
     SamplingResult,
@@ -274,19 +275,19 @@ class MASTPipeline:
         # query to it: an all-linear method charges no indexing seconds.
         index: MASTIndex | None = None
         if _routes_to_st(self.config):
-            # The engine's motion memo answers every gap whose detections
-            # did not change, and the prior index always goes along so
-            # those gaps' predicted rows are reused too — and so that, if
-            # it had built its tiles, the new index is built with tiles.
+            # The prior index always goes along, so every gap whose
+            # detections did not change keeps its estimate and predicted
+            # rows — and so that, if it had built its tiles, the new
+            # index is built with tiles.
             index = MASTIndex.build(
-                self._sampling,
-                self.config,
-                ledger=self.ledger,
-                previous=self._index,
-                engine=self.engine,
+                self._sampling, self.config, ledger=self.ledger, previous=self._index
             )
             providers["st"] = index
         self._index = index
+        # The live session reads the estimates the index just made
+        # instead of analysing a gap again when it splits one.
+        if self._session is not None:
+            self._session.installed = index.analysed if index is not None else NOTHING_INSTALLED
         # A fresh cache: no series resolved on the old index outlives it.
         self._state = SeriesState(CountSeriesCache(), 0, self._sampling.n_frames, providers)
 
@@ -382,7 +383,6 @@ class MASTPipeline:
             list(object_filters),
             config=self.config,
             max_holdouts=max_holdouts,
-            engine=self.engine,
         )
         self.config = calibration.apply_to(self.config)
         if self._index is None and _routes_to_st(self.config):

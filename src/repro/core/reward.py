@@ -15,17 +15,12 @@ motion analysis.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.data.annotations import ObjectArray
-from repro.core.stpc import analyze_pair_once, match_by_label
+from repro.core.stpc import MotionEstimate, match_by_label
 
-if TYPE_CHECKING:
-    from repro.inference import InferenceEngine
-
-__all__ = ["st_reward", "triple_reward", "count_deviation_reward"]
+__all__ = ["st_reward", "gap_reward", "count_deviation_reward"]
 
 
 def st_reward(
@@ -74,13 +69,9 @@ def st_reward(
     return (1.0 - c_var) * distance_term + c_var * mismatch_term
 
 
-def triple_reward(
-    engine: InferenceEngine | None,
-    left: ObjectArray,
-    right: ObjectArray,
+def gap_reward(
+    estimate: MotionEstimate,
     actual: ObjectArray,
-    t_left: float,
-    t_right: float,
     t_actual: float,
     *,
     confidence_threshold: float,
@@ -88,37 +79,19 @@ def triple_reward(
     c_var: float,
     max_distance: float | None,
 ) -> float:
-    """Eq. 1 for a newly sampled frame, once per triple under ``engine``.
+    """Eq. 1 for a newly sampled frame inside the gap ``estimate`` spans.
 
-    ``left`` / ``right`` are the detections of the sampled neighbours,
-    ``actual`` the deep model's output on the frame between them: the
-    ST-PC estimate of the pair predicts the frame, both sides are cut at
-    ``confidence_threshold``, and :func:`st_reward` scores the
-    deviation.  Under an engine the reward of the same three objects at
-    the same three times with the same parameters is its memoized one —
-    a hit skips analysis, prediction, filtering and the second matching.
+    ``estimate`` is the ST-PC analysis of the frame's sampled neighbours
+    and ``actual`` the deep model's output on the frame at ``t_actual``:
+    the estimate predicts the frame, both sides are cut at
+    ``confidence_threshold``, and :func:`st_reward` scores the deviation.
     """
-    t_left, t_right, t_actual = float(t_left), float(t_right), float(t_actual)
-
-    def compute() -> float:
-        estimate = analyze_pair_once(
-            engine, left, right, t_left, t_right, max_distance=max_distance
-        )
-        return st_reward(
-            _confident(estimate.predict(t_actual), confidence_threshold),
-            _confident(actual, confidence_threshold),
-            d_max=d_max,
-            c_var=c_var,
-            max_distance=max_distance,
-        )
-
-    if engine is None:
-        return compute()
-    return engine.motion.get(
-        "reward",
-        (left, right, actual),
-        (t_left, t_right, t_actual, confidence_threshold, d_max, c_var, max_distance),
-        compute,
+    return st_reward(
+        _confident(estimate.predict(t_actual), confidence_threshold),
+        _confident(actual, confidence_threshold),
+        d_max=d_max,
+        c_var=c_var,
+        max_distance=max_distance,
     )
 
 

@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import bisect
 from abc import ABC, abstractmethod
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
+from repro.core import stpc
 from repro.core.config import MASTConfig
-from repro.core.reward import count_deviation_reward, triple_reward
+from repro.core.reward import count_deviation_reward, gap_reward
 from repro.core.segment_tree import SegmentTree
+from repro.core.stpc import MotionEstimate
 from repro.data.annotations import ObjectArray, pack_frames, unpack_frames
 from repro.data.sequence import FrameSequence
 from repro.inference import InferenceEngine
@@ -39,6 +42,12 @@ __all__ = [
     "HierarchicalMultiAgentSampler",
     "uniform_ids",
 ]
+
+
+#: A view of an index's gap -> estimate map and its matching gate.
+Installed = tuple[Mapping[tuple[int, int], MotionEstimate], float | None]
+#: What a session reads before any install: no estimates.
+NOTHING_INSTALLED: Installed = (MappingProxyType({}), None)
 
 
 def uniform_ids(n_frames: int, budget: int) -> np.ndarray:
@@ -137,8 +146,8 @@ class BaseSampler(ABC):
     ) -> SamplingResult:
         """Select and process ``budget`` frames of ``sequence``.
 
-        ``engine`` carries the (optional) shared detection store and the
-        motion memo; ``None`` runs on a private, store-less engine.
+        ``engine`` carries the (optional) shared detection store;
+        ``None`` runs on a private, store-less engine.
         """
 
     def _uniform_phase(
@@ -170,18 +179,21 @@ class BaseSampler(ABC):
         frame_id: int,
         actual: ObjectArray,
         reward_kind: str,
-        engine: InferenceEngine,
+        installed: Installed,
     ) -> float:
         """Reward of newly sampled ``frame_id`` w.r.t. its sampled neighbours.
 
-        ``reward_kind="st"`` computes Eq. 1 against the ST-PC prediction,
-        once per (left, right, actual) triple of detections under
-        ``engine``; ``reward_kind="count"`` computes the Seiden-style
-        count-deviation reward against linear interpolation.  ``sampled``
-        must be sorted and must *not* yet contain ``frame_id``, and
-        ``frame_id`` lies between two of its frames: the segment tree
-        offers only frames inside its range, whose ends the uniform pass
-        samples.
+        ``reward_kind="st"`` computes Eq. 1 against the ST-PC prediction
+        of the two neighbours; ``reward_kind="count"`` computes the
+        Seiden-style count-deviation reward against linear interpolation.
+        The prediction is the estimate ``installed`` holds for the gap
+        when it was analysed from the very same two detection objects
+        (``is``) at the same two timestamps under the same matching gate
+        (a pure function of those inputs); otherwise the pair is
+        analysed here.  ``sampled`` must be sorted and must *not* yet
+        contain ``frame_id``, and ``frame_id`` lies between two of its
+        frames: the segment tree offers only frames inside its range,
+        whose ends the uniform pass samples.
         """
         config = self.config
         position = bisect.bisect_left(sampled, frame_id)
@@ -201,14 +213,25 @@ class BaseSampler(ABC):
                 _confident_count(actual, threshold), interpolated
             )
 
-        return triple_reward(
-            engine,
-            detections[left],
-            detections[right],
+        objects_left, objects_right = detections[left], detections[right]
+        t_left, t_right = float(timestamps[left]), float(timestamps[right])
+        estimates, gate = installed
+        estimate = estimates.get((left, right))
+        if estimate is None or not (
+            estimate.objects_start is objects_left
+            and estimate.objects_end is objects_right
+            and estimate.t_start == t_left
+            and estimate.t_end == t_right
+            and gate == config.match_max_distance
+        ):
+            estimate = stpc.analyze_pair(
+                objects_left, objects_right, t_left, t_right,
+                max_distance=config.match_max_distance,
+            )
+        return gap_reward(
+            estimate,
             actual,
-            timestamps[left],
-            timestamps[right],
-            timestamps[frame_id],
+            float(timestamps[frame_id]),
             confidence_threshold=threshold,
             d_max=config.d_max,
             c_var=config.c_var,
@@ -346,6 +369,11 @@ class AdaptiveSamplingSession:
         self._sampled_set: set[int] = set(self._sampled)
         self._tree: SegmentTree | None = None
         self._plant()
+        #: The gap -> estimate map of the index this session's result was
+        #: last installed with, and the matching gate it was analysed
+        #: under (:meth:`~repro.core.pipeline.MASTPipeline.fit_from_sampling`
+        #: sets it): a reward inside such a gap reads its estimate.
+        self.installed: Installed = NOTHING_INSTALLED
 
     def _set_budget(self, n_frames: int, budget: int | None) -> None:
         config = self._sampler.config
@@ -450,7 +478,7 @@ class AdaptiveSamplingSession:
             with ledger.measure(STAGE_POLICY):
                 reward = sampler._adaptive_reward(
                     self._sequence, self._sampled, self._detections,
-                    frame_id, actual, sampler.reward_kind, self._engine,
+                    frame_id, actual, sampler.reward_kind, self.installed,
                 )
                 tree.record(path, frame_id, reward)
                 bisect.insort(self._sampled, frame_id)

@@ -28,22 +28,15 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.data.annotations import ObjectArray
 from repro.geometry.matching import match_pairs
 
-if TYPE_CHECKING:
-    from repro.inference import InferenceEngine
-
 __all__ = [
     "MotionEstimate",
     "analyze_pair",
-    "analyze_pair_once",
     "analyze_pairs",
-    "analyze_pairs_once",
     "match_by_label",
     "predict_gaps",
 ]
@@ -229,7 +222,7 @@ class MotionEstimate:
     matched:
         ``(2, K)`` int64 array of the ``K`` matched pairs: row 0 indexes
         the start set, row 1 the end set (same objects).  An array, not
-        tuples: the motion memo keeps thousands of estimates alive.
+        tuples: an index keeps one estimate per gap alive.
     velocities:
         ``(len(objects_start), 2)`` xy velocities; zero for unmatched
         boxes (Alg. 1 lines 10-13).
@@ -519,75 +512,3 @@ def analyze_pair(
         [(objects_start, objects_end, t_start, t_end)], max_distance=max_distance
     )[0]
 
-
-def _memo_key(
-    objects_start: ObjectArray,
-    objects_end: ObjectArray,
-    t_start: float,
-    t_end: float,
-    max_distance: float | None,
-) -> tuple[str, tuple, tuple]:
-    return "estimate", (objects_start, objects_end), (float(t_start), float(t_end), max_distance)
-
-
-def analyze_pair_once(
-    engine: InferenceEngine | None,
-    objects_start: ObjectArray,
-    objects_end: ObjectArray,
-    t_start: float,
-    t_end: float,
-    *,
-    max_distance: float | None = None,
-) -> MotionEstimate:
-    """:func:`analyze_pair`, run once per pair of detections under ``engine``.
-
-    The one reuse rule for ST-PC analysis: the estimate is the engine's
-    memoized one when both detection sets are the same objects (``is``)
-    at the same timestamps under the same matching gate — so the
-    sampler, the index and predictor calibration share a single
-    :class:`MotionEstimate` per pair, across re-plans too.  Without an
-    engine it simply computes.
-    """
-    t_start, t_end = float(t_start), float(t_end)
-
-    def compute() -> MotionEstimate:
-        return analyze_pair(
-            objects_start, objects_end, t_start, t_end, max_distance=max_distance
-        )
-
-    if engine is None:
-        return compute()
-    return engine.motion.get(
-        *_memo_key(objects_start, objects_end, t_start, t_end, max_distance), compute
-    )
-
-
-def analyze_pairs_once(
-    engine: InferenceEngine | None,
-    pairs: Sequence[tuple[ObjectArray, ObjectArray, float, float]],
-    *,
-    max_distance: float | None = None,
-) -> list[MotionEstimate]:
-    """:func:`analyze_pairs` under :func:`analyze_pair_once`'s reuse rule.
-
-    The pairs the engine's motion memo does not hold are analysed as one
-    batch, and every estimate is handed out through the memo, so a pair
-    analysed earlier, by anyone, is the memo's estimate.
-    """
-    pairs = [(a, b, float(t_start), float(t_end)) for a, b, t_start, t_end in pairs]
-    if engine is None:
-        return analyze_pairs(pairs, max_distance=max_distance)
-    memo = engine.motion
-    keys = [_memo_key(*pair, max_distance) for pair in pairs]
-    missing = [k for k, key in enumerate(keys) if not memo.holds(*key)]
-    fresh = dict(
-        zip(missing, analyze_pairs([pairs[k] for k in missing], max_distance=max_distance))
-    )
-
-    def compute(k: int) -> MotionEstimate:
-        # A pair evicted since the batch looked is analysed on its own.
-        if k in fresh:
-            return fresh[k]
-        return analyze_pair(*pairs[k], max_distance=max_distance)
-
-    return [memo.get(*key, lambda k=k: compute(k)) for k, key in enumerate(keys)]

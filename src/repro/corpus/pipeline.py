@@ -101,7 +101,7 @@ class CorpusPipeline:
             )
         else:
             self.allocator = policy
-        # Shards share one engine (one detection store, one motion memo).
+        # Shards share one engine (one detection store).
         self.engine = engine or InferenceEngine(store=detection_store)
         #: Corpus-level ledger (costs not attributable to one shard).
         self.ledger = CostLedger()

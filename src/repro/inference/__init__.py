@@ -12,9 +12,6 @@ detection is executed:
   frame ids from the samplers, answers what it can from the store,
   detects the rest on the calling thread, and charges the cost ledger
   (cache hits are never billed as model invocations);
-* :mod:`repro.inference.motion` — the engine's bounded
-  :class:`MotionMemo`, under which ST-PC analysis runs once per pair of
-  detections and the Eq. 1 reward once per triple, whoever asks;
 * :mod:`repro.inference.replay` — an experiment's
   :class:`DetectionRecording` of the Oracle pass, which its sampled
   methods or budget policies replay (still billed) instead of
@@ -22,7 +19,6 @@ detection is executed:
 """
 
 from repro.inference.engine import InferenceEngine
-from repro.inference.motion import MOTION_MEMO_ENTRIES, MotionMemo
 from repro.inference.replay import DetectionRecording
 from repro.inference.store import (
     DetectionKey,
@@ -34,8 +30,6 @@ from repro.inference.store import (
 
 __all__ = [
     "InferenceEngine",
-    "MOTION_MEMO_ENTRIES",
-    "MotionMemo",
     "DetectionRecording",
     "DetectionKey",
     "DetectionStore",

@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING
 
 from repro.data.annotations import ObjectArray
 from repro.data.sequence import FrameSequence
-from repro.inference.motion import MotionMemo
 from repro.inference.store import (
     DetectionStore,
     detection_key,
@@ -54,10 +53,6 @@ class InferenceEngine:
 
     def __init__(self, *, store: DetectionStore | None = None) -> None:
         self.store = store
-        #: ST-PC results over the detections this engine serves; callers
-        #: go through :func:`repro.core.stpc.analyze_pair_once` and
-        #: :func:`repro.core.reward.triple_reward`.
-        self.motion = MotionMemo()
         self._fingerprints: dict[int, str] = {}
 
     @classmethod

@@ -294,15 +294,15 @@ class ObjectRows(NamedTuple):
     ) -> dict[ObjectFilter, np.ndarray]:
         """Per-frame counts of the rows each filter keeps, frames ``[start, n_frames)``.
 
-        Only rows of frames ``>= start`` are masked, and all filters of
-        one call share their confidence masks, label masks and sensor
-        distances.  Counts are integers in float64, so the result does
-        not depend on row order.
+        A ``start`` needs the rows in frame order (``frame_index``
+        non-decreasing): the rows of frames ``start`` on are then one
+        :meth:`span`, found with one search, and nothing is masked or
+        copied.  All filters of one call share their confidence masks,
+        label masks and sensor distances.  Counts are integers in
+        float64, so the result does not depend on the order of one
+        frame's rows.
         """
-        rows = self
-        if start > 0:
-            tail = self.frame_index >= start
-            rows = ObjectRows(*(column[tail] for column in self))
+        rows = self.span(int(self.frame_index.searchsorted(start))) if start else self
         masks = _RowMasks(rows.scores, rows.labels, rows.positions)
         frames = rows.frame_index - start
         return {

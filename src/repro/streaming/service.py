@@ -537,7 +537,6 @@ class StreamingCorpusService:
             "allocation": self.allocation.as_dict(),
             "cache": self.cache_stats().as_dict(),
             "store": self.store.stats().as_dict(),
-            "motion_memo": self._corpus.engine.motion.stats(),
             "model_invocations": ledger.invocations(STAGE_MODEL),
             "detections_by_origin": by_origin,
             "cost": ledger.summary(),

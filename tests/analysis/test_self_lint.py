@@ -104,11 +104,6 @@ def test_unlocking_a_guarded_access_is_caught():
             {"simulated", "measured", "counts", "cache_hits", "cache_misses"},
         ),
         ("src/repro/core/index.py", "_tile_lock", {"spatial_index"}),
-        (
-            "src/repro/inference/motion.py",
-            "_lock",
-            {"_entries", "_hits", "_misses", "_evictions"},
-        ),
     ],
 )
 def test_seed_registries_are_present(relpath, lock, attributes):

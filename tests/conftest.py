@@ -112,18 +112,38 @@ def counted_rows(monkeypatch):
 
 
 @pytest.fixture()
-def always_computing():
-    """``with always_computing():`` — the reference the motion memo is
-    checked against: inside the block every ``MotionMemo.get`` computes."""
-    from repro.inference import MotionMemo
+def pair_analyses(monkeypatch):
+    """The ``(t_start, t_end)`` of every one-pair ST-PC analysis
+    (``stpc.analyze_pair``): a reward's, or a calibration's; an index
+    build analyses through the batch kernel and is not counted."""
+    from repro.core import stpc
+
+    calls: list[tuple[float, float]] = []
+    real = stpc.analyze_pair
+
+    def counting(objects_start, objects_end, t_start, t_end, **kwargs):
+        calls.append((t_start, t_end))
+        return real(objects_start, objects_end, t_start, t_end, **kwargs)
+
+    monkeypatch.setattr(stpc, "analyze_pair", counting)
+    return calls
+
+
+@pytest.fixture()
+def without_handover():
+    """``with without_handover():`` — the reference the estimate hand-over
+    is checked against: inside the block no sampling session is handed an
+    index's estimates, so every ST reward analyses its own pair."""
+    from repro.core.sampler import NOTHING_INSTALLED, AdaptiveSamplingSession
 
     @contextmanager
     def reference():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(
-                MotionMemo,
-                "get",
-                lambda self, kind, objects, scalars, compute: compute(),
+                AdaptiveSamplingSession,
+                "installed",
+                property(lambda self: NOTHING_INSTALLED, lambda self, value: None),
+                raising=False,
             )
             yield
 

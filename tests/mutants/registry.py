@@ -31,6 +31,7 @@ FLAT_SAMPLER = "One adaptive sampler: the flat bandit is the segment tree at dep
 STPC_BATCH = "One ST-PC pass per index build"
 TAIL_APPEND = "A flush that adds no sample appends its frames"
 FRAME_ORDER = "Index rows in frame order"
+HANDOVER = "One owner for motion estimates"
 
 _SPEC = "tests/spec/test_differential.py::test_every_method_equals_its_spec"
 _STPC_BATCH = "tests/property/test_stpc_property.py::test_the_batch_equals_per_pair_loops"
@@ -40,6 +41,11 @@ _ISOLATION = (
     "tests/unit/test_index.py::TestTailAppend::"
     "test_successors_of_one_index_leave_each_other_and_the_prior_alone"
 )
+_GUARDS = (
+    "tests/unit/test_motion_memo.py::TestRewardReadsOnlyItsOwnEstimate::"
+    "test_each_failed_guard_forces_an_analysis"
+)
+_HANDOVER = "tests/unit/test_motion_memo.py::TestHandover"
 
 MUTANTS: tuple[Mutant, ...] = (
     Mutant(
@@ -123,5 +129,25 @@ MUTANTS: tuple[Mutant, ...] = (
         ),
         killers=(_REBUILD, _STPC_BATCH),
         claimed_by=FRAME_ORDER,
+    ),
+    Mutant(
+        id="drop-identity-check",
+        file="src/repro/core/sampler.py",
+        old=(
+            "            estimate.objects_start is objects_left\n"
+            "            and estimate.objects_end is objects_right\n"
+            "            and estimate.t_start == t_left\n"
+        ),
+        new="            estimate.t_start == t_left\n",
+        killers=(_GUARDS,),
+        claimed_by=HANDOVER,
+    ),
+    Mutant(
+        id="no-handover",
+        file="src/repro/core/pipeline.py",
+        old="        if self._session is not None:\n            self._session.installed",
+        new="        if False:\n            self._session.installed",
+        killers=(_HANDOVER,),
+        claimed_by=HANDOVER,
     ),
 )

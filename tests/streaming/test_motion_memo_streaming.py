@@ -1,14 +1,13 @@
-"""The motion memo under the re-plan path: fewer analyses, the same numbers.
+"""The estimate hand-over under the streaming path: fewer analyses, the same numbers.
 
-The drain's exact re-plan replays every sequence's sampler from frame 0
-over the detections the live sessions paid for, so its ST-PC analyses
-and Eq. 1 rewards repeat on the identical objects.  The corpus engine's memo
-answers the repeats; here the streaming service and a batch
-``CorpusPipeline.fit`` run once with it and once under
-``always_computing()`` (every lookup computes), and every sampled id,
-reward, flat index column, digest and answer must agree bit for bit.
-The report's by-origin detection counters and memo counters are pinned
-alongside, because the next streaming PR starts from them.
+Every install hands the live sampling session the estimates of the
+index it just built, so a live epoch that splits a gap the index holds
+reads that gap's estimate instead of analysing the pair again.  Here
+the streaming service and a batch ``CorpusPipeline.fit`` run once with
+the hand-over and once under ``without_handover()`` (every reward
+analyses its pair), and every sampled id, reward, flat index column,
+digest, answer and report field must agree bit for bit.  The report's
+by-origin detection counters are pinned alongside.
 """
 
 from __future__ import annotations
@@ -69,13 +68,15 @@ def _streamed(sequences, config, model, policy):
 
 @pytest.mark.parametrize("policy", ["uniform", "ucb"])
 def test_streaming_service_is_bit_identical_to_always_computing(
-    stream_sequences, config, model, policy, always_computing
+    stream_sequences, config, model, policy, pair_analyses, without_handover
 ):
     state, live, drained, texts, report = _streamed(stream_sequences, config, model, policy)
-    with always_computing():
+    analysed = len(pair_analyses)
+    with without_handover():
         ref_state, ref_live, ref_drained, _, ref_report = _streamed(
             stream_sequences, config, model, policy
         )
+    ref_analysed = len(pair_analyses) - analysed
 
     _assert_same_state(state, ref_state)
     for step, (got, want) in enumerate(zip(live, ref_live, strict=True)):
@@ -84,40 +85,37 @@ def test_streaming_service_is_bit_identical_to_always_computing(
     for text, answer, ref_answer in zip(texts, drained, ref_drained, strict=True):
         assert_same_corpus_answer(answer, ref_answer, text)
 
-    # The memo changed how often ST-PC ran — and nothing the run reports.
-    memo, ref_memo = report.pop("motion_memo"), ref_report.pop("motion_memo")
-    assert memo["hits"] > 0 and memo["misses"] == memo["entries"] > 0
-    assert memo["evictions"] == 0
-    assert ref_memo == {"hits": 0, "misses": 0, "evictions": 0, "entries": 0}
+    # The hand-over changed how often ST-PC ran — and nothing the run reports.
+    assert 0 < analysed < ref_analysed
     del report["cost"], ref_report["cost"]  # measured seconds
     assert report == ref_report
 
 
 @pytest.mark.parametrize("policy", ["uniform", "ucb"])
 def test_corpus_fit_and_replan_are_bit_identical_to_always_computing(
-    stream_sequences, config, model, policy, always_computing
+    stream_sequences, config, model, policy, pair_analyses, without_handover
 ):
     def fitted():
         catalog = SequenceCatalog()
         for sequence in stream_sequences:
             catalog.register_sequence(sequence, dataset="stream")
         with CorpusPipeline(catalog, config, policy=policy) as corpus:
+            before = len(pair_analyses)
             corpus.fit(model)
-            first = _shard_state(corpus)
-            fit_stats = corpus.engine.motion.stats()
+            first, fit_analysed = _shard_state(corpus), len(pair_analyses) - before
             corpus.replan(model)
-            return first, _shard_state(corpus), fit_stats, corpus.engine.motion.stats()
+            return first, _shard_state(corpus), fit_analysed, len(pair_analyses) - before
 
-    first, second, fit_stats, stats = fitted()
-    with always_computing():
-        ref_first, ref_second, _, _ = fitted()
+    first, second, fit_analysed, analysed = fitted()
+    with without_handover():
+        ref_first, ref_second, ref_fit_analysed, ref_analysed = fitted()
     _assert_same_state(first, ref_first)
     _assert_same_state(second, ref_second)
-    # Within one fit a gap is analysed either when the sampler splits it
-    # or when the index closes it, never both; the re-plan on the same
-    # catalog then repeats every triple and every gap, and computes nothing.
-    assert fit_stats["hits"] == 0
-    assert stats["misses"] == fit_stats["misses"] and stats["hits"] > 0
+    # A fit and a re-plan sample fresh sessions, which no index has been
+    # installed on yet: each reward analyses its pair, as the reference's
+    # do, and the re-plan analyses each of them again.
+    assert fit_analysed == ref_fit_analysed > 0
+    assert analysed == ref_analysed == 2 * fit_analysed
 
 
 def test_report_counts_detections_by_origin(stream_sequences, config, model):
@@ -146,5 +144,3 @@ def test_report_counts_detections_by_origin(stream_sequences, config, model):
             == report["model_invocations"]
             == report["store"]["misses"]
         )
-        assert set(report["motion_memo"]) == {"hits", "misses", "evictions", "entries"}
-        assert report["motion_memo"] == service._corpus.engine.motion.stats()

@@ -153,17 +153,6 @@ class TestHoldoutPairsAnalysedOnce:
         assert len(analyses) == expected.n_evaluations // len(FILTERS)
         assert len(set(analyses)) == len(analyses)
 
-    def test_engine_answers_repeat_calibrations_from_its_memo(self, sampling, analyses):
-        from repro.inference import InferenceEngine
-
-        expected = _per_filter_reference(sampling, FILTERS, MASTConfig())
-        with InferenceEngine() as engine:
-            first = calibrate_predictors(sampling, FILTERS, engine=engine)
-            analysed = len(analyses)
-            second = calibrate_predictors(sampling, FILTERS, engine=engine)
-        assert first == second == expected
-        assert len(analyses) == analysed == expected.n_evaluations // len(FILTERS)
-
 
 class TestRegimeSensitivity:
     """Calibration must pick the right predictor where the winner is

@@ -16,23 +16,14 @@ from repro.utils.timing import STAGE_INDEX
 
 
 @pytest.fixture(scope="module")
-def engine():
-    """The engine ``sampling`` and ``index`` were produced under."""
-    from repro.inference import InferenceEngine
-
-    with InferenceEngine() as engine:
-        yield engine
-
-
-@pytest.fixture(scope="module")
-def sampling(kitti_sequence, detector, engine):
+def sampling(kitti_sequence, detector):
     sampler = HierarchicalMultiAgentSampler(MASTConfig(seed=2))
-    return sampler.sample(kitti_sequence, detector, engine=engine)
+    return sampler.sample(kitti_sequence, detector)
 
 
 @pytest.fixture(scope="module")
-def index(sampling, engine):
-    return MASTIndex.build(sampling, MASTConfig(seed=2), engine=engine)
+def index(sampling):
+    return MASTIndex.build(sampling, MASTConfig(seed=2))
 
 
 @pytest.fixture(scope="module")
@@ -463,14 +454,14 @@ class TestEstimateReuse:
         _assert_same_columns(pipe.index, MASTIndex.build(second, config))
 
     def test_replaced_detection_object_is_reanalysed(
-        self, sampling, index, engine, monkeypatch
+        self, sampling, index, monkeypatch
     ):
         from dataclasses import replace
 
         config = MASTConfig(seed=2)
         analysed = _counting_analyses(monkeypatch)
         predicted = _counting_predictions(monkeypatch)
-        MASTIndex.build(sampling, config, previous=index, engine=engine)
+        MASTIndex.build(sampling, config, previous=index)
         assert analysed == [] and predicted == []
 
         # An equal copy of one interior sampled frame's detections is a
@@ -489,7 +480,7 @@ class TestEstimateReuse:
                 frame_id: objects.filter(np.arange(len(objects))),
             },
         )
-        rebuilt = MASTIndex.build(swapped, config, previous=index, engine=engine)
+        rebuilt = MASTIndex.build(swapped, config, previous=index)
         times = sampling.timestamps
         assert analysed == [
             (float(times[ids[position - 1]]), float(times[frame_id])),
@@ -500,39 +491,40 @@ class TestEstimateReuse:
         assert predicted == analysed
         _assert_same_columns(rebuilt, index)
 
-    def test_other_timestamps_reuse_no_rows(self, sampling, index, engine, monkeypatch):
-        """Rows depend on interior timestamps the estimates never see."""
+    def test_other_timestamps_reuse_no_rows(self, sampling, index, monkeypatch):
+        """Rows depend on interior timestamps the estimates never see: a
+        prior with other timestamps is rejected whole, so every gap is
+        analysed and predicted again."""
         from dataclasses import replace
 
         config = MASTConfig(seed=2)
         ids = sampling.sampled_ids
         start = int(next(a for a, b in zip(ids[:-1], ids[1:]) if b - a > 1))
         timestamps = sampling.timestamps.copy()
-        timestamps[start + 1] += 0.01  # an unsampled frame: every estimate stays valid
+        timestamps[start + 1] += 0.01  # an unsampled frame
         moved = replace(sampling, timestamps=timestamps)
 
         analysed = _counting_analyses(monkeypatch)
         predicted = _counting_predictions(monkeypatch)
-        rebuilt = MASTIndex.build(moved, config, previous=index, engine=engine)
-        assert analysed == []
+        rebuilt = MASTIndex.build(moved, config, previous=index)
+        assert analysed == _gaps(moved)
         assert predicted == _gaps(moved)
         _assert_same_columns(rebuilt, MASTIndex.build(moved, config))
         assert not np.array_equal(rebuilt._rows.positions, index._rows.positions)
 
     def test_other_matching_gate_reuses_nothing(
-        self, sampling, index, engine, monkeypatch
+        self, sampling, index, monkeypatch
     ):
         analysed = _counting_analyses(monkeypatch)
         MASTIndex.build(
             sampling,
             MASTConfig(seed=2, match_max_distance=5.0),
             previous=index,
-            engine=engine,
         )
         assert analysed == _gaps(sampling)
 
     def test_dropped_sample_predicts_the_merged_gap(
-        self, sampling, index, engine, monkeypatch
+        self, sampling, index, monkeypatch
     ):
         """A plan without one of the prior's samples: the two gaps around
         it merge into one the prior never held, so its rows are predicted;
@@ -544,7 +536,7 @@ class TestEstimateReuse:
         position = len(ids) // 2
         fewer = replace(sampling, sampled_ids=np.delete(ids, position))
         predicted = _counting_predictions(monkeypatch)
-        rebuilt = MASTIndex.build(fewer, config, previous=index, engine=engine)
+        rebuilt = MASTIndex.build(fewer, config, previous=index)
         times = sampling.timestamps
         assert predicted == [(float(times[ids[position - 1]]), float(times[ids[position + 1]]))]
         scratch = MASTIndex.build(fewer, config)
